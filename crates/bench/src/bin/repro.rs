@@ -7,21 +7,18 @@
 //!     --scale 1000000 --threads 4 --reps 5 --json BENCH_rasterjoin.json
 //! ```
 
-use urbane_bench::{batch_bench, blockcache_bench, experiments, perf, serve_bench, swarm, verify_exp};
+use urbane_bench::{experiments, perf, serve_bench, swarm, verify_exp};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--exp all|bench|indexjoin|serve|swarm|batch|blockcache|verify|e1|...|e10] [--scale N] [--out DIR]\n\
+        "usage: repro [--exp all|bench|indexjoin|serve|swarm|verify|e1|...|e10] [--scale N] [--out DIR]\n\
          \x20             [--threads N] [--reps N] [--json PATH]\n\
          \x20             [--clients N] [--requests N] [--shards N] [--kills N]\n\
-         \x20             [--window-ms N]\n\
          defaults: --exp all --scale 1000000 --out out --threads 4 --reps 5\n\
-         \x20         --clients 2 --requests 60 --shards 3 --kills 2 --window-ms 15\n\
-         --threads/--reps apply to `bench`, `indexjoin` and `serve`; --json also to `verify`/`swarm`/`batch`;\n\
-         --clients/--requests apply to `serve`, `swarm`, and `batch` (scale = dataset rows);\n\
+         \x20         --clients 2 --requests 60 --shards 3 --kills 2\n\
+         --threads/--reps apply to `bench`, `indexjoin` and `serve`; --json also to `verify`/`swarm`;\n\
+         --clients/--requests apply to `serve` and `swarm` (scale = dataset rows);\n\
          --shards/--kills apply to `swarm` (chaos-driven sharded front);\n\
-         --window-ms applies to `batch` (admission window of the batched leg);\n\
-         `blockcache` replays a zoom/pan/drill trace against the additive block cache (scale = rows);\n\
          for `verify`, scale maps to corpus size (default = fast CI corpus)"
     );
     std::process::exit(2);
@@ -39,7 +36,6 @@ fn main() {
     let mut requests = 60usize;
     let mut shards = 3usize;
     let mut kills = 2usize;
-    let mut window_ms = 15u64;
 
     let mut i = 0;
     while i < args.len() {
@@ -110,14 +106,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--window-ms" => {
-                i += 1;
-                window_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&w| w > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -159,54 +147,6 @@ fn main() {
             cfg.shards, cfg.clients, cfg.requests, cfg.kills, cfg.seed
         );
         let report = swarm::run(&cfg);
-        if let Some(path) = &json_path {
-            std::fs::write(path, report.to_json())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        print!("{}", report.render());
-        if !report.passed() {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if exp == "batch" {
-        let cfg = batch_bench::BatchBenchConfig {
-            rows: scale.min(500_000),
-            clients: clients.max(8),
-            requests,
-            window_ms,
-            ..Default::default()
-        };
-        println!(
-            "batch: {} clients x {} requests over {} rows, window {} ms",
-            cfg.clients, cfg.requests, cfg.rows, cfg.window_ms
-        );
-        let report = batch_bench::run(&cfg);
-        if let Some(path) = &json_path {
-            std::fs::write(path, report.to_json())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        print!("{}", report.render());
-        if !report.passed() {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if exp == "blockcache" {
-        let cfg = blockcache_bench::BlockCacheBenchConfig {
-            rows: scale.min(500_000),
-            ..Default::default()
-        };
-        println!(
-            "blockcache: zoom/pan/drill trace over {} rows, {} MiB block budget",
-            cfg.rows,
-            cfg.block_cache_bytes >> 20
-        );
-        let report = blockcache_bench::run(&cfg);
         if let Some(path) = &json_path {
             std::fs::write(path, report.to_json())
                 .unwrap_or_else(|e| panic!("write {path}: {e}"));

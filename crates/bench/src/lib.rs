@@ -7,8 +7,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch_bench;
-pub mod blockcache_bench;
 pub mod experiments;
 pub mod perf;
 pub mod serve_bench;

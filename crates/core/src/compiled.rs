@@ -32,8 +32,7 @@ use urbane_geom::{BoundingBox, Point};
 const MASK_CHUNK: usize = 1 << 16;
 
 /// One filter condition bound to its table columns — the per-row dispatch
-/// and column lookup are hoisted out of the scan loop, which matters when
-/// the mask build runs once per batch member.
+/// and column lookup are hoisted out of the scan loop.
 enum Pred<'t> {
     /// Attribute in `[min, max]` (closed; NaN never matches).
     Range { vals: &'t [f32], min: f32, max: f32 },

@@ -224,7 +224,7 @@ impl RasterJoin {
     /// Build bins for a one-shot execution per [`BinningMode`]. Long-lived
     /// callers (sessions) should build a [`BinnedPointTable`] once and use
     /// [`execute_store`](Self::execute_store) instead.
-    pub(crate) fn auto_bins(
+    fn auto_bins(
         &self,
         points: &PointTable,
         regions: &RegionSet,
@@ -253,41 +253,20 @@ impl RasterJoin {
         }
     }
 
-    /// Evaluate `query` restricted to an explicit subset of region ids — the
-    /// residual-evaluation entry point behind `urbane::blockcache`. The pass
-    /// is planned from the *full* set's bounding box (via
-    /// [`RegionSet::masked`], which preserves it verbatim), so the canvas —
-    /// and therefore every per-point pixel assignment — is identical to a
-    /// whole-set pass. Because points-first gathers are independent per
-    /// region and the default [`AggState`](urban_data::query::AggState) is an
-    /// exact merge identity, the returned table holds, for every id in
-    /// `subset`, a state bit-identical to the whole-set answer (all other
-    /// rows stay at the default state). That additivity is what lets cached
-    /// block partials and residual partials compose losslessly.
-    ///
-    /// Rejects the id-buffer strategy: its `Replace`-blend id texture makes
-    /// region results depend on which *other* regions were rasterized, so
-    /// subset answers would not compose.
-    pub fn execute_store_subset(
+    /// Stand-in for `benchmark/probe`, which calls this name: the batched
+    /// executor is gone (DESIGN.md §14), so this runs
+    /// [`execute_store`](Self::execute_store) per query, in order, and the
+    /// probe's `core.batch_k4_ms_per_query` reads the serial cost. Delete it
+    /// when a `benchmark` PR drops that probe row.
+    #[doc(hidden)]
+    pub fn execute_batch_store(
         &self,
         store: PointStore<'_>,
         regions: &RegionSet,
-        subset: &[u32],
-        query: &SpatialAggQuery,
+        queries: &[SpatialAggQuery],
         budget: &QueryBudget,
-    ) -> Result<RasterJoinResult> {
-        if self.config.strategy == PointStrategy::IdBuffer {
-            return Err(RasterJoinError::Config(
-                "subset evaluation requires the points-first strategy \
-                 (id-buffer region results are not independent per region)"
-                    .into(),
-            ));
-        }
-        if subset.is_empty() {
-            return Err(RasterJoinError::Config("empty region subset".into()));
-        }
-        let masked = regions.masked(subset);
-        self.execute_store(store, &masked, query, budget)
+    ) -> Result<Vec<RasterJoinResult>> {
+        queries.iter().map(|q| self.execute_store(store, regions, q, budget)).collect()
     }
 
     /// Evaluate `query` against a caller-provided [`PointStore`] — the entry
@@ -726,68 +705,6 @@ mod tests {
         let rj = RasterJoin::with_defaults();
         let empty = RegionSet::new("none", vec![]);
         assert!(rj.execute(&points, &empty, &SpatialAggQuery::count()).is_err());
-    }
-
-    #[test]
-    fn subset_states_bit_identical_to_whole_pass() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
-        let regions = voronoi_neighborhoods(&extent, 9, 4, 2);
-        let points = random_points(3_000, 11, &extent);
-        let q = SpatialAggQuery::new(AggKind::Sum("v".into()));
-        let budget = QueryBudget::unlimited();
-        for mode in [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate] {
-            let rj = RasterJoin::new(RasterJoinConfig {
-                spec: CanvasSpec::Resolution(200),
-                max_tile: 128, // multi-tile plan
-                mode,
-                threads: 2,
-                ..Default::default()
-            });
-            let whole = rj
-                .execute_store(PointStore::plain(&points), &regions, &q, &budget)
-                .unwrap();
-            let subset: Vec<u32> = vec![1, 4, 7];
-            let part = rj
-                .execute_store_subset(PointStore::plain(&points), &regions, &subset, &q, &budget)
-                .unwrap();
-            assert_eq!(part.table.len(), whole.table.len());
-            assert_eq!(part.epsilon, whole.epsilon);
-            assert_eq!(part.tiles, whole.tiles);
-            for r in 0..regions.len() {
-                if subset.contains(&(r as u32)) {
-                    assert_eq!(
-                        part.table.states[r], whole.table.states[r],
-                        "mode {mode:?} region {r} not bit-identical"
-                    );
-                } else {
-                    assert_eq!(
-                        part.table.states[r],
-                        Default::default(),
-                        "mode {mode:?} region {r} should stay at the merge identity"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn subset_rejects_id_buffer_and_empty_subset() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 10.0, 10.0);
-        let regions = grid_regions(&extent, 2, 2);
-        let points = random_points(50, 12, &extent);
-        let q = SpatialAggQuery::count();
-        let budget = QueryBudget::unlimited();
-        let idb = RasterJoin::new(RasterJoinConfig {
-            strategy: PointStrategy::IdBuffer,
-            ..Default::default()
-        });
-        assert!(idb
-            .execute_store_subset(PointStore::plain(&points), &regions, &[0], &q, &budget)
-            .is_err());
-        let pf = RasterJoin::with_defaults();
-        assert!(pf
-            .execute_store_subset(PointStore::plain(&points), &regions, &[], &q, &budget)
-            .is_err());
     }
 
     #[test]

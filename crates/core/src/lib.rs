@@ -36,7 +36,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod accurate;
-pub mod batch;
 pub mod bounded;
 pub mod budget;
 pub mod canvas;
@@ -48,7 +47,6 @@ pub mod fault;
 pub mod prepared;
 pub mod weighted;
 
-pub use batch::{BatchResult, MAX_BATCH_TARGETS};
 pub use budget::{CancelHandle, QueryBudget};
 pub use canvas::{CanvasPlan, CanvasSpec};
 pub use chaos::{ChaosCounts, ChaosEvent, ChaosPlan, ShardKill};

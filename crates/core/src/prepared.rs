@@ -237,92 +237,6 @@ impl PreparedRasterJoin {
             stats,
         })
     }
-
-    /// Replay a batch of K queries against the cached polygon rasterization:
-    /// one shared point pass per tile, one CSR gather per region folding all
-    /// K members, one PIP test per (boundary row, region). Answers are
-    /// bit-identical to K [`execute_store`](Self::execute_store) calls.
-    pub fn execute_batch_store(
-        &self,
-        store: PointStore<'_>,
-        queries: &[SpatialAggQuery],
-        budget: &QueryBudget,
-    ) -> Result<crate::batch::BatchResult> {
-        let points = store.table();
-        let cqs = crate::batch::compile_batch(points, queries, budget)?;
-        let mut tables: Vec<AggTable> =
-            cqs.iter().map(|cq| AggTable::new(cq.agg.clone(), self.n_regions)).collect();
-        let mut stats = RenderStats::new();
-
-        for tile in &self.tiles {
-            budget.check()?;
-            let mut pipe = Pipeline::new(tile.viewport);
-            let bufs = crate::batch::batch_point_pass(&mut pipe, &store, &cqs, budget)?;
-            let w = tile.viewport.width;
-
-            // Gather via cached pixel lists, K folds per pixel.
-            for r in 0..self.n_regions {
-                budget.check()?;
-                let lo = tile.offsets[r] as usize;
-                let hi = tile.offsets[r + 1] as usize;
-                // lint: allow(cancel-poll-reachability) the enclosing region loop polls every iteration; a per-pixel poll would dominate the fold
-                for &pix in &tile.pixels[lo..hi] {
-                    crate::batch::batch_fold_pixel(&mut tables, r, &bufs, pix % w, pix / w);
-                }
-            }
-
-            // Accurate mode: one exact fix-up pass shared by the batch.
-            if self.mode == ExecutionMode::Accurate && !tile.boundary_pairs.is_empty() {
-                let columns: Vec<Option<&[f32]>> =
-                    cqs.iter().map(|cq| cq.col.map(|c| points.column(c))).collect();
-                let cand = store.candidates(&tile.viewport.world);
-                let total = cand.as_ref().map_or(points.len(), |c| c.len());
-                for k in 0..total {
-                    if k % POINT_CHUNK == 0 {
-                        budget.check()?;
-                    }
-                    let i = cand.as_ref().map_or(k, |c| c[k] as usize);
-                    if !cqs.iter().any(|cq| cq.matches(i)) {
-                        continue;
-                    }
-                    let p = points.loc(i);
-                    let (x, y) = match tile.viewport.world_to_pixel(p) {
-                        Some(c) => c,
-                        None => continue,
-                    };
-                    let pix = y * w + x;
-                    let lo = tile.boundary_pairs.partition_point(|&(q, _)| q < pix);
-                    if lo == tile.boundary_pairs.len() || tile.boundary_pairs[lo].0 != pix {
-                        continue;
-                    }
-                    // lint: allow(cancel-poll-reachability) walks the few boundary pairs sharing one pixel; the point loop above polls per POINT_CHUNK
-                    for &(q, id) in &tile.boundary_pairs[lo..] {
-                        if q != pix {
-                            break;
-                        }
-                        if self.regions.geometry(id).contains(p) {
-                            for (t, cq) in cqs.iter().enumerate() {
-                                if cq.matches(i) {
-                                    let v = columns[t].map_or(0.0, |vals| vals[i] as f64);
-                                    tables[t].states[id as usize].accumulate(v);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            stats.merge(pipe.stats());
-        }
-
-        Ok(crate::batch::BatchResult {
-            tables,
-            epsilon: self.epsilon,
-            canvas_width: self.canvas.0,
-            canvas_height: self.canvas.1,
-            tiles: self.tiles.len(),
-            stats,
-        })
-    }
 }
 
 #[cfg(test)]

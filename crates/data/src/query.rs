@@ -172,6 +172,7 @@ pub struct AggTable {
 impl AggTable {
     /// Zeroed table for `n` regions.
     pub fn new(agg: AggKind, n_regions: usize) -> Self {
+        // lint: capped-by the arity of a server-side region set — every caller passes `regions.len()`; the wire only selects which set (a checked pyramid-level lookup), never a size
         AggTable { agg, states: vec![AggState::default(); n_regions] }
     }
 

@@ -103,29 +103,6 @@ impl RegionSet {
     pub fn id_of(&self, name: &str) -> Option<RegionId> {
         self.names.iter().position(|n| n == name).map(|i| i as RegionId)
     }
-
-    /// A copy of this set in which every region *not* listed in `keep` is
-    /// replaced by an empty multipolygon. Ids, names, arity, and — crucially
-    /// — the set-level bounding box are all preserved verbatim, so a canvas
-    /// planned from the masked set is identical to one planned from the
-    /// original. An empty geometry has an empty bbox and therefore joins
-    /// nothing, which makes this the subset-evaluation primitive behind the
-    /// block cache's residual passes: per-region aggregates of the kept
-    /// regions are bit-identical to a whole-set pass.
-    pub fn masked(&self, keep: &[RegionId]) -> RegionSet {
-        let mut geoms = vec![MultiPolygon::new(vec![]); self.geoms.len()];
-        for &id in keep {
-            if let Some(g) = self.geoms.get(id as usize) {
-                geoms[id as usize] = g.clone();
-            }
-        }
-        RegionSet {
-            name: self.name.clone(),
-            names: self.names.clone(),
-            geoms,
-            bbox: self.bbox,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -183,22 +160,5 @@ mod tests {
     #[test]
     fn vertex_count() {
         assert_eq!(two_squares().total_vertices(), 8);
-    }
-
-    #[test]
-    fn masked_preserves_arity_names_and_bbox() {
-        let r = two_squares();
-        let m = r.masked(&[1]);
-        assert_eq!(m.len(), r.len());
-        assert_eq!(m.region_name(0), "r0");
-        assert_eq!(m.bbox(), r.bbox());
-        // Kept geometry is intact; masked-out geometry joins nothing.
-        assert_eq!(m.geometry(1), r.geometry(1));
-        assert!(m.geometry(0).bbox().is_empty());
-        assert!(m.regions_containing(Point::new(1.0, 1.0)).is_empty());
-        assert_eq!(m.regions_containing(Point::new(4.0, 1.0)), vec![1]);
-        // Out-of-range ids are ignored rather than panicking.
-        let all = r.masked(&[0, 1, 99]);
-        assert_eq!(all, r);
     }
 }

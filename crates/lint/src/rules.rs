@@ -188,9 +188,8 @@ pub fn rule_in_scope(rule: RuleId, rel: &str) -> bool {
         | RuleId::CatchUnwindPairing
         | RuleId::DirectiveSyntax => true,
         // "Reachable from request handling": the server crate, the
-        // session-facing state holders in `urbane` (including the additive
-        // block store, which admits an entry per query), and the
-        // out-of-core store (readers buffer chunk payloads on query paths).
+        // session-facing state holders in `urbane`, and the out-of-core
+        // store (readers buffer chunk payloads on query paths).
         RuleId::BoundedGrowth => {
             rel.starts_with("crates/server/src")
                 || rel.starts_with("crates/store/src")
@@ -199,8 +198,6 @@ pub fn rule_in_scope(rule: RuleId, rel: &str) -> bool {
                     "crates/urbane/src/service.rs"
                         | "crates/urbane/src/cache.rs"
                         | "crates/urbane/src/session.rs"
-                        | "crates/urbane/src/batch.rs"
-                        | "crates/urbane/src/blockcache.rs"
                 )
         }
         // Merge/answer paths only. Budget (deadlines), fault (seeded clock
@@ -900,12 +897,12 @@ mod tests {
     }
 
     #[test]
-    fn block_store_is_in_scope_for_growth() {
-        // The additive block cache admits an entry per query; an uncapped
-        // insert there is exactly the growth this rule exists for, and the
-        // `bounded-by` note on the byte-budgeted path must suppress it.
-        let src = "impl BlockStore {\n    fn admit(&mut self, k: u64, v: u32) {\n        self.map.insert(k, v);\n        // lint: bounded-by budget_bytes (LRU evicts)\n        self.map.insert(k, v);\n    }\n}\n";
-        let fs = scan_source("crates/urbane/src/blockcache.rs", src, ScanMode::Workspace);
+    fn query_cache_is_in_scope_for_growth() {
+        // The query-result cache admits an entry per distinct query; an
+        // uncapped insert there is exactly the growth this rule exists for,
+        // and the `bounded-by` note on the LRU path must suppress it.
+        let src = "impl Shard {\n    fn admit(&mut self, k: u64, v: u32) {\n        self.map.insert(k, v);\n        // lint: bounded-by capacity (LRU evicts)\n        self.map.insert(k, v);\n    }\n}\n";
+        let fs = scan_source("crates/urbane/src/cache.rs", src, ScanMode::Workspace);
         assert_eq!(
             fs.violations.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
             vec![(RuleId::BoundedGrowth, 3)]

@@ -29,7 +29,6 @@ pub mod blend;
 pub mod buffer;
 pub mod line;
 pub mod msaa;
-pub mod multi;
 pub mod pipeline;
 pub mod point;
 pub mod polygon_scan;
@@ -40,7 +39,6 @@ pub mod triangle;
 
 pub use blend::BlendOp;
 pub use buffer::Buffer2D;
-pub use multi::MultiBuffer2D;
 pub use pipeline::Pipeline;
 pub use stats::RenderStats;
 

@@ -40,13 +40,6 @@ impl Pipeline {
         &self.stats
     }
 
-    /// Mutable statistics — for callers that run a specialized kernel
-    /// outside the pipeline's draw methods but still account its work here.
-    #[inline]
-    pub fn stats_mut(&mut self) -> &mut RenderStats {
-        &mut self.stats
-    }
-
     /// Reset statistics (per-frame).
     pub fn reset_stats(&mut self) {
         self.stats = RenderStats::new();
@@ -70,42 +63,6 @@ impl Pipeline {
         for (i, p) in points.into_iter().enumerate() {
             self.stats.points_in += 1;
             let frags = draw_point(target, &self.viewport, p, value_fn(i), op);
-            if frags == 0 {
-                self.stats.points_culled += 1;
-            }
-            self.stats.fragments += frags;
-        }
-    }
-
-    /// Batched point pass: one projection per point, blended into every
-    /// render target of `target` that `gate(i, t)` admits (`glDrawBuffers`
-    /// analogue). Targets are visited in ascending order, so each target
-    /// sees exactly the blend subsequence a solo [`Pipeline::draw_points`]
-    /// over its gated points would have produced — bit-identical f32 sums.
-    pub fn draw_points_multi<T, I, G, V>(
-        &mut self,
-        target: &mut crate::multi::MultiBuffer2D<T>,
-        points: I,
-        mut gate: G,
-        mut value_fn: V,
-        op: BlendOp,
-    ) where
-        T: Blendable,
-        I: IntoIterator<Item = Point>,
-        G: FnMut(usize, usize) -> bool,
-        V: FnMut(usize, usize) -> T,
-    {
-        self.stats.draw_calls += 1;
-        for (i, p) in points.into_iter().enumerate() {
-            self.stats.points_in += 1;
-            let frags = crate::multi::draw_point_multi(
-                target,
-                &self.viewport,
-                p,
-                |t| gate(i, t),
-                |t| value_fn(i, t),
-                op,
-            );
             if frags == 0 {
                 self.stats.points_culled += 1;
             }

@@ -31,14 +31,6 @@ fn usage() -> ! {
            --cache-capacity N  query-result cache entries, 0 disables (default 1024)\n\
            --deadline-ms N     default per-query deadline (default 2000)\n\
            --resolution N      raster canvas resolution (default 512)\n\
-           --batch-window-ms N admission window for coalescing concurrent\n\
-                               compatible queries into one batched raster\n\
-                               pass (default 0 = batching off)\n\
-           --batch-max N       most queries per batch (default 16)\n\
-           --block-cache-bytes N  byte budget for the additive block cache\n\
-                               (per-region partial aggregates composed\n\
-                               across overlapping viewports; default 0 =\n\
-                               disabled)\n\
            --store-dir DIR     register every *.ubs file in DIR as a cold\n\
                                store-backed dataset (header-only boot; rows\n\
                                page in lazily or stream via mode=index)"
@@ -60,9 +52,6 @@ struct Args {
     cache_capacity: usize,
     deadline_ms: u64,
     resolution: u32,
-    batch_window_ms: u64,
-    batch_max: usize,
-    block_cache_bytes: usize,
     store_dir: Option<String>,
 }
 
@@ -76,9 +65,6 @@ fn parse_args() -> Args {
         cache_capacity: 1024,
         deadline_ms: 2_000,
         resolution: 512,
-        batch_window_ms: 0,
-        batch_max: 16,
-        block_cache_bytes: 0,
         store_dir: None,
     };
     let mut it = std::env::args().skip(1);
@@ -110,13 +96,6 @@ fn parse_args() -> Args {
             "--cache-capacity" => args.cache_capacity = num(&flag, &value("--cache-capacity")),
             "--deadline-ms" => args.deadline_ms = num(&flag, &value("--deadline-ms")),
             "--resolution" => args.resolution = num(&flag, &value("--resolution")),
-            "--batch-window-ms" => {
-                args.batch_window_ms = num(&flag, &value("--batch-window-ms"))
-            }
-            "--batch-max" => args.batch_max = num(&flag, &value("--batch-max")),
-            "--block-cache-bytes" => {
-                args.block_cache_bytes = num(&flag, &value("--block-cache-bytes"))
-            }
             "--store-dir" => args.store_dir = Some(value("--store-dir")),
             "--help" | "-h" => usage(),
             other => {
@@ -130,9 +109,6 @@ fn parse_args() -> Args {
     }
     if args.resolution == 0 {
         fail("--resolution must be at least 1");
-    }
-    if args.batch_max == 0 {
-        fail("--batch-max must be at least 1");
     }
     args
 }
@@ -191,9 +167,6 @@ fn main() {
         join: raster_join::RasterJoinConfig::with_resolution(args.resolution),
         cache_capacity: args.cache_capacity,
         default_deadline: Duration::from_millis(args.deadline_ms),
-        batch_window: Duration::from_millis(args.batch_window_ms),
-        batch_max: args.batch_max,
-        block_cache_bytes: args.block_cache_bytes,
         ..Default::default()
     };
     let service = match UrbaneService::new(service_config, catalog, pyramid) {

@@ -179,23 +179,7 @@ impl Router {
             let _ = writeln!(out, "urbane_guard_path_total{{path=\"{label}\"}} {n}");
         }
 
-        // Batching planner: occupancy histogram (how many queries shared
-        // each raster pass), window wait, and single-flight dedup. All
-        // stable zeros when batching is disabled (the default).
-        let batch = self.service.batch_stats();
-        let _ = writeln!(out, "# TYPE urbane_batch_size histogram");
-        let mut cumulative = 0u64;
-        // lint: allow(cancel-poll-reachability) renders the fixed histogram bucket table on the metrics page
-        for (i, edge) in urbane::BATCH_SIZE_BUCKETS.iter().enumerate() {
-            cumulative += batch.size_buckets[i];
-            let _ = writeln!(out, "urbane_batch_size_bucket{{le=\"{edge}\"}} {cumulative}");
-        }
-        cumulative += batch.size_buckets[urbane::BATCH_SIZE_BUCKETS.len()];
-        let _ = writeln!(out, "urbane_batch_size_bucket{{le=\"+Inf\"}} {cumulative}");
-        let _ = writeln!(out, "urbane_batch_size_sum {}", batch.batched_queries);
-        let _ = writeln!(out, "urbane_batch_size_count {}", batch.batches);
-        let _ = writeln!(out, "# TYPE urbane_batch_window_wait_ms_total counter");
-        let _ = writeln!(out, "urbane_batch_window_wait_ms_total {}", batch.window_wait_ms);
+        // Single-flight dedup of identical concurrent misses.
         let _ = writeln!(out, "# TYPE urbane_single_flight_followers_total counter");
         let _ = writeln!(
             out,
@@ -220,24 +204,20 @@ impl Router {
             paging.streamed_queries
         );
 
-        // Additive block cache: hits count individual cached blocks served,
-        // partial_hits count queries composed from cached blocks plus a
-        // residual pass, residual_blocks count blocks back-filled by those
-        // passes. All stable zeros when the cache is disabled (the default).
-        let blocks = self.service.blockcache_stats();
-        let _ = writeln!(out, "# TYPE urbane_blockcache_hits_total counter");
-        let _ = writeln!(out, "urbane_blockcache_hits_total {}", blocks.hits);
-        let _ = writeln!(out, "# TYPE urbane_blockcache_partial_hits_total counter");
-        let _ = writeln!(out, "urbane_blockcache_partial_hits_total {}", blocks.partial_hits);
-        let _ = writeln!(out, "# TYPE urbane_blockcache_residual_blocks_total counter");
-        let _ =
-            writeln!(out, "urbane_blockcache_residual_blocks_total {}", blocks.residual_blocks);
-        let _ = writeln!(out, "# TYPE urbane_blockcache_evictions_total counter");
-        let _ = writeln!(out, "urbane_blockcache_evictions_total {}", blocks.evictions);
-        let _ = writeln!(out, "# TYPE urbane_blockcache_entries gauge");
-        let _ = writeln!(out, "urbane_blockcache_entries {}", blocks.entries);
-        let _ = writeln!(out, "# TYPE urbane_blockcache_bytes gauge");
-        let _ = writeln!(out, "urbane_blockcache_bytes {}", blocks.bytes);
+        // Stand-ins: the batch planner and block cache are gone (DESIGN.md
+        // §14, §17), but `benchmark/loadgen` aborts a run when any of these
+        // series is missing from the page. Constant zeros until a
+        // `benchmark` PR drops the rows.
+        for series in [
+            "urbane_batch_size_sum",
+            "urbane_batch_size_count",
+            "urbane_batch_window_wait_ms_total",
+            "urbane_blockcache_hits_total",
+            "urbane_blockcache_residual_blocks_total",
+            "urbane_blockcache_bytes",
+        ] {
+            let _ = writeln!(out, "{series} 0");
+        }
         Response::text(200, out)
     }
 }
@@ -340,11 +320,6 @@ mod tests {
         assert!(text.contains("urbane_queue_depth 3"), "{text}");
         assert!(text.contains("urbane_cache_misses_total 1"), "{text}");
         assert!(text.contains("urbane_guard_path_total{path=\"full\"} 1"), "{text}");
-        // Batching is off by default: the planner metrics must render as
-        // stable zeros, not disappear.
-        assert!(text.contains("urbane_batch_size_bucket{le=\"+Inf\"} 0"), "{text}");
-        assert!(text.contains("urbane_batch_size_count 0"), "{text}");
-        assert!(text.contains("urbane_batch_window_wait_ms_total 0"), "{text}");
         assert!(text.contains("urbane_single_flight_followers_total 0"), "{text}");
         // No store-backed datasets: paging counters render as stable zeros.
         assert!(text.contains("urbane_store_page_ins_total 0"), "{text}");

@@ -96,11 +96,6 @@ pub struct SupervisorConfig {
     pub preview_rows: usize,
     /// Raster-join canvas resolution for shards and the preview service.
     pub resolution: u32,
-    /// Batch admission window passed through to every shard's service
-    /// (`Duration::ZERO`, the default, leaves batching off). Each shard
-    /// coalesces its own concurrent compatible queries; the front needs no
-    /// changes — batching is invisible above the service boundary.
-    pub batch_window: Duration,
 }
 
 impl Default for SupervisorConfig {
@@ -121,7 +116,6 @@ impl Default for SupervisorConfig {
             front_cache_capacity: 512,
             preview_rows: 2_000,
             resolution: 256,
-            batch_window: Duration::ZERO,
         }
     }
 }
@@ -180,7 +174,6 @@ fn build_service(
     specs: &[DatasetSpec],
     resolution: u32,
     default_deadline: Duration,
-    batch_window: Duration,
 ) -> io::Result<UrbaneService> {
     let city = CityModel::nyc_like();
     let mut catalog = DataCatalog::new();
@@ -205,7 +198,6 @@ fn build_service(
         ServiceConfig {
             join: RasterJoinConfig::with_resolution(resolution),
             default_deadline,
-            batch_window,
             ..Default::default()
         },
         catalog,
@@ -228,12 +220,8 @@ impl SupervisorCore {
 
     fn boot_shard(&self, i: usize) -> io::Result<UrbaneServer> {
         let specs = self.specs_for_shard(i);
-        let service = build_service(
-            &specs,
-            self.config.resolution,
-            self.config.default_deadline,
-            self.config.batch_window,
-        )?;
+        let service =
+            build_service(&specs, self.config.resolution, self.config.default_deadline)?;
         UrbaneServer::start(self.config.shard_template.clone(), Arc::new(service))
     }
 
@@ -608,14 +596,7 @@ impl ShardSupervisor {
                 seed: s.seed,
             })
             .collect();
-        // The front-local preview service answers single fallback queries;
-        // batching there would only add window latency.
-        let preview = build_service(
-            &preview_specs,
-            config.resolution,
-            config.default_deadline,
-            Duration::ZERO,
-        )?;
+        let preview = build_service(&preview_specs, config.resolution, config.default_deadline)?;
         let slots: Vec<Slot> = (0..config.shards.max(1))
             .map(|_| Slot {
                 state: Mutex::new(SlotState {

@@ -74,10 +74,6 @@ pub struct GuardReport {
     /// `None` when the bound is unknown (cache hit, or the preview rung,
     /// whose error is statistical rather than positional).
     pub error_bound: Option<f64>,
-    /// When the answer came out of a coalesced batch, the number of queries
-    /// that shared its raster passes (the `batched: K` annotation). `None`
-    /// for solo execution, cache hits, and every ladder rung.
-    pub batched: Option<usize>,
 }
 
 impl GuardPath {
@@ -117,13 +113,6 @@ impl GuardReport {
             "error_bound".to_string(),
             match self.error_bound {
                 Some(e) => Json::Number(e),
-                None => Json::Null,
-            },
-        );
-        m.insert(
-            "batched".to_string(),
-            match self.batched {
-                Some(k) => Json::Number(k as f64),
                 None => Json::Null,
             },
         );
@@ -196,7 +185,6 @@ where
                     elapsed: start.elapsed(),
                     deadline,
                     error_bound,
-                    batched: None,
                 },
             });
         }
@@ -221,7 +209,6 @@ where
                     elapsed: start.elapsed(),
                     deadline,
                     error_bound: Some(epsilon),
-                    batched: None,
                 },
             });
         }
@@ -250,7 +237,6 @@ where
             elapsed: start.elapsed(),
             deadline,
             error_bound: None,
-            batched: None,
         },
     })
 }

@@ -21,8 +21,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod batch;
-pub mod blockcache;
 pub mod brush;
 pub mod cache;
 pub mod catalog;
@@ -35,8 +33,6 @@ pub mod service;
 pub mod session;
 pub mod view;
 
-pub use batch::{BatchStats, BATCH_SIZE_BUCKETS};
-pub use blockcache::{BlockCache, BlockCacheStats, BlockEntry, BlockPlan, BLOCK_REGIONS};
 pub use brush::Brush;
 pub use cache::{CacheKey, Flight, QueryCache, SingleFlight};
 pub use catalog::DataCatalog;

@@ -24,8 +24,6 @@
 //!   ladder ([`crate::guard`]) under the request's deadline, so an
 //!   overloaded server degrades fidelity instead of queueing unboundedly.
 
-use crate::batch::{BatchPlanner, BatchStats};
-use crate::blockcache::{self, BlockCache, BlockCacheStats, BlockEntry, BlockPlan};
 use crate::cache::{CacheKey, Flight, QueryCache, SingleFlight};
 use crate::catalog::DataCatalog;
 use crate::guard::{run_ladder, GuardPath, GuardReport, DEGRADED_RESOLUTION, PREVIEW_ROWS};
@@ -59,24 +57,6 @@ pub struct ServiceConfig {
     /// Upper bound on per-request canvas resolutions — a guardrail against
     /// a client requesting a 1e9² canvas.
     pub max_resolution: u32,
-    /// Admission window of the batching planner: concurrent queries sharing
-    /// `(dataset, generation, level, mode, resolution)` that arrive within
-    /// this window coalesce into one batched raster pass
-    /// ([`crate::batch::BatchPlanner`]). The window is added latency for the
-    /// first query of a burst, bought back many times over in shared
-    /// projection and rasterization work. `Duration::ZERO` (the default)
-    /// disables batching entirely.
-    pub batch_window: Duration,
-    /// Most queries coalesced into one batch (clamped to the executor's
-    /// [`raster_join::MAX_BATCH_TARGETS`]). Bounds the batch accumulator
-    /// memory: canvas pixels × batch size × one `[count, Σvalue]` texel.
-    pub batch_max: usize,
-    /// Byte budget of the additive block cache
-    /// ([`crate::blockcache::BlockCache`]): per-block partial aggregates
-    /// keyed without the query's viewport filters, composed additively so
-    /// zoom/pan/drill traces hit even when the exact-key cache misses.
-    /// `0` (the default) disables the block cache entirely.
-    pub block_cache_bytes: usize,
 }
 
 impl Default for ServiceConfig {
@@ -87,9 +67,6 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             default_deadline: Duration::from_secs(2),
             max_resolution: 4096,
-            batch_window: Duration::ZERO,
-            batch_max: 16,
-            block_cache_bytes: 0,
         }
     }
 }
@@ -286,14 +263,8 @@ pub struct UrbaneService {
     pyramid: ResolutionPyramid,
     datasets: RwLock<BTreeMap<String, DatasetEntry>>,
     cache: QueryCache<CachedAnswer>,
-    /// Additive sub-result cache: viewport-independent per-block partials,
-    /// consulted before the exact-key cache and back-filled by residual
-    /// passes ([`crate::blockcache`]).
-    blocks: BlockCache,
     /// Dedup of *identical* concurrent misses: one computes, the rest wait.
     flights: SingleFlight<CachedAnswer>,
-    /// Coalescing of *compatible* concurrent queries into one raster pass.
-    planner: BatchPlanner<(Arc<AggTable>, f64)>,
     // Derived, generation-keyed state (rebuilt lazily after reloads).
     bins: GenerationKeyed<Arc<BinnedPointTable>>,
     samples: GenerationKeyed<Arc<(PointTable, f64)>>,
@@ -362,16 +333,12 @@ impl UrbaneService {
             })
             .collect();
         let cache = QueryCache::new(config.cache_capacity, config.cache_shards);
-        let blocks = BlockCache::new(config.block_cache_bytes);
-        let planner = BatchPlanner::new(config.batch_window, config.batch_max);
         Ok(UrbaneService {
             config,
             pyramid,
             datasets: RwLock::new(datasets),
             cache,
-            blocks,
             flights: SingleFlight::new(),
-            planner,
             bins: Mutex::new(HashMap::new()),
             samples: Mutex::new(HashMap::new()),
             region_indexes: Mutex::new(HashMap::new()),
@@ -441,18 +408,6 @@ impl UrbaneService {
         self.cache.len()
     }
 
-    /// Batching-planner counters (batches, occupancy histogram, window
-    /// wait).
-    pub fn batch_stats(&self) -> BatchStats {
-        self.planner.stats()
-    }
-
-    /// Additive block-cache counters (hits, partial hits, residual blocks,
-    /// evictions, occupancy).
-    pub fn blockcache_stats(&self) -> BlockCacheStats {
-        self.blocks.stats()
-    }
-
     /// Identical concurrent misses served from another request's
     /// computation (each one is a full query's worth of work saved).
     pub fn single_flight_followers(&self) -> u64 {
@@ -500,7 +455,6 @@ impl UrbaneService {
         // embeds the generation), but dropping them now releases memory and
         // keeps LRU pressure honest.
         self.cache.purge(&format!("{name}|"));
-        self.blocks.purge(&format!("{name}|"));
         lock(&self.bins).retain(|(n, _), _| n != name);
         lock(&self.samples).retain(|(n, _), _| n != name);
         generation
@@ -581,47 +535,6 @@ impl UrbaneService {
         ))
     }
 
-    /// Canonical block-key prefix: like [`Self::cache_key`] but with every
-    /// `SpatialBox` filter stripped — a cached block answers *any* viewport
-    /// that cannot clip its regions, so the viewport must not participate
-    /// in the key. The per-block key appends `#b{block}` to this prefix
-    /// (and shares the `{dataset}|` purge prefix with the exact-key cache).
-    fn block_base_key(&self, req: &QueryRequest, generation: u64) -> String {
-        let mut filters: Vec<String> = req
-            .filters
-            .iter()
-            .filter(|f| !matches!(f, Filter::SpatialBox(_)))
-            .map(|f| format!("{f:?}"))
-            .collect();
-        filters.sort();
-        format!(
-            "{}|{}|{}|{:?}|{}|{:?}|{}",
-            req.dataset,
-            generation,
-            req.level,
-            req.mode,
-            self.effective_resolution(req),
-            req.agg,
-            filters.join("&"),
-        )
-    }
-
-    /// The block-composition plan for a request, or `None` when the block
-    /// cache cannot serve it: disabled, an index join (executes outside the
-    /// raster pipeline), or the id-buffer strategy (whose region results
-    /// are not independent and therefore do not compose).
-    fn block_plan(&self, req: &QueryRequest, regions: &RegionSet) -> Option<BlockPlan> {
-        if !self.blocks.enabled()
-            || req.mode == ExecutionMode::IndexJoin
-            || self.config.join.strategy != raster_join::PointStrategy::PointsFirst
-        {
-            return None;
-        }
-        let margin =
-            blockcache::assignment_margin(&regions.bbox(), self.effective_resolution(req));
-        Some(blockcache::plan(regions, &req.filters, margin))
-    }
-
     /// The canvas resolution a request resolves to (clamped to the
     /// configured maximum).
     fn effective_resolution(&self, req: &QueryRequest) -> u32 {
@@ -695,6 +608,34 @@ impl UrbaneService {
         entry
     }
 
+    /// An answer an earlier full-fidelity computation already produced: an
+    /// exact-key cache hit (`cached`) or a single-flight leader's result.
+    fn served(
+        &self,
+        hit: CachedAnswer,
+        cached: bool,
+        regions: Arc<RegionSet>,
+        generation: u64,
+        start: Instant,
+        deadline: Duration,
+    ) -> QueryAnswer {
+        OutcomeCounters::bump(if cached { &self.outcomes.cached } else { &self.outcomes.full });
+        QueryAnswer {
+            table: hit.table,
+            regions,
+            report: GuardReport {
+                path: GuardPath::Full,
+                fallbacks: Vec::new(),
+                retried: false,
+                elapsed: start.elapsed(),
+                deadline,
+                error_bound: hit.epsilon,
+            },
+            cached,
+            generation,
+        }
+    }
+
     /// Serve one request: cache lookup, then the degradation ladder under
     /// the request's deadline. Full-fidelity answers are cached; degraded
     /// ones are not (they must not shadow the real answer once load drops).
@@ -704,8 +645,9 @@ impl UrbaneService {
     }
 
     /// [`query`](Self::query) with an explicit cancel handle (a client
-    /// disconnect raises it).
-    // lint: entrypoint the cancellable request path shared by router and batch planner
+    /// disconnect raises it). Exact-key cache, then single-flight, then the
+    /// ladder.
+    // lint: entrypoint the cancellable request path the router calls per request
     pub fn query_cancellable(
         &self,
         req: &QueryRequest,
@@ -718,76 +660,9 @@ impl UrbaneService {
         let deadline = req.deadline.unwrap_or(self.config.default_deadline);
         let query = req.to_query();
 
-        // Additive block cache, consulted before the exact-key cache: when
-        // every needed block is cached and no region straddles the viewport
-        // edge, the answer composes without touching the executors at all —
-        // the high-yield path on zoom/pan traces whose exact keys never
-        // repeat. Partially-covered plans keep their fetched entries and
-        // finish through the residual passes further down.
-        let block_plan = self.block_plan(req, &regions);
-        let mut block_entries: HashMap<u32, BlockEntry> = HashMap::new();
-        if let Some(plan) = &block_plan {
-            let base = self.block_base_key(req, generation);
-            for &b in &plan.blocks {
-                if let Some(e) = self.blocks.get(&format!("{base}#b{b}")) {
-                    block_entries.insert(b, e);
-                }
-            }
-            if !plan.blocks.is_empty()
-                && plan.band.is_empty()
-                && block_entries.len() == plan.blocks.len()
-            {
-                let mut table = AggTable::new(req.agg.clone(), regions.len());
-                for &r in &plan.inner {
-                    let b = blockcache::block_of(r);
-                    let span = blockcache::block_span(b, regions.len());
-                    if let Some(e) = block_entries.get(&b) {
-                        // lint: capped-by regions.len() — `r` is a region id of the requested level (server-side data the wire only selects), and every block span ends at or before regions.len()
-                        table.states[r as usize] = e.states[(r - span.start) as usize];
-                    }
-                }
-                // Composed certified bound: the sum of the component
-                // blocks' bounds (conservative, but closed under further
-                // composition).
-                let bound: f64 =
-                    plan.blocks.iter().filter_map(|b| block_entries.get(b)).map(|e| e.epsilon).sum();
-                OutcomeCounters::bump(&self.outcomes.cached);
-                return Ok(QueryAnswer {
-                    table: Arc::new(table),
-                    regions,
-                    report: GuardReport {
-                        path: GuardPath::Full,
-                        fallbacks: Vec::new(),
-                        retried: false,
-                        elapsed: start.elapsed(),
-                        deadline,
-                        error_bound: Some(bound),
-                        batched: None,
-                    },
-                    cached: true,
-                    generation,
-                });
-            }
-        }
-
         let key = self.cache_key(req, generation);
         if let Some(hit) = self.cache.get(&key) {
-            OutcomeCounters::bump(&self.outcomes.cached);
-            return Ok(QueryAnswer {
-                table: hit.table,
-                regions,
-                report: GuardReport {
-                    path: GuardPath::Full,
-                    fallbacks: Vec::new(),
-                    retried: false,
-                    elapsed: start.elapsed(),
-                    deadline,
-                    error_bound: hit.epsilon,
-                    batched: None,
-                },
-                cached: true,
-                generation,
-            });
+            return Ok(self.served(hit, true, regions, generation, start, deadline));
         }
 
         // Single-flight: identical concurrent misses ride one computation.
@@ -800,22 +675,7 @@ impl UrbaneService {
             Flight::Follower(follower) => {
                 let timeout = deadline + deadline / 2 + Duration::from_millis(50);
                 if let Some(hit) = follower.wait(timeout) {
-                    OutcomeCounters::bump(&self.outcomes.full);
-                    return Ok(QueryAnswer {
-                        table: hit.table,
-                        regions,
-                        report: GuardReport {
-                            path: GuardPath::Full,
-                            fallbacks: Vec::new(),
-                            retried: false,
-                            elapsed: start.elapsed(),
-                            deadline,
-                            error_bound: hit.epsilon,
-                            batched: None,
-                        },
-                        cached: false,
-                        generation,
-                    });
+                    return Ok(self.served(hit, false, regions, generation, start, deadline));
                 }
                 None
             }
@@ -831,197 +691,6 @@ impl UrbaneService {
                 .get_or_init(|| self.resident_table(&req.dataset, generation, &state))
                 .clone()
         };
-
-        // Batching planner: distinct-but-compatible concurrent queries
-        // (same dataset, generation, level, mode, and resolution) coalesce
-        // into one multi-target raster pass. Requests that cannot afford
-        // the admission window — or carry a cancel handle the batch could
-        // not honor promptly — bypass the planner and run the serial ladder
-        // directly; a failed batch falls through to the same ladder, so
-        // batching can delay an answer by at most the window plus one
-        // failed pass, never change it.
-        if self.config.batch_window > Duration::ZERO
-            && cancel.is_none()
-            && req.mode != ExecutionMode::IndexJoin
-            && block_plan.is_none()
-            && deadline > self.config.batch_window * 2
-        {
-            let group_key = format!(
-                "{}|{}|{}|{:?}|{}",
-                req.dataset,
-                generation,
-                req.level,
-                req.mode,
-                self.effective_resolution(req),
-            );
-            let exec = |queries: &[SpatialAggQuery], batch_deadline: Duration| {
-                let pts = points()?;
-                let bins = self.dataset_bins(&req.dataset, generation, &pts);
-                let store = match &bins {
-                    Some(b) => PointStore::with_bins(&pts, b),
-                    None => PointStore::plain(&pts),
-                };
-                let join = RasterJoin::new(self.join_config(req));
-                let budget = QueryBudget::with_deadline(batch_deadline);
-                let res = join.execute_batch_store(store, &regions, queries, &budget)?;
-                let epsilon = res.epsilon;
-                Ok(res.tables.into_iter().map(|t| (Arc::new(t), epsilon)).collect())
-            };
-            if let Some(out) = self.planner.submit(&group_key, query.clone(), deadline, exec) {
-                let (table, epsilon) = out.value;
-                OutcomeCounters::bump(&self.outcomes.full);
-                let shared = CachedAnswer { table: Arc::clone(&table), epsilon: Some(epsilon) };
-                if let Some(leader) = flight {
-                    leader.complete(Some(shared.clone()));
-                }
-                // lint: bounded-by cache_capacity (sharded LRU evicts at capacity)
-                self.cache.insert(key, shared);
-                return Ok(QueryAnswer {
-                    table,
-                    regions,
-                    report: GuardReport {
-                        path: GuardPath::Full,
-                        fallbacks: Vec::new(),
-                        retried: false,
-                        elapsed: start.elapsed(),
-                        deadline,
-                        error_bound: Some(epsilon),
-                        batched: Some(out.batched),
-                    },
-                    cached: false,
-                    generation,
-                });
-            }
-        }
-
-        // Additive composition: inner regions come from cached blocks,
-        // missing blocks back-fill through a viewport-free residual pass
-        // (pass 1), and the viewport band evaluates with the full
-        // conjunction (pass 2). Both passes restrict the canvas-identical
-        // plan to an explicit region subset, so composed states are
-        // bit-identical to a direct evaluation. Any failure (deadline,
-        // cancel, executor error) falls through to the ladder below —
-        // composition can delay an answer, never lose one.
-        if let Some(plan) = &block_plan {
-            let cached_blocks = block_entries.len();
-            let composed = (|| -> Result<(Arc<AggTable>, f64, usize)> {
-                let mut budget = QueryBudget::with_deadline(deadline);
-                if let Some(c) = cancel {
-                    budget = budget.cancellable(c);
-                }
-                let pts = points()?;
-                let bins = self.dataset_bins(&req.dataset, generation, &pts);
-                let join = RasterJoin::new(self.join_config(req));
-                let base = self.block_base_key(req, generation);
-                let missing: Vec<u32> = plan
-                    .blocks
-                    .iter()
-                    .copied()
-                    .filter(|b| !block_entries.contains_key(b))
-                    .collect();
-                if !missing.is_empty() {
-                    // Pass 1 (back-fill): viewport-free, restricted to the
-                    // missing blocks' member regions, so the new entries
-                    // answer any future viewport.
-                    let members: Vec<u32> = missing
-                        .iter()
-                        .flat_map(|&b| blockcache::block_span(b, regions.len()))
-                        .collect();
-                    let mut base_query = SpatialAggQuery::new(req.agg.clone());
-                    for f in blockcache::strip_spatial(&req.filters) {
-                        base_query = base_query.filter(f);
-                    }
-                    let store = match &bins {
-                        Some(b) => PointStore::with_bins(&pts, b),
-                        None => PointStore::plain(&pts),
-                    };
-                    let res = join.execute_store_subset(
-                        store,
-                        &regions,
-                        &members,
-                        &base_query,
-                        &budget,
-                    )?;
-                    for &b in &missing {
-                        let span = blockcache::block_span(b, regions.len());
-                        let entry = BlockEntry {
-                            states: res.table.states[span.start as usize..span.end as usize]
-                                .to_vec(),
-                            epsilon: res.epsilon,
-                        };
-                        // lint: bounded-by block_cache_bytes (BlockStore::insert runs a byte-budgeted LRU that evicts past the budget)
-                        self.blocks.insert(format!("{base}#b{b}"), entry.clone());
-                        block_entries.insert(b, entry);
-                    }
-                    self.blocks.note_residual_blocks(missing.len() as u64);
-                }
-                // Pass 2 (band): full conjunction over the band regions;
-                // used directly and never block-cached (it depends on the
-                // viewport).
-                let band = if plan.band.is_empty() {
-                    None
-                } else {
-                    let store = match &bins {
-                        Some(b) => PointStore::with_bins(&pts, b),
-                        None => PointStore::plain(&pts),
-                    };
-                    Some(join.execute_store_subset(store, &regions, &plan.band, &query, &budget)?)
-                };
-                let mut table = AggTable::new(req.agg.clone(), regions.len());
-                for &r in &plan.inner {
-                    let b = blockcache::block_of(r);
-                    let span = blockcache::block_span(b, regions.len());
-                    if let Some(e) = block_entries.get(&b) {
-                        table.states[r as usize] = e.states[(r - span.start) as usize];
-                    }
-                }
-                // Composed certified bound: sum of component-block bounds
-                // plus the band pass's bound.
-                let mut bound: f64 = plan
-                    .blocks
-                    .iter()
-                    .filter_map(|b| block_entries.get(b))
-                    .map(|e| e.epsilon)
-                    .sum();
-                if let Some(band_res) = &band {
-                    for &r in &plan.band {
-                        table.states[r as usize] = band_res.table.states[r as usize];
-                    }
-                    bound += band_res.epsilon;
-                }
-                Ok((Arc::new(table), bound, missing.len()))
-            })();
-            if let Ok((table, bound, _residual)) = composed {
-                if cached_blocks > 0 {
-                    // The full-hit path returned above, so reaching here
-                    // with cached blocks means residual work completed a
-                    // partial hit.
-                    self.blocks.note_partial_hit();
-                }
-                OutcomeCounters::bump(&self.outcomes.full);
-                let shared = CachedAnswer { table: Arc::clone(&table), epsilon: Some(bound) };
-                if let Some(leader) = flight {
-                    leader.complete(Some(shared.clone()));
-                }
-                // lint: bounded-by cache_capacity (sharded LRU evicts at capacity)
-                self.cache.insert(key, shared);
-                return Ok(QueryAnswer {
-                    table,
-                    regions,
-                    report: GuardReport {
-                        path: GuardPath::Full,
-                        fallbacks: Vec::new(),
-                        retried: false,
-                        elapsed: start.elapsed(),
-                        deadline,
-                        error_bound: Some(bound),
-                        batched: None,
-                    },
-                    cached: false,
-                    generation,
-                });
-            }
-        }
 
         let full = |budget: &QueryBudget| -> Result<(Arc<AggTable>, Option<f64>)> {
             if req.mode == ExecutionMode::IndexJoin {
@@ -1140,11 +809,14 @@ impl UrbaneService {
 mod tests {
     use super::*;
     use urban_data::gen::city::CityModel;
-    use urbane_geom::BoundingBox;
     use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
     use urban_data::time::{TimeRange, DAY};
 
     fn service(cache_capacity: usize) -> UrbaneService {
+        service_with(RasterJoinConfig::with_resolution(256), cache_capacity)
+    }
+
+    fn service_with(join: RasterJoinConfig, cache_capacity: usize) -> UrbaneService {
         let city = CityModel::nyc_like();
         let taxi =
             generate_taxi(&city, &TaxiConfig { rows: 5_000, seed: 3, start: 0, days: 10 });
@@ -1152,11 +824,7 @@ mod tests {
         catalog.register("taxi", taxi);
         let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
         UrbaneService::new(
-            ServiceConfig {
-                join: RasterJoinConfig::with_resolution(256),
-                cache_capacity,
-                ..Default::default()
-            },
+            ServiceConfig { join, cache_capacity, ..Default::default() },
             catalog,
             pyramid,
         )
@@ -1266,142 +934,45 @@ mod tests {
         assert_eq!(outcomes.degraded_bounded + outcomes.preview_sample, 1);
     }
 
-    fn batching_service(window_ms: u64, cache_capacity: usize) -> UrbaneService {
-        let city = CityModel::nyc_like();
-        let taxi =
-            generate_taxi(&city, &TaxiConfig { rows: 5_000, seed: 3, start: 0, days: 10 });
-        let mut catalog = DataCatalog::new();
-        catalog.register("taxi", taxi);
-        let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
-        UrbaneService::new(
-            ServiceConfig {
-                join: RasterJoinConfig::with_resolution(256),
-                cache_capacity,
-                batch_window: Duration::from_millis(window_ms),
-                ..Default::default()
-            },
-            catalog,
-            pyramid,
-        )
-        .unwrap()
-    }
-
-    /// Distinct per-client requests that share the batch group key (same
-    /// dataset/level/mode/resolution, different filters).
-    fn distinct_requests(n: usize) -> Vec<QueryRequest> {
-        (0..n)
-            .map(|i| {
-                QueryRequest::count("taxi", 0).filter(Filter::AttrRange {
-                    column: "fare".into(),
-                    min: 0.0,
-                    max: 500.0 + i as f32,
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn concurrent_compatible_queries_coalesce_and_match_serial() {
-        let batched = batching_service(300, 0);
-        let serial = batching_service(0, 0);
-        let reqs = distinct_requests(4);
-        let answers: Vec<QueryAnswer> = std::thread::scope(|s| {
-            let handles: Vec<_> = reqs
-                .iter()
-                .map(|req| {
-                    let batched = &batched;
-                    s.spawn(move || batched.query(req).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (req, a) in reqs.iter().zip(&answers) {
-            assert_eq!(a.report.path, GuardPath::Full);
-            let b = serial.query(req).unwrap();
-            assert_eq!(
-                a.table.values(),
-                b.table.values(),
-                "batched answer must be bit-identical to serial"
-            );
-        }
-        let stats = batched.batch_stats();
-        assert_eq!(stats.batched_queries, 4, "every query must go through the planner");
-        assert!(
-            answers.iter().any(|a| a.report.batched.is_some_and(|k| k >= 2)),
-            "a 300ms window must coalesce at least one pair; got {:?}",
-            answers.iter().map(|a| a.report.batched).collect::<Vec<_>>()
-        );
-        assert_eq!(batched.guard_outcomes().full, 4);
-    }
-
-    #[test]
-    fn batching_disabled_by_default_and_reports_no_annotation() {
-        let s = service(64);
-        let a = s.query(&QueryRequest::count("taxi", 0)).unwrap();
-        assert_eq!(a.report.batched, None);
-        let stats = s.batch_stats();
-        assert_eq!(stats, BatchStats::default(), "window 0 must never open a batch");
-        assert_eq!(s.single_flight_followers(), 0);
-    }
-
-    #[test]
-    fn batched_full_answers_fill_the_cache_for_every_member() {
-        let s = batching_service(200, 64);
-        let reqs = distinct_requests(3);
-        std::thread::scope(|sc| {
-            for req in &reqs {
-                let s = &s;
-                sc.spawn(move || s.query(req).unwrap());
-            }
-        });
-        // Every member's answer must now be a cache hit under its own key.
-        for req in &reqs {
-            let a = s.query(req).unwrap();
-            assert!(a.cached, "batch member's answer missing from the cache");
-        }
-    }
-
+    #[cfg(feature = "fault-injection")]
     #[test]
     fn identical_concurrent_misses_single_flight() {
-        // Cache off: dedup must come from single-flight alone.
-        let s = batching_service(0, 0);
+        // Cache off, so dedup can only come from single-flight. The leader
+        // stalls inside its first tile; the three identical requests are
+        // spawned only once it is there, so all of them must join its flight.
+        let plan = raster_join::FaultPlan::new().delay_on_tile(0, Duration::from_millis(500));
+        let join = RasterJoinConfig {
+            max_tile: 128, // multi-tile plan: one pass is several tile starts
+            faults: Some(plan.clone()),
+            ..RasterJoinConfig::with_resolution(256)
+        };
+        let s = service_with(join.clone(), 0);
         let req = QueryRequest::count("taxi", 0);
         let answers: Vec<QueryAnswer> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let s = &s;
-                    let req = &req;
-                    sc.spawn(move || s.query(req).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            let leader = sc.spawn(|| s.query(&req).unwrap());
+            while plan.tiles_started() < 1 {
+                std::thread::yield_now();
+            }
+            let followers: Vec<_> = (0..3).map(|_| sc.spawn(|| s.query(&req).unwrap())).collect();
+            std::iter::once(leader).chain(followers).map(|h| h.join().unwrap()).collect()
         });
+        assert_eq!(s.single_flight_followers(), 3);
         for a in &answers {
             assert_eq!(a.report.path, GuardPath::Full);
+            assert!(!a.cached);
+            assert!(Arc::ptr_eq(&a.table, &answers[0].table), "followers share the leader's table");
         }
-        let followers = s.single_flight_followers();
-        assert!(followers <= 3, "at most one leader's worth of followers");
-        // Followers share the leader's table by pointer.
-        if followers == 3 {
-            assert!(answers.windows(2).all(|w| Arc::ptr_eq(&w[0].table, &w[1].table)));
-        }
-    }
-
-    #[test]
-    fn short_deadline_member_bypasses_the_batch_window() {
-        // A member that cannot afford the admission window must go straight
-        // to the serial ladder (and degrade there), while its sibling
-        // batches to a Full answer.
-        let s = batching_service(100, 0);
-        let impatient = QueryRequest::count("taxi", 0).deadline(Duration::ZERO);
-        let a = s.query(&impatient).unwrap();
-        assert!(a.report.degraded());
-        assert_eq!(a.report.batched, None);
-        assert_eq!(s.batch_stats().batched_queries, 0, "zero deadline must bypass the planner");
-        let patient = QueryRequest::count("taxi", 0);
-        let b = s.query(&patient).unwrap();
-        assert_eq!(b.report.path, GuardPath::Full);
-        assert_eq!(b.report.batched, Some(1), "solo member still runs as a batch of one");
+        let one_pass = raster_join::CanvasPlan::plan(
+            &s.pyramid().level(0).unwrap().bbox(),
+            join.spec,
+            join.max_tile,
+        )
+        .unwrap()
+        .tiles
+        .len();
+        assert!(one_pass > 1);
+        assert_eq!(plan.tiles_started(), one_pass, "exactly one raster pass ran");
+        assert_eq!(s.guard_outcomes().full, 4);
     }
 
     fn store_file(rows: usize, seed: u64) -> (CityModel, std::path::PathBuf) {
@@ -1498,147 +1069,5 @@ mod tests {
             UrbaneService::new(ServiceConfig::default(), DataCatalog::new(), pyramid),
             Err(UrbaneError::Config(_))
         ));
-    }
-
-    fn block_service() -> UrbaneService {
-        let city = CityModel::nyc_like();
-        let taxi =
-            generate_taxi(&city, &TaxiConfig { rows: 5_000, seed: 3, start: 0, days: 10 });
-        let mut catalog = DataCatalog::new();
-        catalog.register("taxi", taxi);
-        let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
-        UrbaneService::new(
-            ServiceConfig {
-                join: RasterJoinConfig::with_resolution(256),
-                cache_capacity: 64,
-                block_cache_bytes: 1 << 20,
-                ..Default::default()
-            },
-            catalog,
-            pyramid,
-        )
-        .unwrap()
-    }
-
-    /// A pan step: two overlapping viewports have distinct exact keys (no
-    /// exact-key hit possible) but share interior blocks, so the second
-    /// query must compose cached blocks and only run the residual.
-    #[test]
-    fn pan_step_composes_cached_blocks_and_matches_direct() {
-        let warm = block_service();
-        let direct = service(64); // block cache disabled — ground truth
-        // Level 2 is the tract grid: fine enough that a 70% viewport fully
-        // contains many regions (inner blocks); boroughs would all straddle.
-        let b = warm.pyramid().level(2).unwrap().bbox();
-        let w = b.width();
-        let v1 = BoundingBox::from_coords(b.min.x, b.min.y, b.min.x + 0.7 * w, b.max.y);
-        let v2 =
-            BoundingBox::from_coords(b.min.x + 0.1 * w, b.min.y, b.min.x + 0.8 * w, b.max.y);
-        let q1 = QueryRequest::count("taxi", 2).filter(Filter::SpatialBox(v1));
-        let q2 = QueryRequest::count("taxi", 2).filter(Filter::SpatialBox(v2));
-
-        let a1 = warm.query(&q1).unwrap();
-        assert!(!a1.cached);
-        let seeded = warm.blockcache_stats();
-        assert!(seeded.residual_blocks > 0, "first viewport must back-fill blocks");
-
-        let a2 = warm.query(&q2).unwrap();
-        assert!(!a2.cached, "pan step still does residual work");
-        let d2 = direct.query(&q2).unwrap();
-        assert_eq!(
-            a2.table.states, d2.table.states,
-            "composed answer must be bit-identical to direct evaluation"
-        );
-        // Certified bound is the conservative composed sum — present, and
-        // at least as large as the direct bound.
-        let composed = a2.report.error_bound.unwrap();
-        assert!(composed >= d2.report.error_bound.unwrap());
-
-        let st = warm.blockcache_stats();
-        assert!(st.hits > seeded.hits, "overlap must hit cached blocks");
-        assert_eq!(st.partial_hits, 1, "second query is a partial hit");
-        assert!(st.bytes > 0 && st.entries > 0);
-    }
-
-    /// A viewport that covers the whole extent shares every block with a
-    /// viewport-free query: the second query has a different exact key but
-    /// is answered entirely from cached blocks (no executor work).
-    #[test]
-    fn full_block_coverage_serves_from_cache_across_distinct_keys() {
-        let s = block_service();
-        let base = QueryRequest::count("taxi", 0);
-        let a = s.query(&base).unwrap();
-        assert!(!a.cached);
-
-        // Inflate well past the block-assignment margin so every region is
-        // an inner region of this viewport.
-        let base_bbox = s.pyramid().level(0).unwrap().bbox();
-        let wide = base_bbox.inflate(base_bbox.width());
-        let covered = base.clone().filter(Filter::SpatialBox(wide));
-        let b = s.query(&covered).unwrap();
-        assert!(b.cached, "full block coverage must answer without executors");
-        assert_eq!(a.table.states, b.table.states);
-        assert!(b.report.error_bound.is_some());
-        assert_eq!(s.blockcache_stats().partial_hits, 0, "full hit is not partial");
-        assert!(s.guard_outcomes().cached >= 1);
-    }
-
-    /// Reload purges blocks by generation prefix: a pan step after a reload
-    /// must never compose stale blocks into its answer.
-    #[test]
-    fn reload_purges_block_cache_by_generation() {
-        let s = block_service();
-        let b = s.pyramid().level(2).unwrap().bbox();
-        let v = BoundingBox::from_coords(b.min.x, b.min.y, b.min.x + 0.7 * b.width(), b.max.y);
-        let q = QueryRequest::count("taxi", 2).filter(Filter::SpatialBox(v));
-        let _ = s.query(&q).unwrap();
-        assert!(s.blockcache_stats().entries > 0);
-
-        let city = CityModel::nyc_like();
-        let bigger =
-            generate_taxi(&city, &TaxiConfig { rows: 9_000, seed: 4, start: 0, days: 10 });
-        s.reload_dataset("taxi", bigger);
-        assert_eq!(s.blockcache_stats().entries, 0, "reload must purge the block store");
-
-        let after = s.query(&q).unwrap();
-        assert!(!after.cached);
-        assert_eq!(after.generation, 1);
-        // Fresh evaluation of the bigger table, not a stale composition.
-        let direct = {
-            let city = CityModel::nyc_like();
-            let taxi =
-                generate_taxi(&city, &TaxiConfig { rows: 9_000, seed: 4, start: 0, days: 10 });
-            let mut catalog = DataCatalog::new();
-            catalog.register("taxi", taxi);
-            let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
-            UrbaneService::new(
-                ServiceConfig {
-                    join: RasterJoinConfig::with_resolution(256),
-                    cache_capacity: 64,
-                    ..Default::default()
-                },
-                catalog,
-                pyramid,
-            )
-            .unwrap()
-            .query(&q)
-            .unwrap()
-        };
-        assert_eq!(after.table.states, direct.table.states);
-    }
-
-    /// The block cache is default-off and IndexJoin requests never consult
-    /// it (they execute outside the raster pipeline).
-    #[test]
-    fn block_cache_default_off_and_index_join_bypasses() {
-        let off = service(64);
-        let _ = off.query(&QueryRequest::count("taxi", 0)).unwrap();
-        let st = off.blockcache_stats();
-        assert_eq!((st.entries, st.hits, st.partial_hits), (0, 0, 0));
-
-        let on = block_service();
-        let req = QueryRequest::count("taxi", 0).mode(ExecutionMode::IndexJoin);
-        let _ = on.query(&req).unwrap();
-        assert_eq!(on.blockcache_stats().entries, 0, "index join must not back-fill");
     }
 }

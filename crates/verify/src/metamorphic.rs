@@ -19,14 +19,6 @@
 //!    `[m,∞)` partition the rows, so per-region counts add exactly, in
 //!    bounded *and* accurate mode (misassignment is per-point
 //!    deterministic, hence identical on both sides of the partition).
-//! 6. **Block-composition** — evaluating disjoint blocks of the region set
-//!    through the production executor (with the set bbox preserved, so the
-//!    canvas plan is identical) and composing the per-region states must
-//!    reproduce the whole pass bit-for-bit, the composed certified bound
-//!    (Σ per-block ε) must dominate the whole-pass ε, and each member
-//!    region's certified error budget is identical whether computed on its
-//!    block or on the whole set. This is the law the `urbane::blockcache`
-//!    sub-result cache relies on.
 
 use raster_join::{
     BinningMode, CanvasSpec, ExecutionMode, PointStrategy, PolygonPath, RasterJoin,
@@ -46,7 +38,7 @@ use crate::{Result, VerifyError};
 #[derive(Debug, Clone)]
 pub struct LawResult {
     /// Law identifier (`translation`, `scale`, `permutation`,
-    /// `region_split`, `filter_partition`, `composition`).
+    /// `region_split`, `filter_partition`).
     pub law: &'static str,
     /// Scenario label.
     pub scenario: String,
@@ -281,103 +273,17 @@ pub fn law_filter_partition(s: &Scenario) -> Result<Option<String>> {
     Ok(None)
 }
 
-/// Law 6: block-composition — the invariant behind the `urbane::blockcache`
-/// additive sub-result cache. Partition the region ids into consecutive
-/// blocks, evaluate each block alone (other regions masked to empty
-/// geometry, set bbox preserved so the canvas plan is identical), and
-/// compose the per-region states. The composition must be *bit-identical*
-/// to the whole pass in bounded and accurate mode, the composed certified
-/// bound (Σ per-block ε) must dominate the whole-pass ε, and each member
-/// region's certified error budget must be identical whether computed on
-/// its block or on the whole set (ε-budget additivity: band populations
-/// are per-region, so partitioning the set cannot change them).
-pub fn law_composition(s: &Scenario) -> Result<Option<String>> {
-    // Small blocks so even the corpus's smallest region sets compose from
-    // several cached pieces (the block cache itself groups ids by 8).
-    const BLOCK: usize = 3;
-    let ids: Vec<u32> = (0..s.regions.len() as u32).collect();
-    let blocks: Vec<&[u32]> = ids.chunks(BLOCK).collect();
-    if blocks.len() < 2 {
-        return Ok(None); // one block composes trivially
-    }
-
-    let mut bounded_epsilon = 0.0;
-    for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
-        let join = RasterJoin::new(config(mode, s.resolution));
-        let whole = join.execute(&s.points, &s.regions, &s.query)?;
-        if mode == ExecutionMode::Bounded {
-            bounded_epsilon = whole.epsilon;
-        }
-        let mut composed_bound = 0.0;
-        let mut composed = whole.table.clone();
-        for st in &mut composed.states {
-            *st = Default::default();
-        }
-        for members in &blocks {
-            let masked = s.regions.masked(members);
-            let part = join.execute(&s.points, &masked, &s.query)?;
-            if (part.canvas_width, part.canvas_height)
-                != (whole.canvas_width, whole.canvas_height)
-            {
-                return Ok(Some(format!(
-                    "composition({mode:?}): masked pass changed the canvas \
-                     {}x{} -> {}x{}",
-                    whole.canvas_width, whole.canvas_height, part.canvas_width,
-                    part.canvas_height
-                )));
-            }
-            composed_bound += part.epsilon;
-            for &r in *members {
-                composed.states[r as usize] = part.table.states[r as usize];
-            }
-        }
-        for (r, (c, w)) in composed.states.iter().zip(&whole.table.states).enumerate() {
-            if c != w {
-                return Ok(Some(format!(
-                    "composition({mode:?}): region {r} composed state {c:?} != whole {w:?}"
-                )));
-            }
-        }
-        if composed_bound < whole.epsilon {
-            return Ok(Some(format!(
-                "composition({mode:?}): composed bound {composed_bound} below \
-                 whole-pass ε {}",
-                whole.epsilon
-            )));
-        }
-    }
-
-    // ε-budget additivity at the bounded run's ε.
-    let whole_budget =
-        crate::budget::error_budget(&s.points, &s.regions, &s.query, bounded_epsilon, crate::budget::BOUNDED_BAND)?;
-    for members in &blocks {
-        let masked = s.regions.masked(members);
-        let part_budget =
-            crate::budget::error_budget(&s.points, &masked, &s.query, bounded_epsilon, crate::budget::BOUNDED_BAND)?;
-        for &r in *members {
-            let (w, p) = (whole_budget.regions[r as usize], part_budget.regions[r as usize]);
-            if w != p {
-                return Ok(Some(format!(
-                    "composition: region {r} budget {p:?} on its block != {w:?} on the whole set"
-                )));
-            }
-        }
-    }
-    Ok(None)
-}
-
 /// A metamorphic law: returns `None` when it holds, a violation otherwise.
 type Law = fn(&Scenario) -> Result<Option<String>>;
 
 /// Run every law against one scenario.
 pub fn run_laws(s: &Scenario) -> Result<Vec<LawResult>> {
-    let laws: [(&'static str, Law); 6] = [
+    let laws: [(&'static str, Law); 5] = [
         ("translation", law_translation),
         ("scale", law_scale),
         ("permutation", law_permutation),
         ("region_split", law_region_split),
         ("filter_partition", law_filter_partition),
-        ("composition", law_composition),
     ];
     laws.into_iter()
         .map(|(name, law)| {
@@ -404,20 +310,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn composition_law_is_not_vacuous() {
-        // The law early-outs when the set fits one block; the corpus must
-        // include multi-block scenarios or it certifies nothing.
-        let mut multi = 0;
-        for s in corpus(4, 9_000) {
-            if s.regions.len() > 3 {
-                multi += 1;
-            }
-            assert!(law_composition(&s).expect("law must execute").is_none());
-        }
-        assert!(multi > 0, "corpus has no scenario spanning ≥2 blocks");
     }
 
     #[test]

@@ -9,11 +9,6 @@
 #                                # `index_join` series of the JSON): bounded
 #                                # raster vs exact `.ubs` index join across
 #                                # region-set sizes, with the crossover point
-#
-# Also reproduces BENCH_batch.json — the multi-query batching suite: 8
-# closed-loop clients with distinct filters against one in-process service,
-# admission window on vs off, cache disabled in both legs, answers
-# cross-checked bit-for-bit between the legs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,10 +18,6 @@ SCALE="${SCALE:-1000000}"
 THREADS="${THREADS:-4}"
 REPS="${REPS:-5}"
 OUT="${OUT:-BENCH_rasterjoin.json}"
-BATCH_CLIENTS="${BATCH_CLIENTS:-8}"
-BATCH_REQUESTS="${BATCH_REQUESTS:-8}"
-BATCH_WINDOW_MS="${BATCH_WINDOW_MS:-30}"
-BATCH_OUT="${BATCH_OUT:-BENCH_batch.json}"
 
 if [ "${1:-}" = "indexjoin" ]; then
   exec cargo run --release -p urbane-bench --bin repro -- \
@@ -35,7 +26,3 @@ fi
 
 cargo run --release -p urbane-bench --bin repro -- \
   --exp bench --scale "$SCALE" --threads "$THREADS" --reps "$REPS" --json "$OUT"
-
-cargo run --release -p urbane-bench --bin repro -- \
-  --exp batch --scale "$SCALE" --clients "$BATCH_CLIENTS" \
-  --requests "$BATCH_REQUESTS" --window-ms "$BATCH_WINDOW_MS" --json "$BATCH_OUT"

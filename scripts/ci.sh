@@ -129,50 +129,6 @@ rm -f "$serve_log"
 rm -rf "$store_dir"
 echo "store smoke OK"
 
-# Batch smoke: boot urbane-serve with the admission window open and fire
-# two concurrent distinct queries (distinct filters — different cache keys,
-# so neither the result cache nor single-flight can absorb them). Both must
-# land in ONE coalesced batch: batched_queries (the histogram sum) has to
-# exceed batches (the count). batch-max 2 makes this deterministic — the
-# second arrival seals and dispatches the group immediately.
-serve_log="$(mktemp)"
-target/release/urbane-serve --port 0 --rows 20000 --workers 2 \
-  --deadline-ms 30000 --batch-window-ms 2000 --batch-max 2 > "$serve_log" &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's#^urbane-serve listening on http://##p' "$serve_log")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-[ -n "$addr" ] || { echo "urbane-serve did not report an address"; cat "$serve_log"; exit 1; }
-
-curl -fsS -X POST -d '{"dataset":"taxi","level":1,"filters":[{"type":"range","column":"fare","min":0,"max":500}]}' \
-  "http://$addr/query" > /dev/null &
-c1=$!
-curl -fsS -X POST -d '{"dataset":"taxi","level":1,"filters":[{"type":"range","column":"fare","min":0,"max":501}]}' \
-  "http://$addr/query" > /dev/null &
-c2=$!
-wait "$c1" "$c2"
-
-curl -fsS "http://$addr/metrics" | awk '
-  /^urbane_batch_size_sum /   { sum = $2 }
-  /^urbane_batch_size_count / { count = $2 }
-  END {
-    if (count < 1 || sum <= count) {
-      printf "no coalesced batch: batches=%d batched_queries=%d\n", count, sum
-      exit 1
-    }
-  }'
-
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-trap - EXIT
-rm -f "$serve_log"
-echo "batch smoke OK"
-
 # Swarm smoke: the chaos-driven sharded front at miniature scale — 2
 # shards, 1 scheduled kill (wedge + health-loop revival), zipfian clients.
 # `repro --exp swarm` exits non-zero unless every full-fidelity answer
@@ -189,44 +145,14 @@ grep -q '"passed": true' "$swarm_json" || { echo "swarm smoke failed"; cat "$swa
 rm -f "$swarm_json"
 echo "swarm smoke OK"
 
-# Block-cache smoke: boot urbane-serve with the additive block cache on and
-# replay one pan step — two overlapping viewports whose exact keys differ,
-# so neither the result cache nor single-flight can help. The second query
-# must compose cached blocks from the first: /metrics has to report a
-# nonzero partial_hit count (and nonzero per-block hits). Coordinates are
-# the nyc_like extent in Mercator meters; level 2 is the tract grid, fine
-# enough that a 70% viewport fully contains many regions.
-serve_log="$(mktemp)"
-target/release/urbane-serve --port 0 --rows 20000 --workers 2 \
-  --deadline-ms 30000 --block-cache-bytes 8388608 > "$serve_log" &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's#^urbane-serve listening on http://##p' "$serve_log")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-[ -n "$addr" ] || { echo "urbane-serve did not report an address"; cat "$serve_log"; exit 1; }
-
-curl -fsS -X POST -d '{"dataset":"taxi","level":2,"filters":[{"type":"bbox","x0":-8243208,"y0":4944000,"x1":-8215935,"y1":5001000}]}' \
-  "http://$addr/query" | grep '"cached":false' > /dev/null
-curl -fsS -X POST -d '{"dataset":"taxi","level":2,"filters":[{"type":"bbox","x0":-8239312,"y0":4944000,"x1":-8212038,"y1":5001000}]}' \
-  "http://$addr/query" | grep '"cached":false' > /dev/null
-
-curl -fsS "http://$addr/metrics" | awk '
-  /^urbane_blockcache_hits_total /         { hits = $2 }
-  /^urbane_blockcache_partial_hits_total / { partial = $2 }
-  END {
-    if (partial < 1 || hits < 1) {
-      printf "pan step did not compose cached blocks: hits=%d partial_hits=%d\n", hits, partial
-      exit 1
-    }
-  }'
-
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-trap - EXIT
-rm -f "$serve_log"
-echo "blockcache smoke OK"
+# Yardstick contract: the gate's load generator aborts a run when a
+# scraped /metrics series is missing or the wire answer stops parsing, and
+# its probe links the workspace crates by name. Run the loadgen's unit tests
+# plus every workload at smoke scale against the server just built, then
+# build the probe (into run.sh's own target directory) — so a change that
+# drops a series or breaks the probe surface fails here instead of as
+# `run_failed` at the gate.
+bash benchmark/run.sh selftest
+CARGO_TARGET_DIR=target/benchmark \
+  cargo build --release --offline --manifest-path benchmark/probe/Cargo.toml
+echo "yardstick contract OK"

@@ -34,11 +34,6 @@ fn boot() -> UrbaneServer {
         ServiceConfig {
             join: raster_join::RasterJoinConfig::with_resolution(256),
             default_deadline: Duration::from_secs(30),
-            // Batching on: each serial query runs as a batch of one, so the
-            // batch histogram and the guard's `batched` annotation are
-            // deterministic wire surface here (only the window *wait time*
-            // is wall-clock and gets normalized).
-            batch_window: Duration::from_millis(25),
             ..Default::default()
         },
         catalog,
@@ -75,7 +70,6 @@ fn normalize_metrics(text: &str) -> String {
     for l in text.lines() {
         if l.starts_with("urbane_request_latency_ms_bucket")
             || l.starts_with("urbane_request_latency_ms_sum")
-            || l.starts_with("urbane_batch_window_wait_ms_total")
         {
             let head = l.rsplit_once(' ').map_or(l, |(h, _)| h);
             out.push_str(head);
@@ -131,15 +125,9 @@ fn wire_snapshots_are_stable() {
     assert_eq!(bad.status, 400);
     assert_golden("serve_query_bad.json", &normalize_query_json(&bad.body));
 
-    // The batching surface, asserted directly on top of the snapshot: two
-    // /query requests each ran as a batch of one, annotated in the guard
-    // report; no identical concurrent misses means zero followers.
-    assert!(count.body.contains("\"batched\":1"), "{}", count.body);
+    // No identical concurrent misses means zero followers.
     let metrics = client.get("/metrics").unwrap();
     assert_eq!(metrics.status, 200);
-    assert!(metrics.body.contains("urbane_batch_size_count 2"), "{}", metrics.body);
-    assert!(metrics.body.contains("urbane_batch_size_bucket{le=\"1\"} 2"), "{}", metrics.body);
-    assert!(metrics.body.contains("urbane_batch_window_wait_ms_total"), "{}", metrics.body);
     assert!(metrics.body.contains("urbane_single_flight_followers_total 0"), "{}", metrics.body);
     assert_golden("serve_metrics.txt", &normalize_metrics(&metrics.body));
 
