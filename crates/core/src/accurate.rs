@@ -16,7 +16,7 @@
 //! The result equals the exact join bit-for-bit on counts — property-tested
 //! against the nested-loop baseline.
 
-use crate::bounded::{gather_region, point_pass, POINT_CHUNK};
+use crate::bounded::{gather_region, point_pass};
 use crate::budget::QueryBudget;
 use crate::compiled::{CompiledQuery, PointStore};
 use crate::executor::PolygonPath;
@@ -35,7 +35,7 @@ pub(crate) fn accurate_tile(
     viewport: &Viewport,
     store: &PointStore<'_>,
     regions: &RegionSet,
-    cq: &CompiledQuery,
+    cq: &CompiledQuery<'_>,
     path: PolygonPath,
     budget: &QueryBudget,
 ) -> Result<(AggTable, gpu_raster::RenderStats)> {
@@ -83,40 +83,25 @@ pub(crate) fn accurate_tile(
         )?;
     }
 
-    // Step 4: exact fix-up for points in boundary pixels. A binned store
-    // narrows the probe to the tile's candidate rows (ascending, so the
-    // accumulation order matches the full scan).
+    // Step 4: exact fix-up for points in boundary pixels — the same rows,
+    // in the same order, the point pass drew.
     let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    let cand = store.candidates(&viewport.world);
-    let total = cand.as_ref().map_or(points.len(), |c| c.len());
-    for k in 0..total {
-        if k % POINT_CHUNK == 0 {
-            budget.check()?;
-        }
-        let i = cand.as_ref().map_or(k, |c| c[k] as usize);
-        if !cq.matches(i) {
-            continue;
-        }
-        let p = points.loc(i);
-        let (x, y) = match viewport.world_to_pixel(p) {
-            Some(c) => c,
-            None => continue,
-        };
-        let pix = y * w + x;
-        let lo = boundary_pairs.partition_point(|&(q, _)| q < pix);
-        if lo == boundary_pairs.len() || boundary_pairs[lo].0 != pix {
-            continue; // not a boundary pixel for any region
-        }
-        let v = column.map_or(0.0, |vals| vals[i] as f64);
-        for &(q, id) in &boundary_pairs[lo..] {
-            if q != pix {
-                break;
-            }
-            if regions.geometry(id).contains(p) {
-                table.states[id as usize].accumulate(v);
+    cq.for_each_chunk(store, &viewport.world, budget, |idx| {
+        for &i in idx {
+            let i = i as usize;
+            let p = points.loc(i);
+            let Some((x, y)) = viewport.world_to_pixel(p) else { continue };
+            let pix = y * w + x;
+            let lo = boundary_pairs.partition_point(|&(q, _)| q < pix);
+            let v = column.map_or(0.0, |vals| vals[i] as f64);
+            // Empty unless `pix` is a boundary pixel of some region.
+            for &(_, id) in boundary_pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
+                if regions.geometry(id).contains(p) {
+                    table.states[id as usize].accumulate(v);
+                }
             }
         }
-    }
+    })?;
 
     Ok((table, *pipe.stats()))
 }

@@ -29,25 +29,26 @@ pub(crate) struct PointBuffers {
     pub max: Option<Buffer2D<f32>>,
 }
 
-/// Points per budget poll in the point pass. Small enough that a raised
-/// cancel flag or an elapsed deadline lands within a few milliseconds, large
-/// enough that the check cost vanishes against the per-point work.
-pub(crate) const POINT_CHUNK: usize = 8192;
+/// Points per budget poll in the point pass, and the zone size of a clustered
+/// table: small enough that a raised cancel flag or an elapsed deadline lands
+/// within a few milliseconds, large enough that the check cost vanishes
+/// against the per-point work. One constant, so a chunk of the pass is
+/// exactly one zone and skipping a zone skips one poll interval of work.
+pub(crate) const POINT_CHUNK: usize = urban_data::ZONE_ROWS;
 
 /// Render the point pass for one tile: select, project, blend. The stream is
 /// processed in [`POINT_CHUNK`]-sized chunks with a budget check between
-/// chunks, so cancellation interrupts the pass mid-stream.
-///
-/// With a binned store the pass iterates only the tile's candidate rows
-/// (sorted ascending, so the per-pixel blend order — and therefore every
-/// f32 accumulation — is bit-identical to the full scan). The surviving-row
-/// list of each chunk is computed once and shared by the blend, MIN, and MAX
-/// loops, and values are read straight from the resolved column — no
-/// per-chunk gather allocation.
+/// chunks, so cancellation interrupts the pass mid-stream; which chunks
+/// there are (zones that can reach the tile, or slices of a binned store's
+/// candidate rows) is [`CompiledQuery::for_each_chunk`]'s business. Rows
+/// arrive ascending, so the per-pixel blend order — and therefore every f32
+/// accumulation — is the same on every path. The surviving-row list of each
+/// chunk is shared by the blend, MIN, and MAX loops, and values are read
+/// straight from the resolved column — no per-chunk gather allocation.
 pub(crate) fn point_pass(
     pipe: &mut Pipeline,
     store: &PointStore<'_>,
-    cq: &CompiledQuery,
+    cq: &CompiledQuery<'_>,
     budget: &QueryBudget,
 ) -> Result<PointBuffers> {
     let points = store.table();
@@ -62,37 +63,25 @@ pub(crate) fn point_pass(
     // The filtered fragment stream — this is the per-frame hot loop the
     // paper's performance argument rests on: one pass, one fragment each.
     let viewport = *pipe.viewport();
-    let candidates = store.candidates(&viewport.world);
     let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    let total = candidates.as_ref().map_or(points.len(), |c| c.len());
-    let mut idx_buf: Vec<u32> = Vec::with_capacity(POINT_CHUNK.min(total));
-
-    let mut start = 0usize;
-    while start < total {
-        budget.check()?;
-        let end = (start + POINT_CHUNK).min(total);
-        match &candidates {
-            None => cq.select_range(start, end, &mut idx_buf),
-            Some(c) => cq.select_from(&c[start..end], &mut idx_buf),
-        }
+    cq.for_each_chunk(store, &viewport.world, budget, |idx| {
         pipe.draw_points(
             &mut count_sum,
-            idx_buf.iter().map(|&i| points.loc(i as usize)),
-            |k| [1.0, column.map_or(0.0, |vals| vals[idx_buf[k] as usize])],
+            idx.iter().map(|&i| points.loc(i as usize)),
+            |k| [1.0, column.map_or(0.0, |vals| vals[idx[k] as usize])],
             BlendOp::Add,
         );
         if let (Some(buf), Some(vals)) = (min_buf.as_mut(), column) {
-            for &i in &idx_buf {
+            for &i in idx {
                 gpu_raster::point::draw_point(buf, &viewport, points.loc(i as usize), vals[i as usize], BlendOp::Min);
             }
         }
         if let (Some(buf), Some(vals)) = (max_buf.as_mut(), column) {
-            for &i in &idx_buf {
+            for &i in idx {
                 gpu_raster::point::draw_point(buf, &viewport, points.loc(i as usize), vals[i as usize], BlendOp::Max);
             }
         }
-        start = end;
-    }
+    })?;
 
     Ok(PointBuffers { count_sum, min: min_buf, max: max_buf })
 }
@@ -172,7 +161,7 @@ pub(crate) fn bounded_tile(
     viewport: &Viewport,
     store: &PointStore<'_>,
     regions: &RegionSet,
-    cq: &CompiledQuery,
+    cq: &CompiledQuery<'_>,
     path: PolygonPath,
     budget: &QueryBudget,
 ) -> Result<(AggTable, gpu_raster::RenderStats)> {

@@ -1,43 +1,55 @@
 //! Query compilation: evaluate the filter set once per query, not once per
-//! tile per point.
+//! tile per point — and, on a clustered table, not once per row either.
 //!
-//! The one-shot executor used to hand every tile kernel the raw
-//! `SpatialAggQuery`, and each kernel re-compiled and re-probed the filter
-//! conjunction for all N rows — up to three times per row for MIN/MAX
-//! aggregates, times the number of tiles. [`CompiledQuery`] hoists that work
-//! to query start: the conjunction is evaluated exactly once per row into a
-//! shared bitmask, and every tile (on every worker thread) answers
-//! "does row i survive the filters?" with a single bit test. The aggregate
-//! value column is resolved once alongside, so kernels read `column[i]`
-//! directly instead of gathering per-chunk `Vec<f32>` copies.
+//! [`CompiledQuery`] hoists the filter work to query start: the conjunction
+//! collapses into a shared bitmask, and every tile (on every worker thread)
+//! answers "does row i survive the filters?" with a single bit test. The
+//! aggregate value column is resolved once alongside, so kernels read
+//! `column[i]` directly instead of gathering per-chunk `Vec<f32>` copies.
 //!
-//! [`PointStore`] pairs the table with an optional [`BinnedPointTable`] and
-//! owns the per-tile candidate logic: given a tile's world box it returns the
-//! (sorted, ascending) indices that might land in the tile, or `None` when a
-//! full scan is no worse. Ascending order matters — f32 blending is not
-//! associative, so feeding each pixel its points in the same relative order
-//! as the unbinned scan is what keeps binned results bit-identical.
+//! The mask is built one *zone* ([`POINT_CHUNK`] rows) at a time. When the
+//! table carries zone footers ([`PointTable::cluster`]) each zone is first
+//! classified against the conjunction from its footer alone:
+//!
+//! * **skip** — the footer is disjoint from some condition, so no row of the
+//!   zone can pass it: the zone's mask words stay zero, no row is read;
+//! * **whole** — the footer lies inside every condition, so every row
+//!   passes: the words are set, no row is read;
+//! * **scan** — only the conditions the footer leaves undecided are
+//!   evaluated row by row, so the order the client listed them in stops
+//!   mattering.
+//!
+//! A table without footers is the same walk with every zone a scan. The
+//! proof rules are those of the `.ubs` chunk pruner (half-open time range
+//! against a closed footer, closed boxes and ranges); a zone holding a NaN
+//! is never *whole*, because footer ranges leave NaN out (DESIGN.md "Row
+//! order is the query plan").
+//!
+//! Kernels walk the rows through [`CompiledQuery::for_each_chunk`], which
+//! additionally steps over zones whose bbox misses the tile and polls the
+//! budget once per zone. [`PointStore`] pairs the table with an optional
+//! [`BinnedPointTable`]; with bins the walk covers the tile's candidate rows
+//! instead, sorted ascending — f32 blending is not associative, so feeding
+//! each pixel its points in the same relative order as the full scan is
+//! what keeps every path bit-identical.
 
+use crate::bounded::POINT_CHUNK;
 use crate::budget::QueryBudget;
 use crate::Result;
 use urban_data::binned::BinnedPointTable;
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::time::TimeRange;
-use urban_data::PointTable;
+use urban_data::{PointTable, ZoneFooter};
 use urbane_geom::{BoundingBox, Point};
-
-/// Rows per budget poll while building the filter bitmask (a multiple of 64
-/// so chunk edges align with mask words).
-const MASK_CHUNK: usize = 1 << 16;
 
 /// One filter condition bound to its table columns — the per-row dispatch
 /// and column lookup are hoisted out of the scan loop.
 enum Pred<'t> {
     /// Attribute in `[min, max]` (closed; NaN never matches).
-    Range { vals: &'t [f32], min: f32, max: f32 },
+    Range { col: usize, vals: &'t [f32], min: f32, max: f32 },
     /// Attribute equals a categorical code.
-    Equals { vals: &'t [f32], value: f32 },
+    Equals { col: usize, vals: &'t [f32], value: f32 },
     /// Timestamp within a half-open range.
     Time { ts: &'t [i64], range: TimeRange },
     /// Location within a closed box.
@@ -47,15 +59,14 @@ enum Pred<'t> {
 impl Pred<'_> {
     fn bind<'t>(f: &Filter, points: &'t PointTable) -> Result<Pred<'t>> {
         Ok(match f {
-            Filter::AttrRange { column, min, max } => Pred::Range {
-                vals: points.column(points.schema().index_of(column)?),
-                min: *min,
-                max: *max,
-            },
-            Filter::AttrEquals { column, value } => Pred::Equals {
-                vals: points.column(points.schema().index_of(column)?),
-                value: *value,
-            },
+            Filter::AttrRange { column, min, max } => {
+                let col = points.schema().index_of(column)?;
+                Pred::Range { col, vals: points.column(col), min: *min, max: *max }
+            }
+            Filter::AttrEquals { column, value } => {
+                let col = points.schema().index_of(column)?;
+                Pred::Equals { col, vals: points.column(col), value: *value }
+            }
             Filter::Time(r) => Pred::Time { ts: points.timestamps(), range: *r },
             Filter::SpatialBox(b) => {
                 Pred::Spatial { xs: points.xs(), ys: points.ys(), bbox: *b }
@@ -68,85 +79,171 @@ impl Pred<'_> {
     #[inline]
     fn test(&self, i: usize) -> bool {
         match self {
-            Pred::Range { vals, min, max } => {
+            Pred::Range { vals, min, max, .. } => {
                 let v = vals[i];
                 v >= *min && v <= *max
             }
-            Pred::Equals { vals, value } => vals[i] == *value,
+            Pred::Equals { vals, value, .. } => vals[i] == *value,
             Pred::Time { ts, range } => range.contains(ts[i]),
             Pred::Spatial { xs, ys, bbox } => bbox.contains(Point::new(xs[i], ys[i])),
         }
     }
-}
 
-/// Evaluate a filter conjunction over all rows into a bitmask: the first
-/// condition fills the mask with a tight columnar scan, each further one
-/// clears the set bits it rejects (only surviving rows are re-probed).
-fn build_mask(preds: &[Pred<'_>], n: usize, budget: &QueryBudget) -> Result<Vec<u64>> {
-    let mut bits = vec![0u64; n.div_ceil(64)];
-    for (k, pred) in preds.iter().enumerate() {
-        let mut start = 0usize;
-        while start < n {
-            budget.check()?;
-            let end = (start + MASK_CHUNK).min(n);
-            let w0 = start >> 6;
-            if k == 0 {
-                // Fill whole words in a register — one store per 64 rows.
-                for (off, slot) in bits[w0..end.div_ceil(64)].iter_mut().enumerate() {
-                    let lo = (w0 + off) << 6;
-                    let hi = (lo + 64).min(n);
-                    let mut word = 0u64;
-                    for i in lo..hi {
-                        word |= u64::from(pred.test(i)) << (i & 63);
-                    }
-                    *slot = word;
-                }
-            } else {
-                for (off, slot) in bits[w0..end.div_ceil(64)].iter_mut().enumerate() {
-                    let base = (w0 + off) << 6;
-                    let mut word = *slot;
-                    let mut pending = word;
-                    while pending != 0 {
-                        let b = pending.trailing_zeros() as usize;
-                        if !pred.test(base | b) {
-                            word &= !(1u64 << b);
-                        }
-                        pending &= pending - 1;
-                    }
-                    *slot = word;
-                }
+    /// What a zone's footer proves about this condition for *every* row of
+    /// the zone: `Some(false)` — none passes, `Some(true)` — all pass,
+    /// `None` — the rows must be tested.
+    ///
+    /// Footer ranges are exact over the zone's non-NaN values, so a disjoint
+    /// range rejects every row (a NaN fails the condition on its own). The
+    /// converse needs every value inside the range, which a NaN is not: a
+    /// zone that holds one is never decided `true` on values or locations.
+    fn decide(&self, f: &ZoneFooter) -> Option<bool> {
+        let (disjoint, inside) = match self {
+            Pred::Range { col, min, max, .. } => {
+                let (lo, hi) = (f.attr_min[*col], f.attr_max[*col]);
+                (hi < *min || lo > *max, !f.has_nan && lo >= *min && hi <= *max)
             }
-            start = end;
+            Pred::Equals { col, value, .. } => {
+                let (lo, hi) = (f.attr_min[*col], f.attr_max[*col]);
+                (hi < *value || lo > *value, !f.has_nan && lo == *value && hi == *value)
+            }
+            // Half-open [start, end) against the closed footer [t_min, t_max].
+            Pred::Time { range, .. } => (
+                f.t_max < range.start || f.t_min >= range.end,
+                f.t_min >= range.start && f.t_max < range.end,
+            ),
+            Pred::Spatial { bbox, .. } => {
+                (!bbox.intersects(&f.bbox), !f.has_nan && bbox.contains_box(&f.bbox))
+            }
+        };
+        if disjoint {
+            Some(false)
+        } else if inside {
+            Some(true)
+        } else {
+            None
         }
     }
-    Ok(bits)
+}
+
+/// How one query's zones were classified while its filter mask was built
+/// (all zero for a query without filters: nothing is classified).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ZoneStats {
+    /// Zones a footer proved empty under the conjunction.
+    pub skipped: u64,
+    /// Zones a footer proved to pass every condition.
+    pub whole: u64,
+    /// Zones whose rows were tested (every zone of an unclustered table).
+    pub scanned: u64,
+    /// Rows of the scanned zones.
+    pub rows_tested: u64,
+}
+
+/// Evaluate a filter conjunction into a bitmask, zone by zone: classify the
+/// zone from its footer, then let the first undecided condition fill the
+/// zone's words with a tight columnar scan and each further one clear the
+/// set bits it rejects (only surviving rows are re-probed).
+fn build_mask(
+    preds: &[Pred<'_>],
+    points: &PointTable,
+    budget: &QueryBudget,
+) -> Result<(Vec<u64>, ZoneStats)> {
+    let n = points.len();
+    let footers = points.zones();
+    let mut bits = vec![0u64; n.div_ceil(64)];
+    let mut stats = ZoneStats::default();
+    let mut undecided: Vec<&Pred<'_>> = Vec::with_capacity(preds.len());
+    // POINT_CHUNK is a multiple of 64, so zone edges are word edges.
+    for (z, words) in bits.chunks_mut(POINT_CHUNK / 64).enumerate() {
+        budget.check()?;
+        let start = z * POINT_CHUNK;
+        let end = (start + POINT_CHUNK).min(n);
+        undecided.clear();
+        let mut empty = false;
+        for pred in preds {
+            match footers.get(z).and_then(|f| pred.decide(f)) {
+                Some(false) => {
+                    empty = true;
+                    break;
+                }
+                Some(true) => {}
+                None => undecided.push(pred),
+            }
+        }
+        if empty {
+            stats.skipped += 1;
+            continue;
+        }
+        let Some((first, rest)) = undecided.split_first() else {
+            stats.whole += 1;
+            words.fill(!0);
+            let tail = end % 64; // set only in the table's last, partial word
+            if let (Some(last), 1..) = (words.last_mut(), tail) {
+                *last = (1u64 << tail) - 1;
+            }
+            continue;
+        };
+        stats.scanned += 1;
+        stats.rows_tested += (end - start) as u64;
+        // Fill whole words in a register — one store per 64 rows.
+        for (w, slot) in words.iter_mut().enumerate() {
+            let lo = start + (w << 6);
+            let mut word = 0u64;
+            for i in lo..(lo + 64).min(end) {
+                word |= u64::from(first.test(i)) << (i & 63);
+            }
+            *slot = word;
+        }
+        for pred in rest {
+            for (w, slot) in words.iter_mut().enumerate() {
+                let base = start + (w << 6);
+                let mut word = *slot;
+                let mut pending = word;
+                while pending != 0 {
+                    let b = pending.trailing_zeros() as usize;
+                    if !pred.test(base | b) {
+                        word &= !(1u64 << b);
+                    }
+                    pending &= pending - 1;
+                }
+                *slot = word;
+            }
+        }
+    }
+    Ok((bits, stats))
 }
 
 /// A query compiled against one table: resolved aggregate column plus a
 /// shared filter bitmask. Immutable after construction — share it freely
 /// across tile workers.
-pub(crate) struct CompiledQuery {
+pub(crate) struct CompiledQuery<'t> {
     /// The aggregate being computed.
     pub(crate) agg: AggKind,
     /// Resolved value column (None for COUNT).
     pub(crate) col: Option<usize>,
+    /// How the zones were classified while the mask was built.
+    pub(crate) zones: ZoneStats,
     /// One bit per row, set when the row survives every filter. `None` when
     /// the query has no filters (everything matches — skip the bit tests).
     mask: Option<Vec<u64>>,
+    rows: usize,
+    /// The table's zone footers (empty for an unclustered table).
+    footers: &'t [ZoneFooter],
 }
 
-impl CompiledQuery {
+impl<'t> CompiledQuery<'t> {
     /// Compile `query` against `points`, evaluating the filter set once.
     /// Polls `budget` while scanning so huge tables stay cancellable.
     pub(crate) fn new(
-        points: &PointTable,
+        points: &'t PointTable,
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<Self> {
         let agg = query.agg_kind();
         let col = agg.resolve(points)?;
-        let mask = if query.filters.is_empty() {
-            None
+        let (mask, zones) = if query.filters.is_empty() {
+            (None, ZoneStats::default())
         } else {
             let preds = query
                 .filters
@@ -154,38 +251,98 @@ impl CompiledQuery {
                 .iter()
                 .map(|f| Pred::bind(f, points))
                 .collect::<Result<Vec<_>>>()?;
-            Some(build_mask(&preds, points.len(), budget)?)
+            let (bits, zones) = build_mask(&preds, points, budget)?;
+            (Some(bits), zones)
         };
-        Ok(CompiledQuery { agg, col, mask })
+        Ok(CompiledQuery { agg, col, zones, mask, rows: points.len(), footers: points.zones() })
     }
 
     /// Does row `i` survive the filters? One bit test after compilation.
-    #[inline]
-    pub(crate) fn matches(&self, i: usize) -> bool {
+    #[cfg(test)]
+    fn matches(&self, i: usize) -> bool {
         match &self.mask {
             None => true,
             Some(bits) => bits[i >> 6] & (1u64 << (i & 63)) != 0,
         }
     }
 
-    /// Fill `out` with the surviving rows of `start..end` (ascending).
-    pub(crate) fn select_range(&self, start: usize, end: usize, out: &mut Vec<u32>) {
+    /// Fill `out` with the surviving rows of `start..end` (ascending): the
+    /// set bits of each mask word, so a word of rejected rows costs one
+    /// compare.
+    fn select_range(&self, start: usize, end: usize, out: &mut Vec<u32>) {
         out.clear();
-        match &self.mask {
-            None => out.extend((start..end).map(|i| i as u32)),
-            Some(_) => out.extend((start..end).filter(|&i| self.matches(i)).map(|i| i as u32)),
+        let Some(bits) = &self.mask else {
+            out.extend((start..end).map(|i| i as u32));
+            return;
+        };
+        let mut base = start & !63;
+        for &word in &bits[start >> 6..end.div_ceil(64)] {
+            let mut pending = word;
+            if base < start {
+                pending &= !0u64 << (start - base);
+            }
+            if end - base < 64 {
+                pending &= (1u64 << (end - base)) - 1;
+            }
+            while pending != 0 {
+                out.push((base + pending.trailing_zeros() as usize) as u32);
+                pending &= pending - 1;
+            }
+            base += 64;
         }
     }
 
     /// Fill `out` with the surviving rows of `candidates` (order preserved).
-    pub(crate) fn select_from(&self, candidates: &[u32], out: &mut Vec<u32>) {
+    fn select_from(&self, candidates: &[u32], out: &mut Vec<u32>) {
         out.clear();
         match &self.mask {
             None => out.extend_from_slice(candidates),
-            Some(_) => {
-                out.extend(candidates.iter().copied().filter(|&i| self.matches(i as usize)))
+            Some(bits) => out.extend(
+                candidates
+                    .iter()
+                    .copied()
+                    .filter(|&i| bits[(i >> 6) as usize] & (1u64 << (i & 63)) != 0),
+            ),
+        }
+    }
+
+    /// Hand `f` the surviving rows that can land in a tile covering `world`,
+    /// ascending, at most [`POINT_CHUNK`] at a time, polling `budget` before
+    /// each chunk. Without bins a chunk is a zone, and a zone whose footer
+    /// bbox misses `world` is stepped over — every row of it would be culled
+    /// by the viewport projection anyway. (A zone holding a NaN coordinate is
+    /// not: its box does not cover that row.) With bins the chunks are slices
+    /// of the tile's candidate list instead.
+    pub(crate) fn for_each_chunk(
+        &self,
+        store: &PointStore<'_>,
+        world: &BoundingBox,
+        budget: &QueryBudget,
+        mut f: impl FnMut(&[u32]),
+    ) -> Result<()> {
+        let mut idx: Vec<u32> = Vec::with_capacity(POINT_CHUNK.min(self.rows));
+        if let Some(candidates) = store.candidates(world) {
+            for chunk in candidates.chunks(POINT_CHUNK) {
+                budget.check()?;
+                self.select_from(chunk, &mut idx);
+                if !idx.is_empty() {
+                    f(&idx);
+                }
+            }
+            return Ok(());
+        }
+        for z in 0..self.rows.div_ceil(POINT_CHUNK) {
+            budget.check()?;
+            if self.footers.get(z).is_some_and(|f| !f.has_nan && !world.intersects(&f.bbox)) {
+                continue;
+            }
+            let start = z * POINT_CHUNK;
+            self.select_range(start, (start + POINT_CHUNK).min(self.rows), &mut idx);
+            if !idx.is_empty() {
+                f(&idx);
             }
         }
+        Ok(())
     }
 }
 
@@ -286,6 +443,54 @@ mod tests {
         let mut out = Vec::new();
         cq.select_range(0, t.len(), &mut out);
         assert_eq!(out.len(), 300);
+    }
+
+    #[test]
+    fn select_range_walks_set_bits_within_any_bounds() {
+        let t = table(700);
+        let q = SpatialAggQuery::count()
+            .filter(Filter::AttrRange { column: "v".into(), min: 37.0, max: 611.0 })
+            .filter(Filter::SpatialBox(BoundingBox::from_coords(0.0, 0.0, 60.0, 100.0)));
+        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        let mut out = Vec::new();
+        for (start, end) in [(0, 700), (0, 64), (63, 65), (64, 128), (100, 100), (130, 699), (640, 700)] {
+            cq.select_range(start, end, &mut out);
+            let want: Vec<u32> = (start..end).filter(|&i| cq.matches(i)).map(|i| i as u32).collect();
+            assert_eq!(out, want, "rows {start}..{end}");
+        }
+    }
+
+    #[test]
+    fn footers_decide_zones_and_leave_the_mask_unchanged() {
+        use urban_data::time::DAY;
+        // Four days of 8192 rows each: after clustering every zone is one day.
+        let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
+        let mut t = PointTable::new(schema);
+        for i in 0..4 * POINT_CHUNK {
+            let day = (i % 4) as i64;
+            t.push(Point::new((i % 97) as f64, (i % 89) as f64), day * DAY + (i / 4) as i64, &[day as f32])
+                .unwrap();
+        }
+        t.cluster();
+        let q = SpatialAggQuery::count()
+            .filter(Filter::Time(TimeRange::new(DAY, 3 * DAY)))
+            .filter(Filter::AttrEquals { column: "v".into(), value: 1.0 })
+            .filter(Filter::SpatialBox(BoundingBox::from_coords(0.0, 0.0, 96.0, 50.0)));
+        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        // Days 0 and 3 miss the time range, day 2 misses `v == 1`; day 1 is
+        // inside both and is scanned for the box alone.
+        assert_eq!(
+            cq.zones,
+            ZoneStats { skipped: 3, whole: 0, scanned: 1, rows_tested: POINT_CHUNK as u64 }
+        );
+        let direct = q.filters.compile(&t).unwrap();
+        for i in 0..t.len() {
+            assert_eq!(cq.matches(i), direct.matches(i), "row {i}");
+        }
+        let q = SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(DAY, 2 * DAY)));
+        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        assert_eq!(cq.zones, ZoneStats { skipped: 3, whole: 1, scanned: 0, rows_tested: 0 });
+        assert!((0..t.len()).all(|i| cq.matches(i) == (POINT_CHUNK..2 * POINT_CHUNK).contains(&i)));
     }
 
     #[test]

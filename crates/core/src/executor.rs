@@ -5,7 +5,7 @@ use crate::accurate::accurate_tile;
 use crate::bounded::bounded_tile;
 use crate::budget::QueryBudget;
 use crate::canvas::{CanvasPlan, CanvasSpec};
-use crate::compiled::{CompiledQuery, PointStore};
+use crate::compiled::{CompiledQuery, PointStore, ZoneStats};
 use crate::{RasterJoinError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -161,6 +161,8 @@ pub struct RasterJoinResult {
     pub tiles: usize,
     /// Merged pipeline statistics.
     pub stats: RenderStats,
+    /// How the table's zones were classified against the filters.
+    pub zones: ZoneStats,
 }
 
 /// The Raster Join operator.
@@ -457,6 +459,7 @@ impl RasterJoin {
             canvas_height: plan.height,
             tiles: plan.tiles.len(),
             stats,
+            zones: cq.zones,
         })
     }
 }
@@ -468,7 +471,7 @@ fn id_buffer_tile(
     viewport: &Viewport,
     store: &PointStore<'_>,
     regions: &RegionSet,
-    cq: &CompiledQuery,
+    cq: &CompiledQuery<'_>,
     path: PolygonPath,
     budget: &QueryBudget,
 ) -> Result<(AggTable, RenderStats)> {
@@ -497,26 +500,18 @@ fn id_buffer_tile(
 
     let mut table = AggTable::new(cq.agg.clone(), regions.len());
     let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    // A binned store narrows the scatter to the tile's candidate rows
-    // (ascending, so the accumulation order matches the full scan).
-    let cand = store.candidates(&viewport.world);
-    let total = cand.as_ref().map_or(points.len(), |c| c.len());
-    for k in 0..total {
-        if k % crate::bounded::POINT_CHUNK == 0 {
-            budget.check()?;
-        }
-        let i = cand.as_ref().map_or(k, |c| c[k] as usize);
-        if !cq.matches(i) {
-            continue;
-        }
-        if let Some((x, y)) = viewport.world_to_pixel(points.loc(i)) {
-            let id = ids.get(x, y);
-            if id != gpu_raster::NO_REGION {
-                let v = column.map_or(0.0, |vals| vals[i] as f64);
-                table.states[(id - 1) as usize].accumulate(v);
+    cq.for_each_chunk(store, &viewport.world, budget, |idx| {
+        for &i in idx {
+            let i = i as usize;
+            if let Some((x, y)) = viewport.world_to_pixel(points.loc(i)) {
+                let id = ids.get(x, y);
+                if id != gpu_raster::NO_REGION {
+                    let v = column.map_or(0.0, |vals| vals[i] as f64);
+                    table.states[(id - 1) as usize].accumulate(v);
+                }
             }
         }
-    }
+    })?;
     Ok((table, *pipe.stats()))
 }
 

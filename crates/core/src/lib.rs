@@ -50,7 +50,7 @@ pub mod weighted;
 pub use budget::{CancelHandle, QueryBudget};
 pub use canvas::{CanvasPlan, CanvasSpec};
 pub use chaos::{ChaosCounts, ChaosEvent, ChaosPlan, ShardKill};
-pub use compiled::PointStore;
+pub use compiled::{PointStore, ZoneStats};
 pub use executor::{
     BinningMode, ExecutionMode, PolygonPath, PointStrategy, RasterJoin, RasterJoinConfig,
     RasterJoinResult, MIN_AUTO_BIN_POINTS,

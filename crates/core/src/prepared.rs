@@ -12,7 +12,7 @@
 //! on the GPU across frames, and is ablated against the one-shot executor in
 //! experiment E9.
 
-use crate::bounded::{fold_pixel, point_pass, POINT_CHUNK};
+use crate::bounded::{fold_pixel, point_pass};
 use crate::budget::QueryBudget;
 use crate::canvas::{CanvasPlan, CanvasSpec};
 use crate::compiled::{CompiledQuery, PointStore};
@@ -189,41 +189,26 @@ impl PreparedRasterJoin {
                 }
             }
 
-            // Accurate mode: exact fix-up for boundary-pixel points, probing
-            // only the tile's candidate rows when bins are attached.
+            // Accurate mode: exact fix-up for boundary-pixel points — the
+            // same rows, in the same order, the point pass drew.
             if self.mode == ExecutionMode::Accurate && !tile.boundary_pairs.is_empty() {
                 let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-                let cand = store.candidates(&tile.viewport.world);
-                let total = cand.as_ref().map_or(points.len(), |c| c.len());
-                for k in 0..total {
-                    if k % POINT_CHUNK == 0 {
-                        budget.check()?;
-                    }
-                    let i = cand.as_ref().map_or(k, |c| c[k] as usize);
-                    if !cq.matches(i) {
-                        continue;
-                    }
-                    let p = points.loc(i);
-                    let (x, y) = match tile.viewport.world_to_pixel(p) {
-                        Some(c) => c,
-                        None => continue,
-                    };
-                    let pix = y * w + x;
-                    let lo = tile.boundary_pairs.partition_point(|&(q, _)| q < pix);
-                    if lo == tile.boundary_pairs.len() || tile.boundary_pairs[lo].0 != pix {
-                        continue;
-                    }
-                    let v = column.map_or(0.0, |vals| vals[i] as f64);
-                    // lint: allow(cancel-poll-reachability) walks the few boundary pairs sharing one pixel; the point loop above polls per POINT_CHUNK
-                    for &(q, id) in &tile.boundary_pairs[lo..] {
-                        if q != pix {
-                            break;
-                        }
-                        if self.regions.geometry(id).contains(p) {
-                            table.states[id as usize].accumulate(v);
+                let pairs = &tile.boundary_pairs;
+                cq.for_each_chunk(&store, &tile.viewport.world, budget, |idx| {
+                    for &i in idx {
+                        let i = i as usize;
+                        let p = points.loc(i);
+                        let Some((x, y)) = tile.viewport.world_to_pixel(p) else { continue };
+                        let pix = y * w + x;
+                        let lo = pairs.partition_point(|&(q, _)| q < pix);
+                        let v = column.map_or(0.0, |vals| vals[i] as f64);
+                        for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
+                            if self.regions.geometry(id).contains(p) {
+                                table.states[id as usize].accumulate(v);
+                            }
                         }
                     }
-                }
+                })?;
             }
             stats.merge(pipe.stats());
         }
@@ -235,6 +220,7 @@ impl PreparedRasterJoin {
             canvas_height: self.canvas.1,
             tiles: self.tiles.len(),
             stats,
+            zones: cq.zones,
         })
     }
 }

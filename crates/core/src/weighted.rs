@@ -34,7 +34,7 @@ pub(crate) fn weighted_tile(
     viewport: &Viewport,
     store: &PointStore<'_>,
     regions: &RegionSet,
-    cq: &CompiledQuery,
+    cq: &CompiledQuery<'_>,
     path: PolygonPath,
     budget: &QueryBudget,
 ) -> Result<(AggTable, gpu_raster::RenderStats)> {

@@ -1,9 +1,13 @@
 //! Hilbert space-filling curve on a `2^order × 2^order` grid.
 //!
-//! The store sorts points by their Hilbert key once at build time; the
-//! packed R-tree then inherits spatial locality for free (consecutive leaves
-//! are spatial neighbors, so parent boxes stay tight) and chunk reads for a
-//! query window touch near-sequential file ranges. The iterative
+//! Two layouts are ordered along it. The `.ubs` store sorts points by their
+//! order-16 key once at build time; the packed R-tree then inherits spatial
+//! locality for free (consecutive leaves are spatial neighbors, so parent
+//! boxes stay tight) and chunk reads for a query window touch
+//! near-sequential file ranges. Resident tables use a coarse curve as the
+//! minor key of [`PointTable::cluster`](crate::PointTable::cluster), which
+//! is why the module lives here: `urban-data` cannot depend on the store
+//! (`urbane_store::hilbert` re-exports it). The iterative
 //! rotate-and-accumulate formulation below is the classic quadrant-recursion
 //! algorithm (no lookup tables, no recursion), total for every input: out-of
 //! -range coordinates clamp to the grid edge.

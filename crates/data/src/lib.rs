@@ -31,6 +31,7 @@ pub mod csv;
 pub mod filter;
 pub mod gen;
 pub mod hierarchy;
+pub mod hilbert;
 pub mod query;
 pub mod region;
 pub mod sampling;
@@ -44,7 +45,7 @@ pub use filter::{Filter, FilterSet};
 pub use query::{AggKind, AggState, AggTable, SpatialAggQuery};
 pub use region::{RegionId, RegionSet};
 pub use schema::{AttrType, Schema};
-pub use table::PointTable;
+pub use table::{PointTable, ZoneFooter, ZONE_ROWS};
 pub use time::{TimeBucket, TimeRange, Timestamp};
 
 /// Errors from data-layer operations.

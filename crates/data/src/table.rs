@@ -11,6 +11,9 @@ use crate::time::{TimeRange, Timestamp};
 use crate::{DataError, Result};
 use urbane_geom::{BoundingBox, Point};
 
+mod cluster;
+pub use cluster::{ZoneFooter, ZONE_ROWS};
+
 /// A spatio-temporal point data set with typed attribute columns.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointTable {
@@ -20,13 +23,24 @@ pub struct PointTable {
     ts: Vec<Timestamp>,
     attrs: Vec<Vec<f32>>,
     bbox: BoundingBox,
+    /// One footer per [`ZONE_ROWS`] rows, set by [`PointTable::cluster`];
+    /// empty whenever the rows are not (or no longer) in clustered order.
+    zones: Vec<ZoneFooter>,
 }
 
 impl PointTable {
     /// Empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
         let attrs = (0..schema.len()).map(|_| Vec::new()).collect();
-        PointTable { schema, xs: Vec::new(), ys: Vec::new(), ts: Vec::new(), attrs, bbox: BoundingBox::empty() }
+        PointTable {
+            schema,
+            xs: Vec::new(),
+            ys: Vec::new(),
+            ts: Vec::new(),
+            attrs,
+            bbox: BoundingBox::empty(),
+            zones: Vec::new(),
+        }
     }
 
     /// Empty table, pre-allocating for `cap` rows.
@@ -39,6 +53,7 @@ impl PointTable {
             ts: Vec::with_capacity(cap),
             attrs,
             bbox: BoundingBox::empty(),
+            zones: Vec::new(),
         }
     }
 
@@ -60,7 +75,8 @@ impl PointTable {
         self.xs.is_empty()
     }
 
-    /// Append one row.
+    /// Append one row. The new row is not in clustered order, so any zone
+    /// footers are dropped.
     ///
     /// # Errors
     /// Fails when `attrs.len()` does not match the schema arity.
@@ -79,6 +95,7 @@ impl PointTable {
             col.push(v);
         }
         self.bbox.expand(loc);
+        self.zones.clear();
         Ok(())
     }
 
@@ -166,7 +183,8 @@ impl PointTable {
         out
     }
 
-    /// Concatenate another table with the same schema.
+    /// Concatenate another table with the same schema (drops any zone
+    /// footers, like [`push`](Self::push)).
     pub fn append(&mut self, other: &PointTable) -> Result<()> {
         if self.schema != other.schema {
             return Err(DataError::Schema("appending tables with different schemas".into()));
@@ -178,6 +196,7 @@ impl PointTable {
             dst.extend_from_slice(src);
         }
         self.bbox = self.bbox.union(&other.bbox);
+        self.zones.clear();
         Ok(())
     }
 

@@ -204,6 +204,20 @@ impl Router {
             paging.streamed_queries
         );
 
+        // Row order is the query plan (DESIGN.md): how the executors'
+        // zone classifier fared, summed over every raster pass since boot.
+        let zones = self.service.zone_stats();
+        let series = [
+            ("urbane_zones_skipped_total", zones.skipped),
+            ("urbane_zones_whole_total", zones.whole),
+            ("urbane_zones_scanned_total", zones.scanned),
+            ("urbane_rows_tested_total", zones.rows_tested),
+        ];
+        for (name, n) in series {
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {n}");
+        }
+
         // Stand-ins: the batch planner and block cache are gone (DESIGN.md
         // §14, §17), but `benchmark/loadgen` aborts a run when any of these
         // series is missing from the page. Constant zeros until a

@@ -6,7 +6,7 @@
 //! crate supplies the storage side of that comparison:
 //!
 //! * [`hilbert`] — an order-16 Hilbert curve (the space-filling order both
-//!   the file layout and the packed tree rely on),
+//!   the file layout and the packed tree rely on; defined in `urban-data`),
 //! * [`packed`] — a flattened packed Hilbert R-tree: one flat array of
 //!   bounding boxes in level-bounds layout, built bottom-up over
 //!   Hilbert-sorted leaves, FlatGeobuf-style (no per-node pointers),
@@ -29,10 +29,13 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod format;
-pub mod hilbert;
 pub mod packed;
 pub mod reader;
 pub mod writer;
+
+/// The curve lives in `urban-data` (its resident tables are ordered along it
+/// too); re-exported so `urbane_store::hilbert::…` paths keep working.
+pub use urban_data::hilbert;
 
 pub use format::{ChunkMeta, StoreHeader, MAGIC, VERSION};
 pub use packed::PackedRTree;

@@ -5,6 +5,11 @@
 //!
 //! * **memory** — a [`PointTable`] registered directly ([`register`]), the
 //!   original serving model;
+//!
+//! Either way a table that becomes resident is first clustered
+//! ([`PointTable::cluster`]: day-major, Hilbert-minor rows with zone
+//! footers), so every executor downstream sees the layout it prunes on.
+//!
 //! * **store-backed** — a `.ubs` file registered by path
 //!   ([`register_store`]): only the header (row count, bounding box) is read
 //!   at registration, so a server can boot against tens of millions of rows
@@ -54,8 +59,10 @@ impl DataCatalog {
         Self::default()
     }
 
-    /// Register (or replace) an in-memory data set under `name`.
-    pub fn register<S: Into<String>>(&mut self, name: S, table: PointTable) {
+    /// Register (or replace) an in-memory data set under `name`. The table
+    /// is clustered on the way in, so its row order changes.
+    pub fn register<S: Into<String>>(&mut self, name: S, mut table: PointTable) {
+        table.cluster();
         self.datasets.insert(name.into(), CatalogEntry::Memory(Arc::new(table)));
     }
 
@@ -84,7 +91,9 @@ impl DataCatalog {
                     return Ok(Arc::clone(t));
                 }
                 let mut source = ChunkedPointSource::open(&s.path).map_err(store_err)?;
-                let table = Arc::new(source.materialize().map_err(store_err)?);
+                let mut table = source.materialize().map_err(store_err)?;
+                table.cluster();
+                let table = Arc::new(table);
                 *resident = Some(Arc::clone(&table));
                 Ok(table)
             }

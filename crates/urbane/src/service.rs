@@ -13,8 +13,11 @@
 //!   of worker threads.
 //! * **Generational catalog** — each dataset carries a generation counter,
 //!   bumped by [`UrbaneService::reload_dataset`]. Derived state (cached
-//!   answers, spatial bins, preview samples) is keyed by generation, so a
-//!   reload atomically invalidates everything without stopping traffic.
+//!   answers, preview samples) is keyed by generation, so a reload
+//!   atomically invalidates everything without stopping traffic. A table is
+//!   clustered ([`PointTable::cluster`]) whenever it becomes resident —
+//!   catalog registration, reload, cold page-in — and the executors prune
+//!   on that row order; there is no separate spatial index to keep.
 //! * **Query-result cache** — a sharded LRU ([`crate::cache::QueryCache`])
 //!   keyed by a canonical string of (dataset, generation, level, mode,
 //!   resolution, aggregate, filters). Only full-fidelity answers are
@@ -31,8 +34,8 @@ use crate::resolution::ResolutionPyramid;
 use crate::session::{lock, CacheStats};
 use crate::{Result, UrbaneError};
 use raster_join::{
-    BinningMode, CancelHandle, CanvasSpec, ExecutionMode, PointStore, QueryBudget, RasterJoin,
-    RasterJoinConfig,
+    CancelHandle, CanvasSpec, ExecutionMode, PointStore, QueryBudget, RasterJoin,
+    RasterJoinConfig, ZoneStats,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,13 +43,15 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, AggTable, SpatialAggQuery};
-use urban_data::{BinnedPointTable, PointTable, RegionSet};
+use urban_data::{PointTable, RegionSet};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Base raster-join configuration (threads, binning, default canvas).
-    /// Per-request mode/resolution override `mode` and `spec`.
+    /// Base raster-join configuration (threads, default canvas).
+    /// Per-request mode/resolution override `mode` and `spec`; `binning` is
+    /// not consulted — resident tables are clustered, which prunes per tile
+    /// as the bins did.
     pub join: RasterJoinConfig,
     /// Total query-result cache entries across shards (0 disables caching).
     pub cache_capacity: usize,
@@ -237,6 +242,26 @@ impl PagingCounters {
     }
 }
 
+/// Monotone sums of the executors' per-query [`ZoneStats`].
+#[derive(Default)]
+struct ZoneCounters {
+    skipped: AtomicU64,
+    whole: AtomicU64,
+    scanned: AtomicU64,
+    rows_tested: AtomicU64,
+}
+
+impl ZoneCounters {
+    fn record(&self, z: &ZoneStats) {
+        // lint: relaxed-ok monotone zone counters; nothing is published through them
+        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+        add(&self.skipped, z.skipped);
+        add(&self.whole, z.whole);
+        add(&self.scanned, z.scanned);
+        add(&self.rows_tested, z.rows_tested);
+    }
+}
+
 /// What the cache stores per canonical query.
 #[derive(Clone)]
 struct CachedAnswer {
@@ -266,12 +291,12 @@ pub struct UrbaneService {
     /// Dedup of *identical* concurrent misses: one computes, the rest wait.
     flights: SingleFlight<CachedAnswer>,
     // Derived, generation-keyed state (rebuilt lazily after reloads).
-    bins: GenerationKeyed<Arc<BinnedPointTable>>,
     samples: GenerationKeyed<Arc<(PointTable, f64)>>,
     // Packed region R-trees per pyramid level (pyramid is immutable).
     region_indexes: Mutex<HashMap<usize, Arc<spatial_index::PackedRegionIndex>>>,
     outcomes: OutcomeCounters,
     paging: PagingCounters,
+    zones: ZoneCounters,
 }
 
 /// Monotone counters behind [`GuardOutcomes`], one per ladder outcome.
@@ -339,11 +364,11 @@ impl UrbaneService {
             datasets: RwLock::new(datasets),
             cache,
             flights: SingleFlight::new(),
-            bins: Mutex::new(HashMap::new()),
             samples: Mutex::new(HashMap::new()),
             region_indexes: Mutex::new(HashMap::new()),
             outcomes: Default::default(),
             paging: Default::default(),
+            zones: Default::default(),
         })
     }
 
@@ -379,6 +404,19 @@ impl UrbaneService {
             chunks_read: PagingCounters::read(&self.paging.chunks_read),
             bytes_read: PagingCounters::read(&self.paging.bytes_read),
             streamed_queries: PagingCounters::read(&self.paging.streamed_queries),
+        }
+    }
+
+    /// Sums of the executors' zone classification since boot (for
+    /// `/metrics`): zones skipped, taken whole and scanned, rows tested.
+    pub fn zone_stats(&self) -> ZoneStats {
+        // lint: relaxed-ok monotone zone counters read for display only
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ZoneStats {
+            skipped: read(&self.zones.skipped),
+            whole: read(&self.zones.whole),
+            scanned: read(&self.zones.scanned),
+            rows_tested: read(&self.zones.rows_tested),
         }
     }
 
@@ -424,12 +462,14 @@ impl UrbaneService {
         }
     }
 
-    /// Replace (or add) a dataset, bumping its generation. Every cached
-    /// answer, bin index, and preview sample derived from the old table
+    /// Replace (or add) a dataset, bumping its generation. The table is
+    /// clustered here, on the caller's thread, before any query can see it.
+    /// Every cached answer and preview sample derived from the old table
     /// becomes unreachable immediately; in-flight queries holding the old
     /// `Arc` finish against the snapshot they started with. Returns the new
     /// generation.
-    pub fn reload_dataset(&self, name: &str, table: PointTable) -> u64 {
+    pub fn reload_dataset(&self, name: &str, mut table: PointTable) -> u64 {
+        table.cluster();
         self.install_dataset(name, TableState::Resident(Arc::new(table)))
     }
 
@@ -455,7 +495,6 @@ impl UrbaneService {
         // embeds the generation), but dropping them now releases memory and
         // keeps LRU pressure honest.
         self.cache.purge(&format!("{name}|"));
-        lock(&self.bins).retain(|(n, _), _| n != name);
         lock(&self.samples).retain(|(n, _), _| n != name);
         generation
     }
@@ -488,7 +527,9 @@ impl UrbaneService {
         };
         let mut source =
             urbane_store::ChunkedPointSource::open(&path).map_err(crate::catalog::store_err)?;
-        let table = Arc::new(source.materialize().map_err(crate::catalog::store_err)?);
+        let mut table = source.materialize().map_err(crate::catalog::store_err)?;
+        table.cluster();
+        let table = Arc::new(table);
         let stats = source.stats();
         PagingCounters::add(&self.paging.page_ins, 1);
         PagingCounters::add(&self.paging.chunks_read, stats.chunks_read);
@@ -554,38 +595,6 @@ impl UrbaneService {
             mode: req.mode,
             ..self.config.join.clone()
         }
-    }
-
-    /// The dataset's spatial bins for `generation`, built once per
-    /// generation and shared. Mirrors the session's policy (binning mode,
-    /// auto threshold).
-    fn dataset_bins(
-        &self,
-        name: &str,
-        generation: u64,
-        points: &PointTable,
-    ) -> Option<Arc<BinnedPointTable>> {
-        let grid_side = match self.config.join.binning {
-            BinningMode::Off => return None,
-            BinningMode::Grid(side) if side > 0 => Some(side),
-            BinningMode::Grid(_) => return None,
-            BinningMode::Auto => {
-                if points.len() < raster_join::MIN_AUTO_BIN_POINTS {
-                    return None;
-                }
-                None
-            }
-        };
-        let key = (name.to_string(), generation);
-        if let Some(hit) = lock(&self.bins).get(&key).cloned() {
-            return Some(hit);
-        }
-        let built = Arc::new(match grid_side {
-            Some(s) => BinnedPointTable::with_grid(points, s, s),
-            None => BinnedPointTable::build(points),
-        });
-        lock(&self.bins).insert(key, built.clone());
-        Some(built)
     }
 
     /// The dataset's preview sample (+ scale-up factor) for `generation`.
@@ -729,22 +738,13 @@ impl UrbaneService {
                 return Ok((Arc::new(table), Some(0.0)));
             }
             let pts = points()?;
-            let bins = self.dataset_bins(&req.dataset, generation, &pts);
-            let store = match &bins {
-                Some(b) => PointStore::with_bins(&pts, b),
-                None => PointStore::plain(&pts),
-            };
             let join = RasterJoin::new(self.join_config(req));
-            let res = join.execute_store(store, &regions, &query, budget)?;
+            let res = join.execute_store(PointStore::plain(&pts), &regions, &query, budget)?;
+            self.zones.record(&res.zones);
             Ok((Arc::new(res.table), Some(res.epsilon)))
         };
         let degraded = |budget: &QueryBudget| -> Result<(AggTable, f64)> {
             let pts = points()?;
-            let bins = self.dataset_bins(&req.dataset, generation, &pts);
-            let store = match &bins {
-                Some(b) => PointStore::with_bins(&pts, b),
-                None => PointStore::plain(&pts),
-            };
             let config = RasterJoinConfig {
                 spec: CanvasSpec::Resolution(DEGRADED_RESOLUTION),
                 mode: ExecutionMode::Bounded,
@@ -752,7 +752,8 @@ impl UrbaneService {
                 ..self.config.join.clone()
             };
             let join = RasterJoin::new(config);
-            let res = join.execute_store(store, &regions, &query, budget)?;
+            let res = join.execute_store(PointStore::plain(&pts), &regions, &query, budget)?;
+            self.zones.record(&res.zones);
             Ok((res.table, res.epsilon))
         };
         let preview = || -> Result<AggTable> {

@@ -19,6 +19,10 @@
 //!    `[m,∞)` partition the rows, so per-region counts add exactly, in
 //!    bounded *and* accurate mode (misassignment is per-point
 //!    deterministic, hence identical on both sides of the partition).
+//! 6. **Filter-permutation invariance** — a filter set is a conjunction, so
+//!    every order of its conditions must give the *bit-identical* table, on
+//!    the generator's row order and on a clustered copy, where the zone
+//!    classifier decides per zone which conditions are evaluated at all.
 
 use raster_join::{
     BinningMode, CanvasSpec, ExecutionMode, PointStrategy, PolygonPath, RasterJoin,
@@ -26,7 +30,7 @@ use raster_join::{
 };
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, AggTable, SpatialAggQuery};
-use urban_data::time::TimeRange;
+use urban_data::time::{TimeRange, DAY};
 use urban_data::{PointTable, RegionSet};
 use urbane_geom::clip::clip_polygon_to_box;
 use urbane_geom::{BoundingBox, MultiPolygon, Point, Polygon, Ring};
@@ -38,7 +42,7 @@ use crate::{Result, VerifyError};
 #[derive(Debug, Clone)]
 pub struct LawResult {
     /// Law identifier (`translation`, `scale`, `permutation`,
-    /// `region_split`, `filter_partition`).
+    /// `region_split`, `filter_partition`, `filter_permutation`).
     pub law: &'static str,
     /// Scenario label.
     pub scenario: String,
@@ -273,17 +277,101 @@ pub fn law_filter_partition(s: &Scenario) -> Result<Option<String>> {
     Ok(None)
 }
 
+/// Law 6: filter-permutation invariance. The scenario's rows are repeated
+/// over consecutive days until a clustered copy has several zones; a window
+/// of whole days with one cut, a box and the scenario's own value filters (or
+/// a value range of the law's, when it has none) then put zones in all three
+/// classes. The conditions are applied in every order; the answer may not
+/// move by a bit.
+pub fn law_filter_permutation(s: &Scenario) -> Result<Option<String>> {
+    let n = s.points.len();
+    let days = (5 * urban_data::ZONE_ROWS).div_ceil(n.max(1)).max(4) as i64;
+    let mut tiled = PointTable::new(s.points.schema().clone());
+    let mut attrs = vec![0.0f32; s.points.schema().len()];
+    for day in 0..days {
+        for i in 0..n {
+            for (c, a) in attrs.iter_mut().enumerate() {
+                *a = s.points.attr(i, c);
+            }
+            // Corpus timestamps are row indices: far below a day.
+            tiled
+                .push(s.points.loc(i), day * DAY + s.points.time(i), &attrs)
+                .map_err(|e| VerifyError::Data(e.to_string()))?;
+        }
+    }
+    let mut clustered = tiled.clone();
+    clustered.cluster();
+
+    let b = tiled.bbox();
+    let mut filters: Vec<Filter> = s
+        .query
+        .filters
+        .filters()
+        .iter()
+        .filter(|f| !matches!(f, Filter::Time(_)))
+        .cloned()
+        .collect();
+    if filters.is_empty() {
+        filters.push(Filter::AttrRange { column: "v".into(), min: 3.0, max: 60.0 });
+    }
+    filters.push(Filter::Time(TimeRange::new(DAY + n as i64 / 5, (days - 1) * DAY)));
+    filters.push(Filter::SpatialBox(BoundingBox::new(
+        b.min,
+        Point::new(b.min.x + b.width() * 0.7, b.min.y + b.height() * 0.8),
+    )));
+
+    // Heap's algorithm, iteratively: every order of `filters` exactly once.
+    let mut orders = vec![filters.clone()];
+    let mut counters = vec![0usize; filters.len()];
+    let mut i = 0;
+    while i < filters.len() {
+        if counters[i] < i {
+            filters.swap(if i % 2 == 0 { 0 } else { counters[i] }, i);
+            orders.push(filters.clone());
+            counters[i] += 1;
+            i = 0;
+        } else {
+            counters[i] = 0;
+            i += 1;
+        }
+    }
+
+    for (points, layout) in [(&tiled, "generator order"), (&clustered, "clustered")] {
+        for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
+            let mut base: Option<AggTable> = None;
+            for order in &orders {
+                let mut q = SpatialAggQuery::new(s.query.agg_kind());
+                for f in order {
+                    q = q.filter(f.clone());
+                }
+                let got = run(mode, s.resolution, points, &s.regions, &q)?;
+                match &base {
+                    None => base = Some(got),
+                    Some(first) if *first != got => {
+                        return Ok(Some(format!(
+                            "filter_permutation({mode:?}, {layout}): order {order:?} changed the table"
+                        )));
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+    Ok(None)
+}
+
 /// A metamorphic law: returns `None` when it holds, a violation otherwise.
 type Law = fn(&Scenario) -> Result<Option<String>>;
 
 /// Run every law against one scenario.
 pub fn run_laws(s: &Scenario) -> Result<Vec<LawResult>> {
-    let laws: [(&'static str, Law); 5] = [
+    let laws: [(&'static str, Law); 6] = [
         ("translation", law_translation),
         ("scale", law_scale),
         ("permutation", law_permutation),
         ("region_split", law_region_split),
         ("filter_partition", law_filter_partition),
+        ("filter_permutation", law_filter_permutation),
     ];
     laws.into_iter()
         .map(|(name, law)| {

@@ -9,6 +9,10 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q
+# The zone classifier's bit-identity claims (DESIGN.md §18) again under the
+# optimizer the server ships with: footers on == footers stripped must not
+# depend on the build profile.
+cargo test -q --release -p urbane-bench --test clustered_equivalence
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,

@@ -1,0 +1,370 @@
+//! Clustering changes the row order and nothing else.
+//!
+//! Three claims hold the layout together (DESIGN.md "Row order is the query
+//! plan"), each checked here:
+//!
+//! 1. [`PointTable::cluster`] is a stable, deterministic, idempotent
+//!    permutation of the rows, and every row lies inside its zone's footer.
+//! 2. The zone classifier is a pure pruning layer: a clustered table answers
+//!    **bit-identically** (`==` on the raw f64 state) with its footers on and
+//!    with them stripped, on every executor, thread count and tiling, for
+//!    filters that sit exactly on footer edges.
+//! 3. Against the generator's row order only f32 blend order moves: exact
+//!    modes and counts agree exactly, bounded sums to rounding.
+
+use raster_join::{
+    BinningMode, CanvasSpec, ExecutionMode, PointStore, PointStrategy, PreparedRasterJoin,
+    QueryBudget, RasterJoin, RasterJoinConfig,
+};
+use spatial_index::naive_join;
+use urban_data::filter::Filter;
+use urban_data::gen::regions::voronoi_neighborhoods;
+use urban_data::query::{AggKind, SpatialAggQuery};
+use urban_data::schema::{AttrType, Schema};
+use urban_data::time::{TimeRange, DAY};
+use urban_data::{PointTable, RegionSet, ZONE_ROWS};
+use urban_data::gen::city::CityModel;
+use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
+use urbane_bench::workload::demo_start;
+use urbane_geom::{BoundingBox, Point};
+
+/// Every row as comparable bits, in row order.
+fn rows(t: &PointTable) -> Vec<(u64, u64, i64, Vec<u32>)> {
+    (0..t.len())
+        .map(|i| {
+            let p = t.loc(i);
+            let attrs = (0..t.schema().len()).map(|c| t.attr(i, c).to_bits()).collect();
+            (p.x.to_bits(), p.y.to_bits(), t.time(i), attrs)
+        })
+        .collect()
+}
+
+/// Same rows in the same order under the same footers. (Not `==`: the
+/// fixture holds NaNs, and the failure message would be the whole table.)
+fn same_table(a: &PointTable, b: &PointTable) -> bool {
+    rows(a) == rows(b) && format!("{:?}", a.zones()) == format!("{:?}", b.zones())
+}
+
+/// The same rows in the same order, without zone footers.
+fn stripped(t: &PointTable) -> PointTable {
+    let plain = t.filter_rows(&vec![true; t.len()]);
+    assert!(plain.zones().is_empty());
+    assert!(rows(&plain) == rows(t));
+    plain
+}
+
+/// 40 000 taxi rows over three days — five zones once clustered, two of them
+/// inside one day — with a `day` column and NaN fares on the first day. With
+/// `nan_location` one row also has a NaN coordinate (the projection maps such
+/// a row to pixel column 0, the same with and without footers; the exact
+/// baselines never count it, so claim 3 leaves it out).
+fn demo_data(nan_location: bool) -> (PointTable, RegionSet) {
+    let city = CityModel::nyc_like();
+    let start = demo_start();
+    let taxi = generate_taxi(&city, &TaxiConfig { rows: 40_000, seed: 17, start, days: 3 });
+    let schema = Schema::new([
+        ("fare", AttrType::Numeric),
+        ("tip", AttrType::Numeric),
+        ("day", AttrType::Categorical),
+    ])
+    .unwrap();
+    let mut t = PointTable::new(schema);
+    for i in 0..taxi.len() {
+        let day = (taxi.time(i) - start) / DAY;
+        let fare = if day == 0 && i % 977 == 0 { f32::NAN } else { taxi.attr(i, 0) };
+        let loc = if nan_location && i == 12_345 {
+            Point::new(f64::NAN, taxi.loc(i).y)
+        } else {
+            taxi.loc(i)
+        };
+        t.push(loc, taxi.time(i), &[fare, taxi.attr(i, 3), day as f32]).unwrap();
+    }
+    (t, voronoi_neighborhoods(&city.bbox(), 48, 5, 2))
+}
+
+#[test]
+fn clustering_is_a_stable_deterministic_idempotent_permutation() {
+    let (original, _) = demo_data(true);
+    let mut a = original.clone();
+    a.cluster();
+    let mut b = original.clone();
+    b.cluster();
+    assert!(same_table(&a, &b), "clustering must be deterministic");
+
+    let (mut before, mut after) = (rows(&original), rows(&a));
+    assert!(before != after, "the generator's order is not clustered");
+    before.sort();
+    after.sort();
+    assert!(before == after, "clustering must preserve the row multiset");
+    assert_eq!(a.bbox(), original.bbox());
+    assert_eq!(a.zones().len(), a.len().div_ceil(ZONE_ROWS));
+
+    let again = {
+        let mut c = a.clone();
+        c.cluster();
+        c
+    };
+    assert!(same_table(&again, &a), "clustering a clustered table must change nothing");
+}
+
+#[test]
+fn ties_keep_their_input_order() {
+    // Five sites, three days, every (site, day) visited many times: rows with
+    // equal keys carry their input position in `seq`.
+    let schema = Schema::new([("seq", AttrType::Numeric)]).unwrap();
+    let mut t = PointTable::new(schema);
+    for i in 0..3_000usize {
+        let site = (i * 7) % 5;
+        let day = ((i * 11) % 3) as i64;
+        t.push(Point::new(site as f64 * 10.0, site as f64), day * DAY + 5, &[i as f32]).unwrap();
+    }
+    t.cluster();
+    let mut last = std::collections::HashMap::new();
+    for i in 0..t.len() {
+        let key = (t.loc(i).x.to_bits(), t.time(i));
+        if let Some(prev) = last.insert(key, t.attr(i, 0)) {
+            assert!(prev < t.attr(i, 0), "row {i}: equal keys out of input order");
+        }
+    }
+    // Equal keys are contiguous: each (site, day) was entered once.
+    let runs = (1..t.len())
+        .filter(|&i| (t.loc(i).x, t.time(i)) != (t.loc(i - 1).x, t.time(i - 1)))
+        .count();
+    assert_eq!(runs + 1, 15);
+}
+
+#[test]
+fn degenerate_tables_cluster_safely() {
+    let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
+    let mut empty = PointTable::new(schema.clone());
+    empty.cluster();
+    assert!(empty.is_empty() && empty.zones().is_empty());
+
+    let mut one = PointTable::new(schema.clone());
+    one.push(Point::new(3.0, 4.0), 99, &[1.5]).unwrap();
+    one.cluster();
+    assert_eq!(rows(&one).len(), 1);
+    assert_eq!(one.zones().len(), 1);
+    assert_eq!(one.zones()[0].bbox, BoundingBox::from_coords(3.0, 4.0, 3.0, 4.0));
+    assert_eq!((one.zones()[0].t_min, one.zones()[0].t_max), (99, 99));
+
+    // One location, one day: every key ties, so the order must not move.
+    let mut flat = PointTable::new(schema);
+    for i in 0..(ZONE_ROWS + 10) {
+        flat.push(Point::new(1.0, 1.0), 1_000 + (i % 7) as i64, &[i as f32]).unwrap();
+    }
+    let before = rows(&flat);
+    flat.cluster();
+    assert_eq!(rows(&flat), before);
+    assert_eq!(flat.zones().len(), 2);
+}
+
+#[test]
+fn every_row_lies_inside_its_zone_footer() {
+    let (mut t, _) = demo_data(true);
+    t.cluster();
+    let mut nan_zones = 0;
+    for (z, f) in t.zones().iter().enumerate() {
+        let mut saw_nan = false;
+        for i in z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(t.len()) {
+            let p = t.loc(i);
+            saw_nan |= p.x.is_nan() || p.y.is_nan();
+            assert!(f.bbox.contains(p) || p.x.is_nan(), "row {i} outside its zone's bbox");
+            assert!(f.t_min <= t.time(i) && t.time(i) <= f.t_max, "row {i} outside its zone's time");
+            for c in 0..t.schema().len() {
+                let v = t.attr(i, c);
+                saw_nan |= v.is_nan();
+                assert!(v.is_nan() || (f.attr_min[c] <= v && v <= f.attr_max[c]), "row {i} col {c}");
+            }
+        }
+        assert_eq!(f.has_nan, saw_nan, "zone {z}");
+        nan_zones += usize::from(saw_nan);
+    }
+    assert!(nan_zones > 0 && nan_zones < t.zones().len(), "the fixture must mix both kinds");
+    assert_eq!(t.zones().len(), 5);
+}
+
+#[test]
+fn growing_a_clustered_table_drops_its_footers() {
+    let (mut t, _) = demo_data(true);
+    t.cluster();
+    assert!(!t.zones().is_empty());
+    t.push(Point::new(0.0, 0.0), 0, &[1.0, 1.0, 0.0]).unwrap();
+    assert!(t.zones().is_empty(), "a pushed row is not in clustered order");
+}
+
+/// Filters placed exactly on the footers of `t`'s zones, plus the shapes the
+/// benchmark sends.
+fn edge_filters(t: &PointTable) -> Vec<(&'static str, Vec<Filter>)> {
+    let zones = t.zones();
+    let mid = &zones[zones.len() / 2];
+    let first_t = zones[0].t_min;
+    let day_zone = zones
+        .iter()
+        .find(|f| f.attr_min[2] == f.attr_max[2] && !f.has_nan)
+        .expect("some zone holds a single day");
+    let fare = |min, max| Filter::AttrRange { column: "fare".into(), min, max };
+    vec![
+        ("no filter", vec![]),
+        // Half-open end on a closed footer minimum: the zone's earliest row
+        // is excluded, so the zone is provably empty — and one second later
+        // it is not.
+        ("time end == t_min", vec![Filter::Time(TimeRange::new(first_t, mid.t_min))]),
+        ("time end == t_min + 1", vec![Filter::Time(TimeRange::new(first_t, mid.t_min + 1))]),
+        ("time start == t_max", vec![Filter::Time(TimeRange::new(mid.t_max, i64::MAX))]),
+        ("time end == t_max", vec![Filter::Time(TimeRange::new(mid.t_min, mid.t_max))]),
+        ("time covers a zone exactly", vec![Filter::Time(TimeRange::new(mid.t_min, mid.t_max + 1))]),
+        // Closed box whose right edge is a zone's left edge, and the zone's
+        // own box (inside, closed on every side).
+        (
+            "bbox edge on a zone edge",
+            vec![Filter::SpatialBox(BoundingBox::new(t.bbox().min, Point::new(mid.bbox.min.x, t.bbox().max.y)))],
+        ),
+        ("bbox == zone bbox", vec![Filter::SpatialBox(mid.bbox)]),
+        ("equals on a single-valued zone", vec![Filter::AttrEquals { column: "day".into(), value: day_zone.attr_min[2] }]),
+        ("range == zone range", vec![fare(mid.attr_min[0], mid.attr_max[0])]),
+        ("range keeps all but NaN", vec![fare(f32::NEG_INFINITY, f32::INFINITY)]),
+        ("empty result", vec![fare(-5.0, -1.0)]),
+        (
+            "pan_zoom shape",
+            vec![
+                Filter::SpatialBox(BoundingBox::new(
+                    t.bbox().center(),
+                    Point::new(t.bbox().max.x, t.bbox().center().y + t.bbox().height() * 0.3),
+                )),
+                Filter::Time(TimeRange::new(demo_start() + DAY, demo_start() + 2 * DAY)),
+            ],
+        ),
+        (
+            "filter_brush shape",
+            vec![
+                Filter::Time(TimeRange::new(demo_start(), demo_start() + 2 * DAY)),
+                fare(5.0, 40.0),
+                Filter::AttrEquals { column: "day".into(), value: 1.0 },
+            ],
+        ),
+    ]
+}
+
+fn config(mode: ExecutionMode, strategy: PointStrategy, threads: usize, max_tile: u32) -> RasterJoinConfig {
+    RasterJoinConfig {
+        spec: CanvasSpec::Resolution(512),
+        max_tile,
+        mode,
+        strategy,
+        threads,
+        binning: BinningMode::Off,
+        ..Default::default()
+    }
+}
+
+/// Claim 2 over the one-shot executors: footers on == footers stripped, and
+/// the classifier really decided zones (so the equality is not vacuous).
+#[test]
+fn footers_change_no_bit_of_any_executor() {
+    let (mut t, regions) = demo_data(true);
+    t.cluster();
+    let plain = stripped(&t);
+    let budget = QueryBudget::unlimited();
+    let combos = [
+        (ExecutionMode::Bounded, PointStrategy::PointsFirst),
+        (ExecutionMode::Weighted, PointStrategy::PointsFirst),
+        (ExecutionMode::Accurate, PointStrategy::PointsFirst),
+        (ExecutionMode::Bounded, PointStrategy::IdBuffer),
+    ];
+    let (mut skipped, mut whole, mut scanned) = (0, 0, 0);
+    // The aggregates take turns over the filters (never `fare`: its NaNs
+    // would make every sum NaN, and NaN != NaN).
+    let aggs = [AggKind::Count, AggKind::Sum("tip".into()), AggKind::Min("tip".into())];
+    for (k, (name, filters)) in edge_filters(&t).into_iter().enumerate() {
+        let agg = &aggs[k % aggs.len()];
+        let mut q = SpatialAggQuery::new(agg.clone());
+        for f in &filters {
+            q = q.filter(f.clone());
+        }
+        for (mode, strategy) in combos {
+            for max_tile in [128, 2048] {
+                let reference = RasterJoin::new(config(mode, strategy, 1, max_tile))
+                    .execute_store(PointStore::plain(&plain), &regions, &q, &budget)
+                    .expect("stripped");
+                assert_eq!(reference.zones.skipped + reference.zones.whole, 0);
+                for threads in [1, 4] {
+                    let got = RasterJoin::new(config(mode, strategy, threads, max_tile))
+                        .execute_store(PointStore::plain(&t), &regions, &q, &budget)
+                        .expect("footers on");
+                    assert_eq!(
+                        reference.table, got.table,
+                        "{name} / {agg:?} / {mode:?} / {strategy:?} / threads {threads} / tile {max_tile}"
+                    );
+                    skipped += got.zones.skipped;
+                    whole += got.zones.whole;
+                    scanned += got.zones.scanned;
+                }
+            }
+        }
+    }
+    assert!(skipped > 0 && whole > 0 && scanned > 0, "{skipped} / {whole} / {scanned}");
+}
+
+/// Claim 2 over the prepared executor, both modes it supports.
+#[test]
+fn footers_change_no_bit_of_the_prepared_executor() {
+    let (mut t, regions) = demo_data(true);
+    t.cluster();
+    let plain = stripped(&t);
+    for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
+        for max_tile in [128, 2048] {
+            let prepared =
+                PreparedRasterJoin::prepare(&regions, CanvasSpec::Resolution(512), max_tile, mode)
+                    .expect("prepare");
+            for (name, filters) in edge_filters(&t) {
+                let mut q = SpatialAggQuery::new(AggKind::Avg("tip".into()));
+                for f in &filters {
+                    q = q.filter(f.clone());
+                }
+                let reference = prepared.execute(&plain, &q).expect("stripped");
+                let got = prepared.execute(&t, &q).expect("footers on");
+                assert_eq!(reference.table, got.table, "{name} / {mode:?} / tile {max_tile}");
+            }
+        }
+    }
+}
+
+/// Claim 3: against the generator's order, exact answers and counts do not
+/// move at all, and bounded sums move only by f32 rounding.
+#[test]
+fn clustered_order_agrees_with_generator_order() {
+    let (original, regions) = demo_data(false);
+    let mut clustered = original.clone();
+    clustered.cluster();
+    for (name, filters) in edge_filters(&clustered) {
+        let mut count = SpatialAggQuery::count();
+        let mut sum = SpatialAggQuery::new(AggKind::Sum("tip".into()));
+        for f in &filters {
+            count = count.filter(f.clone());
+            sum = sum.filter(f.clone());
+        }
+        let truth = naive_join(&original, &regions, &count).expect("naive");
+        let index = naive_join(&clustered, &regions, &count).expect("naive, clustered");
+        let accurate = RasterJoin::new(RasterJoinConfig::accurate(256))
+            .execute(&clustered, &regions, &count)
+            .expect("accurate");
+        for r in 0..regions.len() {
+            assert_eq!(truth.states[r].count, index.states[r].count, "{name}: index, region {r}");
+            assert_eq!(truth.states[r].count, accurate.table.states[r].count, "{name}: accurate, region {r}");
+        }
+
+        let bounded = RasterJoin::new(RasterJoinConfig::with_resolution(512));
+        let a = bounded.execute(&original, &regions, &sum).expect("bounded");
+        let b = bounded.execute(&clustered, &regions, &sum).expect("bounded, clustered");
+        assert_eq!(a.epsilon, b.epsilon);
+        assert_eq!(a.stats.points_in, b.stats.points_in, "{name}: the same rows must survive");
+        assert_eq!(a.stats.fragments, b.stats.fragments, "{name}");
+        for r in 0..regions.len() {
+            // Per-pixel counts are small integers — exact in f32 in any order.
+            assert_eq!(a.table.states[r].count, b.table.states[r].count, "{name}: region {r}");
+            let (x, y) = (a.table.states[r].sum, b.table.states[r].sum);
+            assert!((x - y).abs() <= 1e-5 * x.abs().max(1.0), "{name}: region {r}: {x} vs {y}");
+        }
+    }
+}

@@ -110,7 +110,7 @@ fn metamorphic_laws_hold_on_their_corpus() {
         }
     }
     assert!(
-        seen.len() >= 4,
-        "acceptance demands ≥4 distinct metamorphic laws, saw {seen:?}"
+        seen.len() >= 5,
+        "acceptance demands ≥5 distinct metamorphic laws, saw {seen:?}"
     );
 }
