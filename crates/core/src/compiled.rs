@@ -20,10 +20,10 @@
 //!   mattering.
 //!
 //! A table without footers is the same walk with every zone a scan. The
-//! proof rules are those of the `.ubs` chunk pruner (half-open time range
-//! against a closed footer, closed boxes and ranges); a zone holding a NaN
-//! is never *whole*, because footer ranges leave NaN out (DESIGN.md "Row
-//! order is the query plan").
+//! proof rules are [`ZoneFooter`]'s, the ones the stored join applies to a
+//! `.ubs` directory (half-open time range against a closed footer, closed
+//! boxes and ranges); a zone holding a NaN is never *whole*, because footer
+//! ranges leave NaN out (DESIGN.md "Row order is the query plan").
 //!
 //! Kernels walk the rows through [`CompiledQuery::for_each_chunk`], which
 //! additionally steps over zones whose bbox misses the tile and polls the
@@ -90,38 +90,16 @@ impl Pred<'_> {
     }
 
     /// What a zone's footer proves about this condition for *every* row of
-    /// the zone: `Some(false)` — none passes, `Some(true)` — all pass,
-    /// `None` — the rows must be tested.
-    ///
-    /// Footer ranges are exact over the zone's non-NaN values, so a disjoint
-    /// range rejects every row (a NaN fails the condition on its own). The
-    /// converse needs every value inside the range, which a NaN is not: a
-    /// zone that holds one is never decided `true` on values or locations.
+    /// the zone (the rules live on [`ZoneFooter`], shared with the stored
+    /// join): `Some(false)` — none passes, `Some(true)` — all pass, `None` —
+    /// the rows must be tested.
+    #[inline]
     fn decide(&self, f: &ZoneFooter) -> Option<bool> {
-        let (disjoint, inside) = match self {
-            Pred::Range { col, min, max, .. } => {
-                let (lo, hi) = (f.attr_min[*col], f.attr_max[*col]);
-                (hi < *min || lo > *max, !f.has_nan && lo >= *min && hi <= *max)
-            }
-            Pred::Equals { col, value, .. } => {
-                let (lo, hi) = (f.attr_min[*col], f.attr_max[*col]);
-                (hi < *value || lo > *value, !f.has_nan && lo == *value && hi == *value)
-            }
-            // Half-open [start, end) against the closed footer [t_min, t_max].
-            Pred::Time { range, .. } => (
-                f.t_max < range.start || f.t_min >= range.end,
-                f.t_min >= range.start && f.t_max < range.end,
-            ),
-            Pred::Spatial { bbox, .. } => {
-                (!bbox.intersects(&f.bbox), !f.has_nan && bbox.contains_box(&f.bbox))
-            }
-        };
-        if disjoint {
-            Some(false)
-        } else if inside {
-            Some(true)
-        } else {
-            None
+        match self {
+            Pred::Range { col, min, max, .. } => f.decide_range(*col, *min, *max),
+            Pred::Equals { col, value, .. } => f.decide_equals(*col, *value),
+            Pred::Time { range, .. } => f.decide_time(range),
+            Pred::Spatial { bbox, .. } => f.decide_box(bbox),
         }
     }
 }

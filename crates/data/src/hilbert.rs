@@ -1,20 +1,16 @@
 //! Hilbert space-filling curve on a `2^order × 2^order` grid.
 //!
-//! Two layouts are ordered along it. The `.ubs` store sorts points by their
-//! order-16 key once at build time; the packed R-tree then inherits spatial
-//! locality for free (consecutive leaves are spatial neighbors, so parent
-//! boxes stay tight) and chunk reads for a query window touch
-//! near-sequential file ranges. Resident tables use a coarse curve as the
-//! minor key of [`PointTable::cluster`](crate::PointTable::cluster), which
-//! is why the module lives here: `urban-data` cannot depend on the store
-//! (`urbane_store::hilbert` re-exports it). The iterative
+//! [`PointTable::cluster`](crate::PointTable::cluster) uses a coarse curve
+//! as its minor key, and that order is also the `.ubs` store's file order:
+//! consecutive rows of a day are spatial neighbours, so zone footers stay
+//! tight and a query window touches near-sequential ranges. The iterative
 //! rotate-and-accumulate formulation below is the classic quadrant-recursion
 //! algorithm (no lookup tables, no recursion), total for every input: out-of
 //! -range coordinates clamp to the grid edge.
 
 use urbane_geom::{BoundingBox, Point};
 
-/// Curve order used for store keys: a 65 536² grid, keys in `[0, 2^32)`.
+/// The finest curve order [`key_for`] maps to: a 65 536² grid, keys in `[0, 2^32)`.
 pub const ORDER: u32 = 16;
 
 /// Grid side for [`ORDER`].

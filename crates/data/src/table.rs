@@ -57,6 +57,55 @@ impl PointTable {
         }
     }
 
+    /// Build a table from whole columns — the decoders' path, no per-row
+    /// `push`. The bounding box is recomputed from the coordinates; the table
+    /// carries no zone footers.
+    ///
+    /// # Errors
+    /// Fails when the columns disagree in length, or in number with the
+    /// schema.
+    pub fn from_columns(
+        schema: Schema,
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        ts: Vec<Timestamp>,
+        attrs: Vec<Vec<f32>>,
+    ) -> Result<Self> {
+        let n = xs.len();
+        if attrs.len() != schema.len() {
+            return Err(DataError::Schema(format!(
+                "{} attribute columns, schema expects {}",
+                attrs.len(),
+                schema.len()
+            )));
+        }
+        if ys.len() != n || ts.len() != n || attrs.iter().any(|col| col.len() != n) {
+            return Err(DataError::Schema("columns differ in length".into()));
+        }
+        let (x0, x1, _) = cluster::fold_range(&xs, f64::INFINITY, f64::NEG_INFINITY);
+        let (y0, y1, _) = cluster::fold_range(&ys, f64::INFINITY, f64::NEG_INFINITY);
+        let bbox = BoundingBox { min: Point::new(x0, y0), max: Point::new(x1, y1) };
+        Ok(PointTable { schema, xs, ys, ts, attrs, bbox, zones: Vec::new() })
+    }
+
+    /// Adopt zone footers kept beside the rows (a `.ubs` directory) instead
+    /// of recomputing them: the rows must already be in
+    /// [`cluster`](Self::cluster) order and `zones[z]` must describe rows
+    /// `z * ZONE_ROWS ..` exactly, as `cluster` would have recorded it.
+    ///
+    /// # Errors
+    /// Fails when the footers do not match the table's shape.
+    pub fn adopt_zones(&mut self, zones: Vec<ZoneFooter>) -> Result<()> {
+        let n_cols = self.schema.len();
+        if zones.len() != self.len().div_ceil(ZONE_ROWS)
+            || zones.iter().any(|f| f.attr_min.len() != n_cols || f.attr_max.len() != n_cols)
+        {
+            return Err(DataError::Schema("zone footers do not match the table's shape".into()));
+        }
+        self.zones = zones;
+        Ok(())
+    }
+
     /// The attribute schema.
     #[inline]
     pub fn schema(&self) -> &Schema {

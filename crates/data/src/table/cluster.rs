@@ -20,7 +20,7 @@
 
 use super::PointTable;
 use crate::hilbert;
-use crate::time::{Timestamp, DAY};
+use crate::time::{TimeRange, Timestamp, DAY};
 use urbane_geom::{BoundingBox, Point};
 
 /// Rows per zone — the unit the executors poll their budget at and the
@@ -58,7 +58,9 @@ pub struct ZoneFooter {
 }
 
 impl ZoneFooter {
-    fn empty(n_cols: usize) -> Self {
+    /// The footer of no rows: the identity of [`fold_rows`](Self::fold_rows)
+    /// and [`absorb`](Self::absorb).
+    pub fn empty(n_cols: usize) -> Self {
         ZoneFooter {
             bbox: BoundingBox::empty(),
             t_min: Timestamp::MAX,
@@ -67,6 +69,94 @@ impl ZoneFooter {
             attr_max: vec![f32::NEG_INFINITY; n_cols],
             has_nan: false,
         }
+    }
+
+    /// Fold one run of rows, given column by column (`attrs` yields the
+    /// run's slice of each attribute, in schema order), into the footer.
+    /// Allocates nothing: `cluster` calls it between its large buffers, where
+    /// even a small allocation moves what the allocator can hand back.
+    pub fn fold_rows<'a>(
+        &mut self,
+        xs: &[f64],
+        ys: &[f64],
+        ts: &[Timestamp],
+        attrs: impl IntoIterator<Item = &'a [f32]>,
+    ) {
+        let (x0, x1, x_nan) = fold_range(xs, self.bbox.min.x, self.bbox.max.x);
+        let (y0, y1, y_nan) = fold_range(ys, self.bbox.min.y, self.bbox.max.y);
+        self.bbox = BoundingBox { min: Point::new(x0, y0), max: Point::new(x1, y1) };
+        (self.t_min, self.t_max, _) = fold_range(ts, self.t_min, self.t_max);
+        self.has_nan |= x_nan || y_nan;
+        for (c, col) in attrs.into_iter().enumerate() {
+            let nan;
+            (self.attr_min[c], self.attr_max[c], nan) =
+                fold_range(col, self.attr_min[c], self.attr_max[c]);
+            self.has_nan |= nan;
+        }
+    }
+
+    /// Widen the footer to cover `other`'s rows too (a `.ubs` chunk footer
+    /// is the union of its zones').
+    pub fn absorb(&mut self, other: &ZoneFooter) {
+        self.bbox = self.bbox.union(&other.bbox);
+        self.t_min = self.t_min.min(other.t_min);
+        self.t_max = self.t_max.max(other.t_max);
+        for (lo, &o) in self.attr_min.iter_mut().zip(&other.attr_min) {
+            *lo = lo.min(o);
+        }
+        for (hi, &o) in self.attr_max.iter_mut().zip(&other.attr_max) {
+            *hi = hi.max(o);
+        }
+        self.has_nan |= other.has_nan;
+    }
+
+    // The proof rules: what the footer proves about one filter condition for
+    // *every* row it covers — `Some(false)` none passes, `Some(true)` all
+    // pass, `None` the rows must be tested. Ranges are exact over the non-NaN
+    // values, so a disjoint range rejects every row (a NaN fails a value or
+    // location condition on its own); the converse needs every value inside,
+    // which a NaN is not, so a footer with `has_nan` never proves `true` on
+    // values or locations. Resident executor and stored join both ask here.
+
+    /// Attribute `col` in the closed range `[min, max]`.
+    #[inline]
+    pub fn decide_range(&self, col: usize, min: f32, max: f32) -> Option<bool> {
+        let (lo, hi) = (self.attr_min[col], self.attr_max[col]);
+        verdict(hi < min || lo > max, !self.has_nan && lo >= min && hi <= max)
+    }
+
+    /// Attribute `col` equal to `value`.
+    #[inline]
+    pub fn decide_equals(&self, col: usize, value: f32) -> Option<bool> {
+        let (lo, hi) = (self.attr_min[col], self.attr_max[col]);
+        verdict(hi < value || lo > value, !self.has_nan && lo == value && hi == value)
+    }
+
+    /// Timestamp in the half-open `[start, end)`, against the closed footer
+    /// `[t_min, t_max]` (timestamps are never NaN).
+    #[inline]
+    pub fn decide_time(&self, range: &TimeRange) -> Option<bool> {
+        verdict(
+            self.t_max < range.start || self.t_min >= range.end,
+            self.t_min >= range.start && self.t_max < range.end,
+        )
+    }
+
+    /// Location in the closed box `bbox`.
+    #[inline]
+    pub fn decide_box(&self, bbox: &BoundingBox) -> Option<bool> {
+        verdict(!bbox.intersects(&self.bbox), !self.has_nan && bbox.contains_box(&self.bbox))
+    }
+}
+
+#[inline]
+fn verdict(disjoint: bool, inside: bool) -> Option<bool> {
+    if disjoint {
+        Some(false)
+    } else if inside {
+        Some(true)
+    } else {
+        None
     }
 }
 
@@ -146,7 +236,7 @@ fn scatter_columns<T: Copy + Default>(
 /// compares false both ways and so never enters the range. Eight independent
 /// lanes, because one running minimum is a chain of dependent compares the
 /// compiler may not reorder for floats.
-fn fold_range<T: Copy + PartialOrd>(vals: &[T], min: T, max: T) -> (T, T, bool) {
+pub(super) fn fold_range<T: Copy + PartialOrd>(vals: &[T], min: T, max: T) -> (T, T, bool) {
     const LANES: usize = 8;
     #[allow(clippy::eq_op)] // `v != v` is the NaN test, generic over the column type
     fn fold<T: Copy + PartialOrd>(acc: &mut (T, T, bool), v: T) {
@@ -279,18 +369,12 @@ impl PointTable {
         while a < hi {
             let z = a / ZONE_ROWS;
             let b = ((z + 1) * ZONE_ROWS).min(hi);
-            let f = &mut self.zones[z];
-            let (x0, x1, x_nan) = fold_range(&self.xs[a..b], f.bbox.min.x, f.bbox.max.x);
-            let (y0, y1, y_nan) = fold_range(&self.ys[a..b], f.bbox.min.y, f.bbox.max.y);
-            f.bbox = BoundingBox { min: Point::new(x0, y0), max: Point::new(x1, y1) };
-            (f.t_min, f.t_max, _) = fold_range(&self.ts[a..b], f.t_min, f.t_max);
-            f.has_nan |= x_nan || y_nan;
-            for (c, col) in self.attrs.iter().enumerate() {
-                let nan;
-                (f.attr_min[c], f.attr_max[c], nan) =
-                    fold_range(&col[a..b], f.attr_min[c], f.attr_max[c]);
-                f.has_nan |= nan;
-            }
+            self.zones[z].fold_rows(
+                &self.xs[a..b],
+                &self.ys[a..b],
+                &self.ts[a..b],
+                self.attrs.iter().map(|col| &col[a..b]),
+            );
             a = b;
         }
     }

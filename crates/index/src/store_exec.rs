@@ -2,12 +2,18 @@
 //!
 //! These are the exact baseline the paper's scaling comparison races Raster
 //! Join against at cardinalities that don't fit the whole-table serving
-//! model: points stream in chunk-at-a-time from a [`ChunkedPointSource`],
-//! each chunk is pruned against the query using the store's footers (chunk
-//! bbox vs. the region extent and any `SpatialBox` filter, time range vs.
-//! `Time` filters, per-attribute min/max vs. attribute filters) before a
-//! single byte of its payload is read, and surviving chunks run the same
-//! probe-then-exact-PIP loop as [`crate::executor::index_join`].
+//! model. The store is a clustered table on disk, so the join reads it the
+//! way the raster executors read a resident one: every chunk of the
+//! directory, then every zone inside a surviving chunk, is classified
+//! against the query from its footer alone with [`ZoneFooter`]'s proof rules
+//! — *skip* (some condition, or the regions' extent, rules every row out:
+//! nothing is read), *whole* (every condition holds for every row: only
+//! `x`, `y` and the aggregated column are read, nothing is tested) or
+//! *scan* (only the conditions the footer left open are tested, and only
+//! their columns are read beside `x`, `y`). A condition the footer decided
+//! is true of every row of the zone, so not reading its column cannot change
+//! which rows pass. Surviving rows run the same probe-then-exact-PIP loop as
+//! [`crate::executor::index_join`].
 //!
 //! Results are **bit-for-bit exact**: aggregation states accumulate f32
 //! attribute values in f64 (lossless at the corpus's dynamic range), chunk
@@ -16,30 +22,35 @@
 //! the in-memory oracle all agree exactly.
 //!
 //! Budget/cancellation discipline matches the raster executors: the shared
-//! [`QueryBudget`] is polled once per chunk, so a cancelled query stops
-//! within one chunk's worth of work.
+//! [`QueryBudget`] is polled once per chunk and once per zone read, so a
+//! cancelled query stops within one zone's worth of work.
 
 use crate::{Probe, RegionIndex};
-use raster_join::{QueryBudget, RasterJoinError};
+use raster_join::{QueryBudget, RasterJoinError, ZoneStats};
 use std::io::{Read, Seek};
 use urban_data::query::{AggTable, SpatialAggQuery};
 use urban_data::schema::Schema;
-use urban_data::{Filter, PointTable, RegionSet};
-use urbane_geom::BoundingBox;
-use urbane_store::{ChunkMeta, ChunkedPointSource};
+use urban_data::time::TimeRange;
+use urban_data::{Filter, PointTable, RegionSet, ZoneFooter};
+use urbane_geom::{BoundingBox, Point};
+use urbane_store::{ChunkedPointSource, Columns};
 
 /// Per-query accounting for a stored join: how much the footers pruned and
 /// how much actually streamed through memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoredJoinStats {
-    /// Chunks whose payloads were read and scanned.
+    /// Chunks some payload was read from and scanned.
     pub chunks_scanned: u64,
-    /// Chunks skipped entirely on footer evidence.
+    /// Chunks skipped entirely on footer evidence (their own, or every one
+    /// of their zones').
     pub chunks_pruned: u64,
     /// Rows decoded and fed through the filter/probe loop.
     pub rows_scanned: u64,
-    /// Largest number of rows resident at once (chunk granularity).
+    /// Largest number of rows resident at once (zone granularity).
     pub peak_resident_rows: u32,
+    /// How the zones were classified — the counts a resident table's
+    /// executor reports, over the directory's zones.
+    pub zones: ZoneStats,
 }
 
 impl StoredJoinStats {
@@ -49,81 +60,113 @@ impl StoredJoinStats {
         self.chunks_pruned += other.chunks_pruned;
         self.rows_scanned += other.rows_scanned;
         self.peak_resident_rows = self.peak_resident_rows.max(other.peak_resident_rows);
+        self.zones.skipped += other.zones.skipped;
+        self.zones.whole += other.zones.whole;
+        self.zones.scanned += other.zones.scanned;
+        self.zones.rows_tested += other.zones.rows_tested;
     }
 }
 
-/// Filter bounds resolved against the store schema once per query, so the
-/// per-chunk pruning test is pure arithmetic against the footers.
-struct ChunkPruner {
-    /// Regions' overall extent intersected with any `SpatialBox` filters.
-    window: BoundingBox,
-    /// `(column, min, max)` for every attribute filter (equals ⇒ min=max).
-    attr_bounds: Vec<(usize, f32, f32)>,
-    /// `(start, end)` half-open for every time filter.
-    time_bounds: Vec<(i64, i64)>,
+/// One filter condition resolved against the store schema.
+enum Cond {
+    /// Attribute in `[min, max]` (closed; NaN never matches).
+    Range { col: usize, min: f32, max: f32 },
+    /// Attribute equals a categorical code.
+    Equals { col: usize, value: f32 },
+    /// Timestamp within a half-open range.
+    Time(TimeRange),
+    /// Location within a closed box.
+    Spatial(BoundingBox),
 }
 
-impl ChunkPruner {
+impl Cond {
+    /// What `f` proves about this condition for every row it covers.
+    #[inline]
+    fn decide(&self, f: &ZoneFooter) -> Option<bool> {
+        match self {
+            Cond::Range { col, min, max } => f.decide_range(*col, *min, *max),
+            Cond::Equals { col, value } => f.decide_equals(*col, *value),
+            Cond::Time(range) => f.decide_time(range),
+            Cond::Spatial(bbox) => f.decide_box(bbox),
+        }
+    }
+
+    /// Does row `i` of the fetched zone satisfy this condition? Identical
+    /// semantics to [`Filter`]'s row probe; the column it reads was fetched
+    /// because the condition was undecided.
+    #[inline]
+    fn test(&self, zone: &Columns, i: usize) -> bool {
+        match self {
+            Cond::Range { col, min, max } => {
+                let v = zone.attrs[*col][i];
+                v >= *min && v <= *max
+            }
+            Cond::Equals { col, value } => zone.attrs[*col][i] == *value,
+            Cond::Time(range) => range.contains(zone.ts[i]),
+            Cond::Spatial(bbox) => bbox.contains(Point::new(zone.xs[i], zone.ys[i])),
+        }
+    }
+}
+
+/// A query resolved against the store schema once, so classifying a footer
+/// is pure arithmetic.
+struct StoredPlan {
+    conds: Vec<Cond>,
+    /// The regions' overall extent: a row outside it joins nothing.
+    extent: BoundingBox,
+    /// Resolved value column (None for COUNT).
+    agg_col: Option<usize>,
+}
+
+impl StoredPlan {
+    /// Resolve `query` against the store schema before touching any chunk,
+    /// so "unknown column" fails identically whether zero or all chunks
+    /// survive pruning.
     fn new(
         schema: &Schema,
         regions: &RegionSet,
         query: &SpatialAggQuery,
     ) -> Result<Self, RasterJoinError> {
-        let mut window = regions.bbox();
-        let mut attr_bounds = Vec::new();
-        let mut time_bounds = Vec::new();
-        for f in query.filters.filters() {
-            match f {
-                Filter::SpatialBox(b) => {
-                    // Shrink the window: a chunk outside *any* spatial
-                    // filter can contribute nothing.
-                    window = intersect(&window, b);
-                }
-                Filter::AttrRange { column, min, max } => {
-                    let c = schema.index_of(column).map_err(data_err)?;
-                    attr_bounds.push((c, *min, *max));
-                }
-                Filter::AttrEquals { column, value } => {
-                    let c = schema.index_of(column).map_err(data_err)?;
-                    attr_bounds.push((c, *value, *value));
-                }
-                Filter::Time(r) => time_bounds.push((r.start, r.end)),
-            }
-        }
-        Ok(ChunkPruner { window, attr_bounds, time_bounds })
+        let agg_col =
+            query.agg_kind().resolve(&PointTable::new(schema.clone())).map_err(data_err)?;
+        let col = |name: &str| schema.index_of(name).map_err(data_err);
+        let conds = query
+            .filters
+            .filters()
+            .iter()
+            .map(|f| {
+                Ok(match f {
+                    Filter::AttrRange { column, min, max } => {
+                        Cond::Range { col: col(column)?, min: *min, max: *max }
+                    }
+                    Filter::AttrEquals { column, value } => {
+                        Cond::Equals { col: col(column)?, value: *value }
+                    }
+                    Filter::Time(r) => Cond::Time(*r),
+                    Filter::SpatialBox(b) => Cond::Spatial(*b),
+                })
+            })
+            .collect::<Result<_, RasterJoinError>>()?;
+        Ok(StoredPlan { conds, extent: regions.bbox(), agg_col })
     }
 
-    /// Can this chunk possibly contribute a row? Footer ranges are exact
-    /// (computed over the chunk's rows at build time), so a disjoint range
-    /// is a proof of emptiness, never a heuristic.
-    fn may_contribute(&self, meta: &ChunkMeta) -> bool {
-        if !self.window.intersects(&meta.bbox) {
+    /// Classify the rows `f` covers: `false` — none can contribute (skip);
+    /// otherwise `undecided` holds the conditions that must be tested row by
+    /// row (none left: the rows are taken whole).
+    fn classify<'p>(&'p self, f: &ZoneFooter, undecided: &mut Vec<&'p Cond>) -> bool {
+        undecided.clear();
+        // A NaN location lies in no region either, so `has_nan` is no bar.
+        if !self.extent.intersects(&f.bbox) {
             return false;
         }
-        for &(start, end) in &self.time_bounds {
-            // Half-open [start, end) vs. closed footer [t_min, t_max].
-            if meta.t_max < start || meta.t_min >= end {
-                return false;
-            }
-        }
-        for &(c, lo, hi) in &self.attr_bounds {
-            let (fmin, fmax) = match (meta.attr_min.get(c), meta.attr_max.get(c)) {
-                (Some(&a), Some(&b)) => (a, b),
-                // Footer narrower than the schema: don't prune on it.
-                _ => continue,
-            };
-            if fmax < lo || fmin > hi {
-                return false;
+        for cond in &self.conds {
+            match cond.decide(f) {
+                Some(false) => return false,
+                Some(true) => {}
+                None => undecided.push(cond),
             }
         }
         true
-    }
-}
-
-fn intersect(a: &BoundingBox, b: &BoundingBox) -> BoundingBox {
-    BoundingBox {
-        min: urbane_geom::Point::new(a.min.x.max(b.min.x), a.min.y.max(b.min.y)),
-        max: urbane_geom::Point::new(a.max.x.min(b.max.x), a.max.y.min(b.max.y)),
     }
 }
 
@@ -135,57 +178,28 @@ fn store_err(e: urbane_store::StoreError) -> RasterJoinError {
     RasterJoinError::Internal(format!("store read failed: {e}"))
 }
 
-/// Validate the query against the store schema before touching any chunk,
-/// so "unknown column" fails identically whether zero or all chunks survive
-/// pruning.
-fn validate_query(schema: &Schema, query: &SpatialAggQuery) -> Result<(), RasterJoinError> {
-    let probe = PointTable::new(schema.clone());
-    query.agg_kind().resolve(&probe).map_err(data_err)?;
-    query.filters.compile(&probe).map_err(data_err)?;
-    Ok(())
-}
-
-/// Rows scanned between budget polls inside a chunk. Mirrors the raster
-/// executors' `POINT_CHUNK` cadence: frequent enough that a cancelled query
-/// stops within microseconds, rare enough that the atomic load is free.
-const SCAN_POLL_STRIDE: usize = 8192;
-
-/// Scan one decoded chunk through the filter/probe/PIP loop, polling
-/// `budget` every [`SCAN_POLL_STRIDE`] rows so a disconnect or deadline
-/// cancels mid-chunk rather than at the next chunk boundary.
-fn scan_chunk<I: RegionIndex>(
-    chunk: &PointTable,
+/// Credit value `v` at point `p` to every region holding `p`: index probe,
+/// then exact point-in-polygon among the candidates.
+#[inline]
+fn join_point<I: RegionIndex>(
+    p: Point,
+    v: f64,
     regions: &RegionSet,
     index: &I,
-    query: &SpatialAggQuery,
-    budget: &QueryBudget,
+    candidates: &mut Vec<urban_data::RegionId>,
     out: &mut AggTable,
-    scratch: &mut Vec<urban_data::RegionId>,
-) -> Result<(), RasterJoinError> {
-    let col = query.agg_kind().resolve(chunk).map_err(data_err)?;
-    let filter = query.filters.compile(chunk).map_err(data_err)?;
-    for i in 0..chunk.len() {
-        if i % SCAN_POLL_STRIDE == 0 {
-            budget.check()?;
-        }
-        if !filter.matches(i) {
-            continue;
-        }
-        let p = chunk.loc(i);
-        let v = col.map_or(0.0, |c| chunk.attr(i, c) as f64);
-        match index.probe_into(p, scratch) {
-            Probe::Empty => {}
-            Probe::Resolved(id) => out.states[id as usize].accumulate(v),
-            Probe::Candidates => {
-                for &id in scratch.iter() {
-                    if regions.geometry(id).contains(p) {
-                        out.states[id as usize].accumulate(v);
-                    }
+) {
+    match index.probe_into(p, candidates) {
+        Probe::Empty => {}
+        Probe::Resolved(id) => out.states[id as usize].accumulate(v),
+        Probe::Candidates => {
+            for &id in candidates.iter() {
+                if regions.geometry(id).contains(p) {
+                    out.states[id as usize].accumulate(v);
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// Join a contiguous chunk range `[lo, hi)` of `source` into a fresh
@@ -197,39 +211,79 @@ fn join_chunk_range<R: Read + Seek, I: RegionIndex>(
     index: &I,
     query: &SpatialAggQuery,
     budget: &QueryBudget,
-    pruner: &ChunkPruner,
+    plan: &StoredPlan,
     lo: usize,
     hi: usize,
 ) -> Result<(AggTable, StoredJoinStats), RasterJoinError> {
     let mut out = AggTable::new(query.agg_kind(), regions.len());
     let mut stats = StoredJoinStats::default();
-    let mut scratch = Vec::with_capacity(8);
+    let mut candidates = Vec::with_capacity(8);
+    let mut undecided: Vec<&Cond> = Vec::with_capacity(plan.conds.len());
+    let mut attrs: Vec<usize> = Vec::with_capacity(plan.conds.len() + 1);
+    // One zone of the columns in use, for the whole range.
+    let mut zone = Columns::default();
+    let header = source.shared_header();
     source.reset_stats();
     for ci in lo..hi {
         budget.check()?;
-        let prunable = match source.chunk_meta(ci) {
-            Some(meta) => !pruner.may_contribute(meta),
-            None => {
-                return Err(RasterJoinError::Internal(format!(
-                    "chunk index {ci} out of range"
-                )))
-            }
-        };
-        if prunable {
+        let meta = header.chunks.get(ci).ok_or_else(|| {
+            RasterJoinError::Internal(format!("chunk index {ci} out of range"))
+        })?;
+        if !plan.classify(&meta.footer, &mut undecided) {
             stats.chunks_pruned += 1;
+            stats.zones.skipped += meta.zones.len() as u64;
             continue;
         }
-        let chunk = source.read_chunk(ci).map_err(store_err)?;
-        stats.chunks_scanned += 1;
-        stats.rows_scanned += chunk.len() as u64;
-        scan_chunk(&chunk, regions, index, query, budget, &mut out, &mut scratch)?;
+        let mut read_any = false;
+        for (z, footer) in meta.zones.iter().enumerate() {
+            if !plan.classify(footer, &mut undecided) {
+                stats.zones.skipped += 1;
+                continue;
+            }
+            budget.check()?;
+            let want_ts = undecided.iter().any(|c| matches!(c, Cond::Time(_)));
+            attrs.clear();
+            attrs.extend(plan.agg_col);
+            for cond in &undecided {
+                if let Cond::Range { col, .. } | Cond::Equals { col, .. } = cond {
+                    if !attrs.contains(col) {
+                        attrs.push(*col);
+                    }
+                }
+            }
+            source.read_zone(ci, z, want_ts, &attrs, &mut zone).map_err(store_err)?;
+            read_any = true;
+            let rows = zone.xs.len();
+            stats.rows_scanned += rows as u64;
+            if undecided.is_empty() {
+                stats.zones.whole += 1;
+            } else {
+                stats.zones.scanned += 1;
+                stats.zones.rows_tested += rows as u64;
+            }
+            let values = plan.agg_col.map(|c| zone.attrs[c].as_slice());
+            // lint: polls-budget the budget is checked once per zone just above; a zone is at most ZONE_ROWS rows
+            for i in 0..rows {
+                if !undecided.iter().all(|c| c.test(&zone, i)) {
+                    continue;
+                }
+                let p = Point::new(zone.xs[i], zone.ys[i]);
+                let v = values.map_or(0.0, |vals| vals[i] as f64);
+                join_point(p, v, regions, index, &mut candidates, &mut out);
+            }
+        }
+        if read_any {
+            stats.chunks_scanned += 1;
+        } else {
+            stats.chunks_pruned += 1;
+        }
     }
     stats.peak_resident_rows = source.stats().peak_resident_rows;
     Ok((out, stats))
 }
 
-/// Evaluate `query` over a `.ubs` store with a chunk-streamed index join
-/// (single-threaded). Never holds more than one chunk's rows in memory.
+/// Evaluate `query` over a `.ubs` store with a zone-streamed index join
+/// (single-threaded). Never holds more than one zone's rows in memory.
 pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
     source: &mut ChunkedPointSource<R>,
     regions: &RegionSet,
@@ -237,10 +291,9 @@ pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
     query: &SpatialAggQuery,
     budget: &QueryBudget,
 ) -> Result<(AggTable, StoredJoinStats), RasterJoinError> {
-    validate_query(source.schema(), query)?;
-    let pruner = ChunkPruner::new(source.schema(), regions, query)?;
+    let plan = StoredPlan::new(source.schema(), regions, query)?;
     let n = source.n_chunks();
-    join_chunk_range(source, regions, index, query, budget, &pruner, 0, n)
+    join_chunk_range(source, regions, index, query, budget, &plan, 0, n)
 }
 
 /// Parallel stored join: each worker opens its own source via `open` (file
@@ -262,16 +315,15 @@ where
 {
     let n_threads = n_threads.max(1);
     let mut probe_source = open().map_err(store_err)?;
-    validate_query(probe_source.schema(), query)?;
-    let pruner = ChunkPruner::new(probe_source.schema(), regions, query)?;
+    let plan = StoredPlan::new(probe_source.schema(), regions, query)?;
     let n = probe_source.n_chunks();
     if n_threads == 1 || n <= 1 {
-        return join_chunk_range(&mut probe_source, regions, index, query, budget, &pruner, 0, n);
+        return join_chunk_range(&mut probe_source, regions, index, query, budget, &plan, 0, n);
     }
     drop(probe_source);
 
     let per = n.div_ceil(n_threads).max(1);
-    let pruner = &pruner;
+    let plan = &plan;
     let open = &open;
     let mut partials: Vec<Result<(AggTable, StoredJoinStats), RasterJoinError>> = Vec::new();
     std::thread::scope(|scope| {
@@ -284,7 +336,7 @@ where
             }
             handles.push(scope.spawn(move || {
                 let mut src = open().map_err(store_err)?;
-                join_chunk_range(&mut src, regions, index, query, budget, pruner, lo, hi)
+                join_chunk_range(&mut src, regions, index, query, budget, plan, lo, hi)
             }));
         }
         partials = handles
@@ -330,19 +382,8 @@ pub fn index_join_budgeted<I: RegionIndex>(
         if !filter.matches(i) {
             continue;
         }
-        let p = points.loc(i);
         let v = col.map_or(0.0, |c| points.attr(i, c) as f64);
-        match index.probe_into(p, &mut scratch) {
-            Probe::Empty => {}
-            Probe::Resolved(id) => out.states[id as usize].accumulate(v),
-            Probe::Candidates => {
-                for &id in &scratch {
-                    if regions.geometry(id).contains(p) {
-                        out.states[id as usize].accumulate(v);
-                    }
-                }
-            }
-        }
+        join_point(points.loc(i), v, regions, index, &mut scratch, &mut out);
     }
     Ok(out)
 }

@@ -377,6 +377,10 @@ mod tests {
         assert!(text.contains("urbane_store_streamed_queries_total 1"), "{text}");
         assert!(text.contains("urbane_store_page_ins_total 0"), "{text}");
         assert!(!text.contains("urbane_store_chunks_read_total 0\n"), "{text}");
+        // The directory's zones are classified like a resident table's: an
+        // unfiltered count takes every one of them whole.
+        assert!(text.contains("urbane_zones_whole_total 8\n"), "{text}");
+        assert!(text.contains("urbane_zones_scanned_total 0\n"), "{text}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,37 +1,48 @@
-//! The `.ubs` binary layout: constants, header model, bounds-checked codec.
+//! The `.ubs` binary layout (version 2): constants, header model,
+//! bounds-checked codec.
 //!
 //! ```text
 //! prelude   magic "UBS1" | u16 version | u16 reserved | u64 payload_off
 //! schema    u32 n_cols | per col: u8 type, u16 name_len, name bytes
 //! shape     u64 n_rows | u32 chunk_rows | u32 n_chunks | bbox 4×f64
-//! directory per chunk: u32 rows | u64 byte_off | bbox 4×f64
-//!                      | i64 t_min | i64 t_max | per col: f32 min, f32 max
-//! tree      u32 node_size | u64 num_items | boxes 4×f64 each,
-//!           levels concatenated root-first (count fixed by level math)
+//! directory per chunk: u32 rows | u64 byte_off | footer
+//!                      | u32 n_zones | n_zones × footer
+//! footer    bbox 4×f64 | i64 t_min | i64 t_max
+//!           | per col: f32 min, f32 max | u8 has_nan
 //! payload   per chunk at byte_off: xs f64[rows] | ys f64[rows]
 //!           | ts i64[rows] | per col: f32[rows]
 //! ```
+//!
+//! Rows are in [`PointTable::cluster`] order (day-major, Hilbert-minor). A
+//! chunk is the unit of file layout and of read accounting; inside it one
+//! footer per [`ZONE_ROWS`] rows (`n_zones` must equal
+//! `ceil(rows / ZONE_ROWS)`) is the unit a query skips, takes whole or
+//! scans — the [`ZoneFooter`] a resident table carries, so a chunk size that
+//! is a multiple of `ZONE_ROWS` makes the directory's zones the table's own.
+//! The chunk footer is the union of its zones'.
 //!
 //! `payload_off` doubles as the header length, so a reader can size the
 //! header read from the 16-byte prelude alone. Chunks are laid out
 //! contiguously in directory order immediately after the header — the
 //! decoder *enforces* that (each `byte_off` must equal the previous chunk's
-//! end), which kills every overlap/alias corruption class in one check.
-//! Everything is little-endian; every read is bounds-checked through
-//! [`Cursor`] and surfaces a typed [`StoreError`], mirroring
-//! `urban_data::binfmt`.
+//! end), which kills every overlap/alias corruption class in one check, and
+//! makes every column range of every zone a function of the directory
+//! ([`StoreHeader::column_range`]). Everything is little-endian; every read
+//! is bounds-checked through [`Cursor`] and surfaces a typed [`StoreError`],
+//! mirroring `urban_data::binfmt`.
 
-use crate::packed::{level_lens, PackedRTree};
 use crate::{Result, StoreError};
+use std::ops::Range;
 use urban_data::schema::{AttrType, Schema};
-use urban_data::table::PointTable;
+use urban_data::table::{PointTable, ZoneFooter, ZONE_ROWS};
 use urbane_geom::{BoundingBox, Point};
 
 /// File magic, distinct from the legacy in-memory `.bin` magic `UPT1`.
 pub const MAGIC: &[u8; 4] = b"UBS1";
 
-/// Supported format version.
-pub const VERSION: u16 = 1;
+/// Supported format version. Version 1 (pure Hilbert order, chunk footers
+/// only, a packed tree over the chunks) is refused: rebuild the file.
+pub const VERSION: u16 = 2;
 
 /// Prelude size: magic + version + reserved + payload_off.
 pub const PRELUDE_LEN: usize = 16;
@@ -41,25 +52,39 @@ pub const MAX_COLS: usize = 4096;
 pub const MAX_CHUNKS: usize = 1 << 24;
 pub const MAX_HEADER_BYTES: u64 = 1 << 28;
 
-/// Per-chunk directory entry: enough footer metadata to prune the chunk
-/// against a query's spatial window, time range, and attribute filters
-/// without touching its payload.
+/// Per-chunk directory entry: where the payload lies and what is known of
+/// its rows — chunk-wide and zone by zone — without touching it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkMeta {
     /// Rows stored in this chunk (1..=chunk_rows).
     pub rows: u32,
     /// Absolute file offset of the chunk payload.
     pub byte_off: u64,
-    /// Tight bounding box over the chunk's points.
-    pub bbox: BoundingBox,
-    /// Minimum timestamp in the chunk.
-    pub t_min: i64,
-    /// Maximum timestamp in the chunk.
-    pub t_max: i64,
-    /// Per-attribute minimum (index-aligned with the schema).
-    pub attr_min: Vec<f32>,
-    /// Per-attribute maximum.
-    pub attr_max: Vec<f32>,
+    /// Footer over every row of the chunk.
+    pub footer: ZoneFooter,
+    /// One footer per [`ZONE_ROWS`] rows of the chunk, in row order.
+    pub zones: Vec<ZoneFooter>,
+}
+
+impl ChunkMeta {
+    /// Chunk-relative rows of zone `z`.
+    #[inline]
+    pub fn zone_rows(&self, z: usize) -> Range<usize> {
+        z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(self.rows as usize)
+    }
+}
+
+/// One column of a chunk payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// `f64` x coordinates.
+    X,
+    /// `f64` y coordinates.
+    Y,
+    /// `i64` timestamps.
+    T,
+    /// `f32` attribute column, by schema index.
+    Attr(usize),
 }
 
 /// Everything known about a store before reading any chunk payload.
@@ -73,10 +98,8 @@ pub struct StoreHeader {
     pub chunk_rows: u32,
     /// Bounding box over every stored point.
     pub bbox: BoundingBox,
-    /// Chunk directory, in file (= Hilbert) order.
+    /// Chunk directory, in file (= cluster) order.
     pub chunks: Vec<ChunkMeta>,
-    /// Packed R-tree over the chunk bounding boxes.
-    pub tree: PackedRTree,
     /// First payload byte == total header length.
     pub payload_off: u64,
 }
@@ -91,6 +114,36 @@ impl StoreHeader {
     pub fn chunk_bytes(&self, meta: &ChunkMeta) -> usize {
         meta.rows as usize * self.row_bytes()
     }
+
+    /// File offset and byte length of chunk-relative `rows` of `col` in
+    /// chunk `chunk` — what a reader seeks to and fetches for one zone of one
+    /// column. A range that leaves the chunk (or a column the schema does not
+    /// have) is [`StoreError::Corrupt`], never a read into a neighbour.
+    pub fn column_range(&self, chunk: usize, col: Column, rows: Range<usize>) -> Result<(u64, usize)> {
+        let meta = self
+            .chunks
+            .get(chunk)
+            .ok_or_else(|| StoreError::Corrupt(format!("chunk {chunk} out of range")))?;
+        let n = meta.rows as usize;
+        if rows.start > rows.end || rows.end > n {
+            return Err(StoreError::Corrupt(format!(
+                "rows {}..{} leave chunk {chunk} of {n} rows",
+                rows.start, rows.end
+            )));
+        }
+        // Columns before this one, in bytes per row, and this one's width.
+        let (before, width) = match col {
+            Column::X => (0, 8),
+            Column::Y => (8, 8),
+            Column::T => (16, 8),
+            Column::Attr(c) if c < self.schema.len() => (24 + 4 * c, 4),
+            Column::Attr(c) => {
+                return Err(StoreError::Corrupt(format!("attribute column {c} out of range")))
+            }
+        };
+        let off = meta.byte_off + (before * n + width * rows.start) as u64;
+        Ok((off, width * (rows.end - rows.start)))
+    }
 }
 
 /// Bytes per row for a schema of `n_cols` attributes: x, y, t + f32 columns.
@@ -98,22 +151,32 @@ pub fn row_bytes(n_cols: usize) -> usize {
     8 + 8 + 8 + 4 * n_cols
 }
 
+/// Serialized size of one footer.
+fn footer_bytes(n_cols: usize) -> usize {
+    32 + 8 + 8 + 8 * n_cols + 1
+}
+
+/// Serialized size of one directory entry apart from its footers.
+const DIR_ENTRY_FIXED: usize = 4 + 8 + 4;
+
 /// Total header length (== payload offset) for a store shape, computed
 /// before any bytes exist so the writer can assign chunk offsets up front.
-pub fn header_len(schema: &Schema, n_chunks: usize, node_size: usize) -> usize {
+pub fn header_len(schema: &Schema, n_rows: usize, chunk_rows: usize) -> usize {
     let schema_bytes: usize =
         4 + schema.iter().map(|(name, _)| 1 + 2 + name.len()).sum::<usize>();
     let shape_bytes = 8 + 4 + 4 + 32;
-    let dir_bytes = n_chunks * (4 + 8 + 32 + 8 + 8 + 8 * schema.len());
-    let tree_nodes: usize = level_lens(n_chunks, node_size).iter().sum();
-    let tree_bytes = 4 + 8 + 32 * tree_nodes;
-    PRELUDE_LEN + schema_bytes + shape_bytes + dir_bytes + tree_bytes
+    let chunk_rows = chunk_rows.max(1);
+    let n_chunks = n_rows.div_ceil(chunk_rows);
+    // Every chunk is full except possibly the last.
+    let zones = (n_rows / chunk_rows) * chunk_rows.div_ceil(ZONE_ROWS)
+        + (n_rows % chunk_rows).div_ceil(ZONE_ROWS);
+    let dir_bytes = n_chunks * DIR_ENTRY_FIXED + (n_chunks + zones) * footer_bytes(schema.len());
+    PRELUDE_LEN + schema_bytes + shape_bytes + dir_bytes
 }
 
-/// Serialize a header. `h.payload_off` must equal
+/// Serialize a header onto `out`. `h.payload_off` must equal
 /// [`header_len`] for the same shape — the writer computes it that way.
-pub fn encode_header(h: &StoreHeader) -> Vec<u8> {
-    let mut out = Vec::with_capacity(h.payload_off as usize);
+pub fn encode_header(h: &StoreHeader, out: &mut Vec<u8>) {
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes());
@@ -132,28 +195,17 @@ pub fn encode_header(h: &StoreHeader) -> Vec<u8> {
     out.extend_from_slice(&h.n_rows.to_le_bytes());
     out.extend_from_slice(&h.chunk_rows.to_le_bytes());
     out.extend_from_slice(&(h.chunks.len() as u32).to_le_bytes());
-    put_bbox(&mut out, &h.bbox);
+    put_bbox(out, &h.bbox);
 
     for m in &h.chunks {
         out.extend_from_slice(&m.rows.to_le_bytes());
         out.extend_from_slice(&m.byte_off.to_le_bytes());
-        put_bbox(&mut out, &m.bbox);
-        out.extend_from_slice(&m.t_min.to_le_bytes());
-        out.extend_from_slice(&m.t_max.to_le_bytes());
-        for c in 0..h.schema.len() {
-            let lo = m.attr_min.get(c).copied().unwrap_or(f32::INFINITY);
-            let hi = m.attr_max.get(c).copied().unwrap_or(f32::NEG_INFINITY);
-            out.extend_from_slice(&lo.to_le_bytes());
-            out.extend_from_slice(&hi.to_le_bytes());
+        put_footer(out, &m.footer);
+        out.extend_from_slice(&(m.zones.len() as u32).to_le_bytes());
+        for z in &m.zones {
+            put_footer(out, z);
         }
     }
-
-    out.extend_from_slice(&(h.tree.node_size() as u32).to_le_bytes());
-    out.extend_from_slice(&(h.tree.num_items() as u64).to_le_bytes());
-    for b in h.tree.boxes() {
-        put_bbox(&mut out, b);
-    }
-    out
 }
 
 fn put_bbox(out: &mut Vec<u8>, b: &BoundingBox) {
@@ -161,6 +213,17 @@ fn put_bbox(out: &mut Vec<u8>, b: &BoundingBox) {
     out.extend_from_slice(&b.min.y.to_le_bytes());
     out.extend_from_slice(&b.max.x.to_le_bytes());
     out.extend_from_slice(&b.max.y.to_le_bytes());
+}
+
+fn put_footer(out: &mut Vec<u8>, f: &ZoneFooter) {
+    put_bbox(out, &f.bbox);
+    out.extend_from_slice(&f.t_min.to_le_bytes());
+    out.extend_from_slice(&f.t_max.to_le_bytes());
+    for (lo, hi) in f.attr_min.iter().zip(&f.attr_max) {
+        out.extend_from_slice(&lo.to_le_bytes());
+        out.extend_from_slice(&hi.to_le_bytes());
+    }
+    out.push(u8::from(f.has_nan));
 }
 
 /// Parse and validate a full header from exactly the first `payload_off`
@@ -217,14 +280,23 @@ pub fn decode_header(buf: &[u8]) -> Result<StoreHeader> {
     }
     let bbox = cur.bbox("store bbox")?;
 
+    // Every count read from here on is checked against the bytes that are
+    // actually left before anything is allocated for it, so the header's own
+    // length (capped at MAX_HEADER_BYTES by the reader) caps the allocation.
+    let footer = footer_bytes(schema.len());
+    if n_chunks.saturating_mul(DIR_ENTRY_FIXED + 2 * footer) > cur.remaining() {
+        return Err(StoreError::Corrupt("truncated chunk directory".into()));
+    }
     let width = row_bytes(schema.len()) as u64;
     let mut chunks = Vec::with_capacity(n_chunks);
     let mut expect_off = payload_off;
     let mut row_sum: u64 = 0;
-    // lint: allow(cancel-poll-reachability) walks the chunk directory once at open; n_chunks is validated against the file size before this loop
+    // lint: allow(cancel-poll-reachability) walks the chunk directory once at open; n_chunks is validated against the header's length before this loop
     for i in 0..n_chunks {
         let rows = cur.u32_le("chunk row count")?;
-        if rows == 0 || rows > chunk_rows {
+        // Full chunks and one tail: zone z of chunk i is then a fixed run of
+        // the table's rows, which is what lets a reader adopt these footers.
+        if rows == 0 || rows > chunk_rows || (rows < chunk_rows && i + 1 < n_chunks) {
             return Err(StoreError::Corrupt(format!("chunk {i} has invalid row count {rows}")));
         }
         let byte_off = cur.u64_le("chunk offset")?;
@@ -237,16 +309,22 @@ pub fn decode_header(buf: &[u8]) -> Result<StoreHeader> {
             .checked_add(rows as u64 * width)
             .ok_or_else(|| StoreError::Corrupt("chunk extent overflow".into()))?;
         row_sum += rows as u64;
-        let cbox = cur.bbox("chunk bbox")?;
-        let t_min = cur.i64_le("chunk t_min")?;
-        let t_max = cur.i64_le("chunk t_max")?;
-        let mut attr_min = Vec::with_capacity(schema.len());
-        let mut attr_max = Vec::with_capacity(schema.len());
-        for _ in 0..schema.len() {
-            attr_min.push(cur.f32_le("chunk attr min")?);
-            attr_max.push(cur.f32_le("chunk attr max")?);
+        let chunk_footer = cur.footer(schema.len(), "chunk footer")?;
+        let n_zones = cur.u32_le("zone count")? as usize;
+        if n_zones != (rows as usize).div_ceil(ZONE_ROWS) {
+            return Err(StoreError::Corrupt(format!(
+                "chunk {i} of {rows} rows lists {n_zones} zones"
+            )));
         }
-        chunks.push(ChunkMeta { rows, byte_off, bbox: cbox, t_min, t_max, attr_min, attr_max });
+        if n_zones * footer > cur.remaining() {
+            return Err(StoreError::Corrupt(format!("truncated zone footers of chunk {i}")));
+        }
+        let mut zones = Vec::with_capacity(n_zones);
+        // lint: allow(cancel-poll-reachability) decodes one chunk's zone footers at open; n_zones is validated against rows and the header's length above
+        for _ in 0..n_zones {
+            zones.push(cur.footer(schema.len(), "zone footer")?);
+        }
+        chunks.push(ChunkMeta { rows, byte_off, footer: chunk_footer, zones });
     }
     if row_sum != n_rows {
         return Err(StoreError::Corrupt(format!(
@@ -254,101 +332,126 @@ pub fn decode_header(buf: &[u8]) -> Result<StoreHeader> {
         )));
     }
 
-    let node_size = cur.u32_le("tree node size")? as usize;
-    if !(2..=65_536).contains(&node_size) {
-        return Err(StoreError::Corrupt("implausible tree node size".into()));
-    }
-    let num_items = cur.u64_le("tree item count")? as usize;
-    if num_items != n_chunks {
-        return Err(StoreError::Corrupt(format!(
-            "tree indexes {num_items} items but the directory has {n_chunks} chunks"
-        )));
-    }
-    let expected_nodes: usize = level_lens(num_items, node_size).iter().sum();
-    let mut boxes = Vec::with_capacity(expected_nodes);
-    for _ in 0..expected_nodes {
-        boxes.push(cur.bbox("tree node box")?);
-    }
-    let tree = PackedRTree::from_boxes(node_size, num_items, boxes)
-        .ok_or_else(|| StoreError::Corrupt("tree level math failed".into()))?;
-
     if cur.remaining() != 0 {
         return Err(StoreError::Corrupt(format!(
             "{} trailing bytes after header",
             cur.remaining()
         )));
     }
-    Ok(StoreHeader { schema, n_rows, chunk_rows: chunk_rows.max(1), bbox, chunks, tree, payload_off })
+    Ok(StoreHeader { schema, n_rows, chunk_rows: chunk_rows.max(1), bbox, chunks, payload_off })
 }
 
-/// Serialize one chunk payload: the rows of `table` selected by `rows`
-/// (indices into `table`), columnar within the chunk.
-pub fn encode_chunk(table: &PointTable, rows: &[u32], out: &mut Vec<u8>) {
-    for &i in rows {
-        out.extend_from_slice(&table.xs()[i as usize].to_le_bytes());
+/// Serialize the payload of rows `rows` of `table` as one chunk: columnar,
+/// each column one contiguous run.
+pub fn encode_chunk(table: &PointTable, rows: Range<usize>, out: &mut Vec<u8>) {
+    for v in &table.xs()[rows.clone()] {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    for &i in rows {
-        out.extend_from_slice(&table.ys()[i as usize].to_le_bytes());
+    for v in &table.ys()[rows.clone()] {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    for &i in rows {
-        out.extend_from_slice(&table.timestamps()[i as usize].to_le_bytes());
+    for v in &table.timestamps()[rows.clone()] {
+        out.extend_from_slice(&v.to_le_bytes());
     }
     for c in 0..table.schema().len() {
-        let col = table.column(c);
-        for &i in rows {
-            out.extend_from_slice(&col[i as usize].to_le_bytes());
+        for v in &table.column(c)[rows.clone()] {
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
 }
 
-/// Decode one chunk payload (exactly `rows * row_bytes` bytes) into a
-/// standalone [`PointTable`] with the given schema.
-pub fn decode_chunk(schema: &Schema, rows: u32, buf: &[u8]) -> Result<PointTable> {
+/// Append the values of one column's bytes to `out`, `W` bytes a value.
+/// Length-checked: a byte run that is not a whole number of values is
+/// [`StoreError::Corrupt`].
+fn decode_column<T, const W: usize>(
+    bytes: &[u8],
+    out: &mut Vec<T>,
+    from_le: impl Fn([u8; W]) -> T,
+    what: &str,
+) -> Result<()> {
+    if !bytes.len().is_multiple_of(W) {
+        return Err(StoreError::Corrupt(format!("truncated reading {what}")));
+    }
+    out.extend(bytes.chunks_exact(W).map(|v| {
+        let mut a = [0u8; W];
+        a.copy_from_slice(v);
+        from_le(a)
+    }));
+    Ok(())
+}
+
+/// Append a run of little-endian `f64`s (an x or y column range) to `out`.
+pub fn decode_f64s(bytes: &[u8], out: &mut Vec<f64>) -> Result<()> {
+    decode_column(bytes, out, f64::from_le_bytes, "coordinate column")
+}
+
+/// Append a run of little-endian `i64`s (a timestamp column range) to `out`.
+pub fn decode_i64s(bytes: &[u8], out: &mut Vec<i64>) -> Result<()> {
+    decode_column(bytes, out, i64::from_le_bytes, "t column")
+}
+
+/// Append a run of little-endian `f32`s (an attribute column range) to `out`.
+pub fn decode_f32s(bytes: &[u8], out: &mut Vec<f32>) -> Result<()> {
+    decode_column(bytes, out, f32::from_le_bytes, "attribute column")
+}
+
+/// Decoded columns and the byte buffer they were fetched into: one zone of
+/// the columns a query asked for (a query keeps one of these and every fetch
+/// reuses its buffers), one chunk, or a whole table under construction.
+#[derive(Debug, Default)]
+pub struct Columns {
+    pub xs: Vec<f64>,
+    pub ys: Vec<f64>,
+    pub ts: Vec<i64>,
+    /// Attribute columns by schema index; a zone fetch fills only the ones
+    /// it was asked for.
+    pub attrs: Vec<Vec<f32>>,
+    pub(crate) bytes: Vec<u8>,
+}
+
+impl Columns {
+    /// Empty columns for `n_cols` attributes with room for `rows` rows.
+    pub(crate) fn with_capacity(n_cols: usize, rows: usize) -> Self {
+        Columns {
+            xs: Vec::with_capacity(rows),
+            ys: Vec::with_capacity(rows),
+            ts: Vec::with_capacity(rows),
+            attrs: (0..n_cols).map(|_| Vec::with_capacity(rows)).collect(),
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Finish into a table (bbox recomputed, no zone footers).
+    pub(crate) fn into_table(self, schema: Schema) -> Result<PointTable> {
+        Ok(PointTable::from_columns(schema, self.xs, self.ys, self.ts, self.attrs)?)
+    }
+}
+
+/// Decode one chunk payload (exactly `rows * row_bytes` bytes), column by
+/// column in bulk, onto the end of `out`.
+pub(crate) fn decode_chunk_into(rows: u32, buf: &[u8], out: &mut Columns) -> Result<()> {
     let rows = rows as usize;
-    if buf.len() != rows * row_bytes(schema.len()) {
+    let n_cols = out.attrs.len();
+    if buf.len() != rows * row_bytes(n_cols) {
         return Err(StoreError::Corrupt(format!(
             "chunk payload is {} bytes, expected {}",
             buf.len(),
-            rows * row_bytes(schema.len())
+            rows * row_bytes(n_cols)
         )));
     }
-    let mut cur = Cursor::new(buf);
-    let mut xs = Vec::with_capacity(rows);
-    // lint: allow(cancel-poll-reachability) decodes one chunk; rows is capped at chunk_rows by decode_header validation
-    for _ in 0..rows {
-        xs.push(cur.f64_le("x column")?);
-    }
-    let mut ys = Vec::with_capacity(rows);
-    // lint: allow(cancel-poll-reachability) decodes one chunk; rows is capped at chunk_rows by decode_header validation
-    for _ in 0..rows {
-        ys.push(cur.f64_le("y column")?);
-    }
-    let mut ts = Vec::with_capacity(rows);
-    // lint: allow(cancel-poll-reachability) decodes one chunk; rows is capped at chunk_rows by decode_header validation
-    for _ in 0..rows {
-        ts.push(cur.i64_le("t column")?);
-    }
-    let mut cols: Vec<Vec<f32>> = Vec::with_capacity(schema.len());
-    for _ in 0..schema.len() {
-        let mut col = Vec::with_capacity(rows);
-        // lint: allow(cancel-poll-reachability) decodes one chunk; rows is capped at chunk_rows by decode_header validation
-        for _ in 0..rows {
-            col.push(cur.f32_le("attribute column")?);
+    let (xs, rest) = buf.split_at(8 * rows);
+    let (ys, rest) = rest.split_at(8 * rows);
+    let (ts, rest) = rest.split_at(8 * rows);
+    decode_f64s(xs, &mut out.xs)?;
+    decode_f64s(ys, &mut out.ys)?;
+    decode_i64s(ts, &mut out.ts)?;
+    if rows > 0 {
+        // lint: allow(cancel-poll-reachability) one bulk decode per attribute column of one chunk; columns and rows are capped by decode_header validation
+        for (col, bytes) in out.attrs.iter_mut().zip(rest.chunks_exact(4 * rows)) {
+            decode_f32s(bytes, col)?;
         }
-        cols.push(col);
     }
-    // Rebuild through the public API so the bbox invariant is recomputed.
-    let mut table = PointTable::with_capacity(schema.clone(), rows);
-    let mut row = vec![0.0f32; schema.len()];
-    // lint: allow(cancel-poll-reachability) decodes one chunk; rows is capped at chunk_rows by decode_header validation
-    for i in 0..rows {
-        // lint: allow(cancel-poll-reachability) copies one row across the chunk's columns
-        for (r, col) in row.iter_mut().zip(&cols) {
-            *r = col[i];
-        }
-        table.push(Point::new(xs[i], ys[i]), ts[i], &row)?;
-    }
-    Ok(table)
+    Ok(())
 }
 
 /// Bounds-checked little-endian reader over a byte slice (the same shape as
@@ -422,5 +525,24 @@ impl<'a> Cursor<'a> {
         let x1 = self.f64_le(what)?;
         let y1 = self.f64_le(what)?;
         Ok(BoundingBox { min: Point::new(x0, y0), max: Point::new(x1, y1) })
+    }
+
+    /// One footer of `n_cols` attribute ranges.
+    pub fn footer(&mut self, n_cols: usize, what: &str) -> Result<ZoneFooter> {
+        let bbox = self.bbox(what)?;
+        let t_min = self.i64_le(what)?;
+        let t_max = self.i64_le(what)?;
+        let mut attr_min = Vec::with_capacity(n_cols);
+        let mut attr_max = Vec::with_capacity(n_cols);
+        for _ in 0..n_cols {
+            attr_min.push(self.f32_le(what)?);
+            attr_max.push(self.f32_le(what)?);
+        }
+        let has_nan = match self.u8(what)? {
+            0 => false,
+            1 => true,
+            other => return Err(StoreError::Corrupt(format!("{what}: NaN flag is {other}"))),
+        };
+        Ok(ZoneFooter { bbox, t_min, t_max, attr_min, attr_max, has_nan })
     }
 }

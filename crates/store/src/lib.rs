@@ -1,24 +1,26 @@
-//! # urbane-store — out-of-core Hilbert-ordered columnar point store
+//! # urbane-store — out-of-core clustered columnar point store
 //!
 //! The paper's headline comparison races Raster Join against a "traditional"
 //! spatial-index join at 10–100M points — cardinalities that don't fit the
 //! whole-table-in-memory serving model the rest of the workspace uses. This
-//! crate supplies the storage side of that comparison:
+//! crate supplies the storage side of that comparison: a resident table's
+//! layout ([`urban_data::PointTable::cluster`]: day-major, Hilbert-minor
+//! rows, a footer per zone), on disk.
 //!
-//! * [`hilbert`] — an order-16 Hilbert curve (the space-filling order both
-//!   the file layout and the packed tree rely on; defined in `urban-data`),
-//! * [`packed`] — a flattened packed Hilbert R-tree: one flat array of
-//!   bounding boxes in level-bounds layout, built bottom-up over
-//!   Hilbert-sorted leaves, FlatGeobuf-style (no per-node pointers),
 //! * [`format`] — the versioned `.ubs` binary layout: magic/version prelude,
-//!   schema, per-chunk directory (bbox / time range / per-attribute min-max
-//!   footers), the serialized packed tree, then chunk-major column payloads,
-//! * [`writer`] — [`StoreBuilder`]: Hilbert-sorts a [`urban_data::PointTable`]
+//!   schema, per-chunk directory (a bbox / time range / per-attribute
+//!   min-max footer for the chunk and for each zone inside it), then
+//!   chunk-major column payloads,
+//! * [`writer`] — [`StoreBuilder`]: clusters a [`urban_data::PointTable`]
 //!   once at build time and emits deterministic bytes (byte-identical across
 //!   rebuilds),
-//! * [`reader`] — [`ChunkedPointSource`]: a bounds-checked, chunk-streamed
-//!   reader (no mmap) that materializes tables near-sequentially or feeds
-//!   executors one chunk at a time with footer/tree-based pruning.
+//! * [`reader`] — [`ChunkedPointSource`]: a bounds-checked reader (no mmap)
+//!   that materializes tables sequentially or feeds executors one zone of
+//!   one column at a time,
+//! * [`packed`] — a flattened packed Hilbert R-tree: one flat array of
+//!   bounding boxes in level-bounds layout, built bottom-up over
+//!   Hilbert-sorted leaves, FlatGeobuf-style (no per-node pointers); the
+//!   region index of the exact join is built on it.
 //!
 //! Everything is std-only and `#![forbid(unsafe_code)]`, like the rest of
 //! the workspace. Decoding mirrors `urban_data::binfmt`'s discipline: every
@@ -33,14 +35,10 @@ pub mod packed;
 pub mod reader;
 pub mod writer;
 
-/// The curve lives in `urban-data` (its resident tables are ordered along it
-/// too); re-exported so `urbane_store::hilbert::…` paths keep working.
-pub use urban_data::hilbert;
-
-pub use format::{ChunkMeta, StoreHeader, MAGIC, VERSION};
+pub use format::{ChunkMeta, Columns, StoreHeader, MAGIC, VERSION};
 pub use packed::PackedRTree;
 pub use reader::{ChunkedPointSource, ReadStats};
-pub use writer::{hilbert_permutation, StoreBuilder, DEFAULT_CHUNK_ROWS};
+pub use writer::{StoreBuilder, DEFAULT_CHUNK_ROWS};
 
 /// Errors from store build / open / read operations.
 ///
@@ -68,9 +66,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Magic { found } => {
                 write!(f, "bad magic {:?} (expected \"UBS1\")", String::from_utf8_lossy(found))
             }
-            StoreError::Version { found } => {
-                write!(f, "unsupported .ubs version {found} (supported: {VERSION})")
-            }
+            StoreError::Version { found } => write!(
+                f,
+                "unsupported .ubs version {found} (supported: {VERSION}); \
+                 rebuild the file with `urbane-cli build-store`"
+            ),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
             StoreError::Io(m) => write!(f, "store i/o error: {m}"),
             StoreError::Data(e) => write!(f, "store data error: {e}"),

@@ -6,18 +6,18 @@
 //! is built bottom-up by grouping `node_size` consecutive children, so
 //! navigation needs no pointers: the children of node `j` at level `k` are
 //! nodes `j*node_size .. (j+1)*node_size` of level `k+1`. Level offsets are
-//! fully determined by `(num_items, node_size)`, which is also why the
-//! serialized form (see [`crate::format`]) stores only those two scalars
-//! plus the box array.
+//! fully determined by `(num_items, node_size)`, so a flat form needs only
+//! those two scalars plus the box array ([`PackedRTree::from_boxes`]).
 //!
-//! The same structure indexes both kinds of payload the store deals with:
-//! chunk bounding boxes inside a `.ubs` file, and region-polygon bounding
-//! boxes for the index-join executor's candidate retrieval.
+//! It indexes region-polygon bounding boxes for the index-join executor's
+//! candidate retrieval. (`.ubs` version 1 also kept one over its chunk boxes
+//! in the file header; in version 2's day-major order every chunk's box
+//! spans the city, and the directory's footers do the pruning.)
 
 use urbane_geom::{BoundingBox, Point};
 
 /// Default fan-out. 16 children per node keeps the tree ≤3 levels for a
-/// thousand chunks and ≤5 for a million regions.
+/// thousand regions and ≤5 for a million.
 pub const DEFAULT_NODE_SIZE: usize = 16;
 
 /// A packed R-tree over `num_items` leaf bounding boxes.
@@ -94,9 +94,9 @@ impl PackedRTree {
         PackedRTree { node_size, num_items, level_len, level_off, boxes }
     }
 
-    /// Reassemble from the flat box array (levels concatenated root-first),
-    /// as read back from a `.ubs` file. Returns `None` when the box count
-    /// does not match the level-bounds math for `(num_items, node_size)`.
+    /// Reassemble from the flat box array (levels concatenated root-first).
+    /// Returns `None` when the box count does not match the level-bounds math
+    /// for `(num_items, node_size)`.
     pub fn from_boxes(node_size: usize, num_items: usize, boxes: Vec<BoundingBox>) -> Option<Self> {
         let node_size = node_size.max(2);
         let lens = level_lens(num_items, node_size);

@@ -120,10 +120,6 @@ fn io_err(context: &str, e: std::io::Error) -> CliError {
     CliError::Runtime(UrbaneError::Io(format!("{context}: {e}")))
 }
 
-fn store_err(e: urbane_store::StoreError) -> CliError {
-    CliError::Runtime(UrbaneError::Store(e.to_string()))
-}
-
 fn is_store(path: &str) -> bool {
     std::path::Path::new(path).extension().and_then(|x| x.to_str()) == Some("ubs")
 }
@@ -131,9 +127,7 @@ fn is_store(path: &str) -> bool {
 fn load_data(args: &Args) -> CliResult<PointTable> {
     let path = args.require("data")?;
     if is_store(path) {
-        let mut source =
-            urbane_store::ChunkedPointSource::open(std::path::Path::new(path)).map_err(store_err)?;
-        return source.materialize().map_err(store_err);
+        return Ok(urbane::ColdStore::open(std::path::Path::new(path))?.materialize()?.0);
     }
     let bytes = std::fs::read(path).map_err(|e| io_err(&format!("reading {path}"), e))?;
     Ok(binfmt::decode(&bytes)?)
@@ -315,8 +309,8 @@ fn cmd_query(args: &Args) -> CliResult {
 }
 
 /// `query --mode index`: the exact index join (packed R-tree candidates +
-/// exact point-in-polygon, ε = 0). A `.ubs` input streams chunk-by-chunk
-/// off the directory — the table is never fully resident.
+/// exact point-in-polygon, ε = 0). A `.ubs` input streams zone by zone off
+/// the directory — the table is never fully resident.
 fn cmd_query_index(args: &Args) -> CliResult {
     let path = args.require("data")?;
     let q = build_query(args)?;
@@ -324,20 +318,23 @@ fn cmd_query_index(args: &Args) -> CliResult {
     let start = std::time::Instant::now();
 
     let (table, regions) = if is_store(path) {
-        let mut source =
-            urbane_store::ChunkedPointSource::open(std::path::Path::new(path)).map_err(store_err)?;
-        let regions = parse_regions(args.get_or("regions", "nbhd:260"), source.bbox())?;
+        let store = urbane::ColdStore::open(std::path::Path::new(path))?;
+        let regions = parse_regions(args.get_or("regions", "nbhd:260"), store.header().bbox)?;
         let index = spatial_index::PackedRegionIndex::build(&regions);
-        let (table, stats) =
-            spatial_index::index_join_stored(&mut source, &regions, &index, &q, &budget)?;
+        let (table, stats, read) = store.index_join(&regions, &index, &q, &budget)?;
         let ms = start.elapsed().as_secs_f64() * 1e3;
         eprintln!(
             "{} rows x {} regions in {ms:.1} ms (exact index join, streamed: \
-             {} chunks scanned, {} pruned by footers, peak {} resident rows)",
-            source.len(),
+             {} chunks scanned, {} pruned by footers; zones {} skipped, {} whole, \
+             {} scanned; {} bytes read, peak {} resident rows)",
+            store.header().n_rows,
             regions.len(),
             stats.chunks_scanned,
             stats.chunks_pruned,
+            stats.zones.skipped,
+            stats.zones.whole,
+            stats.zones.scanned,
+            read.bytes_read,
             stats.peak_resident_rows
         );
         (table, regions)
@@ -358,8 +355,9 @@ fn cmd_query_index(args: &Args) -> CliResult {
     report_table(args, &regions, &table)
 }
 
-/// `build-store`: Hilbert-sort a point table and write the `.ubs`
-/// out-of-core columnar store (header + chunk directory + packed R-tree).
+/// `build-store`: cluster a point table (day-major, Hilbert-minor — the
+/// order a resident table is served in) and write the `.ubs` out-of-core
+/// columnar store (header + chunk directory with a footer per zone).
 fn cmd_build_store(args: &Args) -> CliResult {
     let out = args.require("out")?;
     let chunk_rows: usize = args.parse_num("chunk-rows", urbane_store::DEFAULT_CHUNK_ROWS)?;
@@ -375,10 +373,10 @@ fn cmd_build_store(args: &Args) -> CliResult {
     urbane_store::StoreBuilder::new()
         .chunk_rows(chunk_rows)
         .write_file(&table, std::path::Path::new(out))
-        .map_err(store_err)?;
+        .map_err(|e| CliError::Runtime(UrbaneError::Store(e.to_string())))?;
     let chunks = table.len().div_ceil(chunk_rows);
     eprintln!(
-        "wrote {} rows to {out} (Hilbert-sorted, {chunks} chunks of <= {chunk_rows} rows)",
+        "wrote {} rows to {out} (clustered by day and Hilbert cell, {chunks} chunks of <= {chunk_rows} rows)",
         table.len()
     );
     Ok(())

@@ -11,33 +11,94 @@
 //! footers), so every executor downstream sees the layout it prunes on.
 //!
 //! * **store-backed** — a `.ubs` file registered by path
-//!   ([`register_store`]): only the header (row count, bounding box) is read
-//!   at registration, so a server can boot against tens of millions of rows
-//!   without touching their payloads. The table materializes lazily on first
-//!   [`get`], and chunk-streamed executors can bypass materialization
-//!   entirely via [`store_path`].
+//!   ([`register_store`]): only the header (row count, bounding box, footers)
+//!   is read at registration, and kept, so a server can boot against tens of
+//!   millions of rows without touching their payloads. The table
+//!   materializes lazily on first [`get`] — already clustered, the file is
+//!   written in that order — and the zone-streamed index join bypasses
+//!   materialization entirely via [`store`] ([`ColdStore::index_join`]).
+//!
+//! A registered `.ubs` file must not change: the header parsed at
+//! registration is trusted for as long as the registration lives. Replace a
+//! store by writing a new file and registering that.
 //!
 //! [`register`]: DataCatalog::register
 //! [`register_store`]: DataCatalog::register_store
 //! [`get`]: DataCatalog::get
-//! [`store_path`]: DataCatalog::store_path
+//! [`store`]: DataCatalog::store
 
 use crate::session::lock;
 use crate::{Result, UrbaneError};
+use raster_join::QueryBudget;
+use spatial_index::{RegionIndex, StoredJoinStats};
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use urban_data::PointTable;
+use urban_data::{AggTable, PointTable, RegionSet, SpatialAggQuery};
 use urbane_geom::BoundingBox;
-use urbane_store::ChunkedPointSource;
+use urbane_store::{ChunkedPointSource, ReadStats, StoreHeader};
+
+/// A `.ubs` file on disk and its header, parsed once when the store was
+/// registered. Every later use opens a file handle and nothing else, which
+/// is sound because a registered store file is immutable (module docs).
+#[derive(Debug, Clone)]
+pub struct ColdStore {
+    path: PathBuf,
+    header: Arc<StoreHeader>,
+}
+
+impl ColdStore {
+    /// Parse and validate the header of the store at `path`.
+    pub fn open(path: &Path) -> Result<Self> {
+        let header = ChunkedPointSource::open(path).map_err(store_err)?.shared_header();
+        Ok(ColdStore { path: path.to_path_buf(), header })
+    }
+
+    /// Where the file lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Schema, shape and directory.
+    pub fn header(&self) -> &StoreHeader {
+        &self.header
+    }
+
+    fn source(&self) -> Result<ChunkedPointSource<File>> {
+        ChunkedPointSource::open_with(&self.path, Arc::clone(&self.header)).map_err(store_err)
+    }
+
+    /// The exact index join (region-index probe + exact point-in-polygon,
+    /// ε = 0) streamed zone by zone off the file: the table never
+    /// materializes. Returns the answer, what the footers pruned, and what
+    /// was read.
+    pub fn index_join<I: RegionIndex>(
+        &self,
+        regions: &RegionSet,
+        index: &I,
+        query: &SpatialAggQuery,
+        budget: &QueryBudget,
+    ) -> Result<(AggTable, StoredJoinStats, ReadStats)> {
+        let mut source = self.source()?;
+        let (table, stats) =
+            spatial_index::index_join_stored(&mut source, regions, index, query, budget)?;
+        Ok((table, stats, source.stats()))
+    }
+
+    /// Read the whole table in, clustered, with its zone footers.
+    pub fn materialize(&self) -> Result<(PointTable, ReadStats)> {
+        let mut source = self.source()?;
+        let table = source.materialize().map_err(store_err)?;
+        Ok((table, source.stats()))
+    }
+}
 
 /// A lazily-materialized `.ubs`-backed data set. Header metadata is always
 /// available; the table itself pages in on first access and stays resident.
 #[derive(Debug)]
 struct StoreBacked {
-    path: PathBuf,
-    rows: u64,
-    bbox: BoundingBox,
+    store: ColdStore,
     resident: Mutex<Option<Arc<PointTable>>>,
 }
 
@@ -70,13 +131,7 @@ impl DataCatalog {
     /// Reads only the file's header — row count and bounding box are
     /// available immediately, the payload stays on disk until first use.
     pub fn register_store<S: Into<String>>(&mut self, name: S, path: &Path) -> Result<()> {
-        let source = ChunkedPointSource::open(path).map_err(store_err)?;
-        let entry = StoreBacked {
-            path: path.to_path_buf(),
-            rows: source.len(),
-            bbox: source.bbox(),
-            resident: Mutex::new(None),
-        };
+        let entry = StoreBacked { store: ColdStore::open(path)?, resident: Mutex::new(None) };
         self.datasets.insert(name.into(), CatalogEntry::Store(Arc::new(entry)));
         Ok(())
     }
@@ -90,22 +145,19 @@ impl DataCatalog {
                 if let Some(t) = resident.as_ref() {
                     return Ok(Arc::clone(t));
                 }
-                let mut source = ChunkedPointSource::open(&s.path).map_err(store_err)?;
-                let mut table = source.materialize().map_err(store_err)?;
-                table.cluster();
-                let table = Arc::new(table);
+                let table = Arc::new(s.store.materialize()?.0);
                 *resident = Some(Arc::clone(&table));
                 Ok(table)
             }
         }
     }
 
-    /// The `.ubs` path behind a store-backed data set (`None` for in-memory
-    /// sets). Chunk-streaming executors use this to answer queries without
-    /// ever materializing the table.
-    pub fn store_path(&self, name: &str) -> Option<&Path> {
+    /// The `.ubs` store behind a store-backed data set (`None` for in-memory
+    /// sets). The zone-streamed index join uses this to answer queries
+    /// without ever materializing the table.
+    pub fn store(&self, name: &str) -> Option<&ColdStore> {
         match self.datasets.get(name) {
-            Some(CatalogEntry::Store(s)) => Some(&s.path),
+            Some(CatalogEntry::Store(s)) => Some(&s.store),
             _ => None,
         }
     }
@@ -124,7 +176,7 @@ impl DataCatalog {
     pub fn rows_of(&self, name: &str) -> Result<usize> {
         match self.entry(name)? {
             CatalogEntry::Memory(t) => Ok(t.len()),
-            CatalogEntry::Store(s) => Ok(s.rows as usize),
+            CatalogEntry::Store(s) => Ok(s.store.header.n_rows as usize),
         }
     }
 
@@ -154,7 +206,7 @@ impl DataCatalog {
     pub fn combined_bbox(&self) -> BoundingBox {
         self.datasets.values().fold(BoundingBox::empty(), |b, e| match e {
             CatalogEntry::Memory(t) => b.union(&t.bbox()),
-            CatalogEntry::Store(s) => b.union(&s.bbox),
+            CatalogEntry::Store(s) => b.union(&s.store.header.bbox),
         })
     }
 
@@ -164,13 +216,13 @@ impl DataCatalog {
             .values()
             .map(|e| match e {
                 CatalogEntry::Memory(t) => t.len(),
-                CatalogEntry::Store(s) => s.rows as usize,
+                CatalogEntry::Store(s) => s.store.header.n_rows as usize,
             })
             .sum()
     }
 }
 
-pub(crate) fn store_err(e: urbane_store::StoreError) -> UrbaneError {
+fn store_err(e: urbane_store::StoreError) -> UrbaneError {
     UrbaneError::Store(e.to_string())
 }
 
@@ -243,11 +295,12 @@ mod tests {
         assert_eq!(c.rows_of("cold").unwrap(), 2_000);
         assert_eq!(c.total_rows(), 2_000);
         assert!(!c.combined_bbox().is_empty());
-        assert_eq!(c.store_path("cold").unwrap(), path.as_path());
+        assert_eq!(c.store("cold").unwrap().path(), path.as_path());
 
         // First get pages the table in; it stays resident and shared.
         let a = c.get("cold").unwrap();
         assert_eq!(a.len(), 2_000);
+        assert!(!a.zones().is_empty(), "a paged-in store arrives clustered");
         assert!(c.is_resident("cold").unwrap());
         let b = c.get("cold").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -268,7 +321,7 @@ mod tests {
     fn memory_sets_have_no_store_path() {
         let mut c = DataCatalog::new();
         c.register("a", table((0.0, 0.0)));
-        assert!(c.store_path("a").is_none());
+        assert!(c.store("a").is_none());
         assert!(c.is_resident("a").unwrap());
     }
 }

@@ -35,7 +35,7 @@ pub mod view;
 
 pub use brush::Brush;
 pub use cache::{CacheKey, Flight, QueryCache, SingleFlight};
-pub use catalog::DataCatalog;
+pub use catalog::{ColdStore, DataCatalog};
 pub use guard::{GuardPath, GuardReport, GuardedResult};
 pub use planner::{PlanChoice, PlannerConfig, QueryPlanner};
 pub use resolution::ResolutionPyramid;

@@ -28,7 +28,7 @@
 //!   overloaded server degrades fidelity instead of queueing unboundedly.
 
 use crate::cache::{CacheKey, Flight, QueryCache, SingleFlight};
-use crate::catalog::DataCatalog;
+use crate::catalog::{ColdStore, DataCatalog};
 use crate::guard::{run_ladder, GuardPath, GuardReport, DEGRADED_RESOLUTION, PREVIEW_ROWS};
 use crate::resolution::ResolutionPyramid;
 use crate::session::{lock, CacheStats};
@@ -197,10 +197,10 @@ pub struct GuardOutcomes {
 enum TableState {
     /// Fully materialized in memory.
     Resident(Arc<PointTable>),
-    /// Registered from a `.ubs` store; only header metadata is loaded.
-    /// Raster queries page the table in on first touch; index-join queries
-    /// stream chunks and leave it cold.
-    Cold { path: std::path::PathBuf, rows: u64 },
+    /// Registered from a `.ubs` store; only its header is loaded, parsed
+    /// once per (dataset, generation). Raster queries page the table in on
+    /// first touch; index-join queries stream zones and leave it cold.
+    Cold(ColdStore),
 }
 
 struct DatasetEntry {
@@ -342,13 +342,10 @@ impl UrbaneService {
             .names()
             .into_iter()
             .map(|name| {
-                let state = match catalog.store_path(name) {
+                let state = match catalog.store(name) {
                     // Store-backed catalog entries boot cold in the service
                     // too: header metadata only, payload on first touch.
-                    Some(path) => TableState::Cold {
-                        path: path.to_path_buf(),
-                        rows: catalog.rows_of(name).unwrap_or(0) as u64,
-                    },
+                    Some(store) => TableState::Cold(store.clone()),
                     None => TableState::Resident(
                         // lint: allow(panic-freedom) name came from catalog.names() one line up
                         catalog.get(name).expect("name came from the catalog"),
@@ -390,7 +387,7 @@ impl UrbaneService {
                 name: name.clone(),
                 rows: match &e.state {
                     TableState::Resident(t) => t.len(),
-                    TableState::Cold { rows, .. } => *rows as usize,
+                    TableState::Cold(store) => store.header().n_rows as usize,
                 },
                 generation: e.generation,
             })
@@ -478,10 +475,7 @@ impl UrbaneService {
     /// generation. Same invalidation semantics as
     /// [`reload_dataset`](Self::reload_dataset).
     pub fn register_store_dataset(&self, name: &str, path: &std::path::Path) -> Result<u64> {
-        let source =
-            urbane_store::ChunkedPointSource::open(path).map_err(crate::catalog::store_err)?;
-        let rows = source.len();
-        Ok(self.install_dataset(name, TableState::Cold { path: path.to_path_buf(), rows }))
+        Ok(self.install_dataset(name, TableState::Cold(ColdStore::open(path)?)))
     }
 
     fn install_dataset(&self, name: &str, state: TableState) -> u64 {
@@ -521,16 +515,13 @@ impl UrbaneService {
         generation: u64,
         state: &TableState,
     ) -> Result<Arc<PointTable>> {
-        let path = match state {
+        let store = match state {
             TableState::Resident(t) => return Ok(Arc::clone(t)),
-            TableState::Cold { path, .. } => path.clone(),
+            TableState::Cold(store) => store,
         };
-        let mut source =
-            urbane_store::ChunkedPointSource::open(&path).map_err(crate::catalog::store_err)?;
-        let mut table = source.materialize().map_err(crate::catalog::store_err)?;
-        table.cluster();
+        // The file is in cluster order and carries its zone footers.
+        let (table, stats) = store.materialize()?;
         let table = Arc::new(table);
-        let stats = source.stats();
         PagingCounters::add(&self.paging.page_ins, 1);
         PagingCounters::add(&self.paging.chunks_read, stats.chunks_read);
         PagingCounters::add(&self.paging.bytes_read, stats.bytes_read);
@@ -704,24 +695,17 @@ impl UrbaneService {
         let full = |budget: &QueryBudget| -> Result<(Arc<AggTable>, Option<f64>)> {
             if req.mode == ExecutionMode::IndexJoin {
                 // Exact path: packed R-tree probe + exact PIP, ε = 0. A
-                // cold dataset streams chunk-at-a-time from its `.ubs` file
+                // cold dataset streams zone by zone from its `.ubs` file
                 // and stays cold.
                 let index = self.region_index(req.level, &regions);
                 let table = match &state {
-                    TableState::Cold { path, .. } => {
-                        let mut source = urbane_store::ChunkedPointSource::open(path)
-                            .map_err(crate::catalog::store_err)?;
-                        let (table, _) = spatial_index::index_join_stored(
-                            &mut source,
-                            &regions,
-                            index.as_ref(),
-                            &query,
-                            budget,
-                        )?;
-                        let stats = source.stats();
+                    TableState::Cold(store) => {
+                        let (table, join, read) =
+                            store.index_join(&regions, index.as_ref(), &query, budget)?;
                         PagingCounters::add(&self.paging.streamed_queries, 1);
-                        PagingCounters::add(&self.paging.chunks_read, stats.chunks_read);
-                        PagingCounters::add(&self.paging.bytes_read, stats.bytes_read);
+                        PagingCounters::add(&self.paging.chunks_read, read.chunks_read);
+                        PagingCounters::add(&self.paging.bytes_read, read.bytes_read);
+                        self.zones.record(&join.zones);
                         table
                     }
                     TableState::Resident(_) => {
@@ -1035,6 +1019,8 @@ mod tests {
         assert_eq!(paging.streamed_queries, 1);
         assert!(paging.chunks_read > 0);
         assert_eq!(paging.page_ins, 0);
+        let zones = s.zone_stats();
+        assert_eq!((zones.skipped, zones.whole, zones.scanned), (0, 8, 0), "4 000 rows in chunks of 512");
 
         // A raster query pages the table in exactly once.
         let b = s.query(&QueryRequest::count("taxi", 0)).unwrap();

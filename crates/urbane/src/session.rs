@@ -262,23 +262,12 @@ impl UrbaneSession {
         let (table, epsilon) =
             if self.config.join.mode == raster_join::ExecutionMode::IndexJoin {
                 // Exact path: R-tree probe + exact PIP, ε = 0 by construction.
-                // A store-backed dataset streams chunk-at-a-time straight
+                // A store-backed dataset streams zone by zone straight
                 // from its `.ubs` file — the table never materializes.
                 let index = self.region_index(self.active_level, &regions);
                 let query = self.current_query();
-                let table = match self.catalog.store_path(&self.active_dataset) {
-                    Some(path) => {
-                        let mut source = urbane_store::ChunkedPointSource::open(path)
-                            .map_err(crate::catalog::store_err)?;
-                        let (table, _) = spatial_index::index_join_stored(
-                            &mut source,
-                            &regions,
-                            index.as_ref(),
-                            &query,
-                            budget,
-                        )?;
-                        table
-                    }
+                let table = match self.catalog.store(&self.active_dataset) {
+                    Some(store) => store.index_join(&regions, index.as_ref(), &query, budget)?.0,
                     None => {
                         let points = self.catalog.get(&self.active_dataset)?;
                         spatial_index::index_join_budgeted(

@@ -9,10 +9,10 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q
-# The zone classifier's bit-identity claims (DESIGN.md §18) again under the
-# optimizer the server ships with: footers on == footers stripped must not
-# depend on the build profile.
-cargo test -q --release -p urbane-bench --test clustered_equivalence
+# The zone classifier's bit-identity claims (DESIGN.md §15, §18) again under
+# the optimizer the server ships with: footers on == footers stripped, and
+# stored join == in-memory join, must not depend on the build profile.
+cargo test -q --release -p urbane-bench --test clustered_equivalence --test store_subsystem
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,
@@ -80,19 +80,32 @@ rm -f "$serve_log"
 echo "server smoke OK"
 
 # Store smoke: build a `.ubs` out-of-core store with the CLI, prove the
-# build is byte-deterministic, answer an exact index join straight off the
-# chunk directory, and cold-boot the server against the store directory
-# (--store-dir) with a streamed mode=index query that must not page the
-# table in.
+# build is byte-deterministic (at a chunk size below a zone and at the
+# default), refuse a version-1 file by name, answer an exact index join
+# straight off the directory, and cold-boot the server against the store
+# directory (--store-dir) with a streamed mode=index query that must not
+# page the table in.
 store_dir="$(mktemp -d)"
 target/release/urbane-cli generate --rows 20000 --seed 7 \
   --out "$store_dir/taxi.upt" 2> /dev/null
-target/release/urbane-cli build-store --data "$store_dir/taxi.upt" \
-  --out "$store_dir/taxi.ubs" --chunk-rows 4096 2> /dev/null
-target/release/urbane-cli build-store --data "$store_dir/taxi.upt" \
-  --out "$store_dir/rebuild.ubs" --chunk-rows 4096 2> /dev/null
-cmp "$store_dir/taxi.ubs" "$store_dir/rebuild.ubs" \
-  || { echo "store build is not byte-deterministic"; exit 1; }
+for chunk_rows in 65536 4096; do # the 4096-row build is the one kept
+  for out in taxi rebuild; do
+    target/release/urbane-cli build-store --data "$store_dir/taxi.upt" \
+      --out "$store_dir/$out.ubs" --chunk-rows "$chunk_rows" 2> /dev/null
+  done
+  cmp "$store_dir/taxi.ubs" "$store_dir/rebuild.ubs" \
+    || { echo "store build is not byte-deterministic at --chunk-rows $chunk_rows"; exit 1; }
+done
+
+# A version-1 store (the prelude's u16 at byte 4) is refused, and the error
+# says how to get a version-2 one.
+printf '\001\000' | dd of="$store_dir/rebuild.ubs" bs=1 seek=4 conv=notrunc 2> /dev/null
+if v1_err="$(target/release/urbane-cli query --data "$store_dir/rebuild.ubs" \
+  --regions grid:8 --agg count --mode index 2>&1 > /dev/null)"; then
+  echo "a version-1 store was not refused"; exit 1
+fi
+echo "$v1_err" | grep 'unsupported .ubs version 1' | grep 'urbane-cli build-store' > /dev/null \
+  || { echo "version-1 refusal does not say to rebuild: $v1_err"; exit 1; }
 rm -f "$store_dir/rebuild.ubs"
 
 # The exact index join over the store must rank regions identically to the

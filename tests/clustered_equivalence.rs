@@ -18,26 +18,12 @@ use raster_join::{
 };
 use spatial_index::naive_join;
 use urban_data::filter::Filter;
-use urban_data::gen::regions::voronoi_neighborhoods;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::schema::{AttrType, Schema};
-use urban_data::time::{TimeRange, DAY};
-use urban_data::{PointTable, RegionSet, ZONE_ROWS};
-use urban_data::gen::city::CityModel;
-use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
-use urbane_bench::workload::demo_start;
+use urban_data::time::DAY;
+use urban_data::{PointTable, ZONE_ROWS};
+use urbane_bench::workload::{footer_demo_data as demo_data, footer_edge_filters, row_bits as rows};
 use urbane_geom::{BoundingBox, Point};
-
-/// Every row as comparable bits, in row order.
-fn rows(t: &PointTable) -> Vec<(u64, u64, i64, Vec<u32>)> {
-    (0..t.len())
-        .map(|i| {
-            let p = t.loc(i);
-            let attrs = (0..t.schema().len()).map(|c| t.attr(i, c).to_bits()).collect();
-            (p.x.to_bits(), p.y.to_bits(), t.time(i), attrs)
-        })
-        .collect()
-}
 
 /// Same rows in the same order under the same footers. (Not `==`: the
 /// fixture holds NaNs, and the failure message would be the whole table.)
@@ -51,35 +37,6 @@ fn stripped(t: &PointTable) -> PointTable {
     assert!(plain.zones().is_empty());
     assert!(rows(&plain) == rows(t));
     plain
-}
-
-/// 40 000 taxi rows over three days — five zones once clustered, two of them
-/// inside one day — with a `day` column and NaN fares on the first day. With
-/// `nan_location` one row also has a NaN coordinate (the projection maps such
-/// a row to pixel column 0, the same with and without footers; the exact
-/// baselines never count it, so claim 3 leaves it out).
-fn demo_data(nan_location: bool) -> (PointTable, RegionSet) {
-    let city = CityModel::nyc_like();
-    let start = demo_start();
-    let taxi = generate_taxi(&city, &TaxiConfig { rows: 40_000, seed: 17, start, days: 3 });
-    let schema = Schema::new([
-        ("fare", AttrType::Numeric),
-        ("tip", AttrType::Numeric),
-        ("day", AttrType::Categorical),
-    ])
-    .unwrap();
-    let mut t = PointTable::new(schema);
-    for i in 0..taxi.len() {
-        let day = (taxi.time(i) - start) / DAY;
-        let fare = if day == 0 && i % 977 == 0 { f32::NAN } else { taxi.attr(i, 0) };
-        let loc = if nan_location && i == 12_345 {
-            Point::new(f64::NAN, taxi.loc(i).y)
-        } else {
-            taxi.loc(i)
-        };
-        t.push(loc, taxi.time(i), &[fare, taxi.attr(i, 3), day as f32]).unwrap();
-    }
-    (t, voronoi_neighborhoods(&city.bbox(), 48, 5, 2))
 }
 
 #[test]
@@ -196,54 +153,7 @@ fn growing_a_clustered_table_drops_its_footers() {
 /// Filters placed exactly on the footers of `t`'s zones, plus the shapes the
 /// benchmark sends.
 fn edge_filters(t: &PointTable) -> Vec<(&'static str, Vec<Filter>)> {
-    let zones = t.zones();
-    let mid = &zones[zones.len() / 2];
-    let first_t = zones[0].t_min;
-    let day_zone = zones
-        .iter()
-        .find(|f| f.attr_min[2] == f.attr_max[2] && !f.has_nan)
-        .expect("some zone holds a single day");
-    let fare = |min, max| Filter::AttrRange { column: "fare".into(), min, max };
-    vec![
-        ("no filter", vec![]),
-        // Half-open end on a closed footer minimum: the zone's earliest row
-        // is excluded, so the zone is provably empty — and one second later
-        // it is not.
-        ("time end == t_min", vec![Filter::Time(TimeRange::new(first_t, mid.t_min))]),
-        ("time end == t_min + 1", vec![Filter::Time(TimeRange::new(first_t, mid.t_min + 1))]),
-        ("time start == t_max", vec![Filter::Time(TimeRange::new(mid.t_max, i64::MAX))]),
-        ("time end == t_max", vec![Filter::Time(TimeRange::new(mid.t_min, mid.t_max))]),
-        ("time covers a zone exactly", vec![Filter::Time(TimeRange::new(mid.t_min, mid.t_max + 1))]),
-        // Closed box whose right edge is a zone's left edge, and the zone's
-        // own box (inside, closed on every side).
-        (
-            "bbox edge on a zone edge",
-            vec![Filter::SpatialBox(BoundingBox::new(t.bbox().min, Point::new(mid.bbox.min.x, t.bbox().max.y)))],
-        ),
-        ("bbox == zone bbox", vec![Filter::SpatialBox(mid.bbox)]),
-        ("equals on a single-valued zone", vec![Filter::AttrEquals { column: "day".into(), value: day_zone.attr_min[2] }]),
-        ("range == zone range", vec![fare(mid.attr_min[0], mid.attr_max[0])]),
-        ("range keeps all but NaN", vec![fare(f32::NEG_INFINITY, f32::INFINITY)]),
-        ("empty result", vec![fare(-5.0, -1.0)]),
-        (
-            "pan_zoom shape",
-            vec![
-                Filter::SpatialBox(BoundingBox::new(
-                    t.bbox().center(),
-                    Point::new(t.bbox().max.x, t.bbox().center().y + t.bbox().height() * 0.3),
-                )),
-                Filter::Time(TimeRange::new(demo_start() + DAY, demo_start() + 2 * DAY)),
-            ],
-        ),
-        (
-            "filter_brush shape",
-            vec![
-                Filter::Time(TimeRange::new(demo_start(), demo_start() + 2 * DAY)),
-                fare(5.0, 40.0),
-                Filter::AttrEquals { column: "day".into(), value: 1.0 },
-            ],
-        ),
-    ]
+    footer_edge_filters(t, &t.zones().iter().collect::<Vec<_>>())
 }
 
 fn config(mode: ExecutionMode, strategy: PointStrategy, threads: usize, max_tile: u32) -> RasterJoinConfig {

@@ -1,6 +1,7 @@
 //! Corrupt-input robustness: every parser in the ingest surface (binary
-//! tables, CSV, GeoJSON, WKT) must return a typed error — never panic or
-//! slice out of bounds — when fed truncated or bit-flipped data.
+//! tables, `.ubs` stores, CSV, GeoJSON, WKT) must return a typed error —
+//! never panic or slice out of bounds — when fed truncated or bit-flipped
+//! data.
 //!
 //! Truncations of a valid payload are always invalid, so they must `Err`.
 //! Bit flips may happen to produce a *different valid* payload (e.g. a
@@ -17,6 +18,8 @@ use urban_data::PointTable;
 use urbane_geom::geojson::{parse_geojson, to_geojson};
 use urbane_geom::wkt::{multipolygon_to_wkt, parse_wkt, polygon_to_wkt, WktGeometry};
 use urbane_geom::BoundingBox;
+use urbane_store::format::{self, Column};
+use urbane_store::{ChunkedPointSource, StoreBuilder, StoreError, StoreHeader, Columns};
 
 fn small_table() -> PointTable {
     let city = CityModel::nyc_like();
@@ -67,6 +70,149 @@ fn bitflipped_binfmt_never_panics() {
             // contract is "typed Result, no panic".
             let _ = binfmt::decode(&corrupt);
         }
+    }
+}
+
+/// A store whose directory has a zone section worth corrupting: 20 000 rows
+/// in chunks of 9 000 — three chunks of two, two and one zones.
+fn store_bytes() -> (Vec<u8>, std::sync::Arc<StoreHeader>) {
+    let city = CityModel::nyc_like();
+    let taxi = generate_taxi(&city, &TaxiConfig { rows: 20_000, seed: 42, start: 0, days: 2 });
+    let bytes = StoreBuilder::new().chunk_rows(9_000).encode(&taxi).unwrap();
+    let header = ChunkedPointSource::from_bytes(bytes.clone()).unwrap().shared_header();
+    assert_eq!(header.chunks.iter().map(|m| m.zones.len()).collect::<Vec<_>>(), [2, 2, 1]);
+    (bytes, header)
+}
+
+/// Serialized size of one footer, and the offset of chunk `i`'s directory
+/// entry (`u32 rows | u64 byte_off | footer | u32 n_zones | footers`).
+fn ubs_directory(h: &StoreHeader, i: usize) -> (usize, usize) {
+    let footer = 32 + 16 + 8 * h.schema.len() + 1;
+    let entry = |m: &urbane_store::ChunkMeta| 4 + 8 + 4 + (1 + m.zones.len()) * footer;
+    let dir_len: usize = h.chunks.iter().map(entry).sum();
+    let before: usize = h.chunks[..i].iter().map(entry).sum();
+    (footer, h.payload_off as usize - dir_len + before)
+}
+
+/// Open `bytes` and touch everything the header leads to — whole table,
+/// every zone of every column. Corrupt bytes may yield an error anywhere
+/// along the way or a different valid store; they may not panic.
+fn exercise_ubs(bytes: Vec<u8>) -> Result<(), StoreError> {
+    let mut source = ChunkedPointSource::from_bytes(bytes)?;
+    let header = source.shared_header();
+    let attrs: Vec<usize> = (0..header.schema.len()).collect();
+    let mut zone = Columns::default();
+    for (c, meta) in header.chunks.iter().enumerate() {
+        for z in 0..meta.zones.len() {
+            source.read_zone(c, z, true, &attrs, &mut zone)?;
+        }
+    }
+    source.materialize().map(|_| ())
+}
+
+#[test]
+fn truncated_ubs_always_errs() {
+    let (bytes, header) = store_bytes();
+    assert!(exercise_ubs(bytes.clone()).is_ok(), "sanity: the full store reads");
+    // Every cut of the header, prelude left alone (it promises more than is
+    // there) and prelude owning up to the cut (the decoder runs dry inside
+    // the directory — inside a zone footer, for most cuts).
+    for cut in 0..header.payload_off as usize {
+        assert!(ChunkedPointSource::from_bytes(bytes[..cut].to_vec()).is_err(), "prefix {cut} opened");
+        if cut >= format::PRELUDE_LEN {
+            let mut head = bytes[..cut].to_vec();
+            head[8..16].copy_from_slice(&(cut as u64).to_le_bytes());
+            assert!(
+                matches!(format::decode_header(&head), Err(StoreError::Corrupt(_))),
+                "header cut at {cut} decoded"
+            );
+        }
+    }
+    // Cuts in the payload: the header is whole, the file is too short for it.
+    for cut in (header.payload_off as usize..bytes.len()).step_by(4_099) {
+        assert!(exercise_ubs(bytes[..cut].to_vec()).is_err(), "payload cut at {cut} read");
+    }
+}
+
+#[test]
+fn bitflipped_ubs_header_never_panics() {
+    let (bytes, header) = store_bytes();
+    for pos in (0..header.payload_off as usize).step_by(3) {
+        for bit in [0, 3, 7] {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 1 << bit;
+            // A flip in a footer value still opens (and may prune wrongly:
+            // the file says so); the contract is "typed Result, no panic".
+            let _ = exercise_ubs(corrupt);
+        }
+    }
+}
+
+#[test]
+fn ubs_zone_section_corruptions_are_typed() {
+    let (bytes, header) = store_bytes();
+    let corrupt = |bad: Vec<u8>, what: &str| match ChunkedPointSource::from_bytes(bad) {
+        Err(StoreError::Corrupt(m)) => m,
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    };
+    let (footer, entry) = ubs_directory(&header, 1);
+    let n_zones_at = entry + 4 + 8 + footer;
+
+    // A zone count other than ceil(rows / ZONE_ROWS) — too few, too many, and
+    // one whose footers would outgrow any header.
+    for n_zones in [0u32, 1, 3, u32::MAX] {
+        let mut bad = bytes.clone();
+        bad[n_zones_at..n_zones_at + 4].copy_from_slice(&n_zones.to_le_bytes());
+        assert!(corrupt(bad, "zone count").contains("zones"), "{n_zones}");
+    }
+    // The right count with a footer's worth of bytes missing: the directory
+    // ends inside the last chunk's zone footers.
+    // (The prelude and the chunk offsets are made to agree with the shorter
+    // header, so the decoder gets that far.)
+    let (_, last) = ubs_directory(&header, 2);
+    let short = last + 4 + 8 + footer + 4 + footer / 2;
+    let mut bad = bytes[..short].to_vec();
+    bad[8..16].copy_from_slice(&(short as u64).to_le_bytes());
+    for (i, meta) in header.chunks.iter().enumerate() {
+        let at = ubs_directory(&header, i).1 + 4;
+        let off = meta.byte_off - (header.payload_off - short as u64);
+        bad[at..at + 8].copy_from_slice(&off.to_le_bytes());
+    }
+    assert!(corrupt(bad, "truncated zone footers").contains("truncated zone footers"));
+    // A chunk count the header has no room for is refused before anything is
+    // allocated for it, and so is a header longer than the cap.
+    let (_, first) = ubs_directory(&header, 0);
+    let mut bad = bytes.clone();
+    bad[first - 36..first - 32].copy_from_slice(&(format::MAX_CHUNKS as u32).to_le_bytes());
+    assert!(corrupt(bad, "chunk count").contains("truncated chunk directory"));
+    let mut bad = bytes.clone();
+    bad[8..16].copy_from_slice(&(format::MAX_HEADER_BYTES + 1).to_le_bytes());
+    assert!(corrupt(bad, "header length").contains("implausible payload offset"));
+
+    // A column range that leaves its chunk is refused, not read from the
+    // neighbour: past the last row, in a column the schema lacks, in a zone
+    // or chunk the directory lacks.
+    let rows = header.chunks[1].rows as usize;
+    assert!(header.column_range(1, Column::T, 0..rows).is_ok());
+    for (chunk, col, range) in [
+        (1, Column::T, 0..rows + 1),
+        (1, Column::Attr(header.schema.len()), 0..1),
+        (3, Column::X, 0..1),
+    ] {
+        assert!(matches!(header.column_range(chunk, col, range), Err(StoreError::Corrupt(_))));
+    }
+    let mut source = ChunkedPointSource::from_bytes(bytes.clone()).unwrap();
+    let mut zone = Columns::default();
+    assert!(matches!(source.read_zone(1, 2, true, &[], &mut zone), Err(StoreError::Corrupt(_))));
+
+    // A version-1 prelude: no second reader, and the message says what to do.
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    match ChunkedPointSource::from_bytes(v1) {
+        Err(e @ StoreError::Version { found: 1 }) => {
+            assert!(e.to_string().contains("rebuild the file with `urbane-cli build-store`"), "{e}")
+        }
+        other => panic!("expected Version {{ found: 1 }}, got {other:?}"),
     }
 }
 

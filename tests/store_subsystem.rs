@@ -1,22 +1,27 @@
 //! End-to-end coverage of the out-of-core store subsystem: the `.ubs`
-//! container round-trips losslessly and byte-deterministically, the
-//! chunk-streamed exact index join never holds more than one chunk of rows
-//! per worker (the out-of-core guarantee), answers are bit-identical across
-//! thread counts and to the in-memory join, and the session/service layers
-//! serve cold stores without materializing them. Also pins that the `.ubs`
-//! and legacy `.upt` magics are mutually distinguishable.
+//! container round-trips losslessly and byte-deterministically — it *is* the
+//! clustered table, row for row and footer for footer — the zone-streamed
+//! exact index join never holds more than one chunk of rows per worker (the
+//! out-of-core guarantee) and reads only the columns a zone's footer left it
+//! needing, answers are bit-identical across chunk sizes and thread counts
+//! and to the in-memory join for conjunctions placed on footer edges, and
+//! the session/service layers serve cold stores without materializing them.
+//! Also pins that the `.ubs` and legacy `.upt` magics are mutually
+//! distinguishable.
 
 use raster_join::{ExecutionMode, QueryBudget, RasterJoinConfig};
 use spatial_index::{
-    index_join_budgeted, index_join_stored, index_join_stored_parallel, naive_join,
+    index_join, index_join_budgeted, index_join_stored, index_join_stored_parallel, naive_join,
     PackedRegionIndex,
 };
 use urban_data::gen::city::CityModel;
 use urban_data::gen::regions::voronoi_neighborhoods;
 use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
 use urban_data::query::SpatialAggQuery;
-use urban_data::time::TimeRange;
-use urban_data::{binfmt, AggKind, Filter, PointTable, RegionSet};
+use urban_data::time::{TimeRange, DAY};
+use urban_data::{binfmt, AggKind, Filter, PointTable, RegionSet, ZoneFooter, ZONE_ROWS};
+use urbane_bench::workload::{demo_start, footer_demo_data, footer_edge_filters, row_bits};
+use urbane_geom::BoundingBox;
 use urbane::{
     DataCatalog, QueryRequest, ResolutionPyramid, ServiceConfig, SessionConfig, UrbaneService,
     UrbaneSession,
@@ -46,8 +51,8 @@ fn roundtrip_preserves_rows_and_query_answers() {
     assert_eq!(source.len(), taxi.len() as u64);
     assert_eq!(source.schema().len(), taxi.schema().len());
 
-    // The store Hilbert-reorders rows, so compare via order-insensitive
-    // exact joins rather than row-for-row.
+    // The store reorders rows, so against the generator's order compare
+    // via order-insensitive exact joins rather than row-for-row.
     let back = source.materialize().unwrap();
     assert_eq!(back.len(), taxi.len());
     for q in [SpatialAggQuery::count(), SpatialAggQuery::new(AggKind::Sum("fare".into()))] {
@@ -230,4 +235,174 @@ fn ubs_and_upt_magics_are_mutually_distinguishable() {
         Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
         other => panic!("expected Corrupt/Io for truncated store, got {other:?}"),
     }
+}
+
+/// Directory chunk sizes: below a zone, one zone, not a multiple of a zone,
+/// the default.
+const CHUNK_ROWS: [usize; 4] = [300, 8_192, 20_000, 65_536];
+
+#[test]
+fn materialize_is_the_clustered_table_row_for_row_and_footer_for_footer() {
+    let (t, _) = footer_demo_data(true);
+    let mut clustered = t.clone();
+    clustered.cluster();
+    for chunk_rows in CHUNK_ROWS {
+        let builder = StoreBuilder::new().chunk_rows(chunk_rows);
+        let bytes = builder.encode(&t).unwrap();
+        assert_eq!(bytes, builder.encode(&clustered).unwrap(), "a clustered input is written as is");
+        let back = ChunkedPointSource::from_bytes(bytes).unwrap().materialize().unwrap();
+        assert!(row_bits(&back) == row_bits(&clustered), "chunk_rows {chunk_rows}: rows moved");
+        assert_eq!(
+            format!("{:?}", back.zones()),
+            format!("{:?}", clustered.zones()),
+            "chunk_rows {chunk_rows}: footers differ"
+        );
+        assert_eq!(back.bbox(), clustered.bbox());
+    }
+}
+
+/// The shared footer-edge conjunctions for the store's zones, and `random`
+/// seeded ones.
+fn conjunctions(t: &PointTable, zones: &[&ZoneFooter], random: usize) -> Vec<(String, Vec<Filter>)> {
+    let mut out: Vec<(String, Vec<Filter>)> = footer_edge_filters(t, zones)
+        .into_iter()
+        .map(|(name, filters)| (name.to_string(), filters))
+        .collect();
+    let fare = |min, max| Filter::AttrRange { column: "fare".into(), min, max };
+    let day = |value| Filter::AttrEquals { column: "day".into(), value };
+    let (bbox, start) = (t.bbox(), demo_start());
+    // A small LCG: the conjunctions depend on nothing but `random`.
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut unit = move || {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for k in 0..random {
+        let mut filters = Vec::new();
+        if unit() < 0.7 {
+            let (a, b) = (unit() * 3.0, unit() * 3.0);
+            // Half the brushes start and end on midnights.
+            let snap = |d: f64| if k % 2 == 0 { d.round() * DAY as f64 } else { d * DAY as f64 };
+            filters.push(Filter::Time(TimeRange::new(start + snap(a) as i64, start + snap(b) as i64)));
+        }
+        if unit() < 0.7 {
+            let (w, h) = (bbox.width() * unit().sqrt(), bbox.height() * unit().sqrt());
+            let x = bbox.min.x + (bbox.width() - w) * unit();
+            let y = bbox.min.y + (bbox.height() - h) * unit();
+            filters.push(Filter::SpatialBox(BoundingBox::from_coords(x, y, x + w, y + h)));
+        }
+        if unit() < 0.4 {
+            let lo = (unit() * 30.0) as f32;
+            filters.push(fare(lo, lo + (unit() * 40.0) as f32));
+        }
+        if unit() < 0.3 {
+            filters.push(day((unit() * 3.0).floor() as f32));
+        }
+        // Order must not matter to the classifier: rotate it.
+        let by = k % filters.len().max(1);
+        filters.rotate_left(by);
+        out.push((format!("random {k}"), filters));
+    }
+    out
+}
+
+/// The tentpole's contract: whatever the directory chunk size, the stored
+/// join — serial, and parallel at 1/2/4 threads — gives the in-memory index
+/// join's table to the bit, while reading only the columns it needs.
+#[test]
+fn stored_join_is_bit_identical_for_every_chunk_size_conjunction_and_thread_count() {
+    let (t, regions) = footer_demo_data(true);
+    let index = PackedRegionIndex::build(&regions);
+    let budget = QueryBudget::unlimited();
+    // Never `fare`: its NaNs would make every sum NaN, and NaN != NaN.
+    let aggs = [AggKind::Count, AggKind::Sum("tip".into()), AggKind::Avg("tip".into())];
+    let (mut skipped, mut whole, mut scanned) = (0, 0, 0);
+    for chunk_rows in CHUNK_ROWS {
+        let bytes = StoreBuilder::new().chunk_rows(chunk_rows).encode(&t).unwrap();
+        let mut source = ChunkedPointSource::from_bytes(bytes.clone()).unwrap();
+        let header = source.shared_header();
+        let zones: Vec<&ZoneFooter> = header.chunks.iter().flat_map(|m| &m.zones).collect();
+        for (k, (name, filters)) in conjunctions(&t, &zones, 12).into_iter().enumerate() {
+            // The aggregates take turns; at one zone a chunk the edge cases
+            // get every one of them.
+            let every = chunk_rows == ZONE_ROWS && !name.starts_with("random");
+            for agg in aggs.iter().cycle().skip(k).take(if every { 3 } else { 1 }) {
+                let mut q = SpatialAggQuery::new(agg.clone());
+                for f in &filters {
+                    q = q.filter(f.clone());
+                }
+                let what = format!("chunk_rows {chunk_rows} / {name} / {agg:?}");
+                let truth = index_join(&t, &regions, &index, &q).unwrap();
+                let (got, stats) =
+                    index_join_stored(&mut source, &regions, &index, &q, &budget).unwrap();
+                assert_eq!(got, truth, "{what}");
+                if name == "empty result" {
+                    assert_eq!(got.total_count(), 0);
+                }
+
+                let read = source.stats();
+                let z = stats.zones;
+                assert_eq!(z.skipped + z.whole + z.scanned, zones.len() as u64, "{what}");
+                assert_eq!(stats.chunks_scanned + stats.chunks_pruned, header.chunks.len() as u64);
+                assert_eq!(read.chunks_read, stats.chunks_scanned, "{what}: a chunk counts once");
+                assert!(stats.peak_resident_rows as usize <= chunk_rows.min(ZONE_ROWS), "{what}");
+                // x and y always; t and the attribute columns only where a
+                // condition on them is undecided; the aggregated column.
+                let open_attrs = filters
+                    .iter()
+                    .filter(|f| matches!(f, Filter::AttrRange { .. } | Filter::AttrEquals { .. }))
+                    .count() as u64;
+                let value = u64::from(*agg != AggKind::Count);
+                assert!(
+                    read.bytes_read
+                        <= (16 + 4 * value) * stats.rows_scanned + (8 + 4 * open_attrs) * z.rows_tested,
+                    "{what}: {read:?} {stats:?}"
+                );
+                if *agg == AggKind::Count && open_attrs == 0 {
+                    assert!(read.bytes_read <= 24 * stats.rows_scanned, "{what}");
+                }
+                if filters.is_empty() {
+                    assert_eq!((z.skipped, z.scanned), (0, 0));
+                    assert_eq!(read.bytes_read, (16 + 4 * value) * t.len() as u64, "{what}");
+                }
+                skipped += z.skipped;
+                whole += z.whole;
+                scanned += z.scanned;
+
+                for threads in [1, 2, 4] {
+                    let open = || ChunkedPointSource::from_bytes(bytes.clone());
+                    let (par, par_stats) =
+                        index_join_stored_parallel(open, &regions, &index, &q, &budget, threads)
+                            .unwrap();
+                    assert_eq!(par, truth, "{what} / {threads} threads");
+                    assert_eq!(par_stats.zones, stats.zones, "{what} / {threads} threads");
+                    assert_eq!(par_stats.rows_scanned, stats.rows_scanned);
+                }
+            }
+        }
+    }
+    assert!(skipped > 0 && whole > 0 && scanned > 0, "{skipped} / {whole} / {scanned}");
+}
+
+/// `count` under a brush the footers decide reads 16 bytes a row — `x` and
+/// `y` — and 24 only in the zones a brush edge cuts through.
+#[test]
+fn count_reads_coordinates_and_only_undecided_timestamps() {
+    let (t, regions) = footer_demo_data(true);
+    let index = PackedRegionIndex::build(&regions);
+    let bytes = StoreBuilder::new().encode(&t).unwrap();
+    let mut source = ChunkedPointSource::from_bytes(bytes).unwrap();
+    let day1 = TimeRange::new(demo_start() + DAY, demo_start() + 2 * DAY);
+    let q = SpatialAggQuery::count().filter(Filter::Time(day1));
+    let (got, stats) =
+        index_join_stored(&mut source, &regions, &index, &q, &QueryBudget::unlimited()).unwrap();
+    assert_eq!(got, index_join(&t, &regions, &index, &q).unwrap());
+    let z = stats.zones;
+    // Day 1 of three is rows 13 333.. of 40 000 or so: zone 1 and zone 3 are
+    // cut by its edges, zone 2 lies inside, zones 0 and 4 outside.
+    assert_eq!((z.skipped, z.whole, z.scanned), (2, 1, 2), "{stats:?}");
+    assert_eq!(stats.rows_scanned, 3 * ZONE_ROWS as u64);
+    assert_eq!(source.stats().bytes_read, 16 * stats.rows_scanned + 8 * z.rows_tested);
+    assert!(source.stats().bytes_read <= 24 * stats.rows_scanned);
+    assert_eq!(source.stats().chunks_read, 1);
 }
