@@ -3,22 +3,22 @@
 //! ```text
 //! cargo run --release -p urbane-bench --bin repro -- --exp all --scale 1000000
 //! cargo run --release -p urbane-bench --bin repro -- --exp e2
-//! cargo run --release -p urbane-bench --bin repro -- --exp bench \
-//!     --scale 1000000 --threads 4 --reps 5 --json BENCH_rasterjoin.json
+//! cargo run --release -p urbane-bench --bin repro -- --exp swarm --json BENCH_swarm.json
 //! ```
+//!
+//! Performance is measured by `benchmark/run.sh` (BENCHMARK.json), not here.
 
-use urbane_bench::{experiments, perf, serve_bench, swarm, verify_exp};
+use urbane_bench::{experiments, swarm, verify_exp};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--exp all|bench|indexjoin|serve|swarm|verify|e1|...|e10] [--scale N] [--out DIR]\n\
-         \x20             [--threads N] [--reps N] [--json PATH]\n\
+        "usage: repro [--exp all|swarm|verify|e1|...|e10] [--scale N] [--out DIR] [--json PATH]\n\
          \x20             [--clients N] [--requests N] [--shards N] [--kills N]\n\
-         defaults: --exp all --scale 1000000 --out out --threads 4 --reps 5\n\
+         defaults: --exp all --scale 1000000 --out out\n\
          \x20         --clients 2 --requests 60 --shards 3 --kills 2\n\
-         --threads/--reps apply to `bench`, `indexjoin` and `serve`; --json also to `verify`/`swarm`;\n\
-         --clients/--requests apply to `serve` and `swarm` (scale = dataset rows);\n\
-         --shards/--kills apply to `swarm` (chaos-driven sharded front);\n\
+         --json applies to `verify` and `swarm`;\n\
+         --clients/--requests/--shards/--kills apply to `swarm` (chaos-driven sharded front,\n\
+         \x20 scale = dataset rows);\n\
          for `verify`, scale maps to corpus size (default = fast CI corpus)"
     );
     std::process::exit(2);
@@ -29,8 +29,6 @@ fn main() {
     let mut exp = "all".to_string();
     let mut scale = 1_000_000usize;
     let mut out_dir = "out".to_string();
-    let mut threads = 4usize;
-    let mut reps = 5usize;
     let mut json_path: Option<String> = None;
     let mut clients = 2usize;
     let mut requests = 60usize;
@@ -54,22 +52,6 @@ fn main() {
             "--out" => {
                 i += 1;
                 out_dir = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--reps" => {
-                i += 1;
-                reps = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&r| r > 0)
-                    .unwrap_or_else(|| usage());
             }
             "--json" => {
                 i += 1;
@@ -113,24 +95,6 @@ fn main() {
             }
         }
         i += 1;
-    }
-
-    if exp == "serve" {
-        let cfg = serve_bench::ServeConfig {
-            rows: scale.min(500_000),
-            clients,
-            requests,
-            workers: threads.max(clients),
-            ..Default::default()
-        };
-        let report = serve_bench::run(&cfg);
-        if let Some(path) = &json_path {
-            std::fs::write(path, report.to_json())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        println!("{}", report.render());
-        return;
     }
 
     if exp == "swarm" {
@@ -178,25 +142,6 @@ fn main() {
         if !report.passed() {
             std::process::exit(1);
         }
-        return;
-    }
-
-    if exp == "indexjoin" {
-        let cfg = perf::PerfConfig { points: scale, threads, reps, ..Default::default() };
-        let (points, crossover) = perf::index_join_race(&cfg);
-        println!("{}", perf::render_race(&points, crossover));
-        return;
-    }
-
-    if exp == "bench" {
-        let cfg = perf::PerfConfig { points: scale, threads, reps, ..Default::default() };
-        let report = perf::run(&cfg);
-        if let Some(path) = &json_path {
-            std::fs::write(path, report.to_json())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        println!("{}", report.render());
         return;
     }
 

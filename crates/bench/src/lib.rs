@@ -8,8 +8,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod perf;
-pub mod serve_bench;
 pub mod swarm;
 pub mod verify_exp;
 pub mod workload;

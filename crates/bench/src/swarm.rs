@@ -627,6 +627,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn percentiles_are_order_statistics() {
+        let sorted = vec![1.0, 2.0, 3.0, 4.0, 100.0];
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        assert_eq!(percentile(&sorted, 0.99), 100.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+    }
+
+    #[test]
     fn zipf_draws_are_skewed_and_in_range() {
         let z = Zipf::new(8, 42);
         let mut counts = [0usize; 8];

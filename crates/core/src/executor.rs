@@ -48,7 +48,7 @@ pub enum ExecutionMode {
     /// Hybrid path: boundary pixels fixed up with exact PIP tests.
     Accurate,
     /// Exact index join over the out-of-core store (`urbane-store` packed
-    /// R-tree + exact PIP). Executes at the session layer, not through the
+    /// R-tree + exact PIP). Executes in `urbane::UrbaneService`, not through the
     /// raster pipeline — the raster executors reject it with a config error.
     IndexJoin,
 }
@@ -338,7 +338,7 @@ impl RasterJoin {
                             accurate_tile(vp, store, regions, cq, self.config.path, budget)
                         }
                         ExecutionMode::IndexJoin => Err(RasterJoinError::Config(
-                            "index join executes at the session layer, not the raster pipeline"
+                            "index join executes in the service layer, not the raster pipeline"
                                 .into(),
                         )),
                     },

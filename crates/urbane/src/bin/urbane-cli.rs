@@ -4,7 +4,7 @@
 //! urbane-cli generate --rows 1000000 --seed 42 --out taxi.upt [--csv taxi.csv]
 //! urbane-cli info     --data taxi.upt
 //! urbane-cli query    --data taxi.upt --regions nbhd:260 --agg count
-//!                     [--mode bounded|accurate] [--resolution 1024]
+//!                     [--mode bounded|weighted|accurate|index] [--resolution 1024]
 //!                     [--time-start S --time-end S] [--range col:lo:hi] [--top 10]
 //! urbane-cli map      --data taxi.upt --regions nbhd:260 --out map.ppm [--size 800]
 //! urbane-cli heatmap  --data taxi.upt --out heat.ppm [--size 800] [--blur 2]
@@ -15,17 +15,22 @@
 //! Region specs: `boroughs`, `nbhd:<count>`, `grid:<n>` (n×n cells).
 //! Data files use the `urban-data` binary format (`.upt`); `generate` also
 //! understands `--kind taxi|311|crime`. A `.ubs` path works anywhere
-//! `--data` does (the out-of-core columnar store; `build-store` writes it),
-//! and `query --mode index` runs the exact index join — streamed straight
-//! off the chunk directory when the data is a `.ubs` file.
+//! `--data` does (the out-of-core columnar store; `build-store` writes it).
+//! `query` is one request to an `UrbaneService` — the server's and the
+//! session's query path — so `--mode index` runs the exact index join,
+//! streamed straight off the chunk directory when the data is a `.ubs` file.
 
+use raster_join::{ExecutionMode, RasterJoinConfig};
 use std::process::exit;
-use urbane::UrbaneError;
+use std::time::Duration;
+use urbane::{
+    DataCatalog, QueryRequest, ResolutionPyramid, ServiceConfig, UrbaneError, UrbaneService,
+};
 use urban_data::gen::city::CityModel;
 use urban_data::gen::events::{generate_complaints, generate_crime, EventConfig};
 use urban_data::gen::regions::{boroughs, grid_regions, voronoi_neighborhoods};
 use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
-use urban_data::query::{AggKind, SpatialAggQuery};
+use urban_data::query::AggKind;
 use urban_data::time::{timestamp, TimeRange};
 use urban_data::{binfmt, csv, Filter, PointTable, RegionSet};
 use urbane::view::heatmap::{render_heatmap, HeatmapConfig};
@@ -152,7 +157,9 @@ fn parse_regions(spec: &str, data_bbox: urbane_geom::BoundingBox) -> Result<Regi
     Err(format!("unknown region spec {spec:?} (use boroughs | nbhd:<n> | grid:<n>)"))
 }
 
-fn build_query(args: &Args) -> Result<SpatialAggQuery, String> {
+/// The aggregate and filters of `--agg`, `--time-start`/`--time-end` and
+/// `--range`, as a request against dataset `data` at level 0.
+fn build_request(args: &Args) -> Result<QueryRequest, String> {
     let agg = match args.get_or("agg", "count") {
         "count" => AggKind::Count,
         other => {
@@ -168,11 +175,11 @@ fn build_query(args: &Args) -> Result<SpatialAggQuery, String> {
             }
         }
     };
-    let mut q = SpatialAggQuery::new(agg);
+    let mut req = QueryRequest::count("data", 0).agg(agg);
     if let (Some(s), Some(e)) = (args.get("time-start"), args.get("time-end")) {
         let s: i64 = s.parse().map_err(|_| "--time-start: bad integer".to_string())?;
         let e: i64 = e.parse().map_err(|_| "--time-end: bad integer".to_string())?;
-        q = q.filter(Filter::Time(TimeRange::new(s, e)));
+        req = req.filter(Filter::Time(TimeRange::new(s, e)));
     }
     if let Some(spec) = args.get("range") {
         let parts: Vec<&str> = spec.split(':').collect();
@@ -181,21 +188,23 @@ fn build_query(args: &Args) -> Result<SpatialAggQuery, String> {
         };
         let lo: f32 = lo_s.parse().map_err(|_| "--range: bad lo".to_string())?;
         let hi: f32 = hi_s.parse().map_err(|_| "--range: bad hi".to_string())?;
-        q = q.filter(Filter::AttrRange { column: col.into(), min: lo, max: hi });
+        req = req.filter(Filter::AttrRange { column: col.into(), min: lo, max: hi });
     }
-    Ok(q)
+    Ok(req)
 }
 
-fn join_config(args: &Args) -> Result<raster_join::RasterJoinConfig, String> {
+fn join_config(args: &Args) -> Result<RasterJoinConfig, String> {
     let resolution: u32 = args.parse_num("resolution", 1024)?;
-    Ok(match args.get_or("mode", "bounded") {
-        "bounded" => raster_join::RasterJoinConfig::with_resolution(resolution),
-        "weighted" => raster_join::RasterJoinConfig::weighted(resolution),
-        "accurate" => raster_join::RasterJoinConfig::accurate(resolution),
+    let mode = match args.get_or("mode", "bounded") {
+        "bounded" => ExecutionMode::Bounded,
+        "weighted" => ExecutionMode::Weighted,
+        "accurate" => ExecutionMode::Accurate,
+        "index" => ExecutionMode::IndexJoin,
         other => {
             return Err(format!("--mode {other:?}: use bounded, weighted, accurate, or index"))
         }
-    })
+    };
+    Ok(RasterJoinConfig { mode, ..RasterJoinConfig::with_resolution(resolution) })
 }
 
 fn cmd_generate(args: &Args) -> CliResult {
@@ -256,103 +265,61 @@ fn cmd_info(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// GeoJSON export + ranked top-N printout shared by the raster and
-/// index-join query paths.
-fn report_table(
-    args: &Args,
-    regions: &RegionSet,
-    table: &urban_data::query::AggTable,
-) -> CliResult {
+/// `query`: register the data (a `.ubs` file cold, anything else resident
+/// and clustered) and the one region set in a service, send one request,
+/// print the ranked top-N (and optionally write GeoJSON).
+fn cmd_query(args: &Args) -> CliResult {
+    let path = args.require("data")?;
+    let mut catalog = DataCatalog::new();
+    if is_store(path) {
+        catalog.register_store("data", std::path::Path::new(path))?;
+    } else {
+        catalog.register("data", load_data(args)?);
+    }
+    let regions = parse_regions(args.get_or("regions", "nbhd:260"), catalog.combined_bbox())?;
+    let rows = catalog.total_rows();
+    let join = join_config(args)?;
+    let mode = join.mode;
+    let req = build_request(args)?.mode(mode).deadline(Duration::from_secs(24 * 60 * 60));
+    // One query, nothing to cache; the canvas is exactly what was asked.
+    let config = ServiceConfig {
+        join,
+        cache_capacity: 0,
+        max_resolution: u32::MAX,
+        ..ServiceConfig::default()
+    };
+    let service = UrbaneService::new(config, catalog, ResolutionPyramid::new(vec![regions]))?;
+
+    let answer = service.query(&req)?;
+    let paging = service.store_paging();
+    let zones = service.zone_stats();
+    eprintln!(
+        "{rows} rows x {} regions in {:.1} ms ({mode:?}, {} answer, ε = {}; \
+         zones {} skipped, {} whole, {} scanned; {} store bytes read, {} page-ins)",
+        answer.regions.len(),
+        answer.report.elapsed.as_secs_f64() * 1e3,
+        answer.report.path.as_str(),
+        answer.report.error_bound.map_or("unknown".to_string(), |e| format!("{e:.1}")),
+        zones.skipped,
+        zones.whole,
+        zones.scanned,
+        paging.bytes_read,
+        paging.page_ins
+    );
+
     if let Some(path) = args.get("geojson") {
-        let text = urbane::export::choropleth_to_geojson(regions, table);
+        let text = urbane::export::choropleth_to_geojson(&answer.regions, &answer.table);
         std::fs::write(path, text).map_err(|e| io_err(&format!("writing {path}"), e))?;
         eprintln!("GeoJSON written to {path}");
     }
-
     let top: usize = args.parse_num("top", 10)?;
-    let mut rows: Vec<(u32, f64)> = table
-        .values()
-        .into_iter()
-        .enumerate()
-        .filter_map(|(r, v)| v.map(|v| (r as u32, v)))
-        .collect();
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    for (r, v) in rows.iter().take(top) {
-        println!("{}\t{v:.3}", regions.region_name(*r));
+    let values = answer.table.values().into_iter().enumerate();
+    let mut ranked: Vec<(u32, f64)> = values.filter_map(|(r, v)| Some((r as u32, v?))).collect();
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    for (r, v) in ranked.iter().take(top) {
+        println!("{}\t{v:.3}", answer.regions.region_name(*r));
     }
     Ok(())
-}
-
-fn cmd_query(args: &Args) -> CliResult {
-    if args.get_or("mode", "bounded") == "index" {
-        return cmd_query_index(args);
-    }
-    let t = load_data(args)?;
-    let regions = parse_regions(args.get_or("regions", "nbhd:260"), t.bbox())?;
-    let q = build_query(args)?;
-    let join = raster_join::RasterJoin::new(join_config(args)?);
-
-    let start = std::time::Instant::now();
-    let res = join.execute(&t, &regions, &q)?;
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "{} rows x {} regions in {ms:.1} ms (ε = {:.1}, canvas {}x{}, {} tiles)",
-        t.len(),
-        regions.len(),
-        res.epsilon,
-        res.canvas_width,
-        res.canvas_height,
-        res.tiles
-    );
-
-    report_table(args, &regions, &res.table)
-}
-
-/// `query --mode index`: the exact index join (packed R-tree candidates +
-/// exact point-in-polygon, ε = 0). A `.ubs` input streams zone by zone off
-/// the directory — the table is never fully resident.
-fn cmd_query_index(args: &Args) -> CliResult {
-    let path = args.require("data")?;
-    let q = build_query(args)?;
-    let budget = raster_join::QueryBudget::unlimited();
-    let start = std::time::Instant::now();
-
-    let (table, regions) = if is_store(path) {
-        let store = urbane::ColdStore::open(std::path::Path::new(path))?;
-        let regions = parse_regions(args.get_or("regions", "nbhd:260"), store.header().bbox)?;
-        let index = spatial_index::PackedRegionIndex::build(&regions);
-        let (table, stats, read) = store.index_join(&regions, &index, &q, &budget)?;
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        eprintln!(
-            "{} rows x {} regions in {ms:.1} ms (exact index join, streamed: \
-             {} chunks scanned, {} pruned by footers; zones {} skipped, {} whole, \
-             {} scanned; {} bytes read, peak {} resident rows)",
-            store.header().n_rows,
-            regions.len(),
-            stats.chunks_scanned,
-            stats.chunks_pruned,
-            stats.zones.skipped,
-            stats.zones.whole,
-            stats.zones.scanned,
-            read.bytes_read,
-            stats.peak_resident_rows
-        );
-        (table, regions)
-    } else {
-        let t = load_data(args)?;
-        let regions = parse_regions(args.get_or("regions", "nbhd:260"), t.bbox())?;
-        let index = spatial_index::PackedRegionIndex::build(&regions);
-        let table = spatial_index::index_join_budgeted(&t, &regions, &index, &q, &budget)?;
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        eprintln!(
-            "{} rows x {} regions in {ms:.1} ms (exact index join, in-memory)",
-            t.len(),
-            regions.len()
-        );
-        (table, regions)
-    };
-
-    report_table(args, &regions, &table)
 }
 
 /// `build-store`: cluster a point table (day-major, Hilbert-minor — the
@@ -385,7 +352,7 @@ fn cmd_build_store(args: &Args) -> CliResult {
 fn cmd_map(args: &Args) -> CliResult {
     let t = load_data(args)?;
     let regions = parse_regions(args.get_or("regions", "nbhd:260"), t.bbox())?;
-    let q = build_query(args)?;
+    let q = build_request(args)?.to_query();
     let size: u32 = args.parse_num("size", 800)?;
     let out = args.require("out")?;
 
@@ -405,7 +372,7 @@ fn cmd_heatmap(args: &Args) -> CliResult {
     let size: u32 = args.parse_num("size", 800)?;
     let blur: u32 = args.parse_num("blur", 2)?;
     let out = args.require("out")?;
-    let q = build_query(args)?;
+    let q = build_request(args)?.to_query();
 
     let vp = Viewport::fitted(t.bbox().inflate(t.bbox().width() * 0.02), size, size);
     let hm = render_heatmap(
@@ -426,7 +393,7 @@ fn cmd_explore(args: &Args) -> CliResult {
 
     let t = load_data(args)?;
     let regions = parse_regions(args.get_or("regions", "nbhd:260"), t.bbox())?;
-    let q = build_query(args)?;
+    let q = build_request(args)?.to_query();
     let view = ExplorationView::new(join_config(args)?);
 
     let top: usize = args.parse_num("top", 5)?;

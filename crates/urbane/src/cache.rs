@@ -19,11 +19,27 @@
 //! Hash collisions cannot serve wrong answers: entries store the full
 //! canonical key string and compare it on every hit.
 
-use crate::session::{lock, CacheStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Cache statistics: lookups answered from the cache and lookups that
+/// missed it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Queries answered from cache.
+    pub hits: u64,
+    /// Queries executed.
+    pub misses: u64,
+}
+
+/// Lock a mutex, recovering from poisoning: the caches hold plain data
+/// whose invariants hold between operations, and a query thread that
+/// panicked mid-evaluation must not wedge every later request.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A canonical cache key: the 64-bit FNV-1a hash picks the shard and the
 /// bucket; the canonical string confirms the match.

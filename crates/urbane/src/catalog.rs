@@ -1,22 +1,24 @@
 //! The data-set registry: Urbane sessions explore several point data sets
 //! side by side (taxi, 311, crime, …), switching and comparing them freely.
 //!
-//! Data sets come in two flavors:
+//! A catalog is the boot-time registration list an
+//! [`UrbaneService`](crate::UrbaneService) (and through it a session) is
+//! built from. It only registers; the service owns residency from then on —
+//! which datasets are paged in, their reload generations, and everything
+//! derived from them. Data sets come in two flavors:
 //!
-//! * **memory** — a [`PointTable`] registered directly ([`register`]), the
-//!   original serving model;
-//!
-//! Either way a table that becomes resident is first clustered
-//! ([`PointTable::cluster`]: day-major, Hilbert-minor rows with zone
-//! footers), so every executor downstream sees the layout it prunes on.
-//!
+//! * **memory** — a [`PointTable`] registered directly ([`register`]). The
+//!   table is clustered on the way in ([`PointTable::cluster`]: day-major,
+//!   Hilbert-minor rows with zone footers), so every executor downstream
+//!   sees the layout it prunes on.
 //! * **store-backed** — a `.ubs` file registered by path
 //!   ([`register_store`]): only the header (row count, bounding box, footers)
 //!   is read at registration, and kept, so a server can boot against tens of
-//!   millions of rows without touching their payloads. The table
-//!   materializes lazily on first [`get`] — already clustered, the file is
-//!   written in that order — and the zone-streamed index join bypasses
-//!   materialization entirely via [`store`] ([`ColdStore::index_join`]).
+//!   millions of rows without touching their payloads. The catalog never
+//!   pages one in: [`get`] refuses it with a typed error, the service
+//!   materializes it on first raster touch (already clustered, the file is
+//!   written in that order), and the zone-streamed index join never does
+//!   ([`ColdStore::index_join`]).
 //!
 //! A registered `.ubs` file must not change: the header parsed at
 //! registration is trusted for as long as the registration lives. Replace a
@@ -25,16 +27,14 @@
 //! [`register`]: DataCatalog::register
 //! [`register_store`]: DataCatalog::register_store
 //! [`get`]: DataCatalog::get
-//! [`store`]: DataCatalog::store
 
-use crate::session::lock;
 use crate::{Result, UrbaneError};
 use raster_join::QueryBudget;
 use spatial_index::{RegionIndex, StoredJoinStats};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use urban_data::{AggTable, PointTable, RegionSet, SpatialAggQuery};
 use urbane_geom::BoundingBox;
 use urbane_store::{ChunkedPointSource, ReadStats, StoreHeader};
@@ -94,24 +94,22 @@ impl ColdStore {
     }
 }
 
-/// A lazily-materialized `.ubs`-backed data set. Header metadata is always
-/// available; the table itself pages in on first access and stays resident.
-#[derive(Debug)]
-struct StoreBacked {
-    store: ColdStore,
-    resident: Mutex<Option<Arc<PointTable>>>,
-}
-
+/// Where a dataset's rows live. The catalog registers either kind; the
+/// service it builds upgrades `Cold` to `Resident` when a query pages the
+/// store in.
 #[derive(Debug, Clone)]
-enum CatalogEntry {
-    Memory(Arc<PointTable>),
-    Store(Arc<StoreBacked>),
+pub(crate) enum TableState {
+    /// Fully materialized in memory, clustered.
+    Resident(Arc<PointTable>),
+    /// A `.ubs` store, header only. Raster queries page it in on first
+    /// touch; index-join queries stream zones and leave it cold.
+    Cold(ColdStore),
 }
 
 /// A named collection of point data sets.
 #[derive(Debug, Clone, Default)]
 pub struct DataCatalog {
-    datasets: BTreeMap<String, CatalogEntry>,
+    datasets: BTreeMap<String, TableState>,
 }
 
 impl DataCatalog {
@@ -124,50 +122,36 @@ impl DataCatalog {
     /// is clustered on the way in, so its row order changes.
     pub fn register<S: Into<String>>(&mut self, name: S, mut table: PointTable) {
         table.cluster();
-        self.datasets.insert(name.into(), CatalogEntry::Memory(Arc::new(table)));
+        self.datasets.insert(name.into(), TableState::Resident(Arc::new(table)));
     }
 
     /// Register (or replace) a `.ubs` store-backed data set under `name`.
     /// Reads only the file's header — row count and bounding box are
     /// available immediately, the payload stays on disk until first use.
     pub fn register_store<S: Into<String>>(&mut self, name: S, path: &Path) -> Result<()> {
-        let entry = StoreBacked { store: ColdStore::open(path)?, resident: Mutex::new(None) };
-        self.datasets.insert(name.into(), CatalogEntry::Store(Arc::new(entry)));
+        self.datasets.insert(name.into(), TableState::Cold(ColdStore::open(path)?));
         Ok(())
     }
 
-    /// Fetch a data set, materializing a store-backed one on first access.
+    /// Fetch an in-memory data set. A store-backed name is refused with
+    /// [`UrbaneError::Store`]: the catalog never pages a store in — build an
+    /// [`UrbaneService`](crate::UrbaneService) from the catalog, which does.
     pub fn get(&self, name: &str) -> Result<Arc<PointTable>> {
         match self.entry(name)? {
-            CatalogEntry::Memory(t) => Ok(Arc::clone(t)),
-            CatalogEntry::Store(s) => {
-                let mut resident = lock(&s.resident);
-                if let Some(t) = resident.as_ref() {
-                    return Ok(Arc::clone(t));
-                }
-                let table = Arc::new(s.store.materialize()?.0);
-                *resident = Some(Arc::clone(&table));
-                Ok(table)
-            }
+            TableState::Resident(t) => Ok(Arc::clone(t)),
+            TableState::Cold(s) => Err(UrbaneError::Store(format!(
+                "dataset `{name}` is store-backed ({}); the catalog holds no resident copy",
+                s.path().display()
+            ))),
         }
     }
 
     /// The `.ubs` store behind a store-backed data set (`None` for in-memory
-    /// sets). The zone-streamed index join uses this to answer queries
-    /// without ever materializing the table.
+    /// sets).
     pub fn store(&self, name: &str) -> Option<&ColdStore> {
         match self.datasets.get(name) {
-            Some(CatalogEntry::Store(s)) => Some(&s.store),
+            Some(TableState::Cold(s)) => Some(s),
             _ => None,
-        }
-    }
-
-    /// Is the data set's table resident in memory right now? In-memory sets
-    /// always are; store-backed sets only after a [`get`](Self::get).
-    pub fn is_resident(&self, name: &str) -> Result<bool> {
-        match self.entry(name)? {
-            CatalogEntry::Memory(_) => Ok(true),
-            CatalogEntry::Store(s) => Ok(lock(&s.resident).is_some()),
         }
     }
 
@@ -175,15 +159,20 @@ impl DataCatalog {
     /// sets).
     pub fn rows_of(&self, name: &str) -> Result<usize> {
         match self.entry(name)? {
-            CatalogEntry::Memory(t) => Ok(t.len()),
-            CatalogEntry::Store(s) => Ok(s.store.header.n_rows as usize),
+            TableState::Resident(t) => Ok(t.len()),
+            TableState::Cold(s) => Ok(s.header.n_rows as usize),
         }
     }
 
-    fn entry(&self, name: &str) -> Result<&CatalogEntry> {
+    fn entry(&self, name: &str) -> Result<&TableState> {
         self.datasets
             .get(name)
             .ok_or_else(|| UrbaneError::UnknownDataset(name.to_string()))
+    }
+
+    /// The registrations, by name — what a service is built from.
+    pub(crate) fn into_states(self) -> impl Iterator<Item = (String, TableState)> {
+        self.datasets.into_iter()
     }
 
     /// Registered names, sorted.
@@ -205,8 +194,8 @@ impl DataCatalog {
     /// Store-backed sets contribute their header bbox — no materialization.
     pub fn combined_bbox(&self) -> BoundingBox {
         self.datasets.values().fold(BoundingBox::empty(), |b, e| match e {
-            CatalogEntry::Memory(t) => b.union(&t.bbox()),
-            CatalogEntry::Store(s) => b.union(&s.store.header.bbox),
+            TableState::Resident(t) => b.union(&t.bbox()),
+            TableState::Cold(s) => b.union(&s.header.bbox),
         })
     }
 
@@ -215,8 +204,8 @@ impl DataCatalog {
         self.datasets
             .values()
             .map(|e| match e {
-                CatalogEntry::Memory(t) => t.len(),
-                CatalogEntry::Store(s) => s.store.header.n_rows as usize,
+                TableState::Resident(t) => t.len(),
+                TableState::Cold(s) => s.header.n_rows as usize,
             })
             .sum()
     }
@@ -283,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn store_registration_is_lazy_and_get_materializes() {
+    fn store_registration_reads_the_header_and_get_refuses_it() {
         let dir = std::env::temp_dir().join(format!("urbane-catalog-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = sample_store(&dir, 2_000);
@@ -291,19 +280,13 @@ mod tests {
         let mut c = DataCatalog::new();
         c.register_store("cold", &path).unwrap();
         // Metadata without touching the payload.
-        assert!(!c.is_resident("cold").unwrap());
         assert_eq!(c.rows_of("cold").unwrap(), 2_000);
         assert_eq!(c.total_rows(), 2_000);
         assert!(!c.combined_bbox().is_empty());
         assert_eq!(c.store("cold").unwrap().path(), path.as_path());
 
-        // First get pages the table in; it stays resident and shared.
-        let a = c.get("cold").unwrap();
-        assert_eq!(a.len(), 2_000);
-        assert!(!a.zones().is_empty(), "a paged-in store arrives clustered");
-        assert!(c.is_resident("cold").unwrap());
-        let b = c.get("cold").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        // The catalog never pages a store in; the service does.
+        assert!(matches!(c.get("cold"), Err(UrbaneError::Store(_))));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -322,6 +305,5 @@ mod tests {
         let mut c = DataCatalog::new();
         c.register("a", table((0.0, 0.0)));
         assert!(c.store("a").is_none());
-        assert!(c.is_resident("a").unwrap());
     }
 }

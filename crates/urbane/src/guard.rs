@@ -1,12 +1,13 @@
-//! Guarded evaluation: a degradation ladder over the session's query paths.
+//! Guarded evaluation: the degradation ladder behind every query.
 //!
 //! An interactive system must answer *something* before the user's attention
-//! lapses. [`UrbaneSession::evaluate_guarded`] runs the current view's query
-//! under a wall-clock deadline and, instead of surfacing
-//! [`UrbaneError::DeadlineExceeded`] to the UI, walks a ladder of cheaper
+//! lapses. [`UrbaneService::query_cancellable`] — the ladder's one caller,
+//! reached by the HTTP server and by [`UrbaneSession::evaluate_guarded`]
+//! alike — runs a query under a wall-clock deadline and, instead of
+//! surfacing [`UrbaneError::DeadlineExceeded`], walks a ladder of cheaper
 //! answers:
 //!
-//! 1. **Full** — the session's configured join under the deadline, with one
+//! 1. **Full** — the request's configured join under the deadline, with one
 //!    retry if a worker panics (panics are isolated per tile and typed as
 //!    [`UrbaneError::Internal`], so a transient fault costs a retry, not the
 //!    process).
@@ -14,10 +15,10 @@
 //!    ([`DEGRADED_RESOLUTION`]²), granted a grace window of half the
 //!    original deadline. Coarser pixels mean a larger ε error bound, which
 //!    the report carries so the UI can badge the view as approximate.
-//! 3. **Preview sample** — the session's cached-reservoir preview
-//!    ([`UrbaneSession::evaluate_preview`]). Unbudgeted, because it is fast
-//!    by construction (a few thousand rows) and the ladder must terminate
-//!    with an answer.
+//! 3. **Preview sample** — the service's cached-reservoir preview
+//!    ([`UrbaneService::preview`] with [`PREVIEW_ROWS`]). Unbudgeted,
+//!    because it is fast by construction (a few thousand rows) and the
+//!    ladder must terminate with an answer.
 //!
 //! Explicit cancellation is different from running out of time: a raised
 //! [`CancelHandle`] means the user no longer wants *any* answer, so
@@ -29,8 +30,11 @@
 //! rung answered, what went wrong on the way down, whether a retry happened,
 //! the elapsed wall-clock time, and the error bound of the answer actually
 //! delivered.
+//!
+//! [`UrbaneService::query_cancellable`]: crate::UrbaneService::query_cancellable
+//! [`UrbaneService::preview`]: crate::UrbaneService::preview
+//! [`UrbaneSession::evaluate_guarded`]: crate::UrbaneSession::evaluate_guarded
 
-use crate::session::UrbaneSession;
 use crate::{Result, UrbaneError};
 use raster_join::{CancelHandle, QueryBudget};
 use std::sync::Arc;
@@ -130,12 +134,8 @@ pub struct GuardedResult {
     pub report: GuardReport,
 }
 
-/// Run the degradation ladder over caller-supplied rungs. This is the one
-/// shared implementation behind [`UrbaneSession::evaluate_guarded`] (rungs
-/// bound to the session's interaction state) and
-/// [`crate::service::UrbaneService::query`] (rungs bound to a wire-level
-/// request), so both paths share deadline accounting, retry policy, and
-/// report construction exactly.
+/// Run the degradation ladder over caller-supplied rungs, bound by
+/// [`crate::service::UrbaneService::query_cancellable`] to one request.
 ///
 /// * `full` may be called twice (one retry after an internal/panic error),
 ///   under a budget expiring at the caller's deadline.
@@ -241,36 +241,12 @@ where
     })
 }
 
-impl UrbaneSession {
-    /// Evaluate the current view under a deadline, degrading rather than
-    /// failing: full query → coarser bounded canvas → sample preview.
-    ///
-    /// The grace window for the degraded rung extends half the deadline past
-    /// it, so the whole ladder answers within ≈1.5× the deadline (plus the
-    /// preview's small fixed cost). A raised `cancel` handle aborts the
-    /// ladder promptly with [`UrbaneError::Cancelled`]; errors degradation
-    /// cannot fix (unknown dataset, invalid config) propagate unchanged.
-    pub fn evaluate_guarded(
-        &self,
-        deadline: Duration,
-        cancel: Option<&CancelHandle>,
-    ) -> Result<GuardedResult> {
-        run_ladder(
-            deadline,
-            cancel,
-            |budget| self.evaluate_budgeted(budget),
-            |budget| self.evaluate_degraded(DEGRADED_RESOLUTION, budget),
-            || self.evaluate_preview(PREVIEW_ROWS),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::DataCatalog;
     use crate::resolution::ResolutionPyramid;
-    use crate::session::SessionConfig;
+    use crate::session::{SessionConfig, UrbaneSession};
     use raster_join::RasterJoinConfig;
     use urban_data::gen::city::CityModel;
     use urban_data::gen::taxi::{generate_taxi, TaxiConfig};

@@ -14,9 +14,12 @@
 //! * [`view::explore`] — the data-exploration view: per-region time series,
 //!   cross-data-set comparison, neighborhood ranking and similarity (the
 //!   architect workflow from the paper's introduction).
+//! * [`service`] — the one query path: exact-key LRU → single-flight →
+//!   degradation ladder over generation-safe datasets, shared by the HTTP
+//!   server and the session.
 //! * [`session`] — the interactive session: current filters, time range,
-//!   resolution and viewport, with a result cache; drives Raster Join for
-//!   every view update.
+//!   resolution and viewport; every view update is one request to its
+//!   [`UrbaneService`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -34,7 +37,7 @@ pub mod session;
 pub mod view;
 
 pub use brush::Brush;
-pub use cache::{CacheKey, Flight, QueryCache, SingleFlight};
+pub use cache::{CacheKey, CacheStats, Flight, QueryCache, SingleFlight};
 pub use catalog::{ColdStore, DataCatalog};
 pub use guard::{GuardPath, GuardReport, GuardedResult};
 pub use planner::{PlanChoice, PlannerConfig, QueryPlanner};
@@ -42,7 +45,7 @@ pub use resolution::ResolutionPyramid;
 pub use service::{
     DatasetInfo, GuardOutcomes, QueryAnswer, QueryRequest, ServiceConfig, UrbaneService,
 };
-pub use session::{CacheStats, SessionConfig, UrbaneSession};
+pub use session::{SessionConfig, UrbaneSession};
 
 /// Errors from the framework layer.
 #[derive(Debug, Clone, PartialEq)]

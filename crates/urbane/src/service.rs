@@ -1,12 +1,13 @@
 //! The serving facade: a thread-shared, request-parameterized view of the
-//! whole stack.
+//! whole stack, and the one query path in the crate.
 //!
-//! [`UrbaneSession`](crate::UrbaneSession) models *one* analyst driving one
-//! view — its interaction state (active dataset, filters, resolution) is
-//! mutable and implicit. A server cannot work that way: every request
-//! carries its own complete [`QueryRequest`], many requests run at once,
-//! and datasets can be reloaded under live traffic. [`UrbaneService`] is
-//! that multi-client counterpart:
+//! Every request carries its own complete [`QueryRequest`], many requests
+//! run at once, and datasets can be reloaded under live traffic. The HTTP
+//! server calls [`UrbaneService`] per request; an
+//! [`UrbaneSession`](crate::UrbaneSession) — one analyst's interaction
+//! state (active dataset, filters, resolution) — is a client that owns one
+//! service and turns each evaluation into one request. There is no second
+//! cache, sampler or executor dispatch beside the ones here:
 //!
 //! * **Shareable** — every method takes `&self`; internal state is guarded
 //!   by poison-recovering locks, so `Arc<UrbaneService>` serves any number
@@ -23,15 +24,15 @@
 //!   resolution, aggregate, filters). Only full-fidelity answers are
 //!   cached: a degraded answer served under pressure must not mask the real
 //!   one once pressure subsides.
-//! * **Guarded by construction** — every query runs the PR-1 degradation
-//!   ladder ([`crate::guard`]) under the request's deadline, so an
-//!   overloaded server degrades fidelity instead of queueing unboundedly.
+//! * **Guarded by construction** — every query runs the degradation ladder
+//!   ([`crate::guard`]; this is its only caller) under the request's
+//!   deadline, so an overloaded server degrades fidelity instead of
+//!   queueing unboundedly.
 
-use crate::cache::{CacheKey, Flight, QueryCache, SingleFlight};
-use crate::catalog::{ColdStore, DataCatalog};
+use crate::cache::{lock, CacheKey, CacheStats, Flight, QueryCache, SingleFlight};
+use crate::catalog::{ColdStore, DataCatalog, TableState};
 use crate::guard::{run_ladder, GuardPath, GuardReport, DEGRADED_RESOLUTION, PREVIEW_ROWS};
 use crate::resolution::ResolutionPyramid;
-use crate::session::{lock, CacheStats};
 use crate::{Result, UrbaneError};
 use raster_join::{
     CancelHandle, CanvasSpec, ExecutionMode, PointStore, QueryBudget, RasterJoin,
@@ -192,17 +193,6 @@ pub struct GuardOutcomes {
     pub cached: u64,
 }
 
-/// Where a dataset's rows live right now.
-#[derive(Clone)]
-enum TableState {
-    /// Fully materialized in memory.
-    Resident(Arc<PointTable>),
-    /// Registered from a `.ubs` store; only its header is loaded, parsed
-    /// once per (dataset, generation). Raster queries page the table in on
-    /// first touch; index-join queries stream zones and leave it cold.
-    Cold(ColdStore),
-}
-
 struct DatasetEntry {
     state: TableState,
     generation: u64,
@@ -221,6 +211,18 @@ pub struct StorePaging {
     pub streamed_queries: u64,
 }
 
+/// Add `n` to a monotone counter.
+fn bump(counter: &AtomicU64, n: u64) {
+    // lint: relaxed-ok monotone counter; nothing is published through it
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Read a monotone counter.
+fn tally(counter: &AtomicU64) -> u64 {
+    // lint: relaxed-ok monotone counter read for display only
+    counter.load(Ordering::Relaxed)
+}
+
 /// Monotone counters behind [`StorePaging`].
 #[derive(Default)]
 struct PagingCounters {
@@ -228,18 +230,6 @@ struct PagingCounters {
     chunks_read: AtomicU64,
     bytes_read: AtomicU64,
     streamed_queries: AtomicU64,
-}
-
-impl PagingCounters {
-    fn add(counter: &AtomicU64, n: u64) {
-        // lint: relaxed-ok monotone paging counter; nothing is published through it
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn read(counter: &AtomicU64) -> u64 {
-        // lint: relaxed-ok monotone paging counter read for display only
-        counter.load(Ordering::Relaxed)
-    }
 }
 
 /// Monotone sums of the executors' per-query [`ZoneStats`].
@@ -253,12 +243,10 @@ struct ZoneCounters {
 
 impl ZoneCounters {
     fn record(&self, z: &ZoneStats) {
-        // lint: relaxed-ok monotone zone counters; nothing is published through them
-        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
-        add(&self.skipped, z.skipped);
-        add(&self.whole, z.whole);
-        add(&self.scanned, z.scanned);
-        add(&self.rows_tested, z.rows_tested);
+        bump(&self.skipped, z.skipped);
+        bump(&self.whole, z.whole);
+        bump(&self.scanned, z.scanned);
+        bump(&self.rows_tested, z.rows_tested);
     }
 }
 
@@ -269,11 +257,12 @@ struct CachedAnswer {
     epsilon: Option<f64>,
 }
 
-/// Generation-keyed derived state: (dataset name, generation) → artifact.
-type GenerationKeyed<T> = Mutex<HashMap<(String, u64), T>>;
+/// A preview sample and its scale-up factor, keyed by (dataset name,
+/// generation, sample rows).
+type PreviewSamples = Mutex<HashMap<(String, u64, usize), Arc<(PointTable, f64)>>>;
 
 /// Lock an RwLock for reading, recovering from poisoning (same contract as
-/// [`crate::session::lock`]: invariants hold between operations).
+/// [`crate::cache::lock`]: invariants hold between operations).
 fn read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|p| p.into_inner())
 }
@@ -291,7 +280,7 @@ pub struct UrbaneService {
     /// Dedup of *identical* concurrent misses: one computes, the rest wait.
     flights: SingleFlight<CachedAnswer>,
     // Derived, generation-keyed state (rebuilt lazily after reloads).
-    samples: GenerationKeyed<Arc<(PointTable, f64)>>,
+    samples: PreviewSamples,
     // Packed region R-trees per pyramid level (pyramid is immutable).
     region_indexes: Mutex<HashMap<usize, Arc<spatial_index::PackedRegionIndex>>>,
     outcomes: OutcomeCounters,
@@ -310,23 +299,11 @@ struct OutcomeCounters {
     cached: AtomicU64,
 }
 
-impl OutcomeCounters {
-    fn bump(counter: &AtomicU64) {
-        // lint: relaxed-ok monotone outcome counter; nothing is published through it
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn read(counter: &AtomicU64) -> u64 {
-        // lint: relaxed-ok monotone outcome counter read for display only
-        counter.load(Ordering::Relaxed)
-    }
-}
-
 impl UrbaneService {
     /// Build a service over an initial catalog (all datasets start at
-    /// generation 0). Fails on an empty catalog or an empty pyramid — a
-    /// server with nothing to serve is a deployment error worth surfacing
-    /// at boot, not per request.
+    /// generation 0). Fails on an empty catalog — a server with nothing to
+    /// serve is a deployment error worth surfacing at boot, not per request
+    /// (a pyramid is never empty by construction).
     pub fn new(
         config: ServiceConfig,
         catalog: DataCatalog,
@@ -335,24 +312,11 @@ impl UrbaneService {
         if catalog.is_empty() {
             return Err(UrbaneError::Config("service needs at least one dataset".into()));
         }
-        if pyramid.is_empty() {
-            return Err(UrbaneError::Config("service needs at least one pyramid level".into()));
-        }
+        // Store-backed registrations boot cold: header only, payload on
+        // first touch.
         let datasets = catalog
-            .names()
-            .into_iter()
-            .map(|name| {
-                let state = match catalog.store(name) {
-                    // Store-backed catalog entries boot cold in the service
-                    // too: header metadata only, payload on first touch.
-                    Some(store) => TableState::Cold(store.clone()),
-                    None => TableState::Resident(
-                        // lint: allow(panic-freedom) name came from catalog.names() one line up
-                        catalog.get(name).expect("name came from the catalog"),
-                    ),
-                };
-                (name.to_string(), DatasetEntry { state, generation: 0 })
-            })
+            .into_states()
+            .map(|(name, state)| (name, DatasetEntry { state, generation: 0 }))
             .collect();
         let cache = QueryCache::new(config.cache_capacity, config.cache_shards);
         Ok(UrbaneService {
@@ -397,29 +361,28 @@ impl UrbaneService {
     /// `.ubs` paging / streaming counters.
     pub fn store_paging(&self) -> StorePaging {
         StorePaging {
-            page_ins: PagingCounters::read(&self.paging.page_ins),
-            chunks_read: PagingCounters::read(&self.paging.chunks_read),
-            bytes_read: PagingCounters::read(&self.paging.bytes_read),
-            streamed_queries: PagingCounters::read(&self.paging.streamed_queries),
+            page_ins: tally(&self.paging.page_ins),
+            chunks_read: tally(&self.paging.chunks_read),
+            bytes_read: tally(&self.paging.bytes_read),
+            streamed_queries: tally(&self.paging.streamed_queries),
         }
     }
 
     /// Sums of the executors' zone classification since boot (for
     /// `/metrics`): zones skipped, taken whole and scanned, rows tested.
     pub fn zone_stats(&self) -> ZoneStats {
-        // lint: relaxed-ok monotone zone counters read for display only
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ZoneStats {
-            skipped: read(&self.zones.skipped),
-            whole: read(&self.zones.whole),
-            scanned: read(&self.zones.scanned),
-            rows_tested: read(&self.zones.rows_tested),
+            skipped: tally(&self.zones.skipped),
+            whole: tally(&self.zones.whole),
+            scanned: tally(&self.zones.scanned),
+            rows_tested: tally(&self.zones.rows_tested),
         }
     }
 
     /// Is the dataset's table resident in memory right now? `None` if
     /// unregistered. Cold store-backed datasets report `false` until a
-    /// raster query (or a degraded/preview rung) pages them in.
+    /// raster query, a degraded/preview rung or [`Self::preview`] pages
+    /// them in.
     pub fn dataset_resident(&self, name: &str) -> Option<bool> {
         read(&self.datasets)
             .get(name)
@@ -452,10 +415,10 @@ impl UrbaneService {
     /// Degradation-ladder outcome counters.
     pub fn guard_outcomes(&self) -> GuardOutcomes {
         GuardOutcomes {
-            full: OutcomeCounters::read(&self.outcomes.full),
-            degraded_bounded: OutcomeCounters::read(&self.outcomes.degraded_bounded),
-            preview_sample: OutcomeCounters::read(&self.outcomes.preview_sample),
-            cached: OutcomeCounters::read(&self.outcomes.cached),
+            full: tally(&self.outcomes.full),
+            degraded_bounded: tally(&self.outcomes.degraded_bounded),
+            preview_sample: tally(&self.outcomes.preview_sample),
+            cached: tally(&self.outcomes.cached),
         }
     }
 
@@ -489,7 +452,7 @@ impl UrbaneService {
         // embeds the generation), but dropping them now releases memory and
         // keeps LRU pressure honest.
         self.cache.purge(&format!("{name}|"));
-        lock(&self.samples).retain(|(n, _), _| n != name);
+        lock(&self.samples).retain(|(n, _, _), _| n != name);
         generation
     }
 
@@ -522,9 +485,9 @@ impl UrbaneService {
         // The file is in cluster order and carries its zone footers.
         let (table, stats) = store.materialize()?;
         let table = Arc::new(table);
-        PagingCounters::add(&self.paging.page_ins, 1);
-        PagingCounters::add(&self.paging.chunks_read, stats.chunks_read);
-        PagingCounters::add(&self.paging.bytes_read, stats.bytes_read);
+        bump(&self.paging.page_ins, 1);
+        bump(&self.paging.chunks_read, stats.chunks_read);
+        bump(&self.paging.bytes_read, stats.bytes_read);
         let mut datasets = write(&self.datasets);
         if let Some(e) = datasets.get_mut(name) {
             if e.generation == generation {
@@ -588,24 +551,59 @@ impl UrbaneService {
         }
     }
 
-    /// The dataset's preview sample (+ scale-up factor) for `generation`.
-    fn preview_sample(
+    /// A fast approximate answer for in-flight interactions (slider drags)
+    /// and the ladder's last rung: `req`'s query on a uniform reservoir
+    /// sample of `rows` rows, COUNT/SUM scaled back up (a uniform sample
+    /// keeps the scale factor unbiased per region), AVG/MIN/MAX unscaled.
+    /// The sample is drawn once per (dataset, generation, rows); the answer
+    /// is never cached. Pages a cold dataset in; unbudgeted — a few thousand
+    /// rows are fast by construction.
+    pub fn preview(&self, req: &QueryRequest, rows: usize) -> Result<AggTable> {
+        let (state, generation) = self.dataset_state(&req.dataset)?;
+        let regions = self.pyramid.level(req.level)?;
+        let points = self.resident_table(&req.dataset, generation, &state)?;
+        self.preview_on(req, generation, &points, rows, &regions, &req.to_query())
+    }
+
+    /// [`preview`](Self::preview) over a snapshot the caller pinned: the
+    /// ladder's rung answers from its own generation, not a newer one.
+    fn preview_on(
         &self,
-        name: &str,
+        req: &QueryRequest,
         generation: u64,
         points: &PointTable,
-    ) -> Arc<(PointTable, f64)> {
-        let key = (name.to_string(), generation);
-        if let Some(hit) = lock(&self.samples).get(&key).cloned() {
-            return hit;
+        rows: usize,
+        regions: &RegionSet,
+        query: &SpatialAggQuery,
+    ) -> Result<AggTable> {
+        let key = (req.dataset.clone(), generation, rows);
+        let cached = lock(&self.samples).get(&key).cloned();
+        let sample_and_scale = match cached {
+            Some(hit) => hit,
+            None => {
+                let picked = urban_data::sampling::reservoir_sample(points, rows, 0xF00D);
+                let sample = urban_data::sampling::take_rows(points, &picked);
+                let scale = urban_data::sampling::scale_up_factor(points.len(), sample.len())
+                    .unwrap_or(1.0);
+                let entry = Arc::new((sample, scale));
+                // lint: bounded-by one sample per (dataset, generation, size): the ladder asks PREVIEW_ROWS, a session a few slider sizes, and a reload purges the dataset's samples
+                lock(&self.samples).insert(key, Arc::clone(&entry));
+                entry
+            }
+        };
+        let (sample, scale) = (&sample_and_scale.0, sample_and_scale.1);
+        // Previews always raster: index-join has no approximate variant.
+        let mut config = self.join_config(req);
+        if config.mode == ExecutionMode::IndexJoin {
+            config.mode = ExecutionMode::Bounded;
         }
-        let rows = urban_data::sampling::reservoir_sample(points, PREVIEW_ROWS, 0xF00D);
-        let sample = urban_data::sampling::take_rows(points, &rows);
-        let scale =
-            urban_data::sampling::scale_up_factor(points.len(), sample.len()).unwrap_or(1.0);
-        let entry = Arc::new((sample, scale));
-        lock(&self.samples).insert(key, entry.clone());
-        entry
+        let mut res = RasterJoin::new(config).execute(sample, regions, query)?;
+        for state in &mut res.table.states {
+            state.count = (state.count as f64 * scale).round() as u64;
+            state.weight *= scale;
+            state.sum *= scale;
+        }
+        Ok(res.table)
     }
 
     /// An answer an earlier full-fidelity computation already produced: an
@@ -619,7 +617,7 @@ impl UrbaneService {
         start: Instant,
         deadline: Duration,
     ) -> QueryAnswer {
-        OutcomeCounters::bump(if cached { &self.outcomes.cached } else { &self.outcomes.full });
+        bump(if cached { &self.outcomes.cached } else { &self.outcomes.full }, 1);
         QueryAnswer {
             table: hit.table,
             regions,
@@ -702,9 +700,9 @@ impl UrbaneService {
                     TableState::Cold(store) => {
                         let (table, join, read) =
                             store.index_join(&regions, index.as_ref(), &query, budget)?;
-                        PagingCounters::add(&self.paging.streamed_queries, 1);
-                        PagingCounters::add(&self.paging.chunks_read, read.chunks_read);
-                        PagingCounters::add(&self.paging.bytes_read, read.bytes_read);
+                        bump(&self.paging.streamed_queries, 1);
+                        bump(&self.paging.chunks_read, read.chunks_read);
+                        bump(&self.paging.bytes_read, read.bytes_read);
                         self.zones.record(&join.zones);
                         table
                     }
@@ -742,29 +740,16 @@ impl UrbaneService {
         };
         let preview = || -> Result<AggTable> {
             let pts = points()?;
-            let sample_and_scale = self.preview_sample(&req.dataset, generation, &pts);
-            let (sample, scale) = (&sample_and_scale.0, sample_and_scale.1);
-            // Previews always raster: index-join has no approximate variant.
-            let mut config = self.join_config(req);
-            if config.mode == ExecutionMode::IndexJoin {
-                config.mode = ExecutionMode::Bounded;
-            }
-            let join = RasterJoin::new(config);
-            let mut res = join.execute(sample, &regions, &query)?;
-            for state in &mut res.table.states {
-                state.count = (state.count as f64 * scale).round() as u64;
-                state.weight *= scale;
-                state.sum *= scale;
-            }
-            Ok(res.table)
+            self.preview_on(req, generation, &pts, PREVIEW_ROWS, &regions, &query)
         };
 
         let result = run_ladder(deadline, cancel, full, degraded, preview)?;
-        OutcomeCounters::bump(match result.report.path {
+        let outcome = match result.report.path {
             GuardPath::Full => &self.outcomes.full,
             GuardPath::DegradedBounded => &self.outcomes.degraded_bounded,
             GuardPath::PreviewSample => &self.outcomes.preview_sample,
-        });
+        };
+        bump(outcome, 1);
         if result.report.path == GuardPath::Full {
             let shared = CachedAnswer {
                 table: Arc::clone(&result.table),

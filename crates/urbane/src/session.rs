@@ -1,32 +1,37 @@
 //! The interactive session — what a demo visitor actually drives.
 //!
-//! A session holds the catalog, the resolution pyramid, and the current
-//! interaction state (active data set, resolution, time window, attribute
-//! filters). Every state change invalidates the current view; re-rendering
-//! issues a fresh spatial-aggregation query through Raster Join — *that* is
-//! the latency the demo showcases, and E6 measures it per interaction kind.
-//! Identical queries hit an LRU-ish result cache (repeated slider positions,
-//! back-and-forth panning).
+//! A session is one analyst's interaction state (active data set,
+//! resolution, time window, attribute filters, aggregate, pan/zoom window)
+//! over an [`UrbaneService`] it owns. Every state change invalidates the
+//! current view; re-rendering turns the state into one [`QueryRequest`] and
+//! sends it to the service — *that* is the latency the demo showcases, and
+//! E6 measures it per interaction kind. Identical queries hit the service's
+//! exact-key LRU (repeated slider positions, back-and-forth panning); the
+//! session keeps no cache, sample or index of its own.
 
 use crate::catalog::DataCatalog;
 use crate::colormap::ColorMap;
+use crate::guard::GuardedResult;
 use crate::resolution::ResolutionPyramid;
+use crate::service::{QueryRequest, ServiceConfig, UrbaneService};
 use crate::view::map::{ChoroplethImage, MapView};
-use crate::{Result, UrbaneError};
-use raster_join::{BinningMode, PointStore, QueryBudget, RasterJoinConfig};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use crate::{CacheStats, Result, UrbaneError};
+use raster_join::{CancelHandle, RasterJoinConfig};
+use std::sync::Arc;
+use std::time::Duration;
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, AggTable, SpatialAggQuery};
 use urban_data::time::TimeRange;
-use urban_data::BinnedPointTable;
 
 /// Static session configuration.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    /// Raster-join configuration used by all views.
+    /// Raster-join configuration used by all views. Its `mode` is the
+    /// execution mode of every evaluation; the canvas is its
+    /// `CanvasSpec::Resolution` (an ε spec runs at the service's 1024²
+    /// stand-in).
     pub join: RasterJoinConfig,
-    /// Maximum cached query results.
+    /// Maximum cached query results (one LRU; 0 disables caching).
     pub cache_capacity: usize,
     /// Choropleth canvas size.
     pub map_width: u32,
@@ -45,30 +50,14 @@ impl Default for SessionConfig {
     }
 }
 
-/// Cache statistics (diagnostic for E6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from cache.
-    pub hits: u64,
-    /// Queries executed.
-    pub misses: u64,
-}
-
-/// A cached preview sample: the sampled table plus its scale-up factor.
-type SampleEntry = Arc<(urban_data::PointTable, f64)>;
-
-/// Lock a mutex, recovering from poisoning: session caches hold plain data
-/// whose invariants hold between operations, and a query thread that
-/// panicked mid-evaluation must not wedge the whole session.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// The deadline [`UrbaneSession::evaluate`] sends: far past any query the
+/// full-fidelity rung can run, so an unguarded evaluation never degrades.
+const UNGUARDED_DEADLINE: Duration = Duration::from_secs(24 * 60 * 60);
 
 /// An interactive Urbane session.
 pub struct UrbaneSession {
-    pub(crate) config: SessionConfig,
-    catalog: DataCatalog,
-    pyramid: ResolutionPyramid,
+    config: SessionConfig,
+    service: UrbaneService,
     // Interaction state.
     active_dataset: String,
     active_level: usize,
@@ -77,26 +66,13 @@ pub struct UrbaneSession {
     agg: AggKind,
     /// Visible world window (None = fit the whole region set).
     view_window: Option<urbane_geom::BoundingBox>,
-    // Result cache: query fingerprint → per-region aggregates plus the ε
-    // bound of the run that produced them (replayed on hits so a cached
-    // approximate answer never reports a tighter bound than it earned).
-    cache: Mutex<HashMap<String, (Arc<AggTable>, f64)>>,
-    cache_stats: Mutex<CacheStats>,
-    // Preview samples: (dataset, sample size) → (sample table, scale-up).
-    samples: Mutex<HashMap<(String, usize), SampleEntry>>,
-    // Spatial bins per dataset, built lazily on first use and reused for
-    // every subsequent frame (the catalog is immutable for the session's
-    // lifetime, so bins never go stale).
-    bins: Mutex<HashMap<String, Arc<BinnedPointTable>>>,
-    // Packed region R-trees per pyramid level, for the exact index-join
-    // mode. The pyramid is immutable for the session's lifetime.
-    region_indexes: Mutex<HashMap<usize, Arc<spatial_index::PackedRegionIndex>>>,
 }
 
 impl UrbaneSession {
-    /// Open a session. The first catalog data set (alphabetically) is active.
-    /// Fails with [`UrbaneError::Config`] on an empty catalog — a session
-    /// needs data to explore.
+    /// Open a session over a service built from `catalog` and `pyramid`.
+    /// The first catalog data set (alphabetically) is active. Fails with
+    /// [`UrbaneError::Config`] on an empty catalog — a session needs data to
+    /// explore.
     pub fn new(
         config: SessionConfig,
         catalog: DataCatalog,
@@ -107,44 +83,53 @@ impl UrbaneSession {
             .first()
             .ok_or_else(|| UrbaneError::Config("session needs at least one dataset".into()))?
             .to_string();
-        Ok(UrbaneSession {
-            config,
+        // One shard: the session's cache is a single exact LRU.
+        let service = UrbaneService::new(
+            ServiceConfig {
+                join: config.join.clone(),
+                cache_capacity: config.cache_capacity,
+                cache_shards: 1,
+                ..ServiceConfig::default()
+            },
             catalog,
             pyramid,
+        )?;
+        Ok(UrbaneSession {
+            config,
+            service,
             active_dataset,
             active_level: 0,
             time_window: None,
             attr_filters: Vec::new(),
             agg: AggKind::Count,
             view_window: None,
-            cache: Mutex::new(HashMap::new()),
-            cache_stats: Mutex::new(CacheStats::default()),
-            samples: Mutex::new(HashMap::new()),
-            bins: Mutex::new(HashMap::new()),
-            region_indexes: Mutex::new(HashMap::new()),
         })
     }
 
-    /// The catalog.
-    pub fn catalog(&self) -> &DataCatalog {
-        &self.catalog
+    /// The service every evaluation goes through (residency, generations,
+    /// cache and paging counters).
+    pub fn service(&self) -> &UrbaneService {
+        &self.service
     }
 
     /// The resolution pyramid.
     pub fn pyramid(&self) -> &ResolutionPyramid {
-        &self.pyramid
+        self.service.pyramid()
     }
 
-    /// Switch the active data set.
+    /// Switch the active data set. Validates the name only — a cold store
+    /// stays cold until a query needs its rows.
     pub fn select_dataset(&mut self, name: &str) -> Result<()> {
-        self.catalog.get(name)?; // validate
+        self.service
+            .dataset_generation(name)
+            .ok_or_else(|| UrbaneError::UnknownDataset(name.to_string()))?;
         self.active_dataset = name.to_string();
         Ok(())
     }
 
     /// Switch the active resolution level.
     pub fn select_resolution(&mut self, level: usize) -> Result<()> {
-        self.pyramid.level(level)?; // validate
+        self.pyramid().level(level)?; // validate
         self.active_level = level;
         Ok(())
     }
@@ -168,7 +153,7 @@ impl UrbaneSession {
     pub fn view_window(&self) -> urbane_geom::BoundingBox {
         self.view_window.unwrap_or_else(|| {
             let b = self
-                .pyramid
+                .pyramid()
                 .level(self.active_level)
                 .map(|l| l.bbox())
                 .unwrap_or_default();
@@ -214,222 +199,68 @@ impl UrbaneSession {
 
     /// Cache statistics so far.
     pub fn cache_stats(&self) -> CacheStats {
-        *lock(&self.cache_stats)
+        self.service.cache_stats()
     }
 
     /// Assemble the current query from interaction state.
     pub fn current_query(&self) -> SpatialAggQuery {
-        let mut q = SpatialAggQuery::new(self.agg.clone());
-        if let Some(w) = self.time_window {
-            q = q.filter(Filter::Time(w));
-        }
-        for f in &self.attr_filters {
-            q = q.filter(f.clone());
-        }
-        q
+        self.request().to_query()
     }
 
-    /// A stable fingerprint of (dataset, resolution, query) for the cache.
-    pub(crate) fn fingerprint(&self) -> String {
-        format!(
-            "{}|{}|{:?}|{:?}|{:?}",
-            self.active_dataset, self.active_level, self.agg, self.time_window, self.attr_filters
-        )
+    /// The interaction state as one service request: the session's mode at
+    /// the service's base canvas, no deadline yet.
+    fn request(&self) -> QueryRequest {
+        QueryRequest {
+            dataset: self.active_dataset.clone(),
+            level: self.active_level,
+            agg: self.agg.clone(),
+            filters: self
+                .time_window
+                .map(Filter::Time)
+                .into_iter()
+                .chain(self.attr_filters.iter().cloned())
+                .collect(),
+            mode: self.config.join.mode,
+            resolution: None,
+            deadline: None,
+        }
     }
 
-    /// Evaluate the current view's aggregates (cached).
+    /// Evaluate the current view's aggregates at full fidelity (cached).
+    /// Never degrades: an answer from any other rung of the ladder is
+    /// reported as [`UrbaneError::DeadlineExceeded`].
     pub fn evaluate(&self) -> Result<Arc<AggTable>> {
-        self.evaluate_budgeted(&QueryBudget::unlimited()).map(|(table, _)| table)
+        let got = self.evaluate_guarded(UNGUARDED_DEADLINE, None)?;
+        if got.report.degraded() {
+            return Err(UrbaneError::DeadlineExceeded);
+        }
+        Ok(got.table)
     }
 
-    /// Budgeted evaluation: like [`evaluate`](Self::evaluate) but the join
-    /// polls `budget` cooperatively. Returns the table plus the join's ε
-    /// error bound; a cache hit replays the bound persisted with the entry,
-    /// so an approximate answer keeps reporting its real ε when served from
-    /// cache. Failed/aborted queries are never cached.
-    pub(crate) fn evaluate_budgeted(
+    /// Evaluate the current view under a deadline, degrading rather than
+    /// failing: full query → coarser bounded canvas → sample preview (see
+    /// [`crate::guard`]).
+    ///
+    /// The grace window for the degraded rung extends half the deadline past
+    /// it, so the whole ladder answers within ≈1.5× the deadline (plus the
+    /// preview's small fixed cost). A raised `cancel` handle aborts the
+    /// ladder promptly with [`UrbaneError::Cancelled`]; errors degradation
+    /// cannot fix (unknown dataset, invalid config) propagate unchanged.
+    pub fn evaluate_guarded(
         &self,
-        budget: &QueryBudget,
-    ) -> Result<(Arc<AggTable>, Option<f64>)> {
-        let key = self.fingerprint();
-        if let Some((hit, epsilon)) = lock(&self.cache).get(&key).cloned() {
-            lock(&self.cache_stats).hits += 1;
-            return Ok((hit, Some(epsilon)));
-        }
-        lock(&self.cache_stats).misses += 1;
-
-        let regions = self.pyramid.level(self.active_level)?;
-        let (table, epsilon) =
-            if self.config.join.mode == raster_join::ExecutionMode::IndexJoin {
-                // Exact path: R-tree probe + exact PIP, ε = 0 by construction.
-                // A store-backed dataset streams zone by zone straight
-                // from its `.ubs` file — the table never materializes.
-                let index = self.region_index(self.active_level, &regions);
-                let query = self.current_query();
-                let table = match self.catalog.store(&self.active_dataset) {
-                    Some(store) => store.index_join(&regions, index.as_ref(), &query, budget)?.0,
-                    None => {
-                        let points = self.catalog.get(&self.active_dataset)?;
-                        spatial_index::index_join_budgeted(
-                            &points,
-                            &regions,
-                            index.as_ref(),
-                            &query,
-                            budget,
-                        )?
-                    }
-                };
-                (Arc::new(table), 0.0)
-            } else {
-                let points = self.catalog.get(&self.active_dataset)?;
-                let join = raster_join::RasterJoin::new(self.config.join.clone());
-                let bins = self.dataset_bins(&self.active_dataset, &points);
-                let store = match &bins {
-                    Some(b) => PointStore::with_bins(&points, b),
-                    None => PointStore::plain(&points),
-                };
-                let res =
-                    join.execute_store(store, &regions, &self.current_query(), budget)?;
-                (Arc::new(res.table), res.epsilon)
-            };
-
-        if self.config.cache_capacity > 0 {
-            let mut cache = lock(&self.cache);
-            if cache.len() >= self.config.cache_capacity {
-                // Simple eviction: drop an arbitrary entry (bounded memory
-                // is what matters here, not optimal reuse).
-                if let Some(k) = cache.keys().next().cloned() {
-                    cache.remove(&k);
-                }
-            }
-            cache.insert(key, (table.clone(), epsilon));
-        }
-        Ok((table, Some(epsilon)))
-    }
-
-    /// Uncached evaluation at an explicit (coarser) bounded resolution —
-    /// the degradation rung of guarded evaluation. Bounded + points-first
-    /// regardless of the session's configured mode, because the rung exists
-    /// to buy speed: a coarser canvas trades ε for latency, and the caller
-    /// reports the resulting bound in its [`crate::GuardReport`].
-    pub(crate) fn evaluate_degraded(
-        &self,
-        resolution: u32,
-        budget: &QueryBudget,
-    ) -> Result<(AggTable, f64)> {
-        let points = self.catalog.get(&self.active_dataset)?;
-        let regions = self.pyramid.level(self.active_level)?;
-        let config = RasterJoinConfig {
-            spec: raster_join::CanvasSpec::Resolution(resolution),
-            mode: raster_join::ExecutionMode::Bounded,
-            strategy: raster_join::PointStrategy::PointsFirst,
-            ..self.config.join.clone()
-        };
-        let join = raster_join::RasterJoin::new(config);
-        let bins = self.dataset_bins(&self.active_dataset, &points);
-        let store = match &bins {
-            Some(b) => PointStore::with_bins(&points, b),
-            None => PointStore::plain(&points),
-        };
-        let res = join.execute_store(store, &regions, &self.current_query(), budget)?;
-        Ok((res.table, res.epsilon))
-    }
-
-    /// The packed region R-tree for a pyramid level, built once and shared
-    /// across frames (the pyramid never changes under a live session).
-    fn region_index(
-        &self,
-        level: usize,
-        regions: &urban_data::RegionSet,
-    ) -> Arc<spatial_index::PackedRegionIndex> {
-        if let Some(hit) = lock(&self.region_indexes).get(&level).cloned() {
-            return hit;
-        }
-        let built = Arc::new(spatial_index::PackedRegionIndex::build(regions));
-        lock(&self.region_indexes).insert(level, built.clone());
-        built
-    }
-
-    /// The active dataset's spatial bins, built once and reused across
-    /// frames. `None` when the session's join config disables binning or the
-    /// table is too small for pruning to pay off.
-    fn dataset_bins(
-        &self,
-        name: &str,
-        points: &urban_data::PointTable,
-    ) -> Option<Arc<BinnedPointTable>> {
-        let grid_side = match self.config.join.binning {
-            BinningMode::Off => return None,
-            BinningMode::Grid(side) if side > 0 => Some(side),
-            BinningMode::Grid(_) => return None,
-            BinningMode::Auto => {
-                if points.len() < raster_join::MIN_AUTO_BIN_POINTS {
-                    return None;
-                }
-                None
-            }
-        };
-        if let Some(hit) = lock(&self.bins).get(name).cloned() {
-            // The catalog never changes under a live session; the length
-            // check is pure defense — a stale index would mean wrong answers.
-            if hit.len() == points.len() {
-                return Some(hit);
-            }
-        }
-        let built = Arc::new(match grid_side {
-            Some(s) => BinnedPointTable::with_grid(points, s, s),
-            None => BinnedPointTable::build(points),
-        });
-        lock(&self.bins).insert(name.to_string(), built.clone());
-        Some(built)
+        deadline: Duration,
+        cancel: Option<&CancelHandle>,
+    ) -> Result<GuardedResult> {
+        let answer = self.service.query_cancellable(&self.request().deadline(deadline), cancel)?;
+        Ok(GuardedResult { table: answer.table, report: answer.report })
     }
 
     /// Fast approximate evaluation for in-flight interactions (slider
-    /// drags): runs the current query on a uniform reservoir sample and
-    /// scales COUNT/SUM estimates back up (a uniform sample keeps the
-    /// global scale factor unbiased per region; the *stratified* sampler in
-    /// `urban_data::sampling` is for coverage-preserving previews like
-    /// heatmaps, not for scaled aggregates). AVG/MIN/MAX are reported from
-    /// the sample unscaled. Results are *not* cached — previews are
-    /// transient by design.
+    /// drags): the current query on a `sample_rows`-row uniform sample,
+    /// COUNT/SUM scaled back up ([`UrbaneService::preview`]). Not cached —
+    /// previews are transient by design.
     pub fn evaluate_preview(&self, sample_rows: usize) -> Result<AggTable> {
-        let regions = self.pyramid.level(self.active_level)?;
-
-        // The sample is drawn once per (dataset, size) and reused for the
-        // whole interaction burst — resampling per frame would cost a full
-        // pass over the data and defeat the preview.
-        let key = (self.active_dataset.clone(), sample_rows);
-        let cached = lock(&self.samples).get(&key).cloned();
-        let sample_and_scale = match cached {
-            Some(s) => s,
-            None => {
-                let points = self.catalog.get(&self.active_dataset)?;
-                let rows =
-                    urban_data::sampling::reservoir_sample(&points, sample_rows, 0xF00D);
-                let sample = urban_data::sampling::take_rows(&points, &rows);
-                let scale = urban_data::sampling::scale_up_factor(points.len(), sample.len())
-                    .unwrap_or(1.0);
-                let entry = Arc::new((sample, scale));
-                lock(&self.samples).insert(key, entry.clone());
-                entry
-            }
-        };
-        let (sample, scale) = (&sample_and_scale.0, sample_and_scale.1);
-
-        // Previews always raster: the index-join mode has no approximate
-        // variant, and the preview rung exists precisely to buy speed.
-        let mut config = self.config.join.clone();
-        if config.mode == raster_join::ExecutionMode::IndexJoin {
-            config.mode = raster_join::ExecutionMode::Bounded;
-        }
-        let join = raster_join::RasterJoin::new(config);
-        let mut res = join.execute(sample, &regions, &self.current_query())?;
-        for state in &mut res.table.states {
-            state.count = (state.count as f64 * scale).round() as u64;
-            state.weight *= scale;
-            state.sum *= scale;
-        }
-        Ok(res.table)
+        self.service.preview(&self.request(), sample_rows)
     }
 
     /// Render the current map view through the session's pan/zoom window.
@@ -438,7 +269,7 @@ impl UrbaneSession {
     /// returned image's `join_stats`/`epsilon` metadata are zeroed — use
     /// [`MapView::render`] directly when per-query stats matter.
     pub fn render_map(&self) -> Result<ChoroplethImage> {
-        let regions = self.pyramid.level(self.active_level)?;
+        let regions = self.pyramid().level(self.active_level)?;
         let view = MapView::new(self.config.join.clone(), ColorMap::viridis());
         let table = self.evaluate()?;
         let values = table.values();
@@ -462,9 +293,27 @@ impl UrbaneSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raster_join::ExecutionMode;
     use urban_data::gen::city::CityModel;
     use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
     use urban_data::time::DAY;
+
+    /// A 256² session configuration in `mode`.
+    fn in_mode(mode: ExecutionMode) -> SessionConfig {
+        SessionConfig {
+            join: RasterJoinConfig { mode, ..RasterJoinConfig::with_resolution(256) },
+            ..Default::default()
+        }
+    }
+
+    /// `table` written as a `.ubs` store in a fresh per-test directory.
+    fn store_file(table: &urban_data::PointTable, tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("urbane-session-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("taxi.ubs");
+        urbane_store::StoreBuilder::new().chunk_rows(512).write_file(table, &path).unwrap();
+        path
+    }
 
     fn session() -> UrbaneSession {
         let city = CityModel::nyc_like();
@@ -477,15 +326,7 @@ mod tests {
         catalog.register("taxi", taxi);
         catalog.register("crime", crime);
         let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
-        UrbaneSession::new(
-            SessionConfig {
-                join: RasterJoinConfig::with_resolution(256),
-                ..Default::default()
-            },
-            catalog,
-            pyramid,
-        )
-        .unwrap()
+        UrbaneSession::new(in_mode(ExecutionMode::Bounded), catalog, pyramid).unwrap()
     }
 
     #[test]
@@ -636,7 +477,29 @@ mod tests {
             s.set_time_window(Some(TimeRange::new(day * DAY, (day + 1) * DAY)));
             let _ = s.evaluate().unwrap();
         }
-        assert!(lock(&s.cache).len() <= s.config.cache_capacity);
+        assert!(s.service().cache_len() <= s.config.cache_capacity);
+    }
+
+    #[test]
+    fn cache_is_a_real_lru() {
+        // Default capacity (64), far more distinct windows than that, and
+        // the first window re-visited after every new one: a real LRU never
+        // evicts it.
+        let mut s = session();
+        s.select_dataset("taxi").unwrap();
+        let day = |d: i64| Some(TimeRange::new(d * DAY, (d + 1) * DAY));
+        s.set_time_window(day(0));
+        let first = s.evaluate().unwrap();
+        for d in 1..200 {
+            s.set_time_window(day(d));
+            s.evaluate().unwrap();
+            s.set_time_window(day(0));
+            let again = s.evaluate().unwrap();
+            assert!(Arc::ptr_eq(&first, &again), "window 0 evicted after {d} other windows");
+        }
+        let st = s.cache_stats();
+        assert_eq!((st.hits, st.misses), (199, 200), "every re-visit must hit");
+        assert!(s.service().cache_len() <= 64);
     }
 
     #[test]
@@ -647,21 +510,10 @@ mod tests {
         let mk = |mode| {
             let mut catalog = DataCatalog::new();
             catalog.register("taxi", taxi.clone());
-            UrbaneSession::new(
-                SessionConfig {
-                    join: raster_join::RasterJoinConfig {
-                        mode,
-                        ..raster_join::RasterJoinConfig::with_resolution(256)
-                    },
-                    ..Default::default()
-                },
-                catalog,
-                pyramid.clone(),
-            )
-            .unwrap()
+            UrbaneSession::new(in_mode(mode), catalog, pyramid.clone()).unwrap()
         };
-        let exact = mk(raster_join::ExecutionMode::Accurate);
-        let indexed = mk(raster_join::ExecutionMode::IndexJoin);
+        let exact = mk(ExecutionMode::Accurate);
+        let indexed = mk(ExecutionMode::IndexJoin);
         let a = exact.evaluate().unwrap();
         let b = indexed.evaluate().unwrap();
         assert_eq!(a.as_ref(), b.as_ref(), "two exact paths must agree bit-for-bit");
@@ -671,32 +523,47 @@ mod tests {
     fn index_join_session_streams_from_a_store_file() {
         let city = CityModel::nyc_like();
         let taxi = generate_taxi(&city, &TaxiConfig { rows: 4_000, seed: 8, start: 0, days: 10 });
-        let dir = std::env::temp_dir().join(format!("urbane-session-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("taxi.ubs");
-        urbane_store::StoreBuilder::new().chunk_rows(512).write_file(&taxi, &path).unwrap();
-
+        let path = store_file(&taxi, "store");
         let mut in_mem = DataCatalog::new();
         in_mem.register("taxi", taxi);
         let mut cold = DataCatalog::new();
         cold.register_store("taxi", &path).unwrap();
         let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
-        let config = SessionConfig {
-            join: raster_join::RasterJoinConfig {
-                mode: raster_join::ExecutionMode::IndexJoin,
-                ..raster_join::RasterJoinConfig::with_resolution(256)
-            },
-            ..Default::default()
-        };
+        let config = in_mode(ExecutionMode::IndexJoin);
         let warm = UrbaneSession::new(config.clone(), in_mem, pyramid.clone()).unwrap();
         let stored = UrbaneSession::new(config, cold, pyramid).unwrap();
         let a = warm.evaluate().unwrap();
         let b = stored.evaluate().unwrap();
         assert_eq!(a.as_ref(), b.as_ref(), "stored and in-memory joins must agree bit-for-bit");
         // The chunked path answered without ever materializing the table.
-        assert!(!stored.catalog().is_resident("taxi").unwrap());
+        assert_eq!(stored.service().dataset_resident("taxi"), Some(false));
 
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn index_join_dataset_switch_leaves_a_cold_store_cold() {
+        let city = CityModel::nyc_like();
+        let taxi = generate_taxi(&city, &TaxiConfig { rows: 3_000, seed: 9, start: 0, days: 10 });
+        let crime = urban_data::gen::events::generate_crime(
+            &city,
+            &urban_data::gen::events::EventConfig::month(1_000, 2, 0),
+        );
+        let path = store_file(&taxi, "switch");
+        let mut catalog = DataCatalog::new();
+        catalog.register("crime", crime);
+        catalog.register_store("taxi", &path).unwrap();
+        let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
+        let config = in_mode(ExecutionMode::IndexJoin);
+        let mut s = UrbaneSession::new(config, catalog, pyramid).unwrap();
+        assert_eq!(s.active_dataset(), "crime");
+        s.select_dataset("taxi").unwrap();
+        assert!(s.evaluate().unwrap().total_count() > 0);
+        // Neither the switch nor the streamed join paged the store in.
+        assert_eq!(s.service().dataset_resident("taxi"), Some(false));
+        assert_eq!(s.service().store_paging().page_ins, 0);
+
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]

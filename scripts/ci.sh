@@ -40,13 +40,6 @@ echo "lint report OK ($rule_count rules) — artifact: LINT_report.json"
 ./scripts/verify.sh --quiet --out VERIFY_report.json
 echo "verify stage OK"
 
-# Bench smoke: the perf suite must run to completion without panicking
-# (its built-in binned == unbinned assertions double as a correctness
-# gate). Small scale, one rep — this is a crash check, not a regression
-# gate; the real numbers come from scripts/bench.sh.
-cargo run --release -p urbane-bench --bin repro -- \
-  --exp bench --scale 20000 --threads 2 --reps 1 > /dev/null
-
 # Server smoke: boot urbane-serve on an ephemeral port, hit every endpoint
 # once over real TCP, prove the repeat query is a cache hit, and shut down
 # cleanly. Fast (small synthetic dataset) and self-contained.

@@ -165,8 +165,9 @@ fn session_streams_cold_store_and_matches_in_memory() {
     let a = warm_session.evaluate().unwrap();
     let b = cold_session.evaluate().unwrap();
     assert_eq!(a.as_ref(), b.as_ref(), "cold store answer must match in-memory bit-for-bit");
-    assert!(
-        !cold_session.catalog().is_resident("taxi").unwrap(),
+    assert_eq!(
+        cold_session.service().dataset_resident("taxi"),
+        Some(false),
         "index-join evaluation must leave the store cold"
     );
 
