@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use raster_join::{RasterJoin, RasterJoinConfig};
-use spatial_index::{index_join, GridIndex, RTreeIndex};
+use spatial_index::{index_join, GridIndex, PackedRegionIndex};
 use urban_data::query::SpatialAggQuery;
 use urbane_bench::workload::Workload;
 
@@ -18,7 +18,7 @@ fn bench_scale(c: &mut Criterion) {
     let bounded = RasterJoin::new(RasterJoinConfig::with_resolution(1024));
     let accurate = RasterJoin::new(RasterJoinConfig::accurate(1024));
     let grid = GridIndex::build_auto(&regions);
-    let rtree = RTreeIndex::build(&regions);
+    let rtree = PackedRegionIndex::build(&regions);
 
     let mut group = c.benchmark_group("e2_scale_points");
     group.sample_size(10);

@@ -12,7 +12,7 @@ use urbane_bench::{experiments, swarm, verify_exp};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--exp all|swarm|verify|e1|...|e10] [--scale N] [--out DIR] [--json PATH]\n\
+        "usage: repro [--exp all|swarm|verify|e1|...|e9] [--scale N] [--out DIR] [--json PATH]\n\
          \x20             [--clients N] [--requests N] [--shards N] [--kills N]\n\
          defaults: --exp all --scale 1000000 --out out\n\
          \x20         --clients 2 --requests 60 --shards 3 --kills 2\n\
@@ -160,7 +160,6 @@ fn main() {
         "e7" => experiments::e7_exploration(scale),
         "e8" => experiments::e8_aggregates(scale.min(1_000_000)),
         "e9" => experiments::e9_ablation(scale),
-        "e10" => experiments::e10_planner(scale),
         _ => usage(),
     };
     println!("{report}");

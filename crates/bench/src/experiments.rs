@@ -9,8 +9,7 @@ use raster_join::{
     CanvasSpec, ExecutionMode, PointStrategy, PolygonPath, RasterJoin, RasterJoinConfig,
 };
 use spatial_index::{
-    index_join, index_join_parallel, naive_join, polygon_probe_join, GridIndex, KdTree,
-    PreAggCube, QuadTreeIndex, RTreeIndex,
+    index_join, index_join_parallel, naive_join, GridIndex, PackedRegionIndex, PreAggCube,
 };
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
@@ -75,8 +74,7 @@ pub fn e2_scale_points(max_points: usize) -> String {
         .collect();
 
     let grid = GridIndex::build_auto(&regions);
-    let rtree = RTreeIndex::build(&regions);
-    let qt = QuadTreeIndex::build(&regions, 10);
+    let rtree = PackedRegionIndex::build(&regions);
     let bounded = rj(RasterJoinConfig::with_resolution(1024));
     let accurate = rj(RasterJoinConfig::accurate(1024));
 
@@ -86,7 +84,6 @@ pub fn e2_scale_points(max_points: usize) -> String {
         "rj-accurate ms",
         "grid-join ms",
         "rtree-join ms",
-        "quadtree ms",
         "grid-par4 ms",
         "naive ms",
     ]);
@@ -104,9 +101,6 @@ pub fn e2_scale_points(max_points: usize) -> String {
         let r = median_ms(REPS, || {
             index_join(&pts, &regions, &rtree, &q).unwrap();
         });
-        let qd = median_ms(REPS, || {
-            index_join(&pts, &regions, &qt, &q).unwrap();
-        });
         let gp = median_ms(REPS, || {
             index_join_parallel(&pts, &regions, &grid, &q, 4).unwrap();
         });
@@ -123,7 +117,6 @@ pub fn e2_scale_points(max_points: usize) -> String {
             format!("{a:.1}"),
             format!("{g:.1}"),
             format!("{r:.1}"),
-            format!("{qd:.1}"),
             format!("{gp:.1}"),
             nv,
         ]);
@@ -151,7 +144,6 @@ pub fn e3_polygon_complexity(points: usize) -> String {
     ];
 
     let bounded = rj(RasterJoinConfig::with_resolution(1024));
-    let kdtree = KdTree::build(pts);
     let mut t = Table::new([
         "regions",
         "count",
@@ -159,22 +151,18 @@ pub fn e3_polygon_complexity(points: usize) -> String {
         "rj-bounded ms",
         "grid-join ms",
         "rtree-join ms",
-        "kd-probe ms",
     ]);
     for (name, rs) in &sets {
         let b = median_ms(REPS, || {
             bounded.execute(pts, rs, &q).unwrap();
         });
-        let (grid, _) = time_ms(|| GridIndex::build_auto(rs));
+        let grid = GridIndex::build_auto(rs);
         let g = median_ms(REPS, || {
             index_join(pts, rs, &grid, &q).unwrap();
         });
-        let (rtree, _) = time_ms(|| RTreeIndex::build(rs));
+        let rtree = PackedRegionIndex::build(rs);
         let r = median_ms(REPS, || {
             index_join(pts, rs, &rtree, &q).unwrap();
-        });
-        let k = median_ms(REPS, || {
-            polygon_probe_join(pts, &kdtree, rs, &q).unwrap();
         });
         t.row([
             name.to_string(),
@@ -183,7 +171,6 @@ pub fn e3_polygon_complexity(points: usize) -> String {
             format!("{b:.1}"),
             format!("{g:.1}"),
             format!("{r:.1}"),
-            format!("{k:.1}"),
         ]);
     }
     format!(
@@ -621,88 +608,6 @@ pub fn e9_ablation(points: usize) -> String {
     format!("E9  Ablations (|P| = {points}, COUNT)\n\n{}", t.render())
 }
 
-
-/// E10 — adaptive planning: the planner must track the best executor across
-/// query selectivities (extension; DESIGN.md §7).
-pub fn e10_planner(points: usize) -> String {
-    use std::sync::Arc;
-    use urbane::{PlannerConfig, QueryPlanner};
-
-    let w = Workload::standard(points, 42);
-    let regions = w.neighborhoods();
-    let start = demo_start();
-    let (planner, build_ms) = time_ms(|| {
-        QueryPlanner::build(
-            Arc::new(w.taxi.clone()),
-            Arc::new(regions.clone()),
-            PlannerConfig::default(),
-        )
-        .unwrap()
-    });
-
-    // Fixed executors for comparison.
-    let bounded = rj(RasterJoinConfig::with_resolution(1024));
-    let grid = GridIndex::build_auto(&regions);
-    let partitions = spatial_index::TimePartitionedPoints::build(&w.taxi, DAY);
-
-    let queries: Vec<(&str, SpatialAggQuery)> = vec![
-        ("no filter (cube-aligned)", SpatialAggQuery::count()),
-        (
-            "one week, day-aligned",
-            SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(start, start + 7 * DAY))),
-        ),
-        (
-            "one hour, unaligned",
-            SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(
-                start + 5 * DAY + 1800,
-                start + 5 * DAY + 5400,
-            ))),
-        ),
-        (
-            "broad fare filter",
-            SpatialAggQuery::count().filter(Filter::AttrRange {
-                column: "fare".into(),
-                min: 5.0,
-                max: 1e9,
-            }),
-        ),
-        (
-            "narrow fare + 2 days",
-            SpatialAggQuery::count()
-                .filter(Filter::AttrRange { column: "fare".into(), min: 60.0, max: 1e9 })
-                .filter(Filter::Time(TimeRange::new(start + 3600, start + 2 * DAY))),
-        ),
-    ];
-
-    let mut t = Table::new(["query", "est. rows", "chosen", "planner ms", "rj ms", "st-index ms"]);
-    for (name, q) in &queries {
-        let est = planner.estimate_surviving_rows(q);
-        let (result, _) = time_ms(|| planner.execute(q).unwrap());
-        let choice = format!("{:?}", result.1);
-        let pm = median_ms(REPS, || {
-            planner.execute(q).unwrap();
-        });
-        let bm = median_ms(REPS, || {
-            bounded.execute(&w.taxi, &regions, q).unwrap();
-        });
-        let sm = median_ms(REPS, || {
-            spatial_index::st_index_join(&w.taxi, &partitions, &regions, &grid, q).unwrap();
-        });
-        t.row([
-            name.to_string(),
-            format!("{est:.0}"),
-            choice,
-            format!("{pm:.2}"),
-            format!("{bm:.1}"),
-            format!("{sm:.1}"),
-        ]);
-    }
-    format!(
-        "E10 Adaptive planner (|P| = {points}; artifacts built once in {build_ms:.0} ms)\n\n{}",
-        t.render()
-    )
-}
-
 /// Run every experiment at `scale` points, concatenating the reports.
 pub fn run_all(scale: usize, out_dir: &str) -> String {
     let mut s = String::new();
@@ -716,7 +621,6 @@ pub fn run_all(scale: usize, out_dir: &str) -> String {
         e7_exploration(scale),
         e8_aggregates(scale.min(1_000_000)),
         e9_ablation(scale),
-        e10_planner(scale),
     ] {
         s.push_str(&part);
         s.push_str("\n\n");
@@ -733,7 +637,7 @@ mod tests {
     #[test]
     fn all_experiments_run_at_small_scale() {
         let out = run_all(20_000, "/tmp/urbane_bench_test_out");
-        for tag in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"] {
+        for tag in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"] {
             assert!(out.contains(tag), "missing section {tag}");
         }
         assert!(out.contains("UNSUPPORTED"), "E5 must show the cube's gap");

@@ -8,14 +8,6 @@
 //! algorithm (no lookup tables, no recursion), total for every input: out-of
 //! -range coordinates clamp to the grid edge.
 
-use urbane_geom::{BoundingBox, Point};
-
-/// The finest curve order [`key_for`] maps to: a 65 536² grid, keys in `[0, 2^32)`.
-pub const ORDER: u32 = 16;
-
-/// Grid side for [`ORDER`].
-pub const SIDE: u32 = 1 << ORDER;
-
 /// Rotate/flip a quadrant so the sub-curve enters and exits on the right
 /// sides. `side` is the full grid side of the current recursion depth.
 #[inline]
@@ -72,31 +64,14 @@ pub fn d2xy(order: u32, d: u64) -> (u32, u32) {
     (x, y)
 }
 
-/// Hilbert key of a world-coordinate point, normalized over `bbox` onto the
-/// order-[`ORDER`] grid. Degenerate extents (empty box, all points on a
-/// line) collapse that axis to cell 0; NaN coordinates saturate to 0 — every
-/// point gets *some* total order, which is all the sort needs.
-pub fn key_for(bbox: &BoundingBox, p: Point) -> u64 {
-    let gx = grid_coord(p.x, bbox.min.x, bbox.width());
-    let gy = grid_coord(p.y, bbox.min.y, bbox.height());
-    xy2d(ORDER, gx, gy)
-}
-
-#[inline]
-fn grid_coord(v: f64, min: f64, extent: f64) -> u32 {
-    // NaN extents land here too: nothing to normalize against, cell 0.
-    if extent.is_nan() || extent <= 0.0 {
-        return 0;
-    }
-    let f = (v - min) / extent * SIDE as f64;
-    // `as` saturates (NaN → 0), then clamp the top edge into the last cell.
-    (f as i64).clamp(0, SIDE as i64 - 1) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The finest order [`xy2d`] accepts: a 65 536² grid, keys in `[0, 2^32)`.
+    const ORDER: u32 = 16;
+    const SIDE: u32 = 1 << ORDER;
 
     #[test]
     fn exhaustive_bijection_small_orders() {
@@ -136,26 +111,6 @@ mod tests {
         assert_eq!(xy2d(4, 1_000, 1_000), xy2d(4, 15, 15));
         let (x, y) = d2xy(2, 16); // wraps past the 4×4 curve
         assert!(x < 4 && y < 4);
-    }
-
-    #[test]
-    fn key_for_handles_degenerate_boxes() {
-        let empty = BoundingBox::empty();
-        assert_eq!(key_for(&empty, Point::new(3.0, 4.0)), 0);
-        let line = BoundingBox::from_coords(0.0, 5.0, 10.0, 5.0); // zero height
-        let k0 = key_for(&line, Point::new(0.0, 5.0));
-        let k1 = key_for(&line, Point::new(10.0, 5.0));
-        assert_ne!(k0, k1, "x axis must still discriminate");
-        let nan = key_for(&line, Point::new(f64::NAN, f64::NAN));
-        assert!(nan < (SIDE as u64) * (SIDE as u64));
-    }
-
-    #[test]
-    fn top_edge_lands_in_last_cell() {
-        let b = BoundingBox::from_coords(0.0, 0.0, 1.0, 1.0);
-        // The max corner normalizes to exactly SIDE — must clamp, not wrap.
-        let k = key_for(&b, Point::new(1.0, 1.0));
-        assert!(k < (SIDE as u64) * (SIDE as u64));
     }
 
     proptest! {

@@ -2,8 +2,8 @@
 //!
 //! Computational-geometry primitives backing the Urbane / Raster Join
 //! reproduction: points, bounding boxes, segments, polygons with holes,
-//! multipolygons, point-in-polygon predicates, triangulation, simplification,
-//! convex hulls, Web-Mercator projection, and WKT / GeoJSON I/O.
+//! multipolygons, point-in-polygon predicates, triangulation, box clipping,
+//! Web-Mercator projection, and WKT / GeoJSON I/O.
 //!
 //! Everything here is exact-ish `f64` geometry; the rasterization pipeline in
 //! `gpu-raster` quantizes to pixels on top of these primitives, mirroring how
@@ -23,14 +23,12 @@
 pub mod bbox;
 pub mod clip;
 pub mod geojson;
-pub mod hull;
 pub mod multipolygon;
 pub mod point;
 pub mod polygon;
 pub mod predicates;
 pub mod projection;
 pub mod segment;
-pub mod simplify;
 pub mod triangulate;
 pub mod wkt;
 

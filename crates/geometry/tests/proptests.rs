@@ -1,9 +1,7 @@
 //! Property-based tests for the geometry substrate's core invariants.
 
 use proptest::prelude::*;
-use urbane_geom::hull::convex_hull_polygon;
 use urbane_geom::predicates::{orientation, Orientation};
-use urbane_geom::simplify::simplify_ring;
 use urbane_geom::triangulate::triangulate;
 use urbane_geom::{BoundingBox, Point, Polygon, Ring, Segment};
 
@@ -41,6 +39,22 @@ fn star_polygon_strategy() -> impl Strategy<Value = Polygon> {
             let ring = Ring::new(pts).ok()?;
             ring.is_simple().then(|| Polygon::new(ring))
         })
+}
+
+/// A random convex polygon: a regular n-gon with random centre, radius and
+/// rotation.
+fn convex_polygon_strategy() -> impl Strategy<Value = Polygon> {
+    (3usize..50, pt_strategy(), 1.0..500.0f64, 0.0..std::f64::consts::TAU).prop_map(
+        |(n, center, radius, rotation)| {
+            let pts: Vec<Point> = (0..n)
+                .map(|k| {
+                    let t = rotation + std::f64::consts::TAU * k as f64 / n as f64;
+                    center + Point::new(t.cos(), t.sin()) * radius
+                })
+                .collect();
+            Polygon::new(Ring::new(pts).expect("a regular n-gon has n distinct vertices"))
+        },
+    )
 }
 
 proptest! {
@@ -106,32 +120,11 @@ proptest! {
     }
 
     #[test]
-    fn centroid_inside_hull_bbox(pts in proptest::collection::vec(pt_strategy(), 3..50)) {
-        if let Ok(hull) = convex_hull_polygon(&pts) {
-            let c = hull.centroid();
-            prop_assert!(hull.bbox().contains(c));
-            // A convex polygon contains its centroid.
-            prop_assert!(hull.contains(c));
-        }
-    }
-
-    #[test]
-    fn hull_contains_all_inputs(pts in proptest::collection::vec(pt_strategy(), 3..60)) {
-        if let Ok(hull) = convex_hull_polygon(&pts) {
-            for p in &pts {
-                prop_assert!(hull.bbox().inflate(1e-9).contains(*p));
-                prop_assert!(hull.contains(*p), "hull must contain input {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn simplify_never_increases_vertices(poly in star_polygon_strategy(), tol in 0.0..20.0f64) {
-        let s = simplify_ring(poly.exterior(), tol);
-        prop_assert!(s.len() <= poly.exterior().len());
-        // Zero tolerance keeps everything (star polygons have no collinear runs almost surely).
-        let s0 = simplify_ring(poly.exterior(), 0.0);
-        prop_assert_eq!(s0.len(), poly.exterior().len());
+    fn centroid_inside_convex_polygon(poly in convex_polygon_strategy()) {
+        let c = poly.centroid();
+        prop_assert!(poly.bbox().contains(c));
+        // A convex polygon contains its centroid.
+        prop_assert!(poly.contains(c));
     }
 
     #[test]

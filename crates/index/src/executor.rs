@@ -128,8 +128,7 @@ mod tests {
     use super::*;
     use crate::grid::GridIndex;
     use crate::naive::naive_join;
-    use crate::quadtree::QuadTreeIndex;
-    use crate::rtree::RTreeIndex;
+    use crate::packed::PackedRegionIndex;
     use urban_data::filter::Filter;
     use urban_data::gen::corpus::uniform_points;
     use urban_data::schema::Schema;
@@ -156,12 +155,10 @@ mod tests {
         let q = SpatialAggQuery::count();
         let truth = naive_join(&pts, &rs, &q).unwrap();
 
-        let rtree = RTreeIndex::build(&rs);
+        let rtree = PackedRegionIndex::build(&rs);
         assert_eq!(index_join(&pts, &rs, &rtree, &q).unwrap(), truth);
         let grid = GridIndex::build_auto(&rs);
         assert_eq!(index_join(&pts, &rs, &grid, &q).unwrap(), truth);
-        let qt = QuadTreeIndex::build(&rs, 8);
-        assert_eq!(index_join(&pts, &rs, &qt, &q).unwrap(), truth);
     }
 
     #[test]
@@ -200,7 +197,7 @@ mod tests {
     fn parallel_matches_serial() {
         let pts = random_points(5_000, 4);
         let rs = regions();
-        let rtree = RTreeIndex::build(&rs);
+        let rtree = PackedRegionIndex::build(&rs);
         let q = SpatialAggQuery::new(AggKind::Avg("v".into()));
         let serial = index_join(&pts, &rs, &rtree, &q).unwrap();
         for threads in [1, 2, 4, 7] {

@@ -6,12 +6,14 @@
 //! exact point-in-polygon (PIP) test. This crate implements that family:
 //!
 //! * [`naive`] — indexless nested-loop join (the correctness ground truth),
-//! * [`rtree`] — an STR bulk-loaded R-tree over region bounding boxes,
+//! * [`packed`] — the R-tree: a packed, pointer-free tree over region
+//!   bounding boxes ([`PackedRegionIndex`], the index the server probes),
 //! * [`grid`] — a uniform grid with the classic *full-cover* shortcut
 //!   (cells entirely inside one region skip the PIP test),
-//! * [`quadtree`] — an adaptive quadtree alternative,
 //! * [`executor`] — the index-join aggregation executor, generic over any
 //!   [`RegionIndex`], with a multithreaded variant,
+//! * [`store_exec`] — the exact join over an out-of-core `.ubs` store,
+//!   streamed zone by zone, and its budget-polled in-memory twin,
 //! * [`preagg`] — the pre-aggregation (data-cube) approach the paper calls
 //!   out as *unsuitable*: instant for cube-aligned queries, but structurally
 //!   unable to answer ad-hoc polygons or ad-hoc filter predicates.
@@ -25,29 +27,17 @@
 
 pub mod executor;
 pub mod grid;
-pub mod kdtree;
 pub mod naive;
-pub mod packed_region;
-pub mod polygon_probe;
+pub mod packed;
 pub mod preagg;
-pub mod quadtree;
-pub mod rtree;
-pub mod st_index;
 pub mod store_exec;
 
 pub use executor::{index_join, index_join_parallel};
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use naive::naive_join;
-pub use packed_region::PackedRegionIndex;
-pub use polygon_probe::polygon_probe_join;
+pub use packed::PackedRegionIndex;
 pub use preagg::{CubeQueryError, PreAggCube};
-pub use quadtree::QuadTreeIndex;
-pub use rtree::RTreeIndex;
-pub use st_index::{st_index_join, TimePartitionedPoints};
-pub use store_exec::{
-    index_join_budgeted, index_join_stored, index_join_stored_parallel, StoredJoinStats,
-};
+pub use store_exec::{index_join_budgeted, index_join_stored, StoredJoinStats};
 
 use urban_data::RegionId;
 use urbane_geom::Point;

@@ -1,28 +1,28 @@
-//! Flattened packed Hilbert R-tree (FlatGeobuf-style level-bounds layout).
+//! The R-tree baseline: a flattened packed R-tree (FlatGeobuf-style
+//! level-bounds layout) and [`PackedRegionIndex`], the point-probe index the
+//! exact join runs on.
 //!
 //! The tree is one flat array of bounding boxes, root level first. Leaves
-//! are the item boxes in the order given (the builder hands them over
-//! Hilbert-sorted, which is what keeps parent boxes tight); each upper level
-//! is built bottom-up by grouping `node_size` consecutive children, so
-//! navigation needs no pointers: the children of node `j` at level `k` are
-//! nodes `j*node_size .. (j+1)*node_size` of level `k+1`. Level offsets are
-//! fully determined by `(num_items, node_size)`, so a flat form needs only
-//! those two scalars plus the box array ([`PackedRTree::from_boxes`]).
+//! are the item boxes in the order given; each upper level is built
+//! bottom-up by grouping `node_size` consecutive children, so navigation
+//! needs no pointers: the children of node `j` at level `k` are nodes
+//! `j*node_size .. (j+1)*node_size` of level `k+1`.
 //!
-//! It indexes region-polygon bounding boxes for the index-join executor's
-//! candidate retrieval. (`.ubs` version 1 also kept one over its chunk boxes
-//! in the file header; in version 2's day-major order every chunk's box
-//! spans the city, and the directory's footers do the pruning.)
+//! [`PackedRegionIndex`] hands the tree its regions' bounding boxes in
+//! region-id order, so leaf item `i` is region `i` and a box search returns
+//! candidate region ids directly.
 
+use crate::{Probe, RegionIndex};
+use urban_data::{RegionId, RegionSet};
 use urbane_geom::{BoundingBox, Point};
 
-/// Default fan-out. 16 children per node keeps the tree ≤3 levels for a
-/// thousand regions and ≤5 for a million.
-pub const DEFAULT_NODE_SIZE: usize = 16;
+/// Fan-out of the region index. 16 children per node keeps the tree ≤3
+/// levels for a thousand regions and ≤5 for a million.
+const NODE_SIZE: usize = 16;
 
 /// A packed R-tree over `num_items` leaf bounding boxes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedRTree {
+#[derive(Debug, Clone)]
+struct PackedRTree {
     node_size: usize,
     num_items: usize,
     /// Nodes per level, root level first; empty for an empty tree.
@@ -33,27 +33,9 @@ pub struct PackedRTree {
     boxes: Vec<BoundingBox>,
 }
 
-/// Nodes per level (root first) for a tree of `num_items` leaves with the
-/// given fan-out — the level-bounds math shared by build and deserialize.
-pub fn level_lens(num_items: usize, node_size: usize) -> Vec<usize> {
-    if num_items == 0 {
-        return Vec::new();
-    }
-    let node_size = node_size.max(2);
-    let mut lens = vec![num_items];
-    while let Some(&last) = lens.last() {
-        if last <= 1 {
-            break;
-        }
-        lens.push(last.div_ceil(node_size));
-    }
-    lens.reverse();
-    lens
-}
-
 impl PackedRTree {
     /// Build bottom-up over `items` (leaf boxes in final storage order).
-    pub fn build(items: &[BoundingBox], node_size: usize) -> Self {
+    fn build(items: &[BoundingBox], node_size: usize) -> Self {
         let node_size = node_size.max(2);
         if items.is_empty() {
             return PackedRTree {
@@ -94,67 +76,8 @@ impl PackedRTree {
         PackedRTree { node_size, num_items, level_len, level_off, boxes }
     }
 
-    /// Reassemble from the flat box array (levels concatenated root-first).
-    /// Returns `None` when the box count does not match the level-bounds math
-    /// for `(num_items, node_size)`.
-    pub fn from_boxes(node_size: usize, num_items: usize, boxes: Vec<BoundingBox>) -> Option<Self> {
-        let node_size = node_size.max(2);
-        let lens = level_lens(num_items, node_size);
-        if lens.iter().sum::<usize>() != boxes.len() {
-            return None;
-        }
-        let mut level_off = Vec::with_capacity(lens.len());
-        let mut off = 0usize;
-        for len in &lens {
-            level_off.push(off);
-            off += len;
-        }
-        Some(PackedRTree { node_size, num_items, level_len: lens, level_off, boxes })
-    }
-
-    /// Number of leaf items.
-    #[inline]
-    pub fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    /// True when the tree indexes nothing.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.num_items == 0
-    }
-
-    /// Fan-out.
-    #[inline]
-    pub fn node_size(&self) -> usize {
-        self.node_size
-    }
-
-    /// Number of levels (0 for an empty tree).
-    #[inline]
-    pub fn n_levels(&self) -> usize {
-        self.level_len.len()
-    }
-
-    /// Total node count across all levels.
-    #[inline]
-    pub fn total_nodes(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// All node boxes, levels concatenated root-first (the serialized form).
-    #[inline]
-    pub fn boxes(&self) -> &[BoundingBox] {
-        &self.boxes
-    }
-
-    /// Bounding box of everything indexed (empty box for an empty tree).
-    pub fn bounds(&self) -> BoundingBox {
-        self.boxes.first().copied().unwrap_or_else(BoundingBox::empty)
-    }
-
     /// Rough memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.boxes.len() * std::mem::size_of::<BoundingBox>()
             + (self.level_len.len() + self.level_off.len()) * std::mem::size_of::<usize>()
     }
@@ -162,7 +85,7 @@ impl PackedRTree {
     /// Append the indices (ascending) of every leaf whose box intersects
     /// `query`. A superset-by-construction candidate set: leaf boxes are
     /// conservative, so callers finish with an exact test.
-    pub fn search_into(&self, query: &BoundingBox, out: &mut Vec<usize>) {
+    fn search_into(&self, query: &BoundingBox, out: &mut Vec<usize>) {
         if self.num_items == 0 || query.is_empty() {
             return;
         }
@@ -204,7 +127,7 @@ impl PackedRTree {
 
     /// Append the indices of every leaf whose box contains `p` (closed
     /// boundary, matching [`BoundingBox::contains`]).
-    pub fn search_point_into(&self, p: Point, out: &mut Vec<usize>) {
+    fn search_point_into(&self, p: Point, out: &mut Vec<usize>) {
         self.search_into(&BoundingBox::new(p, p), out);
     }
 
@@ -215,10 +138,51 @@ impl PackedRTree {
     }
 }
 
+/// Packed R-tree over a region set's bounding boxes.
+#[derive(Debug, Clone)]
+pub struct PackedRegionIndex {
+    tree: PackedRTree,
+}
+
+impl PackedRegionIndex {
+    /// Build the index from a region set. Leaf order is region-id order, so
+    /// probe hits map to ids without a translation table.
+    pub fn build(regions: &RegionSet) -> Self {
+        let boxes: Vec<_> = regions.iter().map(|(_, _, geom)| geom.bbox()).collect();
+        PackedRegionIndex { tree: PackedRTree::build(&boxes, NODE_SIZE) }
+    }
+}
+
+impl RegionIndex for PackedRegionIndex {
+    fn probe_into(&self, p: Point, out: &mut Vec<RegionId>) -> Probe {
+        out.clear();
+        let mut hits: Vec<usize> = Vec::new();
+        self.tree.search_point_into(p, &mut hits);
+        if hits.is_empty() {
+            return Probe::Empty;
+        }
+        out.extend(hits.into_iter().map(|i| i as RegionId));
+        Probe::Candidates
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.tree.memory_bytes()
+    }
+
+    fn name(&self) -> &'static str {
+        "packed-rtree"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::index_join;
+    use crate::naive::naive_join;
     use proptest::prelude::*;
+    use urban_data::gen::corpus::uniform_points;
+    use urban_data::gen::regions::voronoi_neighborhoods;
+    use urban_data::query::SpatialAggQuery;
 
     fn boxes(n: usize, seed: u64) -> Vec<BoundingBox> {
         // Deterministic scatter of small boxes over [0, 100)².
@@ -240,8 +204,8 @@ mod tests {
     #[test]
     fn matches_brute_force() {
         let items = boxes(500, 7);
-        let tree = PackedRTree::build(&items, DEFAULT_NODE_SIZE);
-        assert_eq!(tree.num_items(), 500);
+        let tree = PackedRTree::build(&items, NODE_SIZE);
+        assert_eq!(tree.num_items, 500);
         for q in [
             BoundingBox::from_coords(10.0, 10.0, 30.0, 30.0),
             BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0),
@@ -257,14 +221,14 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let empty = PackedRTree::build(&[], 16);
-        assert!(empty.is_empty());
-        assert!(empty.bounds().is_empty());
+        assert_eq!(empty.num_items, 0);
+        assert!(empty.boxes.is_empty());
         let mut out = Vec::new();
         empty.search_into(&BoundingBox::from_coords(0.0, 0.0, 1.0, 1.0), &mut out);
         assert!(out.is_empty());
 
         let one = PackedRTree::build(&[BoundingBox::from_coords(1.0, 1.0, 2.0, 2.0)], 16);
-        assert_eq!(one.n_levels(), 1);
+        assert_eq!(one.level_len, vec![1]);
         one.search_point_into(Point::new(1.5, 1.5), &mut out);
         assert_eq!(out, vec![0]);
         out.clear();
@@ -273,29 +237,56 @@ mod tests {
     }
 
     #[test]
-    fn level_math_roundtrips_through_boxes() {
-        for n in [0usize, 1, 2, 15, 16, 17, 255, 256, 1000] {
-            let items = boxes(n, 3);
-            let tree = PackedRTree::build(&items, 16);
-            assert_eq!(
-                level_lens(n, 16).iter().sum::<usize>(),
-                tree.total_nodes(),
-                "level math diverged at n={n}"
-            );
-            let back = PackedRTree::from_boxes(16, n, tree.boxes().to_vec()).unwrap();
-            assert_eq!(back, tree);
-        }
-        assert!(PackedRTree::from_boxes(16, 100, Vec::new()).is_none());
-    }
-
-    #[test]
     fn root_bounds_cover_all_items() {
         let items = boxes(300, 11);
         let tree = PackedRTree::build(&items, 8);
-        let root = tree.bounds();
+        let root = tree.boxes[0];
         for b in &items {
             assert!(root.contains_box(b));
         }
+    }
+
+    #[test]
+    fn matches_naive_join() {
+        let bbox = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
+        let pts = uniform_points(&bbox, 3_000, 11, 50.0);
+        let rs = voronoi_neighborhoods(&bbox, 25, 9, 2);
+        let q = SpatialAggQuery::count();
+        let truth = naive_join(&pts, &rs, &q).unwrap();
+        let idx = PackedRegionIndex::build(&rs);
+        assert_eq!(index_join(&pts, &rs, &idx, &q).unwrap(), truth);
+    }
+
+    #[test]
+    fn candidates_are_supersets_of_exact_hits() {
+        let bbox = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
+        let rs = voronoi_neighborhoods(&bbox, 40, 3, 2);
+        let idx = PackedRegionIndex::build(&rs);
+        let mut scratch = Vec::new();
+        for i in 0..500 {
+            let p = Point::new((i % 50) as f64 * 2.0 + 0.5, (i / 50) as f64 * 9.0 + 0.5);
+            let probe = idx.probe_into(p, &mut scratch);
+            for (id, _, geom) in rs.iter() {
+                if geom.contains(p) {
+                    match probe {
+                        Probe::Candidates => {
+                            assert!(scratch.contains(&id), "missed region {id} at {p:?}")
+                        }
+                        Probe::Resolved(r) => assert_eq!(r, id),
+                        Probe::Empty => panic!("probe Empty but region {id} contains {p:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_region_set_probes_empty() {
+        let rs = RegionSet::new("none", Vec::new());
+        let idx = PackedRegionIndex::build(&rs);
+        let mut scratch = Vec::new();
+        assert_eq!(idx.probe_into(Point::new(0.0, 0.0), &mut scratch), Probe::Empty);
+        assert_eq!(idx.name(), "packed-rtree");
     }
 
     proptest! {

@@ -16,10 +16,8 @@
 //! [`crate::executor::index_join`].
 //!
 //! Results are **bit-for-bit exact**: aggregation states accumulate f32
-//! attribute values in f64 (lossless at the corpus's dynamic range), chunk
-//! partials merge in chunk order, and the parallel variant assigns workers
-//! contiguous chunk ranges merged in range order — so serial, parallel, and
-//! the in-memory oracle all agree exactly.
+//! attribute values in f64 (lossless at the corpus's dynamic range) in file
+//! order, so the stored join and the in-memory oracle agree exactly.
 //!
 //! Budget/cancellation discipline matches the raster executors: the shared
 //! [`QueryBudget`] is polled once per chunk and once per zone read, so a
@@ -51,20 +49,6 @@ pub struct StoredJoinStats {
     /// How the zones were classified — the counts a resident table's
     /// executor reports, over the directory's zones.
     pub zones: ZoneStats,
-}
-
-impl StoredJoinStats {
-    /// Fold another worker's accounting into this one.
-    pub fn merge(&mut self, other: &StoredJoinStats) {
-        self.chunks_scanned += other.chunks_scanned;
-        self.chunks_pruned += other.chunks_pruned;
-        self.rows_scanned += other.rows_scanned;
-        self.peak_resident_rows = self.peak_resident_rows.max(other.peak_resident_rows);
-        self.zones.skipped += other.zones.skipped;
-        self.zones.whole += other.zones.whole;
-        self.zones.scanned += other.zones.scanned;
-        self.zones.rows_tested += other.zones.rows_tested;
-    }
 }
 
 /// One filter condition resolved against the store schema.
@@ -202,33 +186,28 @@ fn join_point<I: RegionIndex>(
     }
 }
 
-/// Join a contiguous chunk range `[lo, hi)` of `source` into a fresh
-/// partial table. Shared by the serial and parallel entry points.
-#[allow(clippy::too_many_arguments)] // flat borrow list keeps the worker closure Sync-friendly
-fn join_chunk_range<R: Read + Seek, I: RegionIndex>(
+/// Evaluate `query` over a `.ubs` store with a zone-streamed index join.
+/// Never holds more than one zone's rows in memory.
+pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
     source: &mut ChunkedPointSource<R>,
     regions: &RegionSet,
     index: &I,
     query: &SpatialAggQuery,
     budget: &QueryBudget,
-    plan: &StoredPlan,
-    lo: usize,
-    hi: usize,
 ) -> Result<(AggTable, StoredJoinStats), RasterJoinError> {
+    let plan = StoredPlan::new(source.schema(), regions, query)?;
     let mut out = AggTable::new(query.agg_kind(), regions.len());
     let mut stats = StoredJoinStats::default();
     let mut candidates = Vec::with_capacity(8);
+    // lint: capped-by one entry per request filter, and the server's framing caps the request body (`max_body`, 1 MiB by default)
     let mut undecided: Vec<&Cond> = Vec::with_capacity(plan.conds.len());
     let mut attrs: Vec<usize> = Vec::with_capacity(plan.conds.len() + 1);
-    // One zone of the columns in use, for the whole range.
+    // One zone of the columns in use, for the whole join.
     let mut zone = Columns::default();
     let header = source.shared_header();
     source.reset_stats();
-    for ci in lo..hi {
+    for (ci, meta) in header.chunks.iter().enumerate() {
         budget.check()?;
-        let meta = header.chunks.get(ci).ok_or_else(|| {
-            RasterJoinError::Internal(format!("chunk index {ci} out of range"))
-        })?;
         if !plan.classify(&meta.footer, &mut undecided) {
             stats.chunks_pruned += 1;
             stats.zones.skipped += meta.zones.len() as u64;
@@ -282,83 +261,6 @@ fn join_chunk_range<R: Read + Seek, I: RegionIndex>(
     Ok((out, stats))
 }
 
-/// Evaluate `query` over a `.ubs` store with a zone-streamed index join
-/// (single-threaded). Never holds more than one zone's rows in memory.
-pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
-    source: &mut ChunkedPointSource<R>,
-    regions: &RegionSet,
-    index: &I,
-    query: &SpatialAggQuery,
-    budget: &QueryBudget,
-) -> Result<(AggTable, StoredJoinStats), RasterJoinError> {
-    let plan = StoredPlan::new(source.schema(), regions, query)?;
-    let n = source.n_chunks();
-    join_chunk_range(source, regions, index, query, budget, &plan, 0, n)
-}
-
-/// Parallel stored join: each worker opens its own source via `open` (file
-/// handles are not shareable mid-seek), takes a contiguous chunk range, and
-/// partials merge in range order — bit-identical to the serial result for
-/// any thread count.
-pub fn index_join_stored_parallel<R, I, F>(
-    open: F,
-    regions: &RegionSet,
-    index: &I,
-    query: &SpatialAggQuery,
-    budget: &QueryBudget,
-    n_threads: usize,
-) -> Result<(AggTable, StoredJoinStats), RasterJoinError>
-where
-    R: Read + Seek,
-    I: RegionIndex,
-    F: Fn() -> urbane_store::Result<ChunkedPointSource<R>> + Sync,
-{
-    let n_threads = n_threads.max(1);
-    let mut probe_source = open().map_err(store_err)?;
-    let plan = StoredPlan::new(probe_source.schema(), regions, query)?;
-    let n = probe_source.n_chunks();
-    if n_threads == 1 || n <= 1 {
-        return join_chunk_range(&mut probe_source, regions, index, query, budget, &plan, 0, n);
-    }
-    drop(probe_source);
-
-    let per = n.div_ceil(n_threads).max(1);
-    let plan = &plan;
-    let open = &open;
-    let mut partials: Vec<Result<(AggTable, StoredJoinStats), RasterJoinError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..n_threads {
-            let lo = w * per;
-            let hi = ((w + 1) * per).min(n);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let mut src = open().map_err(store_err)?;
-                join_chunk_range(&mut src, regions, index, query, budget, plan, lo, hi)
-            }));
-        }
-        partials = handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(RasterJoinError::Internal("stored-join worker panicked".into()))
-                })
-            })
-            .collect();
-    });
-
-    let mut out = AggTable::new(query.agg_kind(), regions.len());
-    let mut stats = StoredJoinStats::default();
-    for p in partials {
-        let (t, s) = p?;
-        out.merge(&t).map_err(data_err)?;
-        stats.merge(&s);
-    }
-    Ok((out, stats))
-}
-
 /// In-memory index join with budget/cancellation polling — the session
 /// layer's entry point when the table is already materialized. Identical
 /// results to [`crate::executor::index_join`]; the budget is polled every
@@ -392,7 +294,7 @@ pub fn index_join_budgeted<I: RegionIndex>(
 mod tests {
     use super::*;
     use crate::executor::index_join;
-    use crate::packed_region::PackedRegionIndex;
+    use crate::packed::PackedRegionIndex;
     use std::io::Cursor;
     use urban_data::filter::Filter;
     use urban_data::gen::corpus::uniform_points;
@@ -425,27 +327,6 @@ mod tests {
                 index_join_stored(&mut source(&bytes), &rs, &idx, &q, &budget).unwrap();
             assert_eq!(got, truth);
             assert_eq!(stats.rows_scanned, pts.len() as u64);
-        }
-    }
-
-    #[test]
-    fn parallel_stored_matches_serial_for_all_thread_counts() {
-        let (_, rs, bytes) = setup(6_000);
-        let idx = PackedRegionIndex::build(&rs);
-        let budget = QueryBudget::unlimited();
-        let q = SpatialAggQuery::new(AggKind::Avg("v".into()));
-        let (serial, _) = index_join_stored(&mut source(&bytes), &rs, &idx, &q, &budget).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let (par, _) = index_join_stored_parallel(
-                || ChunkedPointSource::from_bytes(bytes.clone()),
-                &rs,
-                &idx,
-                &q,
-                &budget,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par, serial, "{threads} threads diverged");
         }
     }
 

@@ -874,7 +874,7 @@ mod tests {
     fn workspace_scoping_applies() {
         let src = "fn f() { self.items.push(1); }";
         // bounded-growth is out of scope for a geometry file.
-        let fs = scan_source("crates/geometry/src/hull.rs", src, ScanMode::Workspace);
+        let fs = scan_source("crates/geometry/src/polygon.rs", src, ScanMode::Workspace);
         assert!(fs.violations.is_empty());
     }
 
@@ -889,7 +889,7 @@ mod tests {
             vec![RuleId::BoundedGrowth]
         );
         let clock = "fn merge() { let _ = Instant::now(); }\n";
-        let fs = scan_source("crates/store/src/packed.rs", clock, ScanMode::Workspace);
+        let fs = scan_source("crates/store/src/format.rs", clock, ScanMode::Workspace);
         assert_eq!(
             fs.violations.iter().map(|v| v.rule).collect::<Vec<_>>(),
             vec![RuleId::Determinism]

@@ -13,7 +13,7 @@
 //!   triangles never double-shade a pixel ([`triangle`]),
 //! * direct scanline polygon fill with even–odd semantics ([`polygon_scan`]),
 //! * conservative segment traversal for boundary-pixel detection ([`line`]),
-//! * point rendering ([`point`]),
+//! * point rendering ([`point`]) and a PPM writer for the images ([`ppm`]),
 //! * a tiled executor that renders independent tiles on worker threads
 //!   ([`tile`]), standing in for GPU parallelism, and
 //! * pipeline statistics ([`stats`]) used by the cost-model benchmarks.
@@ -28,7 +28,6 @@
 pub mod blend;
 pub mod buffer;
 pub mod line;
-pub mod msaa;
 pub mod pipeline;
 pub mod point;
 pub mod polygon_scan;

@@ -141,18 +141,4 @@ proptest! {
         prop_assert_eq!(buf.sum() as usize, expected);
         prop_assert_eq!(pipe.stats().fragments as usize, expected);
     }
-
-    /// Downsampling preserves scalar mass up to the factor² scaling.
-    #[test]
-    fn downsample_mass(values in proptest::collection::vec(0.0..10.0f32, 64), factor in 1u32..4) {
-        let mut src = gpu_raster::Buffer2D::new(8, 8, 0.0f32);
-        for (i, v) in values.iter().enumerate() {
-            src.set((i % 8) as u32, (i / 8) as u32, *v);
-        }
-        if 8 % factor == 0 {
-            let out = gpu_raster::msaa::downsample_f32(&src, factor);
-            let restored = out.sum() * (factor * factor) as f64;
-            prop_assert!((restored - src.sum()).abs() < 1e-3);
-        }
-    }
 }

@@ -16,11 +16,10 @@
 //!   rebuilds),
 //! * [`reader`] — [`ChunkedPointSource`]: a bounds-checked reader (no mmap)
 //!   that materializes tables sequentially or feeds executors one zone of
-//!   one column at a time,
-//! * [`packed`] — a flattened packed Hilbert R-tree: one flat array of
-//!   bounding boxes in level-bounds layout, built bottom-up over
-//!   Hilbert-sorted leaves, FlatGeobuf-style (no per-node pointers); the
-//!   region index of the exact join is built on it.
+//!   one column at a time.
+//!
+//! The crate holds storage only: the exact join that reads it, and the
+//! region R-tree that join probes, live in `spatial-index`.
 //!
 //! Everything is std-only and `#![forbid(unsafe_code)]`, like the rest of
 //! the workspace. Decoding mirrors `urban_data::binfmt`'s discipline: every
@@ -31,12 +30,10 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod format;
-pub mod packed;
 pub mod reader;
 pub mod writer;
 
 pub use format::{ChunkMeta, Columns, StoreHeader, MAGIC, VERSION};
-pub use packed::PackedRTree;
 pub use reader::{ChunkedPointSource, ReadStats};
 pub use writer::{StoreBuilder, DEFAULT_CHUNK_ROWS};
 

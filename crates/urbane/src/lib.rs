@@ -30,7 +30,6 @@ pub mod catalog;
 pub mod colormap;
 pub mod export;
 pub mod guard;
-pub mod planner;
 pub mod resolution;
 pub mod service;
 pub mod session;
@@ -40,7 +39,6 @@ pub use brush::Brush;
 pub use cache::{CacheKey, CacheStats, Flight, QueryCache, SingleFlight};
 pub use catalog::{ColdStore, DataCatalog};
 pub use guard::{GuardPath, GuardReport, GuardedResult};
-pub use planner::{PlanChoice, PlannerConfig, QueryPlanner};
 pub use resolution::ResolutionPyramid;
 pub use service::{
     DatasetInfo, GuardOutcomes, QueryAnswer, QueryRequest, ServiceConfig, UrbaneService,

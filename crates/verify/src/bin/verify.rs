@@ -5,7 +5,7 @@
 //! verify [--workloads N] [--seed S] [--laws N] [--out PATH] [--full] [--quiet]
 //! ```
 //!
-//! Defaults run the fast CI corpus (15 differential workloads ≈ 250+
+//! Defaults run the fast CI corpus (15 differential workloads ≈ 245
 //! certified runs, laws on 6 workloads) in a few seconds. `--full` — or
 //! `VERIFY_FULL=1` in the environment, which is how ci.sh requests the
 //! nightly sweep — quadruples the corpus. Exit status is 0 iff every run

@@ -17,7 +17,7 @@
 //! |            |         |             | values to f32-order tolerance     |
 //! |            |         |             | (partition layouts only)          |
 //! | prepared   | —       | Off, Grid   | as its mode (bounded + accurate)  |
-//! | index_join | 1, 4    | —           | bit-for-bit equal to the oracle   |
+//! | index_join | 1       | —           | bit-for-bit equal to the oracle   |
 //! |            |         |             | through a `.ubs` store round-trip |
 //! |            |         |             | (ε = 0 by construction)           |
 //!
@@ -321,43 +321,38 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
     }
 
     // Index join over a `.ubs` serialization of the scenario: Hilbert
-    // reordering, chunk-streamed reads and footer pruning must all be
+    // reordering, zone-streamed reads and footer pruning must all be
     // answer-invisible, so the result is held to the strictest bar in the
-    // matrix — *bit-for-bit* equality with the exact oracle (ε = 0), at
-    // every thread count.
+    // matrix — *bit-for-bit* equality with the exact oracle (ε = 0).
     let store_bytes = urbane_store::StoreBuilder::new()
         .chunk_rows(1024)
         .encode(&s.points)
         .map_err(|e| crate::VerifyError::Data(e.to_string()))?;
+    let mut source = urbane_store::ChunkedPointSource::from_bytes(store_bytes)
+        .map_err(|e| crate::VerifyError::Data(e.to_string()))?;
     let region_index = spatial_index::PackedRegionIndex::build(&s.regions);
-    for threads in threads_axis {
-        let open = || urbane_store::ChunkedPointSource::from_bytes(store_bytes.clone());
-        let (table, _stats) = spatial_index::index_join_stored_parallel(
-            open,
-            &s.regions,
-            &region_index,
-            &s.query,
-            &raster_join::QueryBudget::unlimited(),
-            threads,
-        )?;
-        let mut r = rec(s, "index_join", threads, "off", 0.0);
-        if table != exact {
-            // Pin down the first divergent region for the report.
-            let why = table
-                .states
-                .iter()
-                .zip(&exact.states)
-                .enumerate()
-                .find(|(_, (a, e))| a != e)
-                .map(|(i, (a, e))| format!("region {i}: {a:?} vs exact {e:?}"))
-                .unwrap_or_else(|| "table-level mismatch".to_string());
-            r.failures.push(format!(
-                "index_join/{}: threads={threads} not bit-identical to the exact oracle: {why}",
-                s.name
-            ));
-        }
-        records.push(r);
+    let (table, _stats) = spatial_index::index_join_stored(
+        &mut source,
+        &s.regions,
+        &region_index,
+        &s.query,
+        &raster_join::QueryBudget::unlimited(),
+    )?;
+    let mut r = rec(s, "index_join", 1, "off", 0.0);
+    if table != exact {
+        // Pin down the first divergent region for the report.
+        let why = table
+            .states
+            .iter()
+            .zip(&exact.states)
+            .enumerate()
+            .find(|(_, (a, e))| a != e)
+            .map(|(i, (a, e))| format!("region {i}: {a:?} vs exact {e:?}"))
+            .unwrap_or_else(|| "table-level mismatch".to_string());
+        r.failures
+            .push(format!("index_join/{}: not bit-identical to the exact oracle: {why}", s.name));
     }
+    records.push(r);
 
     // Prepared plans: polygon side rasterized once, replayed per store.
     let bins = BinnedPointTable::with_grid(&s.points, GRID_SIDE, GRID_SIDE);
@@ -416,7 +411,7 @@ mod tests {
             }
             assert!(records.iter().any(|r| r.mode == "accurate" && r.binning == "grid"));
             assert!(records.iter().any(|r| r.mode == "prepared"));
-            assert!(records.iter().any(|r| r.mode == "index_join" && r.threads == 4));
+            assert!(records.iter().any(|r| r.mode == "index_join"));
         }
         assert!(partition_seen || corpus(4, 7_000).iter().all(|s| !s.partition));
     }

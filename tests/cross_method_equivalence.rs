@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use raster_join::{RasterJoin, RasterJoinConfig};
-use spatial_index::{index_join, naive_join, GridIndex, QuadTreeIndex, RTreeIndex};
+use spatial_index::{index_join, naive_join, GridIndex, PackedRegionIndex};
 use urban_data::filter::Filter;
 use urban_data::gen::regions::{grid_regions, star_regions, voronoi_neighborhoods};
 use urban_data::query::{AggKind, SpatialAggQuery};
@@ -106,10 +106,8 @@ proptest! {
 
         let grid = GridIndex::build_auto(&regions);
         prop_assert_eq!(index_join(&pts, &regions, &grid, &q).unwrap().values(), truth.values());
-        let rtree = RTreeIndex::build(&regions);
+        let rtree = PackedRegionIndex::build(&regions);
         prop_assert_eq!(index_join(&pts, &regions, &rtree, &q).unwrap().values(), truth.values());
-        let qt = QuadTreeIndex::build(&regions, 8);
-        prop_assert_eq!(index_join(&pts, &regions, &qt, &q).unwrap().values(), truth.values());
 
         let accurate = RasterJoin::new(RasterJoinConfig::accurate(128));
         let got = accurate.execute(&pts, &regions, &q).unwrap();
@@ -210,19 +208,6 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(&base.table, &got.table, "{:?} threads={} diverged", mode, threads);
         }
-    }
-
-    /// The spatio-temporal partition join equals the plain index join.
-    #[test]
-    fn st_partitions_change_nothing(s in scenario_strategy()) {
-        use spatial_index::{st_index_join, TimePartitionedPoints};
-        let (pts, regions, q) = build(&s);
-        prop_assume!(!regions.is_empty());
-        let grid = GridIndex::build_auto(&regions);
-        let plain = index_join(&pts, &regions, &grid, &q).unwrap();
-        let parts = TimePartitionedPoints::build(&pts, 100);
-        let st = st_index_join(&pts, &parts, &regions, &grid, &q).unwrap();
-        prop_assert_eq!(st.values(), plain.values());
     }
 
     /// The canvas plan honors whichever ε is requested.

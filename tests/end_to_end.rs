@@ -2,7 +2,7 @@
 //! every executor → Urbane session and views, all agreeing with each other.
 
 use raster_join::{RasterJoin, RasterJoinConfig};
-use spatial_index::{index_join, index_join_parallel, naive_join, GridIndex, RTreeIndex};
+use spatial_index::{index_join, index_join_parallel, naive_join, GridIndex, PackedRegionIndex};
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::time::{timestamp, TimeBucket, TimeRange, DAY};
@@ -28,7 +28,7 @@ fn every_executor_agrees_on_the_demo_query() {
     // Exact executors must agree exactly.
     let grid = GridIndex::build_auto(&regions);
     assert_eq!(index_join(&w.taxi, &regions, &grid, &q).unwrap().values(), truth.values());
-    let rtree = RTreeIndex::build(&regions);
+    let rtree = PackedRegionIndex::build(&regions);
     assert_eq!(index_join(&w.taxi, &regions, &rtree, &q).unwrap().values(), truth.values());
     assert_eq!(
         index_join_parallel(&w.taxi, &regions, &grid, &q, 4).unwrap().values(),

@@ -1,18 +1,17 @@
 //! End-to-end coverage of the out-of-core store subsystem: the `.ubs`
 //! container round-trips losslessly and byte-deterministically — it *is* the
 //! clustered table, row for row and footer for footer — the zone-streamed
-//! exact index join never holds more than one chunk of rows per worker (the
-//! out-of-core guarantee) and reads only the columns a zone's footer left it
-//! needing, answers are bit-identical across chunk sizes and thread counts
-//! and to the in-memory join for conjunctions placed on footer edges, and
+//! exact index join never holds more than one chunk of rows (the out-of-core
+//! guarantee) and reads only the columns a zone's footer left it needing,
+//! answers are bit-identical across chunk sizes and to the in-memory join
+//! for conjunctions placed on footer edges, and
 //! the session/service layers serve cold stores without materializing them.
 //! Also pins that the `.ubs` and legacy `.upt` magics are mutually
 //! distinguishable.
 
 use raster_join::{ExecutionMode, QueryBudget, RasterJoinConfig};
 use spatial_index::{
-    index_join, index_join_budgeted, index_join_stored, index_join_stored_parallel, naive_join,
-    PackedRegionIndex,
+    index_join, index_join_budgeted, index_join_stored, naive_join, PackedRegionIndex,
 };
 use urban_data::gen::city::CityModel;
 use urban_data::gen::regions::voronoi_neighborhoods;
@@ -122,7 +121,7 @@ fn streamed_join_peak_residency_is_bounded_by_one_chunk() {
 }
 
 #[test]
-fn stored_join_is_bit_identical_across_threads_and_to_memory() {
+fn stored_join_is_bit_identical_to_memory() {
     let (_, taxi, regions) = workload(20_000, 44);
     let bytes = StoreBuilder::new().chunk_rows(1024).encode(&taxi).unwrap();
     let index = PackedRegionIndex::build(&regions);
@@ -131,16 +130,9 @@ fn stored_join_is_bit_identical_across_threads_and_to_memory() {
     let budget = QueryBudget::unlimited();
 
     let in_memory = index_join_budgeted(&taxi, &regions, &index, &q, &budget).unwrap();
-    for threads in [1, 2, 4] {
-        let open = || ChunkedPointSource::from_bytes(bytes.clone());
-        let (streamed, _) =
-            index_join_stored_parallel(open, &regions, &index, &q, &budget, threads).unwrap();
-        assert_eq!(
-            streamed.values(),
-            in_memory.values(),
-            "stored join diverged from the in-memory join at {threads} thread(s)"
-        );
-    }
+    let mut source = ChunkedPointSource::from_bytes(bytes).unwrap();
+    let (streamed, _) = index_join_stored(&mut source, &regions, &index, &q, &budget).unwrap();
+    assert_eq!(streamed.values(), in_memory.values(), "stored join diverged from the in-memory join");
 }
 
 #[test]
@@ -307,11 +299,11 @@ fn conjunctions(t: &PointTable, zones: &[&ZoneFooter], random: usize) -> Vec<(St
     out
 }
 
-/// The tentpole's contract: whatever the directory chunk size, the stored
-/// join — serial, and parallel at 1/2/4 threads — gives the in-memory index
-/// join's table to the bit, while reading only the columns it needs.
+/// The store's contract: whatever the directory chunk size, the stored join
+/// gives the in-memory index join's table to the bit, while reading only the
+/// columns it needs.
 #[test]
-fn stored_join_is_bit_identical_for_every_chunk_size_conjunction_and_thread_count() {
+fn stored_join_is_bit_identical_for_every_chunk_size_and_conjunction() {
     let (t, regions) = footer_demo_data(true);
     let index = PackedRegionIndex::build(&regions);
     let budget = QueryBudget::unlimited();
@@ -320,7 +312,7 @@ fn stored_join_is_bit_identical_for_every_chunk_size_conjunction_and_thread_coun
     let (mut skipped, mut whole, mut scanned) = (0, 0, 0);
     for chunk_rows in CHUNK_ROWS {
         let bytes = StoreBuilder::new().chunk_rows(chunk_rows).encode(&t).unwrap();
-        let mut source = ChunkedPointSource::from_bytes(bytes.clone()).unwrap();
+        let mut source = ChunkedPointSource::from_bytes(bytes).unwrap();
         let header = source.shared_header();
         let zones: Vec<&ZoneFooter> = header.chunks.iter().flat_map(|m| &m.zones).collect();
         for (k, (name, filters)) in conjunctions(&t, &zones, 12).into_iter().enumerate() {
@@ -369,16 +361,6 @@ fn stored_join_is_bit_identical_for_every_chunk_size_conjunction_and_thread_coun
                 skipped += z.skipped;
                 whole += z.whole;
                 scanned += z.scanned;
-
-                for threads in [1, 2, 4] {
-                    let open = || ChunkedPointSource::from_bytes(bytes.clone());
-                    let (par, par_stats) =
-                        index_join_stored_parallel(open, &regions, &index, &q, &budget, threads)
-                            .unwrap();
-                    assert_eq!(par, truth, "{what} / {threads} threads");
-                    assert_eq!(par_stats.zones, stats.zones, "{what} / {threads} threads");
-                    assert_eq!(par_stats.rows_scanned, stats.rows_scanned);
-                }
             }
         }
     }
