@@ -1,11 +1,8 @@
-//! E9 — design-choice ablations (DESIGN.md §6): points-first vs. id-buffer,
-//! scanline vs. triangulated polygon rasterization, tiling granularity and
-//! threading, bounded vs. accurate.
+//! E9 — design-choice ablations (DESIGN.md §6): tiling granularity and
+//! threading, bounded vs. accurate, and replaying a kept region raster.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raster_join::{
-    CanvasSpec, ExecutionMode, PointStrategy, PolygonPath, RasterJoin, RasterJoinConfig,
-};
+use raster_join::{CanvasSpec, ExecutionMode, RasterJoin, RasterJoinConfig};
 use urban_data::query::SpatialAggQuery;
 use urbane_bench::workload::Workload;
 
@@ -13,36 +10,10 @@ fn bench_ablation(c: &mut Criterion) {
     let w = Workload::standard(200_000, 42);
     let pts = &w.taxi;
     let nbhd = w.neighborhoods();
-    let tracts = w.tracts();
     let q = SpatialAggQuery::count();
 
     let mut group = c.benchmark_group("e9_ablation");
     group.sample_size(10);
-
-    let points_first = RasterJoin::new(RasterJoinConfig::with_resolution(1024));
-    group.bench_function("strategy_points_first", |b| {
-        b.iter(|| points_first.execute(pts, &tracts, &q).unwrap())
-    });
-    let id_buffer = RasterJoin::new(RasterJoinConfig {
-        strategy: PointStrategy::IdBuffer,
-        spec: CanvasSpec::Resolution(1024),
-        ..Default::default()
-    });
-    group.bench_function("strategy_id_buffer", |b| {
-        b.iter(|| id_buffer.execute(pts, &tracts, &q).unwrap())
-    });
-
-    group.bench_function("polygons_scanline", |b| {
-        b.iter(|| points_first.execute(pts, &nbhd, &q).unwrap())
-    });
-    let triangulated = RasterJoin::new(RasterJoinConfig {
-        path: PolygonPath::Triangulated,
-        spec: CanvasSpec::Resolution(1024),
-        ..Default::default()
-    });
-    group.bench_function("polygons_triangulated", |b| {
-        b.iter(|| triangulated.execute(pts, &nbhd, &q).unwrap())
-    });
 
     for (max_tile, threads, label) in
         [(4096u32, 1usize, "tiles_1_serial"), (512, 1, "tiles_4_serial"), (512, 4, "tiles_4_threads")]

@@ -4,8 +4,8 @@
 //!
 //! The experiment is a thin front-end over [`urbane_verify`]: the same
 //! seeded corpus, the same execution matrix (bounded / weighted / accurate
-//! / id-buffer / prepared × threads {1,4} × binning {Off, Grid}), the same
-//! analytic ε budget. `scale` maps to the number of differential workloads
+//! × threads {1,4} × binning {Off, Grid}, plus each mode prepared), the
+//! same analytic ε budget. `scale` maps to the number of differential workloads
 //! (the repro convention of "bigger scale, bigger run"): the fast corpus is
 //! 15 workloads, and `--scale` above the default requests proportionally
 //! more, capped to keep a misplaced `--scale 1000000` from running for

@@ -13,78 +13,50 @@
 //!    point-in-polygon tests against just the regions whose boundary crosses
 //!    that pixel (a sorted pixel→regions table built in step 2).
 //!
-//! The result equals the exact join bit-for-bit on counts — property-tested
-//! against the nested-loop baseline.
+//! Steps 2–3 depend only on the canvas and are prepared once
+//! ([`crate::prepared`]); step 4 runs per query. The result equals the
+//! exact join bit-for-bit on counts — property-tested against the
+//! nested-loop baseline.
 
-use crate::bounded::{gather_region, point_pass};
 use crate::budget::QueryBudget;
 use crate::compiled::{CompiledQuery, PointStore};
-use crate::executor::PolygonPath;
 use crate::Result;
 use gpu_raster::line::traverse_segment;
-use gpu_raster::Pipeline;
-use std::collections::HashSet;
 use urban_data::query::AggTable;
 use urban_data::{RegionId, RegionSet};
 use urbane_geom::projection::Viewport;
+use urbane_geom::MultiPolygon;
 
-/// Execute accurate Raster Join for one tile. The budget is polled per
-/// region in the boundary/gather passes and per point chunk in the point
-/// pass and the exact fix-up.
-pub(crate) fn accurate_tile(
-    viewport: &Viewport,
-    store: &PointStore<'_>,
-    regions: &RegionSet,
-    cq: &CompiledQuery<'_>,
-    path: PolygonPath,
-    budget: &QueryBudget,
-) -> Result<(AggTable, gpu_raster::RenderStats)> {
-    let points = store.table();
-    let mut pipe = Pipeline::new(*viewport);
+/// Append to `out` every pixel of `viewport` an edge of `geom` passes
+/// through, then sort and dedup it: membership is a binary search, and the
+/// order is fixed, so every fold over it is deterministic run-to-run.
+pub(crate) fn boundary_pixels(viewport: &Viewport, geom: &MultiPolygon, out: &mut Vec<u32>) {
     let (w, h) = (viewport.width, viewport.height);
-    let bufs = point_pass(&mut pipe, store, cq, budget)?;
-
-    // Step 2: per-region boundary pixels + global (pixel, region) pairs.
-    let mut boundary_pairs: Vec<(u32, RegionId)> = Vec::new();
-    let mut region_boundary: Vec<HashSet<u32>> = Vec::with_capacity(regions.len());
-    for (id, _, geom) in regions.iter() {
-        budget.check()?;
-        let mut set = HashSet::new();
-        if viewport.world.intersects(&geom.bbox()) {
-            for poly in geom.polygons() {
-                for e in poly.edges() {
-                    let a = viewport.world_to_screen(e.a);
-                    let b = viewport.world_to_screen(e.b);
-                    traverse_segment(a, b, w, h, |x, y| {
-                        set.insert(y * w + x);
-                    });
-                }
-            }
+    for poly in geom.polygons() {
+        for e in poly.edges() {
+            let a = viewport.world_to_screen(e.a);
+            let b = viewport.world_to_screen(e.b);
+            traverse_segment(a, b, w, h, |x, y| out.push(y * w + x));
         }
-        for &pix in &set {
-            boundary_pairs.push((pix, id));
-        }
-        region_boundary.push(set);
     }
-    boundary_pairs.sort_unstable();
+    out.sort_unstable();
+    out.dedup();
+}
 
-    // Step 3: interior gather per region.
-    let mut table = AggTable::new(cq.agg.clone(), regions.len());
-    for (id, _, geom) in regions.iter() {
-        budget.check()?;
-        let skip_set = &region_boundary[id as usize];
-        gather_region(
-            &mut pipe,
-            &bufs,
-            geom,
-            path,
-            &mut table.states[id as usize],
-            |x, y| skip_set.contains(&(y * w + x)),
-        )?;
-    }
-
-    // Step 4: exact fix-up for points in boundary pixels — the same rows,
-    // in the same order, the point pass drew.
+/// Step 4 for one tile: every surviving point in a boundary pixel is tested
+/// against the regions whose boundary crosses that pixel — the same rows, in
+/// the same order, the point pass drew. `pairs` is sorted by pixel.
+pub(crate) fn fix_up(
+    viewport: &Viewport,
+    pairs: &[(u32, RegionId)],
+    store: &PointStore<'_>,
+    cq: &CompiledQuery<'_>,
+    regions: &RegionSet,
+    table: &mut AggTable,
+    budget: &QueryBudget,
+) -> Result<()> {
+    let points = store.table();
+    let w = viewport.width;
     let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
     cq.for_each_chunk(store, &viewport.world, budget, |idx| {
         for &i in idx {
@@ -92,61 +64,38 @@ pub(crate) fn accurate_tile(
             let p = points.loc(i);
             let Some((x, y)) = viewport.world_to_pixel(p) else { continue };
             let pix = y * w + x;
-            let lo = boundary_pairs.partition_point(|&(q, _)| q < pix);
+            let lo = pairs.partition_point(|&(q, _)| q < pix);
             let v = column.map_or(0.0, |vals| vals[i] as f64);
             // Empty unless `pix` is a boundary pixel of some region.
-            for &(_, id) in boundary_pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
+            for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
                 if regions.geometry(id).contains(p) {
                     table.states[id as usize].accumulate(v);
                 }
             }
         }
-    })?;
-
-    Ok((table, *pipe.stats()))
+    })
 }
 
 /// Diagnostic: how many pixels of the tile are boundary pixels for at least
-/// one region (drives the accurate-variant cost model in the benches).
+/// one region (the accurate variant's fix-up surface).
 pub fn boundary_pixel_count(viewport: &Viewport, regions: &RegionSet) -> usize {
-    let (w, h) = (viewport.width, viewport.height);
-    let mut set = HashSet::new();
+    let mut all = Vec::new();
     for (_, _, geom) in regions.iter() {
-        for poly in geom.polygons() {
-            for e in poly.edges() {
-                let a = viewport.world_to_screen(e.a);
-                let b = viewport.world_to_screen(e.b);
-                traverse_segment(a, b, w, h, |x, y| {
-                    set.insert(y * w + x);
-                });
-            }
-        }
+        boundary_pixels(viewport, geom, &mut all);
     }
-    set.len()
+    all.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ExecutionMode::Accurate;
+    use crate::prepared::replay_viewport;
     use spatial_index::naive_join;
     use urban_data::gen::regions::voronoi_neighborhoods;
     use urban_data::query::{AggKind, SpatialAggQuery};
     use urban_data::PointTable;
     use urbane_geom::BoundingBox;
-
-    // Unbudgeted shim: these tests exercise exactness, not the guardrails.
-    fn accurate_tile(
-        viewport: &Viewport,
-        points: &PointTable,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-        path: PolygonPath,
-    ) -> Result<(AggTable, gpu_raster::RenderStats)> {
-        let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(points);
-        let cq = CompiledQuery::new(points, query, &budget)?;
-        super::accurate_tile(viewport, &store, regions, &cq, path, &budget)
-    }
 
     // Delegates to the shared corpus generator — same draw order as the
     // historical in-module copy, so tables (and results) are unchanged.
@@ -172,8 +121,7 @@ mod tests {
         ] {
             let q = SpatialAggQuery::new(agg.clone());
             let truth = naive_join(&points, &regions, &q).unwrap();
-            let (got, _) =
-                accurate_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
+            let (got, _) = replay_viewport(&vp, &points, &regions, &q, Accurate).unwrap();
             for r in 0..regions.len() {
                 let (a, b) = (got.value(r), truth.value(r));
                 match (a, b) {
@@ -195,23 +143,10 @@ mod tests {
         let vp = Viewport::new(extent.inflate(1e-7), 16, 16);
         let q = SpatialAggQuery::count();
         let truth = naive_join(&points, &regions, &q).unwrap();
-        let (got, _) = accurate_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
+        let (got, _) = replay_viewport(&vp, &points, &regions, &q, Accurate).unwrap();
         for r in 0..regions.len() {
             assert_eq!(got.states[r].count, truth.states[r].count, "region {r}");
         }
-    }
-
-    #[test]
-    fn triangulated_path_also_exact() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 50.0, 50.0);
-        let regions = voronoi_neighborhoods(&extent, 6, 7, 2);
-        let points = random_points(800, 5, &extent);
-        let vp = Viewport::new(extent.inflate(1e-7), 20, 20);
-        let q = SpatialAggQuery::count();
-        let truth = naive_join(&points, &regions, &q).unwrap();
-        let (got, _) =
-            accurate_tile(&vp, &points, &regions, &q, PolygonPath::Triangulated).unwrap();
-        assert_eq!(got.values(), truth.values());
     }
 
     #[test]
@@ -233,7 +168,7 @@ mod tests {
         let vp = Viewport::new(extent.inflate(1e-7), 12, 12);
         let q = SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(0, 250)));
         let truth = naive_join(&points, &regions, &q).unwrap();
-        let (got, _) = accurate_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
+        let (got, _) = replay_viewport(&vp, &points, &regions, &q, Accurate).unwrap();
         assert_eq!(got.values(), truth.values());
     }
 }

@@ -1,23 +1,20 @@
-//! Bounded (ε-approximate) Raster Join — the paper's fast path.
+//! Bounded (ε-approximate) Raster Join — the paper's fast path, and the
+//! point pass every mode shares.
 //!
 //! One tile = one render target. The point pass accumulates per-pixel
 //! `(count, Σvalue)` (plus min/max channels when the aggregate needs them)
-//! with blending; the polygon pass rasterizes each region and folds the
-//! covered pixels into its aggregate state. Every point is therefore
-//! resolved at pixel granularity: its positional error is at most half the
-//! pixel diagonal — the plan's ε.
+//! with blending; each region's covered pixels, rasterized once by
+//! [`PreparedRasterJoin`](crate::PreparedRasterJoin), are then folded into
+//! its aggregate state. Every point is therefore resolved at pixel
+//! granularity: its positional error is at most half the pixel diagonal —
+//! the plan's ε.
 
 use crate::budget::QueryBudget;
 use crate::compiled::{CompiledQuery, PointStore};
-use crate::executor::PolygonPath;
 use crate::Result;
 use gpu_raster::blend::BlendOp;
 use gpu_raster::{Buffer2D, Pipeline};
-use urban_data::query::{AggKind, AggState, AggTable};
-use urban_data::RegionSet;
-use urbane_geom::projection::Viewport;
-use urbane_geom::triangulate::triangulate;
-use urbane_geom::MultiPolygon;
+use urban_data::query::{AggKind, AggState};
 
 /// Per-tile accumulation buffers produced by the point pass.
 pub(crate) struct PointBuffers {
@@ -104,105 +101,25 @@ pub(crate) fn fold_pixel(state: &mut AggState, bufs: &PointBuffers, x: u32, y: u
     }
 }
 
-/// Polygon pass for one region: rasterize its geometry in the tile and fold
-/// every covered pixel. `skip` filters out pixels handled elsewhere (the
-/// accurate variant's boundary pixels); pass `|_, _| false` for pure bounded.
-pub(crate) fn gather_region<F: FnMut(u32, u32) -> bool>(
-    pipe: &mut Pipeline,
-    bufs: &PointBuffers,
-    geom: &MultiPolygon,
-    path: PolygonPath,
-    state: &mut AggState,
-    mut skip: F,
-) -> Result<()> {
-    let (w, h) = (bufs.count_sum.width(), bufs.count_sum.height());
-    let viewport = *pipe.viewport();
-    if !viewport.world.intersects(&geom.bbox()) {
-        return Ok(());
-    }
-    for poly in geom.polygons() {
-        if !viewport.world.intersects(&poly.bbox()) {
-            continue;
-        }
-        match path {
-            PolygonPath::Scanline => {
-                let screen_rings: Vec<Vec<urbane_geom::Point>> = poly
-                    .rings()
-                    .map(|r| r.vertices().iter().map(|&p| viewport.world_to_screen(p)).collect())
-                    .collect();
-                let refs: Vec<&[urbane_geom::Point]> =
-                    screen_rings.iter().map(|v| v.as_slice()).collect();
-                gpu_raster::polygon_scan::rasterize_rings(&refs, w, h, |x, y| {
-                    if !skip(x, y) {
-                        fold_pixel(state, bufs, x, y);
-                    }
-                });
-            }
-            PolygonPath::Triangulated => {
-                for t in triangulate(poly)? {
-                    let a = viewport.world_to_screen(t.a);
-                    let b = viewport.world_to_screen(t.b);
-                    let c = viewport.world_to_screen(t.c);
-                    gpu_raster::triangle::rasterize_triangle(a, b, c, w, h, |x, y| {
-                        if !skip(x, y) {
-                            fold_pixel(state, bufs, x, y);
-                        }
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Execute bounded Raster Join for one tile. The budget is polled once per
-/// region in the polygon pass (and per point chunk inside the point pass).
-pub(crate) fn bounded_tile(
-    viewport: &Viewport,
-    store: &PointStore<'_>,
-    regions: &RegionSet,
-    cq: &CompiledQuery<'_>,
-    path: PolygonPath,
-    budget: &QueryBudget,
-) -> Result<(AggTable, gpu_raster::RenderStats)> {
-    let mut pipe = Pipeline::new(*viewport);
-    let bufs = point_pass(&mut pipe, store, cq, budget)?;
-    let mut table = AggTable::new(cq.agg.clone(), regions.len());
-    for (id, _, geom) in regions.iter() {
-        budget.check()?;
-        gather_region(
-            &mut pipe,
-            &bufs,
-            geom,
-            path,
-            &mut table.states[id as usize],
-            |_, _| false,
-        )?;
-    }
-    Ok((table, *pipe.stats()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urban_data::query::{AggKind, SpatialAggQuery};
+    use crate::executor::ExecutionMode;
+    use urban_data::query::{AggKind, AggTable, SpatialAggQuery};
     use urban_data::schema::{AttrType, Schema};
-    use urban_data::PointTable;
+    use urban_data::{PointTable, RegionSet};
+    use urbane_geom::projection::Viewport;
     use urbane_geom::{BoundingBox, Point, Polygon};
 
-    // Shadow the crate fn with an unbudgeted shim: these tests exercise the
-    // join math, not the guardrails.
+    // One prepared tile over `viewport`, replayed once: these tests exercise
+    // the join math, not the guardrails.
     fn bounded_tile(
         viewport: &Viewport,
         points: &PointTable,
         regions: &RegionSet,
-        query: &SpatialAggQuery,
-        path: PolygonPath,
+        q: &SpatialAggQuery,
     ) -> Result<(AggTable, gpu_raster::RenderStats)> {
-        let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(points);
-        let cq = CompiledQuery::new(points, query, &budget)?;
-        super::bounded_tile(viewport, &store, regions, &cq, path, &budget)
+        crate::prepared::replay_viewport(viewport, points, regions, q, ExecutionMode::Bounded)
     }
 
     fn viewport() -> Viewport {
@@ -235,16 +152,14 @@ mod tests {
 
     #[test]
     fn count_and_sum_exact_away_from_boundaries() {
-        let (table, stats) =
-            bounded_tile(&viewport(), &points(), &halves(), &SpatialAggQuery::count(), PolygonPath::Scanline)
-                .unwrap();
+        let q = SpatialAggQuery::count();
+        let (table, stats) = bounded_tile(&viewport(), &points(), &halves(), &q).unwrap();
         assert_eq!(table.value(0), Some(3.0));
         assert_eq!(table.value(1), Some(1.0));
         assert_eq!(stats.points_in, 4);
 
         let q = SpatialAggQuery::new(AggKind::Sum("v".into()));
-        let (table, _) =
-            bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Scanline).unwrap();
+        let (table, _) = bounded_tile(&viewport(), &points(), &halves(), &q).unwrap();
         assert_eq!(table.value(0), Some(60.0));
         assert_eq!(table.value(1), Some(40.0));
     }
@@ -252,30 +167,17 @@ mod tests {
     #[test]
     fn avg_min_max() {
         let q = SpatialAggQuery::new(AggKind::Avg("v".into()));
-        let (t, _) = bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Scanline).unwrap();
+        let (t, _) = bounded_tile(&viewport(), &points(), &halves(), &q).unwrap();
         assert_eq!(t.value(0), Some(20.0));
 
         let q = SpatialAggQuery::new(AggKind::Min("v".into()));
-        let (t, _) = bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Scanline).unwrap();
+        let (t, _) = bounded_tile(&viewport(), &points(), &halves(), &q).unwrap();
         assert_eq!(t.value(0), Some(10.0));
         assert_eq!(t.value(1), Some(40.0));
 
         let q = SpatialAggQuery::new(AggKind::Max("v".into()));
-        let (t, _) = bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Scanline).unwrap();
+        let (t, _) = bounded_tile(&viewport(), &points(), &halves(), &q).unwrap();
         assert_eq!(t.value(0), Some(30.0));
-    }
-
-    #[test]
-    fn triangulated_path_matches_scanline() {
-        for agg in [AggKind::Count, AggKind::Sum("v".into()), AggKind::Avg("v".into())] {
-            let q = SpatialAggQuery::new(agg);
-            let (scan, _) =
-                bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Scanline).unwrap();
-            let (tri, _) =
-                bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Triangulated)
-                    .unwrap();
-            assert_eq!(scan.values(), tri.values());
-        }
     }
 
     #[test]
@@ -283,8 +185,7 @@ mod tests {
         use urban_data::filter::Filter;
         use urban_data::time::TimeRange;
         let q = SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(0, 2)));
-        let (t, stats) =
-            bounded_tile(&viewport(), &points(), &halves(), &q, PolygonPath::Scanline).unwrap();
+        let (t, stats) = bounded_tile(&viewport(), &points(), &halves(), &q).unwrap();
         assert_eq!(t.value(0), Some(2.0));
         assert_eq!(t.value(1), None);
         assert_eq!(stats.points_in, 2, "filtered points never reach the pipeline");
@@ -294,9 +195,8 @@ mod tests {
     fn empty_group_is_null() {
         let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
         let empty = PointTable::new(schema);
-        let (t, _) =
-            bounded_tile(&viewport(), &empty, &halves(), &SpatialAggQuery::count(), PolygonPath::Scanline)
-                .unwrap();
+        let q = SpatialAggQuery::count();
+        let (t, _) = bounded_tile(&viewport(), &empty, &halves(), &q).unwrap();
         assert_eq!(t.value(0), None);
         assert_eq!(t.value(1), None);
     }
@@ -309,9 +209,7 @@ mod tests {
             vec![Polygon::from_coords(&[(100.0, 100.0), (110.0, 100.0), (110.0, 110.0), (100.0, 110.0)])
                 .unwrap()],
         );
-        let (t, _) =
-            bounded_tile(&viewport(), &points(), &far, &SpatialAggQuery::count(), PolygonPath::Scanline)
-                .unwrap();
+        let (t, _) = bounded_tile(&viewport(), &points(), &far, &SpatialAggQuery::count()).unwrap();
         assert_eq!(t.value(0), None);
     }
 }

@@ -1,20 +1,17 @@
-//! The public Raster Join executor: configuration, canvas planning, tiled
-//! (optionally multithreaded) execution, and result merging.
+//! The public Raster Join executor: configuration, the tiled (optionally
+//! multithreaded) replay of a prepared region raster, and result merging.
 
-use crate::accurate::accurate_tile;
-use crate::bounded::bounded_tile;
 use crate::budget::QueryBudget;
 use crate::canvas::{CanvasPlan, CanvasSpec};
 use crate::compiled::{CompiledQuery, PointStore, ZoneStats};
+use crate::prepared::PreparedRasterJoin;
 use crate::{RasterJoinError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use gpu_raster::blend::BlendOp;
-use gpu_raster::{Buffer2D, Pipeline, RenderStats};
+use gpu_raster::RenderStats;
 use urban_data::binned::BinnedPointTable;
 use urban_data::query::{AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionSet};
-use urbane_geom::projection::Viewport;
 
 /// Tables below this size are never auto-binned: a full scan of a few
 /// thousand rows is cheaper than building and probing the grid.
@@ -53,27 +50,6 @@ pub enum ExecutionMode {
     IndexJoin,
 }
 
-/// How region polygons are rasterized (ablation E9.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolygonPath {
-    /// Direct scanline fill — the software fast path.
-    Scanline,
-    /// Triangulate + triangle rasterization — what the GPU does.
-    Triangulated,
-}
-
-/// Points-first (paper) vs. polygon-id-buffer scatter (ablation E9.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PointStrategy {
-    /// Render points into accumulation buffers, then gather per region.
-    /// Handles overlapping regions correctly.
-    PointsFirst,
-    /// Rasterize region ids into an id buffer, then scatter points through
-    /// it. One pass over points, but **requires non-overlapping regions**
-    /// (later regions overwrite earlier ids) and supports bounded mode only.
-    IdBuffer,
-}
-
 /// Raster Join configuration.
 #[derive(Debug, Clone)]
 pub struct RasterJoinConfig {
@@ -81,12 +57,8 @@ pub struct RasterJoinConfig {
     pub spec: CanvasSpec,
     /// Texture-size limit per tile (`GL_MAX_TEXTURE_SIZE` analogue).
     pub max_tile: u32,
-    /// Bounded or accurate execution.
+    /// Bounded, weighted or accurate execution.
     pub mode: ExecutionMode,
-    /// Scanline or triangulated polygon rasterization.
-    pub path: PolygonPath,
-    /// Points-first or id-buffer strategy.
-    pub strategy: PointStrategy,
     /// Worker threads for multi-tile plans (1 = serial).
     pub threads: usize,
     /// Spatial binning of the point table (per-tile candidate pruning).
@@ -103,8 +75,6 @@ impl Default for RasterJoinConfig {
             spec: CanvasSpec::Resolution(1024),
             max_tile: 2048,
             mode: ExecutionMode::Bounded,
-            path: PolygonPath::Scanline,
-            strategy: PointStrategy::PointsFirst,
             threads: 1,
             binning: BinningMode::Auto,
             #[cfg(feature = "fault-injection")]
@@ -276,7 +246,8 @@ impl RasterJoin {
     /// frames. Semantics are identical to
     /// [`execute_with_budget`](Self::execute_with_budget) (budget polling,
     /// panic isolation, deterministic results), except that no bins are
-    /// built here: the store is used as given.
+    /// built here: the store is used as given. Prepares the region raster
+    /// for this one query, then replays it.
     pub fn execute_store(
         &self,
         store: PointStore<'_>,
@@ -284,33 +255,35 @@ impl RasterJoin {
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
-        if regions.is_empty() {
-            return Err(RasterJoinError::Config("empty region set".into()));
-        }
+        let c = &self.config;
+        let prepared =
+            PreparedRasterJoin::prepare_with_budget(regions, c.spec, c.max_tile, c.mode, budget)?;
+        self.execute_prepared(&prepared, store, query, budget)
+    }
+
+    /// Replay `prepared` for `query` — the one tile loop every raster query
+    /// runs. The canvas, tiling and mode are the prepared raster's; this
+    /// operator contributes its worker threads and fault plan.
+    pub fn execute_prepared(
+        &self,
+        prepared: &PreparedRasterJoin,
+        store: PointStore<'_>,
+        query: &SpatialAggQuery,
+        budget: &QueryBudget,
+    ) -> Result<RasterJoinResult> {
         budget.check()?;
-        let plan = CanvasPlan::plan(&regions.bbox(), self.config.spec, self.config.max_tile)?;
-
-        if self.config.strategy == PointStrategy::IdBuffer
-            && self.config.mode == ExecutionMode::Accurate
-        {
-            return Err(RasterJoinError::Config(
-                "the id-buffer strategy supports bounded mode only".into(),
-            ));
-        }
-
         // Compile once per query: the filter set collapses to a shared
         // bitmask and the value column is resolved up front, so every tile
         // on every worker probes bits instead of re-running the conjunction.
         let cq = CompiledQuery::new(store.table(), query, budget)?;
         let store = &store;
         let cq = &cq;
+        let regions = &prepared.regions;
 
-        // Per-tile body: budget poll, fault hook, then the actual kernel in a
+        // Per-tile body: budget poll, fault hook, then the tile's replay in a
         // panic shield so one bad tile cannot take the process down.
-        let run_tile = |idx: usize, vp: &Viewport| -> Result<(AggTable, RenderStats)> {
+        let run_tile = |idx: usize| -> Result<(AggTable, RenderStats)> {
             budget.check()?;
-            #[cfg(not(feature = "fault-injection"))]
-            let _ = idx;
             // The fault hook runs inside the shield: an injected panic must
             // travel the same unwind path a real kernel panic would.
             let caught = catch_unwind(AssertUnwindSafe(|| -> Result<(AggTable, RenderStats)> {
@@ -318,31 +291,7 @@ impl RasterJoin {
                 if let Some(faults) = &self.config.faults {
                     faults.on_tile_start(idx, budget)?;
                 }
-                match self.config.strategy {
-                    PointStrategy::IdBuffer => {
-                        id_buffer_tile(vp, store, regions, cq, self.config.path, budget)
-                    }
-                    PointStrategy::PointsFirst => match self.config.mode {
-                        ExecutionMode::Bounded => {
-                            bounded_tile(vp, store, regions, cq, self.config.path, budget)
-                        }
-                        ExecutionMode::Weighted => crate::weighted::weighted_tile(
-                            vp,
-                            store,
-                            regions,
-                            cq,
-                            self.config.path,
-                            budget,
-                        ),
-                        ExecutionMode::Accurate => {
-                            accurate_tile(vp, store, regions, cq, self.config.path, budget)
-                        }
-                        ExecutionMode::IndexJoin => Err(RasterJoinError::Config(
-                            "index join executes in the service layer, not the raster pipeline"
-                                .into(),
-                        )),
-                    },
-                }
+                prepared.tiles[idx].replay(store, cq, regions, budget)
             }));
             caught.unwrap_or_else(|payload| {
                 Err(RasterJoinError::Internal(format!(
@@ -352,13 +301,14 @@ impl RasterJoin {
             })
         };
 
+        let n_tiles = prepared.tiles.len();
         let mut table = AggTable::new(cq.agg.clone(), regions.len());
         let mut stats = RenderStats::new();
-        let threads = self.config.threads.max(1).min(plan.tiles.len());
+        let threads = self.config.threads.max(1).min(n_tiles);
         if threads == 1 {
             // lint: polls-budget run_tile checks the budget at its head before every tile; the closure body is opaque to the call graph
-            for (idx, vp) in plan.tiles.iter().enumerate() {
-                let (t, s) = run_tile(idx, vp)?;
+            for idx in 0..n_tiles {
+                let (t, s) = run_tile(idx)?;
                 table.merge(&t)?;
                 stats.merge(&s);
             }
@@ -371,7 +321,6 @@ impl RasterJoin {
             // merge arithmetic — and therefore the answer — independent of
             // the thread count and of scheduling races.
             type TileOut = (usize, (AggTable, RenderStats));
-            let tiles = &plan.tiles;
             let cursor = AtomicUsize::new(0);
             let abort = AtomicBool::new(false);
             let worker_outs: Vec<(Vec<TileOut>, Option<RasterJoinError>)> =
@@ -393,10 +342,10 @@ impl RasterJoin {
                                     }
                                     // lint: relaxed-ok work-dispenser counter; the increment itself is the only coordination, tile results are published via join
                                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                                    if idx >= tiles.len() {
+                                    if idx >= n_tiles {
                                         return (done, None);
                                     }
-                                    match run_tile(idx, &tiles[idx]) {
+                                    match run_tile(idx) {
                                         Ok(out) => done.push((idx, out)),
                                         Err(e) => {
                                             // Release: cross-thread control
@@ -454,65 +403,14 @@ impl RasterJoin {
 
         Ok(RasterJoinResult {
             table,
-            epsilon: plan.epsilon,
-            canvas_width: plan.width,
-            canvas_height: plan.height,
-            tiles: plan.tiles.len(),
+            epsilon: prepared.epsilon,
+            canvas_width: prepared.canvas.0,
+            canvas_height: prepared.canvas.1,
+            tiles: n_tiles,
             stats,
             zones: cq.zones,
         })
     }
-}
-
-/// The id-buffer scatter strategy (ablation): rasterize region ids, then
-/// push points through the id texture. Single point pass; correct only for
-/// non-overlapping region sets.
-fn id_buffer_tile(
-    viewport: &Viewport,
-    store: &PointStore<'_>,
-    regions: &RegionSet,
-    cq: &CompiledQuery<'_>,
-    path: PolygonPath,
-    budget: &QueryBudget,
-) -> Result<(AggTable, RenderStats)> {
-    let points = store.table();
-    let mut pipe = Pipeline::new(*viewport);
-    let (w, h) = (viewport.width, viewport.height);
-    let mut ids = Buffer2D::new(w, h, gpu_raster::NO_REGION);
-
-    for (id, _, geom) in regions.iter() {
-        budget.check()?;
-        if !viewport.world.intersects(&geom.bbox()) {
-            continue;
-        }
-        for poly in geom.polygons() {
-            match path {
-                PolygonPath::Scanline => {
-                    pipe.draw_polygon_scan(&mut ids, poly, id + 1, BlendOp::Replace);
-                }
-                PolygonPath::Triangulated => {
-                    let tris = urbane_geom::triangulate::triangulate(poly)?;
-                    pipe.draw_triangles(&mut ids, &tris, id + 1, BlendOp::Replace);
-                }
-            }
-        }
-    }
-
-    let mut table = AggTable::new(cq.agg.clone(), regions.len());
-    let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    cq.for_each_chunk(store, &viewport.world, budget, |idx| {
-        for &i in idx {
-            let i = i as usize;
-            if let Some((x, y)) = viewport.world_to_pixel(points.loc(i)) {
-                let id = ids.get(x, y);
-                if id != gpu_raster::NO_REGION {
-                    let v = column.map_or(0.0, |vals| vals[i] as f64);
-                    table.states[(id - 1) as usize].accumulate(v);
-                }
-            }
-        }
-    })?;
-    Ok((table, *pipe.stats()))
 }
 
 #[cfg(test)]
@@ -653,45 +551,6 @@ mod tests {
         let par = mk(4).execute(&points, &regions, &q).unwrap();
         assert_eq!(serial.table.values(), par.table.values());
         assert_eq!(serial.stats.points_in, par.stats.points_in);
-    }
-
-    #[test]
-    fn id_buffer_matches_points_first_on_partition() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 80.0, 80.0);
-        let regions = grid_regions(&extent, 4, 4);
-        let points = random_points(2_000, 6, &extent);
-        let q = SpatialAggQuery::new(AggKind::Avg("v".into()));
-        let pf = RasterJoin::new(RasterJoinConfig {
-            spec: CanvasSpec::Resolution(256),
-            ..Default::default()
-        });
-        let idb = RasterJoin::new(RasterJoinConfig {
-            spec: CanvasSpec::Resolution(256),
-            strategy: PointStrategy::IdBuffer,
-            ..Default::default()
-        });
-        let a = pf.execute(&points, &regions, &q).unwrap();
-        let b = idb.execute(&points, &regions, &q).unwrap();
-        // Grid boundaries may assign boundary pixels differently; compare
-        // totals and near-equality per region.
-        assert_eq!(a.table.total_count(), b.table.total_count());
-        for r in 0..regions.len() {
-            let (x, y) = (a.table.value(r).unwrap(), b.table.value(r).unwrap());
-            assert!((x - y).abs() < 1.0, "region {r}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn id_buffer_accurate_rejected() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 10.0, 10.0);
-        let regions = grid_regions(&extent, 2, 2);
-        let points = random_points(10, 7, &extent);
-        let rj = RasterJoin::new(RasterJoinConfig {
-            mode: ExecutionMode::Accurate,
-            strategy: PointStrategy::IdBuffer,
-            ..Default::default()
-        });
-        assert!(rj.execute(&points, &regions, &SpatialAggQuery::count()).is_err());
     }
 
     #[test]

@@ -14,23 +14,28 @@
 //!    as one fragment; additive blending accumulates per-pixel
 //!    `(count, Σvalue)` (plus min/max channels when the aggregate needs
 //!    them). One linear scan over `P`, no index, no synchronization.
-//! 2. **Polygon pass** — each region is rasterized (scanline fill, or
-//!    triangulated like the real GPU — both paths exist for the ablation)
-//!    and the covered pixels' accumulators are folded into the region's
-//!    aggregate state.
+//! 2. **Polygon pass** — each region is scanline-filled and the covered
+//!    pixels' accumulators are folded into the region's aggregate state.
+//!    The canvas is planned from the region set, never from the query, so
+//!    this raster is built once per (regions, canvas, mode) as a
+//!    [`PreparedRasterJoin`] ([`prepared`]): row runs of covered pixels per
+//!    region and tile, replayed by every query.
 //!
 //! Because points are snapped to pixel centers, a point within half a pixel
 //! diagonal of a region boundary may be mis-assigned: the **bounded** variant
 //! ([`bounded`]) reports exactly that ε bound (in world units, chosen via
-//! the canvas resolution — [`canvas`]); the **accurate** variant
-//! ([`accurate`]) additionally marks every boundary pixel with conservative
-//! edge traversal and resolves the points inside them with exact
-//! point-in-polygon tests, producing results identical to an exact join.
+//! the canvas resolution — [`canvas`]); the **weighted** variant
+//! ([`weighted`]) folds boundary pixels by the area fraction each region
+//! covers; the **accurate** variant ([`accurate`]) additionally marks every
+//! boundary pixel with conservative edge traversal and resolves the points
+//! inside them with exact point-in-polygon tests, producing results
+//! identical to an exact join.
 //!
 //! The public entry point is [`RasterJoin`] ([`executor`]), configured by
 //! [`RasterJoinConfig`]: error bound or explicit resolution, canvas tiling
-//! (GPU texture-size limits), worker threads, polygon path, and the
-//! points-first vs. id-buffer strategy ablation.
+//! (GPU texture-size limits), mode and worker threads.
+//! [`RasterJoin::execute_store`] prepares the region raster and replays it;
+//! [`RasterJoin::execute_prepared`] replays one a caller keeps.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -52,8 +57,8 @@ pub use canvas::{CanvasPlan, CanvasSpec};
 pub use chaos::{ChaosCounts, ChaosEvent, ChaosPlan, ShardKill};
 pub use compiled::{PointStore, ZoneStats};
 pub use executor::{
-    BinningMode, ExecutionMode, PolygonPath, PointStrategy, RasterJoin, RasterJoinConfig,
-    RasterJoinResult, MIN_AUTO_BIN_POINTS,
+    BinningMode, ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult,
+    MIN_AUTO_BIN_POINTS,
 };
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;

@@ -1,55 +1,180 @@
-//! Prepared Raster Join — amortizing the polygon pass across queries.
+//! Prepared Raster Join — the polygon side of every raster query.
 //!
-//! Inside Urbane, the region set and canvas stay fixed while the user drags
-//! sliders and toggles filters: only the *point* side of the join changes.
-//! `PreparedRasterJoin` exploits that by rasterizing the polygon side once —
-//! per region, the list of covered pixels (interior pixels plus a boundary
-//! table for accurate mode) — and replaying queries against the cached
-//! lists. Each subsequent query costs one point pass plus a cache-friendly
-//! gather over precomputed pixel indices; no polygon is touched again.
-//!
-//! This is the software analogue of keeping the polygon geometry resident
-//! on the GPU across frames, and is ablated against the one-shot executor in
-//! experiment E9.
+//! The canvas is planned from the region set's bbox, never from the query,
+//! so the polygon pass depends on (regions, canvas, mode) alone and runs
+//! once: per tile and region, the covered pixels as row runs in the order
+//! the scanline fill emitted them, plus the mode's boundary table
+//! ([`crate::accurate`], [`crate::weighted`]). A query then costs one point
+//! pass plus a gather over the runs — the software analogue of keeping the
+//! polygons resident on the GPU. [`RasterJoin::execute_store`] prepares and
+//! replays; the replay runs in [`RasterJoin::execute_prepared`]'s tile loop.
 
-use crate::bounded::{fold_pixel, point_pass};
+use crate::bounded::{fold_pixel, point_pass, PointBuffers};
 use crate::budget::QueryBudget;
 use crate::canvas::{CanvasPlan, CanvasSpec};
 use crate::compiled::{CompiledQuery, PointStore};
-use crate::executor::{ExecutionMode, RasterJoinResult};
-use crate::{RasterJoinError, Result};
-use gpu_raster::line::traverse_segment;
+use crate::executor::{ExecutionMode, RasterJoin, RasterJoinResult};
+use crate::{accurate, weighted, RasterJoinError, Result};
 use gpu_raster::polygon_scan::rasterize_rings;
 use gpu_raster::{Pipeline, RenderStats};
-use std::collections::HashSet;
-use urban_data::query::{AggTable, SpatialAggQuery};
+use urban_data::query::{AggState, AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionId, RegionSet};
 use urbane_geom::projection::Viewport;
 use urbane_geom::Point;
 
-/// Per-tile cached raster state for one region set.
-struct PreparedTile {
-    viewport: Viewport,
-    /// CSR pixel lists: `pixels[offsets[r]..offsets[r+1]]` are the gather
-    /// pixels of region `r` in this tile (interior-only in accurate mode).
-    offsets: Vec<u32>,
-    pixels: Vec<u32>,
-    /// Sorted `(pixel, region)` boundary pairs (accurate mode only).
-    boundary_pairs: Vec<(u32, RegionId)>,
+/// `len` covered pixels from pixel index `start` (`y · width + x`),
+/// left to right within one row.
+type Run = (u32, u32);
+
+/// What a tile keeps for the pixels a region boundary crosses.
+enum Boundary {
+    /// Bounded mode: boundary pixels are gathered like any other.
+    Gathered,
+    /// Accurate mode: sorted `(pixel, region)` pairs, resolved per point
+    /// with exact PIP tests.
+    Exact(Vec<(u32, RegionId)>),
+    /// Weighted mode: `weights[offsets[r]..offsets[r + 1]]` are region `r`'s
+    /// `(pixel, coverage)` pairs, pixel-ascending.
+    Weighted { offsets: Vec<u32>, weights: Vec<(u32, f64)> },
 }
 
-/// A Raster Join bound to one region set and canvas, ready to answer many
-/// queries over changing points/filters.
+/// One tile of the prepared raster.
+pub(crate) struct PreparedTile {
+    viewport: Viewport,
+    /// `runs[offsets[r]..offsets[r + 1]]` are the gather runs of region `r`
+    /// (its own boundary pixels left out, except in bounded mode).
+    offsets: Vec<u32>,
+    runs: Vec<Run>,
+    boundary: Boundary,
+}
+
+/// Append pixel `(x, y)` (index `pix`) to the current region's runs, which
+/// start at `runs[first]`: extend its last run when that ends just left of
+/// the pixel on the same row, else open a new one.
+fn push_pixel(runs: &mut Vec<Run>, first: usize, pix: u32, x: u32) {
+    let own = runs.len() > first;
+    match runs.last_mut() {
+        Some((start, len)) if own && x > 0 && *start + *len == pix => *len += 1,
+        _ => runs.push((pix, 1)),
+    }
+}
+
+impl PreparedTile {
+    /// Rasterize every region of `regions` in `viewport` for `mode`. The
+    /// budget is polled once per region.
+    pub(crate) fn build(
+        viewport: &Viewport,
+        regions: &RegionSet,
+        mode: ExecutionMode,
+        budget: &QueryBudget,
+    ) -> Result<Self> {
+        let w = viewport.width;
+        let mut offsets = Vec::with_capacity(regions.len() + 1);
+        offsets.push(0u32);
+        let mut runs: Vec<Run> = Vec::new();
+        let mut pairs: Vec<(u32, RegionId)> = Vec::new();
+        let mut weight_offsets = vec![0u32];
+        let mut weights: Vec<(u32, f64)> = Vec::new();
+        // This region's own boundary pixels, sorted and deduped.
+        let mut own: Vec<u32> = Vec::new();
+        for (id, _, geom) in regions.iter() {
+            budget.check()?;
+            own.clear();
+            let first = runs.len();
+            if viewport.world.intersects(&geom.bbox()) {
+                if mode != ExecutionMode::Bounded {
+                    accurate::boundary_pixels(viewport, geom, &mut own);
+                }
+                for poly in geom.polygons() {
+                    if !viewport.world.intersects(&poly.bbox()) {
+                        continue;
+                    }
+                    let rings: Vec<Vec<Point>> = poly
+                        .rings()
+                        .map(|r| {
+                            r.vertices().iter().map(|&p| viewport.world_to_screen(p)).collect()
+                        })
+                        .collect();
+                    let refs: Vec<&[Point]> = rings.iter().map(|v| v.as_slice()).collect();
+                    rasterize_rings(&refs, w, viewport.height, |x, y| {
+                        let pix = y * w + x;
+                        if own.binary_search(&pix).is_err() {
+                            push_pixel(&mut runs, first, pix, x);
+                        }
+                    });
+                }
+                match mode {
+                    ExecutionMode::Accurate => pairs.extend(own.iter().map(|&pix| (pix, id))),
+                    ExecutionMode::Weighted => {
+                        weighted::coverage_weights(viewport, geom, &own, &mut weights)
+                    }
+                    _ => {}
+                }
+            }
+            offsets.push(runs.len() as u32);
+            weight_offsets.push(weights.len() as u32);
+        }
+        let boundary = match mode {
+            ExecutionMode::Accurate => {
+                pairs.sort_unstable();
+                Boundary::Exact(pairs)
+            }
+            ExecutionMode::Weighted => Boundary::Weighted { offsets: weight_offsets, weights },
+            _ => Boundary::Gathered,
+        };
+        Ok(PreparedTile { viewport: *viewport, offsets, runs, boundary })
+    }
+
+    /// Fold region `r`'s runs into `state`, in emission order.
+    fn gather(&self, r: usize, state: &mut AggState, bufs: &PointBuffers) {
+        let w = self.viewport.width;
+        let runs = &self.runs[self.offsets[r] as usize..self.offsets[r + 1] as usize];
+        for &(start, len) in runs {
+            let (x0, y) = (start % w, start / w);
+            for x in x0..x0 + len {
+                fold_pixel(state, bufs, x, y);
+            }
+        }
+    }
+
+    /// Answer one query on this tile: point pass, then per region its runs
+    /// (and, weighted, its boundary pixels by coverage), then the accurate
+    /// fix-up. The budget is polled per region and per point chunk.
+    pub(crate) fn replay(
+        &self,
+        store: &PointStore<'_>,
+        cq: &CompiledQuery<'_>,
+        regions: &RegionSet,
+        budget: &QueryBudget,
+    ) -> Result<(AggTable, RenderStats)> {
+        let mut pipe = Pipeline::new(self.viewport);
+        let bufs = point_pass(&mut pipe, store, cq, budget)?;
+        let mut table = AggTable::new(cq.agg.clone(), regions.len());
+        for (r, state) in table.states.iter_mut().enumerate() {
+            budget.check()?;
+            self.gather(r, state, &bufs);
+            if let Boundary::Weighted { offsets, weights } = &self.boundary {
+                let own = &weights[offsets[r] as usize..offsets[r + 1] as usize];
+                weighted::fold_boundary(state, &bufs, own, self.viewport.width);
+            }
+        }
+        if let Boundary::Exact(pairs) = &self.boundary {
+            if !pairs.is_empty() {
+                accurate::fix_up(&self.viewport, pairs, store, cq, regions, &mut table, budget)?;
+            }
+        }
+        Ok((table, *pipe.stats()))
+    }
+}
+
+/// A Raster Join bound to one region set, canvas and mode, ready to answer
+/// many queries over changing points and filters.
 pub struct PreparedRasterJoin {
-    tiles: Vec<PreparedTile>,
-    n_regions: usize,
-    mode: ExecutionMode,
-    epsilon: f64,
-    canvas: (u32, u32),
-    /// Pixels cached across all tiles and regions (diagnostic).
-    pub cached_pixels: usize,
-    // Kept so the boundary fix-up can run exact PIP tests.
-    regions: RegionSet,
+    pub(crate) tiles: Vec<PreparedTile>,
+    pub(crate) epsilon: f64,
+    pub(crate) canvas: (u32, u32),
+    /// Kept so the accurate fix-up can run exact PIP tests.
+    pub(crate) regions: RegionSet,
 }
 
 impl PreparedRasterJoin {
@@ -60,182 +185,86 @@ impl PreparedRasterJoin {
         max_tile: u32,
         mode: ExecutionMode,
     ) -> Result<Self> {
+        Self::prepare_with_budget(regions, spec, max_tile, mode, &QueryBudget::unlimited())
+    }
+
+    /// [`prepare`](Self::prepare) under `budget`, polled once per region per
+    /// tile.
+    pub fn prepare_with_budget(
+        regions: &RegionSet,
+        spec: CanvasSpec,
+        max_tile: u32,
+        mode: ExecutionMode,
+        budget: &QueryBudget,
+    ) -> Result<Self> {
         if regions.is_empty() {
             return Err(RasterJoinError::Config("empty region set".into()));
         }
-        if mode == ExecutionMode::Weighted {
+        budget.check()?;
+        if mode == ExecutionMode::IndexJoin {
             return Err(RasterJoinError::Config(
-                "prepared execution supports bounded/accurate modes only".into(),
+                "index join executes in the service layer, not the raster pipeline".into(),
             ));
         }
         let plan = CanvasPlan::plan(&regions.bbox(), spec, max_tile)?;
-        let mut tiles = Vec::with_capacity(plan.tiles.len());
-        let mut cached_pixels = 0usize;
-
-        for vp in &plan.tiles {
-            let (w, h) = (vp.width, vp.height);
-            let mut offsets = Vec::with_capacity(regions.len() + 1);
-            let mut pixels: Vec<u32> = Vec::new();
-            let mut boundary_pairs: Vec<(u32, RegionId)> = Vec::new();
-            offsets.push(0u32);
-
-            for (id, _, geom) in regions.iter() {
-                // Boundary set (accurate mode excludes these from gather).
-                let mut boundary = HashSet::new();
-                if mode == ExecutionMode::Accurate && vp.world.intersects(&geom.bbox()) {
-                    for poly in geom.polygons() {
-                        for e in poly.edges() {
-                            let a = vp.world_to_screen(e.a);
-                            let b = vp.world_to_screen(e.b);
-                            traverse_segment(a, b, w, h, |x, y| {
-                                boundary.insert(y * w + x);
-                            });
-                        }
-                    }
-                    for &pix in &boundary {
-                        boundary_pairs.push((pix, id));
-                    }
-                }
-                // Covered pixels via scanline fill.
-                if vp.world.intersects(&geom.bbox()) {
-                    for poly in geom.polygons() {
-                        if !vp.world.intersects(&poly.bbox()) {
-                            continue;
-                        }
-                        let rings: Vec<Vec<Point>> = poly
-                            .rings()
-                            .map(|r| {
-                                r.vertices().iter().map(|&p| vp.world_to_screen(p)).collect()
-                            })
-                            .collect();
-                        let refs: Vec<&[Point]> = rings.iter().map(|v| v.as_slice()).collect();
-                        rasterize_rings(&refs, w, h, |x, y| {
-                            let pix = y * w + x;
-                            if !boundary.contains(&pix) {
-                                pixels.push(pix);
-                            }
-                        });
-                    }
-                }
-                offsets.push(pixels.len() as u32);
-            }
-            boundary_pairs.sort_unstable();
-            cached_pixels += pixels.len() + boundary_pairs.len();
-            tiles.push(PreparedTile { viewport: *vp, offsets, pixels, boundary_pairs });
-        }
-
+        let tiles = plan
+            .tiles
+            .iter()
+            .map(|vp| PreparedTile::build(vp, regions, mode, budget))
+            .collect::<Result<Vec<_>>>()?;
         Ok(PreparedRasterJoin {
             tiles,
-            n_regions: regions.len(),
-            mode,
             epsilon: plan.epsilon,
             canvas: (plan.width, plan.height),
-            cached_pixels,
             regions: regions.clone(),
         })
     }
 
-    /// The guaranteed ε of the underlying canvas.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Answer one query: point pass + cached gather (+ exact boundary fix-up
-    /// in accurate mode), without deadline or cancellation.
+    /// Answer one query without deadline or cancellation.
     pub fn execute(&self, points: &PointTable, query: &SpatialAggQuery) -> Result<RasterJoinResult> {
-        self.execute_with_budget(points, query, &QueryBudget::unlimited())
+        self.execute_store(PointStore::plain(points), query, &QueryBudget::unlimited())
     }
 
-    /// Budgeted variant of [`execute`](Self::execute): polls `budget` per
-    /// tile, per region gather, and per point chunk in the fix-up.
-    pub fn execute_with_budget(
-        &self,
-        points: &PointTable,
-        query: &SpatialAggQuery,
-        budget: &QueryBudget,
-    ) -> Result<RasterJoinResult> {
-        self.execute_store(PointStore::plain(points), query, budget)
-    }
-
-    /// Replay a query against a caller-provided [`PointStore`] — combine
-    /// cached polygon rasterization with cached spatial bins so each frame
-    /// costs only the candidate point pass plus the pixel-list gather.
+    /// Replay a query against a caller-provided [`PointStore`], serially and
+    /// without injected faults (see [`RasterJoin::execute_prepared`] for
+    /// the configured tile loop).
     pub fn execute_store(
         &self,
         store: PointStore<'_>,
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
-        let points = store.table();
-        let cq = CompiledQuery::new(points, query, budget)?;
-        let mut table = AggTable::new(cq.agg.clone(), self.n_regions);
-        let mut stats = RenderStats::new();
-
-        for tile in &self.tiles {
-            budget.check()?;
-            let mut pipe = Pipeline::new(tile.viewport);
-            let bufs = point_pass(&mut pipe, &store, &cq, budget)?;
-            let w = tile.viewport.width;
-
-            // Gather via cached pixel lists.
-            for r in 0..self.n_regions {
-                budget.check()?;
-                let lo = tile.offsets[r] as usize;
-                let hi = tile.offsets[r + 1] as usize;
-                let state = &mut table.states[r];
-                // lint: allow(cancel-poll-reachability) the enclosing region loop polls every iteration; a per-pixel poll would dominate the fold
-                for &pix in &tile.pixels[lo..hi] {
-                    fold_pixel(state, &bufs, pix % w, pix / w);
-                }
-            }
-
-            // Accurate mode: exact fix-up for boundary-pixel points — the
-            // same rows, in the same order, the point pass drew.
-            if self.mode == ExecutionMode::Accurate && !tile.boundary_pairs.is_empty() {
-                let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-                let pairs = &tile.boundary_pairs;
-                cq.for_each_chunk(&store, &tile.viewport.world, budget, |idx| {
-                    for &i in idx {
-                        let i = i as usize;
-                        let p = points.loc(i);
-                        let Some((x, y)) = tile.viewport.world_to_pixel(p) else { continue };
-                        let pix = y * w + x;
-                        let lo = pairs.partition_point(|&(q, _)| q < pix);
-                        let v = column.map_or(0.0, |vals| vals[i] as f64);
-                        for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
-                            if self.regions.geometry(id).contains(p) {
-                                table.states[id as usize].accumulate(v);
-                            }
-                        }
-                    }
-                })?;
-            }
-            stats.merge(pipe.stats());
-        }
-
-        Ok(RasterJoinResult {
-            table,
-            epsilon: self.epsilon,
-            canvas_width: self.canvas.0,
-            canvas_height: self.canvas.1,
-            tiles: self.tiles.len(),
-            stats,
-            zones: cq.zones,
-        })
+        RasterJoin::with_defaults().execute_prepared(self, store, query, budget)
     }
+}
+
+/// Prepare one tile over an explicit viewport and replay `query` on it —
+/// the per-mode unit tests' kernel.
+#[cfg(test)]
+pub(crate) fn replay_viewport(
+    viewport: &Viewport,
+    points: &PointTable,
+    regions: &RegionSet,
+    query: &SpatialAggQuery,
+    mode: ExecutionMode,
+) -> Result<(AggTable, RenderStats)> {
+    let budget = QueryBudget::unlimited();
+    let tile = PreparedTile::build(viewport, regions, mode, &budget)?;
+    let cq = CompiledQuery::new(points, query, &budget)?;
+    tile.replay(&PointStore::plain(points), &cq, regions, &budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{RasterJoin, RasterJoinConfig};
+    use crate::executor::RasterJoinConfig;
     use spatial_index::naive_join;
     use urban_data::filter::Filter;
     use urban_data::gen::corpus::uniform_points;
     use urban_data::gen::regions::voronoi_neighborhoods;
     use urban_data::query::AggKind;
     use urban_data::time::TimeRange;
-    use urbane_geom::BoundingBox;
+    use urbane_geom::{BoundingBox, Polygon};
 
     // Delegates to the shared corpus generator — same draw order as the
     // historical in-module copy, so tables (and results) are unchanged.
@@ -259,7 +288,10 @@ mod tests {
         let got = prepared.execute(&points, &q).unwrap();
         assert_eq!(got.table.values(), one_shot.table.values());
         assert_eq!(got.epsilon, one_shot.epsilon);
-        assert!(prepared.cached_pixels > 0);
+        // Row runs, not pixels: far fewer entries than covered pixels.
+        let runs = &prepared.tiles[0].runs;
+        let pixels: u32 = runs.iter().map(|&(_, len)| len).sum();
+        assert!(runs.len() * 8 < pixels as usize, "{} runs for {pixels} pixels", runs.len());
     }
 
     #[test]
@@ -324,6 +356,26 @@ mod tests {
             single.execute(&points, &q).unwrap().table.values(),
             tiled.execute(&points, &q).unwrap().table.values()
         );
+    }
+
+    /// Region 0's last covered pixel sits just left of region 1's first on
+    /// the same row: a run must not carry it across the region boundary.
+    #[test]
+    fn runs_never_cross_regions() {
+        let regions = RegionSet::from_polygons(
+            "steps",
+            "s",
+            vec![
+                Polygon::from_coords(&[(0.0, 8.0), (8.0, 8.0), (8.0, 16.0), (0.0, 16.0)]).unwrap(),
+                Polygon::from_coords(&[(8.0, 0.0), (16.0, 0.0), (16.0, 9.0), (8.0, 9.0)]).unwrap(),
+            ],
+        );
+        let vp = Viewport::new(BoundingBox::from_coords(0.0, 0.0, 16.0, 16.0), 16, 16);
+        let mut points = PointTable::new(urban_data::schema::Schema::empty());
+        points.push(Point::new(8.5, 8.5), 0, &[]).unwrap();
+        let q = SpatialAggQuery::count();
+        let (t, _) = replay_viewport(&vp, &points, &regions, &q, ExecutionMode::Bounded).unwrap();
+        assert_eq!((t.value(0), t.value(1)), (None, Some(1.0)));
     }
 
     #[test]

@@ -12,113 +12,73 @@
 //! realized error well below the bounded variant's at equal canvas size —
 //! without the accurate variant's per-point PIP work.
 //!
+//! The weights depend only on the canvas: they are prepared once per region
+//! ([`crate::prepared`]) and folded after the region's interior runs.
+//!
 //! COUNT/SUM/AVG answers become real-valued expectations; MIN/MAX fold
 //! unweighted (a partially covered pixel may still hold the extremum, so
 //! weighted MIN/MAX equals bounded MIN/MAX with boundary pixels included).
 
-use crate::bounded::{gather_region, point_pass};
-use crate::budget::QueryBudget;
-use crate::compiled::{CompiledQuery, PointStore};
-use crate::executor::PolygonPath;
-use crate::Result;
-use gpu_raster::line::traverse_segment;
-use gpu_raster::Pipeline;
-use urban_data::query::AggTable;
-use urban_data::RegionSet;
+use crate::bounded::PointBuffers;
+use urban_data::query::AggState;
 use urbane_geom::clip::clip_polygon_to_box;
 use urbane_geom::projection::Viewport;
+use urbane_geom::MultiPolygon;
 
-/// Execute weighted Raster Join for one tile. The budget is polled once per
-/// region (and per point chunk inside the point pass).
-pub(crate) fn weighted_tile(
+/// Append `(pixel, coverage)` for each pixel of `boundary` (sorted) that
+/// `geom` covers a positive area fraction of; pixels it misses are left out.
+pub(crate) fn coverage_weights(
     viewport: &Viewport,
-    store: &PointStore<'_>,
-    regions: &RegionSet,
-    cq: &CompiledQuery<'_>,
-    path: PolygonPath,
-    budget: &QueryBudget,
-) -> Result<(AggTable, gpu_raster::RenderStats)> {
-    let mut pipe = Pipeline::new(*viewport);
-    let (w, h) = (viewport.width, viewport.height);
-    let bufs = point_pass(&mut pipe, store, cq, budget)?;
+    geom: &MultiPolygon,
+    boundary: &[u32],
+    out: &mut Vec<(u32, f64)>,
+) {
+    let w = viewport.width;
     let pixel_area = viewport.units_per_pixel_x() * viewport.units_per_pixel_y();
-
-    let mut table = AggTable::new(cq.agg.clone(), regions.len());
-    let mut boundary: Vec<u32> = Vec::new();
-    for (id, _, geom) in regions.iter() {
-        budget.check()?;
-        if !viewport.world.intersects(&geom.bbox()) {
-            continue;
-        }
-        // This region's boundary pixels, sorted and deduped: membership is a
-        // binary search, and — unlike a HashSet, whose iteration order varies
-        // per process — the fractional fold below visits pixels in a fixed
-        // order, keeping the f64 accumulation deterministic run-to-run.
-        boundary.clear();
+    for &pix in boundary {
+        let cell = viewport.pixel_to_world_box(pix % w, pix / w);
+        let mut covered = 0.0;
         for poly in geom.polygons() {
-            for e in poly.edges() {
-                let a = viewport.world_to_screen(e.a);
-                let b = viewport.world_to_screen(e.b);
-                traverse_segment(a, b, w, h, |x, y| {
-                    boundary.push(y * w + x);
-                });
+            if let Ok(Some(clipped)) = clip_polygon_to_box(poly, &cell) {
+                covered += clipped.area();
             }
         }
-        boundary.sort_unstable();
-        boundary.dedup();
-        // Interior pixels: full weight, via the ordinary gather.
-        let state = &mut table.states[id as usize];
-        gather_region(&mut pipe, &bufs, geom, path, state, |x, y| {
-            boundary.binary_search(&(y * w + x)).is_ok()
-        })?;
-        // Boundary pixels: exact area-fraction weight.
-        for &pix in &boundary {
-            let (x, y) = (pix % w, pix / w);
-            let [count, sum] = bufs.count_sum.get(x, y);
-            if count <= 0.0 {
-                continue;
-            }
-            let cell = viewport.pixel_to_world_box(x, y);
-            let mut covered = 0.0;
-            for poly in geom.polygons() {
-                if let Ok(Some(clipped)) = clip_polygon_to_box(poly, &cell) {
-                    covered += clipped.area();
-                }
-            }
-            let weight = (covered / pixel_area).clamp(0.0, 1.0);
-            if weight <= 0.0 {
-                continue;
-            }
-            let min = bufs.min.as_ref().map_or(f64::INFINITY, |b| b.get(x, y) as f64);
-            let max = bufs.max.as_ref().map_or(f64::NEG_INFINITY, |b| b.get(x, y) as f64);
-            state.accumulate_weighted(count as u64, sum as f64, min, max, weight);
+        let weight = (covered / pixel_area).clamp(0.0, 1.0);
+        if weight > 0.0 {
+            out.push((pix, weight));
         }
     }
-    Ok((table, *pipe.stats()))
+}
+
+/// Fold a region's boundary pixels into `state`, each by its coverage.
+pub(crate) fn fold_boundary(
+    state: &mut AggState,
+    bufs: &PointBuffers,
+    weights: &[(u32, f64)],
+    w: u32,
+) {
+    for &(pix, weight) in weights {
+        let (x, y) = (pix % w, pix / w);
+        let [count, sum] = bufs.count_sum.get(x, y);
+        if count <= 0.0 {
+            continue;
+        }
+        let min = bufs.min.as_ref().map_or(f64::INFINITY, |b| b.get(x, y) as f64);
+        let max = bufs.max.as_ref().map_or(f64::NEG_INFINITY, |b| b.get(x, y) as f64);
+        state.accumulate_weighted(count as u64, sum as f64, min, max, weight);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::executor::ExecutionMode::{Bounded, Weighted};
+    use crate::prepared::replay_viewport;
     use spatial_index::naive_join;
     use urban_data::gen::regions::voronoi_neighborhoods;
-    use urban_data::query::SpatialAggQuery;
+    use urban_data::query::{AggTable, SpatialAggQuery};
     use urban_data::PointTable;
+    use urbane_geom::projection::Viewport;
     use urbane_geom::BoundingBox;
-
-    // Unbudgeted shim: these tests exercise accuracy, not the guardrails.
-    fn weighted_tile(
-        viewport: &Viewport,
-        points: &PointTable,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-        path: PolygonPath,
-    ) -> Result<(AggTable, gpu_raster::RenderStats)> {
-        let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(points);
-        let cq = CompiledQuery::new(points, query, &budget)?;
-        super::weighted_tile(viewport, &store, regions, &cq, path, &budget)
-    }
 
     // Delegates to the shared corpus generator — same draw order as the
     // historical in-module copy, so tables (and results) are unchanged.
@@ -137,7 +97,7 @@ mod tests {
         let vp = Viewport::new(BoundingBox::from_coords(0.0, 0.0, 32.0, 32.0), 32, 32);
         let q = SpatialAggQuery::count();
         let truth = naive_join(&points, &regions, &q).unwrap();
-        let (got, _) = weighted_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
+        let (got, _) = replay_viewport(&vp, &points, &regions, &q, Weighted).unwrap();
         for r in 0..regions.len() {
             let (a, b) = (got.value(r).unwrap_or(0.0), truth.value(r).unwrap_or(0.0));
             assert!((a - b).abs() < 1e-6, "region {r}: {a} vs {b}");
@@ -156,20 +116,8 @@ mod tests {
         let truth = naive_join(&points, &regions, &q).unwrap();
         let vp = Viewport::new(extent.inflate(1e-7), 28, 28); // very coarse
 
-        let (weighted, _) =
-            weighted_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
-        let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(&points);
-        let cq = CompiledQuery::new(&points, &q, &budget).unwrap();
-        let (bounded, _) = crate::bounded::bounded_tile(
-            &vp,
-            &store,
-            &regions,
-            &cq,
-            PolygonPath::Scanline,
-            &budget,
-        )
-        .unwrap();
+        let (weighted, _) = replay_viewport(&vp, &points, &regions, &q, Weighted).unwrap();
+        let (bounded, _) = replay_viewport(&vp, &points, &regions, &q, Bounded).unwrap();
 
         let total_err = |t: &AggTable| -> f64 {
             (0..regions.len())
@@ -199,7 +147,7 @@ mod tests {
         let q = SpatialAggQuery::new(AggKind::Avg("v".into()));
         let truth = naive_join(&points, &regions, &q).unwrap();
         let vp = Viewport::new(extent.inflate(1e-7), 40, 40);
-        let (got, _) = weighted_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
+        let (got, _) = replay_viewport(&vp, &points, &regions, &q, Weighted).unwrap();
         for r in 0..regions.len() {
             if let (Some(a), Some(b)) = (got.value(r), truth.value(r)) {
                 assert!((a - b).abs() < 0.5, "region {r}: avg {a} vs {b}");

@@ -40,7 +40,3 @@ pub use blend::BlendOp;
 pub use buffer::Buffer2D;
 pub use pipeline::Pipeline;
 pub use stats::RenderStats;
-
-/// Region-id framebuffer convention: `NO_REGION` marks an uncovered pixel;
-/// covered pixels store `region_id + 1`.
-pub const NO_REGION: u32 = 0;

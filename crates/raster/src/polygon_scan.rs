@@ -1,10 +1,10 @@
 //! Direct scanline polygon rasterization (even–odd rule).
 //!
 //! The GPU must triangulate polygons; a CPU rasterizer can fill them
-//! directly with a scanline sweep. Both paths are implemented so the
-//! triangulation ablation (DESIGN.md §6.2) can verify they produce identical
-//! coverage, and because the scanline path is faster for the software
-//! pipeline (no triangulation preprocessing).
+//! directly with a scanline sweep, which is what Raster Join's polygon pass
+//! uses (no triangulation preprocessing). The triangle path stays as the
+//! reference the tests check this fill against: both must cover the same
+//! pixels.
 //!
 //! Sampling matches `triangle.rs`: a pixel is covered iff its center is
 //! inside the polygon under the even–odd rule, with half-open `[y_min,

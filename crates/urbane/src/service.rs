@@ -35,8 +35,8 @@ use crate::guard::{run_ladder, GuardPath, GuardReport, DEGRADED_RESOLUTION, PREV
 use crate::resolution::ResolutionPyramid;
 use crate::{Result, UrbaneError};
 use raster_join::{
-    CancelHandle, CanvasSpec, ExecutionMode, PointStore, QueryBudget, RasterJoin,
-    RasterJoinConfig, ZoneStats,
+    CancelHandle, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, QueryBudget,
+    RasterJoin, RasterJoinConfig, RasterJoinResult, ZoneStats,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,10 +49,11 @@ use urban_data::{PointTable, RegionSet};
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Base raster-join configuration (threads, default canvas).
-    /// Per-request mode/resolution override `mode` and `spec`; `binning` is
-    /// not consulted — resident tables are clustered, which prunes per tile
-    /// as the bins did.
+    /// Base raster-join configuration: threads, tiling, fault plan, and the
+    /// canvas `spec` (a resolution or an ε) a request without `resolution`
+    /// runs at. Per-request mode/resolution override `mode` and `spec`;
+    /// `binning` is not consulted — resident tables are clustered, which
+    /// prunes per tile as the bins did.
     pub join: RasterJoinConfig,
     /// Total query-result cache entries across shards (0 disables caching).
     pub cache_capacity: usize,
@@ -261,6 +262,10 @@ struct CachedAnswer {
 /// generation, sample rows).
 type PreviewSamples = Mutex<HashMap<(String, u64, usize), Arc<(PointTable, f64)>>>;
 
+/// What a prepared region raster depends on: pyramid level, resolved canvas
+/// spec and mode. Never the query, and never the data — a reload keeps it.
+type RasterKey = (usize, CanvasSpec, ExecutionMode);
+
 /// Lock an RwLock for reading, recovering from poisoning (same contract as
 /// [`crate::cache::lock`]: invariants hold between operations).
 fn read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -283,6 +288,9 @@ pub struct UrbaneService {
     samples: PreviewSamples,
     // Packed region R-trees per pyramid level (pyramid is immutable).
     region_indexes: Mutex<HashMap<usize, Arc<spatial_index::PackedRegionIndex>>>,
+    // Prepared region rasters of the service's own canvases (the base spec
+    // and the degraded rung's), at most levels × 2 × 3 modes.
+    rasters: Mutex<Vec<(RasterKey, Arc<PreparedRasterJoin>)>>,
     outcomes: OutcomeCounters,
     paging: PagingCounters,
     zones: ZoneCounters,
@@ -327,6 +335,7 @@ impl UrbaneService {
             flights: SingleFlight::new(),
             samples: Mutex::new(HashMap::new()),
             region_indexes: Mutex::new(HashMap::new()),
+            rasters: Mutex::new(Vec::new()),
             outcomes: Default::default(),
             paging: Default::default(),
             zones: Default::default(),
@@ -512,6 +521,54 @@ impl UrbaneService {
         built
     }
 
+    /// The prepared raster for `key`, built on first use. Only the
+    /// service's own canvases are kept; a request at any other explicit
+    /// resolution prepares one for itself and drops it.
+    fn raster(
+        &self,
+        key: RasterKey,
+        regions: &RegionSet,
+        budget: &QueryBudget,
+    ) -> Result<Arc<PreparedRasterJoin>> {
+        if let Some((_, hit)) = lock(&self.rasters).iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(hit));
+        }
+        let (_, spec, mode) = key;
+        let built = Arc::new(PreparedRasterJoin::prepare_with_budget(
+            regions,
+            spec,
+            self.config.join.max_tile,
+            mode,
+            budget,
+        )?);
+        if spec != self.config.join.spec && spec != CanvasSpec::Resolution(DEGRADED_RESOLUTION) {
+            return Ok(built);
+        }
+        let mut rasters = lock(&self.rasters);
+        // A concurrent miss may have built the same raster first; keep one.
+        if let Some((_, won)) = rasters.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(won));
+        }
+        // lint: bounded-by pyramid levels × 2 service canvases × 3 raster modes
+        rasters.push((key, Arc::clone(&built)));
+        Ok(built)
+    }
+
+    /// Answer `query` over `store` from the prepared raster for `key` — the
+    /// one raster path of all three ladder rungs.
+    fn raster_join(
+        &self,
+        key: RasterKey,
+        regions: &RegionSet,
+        store: PointStore<'_>,
+        query: &SpatialAggQuery,
+        budget: &QueryBudget,
+    ) -> Result<RasterJoinResult> {
+        let raster = self.raster(key, regions, budget)?;
+        let join = RasterJoin::new(self.config.join.clone());
+        Ok(join.execute_prepared(&raster, store, query, budget)?)
+    }
+
     /// Canonical cache key: dataset + generation + every query dimension in
     /// a stable order. Filters are a conjunction, so they are sorted into a
     /// canonical order — `[A, B]` and `[B, A]` share an entry.
@@ -519,36 +576,23 @@ impl UrbaneService {
         let mut filters: Vec<String> = req.filters.iter().map(|f| format!("{f:?}")).collect();
         filters.sort();
         CacheKey::new(format!(
-            "{}|{}|{}|{:?}|{}|{:?}|{}",
+            "{}|{}|{}|{:?}|{:?}|{:?}|{}",
             req.dataset,
             generation,
             req.level,
             req.mode,
-            self.effective_resolution(req),
+            self.canvas(req),
             req.agg,
             filters.join("&"),
         ))
     }
 
-    /// The canvas resolution a request resolves to (clamped to the
-    /// configured maximum).
-    fn effective_resolution(&self, req: &QueryRequest) -> u32 {
-        let base = match self.config.join.spec {
-            CanvasSpec::Resolution(r) => r,
-            // ε-specs depend on the region extent; 1024 is the default
-            // canvas and a sane stand-in for keying purposes.
-            _ => 1024,
-        };
-        req.resolution.unwrap_or(base).clamp(1, self.config.max_resolution)
-    }
-
-    /// The join configuration a request resolves to.
-    fn join_config(&self, req: &QueryRequest) -> RasterJoinConfig {
-        RasterJoinConfig {
-            spec: CanvasSpec::Resolution(self.effective_resolution(req)),
-            mode: req.mode,
-            ..self.config.join.clone()
-        }
+    /// The canvas a request resolves to: its own resolution (clamped to the
+    /// configured maximum), else the base spec as configured.
+    fn canvas(&self, req: &QueryRequest) -> CanvasSpec {
+        req.resolution.map_or(self.config.join.spec, |r| {
+            CanvasSpec::Resolution(r.clamp(1, self.config.max_resolution))
+        })
     }
 
     /// A fast approximate answer for in-flight interactions (slider drags)
@@ -593,11 +637,17 @@ impl UrbaneService {
         };
         let (sample, scale) = (&sample_and_scale.0, sample_and_scale.1);
         // Previews always raster: index-join has no approximate variant.
-        let mut config = self.join_config(req);
-        if config.mode == ExecutionMode::IndexJoin {
-            config.mode = ExecutionMode::Bounded;
-        }
-        let mut res = RasterJoin::new(config).execute(sample, regions, query)?;
+        let mode = match req.mode {
+            ExecutionMode::IndexJoin => ExecutionMode::Bounded,
+            mode => mode,
+        };
+        let mut res = self.raster_join(
+            (req.level, self.canvas(req), mode),
+            regions,
+            PointStore::plain(sample),
+            query,
+            &QueryBudget::unlimited(),
+        )?;
         for state in &mut res.table.states {
             state.count = (state.count as f64 * scale).round() as u64;
             state.weight *= scale;
@@ -720,21 +770,16 @@ impl UrbaneService {
                 return Ok((Arc::new(table), Some(0.0)));
             }
             let pts = points()?;
-            let join = RasterJoin::new(self.join_config(req));
-            let res = join.execute_store(PointStore::plain(&pts), &regions, &query, budget)?;
+            let key = (req.level, self.canvas(req), req.mode);
+            let res = self.raster_join(key, &regions, PointStore::plain(&pts), &query, budget)?;
             self.zones.record(&res.zones);
             Ok((Arc::new(res.table), Some(res.epsilon)))
         };
         let degraded = |budget: &QueryBudget| -> Result<(AggTable, f64)> {
             let pts = points()?;
-            let config = RasterJoinConfig {
-                spec: CanvasSpec::Resolution(DEGRADED_RESOLUTION),
-                mode: ExecutionMode::Bounded,
-                strategy: raster_join::PointStrategy::PointsFirst,
-                ..self.config.join.clone()
-            };
-            let join = RasterJoin::new(config);
-            let res = join.execute_store(PointStore::plain(&pts), &regions, &query, budget)?;
+            let canvas = CanvasSpec::Resolution(DEGRADED_RESOLUTION);
+            let key = (req.level, canvas, ExecutionMode::Bounded);
+            let res = self.raster_join(key, &regions, PointStore::plain(&pts), &query, budget)?;
             self.zones.record(&res.zones);
             Ok((res.table, res.epsilon))
         };
@@ -902,6 +947,78 @@ mod tests {
         let outcomes = s.guard_outcomes();
         assert_eq!(outcomes.full, 0);
         assert_eq!(outcomes.degraded_bounded + outcomes.preview_sample, 1);
+    }
+
+    /// The prepared raster the service holds for `key`, if any.
+    fn held(s: &UrbaneService, key: RasterKey) -> Option<Arc<PreparedRasterJoin>> {
+        lock(&s.rasters).iter().find(|(k, _)| *k == key).map(|(_, r)| Arc::clone(r))
+    }
+
+    #[test]
+    fn misses_share_one_prepared_raster() {
+        let s = service(0); // no answer cache: every query is a miss
+        let key = (1, CanvasSpec::Resolution(256), ExecutionMode::Accurate);
+        let req = QueryRequest::count("taxi", 1).mode(ExecutionMode::Accurate);
+        s.query(&req).unwrap();
+        let first = held(&s, key).expect("the base canvas is kept");
+        s.query(&req).unwrap();
+        s.query(&req.clone().filter(Filter::Time(TimeRange::new(0, 3 * DAY)))).unwrap();
+        assert!(Arc::ptr_eq(&first, &held(&s, key).unwrap()), "a miss rebuilt the raster");
+        // Another mode is another raster; the first one stays.
+        s.query(&QueryRequest::count("taxi", 1)).unwrap();
+        assert_eq!(lock(&s.rasters).len(), 2);
+        assert!(Arc::ptr_eq(&first, &held(&s, key).unwrap()));
+    }
+
+    #[test]
+    fn reload_keeps_the_prepared_raster() {
+        let s = service(64);
+        let key = (0, CanvasSpec::Resolution(256), ExecutionMode::Bounded);
+        let before = s.query(&QueryRequest::count("taxi", 0)).unwrap();
+        let raster = held(&s, key).expect("the base canvas is kept");
+        let city = CityModel::nyc_like();
+        s.reload_dataset(
+            "taxi",
+            generate_taxi(&city, &TaxiConfig { rows: 7_000, seed: 9, start: 0, days: 10 }),
+        );
+        let after = s.query(&QueryRequest::count("taxi", 0)).unwrap();
+        assert!(!after.cached && after.table.total_count() != before.table.total_count());
+        assert!(Arc::ptr_eq(&raster, &held(&s, key).unwrap()), "a reload rebuilt the raster");
+        assert_eq!(lock(&s.rasters).len(), 1);
+    }
+
+    #[test]
+    fn off_base_resolution_is_not_retained() {
+        let s = service(64);
+        let odd = s.query(&QueryRequest::count("taxi", 0).resolution(300)).unwrap();
+        assert!(odd.table.total_count() > 0);
+        assert!(lock(&s.rasters).is_empty(), "a 300-px raster was kept");
+        // The base canvas asked for explicitly is the base canvas.
+        s.query(&QueryRequest::count("taxi", 0).resolution(256)).unwrap();
+        assert!(held(&s, (0, CanvasSpec::Resolution(256), ExecutionMode::Bounded)).is_some());
+        // So is the degraded rung's.
+        let degraded = (0, CanvasSpec::Resolution(DEGRADED_RESOLUTION), ExecutionMode::Bounded);
+        let regions = s.pyramid().level(0).unwrap();
+        let built = s.raster(degraded, &regions, &QueryBudget::unlimited()).unwrap();
+        assert!(Arc::ptr_eq(&built, &held(&s, degraded).unwrap()));
+        assert_eq!(lock(&s.rasters).len(), 2);
+    }
+
+    #[test]
+    fn epsilon_base_spec_is_honoured() {
+        let extent = service(0).pyramid().level(0).unwrap().bbox();
+        let at_1024 = raster_join::CanvasPlan::plan(&extent, CanvasSpec::Resolution(1024), 2048)
+            .unwrap()
+            .epsilon;
+        let e = 0.9 * at_1024;
+        let s = service_with(RasterJoinConfig::with_epsilon(e), 64);
+        let req = QueryRequest::count("taxi", 0);
+        let a = s.query(&req).unwrap();
+        let bound = a.report.error_bound.unwrap();
+        // Up to the plan's own rounding of ε → pixel side → ε.
+        assert!(bound <= e * (1.0 + 1e-9), "asked for ε ≤ {e}, answered at {bound}");
+        assert!(s.query(&req).unwrap().cached);
+        assert!(held(&s, (0, CanvasSpec::Epsilon(e), ExecutionMode::Bounded)).is_some());
     }
 
     #[cfg(feature = "fault-injection")]

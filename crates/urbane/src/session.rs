@@ -27,9 +27,8 @@ use urban_data::time::TimeRange;
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Raster-join configuration used by all views. Its `mode` is the
-    /// execution mode of every evaluation; the canvas is its
-    /// `CanvasSpec::Resolution` (an ε spec runs at the service's 1024²
-    /// stand-in).
+    /// execution mode of every evaluation, and its `spec` — a resolution or
+    /// an ε — the canvas every evaluation runs at.
     pub join: RasterJoinConfig,
     /// Maximum cached query results (one LRU; 0 disables caching).
     pub cache_capacity: usize,

@@ -15,7 +15,7 @@
 //!   from other well-known and well performing neighborhoods").
 
 use crate::Result;
-use raster_join::{PreparedRasterJoin, RasterJoin, RasterJoinConfig};
+use raster_join::{PointStore, PreparedRasterJoin, QueryBudget, RasterJoin, RasterJoinConfig};
 use urban_data::filter::Filter;
 use urban_data::query::SpatialAggQuery;
 use urban_data::time::{TimeBucket, TimeRange};
@@ -85,9 +85,9 @@ impl ExplorationView {
     /// Compute a bucketed time series: one spatial aggregation per bucket of
     /// `range`, each with the bucket's time filter appended to `query`.
     ///
-    /// The polygon side is rasterized **once** (a [`PreparedRasterJoin`])
-    /// and replayed for every bucket — the regions and canvas do not change
-    /// between buckets, only the time filter does.
+    /// The polygon side is rasterized **once** (a [`PreparedRasterJoin`],
+    /// in any raster mode) and replayed for every bucket — the regions and
+    /// canvas do not change between buckets, only the time filter does.
     pub fn time_series(
         &self,
         dataset_name: &str,
@@ -111,7 +111,12 @@ impl ExplorationView {
         let mut series = vec![Vec::with_capacity(buckets.len()); regions.len()];
         for b in &buckets {
             let q = query.clone().filter(Filter::Time(*b));
-            let res = prepared.execute(points, &q)?;
+            let res = self.join.execute_prepared(
+                &prepared,
+                PointStore::plain(points),
+                &q,
+                &QueryBudget::unlimited(),
+            )?;
             for (r, v) in res.table.values().into_iter().enumerate() {
                 series[r].push(v);
             }
@@ -228,6 +233,25 @@ mod tests {
         assert_eq!(s.region(1), &[Some(6.0), None]);
         assert_eq!(s.region_total(0), 14.0);
         assert_eq!(s.region_total(1), 6.0);
+    }
+
+    /// Every raster mode prepares: a weighted view's series is the weighted
+    /// one-shot answer per bucket, bit for bit.
+    #[test]
+    fn time_series_runs_in_weighted_mode() {
+        let (t, rs) = setup();
+        let config = RasterJoinConfig::weighted(64);
+        let view = ExplorationView::new(config.clone());
+        let (q, range) = (SpatialAggQuery::count(), TimeRange::new(0, 2 * DAY));
+        let s = view.time_series("test", &t, &rs, &q, range, TimeBucket::Day).unwrap();
+        for (k, b) in s.buckets.iter().enumerate() {
+            let q = SpatialAggQuery::count().filter(Filter::Time(*b));
+            let one_shot = RasterJoin::new(config.clone()).execute(&t, &rs, &q).unwrap();
+            for (r, v) in one_shot.table.values().into_iter().enumerate() {
+                assert_eq!(s.series[r][k], v, "region {r} bucket {k}");
+            }
+        }
+        assert_eq!(s.region_total(0), 14.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! so the *only* points an approximate variant can misassign are those
 //! within a pixel-derived band around a region's boundary:
 //!
-//! * **bounded / id-buffer** — a point and its pixel center are on
+//! * **bounded** — a point and its pixel center are on
 //!   different sides of the boundary only when the point is within ε of it.
 //!   Band half-width: [`BOUNDED_BAND`]·ε (the slack above 1.0 absorbs the
 //!   rasterizer's pixel-center sampling rules at edges and vertices).
@@ -34,7 +34,7 @@ use urbane_geom::{MultiPolygon, Point};
 
 use crate::{Result, VerifyError};
 
-/// Band half-width multiplier (×ε) for bounded and id-buffer runs.
+/// Band half-width multiplier (×ε) for bounded runs.
 pub const BOUNDED_BAND: f64 = 1.5;
 
 /// Band half-width multiplier (×ε) for weighted runs.

@@ -38,9 +38,6 @@ pub struct Scenario {
     pub regions: RegionSet,
     /// The query under test.
     pub query: SpatialAggQuery,
-    /// True when the regions partition the plane (no overlaps) — the
-    /// precondition for the id-buffer strategy.
-    pub partition: bool,
     /// Canvas resolution the runner should use.
     pub resolution: u32,
 }
@@ -50,22 +47,22 @@ pub fn scenario(seed: u64) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed));
     let extent = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
 
-    let (regions, partition, layout): (RegionSet, bool, &str) = match rng.gen_range(0..4u32) {
+    let (regions, layout): (RegionSet, &str) = match rng.gen_range(0..4u32) {
         0 => {
             let nx = rng.gen_range(2..6u32);
             let ny = rng.gen_range(2..5u32);
-            (grid_regions(&extent, nx, ny), true, "grid")
+            (grid_regions(&extent, nx, ny), "grid")
         }
         1 | 2 => {
             let n = rng.gen_range(8..22usize);
             let lloyd = rng.gen_range(0..4u32);
-            (voronoi_neighborhoods(&extent, n, seed ^ 0x5151, lloyd), true, "voronoi")
+            (voronoi_neighborhoods(&extent, n, seed ^ 0x5151, lloyd), "voronoi")
         }
         _ => {
             let n = rng.gen_range(4..9usize);
             // star_regions requires an even vertex count.
             let vertices = 8 + 2 * (seed as usize % 3);
-            (star_regions(&extent, n, vertices, seed ^ 0xA7A7), false, "stars")
+            (star_regions(&extent, n, vertices, seed ^ 0xA7A7), "stars")
         }
     };
 
@@ -126,7 +123,6 @@ pub fn scenario(seed: u64) -> Scenario {
         points,
         regions,
         query,
-        partition,
         resolution,
     }
 }
@@ -162,8 +158,6 @@ mod tests {
         {
             assert!(has(needle), "40 scenarios must include {needle:?}");
         }
-        assert!(scenarios.iter().any(|s| s.partition));
-        assert!(scenarios.iter().any(|s| !s.partition));
         // Prefix stability: a smaller corpus is a prefix of a larger one.
         let small = corpus(5, 1000);
         for (a, b) in small.iter().zip(&scenarios) {

@@ -18,8 +18,9 @@
 //! * [`corpus`] — seeded randomized workloads (points × regions × query)
 //!   drawn from the shared generators in `urban_data::gen`.
 //! * [`runner`] — executes every workload through bounded / weighted /
-//!   accurate / id-buffer / prepared × threads {1,4} × binning {Off, Grid}
-//!   and diffs each result against the oracle and its budget.
+//!   accurate × threads {1,4} × binning {Off, Grid}, the prepared raster
+//!   of each mode, and the index join, and diffs each result against the
+//!   oracle and its budget.
 //! * [`metamorphic`] — oracle-free laws (translation/scale invariance,
 //!   point-permutation invariance, region-split and filter-partition
 //!   additivity) that catch bugs a biased oracle could share.

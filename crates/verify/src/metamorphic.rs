@@ -24,10 +24,7 @@
 //!    the generator's row order and on a clustered copy, where the zone
 //!    classifier decides per zone which conditions are evaluated at all.
 
-use raster_join::{
-    BinningMode, CanvasSpec, ExecutionMode, PointStrategy, PolygonPath, RasterJoin,
-    RasterJoinConfig,
-};
+use raster_join::{BinningMode, CanvasSpec, ExecutionMode, RasterJoin, RasterJoinConfig};
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, AggTable, SpatialAggQuery};
 use urban_data::time::{TimeRange, DAY};
@@ -55,8 +52,6 @@ fn config(mode: ExecutionMode, resolution: u32) -> RasterJoinConfig {
         spec: CanvasSpec::Resolution(resolution),
         max_tile: crate::runner::MAX_TILE,
         mode,
-        path: PolygonPath::Scanline,
-        strategy: PointStrategy::PointsFirst,
         threads: 1,
         binning: BinningMode::Off,
         ..RasterJoinConfig::default()

@@ -11,12 +11,8 @@
 //! | weighted   | 1, 4    | Off, Grid   | within [`WEIGHTED_BAND`]·ε budget |
 //! | accurate   | 1, 4    | Off, Grid   | exact (counts bit-equal; value    |
 //! |            |         |             | channels to f32-accumulator tol)  |
-//! | id-buffer  | 1, 4    | Off, Grid   | bounded budget **and** the same   |
-//! |            |         |             | point assignment as bounded       |
-//! |            |         |             | points-first — counts bit-equal,  |
-//! |            |         |             | values to f32-order tolerance     |
-//! |            |         |             | (partition layouts only)          |
-//! | prepared   | —       | Off, Grid   | as its mode (bounded + accurate)  |
+//! | prepared   | —       | Off, Grid   | as its mode (bounded, weighted,   |
+//! |            |         |             | accurate)                         |
 //! | index_join | 1       | —           | bit-for-bit equal to the oracle   |
 //! |            |         |             | through a `.ubs` store round-trip |
 //! |            |         |             | (ε = 0 by construction)           |
@@ -31,8 +27,8 @@
 //! path still certifies them exactly.
 
 use raster_join::{
-    BinningMode, CanvasPlan, CanvasSpec, ExecutionMode, PointStrategy, PolygonPath,
-    PreparedRasterJoin, RasterJoin, RasterJoinConfig,
+    BinningMode, CanvasPlan, CanvasSpec, ExecutionMode, PreparedRasterJoin, RasterJoin,
+    RasterJoinConfig,
 };
 use urban_data::binned::BinnedPointTable;
 use urban_data::query::{AggKind, AggTable};
@@ -56,8 +52,8 @@ pub const GRID_SIDE: u32 = 16;
 pub struct RunRecord {
     /// Scenario label (from [`Scenario::name`]).
     pub scenario: String,
-    /// Execution path: `bounded`, `weighted`, `accurate`, `id_buffer`,
-    /// `prepared`, `prepared_accurate`.
+    /// Execution path: `bounded`, `weighted`, `accurate`, `prepared`,
+    /// `prepared_weighted`, `prepared_accurate`, `index_join`.
     pub mode: &'static str,
     /// Worker threads (1 for prepared, which is serial by design).
     pub threads: usize,
@@ -197,40 +193,6 @@ fn check_accurate(rec: &mut RunRecord, approx: &AggTable, exact: &AggTable) {
     }
 }
 
-/// Do two tables reflect the same point→region assignment? Counts and
-/// weights must be bit-equal; value channels may differ by f32 accumulation
-/// order (points-first sums per-pixel rasters, id-buffer sums in point
-/// order), so those compare under [`value_tol`]. Returns the first
-/// discrepancy, or `None` when the assignments agree.
-fn same_point_assignment(a: &AggTable, b: &AggTable) -> Option<String> {
-    let (cmp_min, cmp_max) =
-        (matches!(a.agg, AggKind::Min(_)), matches!(a.agg, AggKind::Max(_)));
-    for (r, (sa, sb)) in a.states.iter().zip(&b.states).enumerate() {
-        if sa.count != sb.count {
-            return Some(format!("region {r}: count {} vs {}", sa.count, sb.count));
-        }
-        if sa.weight != sb.weight {
-            return Some(format!("region {r}: weight {} vs {}", sa.weight, sb.weight));
-        }
-        if (sa.sum - sb.sum).abs() > value_tol(sa.sum) {
-            return Some(format!("region {r}: sum {} vs {}", sa.sum, sb.sum));
-        }
-        // Extrema are single f32 samples, not accumulations — bit-equal.
-        // Only the channel the query aggregates is meaningful: the
-        // points-first path leaves untracked channels at their ±inf
-        // defaults while the per-point id-buffer fold fills both.
-        if (cmp_min && sa.min.to_bits() != sb.min.to_bits())
-            || (cmp_max && sa.max.to_bits() != sb.max.to_bits())
-        {
-            return Some(format!(
-                "region {r}: extrema ({}, {}) vs ({}, {})",
-                sa.min, sa.max, sb.min, sb.max
-            ));
-        }
-    }
-    None
-}
-
 /// Run the full matrix for one scenario. Returns one [`RunRecord`] per
 /// execution; a record with non-empty `failures` marks a violation (the
 /// function itself only errs when an executor fails outright).
@@ -245,20 +207,13 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
     let binning_axis = [(BinningMode::Off, "off"), (BinningMode::Grid(GRID_SIDE), "grid")];
     let mut records = Vec::new();
 
-    let mut paths: Vec<(&'static str, ExecutionMode, PointStrategy)> = vec![
-        ("bounded", ExecutionMode::Bounded, PointStrategy::PointsFirst),
-        ("weighted", ExecutionMode::Weighted, PointStrategy::PointsFirst),
-        ("accurate", ExecutionMode::Accurate, PointStrategy::PointsFirst),
+    let paths = [
+        ("bounded", ExecutionMode::Bounded),
+        ("weighted", ExecutionMode::Weighted),
+        ("accurate", ExecutionMode::Accurate),
     ];
-    if s.partition {
-        paths.push(("id_buffer", ExecutionMode::Bounded, PointStrategy::IdBuffer));
-    }
 
-    // Bounded points-first tables keyed by (threads, binning) so the
-    // id-buffer runs can assert bit-identity against them.
-    let mut bounded_tables: Vec<(usize, &'static str, AggTable)> = Vec::new();
-
-    for (mode_name, mode, strategy) in paths {
+    for (mode_name, mode) in paths {
         // All (threads × binning) answers of one path must be bit-identical.
         let mut reference: Option<AggTable> = None;
         for threads in threads_axis {
@@ -267,8 +222,6 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
                     spec,
                     max_tile: MAX_TILE,
                     mode,
-                    path: PolygonPath::Scanline,
-                    strategy,
                     threads,
                     binning,
                     ..RasterJoinConfig::default()
@@ -297,23 +250,6 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
                             ));
                         }
                     }
-                }
-                if mode_name == "id_buffer" {
-                    if let Some((_, _, b)) = bounded_tables
-                        .iter()
-                        .find(|(t, bn, _)| *t == threads && *bn == bin_name)
-                    {
-                        if let Some(why) = same_point_assignment(b, &result.table) {
-                            r.failures.push(format!(
-                                "id_buffer/{}: threads={threads} binning={bin_name} assigns \
-                                 different points than bounded points-first on a partition \
-                                 layout: {why}",
-                                s.name
-                            ));
-                        }
-                    }
-                } else if mode_name == "bounded" {
-                    bounded_tables.push((threads, bin_name, result.table.clone()));
                 }
                 records.push(r);
             }
@@ -358,6 +294,7 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
     let bins = BinnedPointTable::with_grid(&s.points, GRID_SIDE, GRID_SIDE);
     for (mode_name, mode) in [
         ("prepared", ExecutionMode::Bounded),
+        ("prepared_weighted", ExecutionMode::Weighted),
         ("prepared_accurate", ExecutionMode::Accurate),
     ] {
         let prepared = PreparedRasterJoin::prepare(&s.regions, spec, MAX_TILE, mode)?;
@@ -369,10 +306,12 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
             let result =
                 prepared.execute_store(store, &s.query, &raster_join::QueryBudget::unlimited())?;
             let mut r = rec(s, mode_name, 1, bin_name, result.epsilon);
-            if mode == ExecutionMode::Accurate {
-                check_accurate(&mut r, &result.table, &exact);
-            } else {
-                check_budgeted(&mut r, &result.table, &exact, &bounded_budget);
+            match mode {
+                ExecutionMode::Accurate => check_accurate(&mut r, &result.table, &exact),
+                ExecutionMode::Weighted => {
+                    check_budgeted(&mut r, &result.table, &exact, &weighted_budget)
+                }
+                _ => check_budgeted(&mut r, &result.table, &exact, &bounded_budget),
             }
             match &reference {
                 None => reference = Some(result.table.clone()),
@@ -401,9 +340,7 @@ mod tests {
     /// passes, and the matrix axes all appear.
     #[test]
     fn small_corpus_certifies() {
-        let mut partition_seen = false;
         for s in corpus(4, 7_000) {
-            partition_seen |= s.partition;
             let records = verify_scenario(&s).expect("executors must not fail");
             assert!(records.len() >= 14, "{}: matrix too small ({})", s.name, records.len());
             for r in &records {
@@ -413,7 +350,6 @@ mod tests {
             assert!(records.iter().any(|r| r.mode == "prepared"));
             assert!(records.iter().any(|r| r.mode == "index_join"));
         }
-        assert!(partition_seen || corpus(4, 7_000).iter().all(|s| !s.partition));
     }
 
     /// The budget must be *live*: at coarse resolutions some bounded run in

@@ -17,10 +17,7 @@
 //!
 //! Truth is the independent exact oracle from `urbane-verify`.
 
-use raster_join::{
-    BinningMode, CanvasSpec, ExecutionMode, PointStrategy, PolygonPath, RasterJoin,
-    RasterJoinConfig,
-};
+use raster_join::{BinningMode, CanvasSpec, ExecutionMode, RasterJoin, RasterJoinConfig};
 use urban_data::gen::corpus::uniform_points;
 use urban_data::query::{AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionSet};
@@ -42,8 +39,6 @@ fn accurate(points: &PointTable, regions: &RegionSet, q: &SpatialAggQuery, res: 
         spec: CanvasSpec::Resolution(res),
         max_tile: 64,
         mode: ExecutionMode::Accurate,
-        path: PolygonPath::Scanline,
-        strategy: PointStrategy::PointsFirst,
         threads: 1,
         binning: BinningMode::Off,
         ..RasterJoinConfig::default()

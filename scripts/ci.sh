@@ -33,7 +33,7 @@ rule_count="$(sed -n 's/.*"rules": \[\([^]]*\)\].*/\1/p' LINT_report.json \
 echo "lint report OK ($rule_count rules) — artifact: LINT_report.json"
 
 # Verify stage: the ε-certification harness on the fast corpus (15 seeded
-# workloads ≈ 295 differential runs + the metamorphic laws, sub-second
+# workloads ≈ 285 differential runs + the metamorphic laws, sub-second
 # after the build). Fails if any run exceeds its analytic error budget or
 # any law is violated. VERIFY_FULL=1 in the environment quadruples the
 # corpus for the nightly sweep — same command, same report schema.

@@ -2,9 +2,9 @@
 # Run the urbane-verify ε-certification harness and write VERIFY_report.json.
 #
 # The fast corpus (default) finishes in well under a second after the build:
-# 15 differential workloads ≈ 280 runs across bounded / weighted / accurate /
-# id-buffer / prepared × threads {1,4} × binning {Off, Grid}, plus the
-# metamorphic laws. The full sweep quadruples the corpus.
+# 15 differential workloads ≈ 285 runs across bounded / weighted / accurate
+# × threads {1,4} × binning {Off, Grid}, each mode prepared, and the index
+# join, plus the metamorphic laws. The full sweep quadruples the corpus.
 #
 #   scripts/verify.sh                 # fast corpus → VERIFY_report.json
 #   VERIFY_FULL=1 scripts/verify.sh   # full sweep (~60 workloads, ~1100 runs)

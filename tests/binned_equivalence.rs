@@ -9,8 +9,7 @@
 //! answer cannot depend on the thread count or on scheduling races.
 
 use raster_join::{
-    BinningMode, CanvasSpec, ExecutionMode, PointStore, PointStrategy, QueryBudget, RasterJoin,
-    RasterJoinConfig,
+    BinningMode, CanvasSpec, ExecutionMode, PointStore, QueryBudget, RasterJoin, RasterJoinConfig,
 };
 use urban_data::binned::BinnedPointTable;
 use urban_data::filter::Filter;
@@ -22,12 +21,11 @@ use urbane_bench::workload::Workload;
 
 /// A 512-px canvas tiled at 128 px: a multi-tile plan (≥ 4×4 in the square
 /// dimension) so candidate pruning and work stealing both actually engage.
-fn config(mode: ExecutionMode, strategy: PointStrategy, threads: usize) -> RasterJoinConfig {
+fn config(mode: ExecutionMode, threads: usize) -> RasterJoinConfig {
     RasterJoinConfig {
         spec: CanvasSpec::Resolution(512),
         max_tile: 128,
         mode,
-        strategy,
         threads,
         binning: BinningMode::Off, // stores are supplied explicitly below
         ..Default::default()
@@ -50,8 +48,8 @@ fn queries() -> Vec<SpatialAggQuery> {
     ]
 }
 
-/// Every (mode, strategy) × thread count × query: the binned store must
-/// reproduce the serial unbinned table exactly.
+/// Every mode × thread count × query: the binned store must reproduce the
+/// serial unbinned table exactly.
 #[test]
 fn matrix_bit_identity() {
     let (points, regions) = demo_data();
@@ -60,20 +58,15 @@ fn matrix_bit_identity() {
     let binned = PointStore::with_bins(&points, &bins);
     let budget = QueryBudget::unlimited();
 
-    let combos = [
-        (ExecutionMode::Bounded, PointStrategy::PointsFirst),
-        (ExecutionMode::Weighted, PointStrategy::PointsFirst),
-        (ExecutionMode::Accurate, PointStrategy::PointsFirst),
-        (ExecutionMode::Bounded, PointStrategy::IdBuffer),
-    ];
+    let modes = [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate];
     for q in queries() {
-        for (mode, strategy) in combos {
-            let baseline = RasterJoin::new(config(mode, strategy, 1))
+        for mode in modes {
+            let baseline = RasterJoin::new(config(mode, 1))
                 .execute_store(plain, &regions, &q, &budget)
                 .expect("serial unbinned");
             assert!(baseline.tiles >= 4, "plan must be multi-tile, got {}", baseline.tiles);
             for threads in [1usize, 2, 4, 7] {
-                let join = RasterJoin::new(config(mode, strategy, threads));
+                let join = RasterJoin::new(config(mode, threads));
                 let unbinned = join
                     .execute_store(plain, &regions, &q, &budget)
                     .expect("threaded unbinned");
@@ -82,11 +75,11 @@ fn matrix_bit_identity() {
                     .expect("threaded binned");
                 assert_eq!(
                     baseline.table, unbinned.table,
-                    "{mode:?}/{strategy:?} threads={threads}: thread count changed the answer"
+                    "{mode:?} threads={threads}: thread count changed the answer"
                 );
                 assert_eq!(
                     baseline.table, with_bins.table,
-                    "{mode:?}/{strategy:?} threads={threads}: binning changed the answer"
+                    "{mode:?} threads={threads}: binning changed the answer"
                 );
             }
         }
@@ -99,13 +92,13 @@ fn matrix_bit_identity() {
 fn grid_knob_bit_identity() {
     let (points, regions) = demo_data();
     let q = SpatialAggQuery::new(AggKind::Avg("fare".into()));
-    let base = RasterJoin::new(config(ExecutionMode::Bounded, PointStrategy::PointsFirst, 1))
+    let base = RasterJoin::new(config(ExecutionMode::Bounded, 1))
         .execute(&points, &regions, &q)
         .expect("unbinned");
     for side in [1u32, 3, 16, 64] {
         let join = RasterJoin::new(RasterJoinConfig {
             binning: BinningMode::Grid(side),
-            ..config(ExecutionMode::Bounded, PointStrategy::PointsFirst, 4)
+            ..config(ExecutionMode::Bounded, 4)
         });
         let got = join.execute(&points, &regions, &q).expect("binned");
         assert_eq!(base.table, got.table, "grid side {side} changed the answer");
@@ -120,12 +113,12 @@ fn auto_mode_bit_identity_across_threshold() {
     let q = SpatialAggQuery::count();
     for n in [raster_join::MIN_AUTO_BIN_POINTS - 1, raster_join::MIN_AUTO_BIN_POINTS + 1] {
         let pts = points.prefix(n);
-        let off = RasterJoin::new(config(ExecutionMode::Bounded, PointStrategy::PointsFirst, 2))
+        let off = RasterJoin::new(config(ExecutionMode::Bounded, 2))
             .execute(&pts, &regions, &q)
             .expect("off");
         let auto = RasterJoin::new(RasterJoinConfig {
             binning: BinningMode::Auto,
-            ..config(ExecutionMode::Bounded, PointStrategy::PointsFirst, 2)
+            ..config(ExecutionMode::Bounded, 2)
         })
         .execute(&pts, &regions, &q)
         .expect("auto");
@@ -139,7 +132,7 @@ fn zero_grid_side_rejected() {
     let (points, regions) = demo_data();
     let join = RasterJoin::new(RasterJoinConfig {
         binning: BinningMode::Grid(0),
-        ..config(ExecutionMode::Bounded, PointStrategy::PointsFirst, 1)
+        ..config(ExecutionMode::Bounded, 1)
     });
     let err = join.execute(&points, &regions, &SpatialAggQuery::count()).unwrap_err();
     assert!(
@@ -157,7 +150,7 @@ fn prepared_store_bit_identity() {
     let bins = BinnedPointTable::build(&points);
     let budget = QueryBudget::unlimited();
     let q = SpatialAggQuery::new(AggKind::Sum("fare".into()));
-    for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
+    for mode in [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate] {
         let prepared =
             PreparedRasterJoin::prepare(&regions, CanvasSpec::Resolution(512), 128, mode)
                 .expect("prepare");

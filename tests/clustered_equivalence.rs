@@ -13,8 +13,8 @@
 //!    modes and counts agree exactly, bounded sums to rounding.
 
 use raster_join::{
-    BinningMode, CanvasSpec, ExecutionMode, PointStore, PointStrategy, PreparedRasterJoin,
-    QueryBudget, RasterJoin, RasterJoinConfig,
+    BinningMode, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, QueryBudget,
+    RasterJoin, RasterJoinConfig,
 };
 use spatial_index::naive_join;
 use urban_data::filter::Filter;
@@ -156,12 +156,11 @@ fn edge_filters(t: &PointTable) -> Vec<(&'static str, Vec<Filter>)> {
     footer_edge_filters(t, &t.zones().iter().collect::<Vec<_>>())
 }
 
-fn config(mode: ExecutionMode, strategy: PointStrategy, threads: usize, max_tile: u32) -> RasterJoinConfig {
+fn config(mode: ExecutionMode, threads: usize, max_tile: u32) -> RasterJoinConfig {
     RasterJoinConfig {
         spec: CanvasSpec::Resolution(512),
         max_tile,
         mode,
-        strategy,
         threads,
         binning: BinningMode::Off,
         ..Default::default()
@@ -176,12 +175,7 @@ fn footers_change_no_bit_of_any_executor() {
     t.cluster();
     let plain = stripped(&t);
     let budget = QueryBudget::unlimited();
-    let combos = [
-        (ExecutionMode::Bounded, PointStrategy::PointsFirst),
-        (ExecutionMode::Weighted, PointStrategy::PointsFirst),
-        (ExecutionMode::Accurate, PointStrategy::PointsFirst),
-        (ExecutionMode::Bounded, PointStrategy::IdBuffer),
-    ];
+    let modes = [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate];
     let (mut skipped, mut whole, mut scanned) = (0, 0, 0);
     // The aggregates take turns over the filters (never `fare`: its NaNs
     // would make every sum NaN, and NaN != NaN).
@@ -192,19 +186,19 @@ fn footers_change_no_bit_of_any_executor() {
         for f in &filters {
             q = q.filter(f.clone());
         }
-        for (mode, strategy) in combos {
+        for mode in modes {
             for max_tile in [128, 2048] {
-                let reference = RasterJoin::new(config(mode, strategy, 1, max_tile))
+                let reference = RasterJoin::new(config(mode, 1, max_tile))
                     .execute_store(PointStore::plain(&plain), &regions, &q, &budget)
                     .expect("stripped");
                 assert_eq!(reference.zones.skipped + reference.zones.whole, 0);
                 for threads in [1, 4] {
-                    let got = RasterJoin::new(config(mode, strategy, threads, max_tile))
+                    let got = RasterJoin::new(config(mode, threads, max_tile))
                         .execute_store(PointStore::plain(&t), &regions, &q, &budget)
                         .expect("footers on");
                     assert_eq!(
                         reference.table, got.table,
-                        "{name} / {agg:?} / {mode:?} / {strategy:?} / threads {threads} / tile {max_tile}"
+                        "{name} / {agg:?} / {mode:?} / threads {threads} / tile {max_tile}"
                     );
                     skipped += got.zones.skipped;
                     whole += got.zones.whole;
@@ -216,13 +210,13 @@ fn footers_change_no_bit_of_any_executor() {
     assert!(skipped > 0 && whole > 0 && scanned > 0, "{skipped} / {whole} / {scanned}");
 }
 
-/// Claim 2 over the prepared executor, both modes it supports.
+/// Claim 2 over a prepared raster kept across queries, in every mode.
 #[test]
 fn footers_change_no_bit_of_the_prepared_executor() {
     let (mut t, regions) = demo_data(true);
     t.cluster();
     let plain = stripped(&t);
-    for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
+    for mode in [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate] {
         for max_tile in [128, 2048] {
             let prepared =
                 PreparedRasterJoin::prepare(&regions, CanvasSpec::Resolution(512), max_tile, mode)

@@ -151,8 +151,8 @@ proptest! {
         }
     }
 
-    /// The prepared executor replays identically to the one-shot executor
-    /// in both modes, on arbitrary scenarios.
+    /// A kept prepared raster replays identically to the one-shot executor
+    /// in every mode, on arbitrary scenarios.
     #[test]
     fn prepared_matches_one_shot(s in scenario_strategy()) {
         use raster_join::{CanvasSpec, ExecutionMode, PreparedRasterJoin};
@@ -160,6 +160,7 @@ proptest! {
         prop_assume!(!regions.is_empty());
         for (mode, cfg) in [
             (ExecutionMode::Bounded, RasterJoinConfig::with_resolution(96)),
+            (ExecutionMode::Weighted, RasterJoinConfig::weighted(96)),
             (ExecutionMode::Accurate, RasterJoinConfig::accurate(96)),
         ] {
             let one_shot = RasterJoin::new(cfg).execute(&pts, &regions, &q).unwrap();

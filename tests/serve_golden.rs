@@ -142,6 +142,28 @@ fn wire_snapshots_are_stable() {
     server.shutdown();
 }
 
+/// The exact and the coverage-weighted answers, frozen bit for bit: an
+/// `avg:fare` under a five-day window over the irregular neighbourhoods,
+/// once per mode. Both modes fold boundary pixels differently from the
+/// bounded default, so any change to how a region's pixels are gathered
+/// shows up here.
+#[test]
+fn accurate_and_weighted_answers_are_stable() {
+    let server = boot();
+    let mut client = Client::connect(server.addr(), Duration::from_secs(30)).unwrap();
+    for mode in ["accurate", "weighted"] {
+        let body = format!(
+            "{{\"dataset\":\"taxi\",\"level\":1,\"agg\":\"avg:fare\",\"mode\":\"{mode}\",\
+             \"filters\":[{{\"type\":\"time\",\"start\":259200,\"end\":691200}}]}}"
+        );
+        let got = client.post("/query", &body).unwrap();
+        assert_eq!(got.status, 200, "{}", got.body);
+        let name = format!("serve_query_avg_fare_{mode}.json");
+        assert_golden(&name, &normalize_query_json(&got.body));
+    }
+    server.shutdown();
+}
+
 /// Regression: a cached exact-key hit for an *approximate* answer must
 /// replay the original certified bound, not report `error_bound: 0`/null.
 /// The bound is part of the answer — losing it on the hit path silently

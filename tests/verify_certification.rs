@@ -2,9 +2,9 @@
 //! makes about Raster Join's error bound, checked end-to-end on the same
 //! corpus the `verify` binary and the ci.sh `verify` stage run.
 //!
-//! * ≥200 budget-certified runs across the five execution paths
-//!   (bounded / weighted / accurate / id-buffer / prepared) × threads
-//!   {1, 4} × binning {Off, Grid};
+//! * ≥200 budget-certified runs across the execution paths (bounded /
+//!   weighted / accurate × threads {1, 4} × binning {Off, Grid}, each mode
+//!   prepared, and the index join);
 //! * the accurate paths are exact (counts bit-equal to the oracle, value
 //!   channels within f32-accumulator tolerance);
 //! * the approximate paths stay within their analytic per-region budget;
@@ -62,9 +62,16 @@ fn epsilon_bound_certified_across_the_execution_matrix() {
         report.certified_runs()
     );
 
-    // All five execution paths are present (prepared covers the fifth;
-    // id-buffer appears on every partition layout in the corpus).
-    for mode in ["bounded", "weighted", "accurate", "id_buffer", "prepared"] {
+    // Every execution path is present, each raster mode also prepared.
+    for mode in [
+        "bounded",
+        "weighted",
+        "accurate",
+        "prepared",
+        "prepared_weighted",
+        "prepared_accurate",
+        "index_join",
+    ] {
         assert!(report.modes.contains_key(mode), "mode {mode} never ran");
     }
 
