@@ -14,16 +14,14 @@
 //!    that pixel (a sorted pixel→regions table built in step 2).
 //!
 //! Steps 2–3 depend only on the canvas and are prepared once
-//! ([`crate::prepared`]); step 4 runs per query. The result equals the
-//! exact join bit-for-bit on counts — property-tested against the
-//! nested-loop baseline.
+//! ([`crate::prepared`]), with a one-bit-per-pixel bitmap of the boundary
+//! pixels. Step 4 runs during step 1: each drawn row tests its pixel's bit,
+//! and only a set bit costs the table lookup and the PIP tests. The hits
+//! are folded after the gather in row order, so the zones are walked once.
+//! The result equals the exact join bit-for-bit on counts — property-tested
+//! against the nested-loop baseline.
 
-use crate::budget::QueryBudget;
-use crate::compiled::{CompiledQuery, PointStore};
-use crate::Result;
 use gpu_raster::line::traverse_segment;
-use urban_data::query::AggTable;
-use urban_data::{RegionId, RegionSet};
 use urbane_geom::projection::Viewport;
 use urbane_geom::MultiPolygon;
 
@@ -41,49 +39,6 @@ pub(crate) fn boundary_pixels(viewport: &Viewport, geom: &MultiPolygon, out: &mu
     }
     out.sort_unstable();
     out.dedup();
-}
-
-/// Step 4 for one tile: every surviving point in a boundary pixel is tested
-/// against the regions whose boundary crosses that pixel — the same rows, in
-/// the same order, the point pass drew. `pairs` is sorted by pixel.
-pub(crate) fn fix_up(
-    viewport: &Viewport,
-    pairs: &[(u32, RegionId)],
-    store: &PointStore<'_>,
-    cq: &CompiledQuery<'_>,
-    regions: &RegionSet,
-    table: &mut AggTable,
-    budget: &QueryBudget,
-) -> Result<()> {
-    let points = store.table();
-    let w = viewport.width;
-    let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    cq.for_each_chunk(store, &viewport.world, budget, |idx| {
-        for &i in idx {
-            let i = i as usize;
-            let p = points.loc(i);
-            let Some((x, y)) = viewport.world_to_pixel(p) else { continue };
-            let pix = y * w + x;
-            let lo = pairs.partition_point(|&(q, _)| q < pix);
-            let v = column.map_or(0.0, |vals| vals[i] as f64);
-            // Empty unless `pix` is a boundary pixel of some region.
-            for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
-                if regions.geometry(id).contains(p) {
-                    table.states[id as usize].accumulate(v);
-                }
-            }
-        }
-    })
-}
-
-/// Diagnostic: how many pixels of the tile are boundary pixels for at least
-/// one region (the accurate variant's fix-up surface).
-pub fn boundary_pixel_count(viewport: &Viewport, regions: &RegionSet) -> usize {
-    let mut all = Vec::new();
-    for (_, _, geom) in regions.iter() {
-        boundary_pixels(viewport, geom, &mut all);
-    }
-    all.len()
 }
 
 #[cfg(test)]
@@ -147,15 +102,6 @@ mod tests {
         for r in 0..regions.len() {
             assert_eq!(got.states[r].count, truth.states[r].count, "region {r}");
         }
-    }
-
-    #[test]
-    fn boundary_pixel_count_scales_with_perimeter() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
-        let vp = Viewport::new(extent, 64, 64);
-        let few = voronoi_neighborhoods(&extent, 4, 2, 1);
-        let many = voronoi_neighborhoods(&extent, 50, 2, 1);
-        assert!(boundary_pixel_count(&vp, &many) > boundary_pixel_count(&vp, &few));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::budget::QueryBudget;
 use crate::compiled::{CompiledQuery, PointStore};
 use crate::Result;
-use gpu_raster::blend::BlendOp;
+use gpu_raster::blend::{BlendOp, Blendable};
 use gpu_raster::{Buffer2D, Pipeline};
 use urban_data::query::{AggKind, AggState};
 
@@ -39,14 +39,16 @@ pub(crate) const POINT_CHUNK: usize = urban_data::ZONE_ROWS;
 /// there are (zones that can reach the tile, or slices of a binned store's
 /// candidate rows) is [`CompiledQuery::for_each_chunk`]'s business. Rows
 /// arrive ascending, so the per-pixel blend order — and therefore every f32
-/// accumulation — is the same on every path. The surviving-row list of each
-/// chunk is shared by the blend, MIN, and MAX loops, and values are read
+/// accumulation — is the same on every path. Each row is projected once:
+/// the MIN/MAX channels blend in the same per-fragment step, which then
+/// hands `on_fragment(row, x, y)` the row and its pixel. Values are read
 /// straight from the resolved column — no per-chunk gather allocation.
 pub(crate) fn point_pass(
     pipe: &mut Pipeline,
     store: &PointStore<'_>,
     cq: &CompiledQuery<'_>,
     budget: &QueryBudget,
+    mut on_fragment: impl FnMut(usize, u32, u32),
 ) -> Result<PointBuffers> {
     let points = store.table();
     let (w, h) = (pipe.viewport().width, pipe.viewport().height);
@@ -59,25 +61,27 @@ pub(crate) fn point_pass(
 
     // The filtered fragment stream — this is the per-frame hot loop the
     // paper's performance argument rests on: one pass, one fragment each.
-    let viewport = *pipe.viewport();
+    let world = pipe.viewport().world;
     let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    cq.for_each_chunk(store, &viewport.world, budget, |idx| {
-        pipe.draw_points(
+    cq.for_each_chunk(store, &world, budget, |idx| {
+        pipe.draw_points_with(
             &mut count_sum,
             idx.iter().map(|&i| points.loc(i as usize)),
             |k| [1.0, column.map_or(0.0, |vals| vals[idx[k] as usize])],
             BlendOp::Add,
+            |k, x, y| {
+                let i = idx[k] as usize;
+                if let Some(vals) = column {
+                    if let Some(buf) = min_buf.as_mut() {
+                        f32::blend(buf.get_mut(x, y), vals[i], BlendOp::Min);
+                    }
+                    if let Some(buf) = max_buf.as_mut() {
+                        f32::blend(buf.get_mut(x, y), vals[i], BlendOp::Max);
+                    }
+                }
+                on_fragment(i, x, y);
+            },
         );
-        if let (Some(buf), Some(vals)) = (min_buf.as_mut(), column) {
-            for &i in idx {
-                gpu_raster::point::draw_point(buf, &viewport, points.loc(i as usize), vals[i as usize], BlendOp::Min);
-            }
-        }
-        if let (Some(buf), Some(vals)) = (max_buf.as_mut(), column) {
-            for &i in idx {
-                gpu_raster::point::draw_point(buf, &viewport, points.loc(i as usize), vals[i as usize], BlendOp::Max);
-            }
-        }
     })?;
 
     Ok(PointBuffers { count_sum, min: min_buf, max: max_buf })

@@ -4,8 +4,10 @@
 //! so the polygon pass depends on (regions, canvas, mode) alone and runs
 //! once: per tile and region, the covered pixels as row runs in the order
 //! the scanline fill emitted them, plus the mode's boundary table
-//! ([`crate::accurate`], [`crate::weighted`]). A query then costs one point
-//! pass plus a gather over the runs — the software analogue of keeping the
+//! ([`crate::accurate`]: sorted `(pixel, region)` pairs and a boundary
+//! bitmap; [`crate::weighted`]: coverage lists). A query then costs one
+//! point pass — which in accurate mode also resolves the rows on boundary
+//! pixels — plus a gather over the runs: the software analogue of keeping the
 //! polygons resident on the GPU. [`RasterJoin::execute_store`] prepares and
 //! replays; the replay runs in [`RasterJoin::execute_prepared`]'s tile loop.
 
@@ -31,8 +33,9 @@ enum Boundary {
     /// Bounded mode: boundary pixels are gathered like any other.
     Gathered,
     /// Accurate mode: sorted `(pixel, region)` pairs, resolved per point
-    /// with exact PIP tests.
-    Exact(Vec<(u32, RegionId)>),
+    /// with exact PIP tests, and one bit per tile pixel, set exactly for the
+    /// pixels in `pairs` — the test each drawn row makes first.
+    Exact { pairs: Vec<(u32, RegionId)>, bits: Vec<u64> },
     /// Weighted mode: `weights[offsets[r]..offsets[r + 1]]` are region `r`'s
     /// `(pixel, coverage)` pairs, pixel-ascending.
     Weighted { offsets: Vec<u32>, weights: Vec<(u32, f64)> },
@@ -117,7 +120,11 @@ impl PreparedTile {
         let boundary = match mode {
             ExecutionMode::Accurate => {
                 pairs.sort_unstable();
-                Boundary::Exact(pairs)
+                let mut bits = vec![0u64; (w as usize * viewport.height as usize).div_ceil(64)];
+                for &(pix, _) in &pairs {
+                    bits[pix as usize >> 6] |= 1 << (pix & 63);
+                }
+                Boundary::Exact { pairs, bits }
             }
             ExecutionMode::Weighted => Boundary::Weighted { offsets: weight_offsets, weights },
             _ => Boundary::Gathered,
@@ -138,8 +145,9 @@ impl PreparedTile {
     }
 
     /// Answer one query on this tile: point pass, then per region its runs
-    /// (and, weighted, its boundary pixels by coverage), then the accurate
-    /// fix-up. The budget is polled per region and per point chunk.
+    /// (and, weighted, its boundary pixels by coverage), then the PIP hits
+    /// the accurate point pass collected on boundary pixels, in row order.
+    /// The budget is polled per region and per point chunk.
     pub(crate) fn replay(
         &self,
         store: &PointStore<'_>,
@@ -148,7 +156,27 @@ impl PreparedTile {
         budget: &QueryBudget,
     ) -> Result<(AggTable, RenderStats)> {
         let mut pipe = Pipeline::new(self.viewport);
-        let bufs = point_pass(&mut pipe, store, cq, budget)?;
+        let mut hits: Vec<(RegionId, f64)> = Vec::new();
+        let bufs = if let Boundary::Exact { pairs, bits } = &self.boundary {
+            let (points, w) = (store.table(), self.viewport.width);
+            let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
+            point_pass(&mut pipe, store, cq, budget, |i, x, y| {
+                let pix = y * w + x;
+                if bits[pix as usize >> 6] & (1 << (pix & 63)) == 0 {
+                    return;
+                }
+                let (p, v) = (points.loc(i), column.map_or(0.0, |vals| vals[i] as f64));
+                let lo = pairs.partition_point(|&(q, _)| q < pix);
+                for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
+                    if regions.geometry(id).contains(p) {
+                        // lint: bounded-by rows drawn × regions whose boundary crosses the row's pixel
+                        hits.push((id, v));
+                    }
+                }
+            })?
+        } else {
+            point_pass(&mut pipe, store, cq, budget, |_, _, _| {})?
+        };
         let mut table = AggTable::new(cq.agg.clone(), regions.len());
         for (r, state) in table.states.iter_mut().enumerate() {
             budget.check()?;
@@ -158,10 +186,8 @@ impl PreparedTile {
                 weighted::fold_boundary(state, &bufs, own, self.viewport.width);
             }
         }
-        if let Boundary::Exact(pairs) = &self.boundary {
-            if !pairs.is_empty() {
-                accurate::fix_up(&self.viewport, pairs, store, cq, regions, &mut table, budget)?;
-            }
+        for &(id, v) in &hits {
+            table.states[id as usize].accumulate(v);
         }
         Ok((table, *pipe.stats()))
     }
@@ -173,7 +199,7 @@ pub struct PreparedRasterJoin {
     pub(crate) tiles: Vec<PreparedTile>,
     pub(crate) epsilon: f64,
     pub(crate) canvas: (u32, u32),
-    /// Kept so the accurate fix-up can run exact PIP tests.
+    /// Kept so the accurate point pass can run exact PIP tests.
     pub(crate) regions: RegionSet,
 }
 
@@ -302,6 +328,15 @@ mod tests {
         let prepared =
             PreparedRasterJoin::prepare(&regions, CanvasSpec::Resolution(96), 2048, ExecutionMode::Accurate)
                 .unwrap();
+        // The boundary bitmap marks exactly the pixels of the pairs.
+        let tile = &prepared.tiles[0];
+        let Boundary::Exact { pairs, bits } = &tile.boundary else { panic!("accurate tile") };
+        let pixels = tile.viewport.width * tile.viewport.height;
+        assert_eq!(bits.len(), pixels.div_ceil(64) as usize);
+        for pix in 0..pixels {
+            let set = bits[pix as usize >> 6] & (1 << (pix & 63)) != 0;
+            assert_eq!(set, pairs.iter().any(|&(q, _)| q == pix), "pixel {pix}");
+        }
         for agg in [AggKind::Count, AggKind::Avg("v".into()), AggKind::Max("v".into())] {
             let q = SpatialAggQuery::new(agg.clone());
             let truth = naive_join(&points, &regions, &q).unwrap();

@@ -9,10 +9,12 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q
-# The zone classifier's bit-identity claims (DESIGN.md §15, §18) again under
-# the optimizer the server ships with: footers on == footers stripped, and
-# stored join == in-memory join, must not depend on the build profile.
-cargo test -q --release -p urbane-bench --test clustered_equivalence --test store_subsystem
+# The bit-identity claims (DESIGN.md §7, §15, §18) again under the optimizer
+# the server ships with: footers on == footers stripped, stored join ==
+# in-memory join, and the accurate pass's boundary rows == the exact join,
+# must not depend on the build profile.
+cargo test -q --release -p urbane-bench \
+  --test clustered_equivalence --test store_subsystem --test cross_method_equivalence
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,

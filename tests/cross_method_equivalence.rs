@@ -11,7 +11,7 @@ use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::schema::{AttrType, Schema};
 use urban_data::time::TimeRange;
 use urban_data::{PointTable, RegionSet};
-use urbane_geom::{BoundingBox, Point};
+use urbane_geom::{BoundingBox, Point, Polygon};
 
 const EXTENT: f64 = 100.0;
 
@@ -83,6 +83,40 @@ fn build(s: &Scenario) -> (PointTable, RegionSet, SpatialAggQuery) {
         q = q.filter(Filter::AttrRange { column: "v".into(), min: lo, max: hi });
     }
     (table, regions, q)
+}
+
+/// Overlapping regions on one boundary pixel. On the 16-px canvas over
+/// `[0, 12] × [0, 16]`, pixel column 4 at `y = 7.5` is crossed by region 0's
+/// left edge (`x = 4.3`) and lies inside region 1, away from its edges.
+/// Bounded mode gives region 0 both points of that pixel, since the pixel
+/// centre is inside it. The accurate pass must let region 1 keep both
+/// (through its gathered runs) and give region 0 only the point its PIP test
+/// accepts — the exact join's answer, bit for bit.
+#[test]
+fn overlapping_regions_split_a_boundary_pixel_exactly() {
+    let regions = RegionSet::from_polygons(
+        "overlap",
+        "o",
+        vec![
+            Polygon::from_coords(&[(4.3, 2.0), (12.0, 2.0), (12.0, 14.0), (4.3, 14.0)]).unwrap(),
+            Polygon::from_coords(&[(0.0, 0.0), (9.0, 0.0), (9.0, 16.0), (0.0, 16.0)]).unwrap(),
+        ],
+    );
+    let mut pts = PointTable::new(Schema::new([("v", AttrType::Numeric)]).unwrap());
+    // The boundary pixel: in both regions, then in region 1 only. Then a
+    // point in both regions' interiors.
+    for (x, v) in [(4.6, 1.0), (4.1, 2.0), (7.5, 4.0)] {
+        pts.push(Point::new(x, 7.5), 0, &[v]).unwrap();
+    }
+    for (agg, want) in [(AggKind::Count, [2.0, 3.0]), (AggKind::Sum("v".into()), [5.0, 7.0])] {
+        let q = SpatialAggQuery::new(agg);
+        let bounded =
+            RasterJoin::new(RasterJoinConfig::with_resolution(16)).execute(&pts, &regions, &q).unwrap();
+        assert_ne!(bounded.table.value(0), Some(want[0]), "the pixel is not ambiguous for region 0");
+        let got = RasterJoin::new(RasterJoinConfig::accurate(16)).execute(&pts, &regions, &q).unwrap();
+        assert_eq!(got.table.values(), want.map(Some));
+        assert_eq!(got.table.values(), naive_join(&pts, &regions, &q).unwrap().values());
+    }
 }
 
 fn values_close(a: &[Option<f64>], b: &[Option<f64>]) -> bool {

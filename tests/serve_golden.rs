@@ -142,24 +142,29 @@ fn wire_snapshots_are_stable() {
     server.shutdown();
 }
 
-/// The exact and the coverage-weighted answers, frozen bit for bit: an
-/// `avg:fare` under a five-day window over the irregular neighbourhoods,
-/// once per mode. Both modes fold boundary pixels differently from the
-/// bounded default, so any change to how a region's pixels are gathered
-/// shows up here.
+/// The exact and the coverage-weighted answers, frozen bit for bit under a
+/// five-day window: an `avg:fare` over the irregular neighbourhoods once per
+/// mode, and the accurate drill shape (`sum:tip`, `max:fare` at level 2).
+/// Both modes fold boundary pixels differently from the bounded default, so
+/// any change to how a region's pixels are gathered, or to which regions a
+/// point on a boundary pixel reaches, shows up here.
 #[test]
 fn accurate_and_weighted_answers_are_stable() {
     let server = boot();
     let mut client = Client::connect(server.addr(), Duration::from_secs(30)).unwrap();
-    for mode in ["accurate", "weighted"] {
+    for (level, agg, mode, name) in [
+        (1, "avg:fare", "accurate", "avg_fare_accurate"),
+        (1, "avg:fare", "weighted", "avg_fare_weighted"),
+        (2, "sum:tip", "accurate", "sum_tip_accurate"),
+        (2, "max:fare", "accurate", "max_fare_accurate"),
+    ] {
         let body = format!(
-            "{{\"dataset\":\"taxi\",\"level\":1,\"agg\":\"avg:fare\",\"mode\":\"{mode}\",\
+            "{{\"dataset\":\"taxi\",\"level\":{level},\"agg\":\"{agg}\",\"mode\":\"{mode}\",\
              \"filters\":[{{\"type\":\"time\",\"start\":259200,\"end\":691200}}]}}"
         );
         let got = client.post("/query", &body).unwrap();
         assert_eq!(got.status, 200, "{}", got.body);
-        let name = format!("serve_query_avg_fare_{mode}.json");
-        assert_golden(&name, &normalize_query_json(&got.body));
+        assert_golden(&format!("serve_query_{name}.json"), &normalize_query_json(&got.body));
     }
     server.shutdown();
 }
