@@ -3,22 +3,18 @@
 //! ```text
 //! cargo run --release -p urbane-bench --bin repro -- --exp all --scale 1000000
 //! cargo run --release -p urbane-bench --bin repro -- --exp e2
-//! cargo run --release -p urbane-bench --bin repro -- --exp swarm --json BENCH_swarm.json
+//! cargo run --release -p urbane-bench --bin repro -- --exp verify --json VERIFY_report.json
 //! ```
 //!
 //! Performance is measured by `benchmark/run.sh` (BENCHMARK.json), not here.
 
-use urbane_bench::{experiments, swarm, verify_exp};
+use urbane_bench::{experiments, verify_exp};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--exp all|swarm|verify|e1|...|e9] [--scale N] [--out DIR] [--json PATH]\n\
-         \x20             [--clients N] [--requests N] [--shards N] [--kills N]\n\
+        "usage: repro [--exp all|verify|e1|...|e9] [--scale N] [--out DIR] [--json PATH]\n\
          defaults: --exp all --scale 1000000 --out out\n\
-         \x20         --clients 2 --requests 60 --shards 3 --kills 2\n\
-         --json applies to `verify` and `swarm`;\n\
-         --clients/--requests/--shards/--kills apply to `swarm` (chaos-driven sharded front,\n\
-         \x20 scale = dataset rows);\n\
+         --json applies to `verify`;\n\
          for `verify`, scale maps to corpus size (default = fast CI corpus)"
     );
     std::process::exit(2);
@@ -30,10 +26,6 @@ fn main() {
     let mut scale = 1_000_000usize;
     let mut out_dir = "out".to_string();
     let mut json_path: Option<String> = None;
-    let mut clients = 2usize;
-    let mut requests = 60usize;
-    let mut shards = 3usize;
-    let mut kills = 2usize;
 
     let mut i = 0;
     while i < args.len() {
@@ -57,37 +49,6 @@ fn main() {
                 i += 1;
                 json_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--clients" => {
-                i += 1;
-                clients = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&c| c > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--requests" => {
-                i += 1;
-                requests = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&r| r > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--kills" => {
-                i += 1;
-                kills = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -95,32 +56,6 @@ fn main() {
             }
         }
         i += 1;
-    }
-
-    if exp == "swarm" {
-        let cfg = swarm::SwarmConfig {
-            rows: scale.min(100_000),
-            shards,
-            clients: clients.max(3),
-            requests,
-            kills,
-            ..Default::default()
-        };
-        println!(
-            "swarm: {} shards, {} clients x {} requests, {} scheduled kills, seed {:#x}",
-            cfg.shards, cfg.clients, cfg.requests, cfg.kills, cfg.seed
-        );
-        let report = swarm::run(&cfg);
-        if let Some(path) = &json_path {
-            std::fs::write(path, report.to_json())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        print!("{}", report.render());
-        if !report.passed() {
-            std::process::exit(1);
-        }
-        return;
     }
 
     if exp == "verify" {

@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod swarm;
 pub mod verify_exp;
 pub mod workload;
 

@@ -44,7 +44,6 @@ pub mod accurate;
 pub mod bounded;
 pub mod budget;
 pub mod canvas;
-pub mod chaos;
 pub mod compiled;
 pub mod executor;
 #[cfg(feature = "fault-injection")]
@@ -54,7 +53,6 @@ pub mod weighted;
 
 pub use budget::{CancelHandle, QueryBudget};
 pub use canvas::{CanvasPlan, CanvasSpec};
-pub use chaos::{ChaosCounts, ChaosEvent, ChaosPlan, ShardKill};
 pub use compiled::{PointStore, ZoneStats};
 pub use executor::{
     BinningMode, ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult,

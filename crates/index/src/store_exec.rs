@@ -199,7 +199,7 @@ pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
     let mut out = AggTable::new(query.agg_kind(), regions.len());
     let mut stats = StoredJoinStats::default();
     let mut candidates = Vec::with_capacity(8);
-    // lint: capped-by one entry per request filter, and the server's framing caps the request body (`max_body`, 1 MiB by default)
+    // lint: capped-by one entry per request filter, and the server's framing caps the request body (`http::MAX_BODY`, 1 MiB)
     let mut undecided: Vec<&Cond> = Vec::with_capacity(plan.conds.len());
     let mut attrs: Vec<usize> = Vec::with_capacity(plan.conds.len() + 1);
     // One zone of the columns in use, for the whole join.

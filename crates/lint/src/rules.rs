@@ -215,8 +215,9 @@ pub fn rule_in_scope(rule: RuleId, rel: &str) -> bool {
                 .any(|c| rel.starts_with(&format!("crates/{c}/src")));
             crate_in_scope && !rel.contains("/src/bin/") && !ALLOWLISTED.contains(&rel)
         }
-        // Retry loops live where calls leave the process: the serving layer
-        // (shard transport, supervisor restarts) and the guard ladder.
+        // Retry loops belong on the request path: the serving layer (which
+        // makes no outbound calls, so has none today) and the guard ladder,
+        // which retries a panicked full rung once.
         RuleId::BoundedRetry => {
             rel.starts_with("crates/server/src")
                 || matches!(

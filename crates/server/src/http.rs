@@ -15,6 +15,9 @@ use std::time::{Duration, Instant};
 pub const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Maximum number of header lines accepted per request.
 pub const MAX_HEADERS: usize = 100;
+/// Maximum request-body bytes (1 MiB). A larger `Content-Length` is refused
+/// before the body is allocated or read.
+pub const MAX_BODY: usize = 1 << 20;
 
 /// A [`TcpStream`] wrapper that enforces a *total* per-request read budget
 /// on top of the per-read idle timeout.
@@ -160,7 +163,7 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, ReadError> {
 
 /// Read one request from `r`. `Err(Eof)` on a cleanly closed idle
 /// connection; `Malformed` covers both bad syntax and exceeded limits.
-pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Request, ReadError> {
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ReadError> {
     let request_line = match read_line(r)? {
         None => return Err(ReadError::Eof),
         Some(l) => l,
@@ -201,9 +204,9 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Request, R
         .transpose()
         .map_err(|_| ReadError::Malformed("bad content-length".into()))?
         .unwrap_or(0);
-    if content_length > max_body {
+    if content_length > MAX_BODY {
         return Err(ReadError::Malformed(format!(
-            "body of {content_length} bytes exceeds the {max_body}-byte limit"
+            "body of {content_length} bytes exceeds the {MAX_BODY}-byte limit"
         )));
     }
     let mut body = vec![0u8; content_length];
@@ -307,7 +310,16 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        read_request(&mut BufReader::new(raw.as_bytes()))
+    }
+
+    /// A body source that fails the test if the parser reads from it.
+    struct Untouched;
+
+    impl Read for Untouched {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            panic!("the parser read the body of a request it should have refused");
+        }
     }
 
     #[test]
@@ -335,13 +347,29 @@ mod tests {
         assert!(matches!(parse("garbage\r\n\r\n"), Err(ReadError::Malformed(_))));
         assert!(matches!(parse("GET / SPDY/3\r\n\r\n"), Err(ReadError::Malformed(_))));
         assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n"),
-            Err(ReadError::Malformed(_))
-        ));
-        assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
             Err(ReadError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn body_cap_refuses_before_reading_and_admits_exactly_max_body() {
+        // One byte over the cap: refused from the header alone, so the body
+        // is neither allocated nor waited for.
+        let head = format!(
+            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        match read_request(&mut BufReader::new(head.as_bytes().chain(Untouched))) {
+            Err(ReadError::Malformed(m)) => assert!(m.contains("exceeds"), "{m}"),
+            other => panic!("an oversized body must be refused: {other:?}"),
+        }
+
+        let mut raw =
+            format!("POST /query HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n").into_bytes();
+        raw.resize(raw.len() + MAX_BODY, b'x');
+        let req = read_request(&mut BufReader::new(raw.as_slice())).unwrap();
+        assert_eq!(req.body.len(), MAX_BODY);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! TcpListener ──► acceptor thread ──► bounded queue ──► worker pool
 //!                      │ (full?)                            │
 //!                      └─► 429 + Retry-After                ├─► HTTP parse
-//!                                                           ├─► Handler
+//!                                                           ├─► Router
 //!                                                           └─► UrbaneService
 //!                                                                 ├─ query cache
 //!                                                                 └─ degradation ladder
@@ -26,13 +26,11 @@
 //!   answer fidelity (the PR-1 ladder) instead of stacking latency. On the
 //!   read side, a total per-request budget ([`http::BudgetedStream`])
 //!   defeats slow-loris clients that the per-read idle timeout alone would
-//!   let pin a worker forever.
+//!   let pin a worker forever, and a request body is capped at
+//!   [`http::MAX_BODY`].
 //!
-//! The request loop is generic over a [`Handler`], so the same accept /
-//! pool / framing plumbing serves both a single-process [`Router`] and the
-//! sharded front ([`supervisor::ShardSupervisor`]), which adds consistent-
-//! hash routing, retries with decorrelated-jitter backoff, hedged reads,
-//! and per-shard circuit breakers ([`shard`]).
+//! One process, one handler: the acceptor only admits or sheds, and each
+//! worker's connection loop calls [`Router::handle`] directly.
 //!
 //! Endpoints: `POST /query`, `POST /reload`, `GET /datasets`,
 //! `GET /healthz`, `GET /metrics`.
@@ -45,19 +43,14 @@ pub mod http;
 pub mod metrics;
 pub mod pool;
 pub mod router;
-pub mod shard;
-pub mod supervisor;
 pub mod wire;
 
 pub use client::{Client, ClientResponse};
 pub use metrics::{Metrics, Route};
 pub use pool::WorkerPool;
 pub use router::Router;
-pub use shard::{BreakerState, RetryPolicy, ShardMetrics};
-pub use supervisor::{ShardSupervisor, SupervisorConfig};
 
-use http::{read_request, write_response, BudgetedStream, ReadError, Request, Response};
-use metrics::Route as MetricsRoute;
+use http::{read_request, write_response, BudgetedStream, ReadError, Response};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,8 +77,6 @@ pub struct ServerConfig {
     /// within this window — a trickling client cannot reset the clock
     /// byte by byte.
     pub read_budget: Duration,
-    /// Maximum request-body bytes.
-    pub max_body: usize,
 }
 
 impl Default for ServerConfig {
@@ -96,22 +87,7 @@ impl Default for ServerConfig {
             queue_capacity: 32,
             read_timeout: Duration::from_secs(5),
             read_budget: Duration::from_secs(10),
-            max_body: 1 << 20,
         }
-    }
-}
-
-/// A request handler behind the accept/pool/framing plumbing. Implemented
-/// by the single-process [`Router`] and the sharded front.
-pub trait Handler: Send + Sync + 'static {
-    /// Dispatch one parsed request. `queue_depth` is sampled by the worker
-    /// so handlers can expose it without a pool handle.
-    fn handle(&self, req: &Request, queue_depth: usize) -> Response;
-}
-
-impl Handler for Router {
-    fn handle(&self, req: &Request, queue_depth: usize) -> Response {
-        Router::handle(self, req, queue_depth)
     }
 }
 
@@ -127,51 +103,40 @@ fn retry_after_secs(shed_seq: u64) -> u64 {
     1 + ((z ^ (z >> 31)) % 4)
 }
 
-/// The generic server core: listener + acceptor + bounded queue + worker
-/// pool around any [`Handler`]. [`UrbaneServer`] wraps it for the
-/// single-process router; the shard supervisor builds on it directly.
-pub struct HttpServer {
+/// A running server: listener + acceptor + bounded queue + worker pool
+/// around one [`Router`]. Dropping the handle does *not* stop it — call
+/// [`shutdown`](Self::shutdown) (tests) or [`wait`](Self::wait) (binary).
+pub struct UrbaneServer {
     addr: SocketAddr,
-    metrics: Arc<Metrics>,
     pool: Arc<WorkerPool>,
     stopping: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
 }
 
-impl HttpServer {
+impl UrbaneServer {
     /// Bind, spawn the worker pool and the acceptor, and return. The
     /// returned handle is ready for traffic (`addr()` is connectable).
-    pub fn start(
-        config: ServerConfig,
-        handler: Arc<dyn Handler>,
-        metrics: Arc<Metrics>,
-    ) -> std::io::Result<Self> {
+    pub fn start(config: ServerConfig, service: Arc<UrbaneService>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let router = Arc::new(Router::new(service, Arc::new(Metrics::new())));
         let pool = Arc::new(WorkerPool::new(config.workers, config.queue_capacity));
         let stopping = Arc::new(AtomicBool::new(false));
 
         let acceptor = {
-            let handler = Arc::clone(&handler);
-            let metrics = Arc::clone(&metrics);
             let pool = Arc::clone(&pool);
             let stopping = Arc::clone(&stopping);
             std::thread::Builder::new()
                 .name("urbane-serve-acceptor".into())
-                .spawn(move || accept_loop(&listener, &handler, &metrics, &pool, &stopping, &config))?
+                .spawn(move || accept_loop(&listener, &router, &pool, &stopping, &config))?
         };
 
-        Ok(HttpServer { addr, metrics, pool, stopping, acceptor: Some(acceptor) })
+        Ok(UrbaneServer { addr, pool, stopping, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
     }
 
     /// Stop accepting, drain the pool, and join every thread. In-flight
@@ -198,55 +163,9 @@ impl HttpServer {
     }
 }
 
-/// A running single-process server. Dropping the handle does *not* stop it
-/// — call [`shutdown`](Self::shutdown) (tests) or [`wait`](Self::wait)
-/// (binary).
-pub struct UrbaneServer {
-    inner: HttpServer,
-    router: Arc<Router>,
-}
-
-impl UrbaneServer {
-    /// Bind, spawn the worker pool and the acceptor, and return. The
-    /// returned handle is ready for traffic (`addr()` is connectable).
-    pub fn start(config: ServerConfig, service: Arc<UrbaneService>) -> std::io::Result<Self> {
-        let metrics = Arc::new(Metrics::new());
-        let router = Arc::new(Router::new(service, Arc::clone(&metrics)));
-        let handler: Arc<dyn Handler> = Arc::clone(&router) as Arc<dyn Handler>;
-        let inner = HttpServer::start(config, handler, metrics)?;
-        Ok(UrbaneServer { inner, router })
-    }
-
-    /// The bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// The shared service (tests reach through this for reloads/stats).
-    pub fn service(&self) -> &Arc<UrbaneService> {
-        self.router.service()
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        self.inner.metrics()
-    }
-
-    /// Stop accepting, drain the pool, and join every thread.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
-
-    /// Block until the acceptor exits.
-    pub fn wait(self) {
-        self.inner.wait();
-    }
-}
-
 fn accept_loop(
     listener: &TcpListener,
-    handler: &Arc<dyn Handler>,
-    metrics: &Arc<Metrics>,
+    router: &Arc<Router>,
     pool: &Arc<WorkerPool>,
     stopping: &Arc<AtomicBool>,
     config: &ServerConfig,
@@ -259,38 +178,26 @@ fn accept_loop(
             Ok(s) => s,
             Err(_) => continue,
         };
-        metrics.observe_connection();
+        router.metrics().observe_connection();
         let job = {
-            let handler = Arc::clone(handler);
-            let metrics = Arc::clone(metrics);
+            let router = Arc::clone(router);
             let pool = Arc::clone(pool);
             let stopping = Arc::clone(stopping);
             let read_timeout = config.read_timeout;
             let read_budget = config.read_budget;
-            let max_body = config.max_body;
             let stream = match stream.try_clone() {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            move || {
-                handle_connection(
-                    stream,
-                    handler.as_ref(),
-                    &metrics,
-                    &pool,
-                    &stopping,
-                    read_timeout,
-                    read_budget,
-                    max_body,
-                )
-            }
+            move || handle_connection(stream, &router, &pool, &stopping, read_timeout, read_budget)
         };
         if pool.try_submit(job).is_err() {
             // Shed before reading the request: the queue being full already
             // tells us we cannot serve promptly, and not reading keeps the
             // rejection O(1) regardless of request size.
+            let metrics = router.metrics();
             let shed_seq = metrics.observe_shed();
-            metrics.observe(MetricsRoute::Other, 429, Duration::ZERO);
+            metrics.observe(Route::Other, 429, Duration::ZERO);
             let resp = Response::error(429, "server saturated, please retry")
                 .with_header("Retry-After", retry_after_secs(shed_seq).to_string());
             let _ = write_response(&mut stream, &resp, false);
@@ -298,16 +205,13 @@ fn accept_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_connection(
     stream: TcpStream,
-    handler: &dyn Handler,
-    metrics: &Metrics,
+    router: &Router,
     pool: &WorkerPool,
     stopping: &AtomicBool,
     read_timeout: Duration,
     read_budget: Duration,
-    max_body: usize,
 ) {
     if stream.set_nodelay(true).is_err() {
         return;
@@ -316,15 +220,16 @@ fn handle_connection(
         Ok(s) => s,
         Err(_) => return,
     };
+    let metrics = router.metrics();
     let mut reader = BufReader::new(BudgetedStream::new(stream, read_timeout, read_budget));
     loop {
-        let req = match read_request(&mut reader, max_body) {
+        let req = match read_request(&mut reader) {
             Ok(r) => r,
             // Peer hung up, or a read timeout/budget expiry/reset: nothing
             // useful to say (a slow-loris peer is not listening anyway).
             Err(ReadError::Eof) | Err(ReadError::Io(_)) => return,
             Err(ReadError::Malformed(m)) => {
-                metrics.observe(MetricsRoute::Other, 400, Duration::ZERO);
+                metrics.observe(Route::Other, 400, Duration::ZERO);
                 let _ = write_response(&mut writer, &Response::error(400, &m), false);
                 return;
             }
@@ -334,7 +239,7 @@ fn handle_connection(
         reader.get_mut().finish_request();
         let start = Instant::now();
         let route = router::route_of(&req.method, &req.path);
-        let resp = handler.handle(&req, pool.depth());
+        let resp = router.handle(&req, pool.depth());
         let status = resp.status;
         let keep = !req.wants_close() && !stopping.load(Ordering::SeqCst);
         let write_ok = write_response(&mut writer, &resp, keep).is_ok();

@@ -73,9 +73,9 @@ impl Router {
         Router { service, metrics }
     }
 
-    /// The service handle.
-    pub fn service(&self) -> &Arc<UrbaneService> {
-        &self.service
+    /// The metrics registry the connection loop records each exchange in.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// Dispatch one request. `queue_depth` is sampled by the caller (the

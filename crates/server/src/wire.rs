@@ -199,43 +199,6 @@ pub fn answer_to_json(req: &QueryRequest, answer: &QueryAnswer) -> Json {
     Json::Object(m)
 }
 
-/// Rewrite (or inject) `deadline_ms` in a query body, so the front can
-/// propagate its *remaining* budget to the shard instead of the client's
-/// original figure.
-pub fn with_deadline(body: &str, deadline_ms: u64) -> Result<String, WireError> {
-    let v = urbane_geom::geojson::parse_json(body)
-        .map_err(|e| bad(format!("invalid JSON body: {e}")))?;
-    let Json::Object(mut m) = v else {
-        return Err(bad("request body must be a JSON object"));
-    };
-    m.insert("deadline_ms".into(), num(deadline_ms as f64));
-    Ok(Json::Object(m).to_string())
-}
-
-/// The guard path a served answer reports, if the body parses as one.
-pub fn answer_guard_path(body: &str) -> Option<String> {
-    let v = urbane_geom::geojson::parse_json(body).ok()?;
-    Some(v.get("guard")?.get("path")?.as_str()?.to_string())
-}
-
-/// Re-wrap a last-good cached answer (or a front-local preview answer) as
-/// a `shard_degraded` response: same answer payload, but the guard report
-/// states that the owning shard was unavailable and names the fallback
-/// `source` ("front_cache" or "preview"). The wire-level contract: clients
-/// get a usable answer plus an honest provenance note, never a 500.
-pub fn degrade_answer(body: &str, source: &str) -> Option<String> {
-    let Ok(Json::Object(mut m)) = urbane_geom::geojson::parse_json(body) else {
-        return None;
-    };
-    let mut guard = BTreeMap::new();
-    guard.insert("path".into(), Json::String("shard_degraded".into()));
-    guard.insert("degraded".into(), Json::Bool(true));
-    guard.insert("source".into(), Json::String(source.to_string()));
-    m.insert("guard".into(), Json::Object(guard));
-    m.insert("cached".into(), Json::Bool(source == "front_cache"));
-    Some(Json::Object(m).to_string())
-}
-
 /// Serialize the `/datasets` listing.
 pub fn datasets_to_json(datasets: &[DatasetInfo]) -> Json {
     let list: Vec<Json> = datasets
@@ -315,41 +278,6 @@ mod tests {
             let err = parse_query(body).expect_err(body);
             assert!(err.0.contains(needle), "{body} -> {err}");
         }
-    }
-
-    #[test]
-    fn deadline_rewrite_injects_and_overrides() {
-        let injected = with_deadline(r#"{"dataset":"taxi","level":1}"#, 750).unwrap();
-        let v = urbane_geom::geojson::parse_json(&injected).unwrap();
-        assert_eq!(v.get("deadline_ms").unwrap().as_f64(), Some(750.0));
-        assert_eq!(v.get("dataset").unwrap().as_str(), Some("taxi"));
-
-        let overridden =
-            with_deadline(r#"{"dataset":"taxi","level":1,"deadline_ms":99999}"#, 10).unwrap();
-        let v = urbane_geom::geojson::parse_json(&overridden).unwrap();
-        assert_eq!(v.get("deadline_ms").unwrap().as_f64(), Some(10.0));
-
-        assert!(with_deadline("not json", 1).is_err());
-        assert!(with_deadline("[1]", 1).is_err());
-    }
-
-    #[test]
-    fn degraded_rewrap_keeps_payload_and_marks_provenance() {
-        let body = r#"{"dataset":"taxi","level":1,"cached":false,"total_count":42,"regions":[{"id":0,"value":42}],"guard":{"path":"full","degraded":false}}"#;
-        assert_eq!(answer_guard_path(body).as_deref(), Some("full"));
-
-        let degraded = degrade_answer(body, "front_cache").unwrap();
-        let v = urbane_geom::geojson::parse_json(&degraded).unwrap();
-        assert_eq!(v.get("guard").unwrap().get("path").unwrap().as_str(), Some("shard_degraded"));
-        assert_eq!(v.get("guard").unwrap().get("source").unwrap().as_str(), Some("front_cache"));
-        assert_eq!(v.get("cached").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("total_count").unwrap().as_f64(), Some(42.0), "payload survives");
-
-        let preview = degrade_answer(body, "preview").unwrap();
-        let v = urbane_geom::geojson::parse_json(&preview).unwrap();
-        assert_eq!(v.get("cached").unwrap().as_bool(), Some(false));
-
-        assert!(degrade_answer("garbage", "preview").is_none());
     }
 
     #[test]

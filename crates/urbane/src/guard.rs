@@ -2,8 +2,9 @@
 //!
 //! An interactive system must answer *something* before the user's attention
 //! lapses. [`UrbaneService::query_cancellable`] — the ladder's one caller,
-//! reached by the HTTP server and by [`UrbaneSession::evaluate_guarded`]
-//! alike — runs a query under a wall-clock deadline and, instead of
+//! reached by the HTTP server through `UrbaneService::query` (with no cancel
+//! handle) and by [`UrbaneSession::evaluate_guarded`] (with its caller's
+//! handle, if any) — runs a query under a wall-clock deadline and, instead of
 //! surfacing [`UrbaneError::DeadlineExceeded`], walks a ladder of cheaper
 //! answers:
 //!

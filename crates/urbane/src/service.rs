@@ -399,8 +399,8 @@ impl UrbaneService {
     }
 
     /// The current generation of one dataset, or `None` if unregistered.
-    /// The sharded front and the generation-ledger tests use this to pin
-    /// down exactly which table a served answer was computed against.
+    /// The generation-ledger tests use this to pin down exactly which table
+    /// a served answer was computed against.
     pub fn dataset_generation(&self, name: &str) -> Option<u64> {
         read(&self.datasets).get(name).map(|e| e.generation)
     }
@@ -687,15 +687,19 @@ impl UrbaneService {
     /// Serve one request: cache lookup, then the degradation ladder under
     /// the request's deadline. Full-fidelity answers are cached; degraded
     /// ones are not (they must not shadow the real answer once load drops).
-    // lint: entrypoint embedded callers (CLI, bench, shards) enter here without the HTTP router
+    /// The HTTP router, the CLI and the bench call this; nothing can cancel
+    /// the request but its deadline.
+    // lint: entrypoint every POST /query (through the router) and every embedded caller (CLI, bench) enters here
     pub fn query(&self, req: &QueryRequest) -> Result<QueryAnswer> {
         self.query_cancellable(req, None)
     }
 
-    /// [`query`](Self::query) with an explicit cancel handle (a client
-    /// disconnect raises it). Exact-key cache, then single-flight, then the
-    /// ladder.
-    // lint: entrypoint the cancellable request path the router calls per request
+    /// [`query`](Self::query) with an optional cancel handle, which the
+    /// caller raises from another thread to abandon the request. Exact-key
+    /// cache, then single-flight, then the ladder. The session passes its
+    /// caller's handle; the HTTP router goes through [`query`](Self::query)
+    /// and passes none.
+    // lint: entrypoint the session's cancellable path; query reaches it with no handle
     pub fn query_cancellable(
         &self,
         req: &QueryRequest,

@@ -1,8 +1,8 @@
 //! End-to-end tests for the serving layer: boot a real [`UrbaneServer`] on
 //! an ephemeral port and exercise it over actual TCP with the bundled
 //! minimal HTTP client — query answers, cache hits, reload invalidation,
-//! load shedding under a saturated queue, and deadline degradation
-//! reported over the wire.
+//! load shedding under a saturated queue, the slow-loris read budget, the
+//! request-body cap, and deadline degradation reported over the wire.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -231,6 +231,33 @@ fn slow_loris_is_cut_off_by_the_request_read_budget() {
 
     // The worker the loris held is free again: a well-behaved client is
     // served promptly.
+    let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+
+    server.shutdown();
+}
+
+#[test]
+fn oversized_body_is_refused_with_400_and_the_server_keeps_serving() {
+    let server = boot(ServerConfig::default());
+    let addr = server.addr();
+
+    // Announce one byte over the cap and send no body: the server must answer
+    // from the header alone instead of waiting for a megabyte that never
+    // comes, then close the connection.
+    let mut big = TcpStream::connect(addr).expect("oversized connection");
+    big.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let head = format!(
+        "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+        urbane_serve::http::MAX_BODY + 1
+    );
+    big.write_all(head.as_bytes()).unwrap();
+    let mut buf = Vec::new();
+    std::io::Read::read_to_end(&mut big, &mut buf).expect("server answers and closes");
+    let text = String::from_utf8_lossy(&buf);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert!(text.contains("exceeds"), "the 400 names the limit: {text}");
+
     let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
     assert_eq!(client.get("/healthz").unwrap().status, 200);
 
