@@ -7,9 +7,11 @@
 //!
 //! * [`naive`] — indexless nested-loop join (the correctness ground truth),
 //! * [`packed`] — the R-tree: a packed, pointer-free tree over region
-//!   bounding boxes ([`PackedRegionIndex`], the index the server probes),
+//!   bounding boxes ([`PackedRegionIndex`], the experiments' R-tree
+//!   baseline),
 //! * [`grid`] — a uniform grid with the classic *full-cover* shortcut
-//!   (cells entirely inside one region skip the PIP test),
+//!   (cells entirely inside one region skip the PIP test); [`GridIndex`]
+//!   is the index the server's exact mode probes,
 //! * [`executor`] — the index-join aggregation executor, generic over any
 //!   [`RegionIndex`], with a multithreaded variant,
 //! * [`store_exec`] — the exact join over an out-of-core `.ubs` store,

@@ -16,10 +16,18 @@
 //! normal LRU pressure (plus an explicit [`QueryCache::purge`] sweep on
 //! reload for memory hygiene).
 //!
+//! Admission is on second sight: the first miss of a key only records its
+//! hash in the shard's *doorkeeper*, and the answer enters the LRU when the
+//! same key misses again. Traffic that never repeats (an analyst's ad-hoc
+//! exact joins) therefore never displaces answers that do (a dashboard's),
+//! and never grows the cache. A key's first two requests miss; its third is
+//! the first that can hit. The doorkeepers hold at most 4 096 hashes
+//! between them, and a full one is cleared.
+//!
 //! Hash collisions cannot serve wrong answers: entries store the full
 //! canonical key string and compare it on every hit.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -82,6 +90,8 @@ struct Entry<V> {
 struct Shard<V> {
     map: HashMap<u64, Entry<V>>,
     clock: u64,
+    /// Hashes of keys that missed once and were not admitted.
+    doorkeeper: HashSet<u64>,
 }
 
 impl<V> Shard<V> {
@@ -91,12 +101,17 @@ impl<V> Shard<V> {
     }
 }
 
-/// A sharded LRU map from canonical query keys to shared values.
+/// Key hashes the doorkeepers remember, across all shards.
+const DOORKEEPER_HASHES: usize = 4096;
+
+/// A sharded LRU map from canonical query keys to shared values that admits
+/// a key on its second insert.
 ///
 /// `V` is cloned out on hits, so callers use cheap handles (`Arc<...>`).
 pub struct QueryCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard_capacity: usize,
+    per_shard_doorkeeper: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -110,9 +125,12 @@ impl<V: Clone> QueryCache<V> {
         let per_shard_capacity = if capacity == 0 { 0 } else { capacity.div_ceil(n_shards) };
         QueryCache {
             shards: (0..n_shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), clock: 0 }))
+                .map(|_| {
+                    Mutex::new(Shard { map: HashMap::new(), clock: 0, doorkeeper: HashSet::new() })
+                })
                 .collect(),
             per_shard_capacity,
+            per_shard_doorkeeper: (DOORKEEPER_HASHES / n_shards).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -146,15 +164,26 @@ impl<V: Clone> QueryCache<V> {
         }
     }
 
-    /// Insert (or replace) an entry, evicting the shard's least-recently-
-    /// used entry when the shard is full. Eviction scans the shard — shards
-    /// are small by construction, and insertions only happen on cache
-    /// misses, which already paid for a full query.
+    /// Offer an entry. A key neither cached nor in the doorkeeper is not
+    /// admitted: its hash is recorded instead (clearing the doorkeeper when
+    /// full). A key the doorkeeper remembers is admitted, and a cached key
+    /// is replaced. Admission evicts the shard's least-recently-used entry
+    /// when the shard is full. Eviction scans the shard — shards are small
+    /// by construction, and insertions only happen on cache misses, which
+    /// already paid for a full query.
     pub fn insert(&self, key: CacheKey, value: V) {
         if self.per_shard_capacity == 0 {
             return;
         }
         let mut shard = lock(self.shard(&key));
+        if !shard.map.contains_key(&key.hash) && !shard.doorkeeper.remove(&key.hash) {
+            if shard.doorkeeper.len() >= self.per_shard_doorkeeper {
+                shard.doorkeeper.clear();
+            }
+            // lint: bounded-by DOORKEEPER_HASHES (4 096 hashes across the shards; a full doorkeeper is cleared)
+            shard.doorkeeper.insert(key.hash);
+            return;
+        }
         let tick = shard.tick();
         if shard.map.len() >= self.per_shard_capacity && !shard.map.contains_key(&key.hash) {
             if let Some(oldest) =
@@ -354,13 +383,22 @@ mod tests {
         let c: QueryCache<u32> = QueryCache::new(8, 2);
         assert_eq!(c.get(&key("a")), None);
         c.insert(key("a"), 1);
+        assert_eq!(c.get(&key("a")), None);
+        c.insert(key("a"), 1);
         assert_eq!(c.get(&key("a")), Some(1));
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 2 });
+    }
+
+    /// Insert twice: past the doorkeeper into the LRU.
+    fn admit(c: &QueryCache<u32>, k: &str, v: u32) {
+        c.insert(key(k), v);
+        c.insert(key(k), v);
     }
 
     #[test]
     fn capacity_zero_disables() {
         let c: QueryCache<u32> = QueryCache::new(0, 4);
+        admit(&c, "a", 1);
         c.insert(key("a"), 1);
         assert_eq!(c.get(&key("a")), None);
         assert_eq!(c.len(), 0);
@@ -370,10 +408,10 @@ mod tests {
     fn lru_evicts_the_coldest() {
         // One shard so the eviction order is fully observable.
         let c: QueryCache<u32> = QueryCache::new(2, 1);
-        c.insert(key("a"), 1);
-        c.insert(key("b"), 2);
+        admit(&c, "a", 1);
+        admit(&c, "b", 2);
         assert_eq!(c.get(&key("a")), Some(1)); // refresh "a"
-        c.insert(key("c"), 3); // evicts "b" (coldest)
+        admit(&c, "c", 3); // evicts "b" (coldest)
         assert_eq!(c.get(&key("b")), None);
         assert_eq!(c.get(&key("a")), Some(1));
         assert_eq!(c.get(&key("c")), Some(3));
@@ -381,10 +419,53 @@ mod tests {
     }
 
     #[test]
-    fn replacement_does_not_evict() {
+    fn lru_admits_on_second_sight() {
+        // lru_evicts_the_coldest, one insert at a time.
         let c: QueryCache<u32> = QueryCache::new(2, 1);
         c.insert(key("a"), 1);
+        assert_eq!(c.get(&key("a")), None, "a first insert is dropped");
+        assert_eq!(c.len(), 0);
+        c.insert(key("a"), 1);
+        assert_eq!(c.get(&key("a")), Some(1), "a second insert is admitted");
         c.insert(key("b"), 2);
+        c.insert(key("c"), 3);
+        assert_eq!(c.len(), 1, "first sights neither enter nor evict");
+        c.insert(key("b"), 2);
+        assert_eq!(c.get(&key("a")), Some(1)); // refresh "a"
+        c.insert(key("c"), 3); // admitted; evicts "b" (coldest)
+        assert_eq!(c.get(&key("b")), None);
+        assert_eq!(c.get(&key("a")), Some(1));
+        assert_eq!(c.get(&key("c")), Some(3));
+        assert_eq!(c.len(), 2);
+        // An evicted key starts over at the doorkeeper.
+        c.insert(key("b"), 2);
+        assert_eq!(c.get(&key("b")), None);
+    }
+
+    #[test]
+    fn doorkeeper_clears_at_its_cap() {
+        let c: QueryCache<u32> = QueryCache::new(8, 1);
+        c.insert(key("first"), 1);
+        for i in 1..DOORKEEPER_HASHES {
+            c.insert(key(&format!("k{i}")), 0);
+        }
+        // The doorkeeper is full: the next new key clears it, so "first"
+        // is a first sight again.
+        c.insert(key("overflow"), 0);
+        c.insert(key("first"), 1);
+        assert_eq!(c.get(&key("first")), None, "a cleared doorkeeper forgets");
+        c.insert(key("first"), 1);
+        assert_eq!(c.get(&key("first")), Some(1));
+        c.insert(key("overflow"), 0);
+        assert_eq!(c.get(&key("overflow")), Some(0), "the key that cleared it is remembered");
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn replacement_does_not_evict() {
+        let c: QueryCache<u32> = QueryCache::new(2, 1);
+        admit(&c, "a", 1);
+        admit(&c, "b", 2);
         c.insert(key("a"), 10); // replace in place
         assert_eq!(c.get(&key("a")), Some(10));
         assert_eq!(c.get(&key("b")), Some(2));
@@ -393,9 +474,9 @@ mod tests {
     #[test]
     fn purge_by_prefix() {
         let c: QueryCache<u32> = QueryCache::new(16, 4);
-        c.insert(key("taxi|0|q1"), 1);
-        c.insert(key("taxi|0|q2"), 2);
-        c.insert(key("crime|0|q1"), 3);
+        admit(&c, "taxi|0|q1", 1);
+        admit(&c, "taxi|0|q2", 2);
+        admit(&c, "crime|0|q1", 3);
         c.purge("taxi|");
         assert_eq!(c.get(&key("taxi|0|q1")), None);
         assert_eq!(c.get(&key("crime|0|q1")), Some(3));
@@ -408,7 +489,7 @@ mod tests {
         // with one shard every key lands together; fake equal hashes by
         // checking the canonical guard through the public API instead.
         let c: QueryCache<u32> = QueryCache::new(4, 1);
-        c.insert(key("x"), 7);
+        admit(&c, "x", 7);
         // A different canonical string that happens to share a bucket can
         // only be observed via canonical comparison; "y" simply misses.
         assert_eq!(c.get(&key("y")), None);

@@ -21,9 +21,10 @@
 //!   on that row order; there is no separate spatial index to keep.
 //! * **Query-result cache** — a sharded LRU ([`crate::cache::QueryCache`])
 //!   keyed by a canonical string of (dataset, generation, level, mode,
-//!   resolution, aggregate, filters). Only full-fidelity answers are
-//!   cached: a degraded answer served under pressure must not mask the real
-//!   one once pressure subsides.
+//!   resolution, aggregate, filters). A key is admitted on its second full
+//!   miss, so its third request is the first that can hit. Only
+//!   full-fidelity answers are cached: a degraded answer served under
+//!   pressure must not mask the real one once pressure subsides.
 //! * **Guarded by construction** — every query runs the degradation ladder
 //!   ([`crate::guard`]; this is its only caller) under the request's
 //!   deadline, so an overloaded server degrades fidelity instead of
@@ -286,8 +287,8 @@ pub struct UrbaneService {
     flights: SingleFlight<CachedAnswer>,
     // Derived, generation-keyed state (rebuilt lazily after reloads).
     samples: PreviewSamples,
-    // Packed region R-trees per pyramid level (pyramid is immutable).
-    region_indexes: Mutex<HashMap<usize, Arc<spatial_index::PackedRegionIndex>>>,
+    // Full-cover region grids per pyramid level (pyramid is immutable).
+    region_indexes: Mutex<HashMap<usize, Arc<spatial_index::GridIndex>>>,
     // Prepared region rasters of the service's own canvases (the base spec
     // and the degraded rung's), at most levels × 2 × 3 modes.
     rasters: Mutex<Vec<(RasterKey, Arc<PreparedRasterJoin>)>>,
@@ -510,13 +511,13 @@ impl UrbaneService {
         Ok(table)
     }
 
-    /// The packed region R-tree for a pyramid level, built once and shared
-    /// (the pyramid never changes under a live service).
-    fn region_index(&self, level: usize, regions: &RegionSet) -> Arc<spatial_index::PackedRegionIndex> {
+    /// The full-cover region grid for a pyramid level, built once and
+    /// shared (the pyramid never changes under a live service).
+    fn region_index(&self, level: usize, regions: &RegionSet) -> Arc<spatial_index::GridIndex> {
         if let Some(hit) = lock(&self.region_indexes).get(&level).cloned() {
             return hit;
         }
-        let built = Arc::new(spatial_index::PackedRegionIndex::build(regions));
+        let built = Arc::new(spatial_index::GridIndex::build_auto(regions));
         lock(&self.region_indexes).insert(level, built.clone());
         built
     }
@@ -746,7 +747,7 @@ impl UrbaneService {
 
         let full = |budget: &QueryBudget| -> Result<(Arc<AggTable>, Option<f64>)> {
             if req.mode == ExecutionMode::IndexJoin {
-                // Exact path: packed R-tree probe + exact PIP, ε = 0. A
+                // Exact path: full-cover grid probe + exact PIP, ε = 0. A
                 // cold dataset streams zone by zone from its `.ubs` file
                 // and stays cold.
                 let index = self.region_index(req.level, &regions);
@@ -854,6 +855,7 @@ mod tests {
     fn query_then_cache_hit() {
         let s = service(64);
         let req = QueryRequest::count("taxi", 0);
+        assert!(!s.query(&req).unwrap().cached, "a first miss is not admitted");
         let a = s.query(&req).unwrap();
         assert!(!a.cached);
         assert_eq!(a.report.path, GuardPath::Full);
@@ -871,6 +873,7 @@ mod tests {
         let f2 = Filter::AttrRange { column: "fare".into(), min: 2.0, max: 40.0 };
         let a = QueryRequest::count("taxi", 0).filter(f1.clone()).filter(f2.clone());
         let b = QueryRequest::count("taxi", 0).filter(f2).filter(f1);
+        s.query(&a).unwrap();
         let ra = s.query(&a).unwrap();
         let rb = s.query(&b).unwrap();
         assert!(rb.cached, "reordered conjunction must hit the same entry");
@@ -881,8 +884,10 @@ mod tests {
     fn reload_bumps_generation_and_invalidates() {
         let s = service(64);
         let req = QueryRequest::count("taxi", 0);
-        let a = s.query(&req).unwrap();
+        s.query(&req).unwrap();
+        let a = s.query(&req).unwrap(); // admitted on its second miss
         assert_eq!(a.generation, 0);
+        assert_eq!(s.cache_len(), 1);
 
         let city = CityModel::nyc_like();
         let bigger =
@@ -943,14 +948,18 @@ mod tests {
     fn zero_deadline_degrades_but_answers() {
         let s = service(64);
         let req = QueryRequest::count("taxi", 0).deadline(Duration::ZERO);
-        let a = s.query(&req).unwrap();
-        assert!(a.report.degraded());
-        assert!(a.table.total_count() > 0);
-        // Degraded answers must not be cached.
-        assert_eq!(s.cache_len(), 0);
+        // Degraded answers must not be cached: a second miss would admit
+        // a full answer, so the key is asked three times.
+        for i in 0..3 {
+            let a = s.query(&req).unwrap();
+            assert!(a.report.degraded());
+            assert!(!a.cached, "request {i} served a cached answer");
+            assert!(a.table.total_count() > 0);
+            assert_eq!(s.cache_len(), 0);
+        }
         let outcomes = s.guard_outcomes();
         assert_eq!(outcomes.full, 0);
-        assert_eq!(outcomes.degraded_bounded + outcomes.preview_sample, 1);
+        assert_eq!(outcomes.degraded_bounded + outcomes.preview_sample, 3);
     }
 
     /// The prepared raster the service holds for `key`, if any.
@@ -1021,6 +1030,7 @@ mod tests {
         let bound = a.report.error_bound.unwrap();
         // Up to the plan's own rounding of ε → pixel side → ε.
         assert!(bound <= e * (1.0 + 1e-9), "asked for ε ≤ {e}, answered at {bound}");
+        s.query(&req).unwrap();
         assert!(s.query(&req).unwrap().cached);
         assert!(held(&s, (0, CanvasSpec::Epsilon(e), ExecutionMode::Bounded)).is_some());
     }
@@ -1089,7 +1099,8 @@ mod tests {
         assert_eq!(indexed.report.path, GuardPath::Full);
         assert_eq!(indexed.report.error_bound, Some(0.0));
         assert_eq!(exact.table.values(), indexed.table.values());
-        // Distinct cache entries per mode; re-asking hits the cache.
+        // Distinct cache entries per mode; the third ask hits the cache.
+        s.query(&QueryRequest::count("taxi", 1).mode(ExecutionMode::IndexJoin)).unwrap();
         let again = s
             .query(&QueryRequest::count("taxi", 1).mode(ExecutionMode::IndexJoin))
             .unwrap();
@@ -1139,10 +1150,36 @@ mod tests {
     }
 
     #[test]
+    fn cold_index_key_is_cached_on_its_third_request_and_stays_cold() {
+        let (city, path) = store_file(3_000, 33);
+        let mut catalog = DataCatalog::new();
+        catalog.register_store("taxi", &path).unwrap();
+        let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
+        let s = UrbaneService::new(ServiceConfig::default(), catalog, pyramid).unwrap();
+        let req = QueryRequest::count("taxi", 1)
+            .mode(ExecutionMode::IndexJoin)
+            .filter(Filter::Time(TimeRange::new(0, 5 * DAY)));
+        let mut answers = Vec::new();
+        for expect_cached in [false, false, true] {
+            let a = s.query(&req).unwrap();
+            assert_eq!(a.cached, expect_cached, "request {}", answers.len() + 1);
+            assert_eq!(s.dataset_resident("taxi"), Some(false), "index queries must not page in");
+            answers.push(a);
+        }
+        assert_eq!(s.store_paging().streamed_queries, 2);
+        assert_eq!(s.cache_len(), 1);
+        assert!(Arc::ptr_eq(&answers[1].table, &answers[2].table));
+        assert_eq!(answers[0].table, answers[1].table);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
     fn register_store_dataset_bumps_generation_and_invalidates() {
         let s = service(64);
+        s.query(&QueryRequest::count("taxi", 0)).unwrap();
         let warm = s.query(&QueryRequest::count("taxi", 0)).unwrap();
         assert_eq!(warm.generation, 0);
+        assert_eq!(s.cache_len(), 1);
         let (_, path) = store_file(2_000, 32);
         let generation = s.register_store_dataset("taxi", &path).unwrap();
         assert_eq!(generation, 1);

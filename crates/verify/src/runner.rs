@@ -266,7 +266,7 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
         .map_err(|e| crate::VerifyError::Data(e.to_string()))?;
     let mut source = urbane_store::ChunkedPointSource::from_bytes(store_bytes)
         .map_err(|e| crate::VerifyError::Data(e.to_string()))?;
-    let region_index = spatial_index::PackedRegionIndex::build(&s.regions);
+    let region_index = spatial_index::GridIndex::build_auto(&s.regions);
     let (table, _stats) = spatial_index::index_join_stored(
         &mut source,
         &s.regions,

@@ -65,6 +65,8 @@ fn main() {
     s.select_dataset("taxi").unwrap();
     s.select_resolution(1).unwrap();
     interact(&mut s, "open map view (taxi x neighborhoods)");
+    // The cache admits a view on its second miss, so the third render hits.
+    interact(&mut s, "re-render (second miss: admitted)");
     interact(&mut s, "re-render (cache hit)");
 
     for week in 0..4 {

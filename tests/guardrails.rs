@@ -263,8 +263,8 @@ fn guarded_evaluation_retries_past_a_transient_panic() {
 /// a mix of cached and guarded queries. Every concurrent answer must be
 /// bit-identical to the serial reference, and afterwards the caches must
 /// still be warm and unpoisoned: the original `Arc` is still served and the
-/// hit/miss ledger balances exactly (one serial miss each, all the rest
-/// hits).
+/// hit/miss ledger balances exactly (two serial misses each — the cache
+/// admits a key on its second miss — all the rest hits).
 #[test]
 fn concurrent_mixed_mode_session_use_matches_serial() {
     const THREADS: usize = 8;
@@ -275,7 +275,9 @@ fn concurrent_mixed_mode_session_use_matches_serial() {
         ..RasterJoinConfig::accurate(1024)
     });
 
+    bounded.evaluate().unwrap();
     let serial_bounded = bounded.evaluate().unwrap();
+    accurate.evaluate().unwrap();
     let serial_accurate = accurate.evaluate().unwrap();
 
     std::thread::scope(|scope| {
@@ -300,11 +302,11 @@ fn concurrent_mixed_mode_session_use_matches_serial() {
         "the cache must still serve the original entry"
     );
     let stats = bounded.cache_stats();
-    assert_eq!(stats.misses, 1, "only the serial warm-up may miss");
+    assert_eq!(stats.misses, 2, "only the serial warm-up may miss");
     // Each iteration hits twice (evaluate + the guarded full rung), plus
     // the post-scope probe.
     assert_eq!(stats.hits as usize, THREADS * ITERS * 2 + 1);
     let stats = accurate.cache_stats();
-    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.misses, 2);
     assert_eq!(stats.hits as usize, THREADS * ITERS);
 }

@@ -193,6 +193,13 @@ fn cached_hits_replay_the_certified_bound() {
         .expect("bounded answer carries a certified bound");
     assert!(bound > 0.0, "bounded mode must certify a positive bound");
 
+    // The first repeat recomputes (the cache admits a key on its second
+    // miss); the one after it is the hit.
+    let repeat = client.post("/query", body).unwrap();
+    assert_eq!(repeat.status, 200, "{}", repeat.body);
+    let repeat_json = parse_json(&repeat.body).expect("answer is JSON");
+    assert_eq!(repeat_json.get("cached").and_then(Json::as_bool), Some(false));
+
     let second = client.post("/query", body).unwrap();
     assert_eq!(second.status, 200, "{}", second.body);
     let second_json = parse_json(&second.body).expect("answer is JSON");

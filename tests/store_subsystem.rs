@@ -11,10 +11,10 @@
 
 use raster_join::{ExecutionMode, QueryBudget, RasterJoinConfig};
 use spatial_index::{
-    index_join, index_join_budgeted, index_join_stored, naive_join, PackedRegionIndex,
+    index_join, index_join_budgeted, index_join_stored, naive_join, GridIndex, PackedRegionIndex,
 };
 use urban_data::gen::city::CityModel;
-use urban_data::gen::regions::voronoi_neighborhoods;
+use urban_data::gen::regions::{resolution_pyramid, voronoi_neighborhoods};
 use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
 use urban_data::query::SpatialAggQuery;
 use urban_data::time::{TimeRange, DAY};
@@ -133,6 +133,50 @@ fn stored_join_is_bit_identical_to_memory() {
     let mut source = ChunkedPointSource::from_bytes(bytes).unwrap();
     let (streamed, _) = index_join_stored(&mut source, &regions, &index, &q, &budget).unwrap();
     assert_eq!(streamed.values(), in_memory.values(), "stored join diverged from the in-memory join");
+}
+
+/// The served exact mode probes the full-cover grid; the R-tree is its
+/// reference. On every level of the served pyramid, for every aggregate
+/// and filter shape the gate's cold workload sends, the cold join through
+/// either index must be the same table, bit for bit.
+#[test]
+fn cold_join_through_the_grid_equals_the_r_tree_on_the_served_pyramid() {
+    let (city, taxi, _) = workload(60_000, 46);
+    let bytes = StoreBuilder::new().chunk_rows(4096).encode(&taxi).unwrap();
+    let b = city.bbox();
+    let viewport = BoundingBox::from_coords(
+        b.min.x + 0.2 * b.width(),
+        b.min.y + 0.3 * b.height(),
+        b.min.x + 0.6 * b.width(),
+        b.min.y + 0.8 * b.height(),
+    );
+    let days = TimeRange::new(2 * DAY, 6 * DAY);
+    let filters = [
+        vec![Filter::SpatialBox(viewport), Filter::Time(days)],
+        vec![Filter::Time(days)],
+        vec![Filter::AttrRange { column: "fare".into(), min: 8.0, max: 30.0 }],
+    ];
+    let aggs = [AggKind::Count, AggKind::Sum("fare".into()), AggKind::Avg("fare".into())];
+    let budget = QueryBudget::unlimited();
+    for regions in resolution_pyramid(&b, 16, 8, 5) {
+        let grid = GridIndex::build_auto(&regions);
+        let rtree = PackedRegionIndex::build(&regions);
+        for agg in &aggs {
+            for conj in &filters {
+                let q = conj
+                    .iter()
+                    .fold(SpatialAggQuery::new(agg.clone()), |q, f| q.filter(f.clone()));
+                let mut source = ChunkedPointSource::from_bytes(bytes.clone()).unwrap();
+                let (via_grid, _) =
+                    index_join_stored(&mut source, &regions, &grid, &q, &budget).unwrap();
+                let mut source = ChunkedPointSource::from_bytes(bytes.clone()).unwrap();
+                let (via_rtree, _) =
+                    index_join_stored(&mut source, &regions, &rtree, &q, &budget).unwrap();
+                assert!(via_grid.total_count() > 0, "{} {agg:?} {conj:?}", regions.name());
+                assert_eq!(via_grid, via_rtree, "{} {agg:?} {conj:?}", regions.name());
+            }
+        }
+    }
 }
 
 #[test]
