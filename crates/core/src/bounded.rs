@@ -12,9 +12,10 @@
 use crate::budget::QueryBudget;
 use crate::compiled::{CompiledQuery, PointStore};
 use crate::Result;
-use gpu_raster::blend::{BlendOp, Blendable};
-use gpu_raster::{Buffer2D, Pipeline};
+use gpu_raster::{Buffer2D, RenderStats};
 use urban_data::query::{AggKind, AggState};
+use urbane_geom::projection::Viewport;
+use urbane_geom::Point;
 
 /// Per-tile accumulation buffers produced by the point pass.
 pub(crate) struct PointBuffers {
@@ -43,16 +44,24 @@ pub(crate) const POINT_CHUNK: usize = urban_data::ZONE_ROWS;
 /// the MIN/MAX channels blend in the same per-fragment step, which then
 /// hands `on_fragment(row, x, y)` the row and its pixel. Values are read
 /// straight from the resolved column — no per-chunk gather allocation.
+///
+/// This is [`Pipeline::draw_points`](gpu_raster::Pipeline::draw_points)
+/// with `BlendOp::Add` (and `Min`/`Max` for the extra channel) unrolled
+/// into one loop per aggregate shape, chosen once per chunk rather than per
+/// row: the same projection and the same f32 operations in the same order,
+/// so the buffers are bit-identical to the reference's, and the
+/// [`RenderStats`] count one draw call per chunk exactly as it would.
 pub(crate) fn point_pass(
-    pipe: &mut Pipeline,
+    viewport: &Viewport,
     store: &PointStore<'_>,
     cq: &CompiledQuery<'_>,
     budget: &QueryBudget,
     mut on_fragment: impl FnMut(usize, u32, u32),
-) -> Result<PointBuffers> {
-    let points = store.table();
-    let (w, h) = (pipe.viewport().width, pipe.viewport().height);
-
+) -> Result<(PointBuffers, RenderStats)> {
+    // A local copy: the row loop reads the viewport's constants from
+    // registers instead of reloading them after every buffer store.
+    let vp = *viewport;
+    let (w, h) = (vp.width, vp.height);
     let mut count_sum = Buffer2D::new(w, h, [0.0f32; 2]);
     let needs_min = matches!(cq.agg, AggKind::Min(_));
     let needs_max = matches!(cq.agg, AggKind::Max(_));
@@ -61,36 +70,83 @@ pub(crate) fn point_pass(
 
     // The filtered fragment stream — this is the per-frame hot loop the
     // paper's performance argument rests on: one pass, one fragment each.
-    let world = pipe.viewport().world;
+    let points = store.table();
+    let (xs, ys) = (points.xs(), points.ys());
     let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-    cq.for_each_chunk(store, &world, budget, |idx| {
-        pipe.draw_points_with(
-            &mut count_sum,
-            idx.iter().map(|&i| points.loc(i as usize)),
-            |k| [1.0, column.map_or(0.0, |vals| vals[idx[k] as usize])],
-            BlendOp::Add,
-            |k, x, y| {
-                let i = idx[k] as usize;
-                if let Some(vals) = column {
-                    if let Some(buf) = min_buf.as_mut() {
-                        f32::blend(buf.get_mut(x, y), vals[i], BlendOp::Min);
-                    }
-                    if let Some(buf) = max_buf.as_mut() {
-                        f32::blend(buf.get_mut(x, y), vals[i], BlendOp::Max);
-                    }
-                }
-                on_fragment(i, x, y);
-            },
-        );
+    let mut stats = RenderStats::new();
+    cq.for_each_chunk(store, &vp.world, budget, |idx| {
+        let cs = count_sum.as_mut_slice();
+        let hook = &mut on_fragment;
+        let drawn = match (column, min_buf.as_mut(), max_buf.as_mut()) {
+            // COUNT leaves the sum channel at +0.0, as adding `0.0` would.
+            (None, ..) => draw_rows(&vp, xs, ys, idx, hook, |_, pix| {
+                let [count, _] = &mut cs[pix];
+                *count += 1.0;
+            }),
+            (Some(vals), Some(min), _) => {
+                let min = min.as_mut_slice();
+                draw_rows(&vp, xs, ys, idx, hook, |i, pix| {
+                    add(&mut cs[pix], vals[i]);
+                    min[pix] = min[pix].min(vals[i]);
+                })
+            }
+            (Some(vals), None, Some(max)) => {
+                let max = max.as_mut_slice();
+                draw_rows(&vp, xs, ys, idx, hook, |i, pix| {
+                    add(&mut cs[pix], vals[i]);
+                    max[pix] = max[pix].max(vals[i]);
+                })
+            }
+            (Some(vals), None, None) => {
+                draw_rows(&vp, xs, ys, idx, hook, |i, pix| add(&mut cs[pix], vals[i]))
+            }
+        };
+        stats.draw_calls += 1;
+        stats.points_in += idx.len() as u64;
+        stats.fragments += drawn;
+        stats.points_culled += idx.len() as u64 - drawn;
     })?;
 
-    Ok(PointBuffers { count_sum, min: min_buf, max: max_buf })
+    Ok((PointBuffers { count_sum, min: min_buf, max: max_buf }, stats))
 }
 
-/// Fold one pixel of the accumulation buffers into a region's state.
+/// `BlendOp::Add` of `[1, v]` into a `(count, Σvalue)` texel.
+#[inline(always)]
+fn add([count, sum]: &mut [f32; 2], v: f32) {
+    *count += 1.0;
+    *sum += v;
+}
+
+/// Project the rows `idx` through `vp` and hand each one that lands on the
+/// canvas to `blend(row, pixel index)`, then to `on_fragment(row, x, y)`.
+/// Returns how many rows were drawn.
+#[inline(always)]
+fn draw_rows(
+    vp: &Viewport,
+    xs: &[f64],
+    ys: &[f64],
+    idx: &[u32],
+    on_fragment: &mut impl FnMut(usize, u32, u32),
+    mut blend: impl FnMut(usize, usize),
+) -> u64 {
+    let mut drawn = 0;
+    for &i in idx {
+        let i = i as usize;
+        let Some((x, y)) = vp.world_to_pixel(Point::new(xs[i], ys[i])) else {
+            continue;
+        };
+        blend(i, y as usize * vp.width as usize + x as usize);
+        on_fragment(i, x, y);
+        drawn += 1;
+    }
+    drawn
+}
+
+/// Fold pixel `pix` (`y · width + x`) of the accumulation buffers into a
+/// region's state.
 #[inline]
-pub(crate) fn fold_pixel(state: &mut AggState, bufs: &PointBuffers, x: u32, y: u32) {
-    let [count, sum] = bufs.count_sum.get(x, y);
+pub(crate) fn fold_pixel(state: &mut AggState, bufs: &PointBuffers, pix: usize) {
+    let [count, sum] = bufs.count_sum.as_slice()[pix];
     if count <= 0.0 {
         return;
     }
@@ -98,10 +154,10 @@ pub(crate) fn fold_pixel(state: &mut AggState, bufs: &PointBuffers, x: u32, y: u
     state.weight += count as f64; // full-weight fold: weight tracks count
     state.sum += sum as f64;
     if let Some(minb) = &bufs.min {
-        state.min = state.min.min(minb.get(x, y) as f64);
+        state.min = state.min.min(minb.as_slice()[pix] as f64);
     }
     if let Some(maxb) = &bufs.max {
-        state.max = state.max.max(maxb.get(x, y) as f64);
+        state.max = state.max.max(maxb.as_slice()[pix] as f64);
     }
 }
 
@@ -203,6 +259,93 @@ mod tests {
         let (t, _) = bounded_tile(&viewport(), &empty, &halves(), &q).unwrap();
         assert_eq!(t.value(0), None);
         assert_eq!(t.value(1), None);
+    }
+
+    /// The fused point pass against the reference `Pipeline::draw_points`,
+    /// one draw call per [`POINT_CHUNK`] rows: bit-equal buffers, equal
+    /// stats, and one hook call per fragment, at the pixel it was drawn on.
+    #[test]
+    fn point_pass_matches_draw_points() {
+        use crate::compiled::PointStore;
+        use gpu_raster::blend::BlendOp;
+        use gpu_raster::Pipeline;
+
+        let vp = Viewport::new(BoundingBox::from_coords(0.0, 0.0, 16.0, 8.0), 16, 8);
+        let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
+        let mut t = PointTable::new(schema);
+        let nan = f64::NAN;
+        let edges = [
+            (3.0, 5.0),  // pixel corner
+            (0.0, 8.0),  // closed top-left corner
+            (0.0, 4.5),  // closed left edge
+            (7.5, 8.0),  // closed top edge
+            (16.0, 4.5), // open right edge: culled
+            (7.5, 0.0),  // open bottom edge: culled
+            (15.999, 0.001),
+            (-0.5, 4.0),
+            (20.0, 4.0),
+            (4.0, -1.0),
+            (nan, 4.0),
+            (4.0, nan),
+            (f64::INFINITY, 4.0),
+        ];
+        // Three chunks: the edge cases, then points in and around the canvas
+        // whose values do not add exactly in f32, so the blend order shows.
+        for i in 0..2 * POINT_CHUNK + 700 {
+            let (x, y) = match edges.get(i % 97) {
+                Some(&e) => e,
+                None => {
+                    ((i * 7_919 % 1_800) as f64 / 100.0 - 1.0, (i * 104_729 % 1_000) as f64 / 100.0 - 1.0)
+                }
+            };
+            let v = (i % 1_013) as f32 * 0.37 - 50.0;
+            t.push(Point::new(x, y), i as i64, &[v]).unwrap();
+        }
+        let vals = t.column(0);
+        let bits = |b: &[f32]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let budget = QueryBudget::unlimited();
+        let col = || "v".to_string();
+        for agg in [AggKind::Count, AggKind::Sum(col()), AggKind::Min(col()), AggKind::Max(col())] {
+            let cq = CompiledQuery::new(&t, &SpatialAggQuery::new(agg.clone()), &budget).unwrap();
+            let mut hooked = Vec::new();
+            let (got, stats) =
+                point_pass(&vp, &PointStore::plain(&t), &cq, &budget, |i, x, y| hooked.push((i, x, y)))
+                    .unwrap();
+
+            let has_col = !matches!(agg, AggKind::Count);
+            let mut pipe = Pipeline::new(vp);
+            let mut count_sum = Buffer2D::new(16, 8, [0.0f32; 2]);
+            let mut extreme = Buffer2D::new(16, 8, 0.0f32);
+            let op = match agg {
+                AggKind::Min(_) => Some((BlendOp::Min, f32::INFINITY)),
+                AggKind::Max(_) => Some((BlendOp::Max, f32::NEG_INFINITY)),
+                _ => None,
+            };
+            if let Some((_, init)) = op {
+                extreme.clear(init);
+            }
+            for base in (0..t.len()).step_by(POINT_CHUNK) {
+                let locs = || (base..t.len().min(base + POINT_CHUNK)).map(|i| t.loc(i));
+                let v = |k: usize| if has_col { vals[base + k] } else { 0.0 };
+                pipe.draw_points(&mut count_sum, locs(), |k| [1.0, v(k)], BlendOp::Add);
+                if let Some((op, _)) = op {
+                    Pipeline::new(vp).draw_points(&mut extreme, locs(), v, op);
+                }
+            }
+            let want_hooked: Vec<_> = (0..t.len())
+                .filter_map(|i| vp.world_to_pixel(t.loc(i)).map(|(x, y)| (i, x, y)))
+                .collect();
+
+            let flat = |b: &Buffer2D<[f32; 2]>| bits(&b.as_slice().concat());
+            assert_eq!(flat(&got.count_sum), flat(&count_sum), "{agg:?}");
+            let extreme_got = got.min.as_ref().or(got.max.as_ref());
+            let want_extreme = op.map(|_| bits(extreme.as_slice()));
+            assert_eq!(extreme_got.map(|b| bits(b.as_slice())), want_extreme, "{agg:?}");
+            assert_eq!(stats, *pipe.stats(), "{agg:?}");
+            assert_eq!((stats.draw_calls, stats.points_in), (3, t.len() as u64));
+            assert!(stats.points_culled > 0 && stats.fragments > 0);
+            assert_eq!(hooked, want_hooked, "{agg:?}");
+        }
     }
 
     #[test]

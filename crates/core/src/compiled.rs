@@ -74,18 +74,31 @@ impl Pred<'_> {
         })
     }
 
-    /// Does row `i` satisfy this condition? Identical semantics to
-    /// [`Filter`]'s row probe.
-    #[inline]
-    fn test(&self, i: usize) -> bool {
-        match self {
+    /// Run `pass` over the rows `start..end` of one zone, whose mask words
+    /// are `words`, with this condition's row test — the same comparisons
+    /// as [`Filter`]'s row probe — compiled into the loop: the condition is
+    /// matched once per zone, not once per row.
+    fn scan(&self, pass: Pass, words: &mut [u64], start: usize, end: usize) {
+        match *self {
             Pred::Range { vals, min, max, .. } => {
-                let v = vals[i];
-                v >= *min && v <= *max
+                let vals = &vals[start..end];
+                pass.run(words, vals.len(), |i| {
+                    let v = vals[i];
+                    v >= min && v <= max
+                })
             }
-            Pred::Equals { vals, value, .. } => vals[i] == *value,
-            Pred::Time { ts, range } => range.contains(ts[i]),
-            Pred::Spatial { xs, ys, bbox } => bbox.contains(Point::new(xs[i], ys[i])),
+            Pred::Equals { vals, value, .. } => {
+                let vals = &vals[start..end];
+                pass.run(words, vals.len(), |i| vals[i] == value)
+            }
+            Pred::Time { ts, range } => {
+                let ts = &ts[start..end];
+                pass.run(words, ts.len(), |i| range.contains(ts[i]))
+            }
+            Pred::Spatial { xs, ys, bbox } => {
+                let (xs, ys) = (&xs[start..end], &ys[start..end]);
+                pass.run(words, xs.len(), |i| bbox.contains(Point::new(xs[i], ys[i])))
+            }
         }
     }
 
@@ -100,6 +113,51 @@ impl Pred<'_> {
             Pred::Equals { col, value, .. } => f.decide_equals(*col, *value),
             Pred::Time { range, .. } => f.decide_time(range),
             Pred::Spatial { bbox, .. } => f.decide_box(bbox),
+        }
+    }
+}
+
+/// What a condition's scan of one zone does to the zone's mask words.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// Set each word to the rows that pass: the zone's first undecided
+    /// condition, one store per 64 rows.
+    Fill,
+    /// Clear the set bits of the rows that fail: every further condition,
+    /// so only surviving rows are probed again.
+    Refine,
+}
+
+impl Pass {
+    /// Apply this pass to the `n` rows of a zone, `test(i)` deciding the
+    /// zone's `i`-th row; word `w` of `words` holds rows `64·w..64·w + 64`.
+    #[inline(always)]
+    fn run(self, words: &mut [u64], n: usize, test: impl Fn(usize) -> bool) {
+        match self {
+            Pass::Fill => {
+                for (w, slot) in words.iter_mut().enumerate() {
+                    let lo = w << 6;
+                    let mut word = 0u64;
+                    for i in lo..(lo + 64).min(n) {
+                        word |= u64::from(test(i)) << (i & 63);
+                    }
+                    *slot = word;
+                }
+            }
+            Pass::Refine => {
+                for (w, slot) in words.iter_mut().enumerate() {
+                    let mut word = *slot;
+                    let mut pending = word;
+                    while pending != 0 {
+                        let b = pending.trailing_zeros() as usize;
+                        if !test((w << 6) | b) {
+                            word &= !(1u64 << b);
+                        }
+                        pending &= pending - 1;
+                    }
+                    *slot = word;
+                }
+            }
         }
     }
 }
@@ -121,7 +179,7 @@ pub struct ZoneStats {
 /// Evaluate a filter conjunction into a bitmask, zone by zone: classify the
 /// zone from its footer, then let the first undecided condition fill the
 /// zone's words with a tight columnar scan and each further one clear the
-/// set bits it rejects (only surviving rows are re-probed).
+/// set bits it rejects (only surviving rows are re-probed; see [`Pass`]).
 fn build_mask(
     preds: &[Pred<'_>],
     points: &PointTable,
@@ -164,29 +222,9 @@ fn build_mask(
         };
         stats.scanned += 1;
         stats.rows_tested += (end - start) as u64;
-        // Fill whole words in a register — one store per 64 rows.
-        for (w, slot) in words.iter_mut().enumerate() {
-            let lo = start + (w << 6);
-            let mut word = 0u64;
-            for i in lo..(lo + 64).min(end) {
-                word |= u64::from(first.test(i)) << (i & 63);
-            }
-            *slot = word;
-        }
+        first.scan(Pass::Fill, words, start, end);
         for pred in rest {
-            for (w, slot) in words.iter_mut().enumerate() {
-                let base = start + (w << 6);
-                let mut word = *slot;
-                let mut pending = word;
-                while pending != 0 {
-                    let b = pending.trailing_zeros() as usize;
-                    if !pred.test(base | b) {
-                        word &= !(1u64 << b);
-                    }
-                    pending &= pending - 1;
-                }
-                *slot = word;
-            }
+            pred.scan(Pass::Refine, words, start, end);
         }
     }
     Ok((bits, stats))
@@ -202,6 +240,10 @@ pub(crate) struct CompiledQuery<'t> {
     pub(crate) col: Option<usize>,
     /// How the zones were classified while the mask was built.
     pub(crate) zones: ZoneStats,
+    /// The closed box every surviving row lies in: the intersection of the
+    /// query's spatial filters (`None` without one). The gather skips the
+    /// pixels no row inside it can be drawn on.
+    pub(crate) bbox: Option<BoundingBox>,
     /// One bit per row, set when the row survives every filter. `None` when
     /// the query has no filters (everything matches — skip the bit tests).
     mask: Option<Vec<u64>>,
@@ -232,7 +274,11 @@ impl<'t> CompiledQuery<'t> {
             let (bits, zones) = build_mask(&preds, points, budget)?;
             (Some(bits), zones)
         };
-        Ok(CompiledQuery { agg, col, zones, mask, rows: points.len(), footers: points.zones() })
+        let bbox = query.filters.filters().iter().fold(None, |acc: Option<BoundingBox>, f| match f {
+            Filter::SpatialBox(b) => Some(acc.map_or(*b, |a| a.intersection(b))),
+            _ => acc,
+        });
+        Ok(CompiledQuery { agg, col, zones, bbox, mask, rows: points.len(), footers: points.zones() })
     }
 
     /// Does row `i` survive the filters? One bit test after compilation.
@@ -469,6 +515,22 @@ mod tests {
         let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
         assert_eq!(cq.zones, ZoneStats { skipped: 3, whole: 1, scanned: 0, rows_tested: 0 });
         assert!((0..t.len()).all(|i| cq.matches(i) == (POINT_CHUNK..2 * POINT_CHUNK).contains(&i)));
+    }
+
+    /// A NaN location fails every box, so a zone holding one is never
+    /// *whole* under a box, even one around the zone's bbox (which leaves
+    /// the NaN out). The projection culls such a row as well, so the mask is
+    /// the only place this shows.
+    #[test]
+    fn nan_location_keeps_a_boxed_zone_scanned() {
+        let mut t = table(100);
+        t.push(Point::new(f64::NAN, 5.0), 0, &[1.0]).unwrap();
+        t.cluster();
+        let q = SpatialAggQuery::count()
+            .filter(Filter::SpatialBox(BoundingBox::from_coords(-1.0, -1.0, 101.0, 101.0)));
+        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        assert_eq!(cq.zones, ZoneStats { skipped: 0, whole: 0, scanned: 1, rows_tested: 101 });
+        assert_eq!((0..t.len()).filter(|&i| cq.matches(i)).count(), 100);
     }
 
     #[test]

@@ -18,11 +18,12 @@ use crate::compiled::{CompiledQuery, PointStore};
 use crate::executor::{ExecutionMode, RasterJoin, RasterJoinResult};
 use crate::{accurate, weighted, RasterJoinError, Result};
 use gpu_raster::polygon_scan::rasterize_rings;
-use gpu_raster::{Pipeline, RenderStats};
+use gpu_raster::RenderStats;
+use std::ops::Range;
 use urban_data::query::{AggState, AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionId, RegionSet};
 use urbane_geom::projection::Viewport;
-use urbane_geom::Point;
+use urbane_geom::{BoundingBox, Point};
 
 /// `len` covered pixels from pixel index `start` (`y · width + x`),
 /// left to right within one row.
@@ -39,6 +40,12 @@ enum Boundary {
     /// Weighted mode: `weights[offsets[r]..offsets[r + 1]]` are region `r`'s
     /// `(pixel, coverage)` pairs, pixel-ascending.
     Weighted { offsets: Vec<u32>, weights: Vec<(u32, f64)> },
+}
+
+/// Half-open pixel column and row ranges of one tile.
+struct PixelRect {
+    cols: Range<u32>,
+    rows: Range<u32>,
 }
 
 /// One tile of the prepared raster.
@@ -132,16 +139,41 @@ impl PreparedTile {
         Ok(PreparedTile { viewport: *viewport, offsets, runs, boundary })
     }
 
-    /// Fold region `r`'s runs into `state`, in emission order.
-    fn gather(&self, r: usize, state: &mut AggState, bufs: &PointBuffers) {
+    /// Fold region `r`'s runs into `state`, in emission order, skipping the
+    /// pixels outside `clip`: they drew no row, and [`fold_pixel`] skips
+    /// those anyway, so the fold order and the state do not change.
+    fn gather(&self, r: usize, state: &mut AggState, bufs: &PointBuffers, clip: &PixelRect) {
         let w = self.viewport.width;
         let runs = &self.runs[self.offsets[r] as usize..self.offsets[r + 1] as usize];
         for &(start, len) in runs {
             let (x0, y) = (start % w, start / w);
-            for x in x0..x0 + len {
-                fold_pixel(state, bufs, x, y);
+            if !clip.rows.contains(&y) {
+                continue;
+            }
+            let base = (y * w) as usize;
+            let (lo, hi) = (x0.max(clip.cols.start), (x0 + len).min(clip.cols.end));
+            for pix in base + lo as usize..base + hi as usize {
+                fold_pixel(state, bufs, pix);
             }
         }
+    }
+
+    /// The pixels a row inside the closed box `bbox` can be drawn on, with a
+    /// one-pixel margin; the whole tile without a box. The projection is
+    /// monotone in each coordinate, so a row in the box lands between the
+    /// pixels of the box's corners.
+    fn clip(&self, bbox: Option<&BoundingBox>) -> PixelRect {
+        let (w, h) = (self.viewport.width, self.viewport.height);
+        let Some(b) = bbox else {
+            return PixelRect { cols: 0..w, rows: 0..h };
+        };
+        // Screen y grows downward: the box's top edge is its first row.
+        let (lo, hi) = (self.viewport.world_to_screen(b.min), self.viewport.world_to_screen(b.max));
+        // A NaN end widens to the tile's edge: `f64::max`/`min` drop NaN.
+        let span = |first: f64, last: f64, n: u32| {
+            (first.floor() - 1.0).max(0.0) as u32..(last.floor() + 2.0).min(n as f64) as u32
+        };
+        PixelRect { cols: span(lo.x, hi.x, w), rows: span(hi.y, lo.y, h) }
     }
 
     /// Answer one query on this tile: point pass, then per region its runs
@@ -155,12 +187,11 @@ impl PreparedTile {
         regions: &RegionSet,
         budget: &QueryBudget,
     ) -> Result<(AggTable, RenderStats)> {
-        let mut pipe = Pipeline::new(self.viewport);
         let mut hits: Vec<(RegionId, f64)> = Vec::new();
-        let bufs = if let Boundary::Exact { pairs, bits } = &self.boundary {
+        let (bufs, stats) = if let Boundary::Exact { pairs, bits } = &self.boundary {
             let (points, w) = (store.table(), self.viewport.width);
             let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-            point_pass(&mut pipe, store, cq, budget, |i, x, y| {
+            point_pass(&self.viewport, store, cq, budget, |i, x, y| {
                 let pix = y * w + x;
                 if bits[pix as usize >> 6] & (1 << (pix & 63)) == 0 {
                     return;
@@ -175,12 +206,13 @@ impl PreparedTile {
                 }
             })?
         } else {
-            point_pass(&mut pipe, store, cq, budget, |_, _, _| {})?
+            point_pass(&self.viewport, store, cq, budget, |_, _, _| {})?
         };
+        let clip = self.clip(cq.bbox.as_ref());
         let mut table = AggTable::new(cq.agg.clone(), regions.len());
         for (r, state) in table.states.iter_mut().enumerate() {
             budget.check()?;
-            self.gather(r, state, &bufs);
+            self.gather(r, state, &bufs, &clip);
             if let Boundary::Weighted { offsets, weights } = &self.boundary {
                 let own = &weights[offsets[r] as usize..offsets[r + 1] as usize];
                 weighted::fold_boundary(state, &bufs, own, self.viewport.width);
@@ -189,7 +221,7 @@ impl PreparedTile {
         for &(id, v) in &hits {
             table.states[id as usize].accumulate(v);
         }
-        Ok((table, *pipe.stats()))
+        Ok((table, stats))
     }
 }
 
@@ -411,6 +443,101 @@ mod tests {
         let q = SpatialAggQuery::count();
         let (t, _) = replay_viewport(&vp, &points, &regions, &q, ExecutionMode::Bounded).unwrap();
         assert_eq!((t.value(0), t.value(1)), (None, Some(1.0)));
+    }
+
+    /// A row with a NaN coordinate lies in no region: bounded and accurate
+    /// mode agree with the naive join and credit it nowhere (it once landed
+    /// in the canvas's left column or top row).
+    #[test]
+    fn nan_rows_count_nowhere() {
+        use urban_data::gen::regions::grid_regions;
+        let regions = grid_regions(&BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0), 2, 2);
+        let mut points = PointTable::new(urban_data::schema::Schema::empty());
+        for (x, y) in [(f64::NAN, 75.0), (25.0, f64::NAN), (f64::NAN, f64::NAN), (80.0, 30.0)] {
+            points.push(Point::new(x, y), 0, &[]).unwrap();
+        }
+        let q = SpatialAggQuery::count();
+        let truth = naive_join(&points, &regions, &q).unwrap();
+        assert_eq!(truth.values().iter().flatten().sum::<f64>(), 1.0);
+        for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
+            let prepared =
+                PreparedRasterJoin::prepare(&regions, CanvasSpec::Resolution(64), 2048, mode).unwrap();
+            assert_eq!(prepared.execute(&points, &q).unwrap().table.values(), truth.values(), "{mode:?}");
+        }
+    }
+
+    /// The gather skips the pixels outside the spatial filter's rectangle;
+    /// answers must be bit-identical to the unclipped gather for boxes on the
+    /// canvas's open edges, partly or wholly outside it, of zero area, and
+    /// for the intersection of two boxes — in every mode, on every tile.
+    #[test]
+    fn clipped_gather_matches_unclipped() {
+        let extent = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
+        let regions = voronoi_neighborhoods(&extent, 12, 11, 1);
+        let mut points = random_points(4_000, 5, &BoundingBox::from_coords(-5.0, -5.0, 105.0, 105.0));
+        let world = CanvasPlan::plan(&regions.bbox(), CanvasSpec::Resolution(96), 2048).unwrap().world;
+        let (x1, y0) = (world.max.x, world.min.y);
+        let boxes: Vec<Vec<BoundingBox>> = vec![
+            vec![BoundingBox::from_coords(50.0, y0, x1, 50.0)], // open right and bottom edges
+            vec![BoundingBox::from_coords(-20.0, -20.0, 30.0, 30.0)], // partly outside
+            vec![BoundingBox::from_coords(70.0, 60.0, 200.0, 200.0)],
+            vec![BoundingBox::from_coords(200.0, 200.0, 300.0, 300.0)], // wholly outside
+            vec![BoundingBox::from_coords(40.0, 40.0, 40.0, 40.0)], // zero area
+            vec![BoundingBox::from_coords(40.0, 10.0, 40.0, 90.0)],
+            vec![
+                BoundingBox::from_coords(10.0, 10.0, 60.0, 60.0),
+                BoundingBox::from_coords(30.0, 25.0, 90.0, 90.0),
+            ],
+            vec![
+                BoundingBox::from_coords(10.0, 10.0, 30.0, 30.0),
+                BoundingBox::from_coords(50.0, 50.0, 90.0, 90.0),
+            ],
+        ];
+        // Rows on every box's corners and edge midpoints, so the pixels on
+        // the rectangle's edges hold counts.
+        for b in boxes.iter().flatten() {
+            let (mx, my) = ((b.min.x + b.max.x) / 2.0, (b.min.y + b.max.y) / 2.0);
+            for x in [b.min.x, mx, b.max.x] {
+                for y in [b.min.y, my, b.max.y] {
+                    points.push(Point::new(x, y), 0, &[x as f32 * 0.1 + 0.3]).unwrap();
+                }
+            }
+        }
+        let state_bits = |t: &AggTable| {
+            t.states
+                .iter()
+                .map(|s| (s.count, [s.weight, s.sum, s.min, s.max].map(f64::to_bits)))
+                .collect::<Vec<_>>()
+        };
+        let budget = QueryBudget::unlimited();
+        let store = PointStore::plain(&points);
+        let mut clipped = 0;
+        for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate, ExecutionMode::Weighted] {
+            for max_tile in [2048, 40] {
+                let prepared =
+                    PreparedRasterJoin::prepare(&regions, CanvasSpec::Resolution(96), max_tile, mode).unwrap();
+                for filters in &boxes {
+                    for agg in [AggKind::Count, AggKind::Sum("v".into()), AggKind::Min("v".into())] {
+                        let q = filters
+                            .iter()
+                            .fold(SpatialAggQuery::new(agg), |q, b| q.filter(Filter::SpatialBox(*b)));
+                        let mut cq = CompiledQuery::new(&points, &q, &budget).unwrap();
+                        let bbox = cq.bbox.expect("spatial filter");
+                        for tile in &prepared.tiles {
+                            let clip = tile.clip(Some(&bbox));
+                            let (w, h) = (tile.viewport.width, tile.viewport.height);
+                            clipped += usize::from(clip.cols.len() * clip.rows.len() < (w * h) as usize);
+                            cq.bbox = Some(bbox);
+                            let (a, _) = tile.replay(&store, &cq, &regions, &budget).unwrap();
+                            cq.bbox = None;
+                            let (b, _) = tile.replay(&store, &cq, &regions, &budget).unwrap();
+                            assert_eq!(state_bits(&a), state_bits(&b), "{mode:?} {filters:?} {q:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(clipped > 0);
     }
 
     #[test]

@@ -133,15 +133,20 @@ impl Viewport {
     /// `y ∈ (min.y, max.y]`. This makes adjacent viewports (canvas tiles)
     /// partition points with no double-counting — callers that need the
     /// closed edges included should inflate their world box by a hair (the
-    /// raster-join canvas builder does).
+    /// raster-join canvas builder does). A point with a NaN coordinate lies
+    /// in no pixel.
+    ///
+    /// The range test runs on the continuous coordinate and the cast
+    /// truncates: on `[0, width)` that is `floor`, and `0 ≤ floor(s) < width`
+    /// holds exactly when `0 ≤ s < width`, so no `floor` call is needed.
+    #[inline]
     pub fn world_to_pixel(&self, p: Point) -> Option<(u32, u32)> {
         let s = self.world_to_screen(p);
-        let x = s.x.floor();
-        let y = s.y.floor();
-        if x < 0.0 || y < 0.0 || x >= self.width as f64 || y >= self.height as f64 {
+        let inside = |v: f64, n: u32| v >= 0.0 && v < n as f64;
+        if !(inside(s.x, self.width) && inside(s.y, self.height)) {
             return None;
         }
-        Some((x as u32, y as u32))
+        Some((s.x as u32, s.y as u32))
     }
 
     /// The world-space rectangle of pixel `(x, y)`.
@@ -210,6 +215,18 @@ mod tests {
         assert_eq!(v.world_to_pixel(Point::new(5.0, 2.0)), None);
         // Interior cell boundaries: x = 1.0 belongs to cell 1, y = 1.0 to the lower cell.
         assert_eq!(v.world_to_pixel(Point::new(1.0, 1.0)), Some((1, 3)));
+    }
+
+    #[test]
+    fn non_finite_points_lie_in_no_pixel() {
+        let v = Viewport::new(BoundingBox::from_coords(0.0, 0.0, 4.0, 4.0), 4, 4);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for p in [(nan, 2.0), (2.0, nan), (nan, nan), (inf, 2.0), (-inf, 2.0), (2.0, inf), (2.0, -inf)] {
+            assert_eq!(v.world_to_pixel(Point::new(p.0, p.1)), None, "{p:?}");
+        }
+        // -0.0 is on the closed left edge; a negative x is outside it.
+        assert_eq!(v.world_to_pixel(Point::new(-0.0, 4.0)), Some((0, 0)));
+        assert_eq!(v.world_to_pixel(Point::new(-1e-300, 3.5)), None);
     }
 
     #[test]

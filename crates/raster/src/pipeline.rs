@@ -46,37 +46,19 @@ impl Pipeline {
     }
 
     /// Point pass: blend `value_fn(k)` for the `k`-th world point into
-    /// `target`. This is the per-query hot path — one fragment per point.
+    /// `target`. This is the per-query hot path — one fragment per point —
+    /// and the reference the raster join's fused point pass is tested
+    /// against.
     pub fn draw_points<T, I, V>(
-        &mut self,
-        target: &mut Buffer2D<T>,
-        points: I,
-        value_fn: V,
-        op: BlendOp,
-    ) where
-        T: Blendable,
-        I: IntoIterator<Item = Point>,
-        V: FnMut(usize) -> T,
-    {
-        self.draw_points_with(target, points, value_fn, op, |_, _, _| {});
-    }
-
-    /// [`draw_points`](Self::draw_points) that also hands `on_fragment(k,
-    /// x, y)` the pixel the `k`-th point was blended into (culled points
-    /// reach it not at all), so a second per-fragment output needs no second
-    /// projection of the point.
-    pub fn draw_points_with<T, I, V, F>(
         &mut self,
         target: &mut Buffer2D<T>,
         points: I,
         mut value_fn: V,
         op: BlendOp,
-        mut on_fragment: F,
     ) where
         T: Blendable,
         I: IntoIterator<Item = Point>,
         V: FnMut(usize) -> T,
-        F: FnMut(usize, u32, u32),
     {
         self.stats.draw_calls += 1;
         // lint: allow(cancel-poll-reachability) emulates one GPU draw call; the core executors poll the budget between POINT_CHUNK-sized draws, matching real command-buffer granularity
@@ -88,7 +70,6 @@ impl Pipeline {
             };
             T::blend(target.get_mut(x, y), value_fn(k), op);
             self.stats.fragments += 1;
-            on_fragment(k, x, y);
         }
     }
 
@@ -194,41 +175,6 @@ mod tests {
         assert_eq!(pipe.stats().points_culled, 1);
         assert_eq!(pipe.stats().fragments, 2);
         assert_eq!(buf.sum(), 2.0);
-    }
-
-    /// The hooked loop is the same draw call: identical buffer and stats,
-    /// and one hook call per fragment with the pixel the point landed on.
-    #[test]
-    fn hooked_pass_matches_draw_points() {
-        let pts = vec![
-            Point::new(1.5, 6.5),
-            Point::new(99.0, 0.0),
-            Point::new(1.2, 6.9),
-            Point::new(-1.0, 3.0),
-            Point::new(7.9, 0.1),
-        ];
-        let mut plain = Pipeline::new(vp(8));
-        let mut plain_buf = Buffer2D::new(8, 8, [0.0f32; 2]);
-        plain.draw_points(&mut plain_buf, pts.clone(), |k| [1.0, k as f32], BlendOp::Add);
-        plain.draw_points(&mut plain_buf, pts.clone(), |k| [1.0, k as f32], BlendOp::Add);
-
-        let mut hooked = Pipeline::new(vp(8));
-        let mut hooked_buf = Buffer2D::new(8, 8, [0.0f32; 2]);
-        let mut seen = Vec::new();
-        for _ in 0..2 {
-            hooked.draw_points_with(
-                &mut hooked_buf,
-                pts.clone(),
-                |k| [1.0, k as f32],
-                BlendOp::Add,
-                |k, x, y| seen.push((k, x, y)),
-            );
-        }
-        assert_eq!(plain.stats(), hooked.stats());
-        let s = hooked.stats();
-        assert_eq!((s.draw_calls, s.points_in, s.points_culled, s.fragments), (2, 10, 4, 6));
-        assert_eq!(plain_buf, hooked_buf);
-        assert_eq!(seen, [(0, 1, 1), (2, 1, 1), (4, 7, 7)].repeat(2));
     }
 
     #[test]

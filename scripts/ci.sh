@@ -9,12 +9,14 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q
-# The bit-identity claims (DESIGN.md §7, §15, §18) again under the optimizer
-# the server ships with: footers on == footers stripped, stored join ==
-# in-memory join, and the accurate pass's boundary rows == the exact join,
-# must not depend on the build profile.
+# The bit-identity claims (DESIGN.md §7, §9, §15, §18) again under the
+# optimizer the server ships with: footers on == footers stripped, stored
+# join == in-memory join, the accurate pass's boundary rows == the exact
+# join, and the served answers == the committed goldens byte for byte, must
+# not depend on the build profile.
 cargo test -q --release -p urbane-bench \
-  --test clustered_equivalence --test store_subsystem --test cross_method_equivalence
+  --test clustered_equivalence --test store_subsystem --test cross_method_equivalence \
+  --test serve_golden
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,
