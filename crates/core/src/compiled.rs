@@ -8,8 +8,8 @@
 //! `column[i]` directly instead of gathering per-chunk `Vec<f32>` copies.
 //!
 //! The mask is built one *zone* ([`POINT_CHUNK`] rows) at a time. When the
-//! table carries zone footers ([`PointTable::cluster`]) each zone is first
-//! classified against the conjunction from its footer alone:
+//! table carries zone footers ([`PointTable::cluster`]) a [`ZonePlan`]
+//! classifies each zone against the conjunction from its footer alone:
 //!
 //! * **skip** — the footer is disjoint from some condition, so no row of the
 //!   zone can pass it: the zone's mask words stay zero, no row is read;
@@ -20,10 +20,11 @@
 //!   mattering.
 //!
 //! A table without footers is the same walk with every zone a scan. The
-//! proof rules are [`ZoneFooter`]'s, the ones the stored join applies to a
-//! `.ubs` directory (half-open time range against a closed footer, closed
-//! boxes and ranges); a zone holding a NaN is never *whole*, because footer
-//! ranges leave NaN out (DESIGN.md "Row order is the query plan").
+//! proof rules are [`ZoneFooter`]'s (half-open time range against a closed
+//! footer, closed boxes and ranges); a zone holding a NaN is never *whole*,
+//! because footer ranges leave NaN out (DESIGN.md "Row order is the query
+//! plan"). Both exact index joins (`spatial_index`, resident and stored)
+//! classify and mask their zones with the same plan.
 //!
 //! Kernels walk the rows through [`CompiledQuery::for_each_chunk`], which
 //! additionally steps over zones whose bbox misses the tile and polls the
@@ -39,80 +40,75 @@ use crate::Result;
 use urban_data::binned::BinnedPointTable;
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
+use urban_data::schema::Schema;
 use urban_data::time::TimeRange;
 use urban_data::{PointTable, ZoneFooter};
 use urbane_geom::{BoundingBox, Point};
 
-/// One filter condition bound to its table columns — the per-row dispatch
-/// and column lookup are hoisted out of the scan loop.
-enum Pred<'t> {
+/// One filter condition resolved against a schema.
+#[derive(Debug)]
+enum Cond {
     /// Attribute in `[min, max]` (closed; NaN never matches).
-    Range { col: usize, vals: &'t [f32], min: f32, max: f32 },
+    Range { col: usize, min: f32, max: f32 },
     /// Attribute equals a categorical code.
-    Equals { col: usize, vals: &'t [f32], value: f32 },
+    Equals { col: usize, value: f32 },
     /// Timestamp within a half-open range.
-    Time { ts: &'t [i64], range: TimeRange },
+    Time(TimeRange),
     /// Location within a closed box.
-    Spatial { xs: &'t [f64], ys: &'t [f64], bbox: BoundingBox },
+    Spatial(BoundingBox),
 }
 
-impl Pred<'_> {
-    fn bind<'t>(f: &Filter, points: &'t PointTable) -> Result<Pred<'t>> {
+impl Cond {
+    fn resolve(f: &Filter, schema: &Schema) -> Result<Cond> {
         Ok(match f {
             Filter::AttrRange { column, min, max } => {
-                let col = points.schema().index_of(column)?;
-                Pred::Range { col, vals: points.column(col), min: *min, max: *max }
+                Cond::Range { col: schema.index_of(column)?, min: *min, max: *max }
             }
             Filter::AttrEquals { column, value } => {
-                let col = points.schema().index_of(column)?;
-                Pred::Equals { col, vals: points.column(col), value: *value }
+                Cond::Equals { col: schema.index_of(column)?, value: *value }
             }
-            Filter::Time(r) => Pred::Time { ts: points.timestamps(), range: *r },
-            Filter::SpatialBox(b) => {
-                Pred::Spatial { xs: points.xs(), ys: points.ys(), bbox: *b }
-            }
+            Filter::Time(r) => Cond::Time(*r),
+            Filter::SpatialBox(b) => Cond::Spatial(*b),
         })
     }
 
-    /// Run `pass` over the rows `start..end` of one zone, whose mask words
-    /// are `words`, with this condition's row test — the same comparisons
-    /// as [`Filter`]'s row probe — compiled into the loop: the condition is
+    /// What a zone's footer proves about this condition for *every* row of
+    /// the zone (the rules live on [`ZoneFooter`]): `Some(false)` — none
+    /// passes, `Some(true)` — all pass, `None` — the rows must be tested.
+    #[inline]
+    fn decide(&self, f: &ZoneFooter) -> Option<bool> {
+        match self {
+            Cond::Range { col, min, max } => f.decide_range(*col, *min, *max),
+            Cond::Equals { col, value } => f.decide_equals(*col, *value),
+            Cond::Time(range) => f.decide_time(range),
+            Cond::Spatial(bbox) => f.decide_box(bbox),
+        }
+    }
+
+    /// Run `pass` over the rows of `zone` with this condition's row test —
+    /// [`Filter`]'s comparisons — compiled into the loop: the condition is
     /// matched once per zone, not once per row.
-    fn scan(&self, pass: Pass, words: &mut [u64], start: usize, end: usize) {
+    fn scan(&self, pass: Pass, zone: &ZoneColumns<'_>, words: &mut [u64]) {
         match *self {
-            Pred::Range { vals, min, max, .. } => {
-                let vals = &vals[start..end];
+            Cond::Range { col, min, max } => {
+                let vals = zone.attr(col);
                 pass.run(words, vals.len(), |i| {
                     let v = vals[i];
                     v >= min && v <= max
                 })
             }
-            Pred::Equals { vals, value, .. } => {
-                let vals = &vals[start..end];
+            Cond::Equals { col, value } => {
+                let vals = zone.attr(col);
                 pass.run(words, vals.len(), |i| vals[i] == value)
             }
-            Pred::Time { ts, range } => {
-                let ts = &ts[start..end];
+            Cond::Time(range) => {
+                let ts = zone.ts;
                 pass.run(words, ts.len(), |i| range.contains(ts[i]))
             }
-            Pred::Spatial { xs, ys, bbox } => {
-                let (xs, ys) = (&xs[start..end], &ys[start..end]);
+            Cond::Spatial(bbox) => {
+                let (xs, ys) = (zone.xs, zone.ys);
                 pass.run(words, xs.len(), |i| bbox.contains(Point::new(xs[i], ys[i])))
             }
-        }
-    }
-
-    /// What a zone's footer proves about this condition for *every* row of
-    /// the zone (the rules live on [`ZoneFooter`], shared with the stored
-    /// join): `Some(false)` — none passes, `Some(true)` — all pass, `None` —
-    /// the rows must be tested.
-    #[inline]
-    fn decide(&self, f: &ZoneFooter) -> Option<bool> {
-        match self {
-            Pred::Range { col, min, max, .. } => f.decide_range(*col, *min, *max),
-            Pred::Equals { col, value, .. } => f.decide_equals(*col, *value),
-            Pred::Time { range, .. } => f.decide_time(range),
-            Pred::Spatial { bbox, .. } => f.decide_box(bbox),
         }
     }
 }
@@ -162,6 +158,156 @@ impl Pass {
     }
 }
 
+/// One zone's rows, column by column, borrowed: a resident table's slice or
+/// a store's decoded zone. A class looks only at the columns
+/// [`ZonePlan::reads`] names for it, so the others may be left unfilled.
+#[derive(Debug, Clone, Copy)]
+pub struct ZoneColumns<'a> {
+    xs: &'a [f64],
+    ys: &'a [f64],
+    ts: &'a [i64],
+    /// Whole attribute columns by schema index; the zone starts at `start`.
+    attrs: &'a [Vec<f32>],
+    start: usize,
+}
+
+impl<'a> ZoneColumns<'a> {
+    /// Columns holding one zone's rows and nothing else.
+    pub fn new(xs: &'a [f64], ys: &'a [f64], ts: &'a [i64], attrs: &'a [Vec<f32>]) -> Self {
+        ZoneColumns { xs, ys, ts, attrs, start: 0 }
+    }
+
+    /// Rows `start..end` of a resident table.
+    pub fn of_table(t: &'a PointTable, start: usize, end: usize) -> Self {
+        let (xs, ys, ts) = (&t.xs()[start..end], &t.ys()[start..end], &t.timestamps()[start..end]);
+        ZoneColumns { xs, ys, ts, attrs: t.columns(), start }
+    }
+
+    /// The zone's x and y coordinates; as long as the zone.
+    #[inline]
+    pub fn locs(&self) -> (&'a [f64], &'a [f64]) {
+        (self.xs, self.ys)
+    }
+
+    /// The zone's values of attribute column `col`.
+    #[inline]
+    pub fn attr(&self, col: usize) -> &'a [f32] {
+        &self.attrs[col][self.start..self.start + self.xs.len()]
+    }
+}
+
+/// A query's conjunction and aggregate column resolved against a schema once,
+/// so classifying a footer is pure arithmetic. The raster mask and both exact
+/// index joins classify and filter their zones through one.
+#[derive(Debug)]
+pub struct ZonePlan {
+    conds: Vec<Cond>,
+    /// The resolved aggregate column (None for COUNT).
+    pub agg_col: Option<usize>,
+    /// A row outside this box contributes nothing (the regions' extent).
+    extent: Option<BoundingBox>,
+}
+
+/// What a zone's footer proves about a [`ZonePlan`]'s conjunction.
+#[derive(Debug)]
+pub enum ZoneClass<'p> {
+    /// No row can contribute: nothing is read.
+    Skip,
+    /// Every row passes every condition: none is tested.
+    Whole,
+    /// Some conditions are undecided and are tested row by row.
+    Scan(Undecided<'p>),
+}
+
+/// The conditions a zone's footer left undecided, in request order.
+#[derive(Debug)]
+pub struct Undecided<'p>(Vec<&'p Cond>);
+
+impl ZonePlan {
+    /// Resolve `query`'s aggregate column, then its filters: an unknown
+    /// column fails whether zero or every zone would survive the footers.
+    pub fn new(schema: &Schema, query: &SpatialAggQuery) -> Result<Self> {
+        let agg_col = query.agg_kind().column().map(|c| schema.index_of(c)).transpose()?;
+        let conds = query
+            .filters
+            .filters()
+            .iter()
+            .map(|f| Cond::resolve(f, schema))
+            .collect::<Result<_>>()?;
+        Ok(ZonePlan { conds, agg_col, extent: None })
+    }
+
+    /// The same plan, also skipping every zone whose footer box misses
+    /// `extent`: an exact join's regions' extent, outside which no row (and
+    /// no NaN location either, so `has_nan` is no bar) joins anything.
+    pub fn within(self, extent: BoundingBox) -> Self {
+        ZonePlan { extent: Some(extent), ..self }
+    }
+
+    /// Classify the rows `footer` covers (a zone's, or a `.ubs` chunk's);
+    /// without a footer every condition is undecided.
+    pub fn classify(&self, footer: Option<&ZoneFooter>) -> ZoneClass<'_> {
+        if footer.zip(self.extent).is_some_and(|(f, e)| !e.intersects(&f.bbox)) {
+            return ZoneClass::Skip;
+        }
+        let mut open = Vec::new();
+        for cond in &self.conds {
+            match footer.and_then(|f| cond.decide(f)) {
+                Some(false) => return ZoneClass::Skip,
+                Some(true) => {}
+                None => open.push(cond),
+            }
+        }
+        if open.is_empty() {
+            ZoneClass::Whole
+        } else {
+            ZoneClass::Scan(Undecided(open))
+        }
+    }
+
+    /// The columns a zone of `class` reads beside `x` and `y`: into `attrs`
+    /// the aggregated one, then the undecided conditions'; the result says
+    /// whether `t` is read (a time condition is undecided).
+    pub fn reads(&self, class: &ZoneClass<'_>, attrs: &mut Vec<usize>) -> bool {
+        attrs.clear();
+        attrs.extend(self.agg_col);
+        let ZoneClass::Scan(Undecided(open)) = class else {
+            return false;
+        };
+        for cond in open {
+            if let Cond::Range { col, .. } | Cond::Equals { col, .. } = cond {
+                if !attrs.contains(col) {
+                    attrs.push(*col);
+                }
+            }
+        }
+        open.iter().any(|c| matches!(c, Cond::Time(_)))
+    }
+}
+
+impl ZoneClass<'_> {
+    /// Set `words` (word `w` holds rows `64·w..64·w + 64` of `zone`) to the
+    /// rows that pass: when scanned the first undecided condition fills the
+    /// words and each further one clears the bits it rejects ([`Pass`]).
+    pub fn mask(&self, zone: &ZoneColumns<'_>, words: &mut [u64]) {
+        match self {
+            ZoneClass::Skip => words.fill(0),
+            ZoneClass::Whole => {
+                words.fill(!0);
+                let tail = zone.xs.len() % 64; // set only in a partial last word
+                if let (Some(last), 1..) = (words.last_mut(), tail) {
+                    *last = (1u64 << tail) - 1;
+                }
+            }
+            ZoneClass::Scan(Undecided(open)) => {
+                for (k, cond) in open.iter().enumerate() {
+                    cond.scan(if k == 0 { Pass::Fill } else { Pass::Refine }, zone, words);
+                }
+            }
+        }
+    }
+}
+
 /// How one query's zones were classified while its filter mask was built
 /// (all zero for a query without filters: nothing is classified).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -176,12 +322,23 @@ pub struct ZoneStats {
     pub rows_tested: u64,
 }
 
-/// Evaluate a filter conjunction into a bitmask, zone by zone: classify the
-/// zone from its footer, then let the first undecided condition fill the
-/// zone's words with a tight columnar scan and each further one clear the
-/// set bits it rejects (only surviving rows are re-probed; see [`Pass`]).
+impl ZoneStats {
+    /// Count one zone of `rows` rows classified as `class`.
+    pub fn count(&mut self, class: &ZoneClass<'_>, rows: usize) {
+        match class {
+            ZoneClass::Skip => self.skipped += 1,
+            ZoneClass::Whole => self.whole += 1,
+            ZoneClass::Scan(_) => {
+                self.scanned += 1;
+                self.rows_tested += rows as u64;
+            }
+        }
+    }
+}
+
+/// Evaluate a filter conjunction into a bitmask, zone by zone.
 fn build_mask(
-    preds: &[Pred<'_>],
+    plan: &ZonePlan,
     points: &PointTable,
     budget: &QueryBudget,
 ) -> Result<(Vec<u64>, ZoneStats)> {
@@ -189,43 +346,14 @@ fn build_mask(
     let footers = points.zones();
     let mut bits = vec![0u64; n.div_ceil(64)];
     let mut stats = ZoneStats::default();
-    let mut undecided: Vec<&Pred<'_>> = Vec::with_capacity(preds.len());
     // POINT_CHUNK is a multiple of 64, so zone edges are word edges.
     for (z, words) in bits.chunks_mut(POINT_CHUNK / 64).enumerate() {
         budget.check()?;
         let start = z * POINT_CHUNK;
         let end = (start + POINT_CHUNK).min(n);
-        undecided.clear();
-        let mut empty = false;
-        for pred in preds {
-            match footers.get(z).and_then(|f| pred.decide(f)) {
-                Some(false) => {
-                    empty = true;
-                    break;
-                }
-                Some(true) => {}
-                None => undecided.push(pred),
-            }
-        }
-        if empty {
-            stats.skipped += 1;
-            continue;
-        }
-        let Some((first, rest)) = undecided.split_first() else {
-            stats.whole += 1;
-            words.fill(!0);
-            let tail = end % 64; // set only in the table's last, partial word
-            if let (Some(last), 1..) = (words.last_mut(), tail) {
-                *last = (1u64 << tail) - 1;
-            }
-            continue;
-        };
-        stats.scanned += 1;
-        stats.rows_tested += (end - start) as u64;
-        first.scan(Pass::Fill, words, start, end);
-        for pred in rest {
-            pred.scan(Pass::Refine, words, start, end);
-        }
+        let class = plan.classify(footers.get(z));
+        stats.count(&class, end - start);
+        class.mask(&ZoneColumns::of_table(points, start, end), words);
     }
     Ok((bits, stats))
 }
@@ -260,24 +388,18 @@ impl<'t> CompiledQuery<'t> {
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<Self> {
-        let agg = query.agg_kind();
-        let col = agg.resolve(points)?;
+        let plan = ZonePlan::new(points.schema(), query)?;
         let (mask, zones) = if query.filters.is_empty() {
             (None, ZoneStats::default())
         } else {
-            let preds = query
-                .filters
-                .filters()
-                .iter()
-                .map(|f| Pred::bind(f, points))
-                .collect::<Result<Vec<_>>>()?;
-            let (bits, zones) = build_mask(&preds, points, budget)?;
+            let (bits, zones) = build_mask(&plan, points, budget)?;
             (Some(bits), zones)
         };
         let bbox = query.filters.filters().iter().fold(None, |acc: Option<BoundingBox>, f| match f {
             Filter::SpatialBox(b) => Some(acc.map_or(*b, |a| a.intersection(b))),
             _ => acc,
         });
+        let (agg, col) = (query.agg_kind(), plan.agg_col);
         Ok(CompiledQuery { agg, col, zones, bbox, mask, rows: points.len(), footers: points.zones() })
     }
 

@@ -53,7 +53,7 @@ pub mod weighted;
 
 pub use budget::{CancelHandle, QueryBudget};
 pub use canvas::{CanvasPlan, CanvasSpec};
-pub use compiled::{PointStore, ZoneStats};
+pub use compiled::{PointStore, ZoneClass, ZoneColumns, ZonePlan, ZoneStats};
 pub use executor::{
     BinningMode, ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult,
     MIN_AUTO_BIN_POINTS,

@@ -200,7 +200,6 @@ impl PreparedTile {
                 let lo = pairs.partition_point(|&(q, _)| q < pix);
                 for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
                     if regions.geometry(id).contains(p) {
-                        // lint: bounded-by rows drawn × regions whose boundary crosses the row's pixel
                         hits.push((id, v));
                     }
                 }

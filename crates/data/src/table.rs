@@ -190,6 +190,12 @@ impl PointTable {
         &self.attrs[col]
     }
 
+    /// Every attribute column, in schema order.
+    #[inline]
+    pub fn columns(&self) -> &[Vec<f32>] {
+        &self.attrs
+    }
+
     /// Attribute column by name.
     pub fn column_by_name(&self, name: &str) -> Result<&[f32]> {
         Ok(&self.attrs[self.schema.index_of(name)?])

@@ -202,7 +202,6 @@ fn scatter_by_day<T: Copy + Default>(
 ) {
     let mut next = starts.to_vec();
     out.resize(col.len(), T::default());
-    // lint: allow(cancel-poll-reachability) runs once when a table becomes resident (register, reload, page-in), before any query can see it; no budget exists yet
     for (&v, &t) in col.iter().zip(ts) {
         let slot = &mut next[buckets.of(t)];
         out[*slot] = v;
@@ -247,7 +246,6 @@ pub(super) fn fold_range<T: Copy + PartialOrd>(vals: &[T], min: T, max: T) -> (T
     let mut lanes = [(min, max, false); LANES];
     let groups = vals.chunks_exact(LANES);
     let tail = groups.remainder();
-    // lint: allow(cancel-poll-reachability) runs once when a table becomes resident (register, reload, page-in), before any query can see it; no budget exists yet
     for group in groups {
         for (acc, &v) in lanes.iter_mut().zip(group) {
             fold(acc, v);

@@ -9,7 +9,33 @@
 
 use crate::{Probe, RegionIndex};
 use urban_data::query::{AggTable, SpatialAggQuery};
-use urban_data::{PointTable, RegionSet, Result};
+use urban_data::{PointTable, RegionId, RegionSet, Result};
+use urbane_geom::Point;
+
+/// Credit value `v` at point `p` to every region holding `p`: index probe,
+/// then exact point-in-polygon among the candidates. Every exact join's row
+/// body.
+#[inline]
+pub(crate) fn join_point<I: RegionIndex>(
+    p: Point,
+    v: f64,
+    regions: &RegionSet,
+    index: &I,
+    candidates: &mut Vec<RegionId>,
+    out: &mut AggTable,
+) {
+    match index.probe_into(p, candidates) {
+        Probe::Empty => {}
+        Probe::Resolved(id) => out.states[id as usize].accumulate(v),
+        Probe::Candidates => {
+            for &id in candidates.iter() {
+                if regions.geometry(id).contains(p) {
+                    out.states[id as usize].accumulate(v);
+                }
+            }
+        }
+    }
+}
 
 /// Evaluate `query` with a point-probed index join (single-threaded).
 pub fn index_join<I: RegionIndex>(
@@ -28,19 +54,8 @@ pub fn index_join<I: RegionIndex>(
         if !filter.matches(i) {
             continue;
         }
-        let p = points.loc(i);
         let v = col.map_or(0.0, |c| points.attr(i, c) as f64);
-        match index.probe_into(p, &mut scratch) {
-            Probe::Empty => {}
-            Probe::Resolved(id) => out.states[id as usize].accumulate(v),
-            Probe::Candidates => {
-                for &id in &scratch {
-                    if regions.geometry(id).contains(p) {
-                        out.states[id as usize].accumulate(v);
-                    }
-                }
-            }
-        }
+        join_point(points.loc(i), v, regions, index, &mut scratch, &mut out);
     }
     Ok(out)
 }
@@ -82,19 +97,8 @@ pub fn index_join_parallel<I: RegionIndex>(
                     if !filter.matches(i) {
                         continue;
                     }
-                    let p = points.loc(i);
                     let v = col.map_or(0.0, |c| points.attr(i, c) as f64);
-                    match index.probe_into(p, &mut scratch) {
-                        Probe::Empty => {}
-                        Probe::Resolved(id) => part.states[id as usize].accumulate(v),
-                        Probe::Candidates => {
-                            for &id in &scratch {
-                                if regions.geometry(id).contains(p) {
-                                    part.states[id as usize].accumulate(v);
-                                }
-                            }
-                        }
-                    }
+                    join_point(points.loc(i), v, regions, index, &mut scratch, &mut part);
                 }
                 Ok(part)
             }));

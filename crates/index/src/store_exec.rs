@@ -1,36 +1,26 @@
-//! Index-join executors over the out-of-core `.ubs` store.
+//! The exact index joins, over a resident table and over the out-of-core
+//! `.ubs` store: the baseline the paper's scaling comparison races Raster
+//! Join against.
 //!
-//! These are the exact baseline the paper's scaling comparison races Raster
-//! Join against at cardinalities that don't fit the whole-table serving
-//! model. The store is a clustered table on disk, so the join reads it the
-//! way the raster executors read a resident one: every chunk of the
-//! directory, then every zone inside a surviving chunk, is classified
-//! against the query from its footer alone with [`ZoneFooter`]'s proof rules
-//! — *skip* (some condition, or the regions' extent, rules every row out:
-//! nothing is read), *whole* (every condition holds for every row: only
-//! `x`, `y` and the aggregated column are read, nothing is tested) or
-//! *scan* (only the conditions the footer left open are tested, and only
-//! their columns are read beside `x`, `y`). A condition the footer decided
-//! is true of every row of the zone, so not reading its column cannot change
-//! which rows pass. Surviving rows run the same probe-then-exact-PIP loop as
-//! [`crate::executor::index_join`].
-//!
-//! Results are **bit-for-bit exact**: aggregation states accumulate f32
-//! attribute values in f64 (lossless at the corpus's dynamic range) in file
-//! order, so the stored join and the in-memory oracle agree exactly.
-//!
-//! Budget/cancellation discipline matches the raster executors: the shared
-//! [`QueryBudget`] is polled once per chunk and once per zone read, so a
-//! cancelled query stops within one zone's worth of work.
+//! Both walk the rows one zone at a time with the raster mask's
+//! [`ZonePlan`]. Each zone (and, in a store, each chunk of the directory
+//! first) is classified from its footer alone: *skip* (some condition, or
+//! the regions' extent, rules every row out: nothing is read), *whole*
+//! (nothing is tested; a store reads `x`, `y` and the aggregated column) or
+//! *scan* (the undecided conditions run the mask kernel, and a store reads
+//! only their columns besides). A table without footers is all scans. The
+//! rows that pass run [`crate::executor::index_join`]'s probe-then-PIP body
+//! in ascending row order, so answers are **bit-for-bit** the in-memory
+//! oracle's. The [`QueryBudget`] is polled once per zone (and once per
+//! stored chunk).
 
-use crate::{Probe, RegionIndex};
-use raster_join::{QueryBudget, RasterJoinError, ZoneStats};
+use crate::executor::join_point;
+use crate::RegionIndex;
+use raster_join::{QueryBudget, RasterJoinError, ZoneClass, ZoneColumns, ZonePlan, ZoneStats};
 use std::io::{Read, Seek};
 use urban_data::query::{AggTable, SpatialAggQuery};
-use urban_data::schema::Schema;
-use urban_data::time::TimeRange;
-use urban_data::{Filter, PointTable, RegionSet, ZoneFooter};
-use urbane_geom::{BoundingBox, Point};
+use urban_data::{PointTable, RegionId, RegionSet, ZONE_ROWS};
+use urbane_geom::Point;
 use urbane_store::{ChunkedPointSource, Columns};
 
 /// Per-query accounting for a stored join: how much the footers pruned and
@@ -51,136 +41,43 @@ pub struct StoredJoinStats {
     pub zones: ZoneStats,
 }
 
-/// One filter condition resolved against the store schema.
-enum Cond {
-    /// Attribute in `[min, max]` (closed; NaN never matches).
-    Range { col: usize, min: f32, max: f32 },
-    /// Attribute equals a categorical code.
-    Equals { col: usize, value: f32 },
-    /// Timestamp within a half-open range.
-    Time(TimeRange),
-    /// Location within a closed box.
-    Spatial(BoundingBox),
-}
-
-impl Cond {
-    /// What `f` proves about this condition for every row it covers.
-    #[inline]
-    fn decide(&self, f: &ZoneFooter) -> Option<bool> {
-        match self {
-            Cond::Range { col, min, max } => f.decide_range(*col, *min, *max),
-            Cond::Equals { col, value } => f.decide_equals(*col, *value),
-            Cond::Time(range) => f.decide_time(range),
-            Cond::Spatial(bbox) => f.decide_box(bbox),
-        }
-    }
-
-    /// Does row `i` of the fetched zone satisfy this condition? Identical
-    /// semantics to [`Filter`]'s row probe; the column it reads was fetched
-    /// because the condition was undecided.
-    #[inline]
-    fn test(&self, zone: &Columns, i: usize) -> bool {
-        match self {
-            Cond::Range { col, min, max } => {
-                let v = zone.attrs[*col][i];
-                v >= *min && v <= *max
-            }
-            Cond::Equals { col, value } => zone.attrs[*col][i] == *value,
-            Cond::Time(range) => range.contains(zone.ts[i]),
-            Cond::Spatial(bbox) => bbox.contains(Point::new(zone.xs[i], zone.ys[i])),
-        }
-    }
-}
-
-/// A query resolved against the store schema once, so classifying a footer
-/// is pure arithmetic.
-struct StoredPlan {
-    conds: Vec<Cond>,
-    /// The regions' overall extent: a row outside it joins nothing.
-    extent: BoundingBox,
-    /// Resolved value column (None for COUNT).
+/// The per-zone body both exact joins share: mask a zone's rows by its
+/// class, then join the survivors in ascending row order.
+struct ZoneJoin<'a, I> {
+    regions: &'a RegionSet,
+    index: &'a I,
     agg_col: Option<usize>,
+    /// One zone's mask words, reused for every zone.
+    words: Vec<u64>,
+    candidates: Vec<RegionId>,
+    out: AggTable,
 }
 
-impl StoredPlan {
-    /// Resolve `query` against the store schema before touching any chunk,
-    /// so "unknown column" fails identically whether zero or all chunks
-    /// survive pruning.
-    fn new(
-        schema: &Schema,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-    ) -> Result<Self, RasterJoinError> {
-        let agg_col =
-            query.agg_kind().resolve(&PointTable::new(schema.clone())).map_err(data_err)?;
-        let col = |name: &str| schema.index_of(name).map_err(data_err);
-        let conds = query
-            .filters
-            .filters()
-            .iter()
-            .map(|f| {
-                Ok(match f {
-                    Filter::AttrRange { column, min, max } => {
-                        Cond::Range { col: col(column)?, min: *min, max: *max }
-                    }
-                    Filter::AttrEquals { column, value } => {
-                        Cond::Equals { col: col(column)?, value: *value }
-                    }
-                    Filter::Time(r) => Cond::Time(*r),
-                    Filter::SpatialBox(b) => Cond::Spatial(*b),
-                })
-            })
-            .collect::<Result<_, RasterJoinError>>()?;
-        Ok(StoredPlan { conds, extent: regions.bbox(), agg_col })
+impl<'a, I: RegionIndex> ZoneJoin<'a, I> {
+    fn new(plan: &ZonePlan, regions: &'a RegionSet, index: &'a I, query: &SpatialAggQuery) -> Self {
+        ZoneJoin {
+            regions,
+            index,
+            agg_col: plan.agg_col,
+            words: Vec::with_capacity(ZONE_ROWS / 64),
+            candidates: Vec::with_capacity(8),
+            out: AggTable::new(query.agg_kind(), regions.len()),
+        }
     }
 
-    /// Classify the rows `f` covers: `false` — none can contribute (skip);
-    /// otherwise `undecided` holds the conditions that must be tested row by
-    /// row (none left: the rows are taken whole).
-    fn classify<'p>(&'p self, f: &ZoneFooter, undecided: &mut Vec<&'p Cond>) -> bool {
-        undecided.clear();
-        // A NaN location lies in no region either, so `has_nan` is no bar.
-        if !self.extent.intersects(&f.bbox) {
-            return false;
-        }
-        for cond in &self.conds {
-            match cond.decide(f) {
-                Some(false) => return false,
-                Some(true) => {}
-                None => undecided.push(cond),
-            }
-        }
-        true
-    }
-}
-
-fn data_err(e: urban_data::DataError) -> RasterJoinError {
-    RasterJoinError::Data(e.to_string())
-}
-
-fn store_err(e: urbane_store::StoreError) -> RasterJoinError {
-    RasterJoinError::Internal(format!("store read failed: {e}"))
-}
-
-/// Credit value `v` at point `p` to every region holding `p`: index probe,
-/// then exact point-in-polygon among the candidates.
-#[inline]
-fn join_point<I: RegionIndex>(
-    p: Point,
-    v: f64,
-    regions: &RegionSet,
-    index: &I,
-    candidates: &mut Vec<urban_data::RegionId>,
-    out: &mut AggTable,
-) {
-    match index.probe_into(p, candidates) {
-        Probe::Empty => {}
-        Probe::Resolved(id) => out.states[id as usize].accumulate(v),
-        Probe::Candidates => {
-            for &id in candidates.iter() {
-                if regions.geometry(id).contains(p) {
-                    out.states[id as usize].accumulate(v);
-                }
+    fn zone(&mut self, class: &ZoneClass<'_>, zone: ZoneColumns<'_>) {
+        let (xs, ys) = zone.locs();
+        self.words.resize(xs.len().div_ceil(64), 0);
+        class.mask(&zone, &mut self.words);
+        let values = self.agg_col.map(|c| zone.attr(c));
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut pending = word;
+            while pending != 0 {
+                let i = (w << 6) | pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let v = values.map_or(0.0, |vals| vals[i] as f64);
+                let p = Point::new(xs[i], ys[i]);
+                join_point(p, v, self.regions, self.index, &mut self.candidates, &mut self.out);
             }
         }
     }
@@ -195,61 +92,37 @@ pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
     query: &SpatialAggQuery,
     budget: &QueryBudget,
 ) -> Result<(AggTable, StoredJoinStats), RasterJoinError> {
-    let plan = StoredPlan::new(source.schema(), regions, query)?;
-    let mut out = AggTable::new(query.agg_kind(), regions.len());
+    let plan = ZonePlan::new(source.schema(), query)?.within(regions.bbox());
+    let mut join = ZoneJoin::new(&plan, regions, index, query);
     let mut stats = StoredJoinStats::default();
-    let mut candidates = Vec::with_capacity(8);
-    // lint: capped-by one entry per request filter, and the server's framing caps the request body (`http::MAX_BODY`, 1 MiB)
-    let mut undecided: Vec<&Cond> = Vec::with_capacity(plan.conds.len());
-    let mut attrs: Vec<usize> = Vec::with_capacity(plan.conds.len() + 1);
+    let mut attrs: Vec<usize> = Vec::new();
     // One zone of the columns in use, for the whole join.
     let mut zone = Columns::default();
     let header = source.shared_header();
     source.reset_stats();
     for (ci, meta) in header.chunks.iter().enumerate() {
         budget.check()?;
-        if !plan.classify(&meta.footer, &mut undecided) {
+        if matches!(plan.classify(Some(&meta.footer)), ZoneClass::Skip) {
             stats.chunks_pruned += 1;
             stats.zones.skipped += meta.zones.len() as u64;
             continue;
         }
         let mut read_any = false;
         for (z, footer) in meta.zones.iter().enumerate() {
-            if !plan.classify(footer, &mut undecided) {
+            let class = plan.classify(Some(footer));
+            if matches!(class, ZoneClass::Skip) {
                 stats.zones.skipped += 1;
                 continue;
             }
             budget.check()?;
-            let want_ts = undecided.iter().any(|c| matches!(c, Cond::Time(_)));
-            attrs.clear();
-            attrs.extend(plan.agg_col);
-            for cond in &undecided {
-                if let Cond::Range { col, .. } | Cond::Equals { col, .. } = cond {
-                    if !attrs.contains(col) {
-                        attrs.push(*col);
-                    }
-                }
-            }
-            source.read_zone(ci, z, want_ts, &attrs, &mut zone).map_err(store_err)?;
+            let want_ts = plan.reads(&class, &mut attrs);
+            source
+                .read_zone(ci, z, want_ts, &attrs, &mut zone)
+                .map_err(|e| RasterJoinError::Internal(format!("store read failed: {e}")))?;
             read_any = true;
-            let rows = zone.xs.len();
-            stats.rows_scanned += rows as u64;
-            if undecided.is_empty() {
-                stats.zones.whole += 1;
-            } else {
-                stats.zones.scanned += 1;
-                stats.zones.rows_tested += rows as u64;
-            }
-            let values = plan.agg_col.map(|c| zone.attrs[c].as_slice());
-            // lint: polls-budget the budget is checked once per zone just above; a zone is at most ZONE_ROWS rows
-            for i in 0..rows {
-                if !undecided.iter().all(|c| c.test(&zone, i)) {
-                    continue;
-                }
-                let p = Point::new(zone.xs[i], zone.ys[i]);
-                let v = values.map_or(0.0, |vals| vals[i] as f64);
-                join_point(p, v, regions, index, &mut candidates, &mut out);
-            }
+            stats.rows_scanned += zone.xs.len() as u64;
+            stats.zones.count(&class, zone.xs.len());
+            join.zone(&class, ZoneColumns::new(&zone.xs, &zone.ys, &zone.ts, &zone.attrs));
         }
         if read_any {
             stats.chunks_scanned += 1;
@@ -258,13 +131,14 @@ pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
         }
     }
     stats.peak_resident_rows = source.stats().peak_resident_rows;
-    Ok((out, stats))
+    Ok((join.out, stats))
 }
 
 /// In-memory index join with budget/cancellation polling — the session
 /// layer's entry point when the table is already materialized. Identical
-/// results to [`crate::executor::index_join`]; the budget is polled every
-/// few thousand rows so cancellation latency stays bounded.
+/// results to [`crate::executor::index_join`]; it walks the table's zones
+/// like the stored join, skipping the ones its footers rule out, and polls
+/// the budget once per zone.
 pub fn index_join_budgeted<I: RegionIndex>(
     points: &PointTable,
     regions: &RegionSet,
@@ -272,22 +146,18 @@ pub fn index_join_budgeted<I: RegionIndex>(
     query: &SpatialAggQuery,
     budget: &QueryBudget,
 ) -> Result<AggTable, RasterJoinError> {
-    const POLL_EVERY: usize = 4096;
-    let col = query.agg_kind().resolve(points).map_err(data_err)?;
-    let filter = query.filters.compile(points).map_err(data_err)?;
-    let mut out = AggTable::new(query.agg_kind(), regions.len());
-    let mut scratch = Vec::with_capacity(8);
-    for i in 0..points.len() {
-        if i % POLL_EVERY == 0 {
-            budget.check()?;
+    let plan = ZonePlan::new(points.schema(), query)?.within(regions.bbox());
+    let mut join = ZoneJoin::new(&plan, regions, index, query);
+    let footers = points.zones();
+    for (z, start) in (0..points.len()).step_by(ZONE_ROWS).enumerate() {
+        budget.check()?;
+        let class = plan.classify(footers.get(z));
+        if !matches!(class, ZoneClass::Skip) {
+            let end = (start + ZONE_ROWS).min(points.len());
+            join.zone(&class, ZoneColumns::of_table(points, start, end));
         }
-        if !filter.matches(i) {
-            continue;
-        }
-        let v = col.map_or(0.0, |c| points.attr(i, c) as f64);
-        join_point(points.loc(i), v, regions, index, &mut scratch, &mut out);
     }
-    Ok(out)
+    Ok(join.out)
 }
 
 #[cfg(test)]
@@ -301,6 +171,7 @@ mod tests {
     use urban_data::gen::regions::voronoi_neighborhoods;
     use urban_data::query::AggKind;
     use urban_data::time::TimeRange;
+    use urbane_geom::BoundingBox;
     use urbane_store::StoreBuilder;
 
     fn setup(n: usize) -> (PointTable, RegionSet, Vec<u8>) {
@@ -374,22 +245,33 @@ mod tests {
 
     #[test]
     fn unknown_column_errors_even_when_everything_prunes() {
-        let (_, rs, bytes) = setup(1_000);
+        let (mut pts, rs, bytes) = setup(1_000);
+        pts.cluster();
         let idx = PackedRegionIndex::build(&rs);
         let budget = QueryBudget::unlimited();
-        // The time filter would prune every chunk; the unknown aggregate
-        // column must still surface as an error.
-        let q = SpatialAggQuery::new(AggKind::Sum("ghost".into()))
-            .filter(Filter::Time(TimeRange::new(i64::MAX - 2, i64::MAX - 1)));
-        assert!(matches!(
-            index_join_stored(&mut source(&bytes), &rs, &idx, &q, &budget),
-            Err(RasterJoinError::Data(_))
-        ));
+        // The time filter would prune every chunk (and every zone of the
+        // clustered resident table); an unknown aggregate or filter column
+        // must still surface as an error.
+        let never = Filter::Time(TimeRange::new(i64::MAX - 2, i64::MAX - 1));
+        let ghost_agg = SpatialAggQuery::new(AggKind::Sum("ghost".into())).filter(never.clone());
+        let ghost_filter = SpatialAggQuery::count()
+            .filter(never)
+            .filter(Filter::AttrEquals { column: "phantom".into(), value: 1.0 });
+        for q in [ghost_agg, ghost_filter] {
+            assert!(matches!(
+                index_join_stored(&mut source(&bytes), &rs, &idx, &q, &budget),
+                Err(RasterJoinError::Data(_))
+            ));
+            assert!(matches!(
+                index_join_budgeted(&pts, &rs, &idx, &q, &budget),
+                Err(RasterJoinError::Data(_))
+            ));
+        }
     }
 
     #[test]
     fn cancelled_budget_stops_the_join() {
-        let (_, rs, bytes) = setup(2_000);
+        let (mut pts, rs, bytes) = setup(2_000);
         let idx = PackedRegionIndex::build(&rs);
         let handle = raster_join::CancelHandle::new();
         let budget = QueryBudget::unlimited().cancellable(&handle);
@@ -399,6 +281,16 @@ mod tests {
             index_join_stored(&mut source(&bytes), &rs, &idx, &q, &budget),
             Err(RasterJoinError::Cancelled)
         ));
+        // The resident join polls once per zone, footers or not.
+        for clustered in [false, true] {
+            if clustered {
+                pts.cluster();
+            }
+            assert!(matches!(
+                index_join_budgeted(&pts, &rs, &idx, &q, &budget),
+                Err(RasterJoinError::Cancelled)
+            ));
+        }
     }
 
     #[test]

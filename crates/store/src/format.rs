@@ -291,7 +291,6 @@ pub fn decode_header(buf: &[u8]) -> Result<StoreHeader> {
     let mut chunks = Vec::with_capacity(n_chunks);
     let mut expect_off = payload_off;
     let mut row_sum: u64 = 0;
-    // lint: allow(cancel-poll-reachability) walks the chunk directory once at open; n_chunks is validated against the header's length before this loop
     for i in 0..n_chunks {
         let rows = cur.u32_le("chunk row count")?;
         // Full chunks and one tail: zone z of chunk i is then a fixed run of
@@ -320,7 +319,6 @@ pub fn decode_header(buf: &[u8]) -> Result<StoreHeader> {
             return Err(StoreError::Corrupt(format!("truncated zone footers of chunk {i}")));
         }
         let mut zones = Vec::with_capacity(n_zones);
-        // lint: allow(cancel-poll-reachability) decodes one chunk's zone footers at open; n_zones is validated against rows and the header's length above
         for _ in 0..n_zones {
             zones.push(cur.footer(schema.len(), "zone footer")?);
         }

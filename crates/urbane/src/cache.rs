@@ -338,7 +338,6 @@ impl<V> SingleFlight<V> {
         }
         let slot =
             Arc::new(FlightSlot { state: Mutex::new(FlightState::Pending), ready: Condvar::new() });
-        // lint: bounded-by the number of in-flight computations (the leader removes its slot on completion or drop)
         slots.insert(key.to_string(), Arc::clone(&slot));
         Flight::Leader(FlightLeader {
             registry: self,

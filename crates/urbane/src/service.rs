@@ -550,7 +550,6 @@ impl UrbaneService {
         if let Some((_, won)) = rasters.iter().find(|(k, _)| *k == key) {
             return Ok(Arc::clone(won));
         }
-        // lint: bounded-by pyramid levels × 2 service canvases × 3 raster modes
         rasters.push((key, Arc::clone(&built)));
         Ok(built)
     }
@@ -631,7 +630,6 @@ impl UrbaneService {
                 let scale = urban_data::sampling::scale_up_factor(points.len(), sample.len())
                     .unwrap_or(1.0);
                 let entry = Arc::new((sample, scale));
-                // lint: bounded-by one sample per (dataset, generation, size): the ladder asks PREVIEW_ROWS, a session a few slider sizes, and a reload purges the dataset's samples
                 lock(&self.samples).insert(key, Arc::clone(&entry));
                 entry
             }

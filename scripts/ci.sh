@@ -49,7 +49,8 @@ echo "verify stage OK"
 # default), refuse a version-1 file by name, answer an exact index join
 # straight off the directory, and cold-boot the server against the store
 # directory (--store-dir) with a streamed mode=index query that must not
-# page the table in.
+# page the table in. The resident and the streamed exact join must also agree
+# under a filter.
 store_dir="$(mktemp -d)"
 target/release/urbane-cli generate --rows 20000 --seed 7 \
   --out "$store_dir/taxi.upt" 2> /dev/null
@@ -82,6 +83,21 @@ acc="$(target/release/urbane-cli query --data "$store_dir/taxi.upt" \
 [ "$idx" = "$acc" ] || {
   echo "index join diverged from accurate raster:"
   printf 'index:\n%s\naccurate:\n%s\n' "$idx" "$acc"
+  exit 1
+}
+
+# The two exact joins walk one zone plan: the resident join over the table
+# the service clusters at registration and the streamed join off the store's
+# directory must print the same filtered answer.
+exact_join() {
+  target/release/urbane-cli query --data "$1" --mode index --agg sum:fare \
+    --range fare:5:60 --top 5 2> /dev/null
+}
+resident="$(exact_join "$store_dir/taxi.upt")"
+streamed="$(exact_join "$store_dir/taxi.ubs")"
+[ "$resident" = "$streamed" ] || {
+  echo "resident and streamed exact joins diverged:"
+  printf 'resident:\n%s\nstreamed:\n%s\n' "$resident" "$streamed"
   exit 1
 }
 

@@ -345,15 +345,22 @@ fn conjunctions(t: &PointTable, zones: &[&ZoneFooter], random: usize) -> Vec<(St
 
 /// The store's contract: whatever the directory chunk size, the stored join
 /// gives the in-memory index join's table to the bit, while reading only the
-/// columns it needs.
+/// columns it needs. The resident exact join walks the same zone plan over a
+/// clustered table, with its footers and without, and gives it too.
 #[test]
 fn stored_join_is_bit_identical_for_every_chunk_size_and_conjunction() {
     let (t, regions) = footer_demo_data(true);
+    let mut clustered = t.clone();
+    clustered.cluster();
+    let plain = clustered.filter_rows(&vec![true; clustered.len()]);
+    assert!(!clustered.zones().is_empty() && plain.zones().is_empty());
     let index = PackedRegionIndex::build(&regions);
     let budget = QueryBudget::unlimited();
     // Never `fare`: its NaNs would make every sum NaN, and NaN != NaN.
     let aggs = [AggKind::Count, AggKind::Sum("tip".into()), AggKind::Avg("tip".into())];
     let (mut skipped, mut whole, mut scanned) = (0, 0, 0);
+    // The resident inputs run each distinct query once.
+    let mut resident_seen = std::collections::HashSet::new();
     for chunk_rows in CHUNK_ROWS {
         let bytes = StoreBuilder::new().chunk_rows(chunk_rows).encode(&t).unwrap();
         let mut source = ChunkedPointSource::from_bytes(bytes).unwrap();
@@ -373,6 +380,13 @@ fn stored_join_is_bit_identical_for_every_chunk_size_and_conjunction() {
                 let (got, stats) =
                     index_join_stored(&mut source, &regions, &index, &q, &budget).unwrap();
                 assert_eq!(got, truth, "{what}");
+                if resident_seen.insert(format!("{q:?}")) {
+                    for (table, footers) in [(&clustered, "footers"), (&plain, "no footers")] {
+                        let resident =
+                            index_join_budgeted(table, &regions, &index, &q, &budget).unwrap();
+                        assert_eq!(resident, truth, "{what} / resident, {footers}");
+                    }
+                }
                 if name == "empty result" {
                     assert_eq!(got.total_count(), 0);
                 }
