@@ -6,36 +6,19 @@
 //! partitions the point table across workers and merges partial
 //! [`AggTable`]s — the strongest CPU configuration the paper's comparison
 //! charts include.
+//!
+//! The row body is [`RegionIndex::join_rows`], the one every exact join
+//! calls (these two, the zone-walking joins of [`crate::store_exec`] and
+//! the cube build of [`crate::preagg`]). Its provided body probes and then
+//! runs `MultiPolygon::contains` on each candidate, which is what
+//! [`crate::PackedRegionIndex`] uses; [`crate::GridIndex`] overrides it with
+//! one in-place pass over the cell's entries and cell-local edge lists.
+//! Either way a region's state folds the rows in ascending row order, so
+//! the answer is bit-identical whichever index runs it.
 
-use crate::{Probe, RegionIndex};
+use crate::RegionIndex;
 use urban_data::query::{AggTable, SpatialAggQuery};
-use urban_data::{PointTable, RegionId, RegionSet, Result};
-use urbane_geom::Point;
-
-/// Credit value `v` at point `p` to every region holding `p`: index probe,
-/// then exact point-in-polygon among the candidates. Every exact join's row
-/// body.
-#[inline]
-pub(crate) fn join_point<I: RegionIndex>(
-    p: Point,
-    v: f64,
-    regions: &RegionSet,
-    index: &I,
-    candidates: &mut Vec<RegionId>,
-    out: &mut AggTable,
-) {
-    match index.probe_into(p, candidates) {
-        Probe::Empty => {}
-        Probe::Resolved(id) => out.states[id as usize].accumulate(v),
-        Probe::Candidates => {
-            for &id in candidates.iter() {
-                if regions.geometry(id).contains(p) {
-                    out.states[id as usize].accumulate(v);
-                }
-            }
-        }
-    }
-}
+use urban_data::{PointTable, RegionSet, Result};
 
 /// Evaluate `query` with a point-probed index join (single-threaded).
 pub fn index_join<I: RegionIndex>(
@@ -48,15 +31,10 @@ pub fn index_join<I: RegionIndex>(
     let col = agg.resolve(points)?;
     let filter = query.filters.compile(points)?;
     let mut out = AggTable::new(agg, regions.len());
-    let mut scratch = Vec::with_capacity(8);
-
-    for i in 0..points.len() {
-        if !filter.matches(i) {
-            continue;
-        }
-        let v = col.map_or(0.0, |c| points.attr(i, c) as f64);
-        join_point(points.loc(i), v, regions, index, &mut scratch, &mut out);
-    }
+    let rows = (0..points.len())
+        .filter(|&i| filter.matches(i))
+        .map(|i| (points.loc(i), col.map_or(0.0, |c| points.attr(i, c) as f64)));
+    index.join_rows(regions, rows, |id, v| out.states[id as usize].accumulate(v));
     Ok(out)
 }
 
@@ -92,14 +70,10 @@ pub fn index_join_parallel<I: RegionIndex>(
             handles.push(scope.spawn(move || -> Result<AggTable> {
                 let filter = query.filters.compile(points)?;
                 let mut part = AggTable::new(agg, regions.len());
-                let mut scratch = Vec::with_capacity(8);
-                for i in lo..hi {
-                    if !filter.matches(i) {
-                        continue;
-                    }
-                    let v = col.map_or(0.0, |c| points.attr(i, c) as f64);
-                    join_point(points.loc(i), v, regions, index, &mut scratch, &mut part);
-                }
+                let rows = (lo..hi)
+                    .filter(|&i| filter.matches(i))
+                    .map(|i| (points.loc(i), col.map_or(0.0, |c| points.attr(i, c) as f64)));
+                index.join_rows(regions, rows, |id, v| part.states[id as usize].accumulate(v));
                 Ok(part)
             }));
         }

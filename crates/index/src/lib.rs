@@ -10,8 +10,9 @@
 //!   bounding boxes ([`PackedRegionIndex`], the experiments' R-tree
 //!   baseline),
 //! * [`grid`] — a uniform grid with the classic *full-cover* shortcut
-//!   (cells entirely inside one region skip the PIP test); [`GridIndex`]
-//!   is the index the server's exact mode probes,
+//!   (cells entirely inside one region skip the PIP test) and cell-local
+//!   PIP (a boundary cell tests only the edges that can decide its
+//!   points); [`GridIndex`] is the index the server's exact mode probes,
 //! * [`executor`] — the index-join aggregation executor, generic over any
 //!   [`RegionIndex`], with a multithreaded variant,
 //! * [`store_exec`] — the exact join over an out-of-core `.ubs` store,
@@ -41,7 +42,7 @@ pub use packed::PackedRegionIndex;
 pub use preagg::{CubeQueryError, PreAggCube};
 pub use store_exec::{index_join_budgeted, index_join_stored, StoredJoinStats};
 
-use urban_data::RegionId;
+use urban_data::{RegionId, RegionSet};
 use urbane_geom::Point;
 
 /// A spatial index over a region set, probed point-at-a-time.
@@ -59,6 +60,35 @@ pub trait RegionIndex: Sync {
     /// the point lies inside exactly one region (the grid full-cover
     /// shortcut), skipping the PIP test.
     fn probe_into(&self, p: Point, out: &mut Vec<RegionId>) -> Probe;
+
+    /// Every exact join's row body: hand each row's payload to `credit`
+    /// once for every region holding the row's point, row by row in the
+    /// given order (the order a region's state folds its rows in is the
+    /// joins' bit-identity contract). The provided body probes, then runs
+    /// `MultiPolygon::contains` on each candidate; an index that can answer
+    /// a cell from facts of its own overrides it and must return the same
+    /// regions for every point.
+    fn join_rows<T: Copy>(
+        &self,
+        regions: &RegionSet,
+        rows: impl IntoIterator<Item = (Point, T)>,
+        mut credit: impl FnMut(RegionId, T),
+    ) {
+        let mut candidates = Vec::with_capacity(8);
+        for (p, t) in rows {
+            match self.probe_into(p, &mut candidates) {
+                Probe::Empty => {}
+                Probe::Resolved(id) => credit(id, t),
+                Probe::Candidates => {
+                    for &id in &candidates {
+                        if regions.geometry(id).contains(p) {
+                            credit(id, t);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// Diagnostic: rough memory footprint in bytes (reported by benches).
     fn memory_bytes(&self) -> usize;

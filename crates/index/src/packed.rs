@@ -50,7 +50,6 @@ impl PackedRTree {
         while levels.last().is_some_and(|l| l.len() > 1) {
             let prev = levels.last().map(Vec::as_slice).unwrap_or(&[]);
             let mut parents = Vec::with_capacity(prev.len().div_ceil(node_size));
-            // lint: allow(cancel-poll-reachability) packs one R-tree level during the one-time region index build at dataset load
             for group in prev.chunks(node_size) {
                 let mut b = BoundingBox::empty();
                 for g in group {

@@ -10,7 +10,7 @@
 //! trade-off, which is the motivating argument for Raster Join.
 
 use crate::grid::GridIndex;
-use crate::{Probe, RegionIndex};
+use crate::RegionIndex;
 use urban_data::filter::Filter;
 use urban_data::query::{AggState, AggTable, SpatialAggQuery};
 use urban_data::time::{TimeBucket, TimeRange, Timestamp};
@@ -110,7 +110,6 @@ impl PreAggCube {
         // Assign points to regions with a grid index (build-time cost is
         // explicitly reported by the E5 bench).
         let grid = GridIndex::build_auto(regions);
-        let mut scratch = Vec::with_capacity(8);
         let bucket_of = |t: Timestamp| -> usize {
             // Buckets are contiguous from t0; walk via range arithmetic.
             match bucket {
@@ -130,27 +129,15 @@ impl PreAggCube {
             }
         };
 
-        for i in 0..points.len() {
-            let p = points.loc(i);
+        let rows = (0..points.len()).map(|i| {
             let b = bucket_of(points.time(i)).min(n_buckets - 1);
             let cat = cat_idx.map_or(0, |c| (points.attr(i, c) as usize).min(n_cats - 1));
             let v = val_idx.map_or(0.0, |c| points.attr(i, c) as f64);
-            let fold = |rid: u32, cells: &mut Vec<AggState>| {
-                let idx = (rid as usize * n_buckets + b) * n_cats + cat;
-                cells[idx].accumulate(v);
-            };
-            match grid.probe_into(p, &mut scratch) {
-                Probe::Empty => {}
-                Probe::Resolved(id) => fold(id, &mut cells),
-                Probe::Candidates => {
-                    for &id in &scratch {
-                        if regions.geometry(id).contains(p) {
-                            fold(id, &mut cells);
-                        }
-                    }
-                }
-            }
-        }
+            (points.loc(i), (b, cat, v))
+        });
+        grid.join_rows(regions, rows, |rid, (b, cat, v)| {
+            cells[(rid as usize * n_buckets + b) * n_cats + cat].accumulate(v);
+        });
 
         Ok(PreAggCube {
             bucket,

@@ -14,12 +14,11 @@
 //! oracle's. The [`QueryBudget`] is polled once per zone (and once per
 //! stored chunk).
 
-use crate::executor::join_point;
 use crate::RegionIndex;
 use raster_join::{QueryBudget, RasterJoinError, ZoneClass, ZoneColumns, ZonePlan, ZoneStats};
 use std::io::{Read, Seek};
 use urban_data::query::{AggTable, SpatialAggQuery};
-use urban_data::{PointTable, RegionId, RegionSet, ZONE_ROWS};
+use urban_data::{PointTable, RegionSet, ZONE_ROWS};
 use urbane_geom::Point;
 use urbane_store::{ChunkedPointSource, Columns};
 
@@ -49,7 +48,6 @@ struct ZoneJoin<'a, I> {
     agg_col: Option<usize>,
     /// One zone's mask words, reused for every zone.
     words: Vec<u64>,
-    candidates: Vec<RegionId>,
     out: AggTable,
 }
 
@@ -60,7 +58,6 @@ impl<'a, I: RegionIndex> ZoneJoin<'a, I> {
             index,
             agg_col: plan.agg_col,
             words: Vec::with_capacity(ZONE_ROWS / 64),
-            candidates: Vec::with_capacity(8),
             out: AggTable::new(query.agg_kind(), regions.len()),
         }
     }
@@ -70,16 +67,38 @@ impl<'a, I: RegionIndex> ZoneJoin<'a, I> {
         self.words.resize(xs.len().div_ceil(64), 0);
         class.mask(&zone, &mut self.words);
         let values = self.agg_col.map(|c| zone.attr(c));
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut pending = word;
-            while pending != 0 {
-                let i = (w << 6) | pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let v = values.map_or(0.0, |vals| vals[i] as f64);
-                let p = Point::new(xs[i], ys[i]);
-                join_point(p, v, self.regions, self.index, &mut self.candidates, &mut self.out);
-            }
+        let rows = SetBits::new(&self.words)
+            .map(|i| (Point::new(xs[i], ys[i]), values.map_or(0.0, |vals| vals[i] as f64)));
+        let states = &mut self.out.states;
+        self.index.join_rows(self.regions, rows, |id, v| states[id as usize].accumulate(v));
+    }
+}
+
+/// The positions of a mask's set bits, ascending.
+struct SetBits<'a> {
+    words: &'a [u64],
+    w: usize,
+    pending: u64,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        SetBits { words, w: 0, pending: words.first().copied().unwrap_or(0) }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.pending == 0 {
+            self.w += 1;
+            self.pending = *self.words.get(self.w)?;
         }
+        let i = (self.w << 6) | self.pending.trailing_zeros() as usize;
+        self.pending &= self.pending - 1;
+        Some(i)
     }
 }
 

@@ -61,7 +61,6 @@ impl Pipeline {
         V: FnMut(usize) -> T,
     {
         self.stats.draw_calls += 1;
-        // lint: allow(cancel-poll-reachability) emulates one GPU draw call; the core executors poll the budget between POINT_CHUNK-sized draws, matching real command-buffer granularity
         for (k, p) in points.into_iter().enumerate() {
             self.stats.points_in += 1;
             let Some((x, y)) = self.viewport.world_to_pixel(p) else {

@@ -180,7 +180,6 @@ impl<V: Clone> QueryCache<V> {
             if shard.doorkeeper.len() >= self.per_shard_doorkeeper {
                 shard.doorkeeper.clear();
             }
-            // lint: bounded-by DOORKEEPER_HASHES (4 096 hashes across the shards; a full doorkeeper is cleared)
             shard.doorkeeper.insert(key.hash);
             return;
         }

@@ -13,10 +13,14 @@ cargo test -q
 # optimizer the server ships with: footers on == footers stripped, stored
 # join == in-memory join, the accurate pass's boundary rows == the exact
 # join, and the served answers == the committed goldens byte for byte, must
-# not depend on the build profile.
+# not depend on the build profile. Nor must the grid's cell-local
+# point-in-polygon agreeing with `contains` (spatial-index's unit tests:
+# every cell corner, cell edge, polygon vertex and edge piece, the reach
+# slack, and seeded points).
 cargo test -q --release -p urbane-bench \
   --test clustered_equivalence --test store_subsystem --test cross_method_equivalence \
   --test serve_golden
+cargo test -q --release -p spatial-index
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,
