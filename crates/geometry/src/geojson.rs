@@ -12,6 +12,7 @@ use crate::point::Point;
 use crate::polygon::{Polygon, Ring};
 use crate::{GeomError, Result};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A parsed JSON value. `BTreeMap` keeps key order deterministic for tests.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +72,9 @@ impl Json {
 /// are written as `null` rather than `NaN`/`inf`.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&json_value(self))
+        let mut out = String::new();
+        push_json_value(&mut out, self);
+        f.write_str(&out)
     }
 }
 
@@ -408,7 +411,9 @@ pub fn to_geojson(features: &[Feature]) -> String {
             if j > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("{}:{}", json_string(k), json_value(v)));
+            push_json_string(&mut s, k);
+            s.push(':');
+            push_json_value(&mut s, v);
         }
         s.push_str("},\"geometry\":{\"type\":\"MultiPolygon\",\"coordinates\":[");
         for (j, poly) in f.geometry.polygons().iter().enumerate() {
@@ -438,41 +443,72 @@ pub fn to_geojson(features: &[Feature]) -> String {
     s
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a JSON string literal: quotes, backslashes and
+/// control characters are escaped, everything else (non-ASCII included) is
+/// copied as is. Every byte that needs an escape is ASCII, so the runs
+/// between them are copied whole and stay valid UTF-8.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
-fn json_value(v: &Json) -> String {
+/// Append `n` to `out` as a JSON number: `f64`'s `Display`, so byte-equal
+/// to `n.to_string()`. JSON has no NaN/Infinity literals, so a non-finite
+/// value is written as `null` rather than corrupting the document.
+pub fn push_json_number(out: &mut String, n: f64) {
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn push_json_value(out: &mut String, v: &Json) {
     match v {
-        Json::Null => "null".into(),
-        Json::Bool(b) => b.to_string(),
-        // JSON has no NaN/Infinity literals; `f64::to_string` would emit
-        // them and corrupt the document, so non-finite collapses to null.
-        Json::Number(n) if !n.is_finite() => "null".into(),
-        Json::Number(n) => n.to_string(),
-        Json::String(s) => json_string(s),
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Number(n) => push_json_number(out, *n),
+        Json::String(s) => push_json_string(out, s),
         Json::Array(a) => {
-            let items: Vec<String> = a.iter().map(json_value).collect();
-            format!("[{}]", items.join(","))
+            out.push('[');
+            for (i, item) in a.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_value(out, item);
+            }
+            out.push(']');
         }
         Json::Object(m) => {
-            let items: Vec<String> =
-                m.iter().map(|(k, v)| format!("{}:{}", json_string(k), json_value(v))).collect();
-            format!("{{{}}}", items.join(","))
+            out.push('{');
+            for (i, (k, item)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_string(out, k);
+                out.push(':');
+                push_json_value(out, item);
+            }
+            out.push('}');
         }
     }
 }
@@ -529,6 +565,39 @@ mod tests {
         let text = v.to_string();
         assert_eq!(text, "[null,null,null,2]");
         assert!(parse_json(&text).is_ok());
+    }
+
+    #[test]
+    fn push_json_string_escapes_exactly_what_json_requires() {
+        for (input, expected) in [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("q\"uote", r#""q\"uote""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("a\nb\rc\td", r#""a\nb\rc\td""#),
+            ("\u{0}\u{1}\u{1f}\u{7f}", "\"\\u0000\\u0001\\u001f\u{7f}\""),
+            ("Ñ 東京 – ok\u{1}é", "\"Ñ 東京 – ok\\u0001é\""),
+            ("\"\"", r#""\"\"""#),
+        ] {
+            let mut out = String::from("prefix:");
+            push_json_string(&mut out, input);
+            assert_eq!(out, format!("prefix:{expected}"), "{input:?}");
+            assert_eq!(parse_json(&out["prefix:".len()..]).unwrap(), Json::String(input.into()));
+        }
+    }
+
+    #[test]
+    fn push_json_number_is_display_and_null_when_non_finite() {
+        for n in [0.0, -0.0, 1.0, -2.5, 0.1, 1e-7, 1e21, 123_456_789.125, (1u64 << 53) as f64, f64::MAX, f64::MIN_POSITIVE] {
+            let mut out = String::new();
+            push_json_number(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::from("[");
+            push_json_number(&mut out, n);
+            assert_eq!(out, "[null");
+        }
     }
 
     #[test]

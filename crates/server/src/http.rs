@@ -31,19 +31,26 @@ pub const MAX_BODY: usize = 1 << 20;
 /// read fails with [`io::ErrorKind::TimedOut`]. Call
 /// [`finish_request`](Self::finish_request) between keep-alive requests to
 /// re-arm the budget for the next one.
+///
+/// The socket's timeout is set only when the one a read needs differs from
+/// the one last set, so back-to-back reads between requests (all under
+/// the idle timeout) cost no `setsockopt`. Nothing else may set the
+/// wrapped stream's read timeout.
 #[derive(Debug)]
 pub struct BudgetedStream {
     stream: TcpStream,
     idle: Duration,
     budget: Duration,
     deadline: Option<Instant>,
+    /// The read timeout last set on `stream` (`None` before the first read).
+    timeout: Option<Duration>,
 }
 
 impl BudgetedStream {
     /// Wrap `stream`. `idle` bounds each individual read (and the wait for
     /// a request to start); `budget` bounds the whole request read.
     pub fn new(stream: TcpStream, idle: Duration, budget: Duration) -> Self {
-        BudgetedStream { stream, idle, budget, deadline: None }
+        BudgetedStream { stream, idle, budget, deadline: None, timeout: None }
     }
 
     /// The wrapped stream (for writes via `try_clone` etc.).
@@ -74,7 +81,10 @@ impl Read for BudgetedStream {
                 remaining.min(self.idle)
             }
         };
-        self.stream.set_read_timeout(Some(timeout))?;
+        if self.timeout != Some(timeout) {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.timeout = Some(timeout);
+        }
         let n = self.stream.read(buf)?;
         if n > 0 && self.deadline.is_none() {
             // First byte of a request: the budget clock starts now.
@@ -283,6 +293,9 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Serialize a response. `keep_alive` controls the `Connection` header —
 /// the caller decides based on the request and its own lifecycle.
+///
+/// Head and body go out in one `write_all`: on a `TCP_NODELAY` socket two
+/// writes would send every response as two segments.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) -> io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -299,8 +312,9 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) ->
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)?;
+    let mut out = head.into_bytes();
+    out.extend_from_slice(&resp.body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -384,6 +398,43 @@ mod tests {
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// A writer that records its bytes and counts the `write` calls made.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        let body = "{\"dataset\":\"taxi\",\"regions\":[]}".repeat(100);
+        let resp = Response::json(503, body.clone()).with_header("Retry-After", "2".into());
+        for keep_alive in [true, false] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, &resp, keep_alive).unwrap();
+            assert_eq!(out.writes, 1, "head and body in one write");
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            let expected = format!(
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: {connection}\r\nRetry-After: 2\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+        }
     }
 
     #[test]

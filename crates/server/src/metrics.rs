@@ -52,7 +52,9 @@ struct Histogram {
     /// One count per bucket in [`LATENCY_BUCKETS_MS`], plus +Inf at the end.
     buckets: Vec<u64>,
     count: u64,
-    sum_ms: u64,
+    /// Sum of the observed latencies in µs, so that sub-millisecond
+    /// requests add to it; rendered as fractional milliseconds.
+    sum_us: u64,
 }
 
 impl Histogram {
@@ -60,14 +62,16 @@ impl Histogram {
         if self.buckets.is_empty() {
             self.buckets = vec![0; LATENCY_BUCKETS_MS.len() + 1];
         }
-        let ms = elapsed.as_millis().min(u128::from(u64::MAX)) as u64;
+        // The exact duration against each edge: 1.5 ms is not `le="1"`.
         let idx = LATENCY_BUCKETS_MS
             .iter()
-            .position(|&edge| ms <= edge)
+            .position(|&edge| elapsed <= Duration::from_millis(edge))
             .unwrap_or(LATENCY_BUCKETS_MS.len());
+        // lint: capped-by `position` over the bucket edges, so at most their count: the +Inf slot
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum_ms += ms;
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.sum_us = self.sum_us.saturating_add(us);
     }
 }
 
@@ -156,7 +160,7 @@ impl Metrics {
                 out,
                 "urbane_request_latency_ms_sum{{path=\"{}\"}} {}",
                 route.as_str(),
-                h.sum_ms
+                h.sum_us as f64 / 1e3
             );
             let _ = writeln!(
                 out,
@@ -200,6 +204,28 @@ mod tests {
         assert!(out.contains("urbane_request_latency_ms_bucket{path=\"/query\",le=\"+Inf\"} 3"), "{out}");
         assert!(out.contains("urbane_request_latency_ms_count{path=\"/query\"} 3"), "{out}");
         assert!(out.contains("urbane_shed_total 1"), "{out}");
+    }
+
+    #[test]
+    fn a_fractional_millisecond_is_bucketed_by_its_exact_duration() {
+        let m = Metrics::new();
+        m.observe(Route::Query, 200, Duration::from_micros(1_500));
+        let mut out = String::new();
+        m.render(&mut out);
+        assert!(out.contains("urbane_request_latency_ms_bucket{path=\"/query\",le=\"1\"} 0\n"), "{out}");
+        assert!(out.contains("urbane_request_latency_ms_bucket{path=\"/query\",le=\"2\"} 1\n"), "{out}");
+    }
+
+    #[test]
+    fn sub_millisecond_requests_add_to_the_sum() {
+        let m = Metrics::new();
+        for _ in 0..1_000 {
+            m.observe(Route::Query, 200, Duration::from_micros(300));
+        }
+        let mut out = String::new();
+        m.render(&mut out);
+        assert!(out.contains("urbane_request_latency_ms_sum{path=\"/query\"} 300\n"), "{out}");
+        assert!(out.contains("urbane_request_latency_ms_bucket{path=\"/query\",le=\"1\"} 1000\n"), "{out}");
     }
 
     #[test]

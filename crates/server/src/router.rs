@@ -112,7 +112,7 @@ impl Router {
             Err(e) => return Response::error(400, &e.0),
         };
         match self.service.query(&parsed) {
-            Ok(answer) => Response::json(200, wire::answer_to_json(&parsed, &answer).to_string()),
+            Ok(answer) => Response::json(200, wire::answer_to_json(&parsed, &answer)),
             Err(e) => Response::error(status_of(&e), &e.to_string()),
         }
     }

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use urbane::service::{DatasetInfo, QueryAnswer, QueryRequest};
 use urbane_geom::bbox::BoundingBox;
-use urbane_geom::geojson::Json;
+use urbane_geom::geojson::{push_json_number, push_json_string, Json};
 use urbane_geom::point::Point;
 use raster_join::ExecutionMode;
 use urban_data::filter::Filter;
@@ -169,34 +169,72 @@ fn num(n: f64) -> Json {
     Json::Number(n)
 }
 
+fn push_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
 /// Serialize a served answer. Region values are paired with their names so
 /// clients never need the pyramid definition client-side.
-pub fn answer_to_json(req: &QueryRequest, answer: &QueryAnswer) -> Json {
-    let values = answer.table.values();
-    let regions: Vec<Json> = values
-        .iter()
-        .enumerate()
-        .map(|(id, v)| {
-            let mut m = BTreeMap::new();
-            m.insert("id".into(), num(id as f64));
-            m.insert(
-                "name".into(),
-                Json::String(answer.regions.region_name(id as u32).to_string()),
-            );
-            m.insert("value".into(), v.map(num).unwrap_or(Json::Null));
-            Json::Object(m)
-        })
-        .collect();
+///
+/// The body is written straight into one buffer, keys in sorted order at
+/// every level: the bytes a `Json` object tree of the same fields would
+/// print, without building the tree.
+pub fn answer_to_json(req: &QueryRequest, answer: &QueryAnswer) -> String {
+    let table = &answer.table;
+    let report = &answer.report;
+    let mut out = String::with_capacity(256 + 64 * table.states.len());
+    out.push_str("{\"cached\":");
+    push_bool(&mut out, answer.cached);
+    out.push_str(",\"dataset\":");
+    push_json_string(&mut out, &req.dataset);
+    out.push_str(",\"generation\":");
+    push_json_number(&mut out, answer.generation as f64);
 
-    let mut m = BTreeMap::new();
-    m.insert("dataset".into(), Json::String(req.dataset.clone()));
-    m.insert("level".into(), num(req.level as f64));
-    m.insert("generation".into(), num(answer.generation as f64));
-    m.insert("cached".into(), Json::Bool(answer.cached));
-    m.insert("total_count".into(), num(answer.table.total_count() as f64));
-    m.insert("regions".into(), Json::Array(regions));
-    m.insert("guard".into(), answer.report.to_json());
-    Json::Object(m)
+    out.push_str(",\"guard\":{\"deadline_ms\":");
+    push_json_number(&mut out, report.deadline.as_secs_f64() * 1e3);
+    out.push_str(",\"degraded\":");
+    push_bool(&mut out, report.degraded());
+    out.push_str(",\"elapsed_ms\":");
+    push_json_number(&mut out, report.elapsed.as_secs_f64() * 1e3);
+    out.push_str(",\"error_bound\":");
+    match report.error_bound {
+        Some(e) => push_json_number(&mut out, e),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"fallbacks\":[");
+    for (i, f) in report.fallbacks.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_string(&mut out, f);
+    }
+    out.push_str("],\"path\":");
+    push_json_string(&mut out, report.path.as_str());
+    out.push_str(",\"retried\":");
+    push_bool(&mut out, report.retried);
+
+    out.push_str("},\"level\":");
+    push_json_number(&mut out, req.level as f64);
+    out.push_str(",\"regions\":[");
+    for (id, state) in table.states.iter().enumerate() {
+        if id > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"id\":");
+        push_json_number(&mut out, id as f64);
+        out.push_str(",\"name\":");
+        push_json_string(&mut out, answer.regions.region_name(id as u32));
+        out.push_str(",\"value\":");
+        match state.finish(&table.agg) {
+            Some(v) => push_json_number(&mut out, v),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
+    out.push_str("],\"total_count\":");
+    push_json_number(&mut out, table.total_count() as f64);
+    out.push('}');
+    out
 }
 
 /// Serialize the `/datasets` listing.
@@ -278,6 +316,154 @@ mod tests {
             let err = parse_query(body).expect_err(body);
             assert!(err.0.contains(needle), "{body} -> {err}");
         }
+    }
+
+    /// The tree builder `answer_to_json` replaced: the reference its bytes
+    /// are held to.
+    fn answer_tree(req: &QueryRequest, answer: &QueryAnswer) -> Json {
+        let values = answer.table.values();
+        let regions: Vec<Json> = values
+            .iter()
+            .enumerate()
+            .map(|(id, v)| {
+                let mut m = BTreeMap::new();
+                m.insert("id".into(), num(id as f64));
+                m.insert(
+                    "name".into(),
+                    Json::String(answer.regions.region_name(id as u32).to_string()),
+                );
+                m.insert("value".into(), v.map(num).unwrap_or(Json::Null));
+                Json::Object(m)
+            })
+            .collect();
+
+        let mut m = BTreeMap::new();
+        m.insert("dataset".into(), Json::String(req.dataset.clone()));
+        m.insert("level".into(), num(req.level as f64));
+        m.insert("generation".into(), num(answer.generation as f64));
+        m.insert("cached".into(), Json::Bool(answer.cached));
+        m.insert("total_count".into(), num(answer.table.total_count() as f64));
+        m.insert("regions".into(), Json::Array(regions));
+        m.insert("guard".into(), answer.report.to_json());
+        Json::Object(m)
+    }
+
+    fn assert_writer_matches_tree(req: &QueryRequest, answer: &QueryAnswer) {
+        let written = answer_to_json(req, answer);
+        assert_eq!(written, answer_tree(req, answer).to_string());
+        assert!(urbane_geom::geojson::parse_json(&written).is_ok(), "{written}");
+    }
+
+    #[test]
+    fn writer_matches_the_tree_on_served_answers() {
+        use raster_join::RasterJoinConfig;
+        use std::sync::Arc;
+        use urban_data::gen::city::CityModel;
+        use urbane::catalog::DataCatalog;
+        use urbane::service::{ServiceConfig, UrbaneService};
+        use urbane::ResolutionPyramid;
+
+        let city = CityModel::nyc_like();
+        let mut catalog = DataCatalog::new();
+        catalog.register("taxi", crate::router::synthetic_table("taxi", 3_000, 5).unwrap());
+        let pyramid = ResolutionPyramid::standard(&city.bbox(), 12, 6, 4);
+        let levels = pyramid.len();
+        let service = UrbaneService::new(
+            ServiceConfig { join: RasterJoinConfig::with_resolution(128), ..Default::default() },
+            catalog,
+            pyramid,
+        )
+        .unwrap();
+        let service = Arc::new(service);
+
+        let aggs = [
+            AggKind::Count,
+            AggKind::Sum("fare".into()),
+            AggKind::Avg("fare".into()),
+            AggKind::Min("fare".into()),
+            AggKind::Max("fare".into()),
+        ];
+        let modes = [ExecutionMode::Bounded, ExecutionMode::Accurate, ExecutionMode::IndexJoin];
+        let mut seen_cached = [false; 2];
+        for level in 0..levels {
+            for agg in &aggs {
+                for mode in modes {
+                    let req = QueryRequest::count("taxi", level).agg(agg.clone()).mode(mode);
+                    // A key is admitted on its second miss, so the third
+                    // request is a hit.
+                    for _ in 0..3 {
+                        let answer = service.query(&req).unwrap();
+                        seen_cached[usize::from(answer.cached)] = true;
+                        assert_writer_matches_tree(&req, &answer);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen_cached, [true, true], "both a miss and a hit were written");
+    }
+
+    #[test]
+    fn writer_matches_the_tree_on_hostile_answers() {
+        use std::sync::Arc;
+        use urban_data::query::{AggState, AggTable};
+        use urban_data::region::RegionSet;
+        use urbane::guard::{GuardPath, GuardReport};
+        use urbane_geom::multipolygon::MultiPolygon;
+        use urbane_geom::polygon::Polygon;
+
+        let square = MultiPolygon::from(Polygon::rect(&BoundingBox::new(
+            Point::new(0.0, 0.0),
+            Point::new(1.0, 1.0),
+        )));
+        let names = ["q\"uote", "back\\slash", "new\nline", "ctl\u{1}\u{1f}", "Chelsea – Ñ 東京", ""];
+        let regions = RegionSet::new(
+            "hostile",
+            names.iter().map(|n| (n.to_string(), square.clone())).collect(),
+        );
+        let mut states = vec![AggState::default(); names.len()];
+        states[0].accumulate(2.5);
+        states[1].accumulate(1e300);
+        states[1].accumulate(1e300);
+        // Region 2 stays empty: its value is `None`.
+        states[3].accumulate(-0.1);
+        states[4].accumulate(f64::NAN);
+        states[5].accumulate(f64::INFINITY);
+        let req = QueryRequest::count("ta\"xi\u{7}", 1).agg(AggKind::Sum("fare".into()));
+        let answer = QueryAnswer {
+            table: Arc::new(AggTable { agg: req.agg.clone(), states }),
+            regions: Arc::new(regions),
+            report: GuardReport {
+                path: GuardPath::DegradedBounded,
+                fallbacks: vec!["full query failed: \"deadline\"".into(), "two\nlines".into()],
+                retried: true,
+                elapsed: Duration::from_nanos(1_234_567),
+                deadline: Duration::from_millis(5),
+                error_bound: None,
+            },
+            cached: false,
+            generation: (1 << 53) + 2,
+        };
+        assert_writer_matches_tree(&req, &answer);
+        let written = answer_to_json(&req, &answer);
+        assert!(written.contains("\"error_bound\":null"), "{written}");
+        assert!(written.contains("\"value\":null"), "non-finite and empty values are null: {written}");
+
+        // No fallbacks, a known bound, a hit, a count table.
+        let answer = QueryAnswer {
+            table: Arc::new(AggTable { agg: AggKind::Count, states: answer.table.states.clone() }),
+            report: GuardReport {
+                path: GuardPath::Full,
+                fallbacks: Vec::new(),
+                retried: false,
+                elapsed: Duration::ZERO,
+                deadline: Duration::from_secs(30),
+                error_bound: Some(0.000_123_4),
+            },
+            cached: true,
+            generation: 0,
+            ..answer
+        };
+        assert_writer_matches_tree(&QueryRequest::count("taxi", 0), &answer);
     }
 
     #[test]

@@ -21,6 +21,9 @@ cargo test -q --release -p urbane-bench \
   --test clustered_equivalence --test store_subsystem --test cross_method_equivalence \
   --test serve_golden
 cargo test -q --release -p spatial-index
+# The answer writer's byte identity with the `Json` tree it replaced, and the
+# one-write response framing, under the shipped profile too.
+cargo test -q --release -p urbane-serve
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,
@@ -119,6 +122,13 @@ for _ in $(seq 1 50); do
 done
 [ -n "$addr" ] || { echo "urbane-serve did not report an address"; cat "$serve_log"; exit 1; }
 
+# Two requests on one keep-alive connection (curl reuses it for both URLs):
+# a stricter HTTP parser than ours reads the one-write framing, and the
+# second answer must start where the first one's Content-Length ends.
+both="$(curl -fsS "http://$addr/healthz" "http://$addr/datasets")"
+[ "$(printf '%s\n' "$both" | sed -n 1p)" = "ok" ] \
+  && printf '%s\n' "$both" | sed -n 2p | grep '^{"datasets":\[.*"name":"taxi"' > /dev/null \
+  || { echo "keep-alive /healthz + /datasets answered: $both"; exit 1; }
 curl -fsS -X POST -d '{"dataset":"taxi","level":1,"mode":"index"}' \
   "http://$addr/query" | grep '"error_bound":0' > /dev/null
 curl -fsS "http://$addr/metrics" | grep '^urbane_store_streamed_queries_total 1' > /dev/null

@@ -242,6 +242,47 @@ fn slow_loris_is_cut_off_by_the_request_read_budget() {
     server.shutdown();
 }
 
+/// Read one `/healthz` answer (a 3-byte `ok\n` body) off `conn`.
+fn read_healthz(conn: &mut TcpStream) -> String {
+    let mut got = Vec::new();
+    let mut buf = [0u8; 512];
+    while !got.ends_with(b"\r\n\r\nok\n") {
+        let n = std::io::Read::read(conn, &mut buf).expect("the server answers");
+        assert!(n > 0, "the server hung up: {:?}", String::from_utf8_lossy(&got));
+        got.extend_from_slice(&buf[..n]);
+    }
+    String::from_utf8(got).expect("UTF-8 answer")
+}
+
+#[test]
+fn a_budget_shortened_read_does_not_shorten_the_idle_wait_after_it() {
+    // The request arrives in two parts 100ms apart, so its second read runs
+    // under the 200ms left of the 300ms budget. The idle wait for the next
+    // keep-alive request must be back to the 2s idle timeout: a 400ms pause
+    // would outlast a timeout left at the shortened value.
+    let server = boot(ServerConfig {
+        read_timeout: Duration::from_secs(2),
+        read_budget: Duration::from_millis(300),
+        ..Default::default()
+    });
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    conn.write_all(b"\r\n").unwrap();
+    let first = read_healthz(&mut conn);
+    assert!(first.starts_with("HTTP/1.1 200 OK\r\n"), "{first}");
+    assert!(first.contains("Connection: keep-alive\r\n"), "{first}");
+
+    std::thread::sleep(Duration::from_millis(400));
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let second = read_healthz(&mut conn);
+    assert!(second.starts_with("HTTP/1.1 200 OK\r\n"), "{second}");
+
+    server.shutdown();
+}
+
 #[test]
 fn oversized_body_is_refused_with_400_and_the_server_keeps_serving() {
     let server = boot(ServerConfig::default());
