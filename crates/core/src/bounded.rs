@@ -10,7 +10,7 @@
 //! the plan's ε.
 
 use crate::budget::QueryBudget;
-use crate::compiled::{CompiledQuery, PointStore};
+use crate::compiled::{CompiledQuery, PointStore, SetBits, ZoneColumns};
 use crate::Result;
 use gpu_raster::{Buffer2D, RenderStats};
 use urban_data::query::{AggKind, AggState};
@@ -27,36 +27,31 @@ pub(crate) struct PointBuffers {
     pub max: Option<Buffer2D<f32>>,
 }
 
-/// Points per budget poll in the point pass, and the zone size of a clustered
-/// table: small enough that a raised cancel flag or an elapsed deadline lands
-/// within a few milliseconds, large enough that the check cost vanishes
-/// against the per-point work. One constant, so a chunk of the pass is
-/// exactly one zone and skipping a zone skips one poll interval of work.
-pub(crate) const POINT_CHUNK: usize = urban_data::ZONE_ROWS;
-
-/// Render the point pass for one tile: select, project, blend. The stream is
-/// processed in [`POINT_CHUNK`]-sized chunks with a budget check between
-/// chunks, so cancellation interrupts the pass mid-stream; which chunks
-/// there are (zones that can reach the tile, or slices of a binned store's
-/// candidate rows) is [`CompiledQuery::for_each_chunk`]'s business. Rows
-/// arrive ascending, so the per-pixel blend order — and therefore every f32
-/// accumulation — is the same on every path. Each row is projected once:
+/// Render the point pass for one tile: select, project, blend. The rows
+/// arrive from the query's zone walk ([`PointStore::walk_tile`]), one zone
+/// at a time with a budget check between zones, so cancellation interrupts
+/// the pass mid-stream; which zones and rows there are (zones that can reach
+/// the tile, or a binned store's candidate rows) is the walk's business.
+/// Rows arrive ascending, so the per-pixel blend order — and therefore every
+/// f32 accumulation — is the same on every path. Each row is projected once:
 /// the MIN/MAX channels blend in the same per-fragment step, which then
-/// hands `on_fragment(row, x, y)` the row and its pixel. Values are read
-/// straight from the resolved column — no per-chunk gather allocation.
+/// hands `on_fragment(zone, i, x, y)` the zone, the row's index in it and
+/// its pixel. `x`, `y` and values are read straight from the zone's columns
+/// — no per-chunk gather allocation.
 ///
 /// This is [`Pipeline::draw_points`](gpu_raster::Pipeline::draw_points)
 /// with `BlendOp::Add` (and `Min`/`Max` for the extra channel) unrolled
-/// into one loop per aggregate shape, chosen once per chunk rather than per
+/// into one loop per aggregate shape, chosen once per zone rather than per
 /// row: the same projection and the same f32 operations in the same order,
 /// so the buffers are bit-identical to the reference's, and the
-/// [`RenderStats`] count one draw call per chunk exactly as it would.
+/// [`RenderStats`] count one draw call per zone handed over exactly as it
+/// would.
 pub(crate) fn point_pass(
     viewport: &Viewport,
     store: &PointStore<'_>,
-    cq: &CompiledQuery<'_>,
+    cq: &CompiledQuery,
     budget: &QueryBudget,
-    mut on_fragment: impl FnMut(usize, u32, u32),
+    mut on_fragment: impl FnMut(&ZoneColumns<'_>, usize, u32, u32),
 ) -> Result<(PointBuffers, RenderStats)> {
     // A local copy: the row loop reads the viewport's constants from
     // registers instead of reloading them after every buffer store.
@@ -70,41 +65,40 @@ pub(crate) fn point_pass(
 
     // The filtered fragment stream — this is the per-frame hot loop the
     // paper's performance argument rests on: one pass, one fragment each.
-    let points = store.table();
-    let (xs, ys) = (points.xs(), points.ys());
-    let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
     let mut stats = RenderStats::new();
-    cq.for_each_chunk(store, &vp.world, budget, |idx| {
+    store.walk_tile(&cq.walk, &vp.world, budget, |_, zone, bits| {
+        let (xs, ys) = zone.locs();
         let cs = count_sum.as_mut_slice();
-        let hook = &mut on_fragment;
-        let drawn = match (column, min_buf.as_mut(), max_buf.as_mut()) {
+        let hook = &mut |i, x, y| on_fragment(zone, i, x, y);
+        let column = cq.walk.agg_col().map(|c| zone.attr(c));
+        let (handed, drawn) = match (column, min_buf.as_mut(), max_buf.as_mut()) {
             // COUNT leaves the sum channel at +0.0, as adding `0.0` would.
-            (None, ..) => draw_rows(&vp, xs, ys, idx, hook, |_, pix| {
+            (None, ..) => draw_rows(&vp, xs, ys, bits, hook, |_, pix| {
                 let [count, _] = &mut cs[pix];
                 *count += 1.0;
             }),
             (Some(vals), Some(min), _) => {
                 let min = min.as_mut_slice();
-                draw_rows(&vp, xs, ys, idx, hook, |i, pix| {
+                draw_rows(&vp, xs, ys, bits, hook, |i, pix| {
                     add(&mut cs[pix], vals[i]);
                     min[pix] = min[pix].min(vals[i]);
                 })
             }
             (Some(vals), None, Some(max)) => {
                 let max = max.as_mut_slice();
-                draw_rows(&vp, xs, ys, idx, hook, |i, pix| {
+                draw_rows(&vp, xs, ys, bits, hook, |i, pix| {
                     add(&mut cs[pix], vals[i]);
                     max[pix] = max[pix].max(vals[i]);
                 })
             }
             (Some(vals), None, None) => {
-                draw_rows(&vp, xs, ys, idx, hook, |i, pix| add(&mut cs[pix], vals[i]))
+                draw_rows(&vp, xs, ys, bits, hook, |i, pix| add(&mut cs[pix], vals[i]))
             }
         };
         stats.draw_calls += 1;
-        stats.points_in += idx.len() as u64;
+        stats.points_in += handed;
         stats.fragments += drawn;
-        stats.points_culled += idx.len() as u64 - drawn;
+        stats.points_culled += handed - drawn;
     })?;
 
     Ok((PointBuffers { count_sum, min: min_buf, max: max_buf }, stats))
@@ -117,21 +111,23 @@ fn add([count, sum]: &mut [f32; 2], v: f32) {
     *sum += v;
 }
 
-/// Project the rows `idx` through `vp` and hand each one that lands on the
-/// canvas to `blend(row, pixel index)`, then to `on_fragment(row, x, y)`.
-/// Returns how many rows were drawn.
+/// Project the zone rows whose bits are set in `bits` through `vp` and hand
+/// each one that lands on the canvas to `blend(i, pixel index)`, then to
+/// `on_fragment(i, x, y)` (`i` indexes the zone). Returns how many rows were handed over and how
+/// many were drawn. One zone's rows: the walk polls the budget between
+/// zones.
 #[inline(always)]
 fn draw_rows(
     vp: &Viewport,
     xs: &[f64],
     ys: &[f64],
-    idx: &[u32],
+    bits: SetBits<'_>,
     on_fragment: &mut impl FnMut(usize, u32, u32),
     mut blend: impl FnMut(usize, usize),
-) -> u64 {
-    let mut drawn = 0;
-    for &i in idx {
-        let i = i as usize;
+) -> (u64, u64) {
+    let (mut handed, mut drawn) = (0, 0);
+    for i in bits {
+        handed += 1;
         let Some((x, y)) = vp.world_to_pixel(Point::new(xs[i], ys[i])) else {
             continue;
         };
@@ -139,7 +135,7 @@ fn draw_rows(
         on_fragment(i, x, y);
         drawn += 1;
     }
-    drawn
+    (handed, drawn)
 }
 
 /// Fold pixel `pix` (`y · width + x`) of the accumulation buffers into a
@@ -262,13 +258,15 @@ mod tests {
     }
 
     /// The fused point pass against the reference `Pipeline::draw_points`,
-    /// one draw call per [`POINT_CHUNK`] rows: bit-equal buffers, equal
-    /// stats, and one hook call per fragment, at the pixel it was drawn on.
+    /// one draw call per zone of [`ZONE_ROWS`] rows: bit-equal buffers, equal
+    /// stats, and one hook call per fragment, with the zone's own columns
+    /// and the row's index in it, at the pixel it was drawn on.
     #[test]
     fn point_pass_matches_draw_points() {
         use crate::compiled::PointStore;
         use gpu_raster::blend::BlendOp;
         use gpu_raster::Pipeline;
+        use urban_data::ZONE_ROWS;
 
         let vp = Viewport::new(BoundingBox::from_coords(0.0, 0.0, 16.0, 8.0), 16, 8);
         let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
@@ -289,9 +287,9 @@ mod tests {
             (4.0, nan),
             (f64::INFINITY, 4.0),
         ];
-        // Three chunks: the edge cases, then points in and around the canvas
+        // Three zones: the edge cases, then points in and around the canvas
         // whose values do not add exactly in f32, so the blend order shows.
-        for i in 0..2 * POINT_CHUNK + 700 {
+        for i in 0..2 * ZONE_ROWS + 700 {
             let (x, y) = match edges.get(i % 97) {
                 Some(&e) => e,
                 None => {
@@ -306,13 +304,16 @@ mod tests {
         let budget = QueryBudget::unlimited();
         let col = || "v".to_string();
         for agg in [AggKind::Count, AggKind::Sum(col()), AggKind::Min(col()), AggKind::Max(col())] {
-            let cq = CompiledQuery::new(&t, &SpatialAggQuery::new(agg.clone()), &budget).unwrap();
+            let cq = CompiledQuery::new(&t, &SpatialAggQuery::new(agg.clone())).unwrap();
             let mut hooked = Vec::new();
-            let (got, stats) =
-                point_pass(&vp, &PointStore::plain(&t), &cq, &budget, |i, x, y| hooked.push((i, x, y)))
-                    .unwrap();
-
             let has_col = !matches!(agg, AggKind::Count);
+            let (got, stats) = point_pass(&vp, &PointStore::plain(&t), &cq, &budget, |zone, i, x, y| {
+                let (xs, ys) = zone.locs();
+                let v = has_col.then(|| zone.attr(0)[i].to_bits());
+                hooked.push((i, xs[i].to_bits(), ys[i].to_bits(), v, x, y));
+            })
+            .unwrap();
+
             let mut pipe = Pipeline::new(vp);
             let mut count_sum = Buffer2D::new(16, 8, [0.0f32; 2]);
             let mut extreme = Buffer2D::new(16, 8, 0.0f32);
@@ -324,8 +325,8 @@ mod tests {
             if let Some((_, init)) = op {
                 extreme.clear(init);
             }
-            for base in (0..t.len()).step_by(POINT_CHUNK) {
-                let locs = || (base..t.len().min(base + POINT_CHUNK)).map(|i| t.loc(i));
+            for base in (0..t.len()).step_by(ZONE_ROWS) {
+                let locs = || (base..t.len().min(base + ZONE_ROWS)).map(|i| t.loc(i));
                 let v = |k: usize| if has_col { vals[base + k] } else { 0.0 };
                 pipe.draw_points(&mut count_sum, locs(), |k| [1.0, v(k)], BlendOp::Add);
                 if let Some((op, _)) = op {
@@ -333,7 +334,11 @@ mod tests {
                 }
             }
             let want_hooked: Vec<_> = (0..t.len())
-                .filter_map(|i| vp.world_to_pixel(t.loc(i)).map(|(x, y)| (i, x, y)))
+                .filter_map(|i| {
+                    let (p, v) = (t.loc(i), has_col.then(|| vals[i].to_bits()));
+                    let (x, y) = vp.world_to_pixel(p)?;
+                    Some((i % ZONE_ROWS, p.x.to_bits(), p.y.to_bits(), v, x, y))
+                })
                 .collect();
 
             let flat = |b: &Buffer2D<[f32; 2]>| bits(&b.as_slice().concat());

@@ -1,40 +1,36 @@
-//! Query compilation: evaluate the filter set once per query, not once per
-//! tile per point — and, on a clustered table, not once per row either.
+//! Query compilation and the one zone walk every executor filters rows
+//! through: the raster point pass and both exact index joins.
 //!
-//! [`CompiledQuery`] hoists the filter work to query start: the conjunction
-//! collapses into a shared bitmask, and every tile (on every worker thread)
-//! answers "does row i survive the filters?" with a single bit test. The
-//! aggregate value column is resolved once alongside, so kernels read
-//! `column[i]` directly instead of gathering per-chunk `Vec<f32>` copies.
+//! A [`ZonePlan`] resolves a query's conjunction and aggregate column
+//! against a schema once. A [`ZoneWalk`] then classifies every *zone*
+//! ([`ZONE_ROWS`] rows) of a [`ZoneSource`] once per query, from the zone's
+//! footer alone (a resident table's [`PointTable::cluster`] footers, or a
+//! `.ubs` directory's):
 //!
-//! The mask is built one *zone* ([`POINT_CHUNK`] rows) at a time. When the
-//! table carries zone footers ([`PointTable::cluster`]) a [`ZonePlan`]
-//! classifies each zone against the conjunction from its footer alone:
-//!
-//! * **skip** — the footer is disjoint from some condition, so no row of the
-//!   zone can pass it: the zone's mask words stay zero, no row is read;
+//! * **skip** — the footer is disjoint from some condition (or from the
+//!   plan's extent), so no row of the zone can pass: nothing is read;
 //! * **whole** — the footer lies inside every condition, so every row
-//!   passes: the words are set, no row is read;
+//!   passes: no row is tested;
 //! * **scan** — only the conditions the footer leaves undecided are
 //!   evaluated row by row, so the order the client listed them in stops
 //!   mattering.
 //!
-//! A table without footers is the same walk with every zone a scan. The
+//! A source without footers is the same walk with every zone a scan. The
 //! proof rules are [`ZoneFooter`]'s (half-open time range against a closed
 //! footer, closed boxes and ranges); a zone holding a NaN is never *whole*,
 //! because footer ranges leave NaN out (DESIGN.md "Row order is the query
-//! plan"). Both exact index joins (`spatial_index`, resident and stored)
-//! classify and mask their zones with the same plan.
+//! plan").
 //!
-//! Kernels walk the rows through [`CompiledQuery::for_each_chunk`], which
-//! additionally steps over zones whose bbox misses the tile and polls the
-//! budget once per zone. [`PointStore`] pairs the table with an optional
-//! [`BinnedPointTable`]; with bins the walk covers the tile's candidate rows
-//! instead, sorted ascending — f32 blending is not associative, so feeding
-//! each pixel its points in the same relative order as the full scan is
-//! what keeps every path bit-identical.
+//! [`ZoneWalk::run`] visits the zones in row order. Per zone it polls the
+//! budget once, reads the columns the zone's class needs, masks the zone's
+//! rows into at most `ZONE_ROWS / 64` reused words and hands the consumer
+//! the zone's columns and the set bits ([`SetBits`]), ascending. A
+//! [`Reach`] narrows the walk to what a consumer can use: a raster tile
+//! steps over zones whose footer box misses it, and a binned store's
+//! candidate rows are ANDed into the words — f32 blending is not
+//! associative, so feeding each pixel its points in the same relative order
+//! as the full scan is what keeps every path bit-identical.
 
-use crate::bounded::POINT_CHUNK;
 use crate::budget::QueryBudget;
 use crate::Result;
 use urban_data::binned::BinnedPointTable;
@@ -42,11 +38,11 @@ use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::schema::Schema;
 use urban_data::time::TimeRange;
-use urban_data::{PointTable, ZoneFooter};
+use urban_data::{PointTable, ZoneFooter, ZONE_ROWS};
 use urbane_geom::{BoundingBox, Point};
 
 /// One filter condition resolved against a schema.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Cond {
     /// Attribute in `[min, max]` (closed; NaN never matches).
     Range { col: usize, min: f32, max: f32 },
@@ -177,12 +173,6 @@ impl<'a> ZoneColumns<'a> {
         ZoneColumns { xs, ys, ts, attrs, start: 0 }
     }
 
-    /// Rows `start..end` of a resident table.
-    pub fn of_table(t: &'a PointTable, start: usize, end: usize) -> Self {
-        let (xs, ys, ts) = (&t.xs()[start..end], &t.ys()[start..end], &t.timestamps()[start..end]);
-        ZoneColumns { xs, ys, ts, attrs: t.columns(), start }
-    }
-
     /// The zone's x and y coordinates; as long as the zone.
     #[inline]
     pub fn locs(&self) -> (&'a [f64], &'a [f64]) {
@@ -197,31 +187,27 @@ impl<'a> ZoneColumns<'a> {
 }
 
 /// A query's conjunction and aggregate column resolved against a schema once,
-/// so classifying a footer is pure arithmetic. The raster mask and both exact
-/// index joins classify and filter their zones through one.
+/// so classifying a footer is pure arithmetic.
 #[derive(Debug)]
 pub struct ZonePlan {
     conds: Vec<Cond>,
     /// The resolved aggregate column (None for COUNT).
-    pub agg_col: Option<usize>,
+    agg_col: Option<usize>,
     /// A row outside this box contributes nothing (the regions' extent).
     extent: Option<BoundingBox>,
 }
 
 /// What a zone's footer proves about a [`ZonePlan`]'s conjunction.
 #[derive(Debug)]
-pub enum ZoneClass<'p> {
+enum ZoneClass {
     /// No row can contribute: nothing is read.
     Skip,
     /// Every row passes every condition: none is tested.
     Whole,
-    /// Some conditions are undecided and are tested row by row.
-    Scan(Undecided<'p>),
+    /// The conditions the footer left undecided, in request order, are
+    /// tested row by row.
+    Scan(Vec<Cond>),
 }
-
-/// The conditions a zone's footer left undecided, in request order.
-#[derive(Debug)]
-pub struct Undecided<'p>(Vec<&'p Cond>);
 
 impl ZonePlan {
     /// Resolve `query`'s aggregate column, then its filters: an unknown
@@ -244,9 +230,9 @@ impl ZonePlan {
         ZonePlan { extent: Some(extent), ..self }
     }
 
-    /// Classify the rows `footer` covers (a zone's, or a `.ubs` chunk's);
-    /// without a footer every condition is undecided.
-    pub fn classify(&self, footer: Option<&ZoneFooter>) -> ZoneClass<'_> {
+    /// Classify the rows `footer` covers; without a footer every condition
+    /// is undecided.
+    fn classify(&self, footer: Option<&ZoneFooter>) -> ZoneClass {
         if footer.zip(self.extent).is_some_and(|(f, e)| !e.intersects(&f.bbox)) {
             return ZoneClass::Skip;
         }
@@ -255,23 +241,23 @@ impl ZonePlan {
             match footer.and_then(|f| cond.decide(f)) {
                 Some(false) => return ZoneClass::Skip,
                 Some(true) => {}
-                None => open.push(cond),
+                None => open.push(*cond),
             }
         }
         if open.is_empty() {
             ZoneClass::Whole
         } else {
-            ZoneClass::Scan(Undecided(open))
+            ZoneClass::Scan(open)
         }
     }
 
     /// The columns a zone of `class` reads beside `x` and `y`: into `attrs`
     /// the aggregated one, then the undecided conditions'; the result says
     /// whether `t` is read (a time condition is undecided).
-    pub fn reads(&self, class: &ZoneClass<'_>, attrs: &mut Vec<usize>) -> bool {
+    fn reads(&self, class: &ZoneClass, attrs: &mut Vec<usize>) -> bool {
         attrs.clear();
         attrs.extend(self.agg_col);
-        let ZoneClass::Scan(Undecided(open)) = class else {
+        let ZoneClass::Scan(open) = class else {
             return false;
         };
         for cond in open {
@@ -285,11 +271,11 @@ impl ZonePlan {
     }
 }
 
-impl ZoneClass<'_> {
+impl ZoneClass {
     /// Set `words` (word `w` holds rows `64·w..64·w + 64` of `zone`) to the
     /// rows that pass: when scanned the first undecided condition fills the
     /// words and each further one clears the bits it rejects ([`Pass`]).
-    pub fn mask(&self, zone: &ZoneColumns<'_>, words: &mut [u64]) {
+    fn mask(&self, zone: &ZoneColumns<'_>, words: &mut [u64]) {
         match self {
             ZoneClass::Skip => words.fill(0),
             ZoneClass::Whole => {
@@ -299,7 +285,7 @@ impl ZoneClass<'_> {
                     *last = (1u64 << tail) - 1;
                 }
             }
-            ZoneClass::Scan(Undecided(open)) => {
+            ZoneClass::Scan(open) => {
                 for (k, cond) in open.iter().enumerate() {
                     cond.scan(if k == 0 { Pass::Fill } else { Pass::Refine }, zone, words);
                 }
@@ -308,8 +294,8 @@ impl ZoneClass<'_> {
     }
 }
 
-/// How one query's zones were classified while its filter mask was built
-/// (all zero for a query without filters: nothing is classified).
+/// How one query's zones were classified (the raster reports all zero for
+/// a query without filters: nothing is decided).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZoneStats {
     /// Zones a footer proved empty under the conjunction.
@@ -322,173 +308,205 @@ pub struct ZoneStats {
     pub rows_tested: u64,
 }
 
-impl ZoneStats {
-    /// Count one zone of `rows` rows classified as `class`.
-    pub fn count(&mut self, class: &ZoneClass<'_>, rows: usize) {
-        match class {
-            ZoneClass::Skip => self.skipped += 1,
-            ZoneClass::Whole => self.whole += 1,
-            ZoneClass::Scan(_) => {
-                self.scanned += 1;
-                self.rows_tested += rows as u64;
+/// Where a [`ZoneWalk`] reads its zones from, in row order: a resident
+/// table's slices (`&PointTable`), or a `.ubs` store's zones fetched one
+/// at a time (`spatial_index`'s stored join). Every zone holds at most
+/// [`ZONE_ROWS`] rows.
+pub trait ZoneSource {
+    /// How many zones the source holds.
+    fn zone_count(&self) -> usize;
+
+    /// How many rows zone `z` holds.
+    fn rows(&self, z: usize) -> usize;
+
+    /// Zone `z`'s footer; `None` when the source keeps none.
+    fn footer(&self, z: usize) -> Option<&ZoneFooter>;
+
+    /// Zone `z`'s `x` and `y`, its `t` when `ts`, and the attribute columns
+    /// `attrs` (schema indices); the other columns may be left unfilled.
+    fn read(&mut self, z: usize, ts: bool, attrs: &[usize]) -> Result<ZoneColumns<'_>>;
+}
+
+/// A resident table's zones: every [`ZONE_ROWS`] rows, borrowed in place.
+impl ZoneSource for &PointTable {
+    fn zone_count(&self) -> usize {
+        self.len().div_ceil(ZONE_ROWS)
+    }
+
+    fn rows(&self, z: usize) -> usize {
+        ZONE_ROWS.min(self.len() - z * ZONE_ROWS)
+    }
+
+    fn footer(&self, z: usize) -> Option<&ZoneFooter> {
+        self.zones().get(z)
+    }
+
+    fn read(&mut self, z: usize, _: bool, _: &[usize]) -> Result<ZoneColumns<'_>> {
+        let (start, end) = (z * ZONE_ROWS, z * ZONE_ROWS + self.rows(z));
+        let (xs, ys, ts) = (&self.xs()[start..end], &self.ys()[start..end], &self.timestamps()[start..end]);
+        Ok(ZoneColumns { xs, ys, ts, attrs: self.columns(), start })
+    }
+}
+
+/// The rows of a zone a walk's consumer can use, beside the plan's verdict.
+#[derive(Debug, Clone, Copy)]
+pub enum Reach<'a> {
+    /// Every row: the exact joins (the plan's extent already skips zones).
+    All,
+    /// The rows of a tile covering this box: a zone whose footer box misses
+    /// it is stepped over, since the viewport projection would cull every
+    /// row. (A zone holding a NaN coordinate is not: its box does not cover
+    /// that row.)
+    Tile(&'a BoundingBox),
+    /// Only these rows, ascending: a binned store's candidates for a tile.
+    Rows(&'a [u32]),
+}
+
+/// One query's walk over a source's zones: the plan, and every zone's class
+/// computed once, for all the walks (tiles) of the query.
+#[derive(Debug)]
+pub struct ZoneWalk {
+    plan: ZonePlan,
+    classes: Vec<ZoneClass>,
+    /// How the zones were classified.
+    pub stats: ZoneStats,
+}
+
+impl ZoneWalk {
+    /// Classify every zone of `source` under `plan`, counting the classes.
+    pub fn new<S: ZoneSource>(plan: ZonePlan, source: &S) -> Self {
+        let mut stats = ZoneStats::default();
+        let classes = (0..source.zone_count())
+            .map(|z| {
+                let class = plan.classify(source.footer(z));
+                match class {
+                    ZoneClass::Skip => stats.skipped += 1,
+                    ZoneClass::Whole => stats.whole += 1,
+                    ZoneClass::Scan(_) => {
+                        stats.scanned += 1;
+                        stats.rows_tested += source.rows(z) as u64;
+                    }
+                }
+                class
+            })
+            .collect();
+        ZoneWalk { plan, classes, stats }
+    }
+
+    /// The plan's resolved aggregate column (None for COUNT).
+    pub fn agg_col(&self) -> Option<usize> {
+        self.plan.agg_col
+    }
+
+    /// Hand `visit(first, zone, rows)` every zone of `source` with a row
+    /// that passes the plan and lies in `reach`, in row order: `first` is
+    /// the zone's first row in the source, `rows` the zone-local indices of
+    /// those rows, ascending. Polls `budget` once per zone, so a raised
+    /// cancel flag or an elapsed deadline lands within one zone's work.
+    pub fn run<S: ZoneSource>(
+        &self,
+        source: &mut S,
+        reach: Reach<'_>,
+        budget: &QueryBudget,
+        mut visit: impl FnMut(usize, &ZoneColumns<'_>, SetBits<'_>),
+    ) -> Result<()> {
+        let mut words = [0u64; ZONE_ROWS / 64];
+        let mut attrs = Vec::new();
+        let mut candidates = if let Reach::Rows(rows) = reach { rows } else { &[] };
+        let mut end = 0;
+        for (z, class) in self.classes.iter().enumerate() {
+            budget.check()?;
+            let first = end;
+            end += source.rows(z);
+            let (mine, rest) = candidates.split_at(candidates.partition_point(|&r| (r as usize) < end));
+            candidates = rest;
+            let reached = match reach {
+                Reach::All => true,
+                Reach::Tile(world) => {
+                    source.footer(z).is_none_or(|f| f.has_nan || world.intersects(&f.bbox))
+                }
+                Reach::Rows(_) => !mine.is_empty(),
+            };
+            if matches!(class, ZoneClass::Skip) || !reached {
+                continue;
+            }
+            let ts = self.plan.reads(class, &mut attrs);
+            let zone = source.read(z, ts, &attrs)?;
+            let words = &mut words[..zone.xs.len().div_ceil(64)];
+            class.mask(&zone, words);
+            if let Reach::Rows(_) = reach {
+                let mut picked = [0u64; ZONE_ROWS / 64];
+                for &r in mine {
+                    let i = r as usize - first;
+                    picked[i >> 6] |= 1 << (i & 63);
+                }
+                words.iter_mut().zip(picked).for_each(|(w, p)| *w &= p);
+            }
+            if words.iter().any(|&w| w != 0) {
+                visit(first, &zone, SetBits::new(words));
             }
         }
+        Ok(())
     }
 }
 
-/// Evaluate a filter conjunction into a bitmask, zone by zone.
-fn build_mask(
-    plan: &ZonePlan,
-    points: &PointTable,
-    budget: &QueryBudget,
-) -> Result<(Vec<u64>, ZoneStats)> {
-    let n = points.len();
-    let footers = points.zones();
-    let mut bits = vec![0u64; n.div_ceil(64)];
-    let mut stats = ZoneStats::default();
-    // POINT_CHUNK is a multiple of 64, so zone edges are word edges.
-    for (z, words) in bits.chunks_mut(POINT_CHUNK / 64).enumerate() {
-        budget.check()?;
-        let start = z * POINT_CHUNK;
-        let end = (start + POINT_CHUNK).min(n);
-        let class = plan.classify(footers.get(z));
-        stats.count(&class, end - start);
-        class.mask(&ZoneColumns::of_table(points, start, end), words);
-    }
-    Ok((bits, stats))
+/// The positions of a mask's set bits, ascending — the one walker over set
+/// bits: word `w` holds positions `64·w..64·w + 64`.
+#[derive(Debug, Clone)]
+pub struct SetBits<'a> {
+    words: &'a [u64],
+    w: usize,
+    pending: u64,
 }
 
-/// A query compiled against one table: resolved aggregate column plus a
-/// shared filter bitmask. Immutable after construction — share it freely
-/// across tile workers.
-pub(crate) struct CompiledQuery<'t> {
+impl<'a> SetBits<'a> {
+    /// Walk the set bits of `words`.
+    pub fn new(words: &'a [u64]) -> Self {
+        SetBits { words, w: 0, pending: words.first().copied().unwrap_or(0) }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.pending == 0 {
+            self.w += 1;
+            self.pending = *self.words.get(self.w)?;
+        }
+        let i = (self.w << 6) | self.pending.trailing_zeros() as usize;
+        self.pending &= self.pending - 1;
+        Some(i)
+    }
+}
+
+/// A query compiled against one table: the aggregate, its resolved value
+/// column and the table's zones classified once. Immutable after
+/// construction — share it freely across tile workers.
+pub(crate) struct CompiledQuery {
     /// The aggregate being computed.
     pub(crate) agg: AggKind,
-    /// Resolved value column (None for COUNT).
-    pub(crate) col: Option<usize>,
-    /// How the zones were classified while the mask was built.
+    /// How the zones were classified (all zero without filters).
     pub(crate) zones: ZoneStats,
     /// The closed box every surviving row lies in: the intersection of the
     /// query's spatial filters (`None` without one). The gather skips the
     /// pixels no row inside it can be drawn on.
     pub(crate) bbox: Option<BoundingBox>,
-    /// One bit per row, set when the row survives every filter. `None` when
-    /// the query has no filters (everything matches — skip the bit tests).
-    mask: Option<Vec<u64>>,
-    rows: usize,
-    /// The table's zone footers (empty for an unclustered table).
-    footers: &'t [ZoneFooter],
+    /// The walk every tile's point pass takes.
+    pub(crate) walk: ZoneWalk,
 }
 
-impl<'t> CompiledQuery<'t> {
-    /// Compile `query` against `points`, evaluating the filter set once.
-    /// Polls `budget` while scanning so huge tables stay cancellable.
-    pub(crate) fn new(
-        points: &'t PointTable,
-        query: &SpatialAggQuery,
-        budget: &QueryBudget,
-    ) -> Result<Self> {
-        let plan = ZonePlan::new(points.schema(), query)?;
-        let (mask, zones) = if query.filters.is_empty() {
-            (None, ZoneStats::default())
-        } else {
-            let (bits, zones) = build_mask(&plan, points, budget)?;
-            (Some(bits), zones)
-        };
+impl CompiledQuery {
+    /// Compile `query` against `points`, classifying every zone once.
+    pub(crate) fn new(points: &PointTable, query: &SpatialAggQuery) -> Result<Self> {
+        let walk = ZoneWalk::new(ZonePlan::new(points.schema(), query)?, &points);
+        let zones = if query.filters.is_empty() { ZoneStats::default() } else { walk.stats };
         let bbox = query.filters.filters().iter().fold(None, |acc: Option<BoundingBox>, f| match f {
             Filter::SpatialBox(b) => Some(acc.map_or(*b, |a| a.intersection(b))),
             _ => acc,
         });
-        let (agg, col) = (query.agg_kind(), plan.agg_col);
-        Ok(CompiledQuery { agg, col, zones, bbox, mask, rows: points.len(), footers: points.zones() })
-    }
-
-    /// Does row `i` survive the filters? One bit test after compilation.
-    #[cfg(test)]
-    fn matches(&self, i: usize) -> bool {
-        match &self.mask {
-            None => true,
-            Some(bits) => bits[i >> 6] & (1u64 << (i & 63)) != 0,
-        }
-    }
-
-    /// Fill `out` with the surviving rows of `start..end` (ascending): the
-    /// set bits of each mask word, so a word of rejected rows costs one
-    /// compare.
-    fn select_range(&self, start: usize, end: usize, out: &mut Vec<u32>) {
-        out.clear();
-        let Some(bits) = &self.mask else {
-            out.extend((start..end).map(|i| i as u32));
-            return;
-        };
-        let mut base = start & !63;
-        for &word in &bits[start >> 6..end.div_ceil(64)] {
-            let mut pending = word;
-            if base < start {
-                pending &= !0u64 << (start - base);
-            }
-            if end - base < 64 {
-                pending &= (1u64 << (end - base)) - 1;
-            }
-            while pending != 0 {
-                out.push((base + pending.trailing_zeros() as usize) as u32);
-                pending &= pending - 1;
-            }
-            base += 64;
-        }
-    }
-
-    /// Fill `out` with the surviving rows of `candidates` (order preserved).
-    fn select_from(&self, candidates: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        match &self.mask {
-            None => out.extend_from_slice(candidates),
-            Some(bits) => out.extend(
-                candidates
-                    .iter()
-                    .copied()
-                    .filter(|&i| bits[(i >> 6) as usize] & (1u64 << (i & 63)) != 0),
-            ),
-        }
-    }
-
-    /// Hand `f` the surviving rows that can land in a tile covering `world`,
-    /// ascending, at most [`POINT_CHUNK`] at a time, polling `budget` before
-    /// each chunk. Without bins a chunk is a zone, and a zone whose footer
-    /// bbox misses `world` is stepped over — every row of it would be culled
-    /// by the viewport projection anyway. (A zone holding a NaN coordinate is
-    /// not: its box does not cover that row.) With bins the chunks are slices
-    /// of the tile's candidate list instead.
-    pub(crate) fn for_each_chunk(
-        &self,
-        store: &PointStore<'_>,
-        world: &BoundingBox,
-        budget: &QueryBudget,
-        mut f: impl FnMut(&[u32]),
-    ) -> Result<()> {
-        let mut idx: Vec<u32> = Vec::with_capacity(POINT_CHUNK.min(self.rows));
-        if let Some(candidates) = store.candidates(world) {
-            for chunk in candidates.chunks(POINT_CHUNK) {
-                budget.check()?;
-                self.select_from(chunk, &mut idx);
-                if !idx.is_empty() {
-                    f(&idx);
-                }
-            }
-            return Ok(());
-        }
-        for z in 0..self.rows.div_ceil(POINT_CHUNK) {
-            budget.check()?;
-            if self.footers.get(z).is_some_and(|f| !f.has_nan && !world.intersects(&f.bbox)) {
-                continue;
-            }
-            let start = z * POINT_CHUNK;
-            self.select_range(start, (start + POINT_CHUNK).min(self.rows), &mut idx);
-            if !idx.is_empty() {
-                f(&idx);
-            }
-        }
-        Ok(())
+        Ok(CompiledQuery { agg: query.agg_kind(), zones, bbox, walk })
     }
 }
 
@@ -531,9 +549,20 @@ impl<'a> PointStore<'a> {
         self.table
     }
 
-    /// Whether spatial bins are attached.
-    pub fn is_binned(&self) -> bool {
-        self.bins.is_some()
+    /// Take `walk` (classified over this store's table) for a tile covering
+    /// `world`: the zones that can reach the tile or, with bins, the tile's
+    /// candidate rows — what the point pass is handed.
+    pub fn walk_tile(
+        &self,
+        walk: &ZoneWalk,
+        world: &BoundingBox,
+        budget: &QueryBudget,
+        visit: impl FnMut(usize, &ZoneColumns<'_>, SetBits<'_>),
+    ) -> Result<()> {
+        let candidates = self.candidates(world);
+        let reach = candidates.as_deref().map_or(Reach::Tile(world), Reach::Rows);
+        let mut table = self.table;
+        walk.run(&mut table, reach, budget, visit)
     }
 
     /// The candidate rows for a tile covering `world`, sorted ascending, or
@@ -577,33 +606,63 @@ mod tests {
         t
     }
 
+    /// The rows `cq`'s walk hands over under `reach`, as table rows.
+    fn walked(t: &PointTable, cq: &CompiledQuery, reach: Reach<'_>) -> Vec<usize> {
+        let mut rows = Vec::new();
+        cq.walk
+            .run(&mut &*t, reach, &QueryBudget::unlimited(), |first, _, bits| {
+                rows.extend(bits.map(|i| first + i))
+            })
+            .unwrap();
+        rows
+    }
+
+    /// The rows of `t` the filter oracle accepts.
+    fn oracle(t: &PointTable, q: &SpatialAggQuery) -> Vec<usize> {
+        let direct = q.filters.compile(t).unwrap();
+        (0..t.len()).filter(|&i| direct.matches(i)).collect()
+    }
+
     #[test]
     fn mask_agrees_with_direct_probing() {
         let t = table(500);
         let q = SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(100, 400)));
-        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
-        let direct = q.filters.compile(&t).unwrap();
-        for i in 0..t.len() {
-            assert_eq!(cq.matches(i), direct.matches(i), "row {i}");
-        }
-        let mut out = Vec::new();
-        cq.select_range(0, t.len(), &mut out);
-        assert_eq!(out.len(), 300);
+        let cq = CompiledQuery::new(&t, &q).unwrap();
+        let rows = walked(&t, &cq, Reach::All);
+        assert_eq!(rows, oracle(&t, &q));
+        assert_eq!(rows.len(), 300);
     }
 
+    /// `SetBits` over a zone's words with the bits outside arbitrary row
+    /// bounds cleared: exactly the surviving rows inside the bounds, in
+    /// order, whether the bounds fall on, inside or across word edges.
     #[test]
     fn select_range_walks_set_bits_within_any_bounds() {
         let t = table(700);
         let q = SpatialAggQuery::count()
             .filter(Filter::AttrRange { column: "v".into(), min: 37.0, max: 611.0 })
             .filter(Filter::SpatialBox(BoundingBox::from_coords(0.0, 0.0, 60.0, 100.0)));
-        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
-        let mut out = Vec::new();
+        let cq = CompiledQuery::new(&t, &q).unwrap();
+        let survivors = oracle(&t, &q);
+        assert_eq!(walked(&t, &cq, Reach::All), survivors);
+        let mut words = vec![0u64; t.len().div_ceil(64)];
+        let mut source = &t;
+        cq.walk.classes[0].mask(&source.read(0, true, &[0]).unwrap(), &mut words);
         for (start, end) in [(0, 700), (0, 64), (63, 65), (64, 128), (100, 100), (130, 699), (640, 700)] {
-            cq.select_range(start, end, &mut out);
-            let want: Vec<u32> = (start..end).filter(|&i| cq.matches(i)).map(|i| i as u32).collect();
-            assert_eq!(out, want, "rows {start}..{end}");
+            let bounded: Vec<u64> = words
+                .iter()
+                .enumerate()
+                .map(|(w, &word)| {
+                    let bit = |i: usize| u64::from((start..end).contains(&i)) << (i & 63);
+                    word & (w * 64..w * 64 + 64).map(bit).fold(0, |a, b| a | b)
+                })
+                .collect();
+            let got: Vec<usize> = SetBits::new(&bounded).collect();
+            let want: Vec<usize> = survivors.iter().copied().filter(|i| (start..end).contains(i)).collect();
+            assert_eq!(got, want, "rows {start}..{end}");
         }
+        assert_eq!(SetBits::new(&[]).next(), None);
+        assert_eq!(SetBits::new(&[0, 0, 1 << 63]).collect::<Vec<_>>(), [191]);
     }
 
     #[test]
@@ -612,7 +671,7 @@ mod tests {
         // Four days of 8192 rows each: after clustering every zone is one day.
         let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
         let mut t = PointTable::new(schema);
-        for i in 0..4 * POINT_CHUNK {
+        for i in 0..4 * ZONE_ROWS {
             let day = (i % 4) as i64;
             t.push(Point::new((i % 97) as f64, (i % 89) as f64), day * DAY + (i / 4) as i64, &[day as f32])
                 .unwrap();
@@ -622,21 +681,18 @@ mod tests {
             .filter(Filter::Time(TimeRange::new(DAY, 3 * DAY)))
             .filter(Filter::AttrEquals { column: "v".into(), value: 1.0 })
             .filter(Filter::SpatialBox(BoundingBox::from_coords(0.0, 0.0, 96.0, 50.0)));
-        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        let cq = CompiledQuery::new(&t, &q).unwrap();
         // Days 0 and 3 miss the time range, day 2 misses `v == 1`; day 1 is
         // inside both and is scanned for the box alone.
         assert_eq!(
             cq.zones,
-            ZoneStats { skipped: 3, whole: 0, scanned: 1, rows_tested: POINT_CHUNK as u64 }
+            ZoneStats { skipped: 3, whole: 0, scanned: 1, rows_tested: ZONE_ROWS as u64 }
         );
-        let direct = q.filters.compile(&t).unwrap();
-        for i in 0..t.len() {
-            assert_eq!(cq.matches(i), direct.matches(i), "row {i}");
-        }
+        assert_eq!(walked(&t, &cq, Reach::All), oracle(&t, &q));
         let q = SpatialAggQuery::count().filter(Filter::Time(TimeRange::new(DAY, 2 * DAY)));
-        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        let cq = CompiledQuery::new(&t, &q).unwrap();
         assert_eq!(cq.zones, ZoneStats { skipped: 3, whole: 1, scanned: 0, rows_tested: 0 });
-        assert!((0..t.len()).all(|i| cq.matches(i) == (POINT_CHUNK..2 * POINT_CHUNK).contains(&i)));
+        assert_eq!(walked(&t, &cq, Reach::All), (ZONE_ROWS..2 * ZONE_ROWS).collect::<Vec<_>>());
     }
 
     /// A NaN location fails every box, so a zone holding one is never
@@ -650,22 +706,20 @@ mod tests {
         t.cluster();
         let q = SpatialAggQuery::count()
             .filter(Filter::SpatialBox(BoundingBox::from_coords(-1.0, -1.0, 101.0, 101.0)));
-        let cq = CompiledQuery::new(&t, &q, &QueryBudget::unlimited()).unwrap();
+        let cq = CompiledQuery::new(&t, &q).unwrap();
         assert_eq!(cq.zones, ZoneStats { skipped: 0, whole: 0, scanned: 1, rows_tested: 101 });
-        assert_eq!((0..t.len()).filter(|&i| cq.matches(i)).count(), 100);
+        assert_eq!(walked(&t, &cq, Reach::All).len(), 100);
     }
 
     #[test]
     fn filterless_query_selects_everything() {
         let t = table(100);
-        let cq = CompiledQuery::new(&t, &SpatialAggQuery::count(), &QueryBudget::unlimited())
-            .unwrap();
-        assert!(cq.matches(0) && cq.matches(99));
-        let mut out = Vec::new();
-        cq.select_range(10, 20, &mut out);
-        assert_eq!(out, (10u32..20).collect::<Vec<_>>());
-        cq.select_from(&[5, 3, 8], &mut out);
-        assert_eq!(out, vec![5, 3, 8]);
+        let cq = CompiledQuery::new(&t, &SpatialAggQuery::count()).unwrap();
+        assert_eq!(cq.zones, ZoneStats::default());
+        assert_eq!(walked(&t, &cq, Reach::All), (0..100).collect::<Vec<_>>());
+        let range: Vec<u32> = (10..20).collect();
+        assert_eq!(walked(&t, &cq, Reach::Rows(&range)), (10..20).collect::<Vec<_>>());
+        assert_eq!(walked(&t, &cq, Reach::Rows(&[3, 5, 8])), vec![3, 5, 8]);
     }
 
     #[test]

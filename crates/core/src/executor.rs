@@ -44,9 +44,10 @@ pub enum ExecutionMode {
     Weighted,
     /// Hybrid path: boundary pixels fixed up with exact PIP tests.
     Accurate,
-    /// Exact index join over the out-of-core store (`urbane-store` packed
-    /// R-tree + exact PIP). Executes in `urbane::UrbaneService`, not through the
-    /// raster pipeline — the raster executors reject it with a config error.
+    /// Exact index join over a resident table or an out-of-core `.ubs` store
+    /// (`spatial_index`'s zone walk, a grid probe of the regions and exact
+    /// PIP). Executes in `urbane::UrbaneService`, not through the raster
+    /// pipeline — the raster executors reject it with a config error.
     IndexJoin,
 }
 
@@ -272,10 +273,10 @@ impl RasterJoin {
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
         budget.check()?;
-        // Compile once per query: the filter set collapses to a shared
-        // bitmask and the value column is resolved up front, so every tile
-        // on every worker probes bits instead of re-running the conjunction.
-        let cq = CompiledQuery::new(store.table(), query, budget)?;
+        // Compile once per query: the value column is resolved and every
+        // zone classified up front, so each tile's walk masks only the zones
+        // that reach it, testing only the conditions their footers left open.
+        let cq = CompiledQuery::new(store.table(), query)?;
         let store = &store;
         let cq = &cq;
         let regions = &prepared.regions;

@@ -53,7 +53,9 @@ pub mod weighted;
 
 pub use budget::{CancelHandle, QueryBudget};
 pub use canvas::{CanvasPlan, CanvasSpec};
-pub use compiled::{PointStore, ZoneClass, ZoneColumns, ZonePlan, ZoneStats};
+pub use compiled::{
+    PointStore, Reach, SetBits, ZoneColumns, ZonePlan, ZoneSource, ZoneStats, ZoneWalk,
+};
 pub use executor::{
     BinningMode, ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult,
     MIN_AUTO_BIN_POINTS,

@@ -183,20 +183,21 @@ impl PreparedTile {
     pub(crate) fn replay(
         &self,
         store: &PointStore<'_>,
-        cq: &CompiledQuery<'_>,
+        cq: &CompiledQuery,
         regions: &RegionSet,
         budget: &QueryBudget,
     ) -> Result<(AggTable, RenderStats)> {
         let mut hits: Vec<(RegionId, f64)> = Vec::new();
         let (bufs, stats) = if let Boundary::Exact { pairs, bits } = &self.boundary {
-            let (points, w) = (store.table(), self.viewport.width);
-            let column: Option<&[f32]> = cq.col.map(|c| points.column(c));
-            point_pass(&self.viewport, store, cq, budget, |i, x, y| {
+            let w = self.viewport.width;
+            point_pass(&self.viewport, store, cq, budget, |zone, i, x, y| {
                 let pix = y * w + x;
                 if bits[pix as usize >> 6] & (1 << (pix & 63)) == 0 {
                     return;
                 }
-                let (p, v) = (points.loc(i), column.map_or(0.0, |vals| vals[i] as f64));
+                let (xs, ys) = zone.locs();
+                let p = Point::new(xs[i], ys[i]);
+                let v = cq.walk.agg_col().map_or(0.0, |c| zone.attr(c)[i] as f64);
                 let lo = pairs.partition_point(|&(q, _)| q < pix);
                 for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
                     if regions.geometry(id).contains(p) {
@@ -205,7 +206,7 @@ impl PreparedTile {
                 }
             })?
         } else {
-            point_pass(&self.viewport, store, cq, budget, |_, _, _| {})?
+            point_pass(&self.viewport, store, cq, budget, |_, _, _, _| {})?
         };
         let clip = self.clip(cq.bbox.as_ref());
         let mut table = AggTable::new(cq.agg.clone(), regions.len());
@@ -307,7 +308,7 @@ pub(crate) fn replay_viewport(
 ) -> Result<(AggTable, RenderStats)> {
     let budget = QueryBudget::unlimited();
     let tile = PreparedTile::build(viewport, regions, mode, &budget)?;
-    let cq = CompiledQuery::new(points, query, &budget)?;
+    let cq = CompiledQuery::new(points, query)?;
     tile.replay(&PointStore::plain(points), &cq, regions, &budget)
 }
 
@@ -520,7 +521,7 @@ mod tests {
                         let q = filters
                             .iter()
                             .fold(SpatialAggQuery::new(agg), |q, b| q.filter(Filter::SpatialBox(*b)));
-                        let mut cq = CompiledQuery::new(&points, &q, &budget).unwrap();
+                        let mut cq = CompiledQuery::new(&points, &q).unwrap();
                         let bbox = cq.bbox.expect("spatial filter");
                         for tile in &prepared.tiles {
                             let clip = tile.clip(Some(&bbox));

@@ -2,25 +2,26 @@
 //! `.ubs` store: the baseline the paper's scaling comparison races Raster
 //! Join against.
 //!
-//! Both walk the rows one zone at a time with the raster mask's
-//! [`ZonePlan`]. Each zone (and, in a store, each chunk of the directory
-//! first) is classified from its footer alone: *skip* (some condition, or
-//! the regions' extent, rules every row out: nothing is read), *whole*
-//! (nothing is tested; a store reads `x`, `y` and the aggregated column) or
-//! *scan* (the undecided conditions run the mask kernel, and a store reads
-//! only their columns besides). A table without footers is all scans. The
-//! rows that pass run [`crate::executor::index_join`]'s probe-then-PIP body
-//! in ascending row order, so answers are **bit-for-bit** the in-memory
-//! oracle's. The [`QueryBudget`] is polled once per zone (and once per
-//! stored chunk).
+//! Both take the raster point pass's [`ZoneWalk`]: every zone is classified
+//! from its footer alone — *skip* (some condition, or the regions' extent,
+//! rules every row out: nothing is read), *whole* (nothing is tested; a
+//! store reads `x`, `y` and the aggregated column) or *scan* (the undecided
+//! conditions run the mask kernel, and a store reads only their columns
+//! besides). A source without footers is all scans. The resident table is
+//! walked in place; the store is a [`ZoneSource`] that fetches one zone at a
+//! time, so a chunk whose zones all skip is never read. The rows that pass
+//! run [`RegionIndex::join_rows`]'s probe-then-PIP body in ascending row
+//! order, so answers are **bit-for-bit** the in-memory oracle's. The
+//! [`QueryBudget`] is polled once per zone.
 
 use crate::RegionIndex;
-use raster_join::{QueryBudget, RasterJoinError, ZoneClass, ZoneColumns, ZonePlan, ZoneStats};
+use raster_join::{QueryBudget, RasterJoinError, Reach, ZoneColumns, ZonePlan, ZoneSource, ZoneStats, ZoneWalk};
 use std::io::{Read, Seek};
+use std::sync::Arc;
 use urban_data::query::{AggTable, SpatialAggQuery};
-use urban_data::{PointTable, RegionSet, ZONE_ROWS};
+use urban_data::{PointTable, RegionSet, ZoneFooter};
 use urbane_geom::Point;
-use urbane_store::{ChunkedPointSource, Columns};
+use urbane_store::{ChunkedPointSource, Columns, StoreHeader};
 
 /// Per-query accounting for a stored join: how much the footers pruned and
 /// how much actually streamed through memory.
@@ -28,8 +29,8 @@ use urbane_store::{ChunkedPointSource, Columns};
 pub struct StoredJoinStats {
     /// Chunks some payload was read from and scanned.
     pub chunks_scanned: u64,
-    /// Chunks skipped entirely on footer evidence (their own, or every one
-    /// of their zones').
+    /// Chunks no zone was read from: every one of their zones skipped on
+    /// footer evidence.
     pub chunks_pruned: u64,
     /// Rows decoded and fed through the filter/probe loop.
     pub rows_scanned: u64,
@@ -40,65 +41,62 @@ pub struct StoredJoinStats {
     pub zones: ZoneStats,
 }
 
-/// The per-zone body both exact joins share: mask a zone's rows by its
-/// class, then join the survivors in ascending row order.
-struct ZoneJoin<'a, I> {
-    regions: &'a RegionSet,
-    index: &'a I,
-    agg_col: Option<usize>,
-    /// One zone's mask words, reused for every zone.
-    words: Vec<u64>,
-    out: AggTable,
-}
-
-impl<'a, I: RegionIndex> ZoneJoin<'a, I> {
-    fn new(plan: &ZonePlan, regions: &'a RegionSet, index: &'a I, query: &SpatialAggQuery) -> Self {
-        ZoneJoin {
-            regions,
-            index,
-            agg_col: plan.agg_col,
-            words: Vec::with_capacity(ZONE_ROWS / 64),
-            out: AggTable::new(query.agg_kind(), regions.len()),
-        }
-    }
-
-    fn zone(&mut self, class: &ZoneClass<'_>, zone: ZoneColumns<'_>) {
+/// Join the rows of `source` that pass `plan` within the regions' extent,
+/// zone by zone, in ascending row order.
+fn join_zones<I: RegionIndex>(
+    plan: ZonePlan,
+    source: &mut impl ZoneSource,
+    regions: &RegionSet,
+    index: &I,
+    query: &SpatialAggQuery,
+    budget: &QueryBudget,
+) -> Result<(AggTable, ZoneStats), RasterJoinError> {
+    let walk = ZoneWalk::new(plan.within(regions.bbox()), source);
+    let mut out = AggTable::new(query.agg_kind(), regions.len());
+    let (states, agg_col) = (&mut out.states, walk.agg_col());
+    walk.run(source, Reach::All, budget, |_, zone, rows| {
         let (xs, ys) = zone.locs();
-        self.words.resize(xs.len().div_ceil(64), 0);
-        class.mask(&zone, &mut self.words);
-        let values = self.agg_col.map(|c| zone.attr(c));
-        let rows = SetBits::new(&self.words)
-            .map(|i| (Point::new(xs[i], ys[i]), values.map_or(0.0, |vals| vals[i] as f64)));
-        let states = &mut self.out.states;
-        self.index.join_rows(self.regions, rows, |id, v| states[id as usize].accumulate(v));
+        let values = agg_col.map(|c| zone.attr(c));
+        let rows = rows.map(|i| (Point::new(xs[i], ys[i]), values.map_or(0.0, |vals| vals[i] as f64)));
+        index.join_rows(regions, rows, |id, v| states[id as usize].accumulate(v));
+    })?;
+    Ok((out, walk.stats))
+}
+
+/// A `.ubs` store's zones in row order, each fetched on demand with
+/// [`ChunkedPointSource::read_zone`] into one reused set of columns.
+struct StoreZones<'s, R> {
+    source: &'s mut ChunkedPointSource<R>,
+    header: Arc<StoreHeader>,
+    /// `(chunk, zone of the chunk)` of every zone.
+    zones: Vec<(usize, usize)>,
+    cols: Columns,
+    rows_read: u64,
+}
+
+impl<R: Read + Seek> ZoneSource for StoreZones<'_, R> {
+    fn zone_count(&self) -> usize {
+        self.zones.len()
     }
-}
 
-/// The positions of a mask's set bits, ascending.
-struct SetBits<'a> {
-    words: &'a [u64],
-    w: usize,
-    pending: u64,
-}
-
-impl<'a> SetBits<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        SetBits { words, w: 0, pending: words.first().copied().unwrap_or(0) }
+    fn rows(&self, z: usize) -> usize {
+        let (c, k) = self.zones[z];
+        self.header.chunks[c].zone_rows(k).len()
     }
-}
 
-impl Iterator for SetBits<'_> {
-    type Item = usize;
+    fn footer(&self, z: usize) -> Option<&ZoneFooter> {
+        let (c, k) = self.zones[z];
+        self.header.chunks[c].zones.get(k)
+    }
 
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.pending == 0 {
-            self.w += 1;
-            self.pending = *self.words.get(self.w)?;
-        }
-        let i = (self.w << 6) | self.pending.trailing_zeros() as usize;
-        self.pending &= self.pending - 1;
-        Some(i)
+    fn read(&mut self, z: usize, ts: bool, attrs: &[usize]) -> Result<ZoneColumns<'_>, RasterJoinError> {
+        let (c, k) = self.zones[z];
+        let cols = &mut self.cols;
+        self.source
+            .read_zone(c, k, ts, attrs, cols)
+            .map_err(|e| RasterJoinError::Internal(format!("store read failed: {e}")))?;
+        self.rows_read += cols.xs.len() as u64;
+        Ok(ZoneColumns::new(&cols.xs, &cols.ys, &cols.ts, &cols.attrs))
     }
 }
 
@@ -111,53 +109,31 @@ pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
     query: &SpatialAggQuery,
     budget: &QueryBudget,
 ) -> Result<(AggTable, StoredJoinStats), RasterJoinError> {
-    let plan = ZonePlan::new(source.schema(), query)?.within(regions.bbox());
-    let mut join = ZoneJoin::new(&plan, regions, index, query);
-    let mut stats = StoredJoinStats::default();
-    let mut attrs: Vec<usize> = Vec::new();
-    // One zone of the columns in use, for the whole join.
-    let mut zone = Columns::default();
-    let header = source.shared_header();
+    let plan = ZonePlan::new(source.schema(), query)?;
     source.reset_stats();
-    for (ci, meta) in header.chunks.iter().enumerate() {
-        budget.check()?;
-        if matches!(plan.classify(Some(&meta.footer)), ZoneClass::Skip) {
-            stats.chunks_pruned += 1;
-            stats.zones.skipped += meta.zones.len() as u64;
-            continue;
-        }
-        let mut read_any = false;
-        for (z, footer) in meta.zones.iter().enumerate() {
-            let class = plan.classify(Some(footer));
-            if matches!(class, ZoneClass::Skip) {
-                stats.zones.skipped += 1;
-                continue;
-            }
-            budget.check()?;
-            let want_ts = plan.reads(&class, &mut attrs);
-            source
-                .read_zone(ci, z, want_ts, &attrs, &mut zone)
-                .map_err(|e| RasterJoinError::Internal(format!("store read failed: {e}")))?;
-            read_any = true;
-            stats.rows_scanned += zone.xs.len() as u64;
-            stats.zones.count(&class, zone.xs.len());
-            join.zone(&class, ZoneColumns::new(&zone.xs, &zone.ys, &zone.ts, &zone.attrs));
-        }
-        if read_any {
-            stats.chunks_scanned += 1;
-        } else {
-            stats.chunks_pruned += 1;
-        }
-    }
-    stats.peak_resident_rows = source.stats().peak_resident_rows;
-    Ok((join.out, stats))
+    let header = source.shared_header();
+    let chunks = header.chunks.iter().enumerate();
+    let zones = chunks.flat_map(|(c, m)| (0..m.zones.len()).map(move |k| (c, k))).collect();
+    let mut zones = StoreZones { source, header, zones, cols: Columns::default(), rows_read: 0 };
+    let (out, zone_stats) = join_zones(plan, &mut zones, regions, index, query, budget)?;
+    let read = zones.source.stats();
+    Ok((
+        out,
+        StoredJoinStats {
+            chunks_scanned: read.chunks_read,
+            chunks_pruned: zones.header.chunks.len() as u64 - read.chunks_read,
+            rows_scanned: zones.rows_read,
+            peak_resident_rows: read.peak_resident_rows,
+            zones: zone_stats,
+        },
+    ))
 }
 
 /// In-memory index join with budget/cancellation polling — the session
 /// layer's entry point when the table is already materialized. Identical
-/// results to [`crate::executor::index_join`]; it walks the table's zones
-/// like the stored join, skipping the ones its footers rule out, and polls
-/// the budget once per zone.
+/// results to [`crate::executor::index_join`]; it takes the stored join's
+/// walk over the table's zones, skipping the ones its footers rule out, and
+/// polls the budget once per zone.
 pub fn index_join_budgeted<I: RegionIndex>(
     points: &PointTable,
     regions: &RegionSet,
@@ -165,18 +141,8 @@ pub fn index_join_budgeted<I: RegionIndex>(
     query: &SpatialAggQuery,
     budget: &QueryBudget,
 ) -> Result<AggTable, RasterJoinError> {
-    let plan = ZonePlan::new(points.schema(), query)?.within(regions.bbox());
-    let mut join = ZoneJoin::new(&plan, regions, index, query);
-    let footers = points.zones();
-    for (z, start) in (0..points.len()).step_by(ZONE_ROWS).enumerate() {
-        budget.check()?;
-        let class = plan.classify(footers.get(z));
-        if !matches!(class, ZoneClass::Skip) {
-            let end = (start + ZONE_ROWS).min(points.len());
-            join.zone(&class, ZoneColumns::of_table(points, start, end));
-        }
-    }
-    Ok(join.out)
+    let (plan, mut table) = (ZonePlan::new(points.schema(), query)?, points);
+    Ok(join_zones(plan, &mut table, regions, index, query, budget)?.0)
 }
 
 #[cfg(test)]

@@ -140,35 +140,22 @@ impl From<io::Error> for ReadError {
     }
 }
 
-/// Read a single bounded line (without CRLF). Errors when the line exceeds
-/// [`MAX_HEADER_LINE`].
+/// Read a single bounded line (without its `\n` and one `\r` before it),
+/// straight out of the reader's buffer. Errors when more than
+/// [`MAX_HEADER_LINE`] bytes come before the `\n`.
 fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, ReadError> {
-    let mut line = Vec::with_capacity(64);
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(ReadError::Malformed("truncated request line".into()));
-            }
-            Ok(_) => {
-                let [b] = byte;
-                if b == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
-                }
-                line.push(b);
-                if line.len() > MAX_HEADER_LINE {
-                    return Err(ReadError::Malformed("header line too long".into()));
-                }
-            }
-            Err(e) => return Err(ReadError::Io(e)),
-        }
+    let mut line = Vec::new();
+    r.take(MAX_HEADER_LINE as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.pop_if(|b| *b == b'\n').is_none() {
+        return match line.len() {
+            0 => Ok(None),
+            n if n > MAX_HEADER_LINE => Err(ReadError::Malformed("header line too long".into())),
+            _ => Err(ReadError::Malformed("truncated request line".into())),
+        };
     }
+    line.pop_if(|b| *b == b'\r');
+    let lossy = |e: std::string::FromUtf8Error| String::from_utf8_lossy(e.as_bytes()).into_owned();
+    Ok(Some(String::from_utf8(line).unwrap_or_else(lossy)))
 }
 
 /// Read one request from `r`. `Err(Eof)` on a cleanly closed idle
@@ -199,12 +186,16 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ReadError> {
         if headers.len() >= MAX_HEADERS {
             return Err(ReadError::Malformed("too many headers".into()));
         }
-        match line.split_once(':') {
-            Some((k, v)) => {
-                headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()))
-            }
-            None => return Err(ReadError::Malformed(format!("bad header {line:?}"))),
-        }
+        let Some(colon) = line.find(':') else {
+            return Err(ReadError::Malformed(format!("bad header {line:?}")));
+        };
+        // The line's own buffer becomes the name: cut, trim, lowercase.
+        let value = line[colon + 1..].trim().to_string();
+        let mut name = line;
+        name.truncate(name[..colon].trim_end().len());
+        name.drain(..name.len() - name.trim_start().len());
+        name.make_ascii_lowercase();
+        headers.push((name, value));
     }
 
     let content_length = headers
@@ -384,6 +375,69 @@ mod tests {
         raw.resize(raw.len() + MAX_BODY, b'x');
         let req = read_request(&mut BufReader::new(raw.as_slice())).unwrap();
         assert_eq!(req.body.len(), MAX_BODY);
+    }
+
+    fn refusal(raw: &str) -> String {
+        match parse(raw) {
+            Err(ReadError::Malformed(m)) => m,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// `MAX_HEADER_LINE` counts every byte before the `\n`, a `\r` included:
+    /// a line of exactly the cap is read and one byte more is refused, with
+    /// either line ending, on the request line and on a header line.
+    #[test]
+    fn header_line_cap_admits_exactly_max_header_line() {
+        for eol in ["\r\n", "\n"] {
+            // Bytes of a line before its `eol` when the line is at the cap.
+            let at_cap = MAX_HEADER_LINE + 1 - eol.len();
+
+            let path = |len: usize| format!("/{}", "p".repeat(len - "GET / HTTP/1.1".len()));
+            let get = |line_len| format!("GET {} HTTP/1.1{eol}{eol}", path(line_len));
+            assert_eq!(parse(&get(at_cap)).unwrap().path, path(at_cap), "{eol:?}");
+            assert_eq!(refusal(&get(at_cap + 1)), "header line too long", "{eol:?}");
+
+            let value = |len: usize| "v".repeat(len - "X-Pad: ".len());
+            let padded =
+                |line_len| format!("GET / HTTP/1.1{eol}X-Pad: {}{eol}{eol}", value(line_len));
+            let req = parse(&padded(at_cap)).unwrap();
+            assert_eq!(req.header("x-pad"), Some(value(at_cap).as_str()), "{eol:?}");
+            assert_eq!(refusal(&padded(at_cap + 1)), "header line too long", "{eol:?}");
+        }
+        // A line that never ends is refused at the cap, not read to its end.
+        let endless = format!("GET /{}", "p".repeat(4 * MAX_HEADER_LINE));
+        assert_eq!(refusal(&endless), "header line too long");
+        // A line cut short by the peer hanging up is truncated, not too long.
+        assert_eq!(refusal("GET / HTTP/1.1\r\nHost: x"), "truncated request line");
+        assert_eq!(refusal("GET / HTTP/1.1\r\n"), "truncated headers");
+    }
+
+    /// `MAX_HEADERS` header lines are read; one more is refused.
+    #[test]
+    fn header_count_cap_admits_exactly_max_headers() {
+        for eol in ["\r\n", "\n"] {
+            let with = |n: usize| {
+                let headers: String = (0..n).map(|i| format!("X-H{i}: {i}{eol}")).collect();
+                format!("GET / HTTP/1.1{eol}{headers}{eol}")
+            };
+            let req = parse(&with(MAX_HEADERS)).unwrap();
+            assert_eq!(req.headers.len(), MAX_HEADERS, "{eol:?}");
+            let last = MAX_HEADERS - 1;
+            assert_eq!(req.header(&format!("x-h{last}")), Some(last.to_string().as_str()));
+            assert_eq!(refusal(&with(MAX_HEADERS + 1)), "too many headers", "{eol:?}");
+        }
+    }
+
+    /// Header names are trimmed and lowercased, values trimmed; a name or
+    /// value that is not UTF-8 is read lossily rather than refused.
+    #[test]
+    fn header_names_are_lowercased_and_both_sides_trimmed() {
+        let req = parse("GET / HTTP/1.1\r\n  X-Mixed-CASE \t:  a b \t\r\nHost:x\r\n\r\n").unwrap();
+        assert_eq!(req.headers, [("x-mixed-case".into(), "a b".into()), ("host".into(), "x".into())]);
+        let raw = b"GET / HTTP/1.1\r\nX-\xffName: v\xfe\r\n\r\n";
+        let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        assert_eq!(req.headers, [("x-\u{fffd}name".into(), "v\u{fffd}".into())]);
     }
 
     #[test]

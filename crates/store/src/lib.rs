@@ -19,7 +19,7 @@
 //!   one column at a time.
 //!
 //! The crate holds storage only: the exact join that reads it, and the
-//! region R-tree that join probes, live in `spatial-index`.
+//! region index that join probes, live in `spatial-index`.
 //!
 //! Everything is std-only and `#![forbid(unsafe_code)]`, like the rest of
 //! the workspace. Decoding mirrors `urban_data::binfmt`'s discipline: every

@@ -50,11 +50,12 @@ use urban_data::{PointTable, RegionSet};
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Base raster-join configuration: threads, tiling, fault plan, and the
-    /// canvas `spec` (a resolution or an ε) a request without `resolution`
-    /// runs at. Per-request mode/resolution override `mode` and `spec`;
-    /// `binning` is not consulted — resident tables are clustered, which
-    /// prunes per tile as the bins did.
+    /// Base raster-join configuration. The service reads four fields: `spec`,
+    /// the canvas (a resolution or an ε) a request without `resolution` runs
+    /// at; `max_tile`, the tiling; `threads`, the tile workers; and `faults`,
+    /// the injected fault plan. It does not consult `mode` (each request
+    /// names its own) or `binning` (resident tables are clustered, which
+    /// prunes per tile as the bins did).
     pub join: RasterJoinConfig,
     /// Total query-result cache entries across shards (0 disables caching).
     pub cache_capacity: usize,

@@ -10,16 +10,19 @@ export CARGO_NET_OFFLINE=true
 cargo build --release
 cargo test -q
 # The bit-identity claims (DESIGN.md §7, §9, §15, §18) again under the
-# optimizer the server ships with: footers on == footers stripped, stored
-# join == in-memory join, the accurate pass's boundary rows == the exact
-# join, and the served answers == the committed goldens byte for byte, must
-# not depend on the build profile. Nor must the grid's cell-local
-# point-in-polygon agreeing with `contains` (spatial-index's unit tests:
-# every cell corner, cell edge, polygon vertex and edge piece, the reach
-# slack, and seeded points).
+# optimizer the server ships with: footers on == footers stripped, binned ==
+# unbinned, stored join == in-memory join, the accurate pass's boundary rows
+# == the exact join, the zone walk == the filter oracle on every tile, and
+# the served answers == the committed goldens byte for byte, must not depend
+# on the build profile. Nor must the fused point pass agreeing with the
+# reference draw, or the walk's set bits (raster-join's unit tests), or the
+# grid's cell-local point-in-polygon agreeing with `contains`
+# (spatial-index's unit tests: every cell corner, cell edge, polygon vertex
+# and edge piece, the reach slack, and seeded points).
 cargo test -q --release -p urbane-bench \
   --test clustered_equivalence --test store_subsystem --test cross_method_equivalence \
-  --test serve_golden
+  --test serve_golden --test binned_equivalence
+cargo test -q --release -p raster-join
 cargo test -q --release -p spatial-index
 # The answer writer's byte identity with the `Json` tree it replaced, and the
 # one-write response framing, under the shipped profile too.

@@ -13,10 +13,11 @@
 //!    modes and counts agree exactly, bounded sums to rounding.
 
 use raster_join::{
-    BinningMode, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, QueryBudget,
-    RasterJoin, RasterJoinConfig,
+    BinningMode, CanvasPlan, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin,
+    QueryBudget, RasterJoin, RasterJoinConfig, ZonePlan, ZoneWalk,
 };
 use spatial_index::naive_join;
+use urban_data::binned::BinnedPointTable;
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::schema::{AttrType, Schema};
@@ -271,4 +272,76 @@ fn clustered_order_agrees_with_generator_order() {
             assert!((x - y).abs() <= 1e-5 * x.abs().max(1.0), "{name}: region {r}: {x} vs {y}");
         }
     }
+}
+
+/// The zone walk against the filter oracle. On every tile of a 1×1 and a
+/// 3×3 tiling, the rows the point pass is handed ([`PointStore::walk_tile`])
+/// are exactly the rows `FilterSet::compile(t).matches(i)` accepts among the
+/// rows the tile can draw — plus, at most, accepted rows the tile culls —
+/// each once, ascending, and with bins only the tile's candidate rows. Over
+/// clustered, unclustered and binned tables whose length is a multiple of
+/// neither 64 nor `ZONE_ROWS`, so the last zone ends inside a mask word, for
+/// filters on the footers' edges and none.
+#[test]
+fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
+    let full = demo_data(true).0;
+    let plain = full.filter_rows(&(0..full.len()).map(|i| i % 1_481 != 0).collect::<Vec<_>>());
+    let n = plain.len();
+    assert!(!n.is_multiple_of(64) && !n.is_multiple_of(ZONE_ROWS), "{n} rows");
+    let mut clustered = plain.clone();
+    clustered.cluster();
+    let (plain_bins, clustered_bins) = (BinnedPointTable::build(&plain), BinnedPointTable::build(&clustered));
+    let stores = [
+        ("unclustered", PointStore::plain(&plain), None),
+        ("clustered", PointStore::plain(&clustered), None),
+        ("binned", PointStore::with_bins(&plain, &plain_bins), Some(&plain_bins)),
+        ("binned clustered", PointStore::with_bins(&clustered, &clustered_bins), Some(&clustered_bins)),
+    ];
+    // A square canvas over the rows, so both tilings are square too.
+    let b = plain.bbox();
+    let side = b.width().max(b.height());
+    let extent = BoundingBox::from_coords(b.min.x, b.min.y, b.min.x + side, b.min.y + side);
+    let budget = QueryBudget::unlimited();
+    let filters = edge_filters(&clustered);
+    assert!(filters.iter().any(|(_, f)| f.is_empty()), "a filterless query is among them");
+    let mut stepped_over = 0;
+    for (tiles, max_tile) in [(1, 96), (9, 32)] {
+        let plan = CanvasPlan::plan(&extent, CanvasSpec::Resolution(96), max_tile).expect("plan");
+        assert_eq!(plan.tiles.len(), tiles);
+        for (name, filters) in &filters {
+            let q = filters.iter().fold(SpatialAggQuery::count(), |q, f| q.filter(f.clone()));
+            for (what, store, bins) in &stores {
+                let t = store.table();
+                let compiled = q.filters.compile(t).expect("compile");
+                let accepted: Vec<bool> = (0..t.len()).map(|i| compiled.matches(i)).collect();
+                let n_accepted = accepted.iter().filter(|&&a| a).count();
+                let walk = ZoneWalk::new(ZonePlan::new(t.schema(), &q).expect("plan"), &t);
+                for vp in &plan.tiles {
+                    let mut handed = Vec::new();
+                    store
+                        .walk_tile(&walk, &vp.world, &budget, |first, _, bits| {
+                            handed.extend(bits.map(|i| first + i))
+                        })
+                        .expect("walk");
+                    let at = format!("{name} / {what} / {tiles} tiles / {:?}", vp.world);
+                    assert!(handed.windows(2).all(|w| w[0] < w[1]), "{at}: once each, ascending");
+                    assert!(handed.iter().all(|&i| i < t.len() && accepted[i]), "{at}: a rejected row");
+                    if let Some(bins) = bins {
+                        let mut candidates = Vec::new();
+                        bins.candidates_into(&vp.world, &mut candidates);
+                        candidates.sort_unstable();
+                        let binned = |&i: &usize| candidates.binary_search(&(i as u32)).is_ok();
+                        assert!(handed.iter().all(binned), "{at}: a row outside the tile's bins");
+                    }
+                    for i in (0..t.len()).filter(|&i| accepted[i]) {
+                        if vp.world_to_pixel(t.loc(i)).is_some() {
+                            assert!(handed.binary_search(&i).is_ok(), "{at}: drawable row {i}");
+                        }
+                    }
+                    stepped_over += usize::from(handed.len() < n_accepted);
+                }
+            }
+        }
+    }
+    assert!(stepped_over > 0, "some tile must be handed fewer rows than the filter accepts");
 }
