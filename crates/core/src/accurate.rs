@@ -15,9 +15,11 @@
 //!
 //! Steps 2–3 depend only on the canvas and are prepared once
 //! ([`crate::prepared`]), with a one-bit-per-pixel bitmap of the boundary
-//! pixels. Step 4 runs during step 1: each drawn row tests its pixel's bit,
-//! and only a set bit costs the table lookup and the PIP tests. The hits
-//! are folded after the gather in row order, so the zones are walked once.
+//! pixels. Step 1 records each drawn row whose pixel's bit is set, so the
+//! zones are walked once; step 4 runs after the gather, over the recorded
+//! rows in row order, and only those cost the table lookup and the PIP
+//! tests. A record made against the union of several levels' bitmaps
+//! serves each of them ([`crate::prepared::PointPass`]).
 //! The result equals the exact join bit-for-bit on counts — property-tested
 //! against the nested-loop baseline.
 

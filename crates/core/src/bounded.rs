@@ -126,6 +126,7 @@ fn draw_rows(
     mut blend: impl FnMut(usize, usize),
 ) -> (u64, u64) {
     let (mut handed, mut drawn) = (0, 0);
+    // lint: allow(cancel-poll-reachability) one zone's rows; the zone walk polls the budget between zones
     for i in bits {
         handed += 1;
         let Some((x, y)) = vp.world_to_pixel(Point::new(xs[i], ys[i])) else {

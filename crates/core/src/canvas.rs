@@ -99,9 +99,7 @@ impl CanvasPlan {
         let tiles_x = width.div_ceil(max_tile);
         let tiles_y = height.div_ceil(max_tile);
         let mut tiles = Vec::with_capacity((tiles_x * tiles_y) as usize);
-        // lint: allow(cancel-poll-reachability) pure viewport arithmetic over the tile grid, no per-point work or I/O
         for ty in 0..tiles_y {
-            // lint: allow(cancel-poll-reachability) inner leg of the same bounded tile-grid construction
             for tx in 0..tiles_x {
                 let px0 = tx * max_tile;
                 let py0 = ty * max_tile;

@@ -4,7 +4,7 @@
 use crate::budget::QueryBudget;
 use crate::canvas::{CanvasPlan, CanvasSpec};
 use crate::compiled::{CompiledQuery, PointStore, ZoneStats};
-use crate::prepared::PreparedRasterJoin;
+use crate::prepared::{PassSource, PointPass, PreparedRasterJoin, TilePass};
 use crate::{RasterJoinError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -136,6 +136,10 @@ pub struct RasterJoinResult {
     pub zones: ZoneStats,
 }
 
+/// One tile's answer: its table, what its draw did, and the drawn tile
+/// when the pass is kept.
+type TileAnswer = (AggTable, RenderStats, Option<TilePass>);
+
 /// The Raster Join operator.
 #[derive(Debug, Clone)]
 pub struct RasterJoin {
@@ -262,9 +266,7 @@ impl RasterJoin {
         self.execute_prepared(&prepared, store, query, budget)
     }
 
-    /// Replay `prepared` for `query` — the one tile loop every raster query
-    /// runs. The canvas, tiling and mode are the prepared raster's; this
-    /// operator contributes its worker threads and fault plan.
+    /// Replay `prepared` for `query`, drawing the points.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedRasterJoin,
@@ -272,27 +274,54 @@ impl RasterJoin {
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
+        Ok(self
+            .execute_pass(prepared, store, query, budget, PassSource::Draw)?
+            .0)
+    }
+
+    /// Replay `prepared` for `query` with its point pass from `source` — the
+    /// one tile loop every raster query runs. The canvas, tiling and mode
+    /// are the prepared raster's; this operator contributes its worker
+    /// threads and fault plan. [`PassSource::Keep`] hands the drawn pass
+    /// back. [`PassSource::Reuse`] draws nothing, so the result's
+    /// [`RenderStats`] and [`ZoneStats`] are zero, and fails with
+    /// [`RasterJoinError::Config`] on a pass that does not
+    /// [cover](PointPass::covers) `prepared`.
+    pub fn execute_pass(
+        &self,
+        prepared: &PreparedRasterJoin,
+        store: PointStore<'_>,
+        query: &SpatialAggQuery,
+        budget: &QueryBudget,
+        source: PassSource<'_>,
+    ) -> Result<(RasterJoinResult, Option<PointPass>)> {
         budget.check()?;
+        if let PassSource::Reuse(pass) = source {
+            if !pass.covers(prepared) {
+                return Err(RasterJoinError::Config(
+                    "the kept point pass does not cover this raster".into(),
+                ));
+            }
+        }
         // Compile once per query: the value column is resolved and every
         // zone classified up front, so each tile's walk masks only the zones
         // that reach it, testing only the conditions their footers left open.
         let cq = CompiledQuery::new(store.table(), query)?;
         let store = &store;
         let cq = &cq;
-        let regions = &prepared.regions;
 
-        // Per-tile body: budget poll, fault hook, then the tile's replay in a
-        // panic shield so one bad tile cannot take the process down.
-        let run_tile = |idx: usize| -> Result<(AggTable, RenderStats)> {
+        // Per-tile body: budget poll, fault hook, then the tile's answer in
+        // a panic shield so one bad tile cannot take the process down.
+        let run_tile = |idx: usize| -> Result<TileAnswer> {
             budget.check()?;
             // The fault hook runs inside the shield: an injected panic must
             // travel the same unwind path a real kernel panic would.
-            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<(AggTable, RenderStats)> {
+            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<TileAnswer> {
                 #[cfg(feature = "fault-injection")]
                 if let Some(faults) = &self.config.faults {
                     faults.on_tile_start(idx, budget)?;
                 }
-                prepared.tiles[idx].replay(store, cq, regions, budget)
+                prepared.answer_tile(idx, store, cq, budget, source)
             }));
             caught.unwrap_or_else(|payload| {
                 Err(RasterJoinError::Internal(format!(
@@ -303,16 +332,9 @@ impl RasterJoin {
         };
 
         let n_tiles = prepared.tiles.len();
-        let mut table = AggTable::new(cq.agg.clone(), regions.len());
-        let mut stats = RenderStats::new();
         let threads = self.config.threads.max(1).min(n_tiles);
-        if threads == 1 {
-            // lint: polls-budget run_tile checks the budget at its head before every tile; the closure body is opaque to the call graph
-            for idx in 0..n_tiles {
-                let (t, s) = run_tile(idx)?;
-                table.merge(&t)?;
-                stats.merge(&s);
-            }
+        let answers: Vec<TileAnswer> = if threads == 1 {
+            (0..n_tiles).map(run_tile).collect::<Result<_>>()?
         } else {
             // Work-stealing: a shared cursor hands out tiles one at a time,
             // so a hot tile (hotspot-skewed data) occupies one worker while
@@ -321,7 +343,7 @@ impl RasterJoin {
             // merge below replays them in tile order, which keeps the f64
             // merge arithmetic — and therefore the answer — independent of
             // the thread count and of scheduling races.
-            type TileOut = (usize, (AggTable, RenderStats));
+            type TileOut = (usize, TileAnswer);
             let cursor = AtomicUsize::new(0);
             let abort = AtomicBool::new(false);
             let worker_outs: Vec<(Vec<TileOut>, Option<RasterJoinError>)> =
@@ -396,21 +418,29 @@ impl RasterJoin {
                 return Err(e);
             }
             parts.sort_unstable_by_key(|&(idx, _)| idx);
-            for (_, (t, s)) in &parts {
-                table.merge(t)?;
-                stats.merge(s);
-            }
-        }
+            parts.into_iter().map(|(_, answer)| answer).collect()
+        };
 
-        Ok(RasterJoinResult {
+        let mut table = AggTable::new(cq.agg.clone(), prepared.regions.len());
+        let mut stats = RenderStats::new();
+        let mut kept = Vec::new();
+        for (t, s, tile) in answers {
+            table.merge(&t)?;
+            stats.merge(&s);
+            kept.extend(tile);
+        }
+        let reused = matches!(source, PassSource::Reuse(_));
+        let result = RasterJoinResult {
             table,
             epsilon: prepared.epsilon,
             canvas_width: prepared.canvas.0,
             canvas_height: prepared.canvas.1,
             tiles: n_tiles,
             stats,
-            zones: cq.zones,
-        })
+            zones: if reused { ZoneStats::default() } else { cq.zones },
+        };
+        let pass = matches!(source, PassSource::Keep(_)).then_some(PointPass { tiles: kept });
+        Ok((result, pass))
     }
 }
 

@@ -35,7 +35,9 @@
 //! [`RasterJoinConfig`]: error bound or explicit resolution, canvas tiling
 //! (GPU texture-size limits), mode and worker threads.
 //! [`RasterJoin::execute_store`] prepares the region raster and replays it;
-//! [`RasterJoin::execute_prepared`] replays one a caller keeps.
+//! [`RasterJoin::execute_prepared`] replays one a caller keeps, and
+//! [`RasterJoin::execute_pass`] can keep the drawn [`PointPass`] or resolve
+//! a kept one instead of drawing.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -62,7 +64,7 @@ pub use executor::{
 };
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
-pub use prepared::PreparedRasterJoin;
+pub use prepared::{PassSource, PointPass, PreparedRasterJoin};
 
 /// Errors from raster-join execution.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,11 +5,22 @@
 //! once: per tile and region, the covered pixels as row runs in the order
 //! the scanline fill emitted them, plus the mode's boundary table
 //! ([`crate::accurate`]: sorted `(pixel, region)` pairs and a boundary
-//! bitmap; [`crate::weighted`]: coverage lists). A query then costs one
-//! point pass — which in accurate mode also resolves the rows on boundary
-//! pixels — plus a gather over the runs: the software analogue of keeping the
-//! polygons resident on the GPU. [`RasterJoin::execute_store`] prepares and
-//! replays; the replay runs in [`RasterJoin::execute_prepared`]'s tile loop.
+//! bitmap; [`crate::weighted`]: coverage lists) — the software analogue of
+//! keeping the polygons resident on the GPU.
+//!
+//! A query then runs in two steps per tile. *Draw* is the point pass: it
+//! reads only the tile's viewport, the rows and the query, and in accurate
+//! mode records every drawn row that lands on a recorded boundary pixel.
+//! *Resolve* gathers each region's runs from the buffers (weighted: plus its
+//! boundary pixels by coverage), then runs the accurate PIP tests over the
+//! recorded rows on this raster's own boundary pixels, in row order. Since
+//! draw never reads the polygons, a drawn pass can be kept as a
+//! [`PointPass`] and resolved by every prepared raster with the same tile
+//! viewports — the pyramid levels of one canvas — as long as its records
+//! cover that raster's boundary pixels ([`PointPass::covers`]): the same
+//! rows tested in the same order give the same answer, bit for bit.
+//! [`RasterJoin::execute_store`] prepares and replays; the tile loop is
+//! [`RasterJoin::execute_pass`]'s.
 
 use crate::bounded::{fold_pixel, point_pass, PointBuffers};
 use crate::budget::QueryBudget;
@@ -19,9 +30,10 @@ use crate::executor::{ExecutionMode, RasterJoin, RasterJoinResult};
 use crate::{accurate, weighted, RasterJoinError, Result};
 use gpu_raster::polygon_scan::rasterize_rings;
 use gpu_raster::RenderStats;
+use std::borrow::Cow;
 use std::ops::Range;
 use urban_data::query::{AggState, AggTable, SpatialAggQuery};
-use urban_data::{PointTable, RegionId, RegionSet};
+use urban_data::{PointTable, RegionId, RegionSet, ZONE_ROWS};
 use urbane_geom::projection::Viewport;
 use urbane_geom::{BoundingBox, Point};
 
@@ -40,6 +52,69 @@ enum Boundary {
     /// Weighted mode: `weights[offsets[r]..offsets[r + 1]]` are region `r`'s
     /// `(pixel, coverage)` pairs, pixel-ascending.
     Weighted { offsets: Vec<u32>, weights: Vec<(u32, f64)> },
+}
+
+/// Is pixel `pix` set in the one-bit-per-pixel bitmap `bits`?
+#[inline(always)]
+fn bit(bits: &[u64], pix: u32) -> bool {
+    bits[pix as usize >> 6] & (1 << (pix & 63)) != 0
+}
+
+/// A drawn row on a recorded boundary pixel, as the accurate resolve reads
+/// it: its pixel, location and aggregated value (0 for COUNT).
+#[derive(Clone, Copy)]
+struct BoundaryRow {
+    pix: u32,
+    p: Point,
+    v: f64,
+}
+
+/// One tile's point pass: the accumulation buffers, and the drawn rows on
+/// the pixels of `mask`, in row order.
+pub(crate) struct TilePass {
+    viewport: Viewport,
+    bufs: PointBuffers,
+    /// One bit per tile pixel: the pixels whose rows `rows` holds. Empty
+    /// when no row was recorded (bounded and weighted mode).
+    mask: Vec<u64>,
+    rows: Vec<BoundaryRow>,
+}
+
+/// A drawn point pass over every tile of one canvas plan, kept to be
+/// resolved again by any prepared raster it [covers](Self::covers).
+pub struct PointPass {
+    pub(crate) tiles: Vec<TilePass>,
+}
+
+/// Where a replay takes its point pass from.
+#[derive(Clone, Copy)]
+pub enum PassSource<'a> {
+    /// Draw it, and drop it with the query.
+    Draw,
+    /// Draw it and hand it back as a [`PointPass`]. In accurate mode it
+    /// records the rows drawn on a boundary pixel of this raster or of any
+    /// of these accurate rasters planned on the same tile viewports, so the
+    /// pass covers all of them.
+    Keep(&'a [&'a PreparedRasterJoin]),
+    /// Resolve a kept pass that [covers](PointPass::covers) this raster
+    /// instead of drawing: no zone is walked and no point drawn.
+    Reuse(&'a PointPass),
+}
+
+impl PointPass {
+    /// Can `prepared` resolve against this pass instead of drawing? Its
+    /// tiles must have the same viewports, and in accurate mode every one of
+    /// its boundary pixels must be among the recorded ones.
+    pub fn covers(&self, prepared: &PreparedRasterJoin) -> bool {
+        self.tiles.len() == prepared.tiles.len()
+            && self.tiles.iter().zip(&prepared.tiles).all(|(kept, tile)| {
+                kept.viewport == tile.viewport
+                    && tile.boundary_bits().is_none_or(|own| {
+                        own.len() == kept.mask.len()
+                            && own.iter().zip(&kept.mask).all(|(o, m)| o & !m == 0)
+                    })
+            })
+    }
 }
 
 /// Half-open pixel column and row ranges of one tile.
@@ -176,52 +251,85 @@ impl PreparedTile {
         PixelRect { cols: span(lo.x, hi.x, w), rows: span(hi.y, lo.y, h) }
     }
 
-    /// Answer one query on this tile: point pass, then per region its runs
-    /// (and, weighted, its boundary pixels by coverage), then the PIP hits
-    /// the accurate point pass collected on boundary pixels, in row order.
-    /// The budget is polled per region and per point chunk.
-    pub(crate) fn replay(
+    /// The accurate boundary bitmap; `None` in the other modes.
+    fn boundary_bits(&self) -> Option<&[u64]> {
+        match &self.boundary {
+            Boundary::Exact { bits, .. } => Some(bits),
+            _ => None,
+        }
+    }
+
+    /// Draw the points on this tile: the point pass, recording each drawn
+    /// row whose pixel is set in `record`, in row order. The budget is
+    /// polled per zone.
+    fn draw(
         &self,
         store: &PointStore<'_>,
         cq: &CompiledQuery,
+        budget: &QueryBudget,
+        record: Option<&[u64]>,
+    ) -> Result<(PointBuffers, Vec<BoundaryRow>, RenderStats)> {
+        let mut rows = Vec::new();
+        let (bufs, stats) = match record {
+            Some(mask) => {
+                let w = self.viewport.width;
+                let col = cq.walk.agg_col();
+                point_pass(&self.viewport, store, cq, budget, |zone, i, x, y| {
+                    let pix = y * w + x;
+                    if bit(mask, pix) {
+                        let (xs, ys) = zone.locs();
+                        let v = col.map_or(0.0, |c| zone.attr(c)[i] as f64);
+                        rows.push(BoundaryRow {
+                            pix,
+                            p: Point::new(xs[i], ys[i]),
+                            v,
+                        });
+                    }
+                })?
+            }
+            None => point_pass(&self.viewport, store, cq, budget, |_, _, _, _| {})?,
+        };
+        Ok((bufs, rows, stats))
+    }
+
+    /// Resolve a drawn pass on this tile: per region its runs (and,
+    /// weighted, its boundary pixels by coverage), skipping the pixels no
+    /// row inside the query's box can be drawn on; then, accurate, the exact PIP
+    /// tests of the recorded `rows` on this tile's own boundary pixels, in
+    /// row order. The budget is polled per region and every [`ZONE_ROWS`]
+    /// recorded rows.
+    fn resolve(
+        &self,
+        bufs: &PointBuffers,
+        rows: &[BoundaryRow],
+        cq: &CompiledQuery,
         regions: &RegionSet,
         budget: &QueryBudget,
-    ) -> Result<(AggTable, RenderStats)> {
-        let mut hits: Vec<(RegionId, f64)> = Vec::new();
-        let (bufs, stats) = if let Boundary::Exact { pairs, bits } = &self.boundary {
-            let w = self.viewport.width;
-            point_pass(&self.viewport, store, cq, budget, |zone, i, x, y| {
-                let pix = y * w + x;
-                if bits[pix as usize >> 6] & (1 << (pix & 63)) == 0 {
-                    return;
-                }
-                let (xs, ys) = zone.locs();
-                let p = Point::new(xs[i], ys[i]);
-                let v = cq.walk.agg_col().map_or(0.0, |c| zone.attr(c)[i] as f64);
-                let lo = pairs.partition_point(|&(q, _)| q < pix);
-                for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == pix) {
-                    if regions.geometry(id).contains(p) {
-                        hits.push((id, v));
-                    }
-                }
-            })?
-        } else {
-            point_pass(&self.viewport, store, cq, budget, |_, _, _, _| {})?
-        };
+    ) -> Result<AggTable> {
         let clip = self.clip(cq.bbox.as_ref());
         let mut table = AggTable::new(cq.agg.clone(), regions.len());
         for (r, state) in table.states.iter_mut().enumerate() {
             budget.check()?;
-            self.gather(r, state, &bufs, &clip);
+            self.gather(r, state, bufs, &clip);
             if let Boundary::Weighted { offsets, weights } = &self.boundary {
                 let own = &weights[offsets[r] as usize..offsets[r + 1] as usize];
-                weighted::fold_boundary(state, &bufs, own, self.viewport.width);
+                weighted::fold_boundary(state, bufs, own, self.viewport.width);
             }
         }
-        for &(id, v) in &hits {
-            table.states[id as usize].accumulate(v);
+        if let Boundary::Exact { pairs, bits } = &self.boundary {
+            for recorded in rows.chunks(ZONE_ROWS) {
+                budget.check()?;
+                for row in recorded.iter().filter(|row| bit(bits, row.pix)) {
+                    let lo = pairs.partition_point(|&(q, _)| q < row.pix);
+                    for &(_, id) in pairs[lo..].iter().take_while(|&&(q, _)| q == row.pix) {
+                        if regions.geometry(id).contains(row.p) {
+                            table.states[id as usize].accumulate(row.v);
+                        }
+                    }
+                }
+            }
         }
-        Ok((table, stats))
+        Ok(table)
     }
 }
 
@@ -278,6 +386,59 @@ impl PreparedRasterJoin {
         })
     }
 
+    /// Answer one query on tile `idx`: draw its points, or take them from a
+    /// kept pass that covers this raster, then resolve. With
+    /// [`PassSource::Keep`] the drawn tile is handed back.
+    pub(crate) fn answer_tile(
+        &self,
+        idx: usize,
+        store: &PointStore<'_>,
+        cq: &CompiledQuery,
+        budget: &QueryBudget,
+        source: PassSource<'_>,
+    ) -> Result<(AggTable, RenderStats, Option<TilePass>)> {
+        let tile = &self.tiles[idx];
+        let mask = match source {
+            PassSource::Reuse(pass) => {
+                let kept = &pass.tiles[idx];
+                let table = tile.resolve(&kept.bufs, &kept.rows, cq, &self.regions, budget)?;
+                return Ok((table, RenderStats::new(), None));
+            }
+            PassSource::Keep(others) => self.record_mask(idx, others).map(Cow::Owned),
+            PassSource::Draw => tile.boundary_bits().map(Cow::Borrowed),
+        };
+        let (bufs, rows, stats) = tile.draw(store, cq, budget, mask.as_deref())?;
+        let table = tile.resolve(&bufs, &rows, cq, &self.regions, budget)?;
+        let kept = matches!(source, PassSource::Keep(_)).then(|| TilePass {
+            viewport: tile.viewport,
+            bufs,
+            mask: mask.map(Cow::into_owned).unwrap_or_default(),
+            rows,
+        });
+        Ok((table, stats, kept))
+    }
+
+    /// Tile `idx`'s record mask for a kept pass: its own boundary bitmap
+    /// ORed with those of the accurate `others` planned on the same tile
+    /// viewports. `None` outside accurate mode: nothing is recorded.
+    fn record_mask(&self, idx: usize, others: &[&PreparedRasterJoin]) -> Option<Vec<u64>> {
+        let mut mask = self.tiles[idx].boundary_bits()?.to_vec();
+        let same_plan = |other: &PreparedRasterJoin| {
+            other.tiles.len() == self.tiles.len()
+                && other
+                    .tiles
+                    .iter()
+                    .zip(&self.tiles)
+                    .all(|(a, b)| a.viewport == b.viewport)
+        };
+        for other in others.iter().filter(|o| same_plan(o)) {
+            if let Some(bits) = other.tiles[idx].boundary_bits() {
+                mask.iter_mut().zip(bits).for_each(|(m, b)| *m |= b);
+            }
+        }
+        Some(mask)
+    }
+
     /// Answer one query without deadline or cancellation.
     pub fn execute(&self, points: &PointTable, query: &SpatialAggQuery) -> Result<RasterJoinResult> {
         self.execute_store(PointStore::plain(points), query, &QueryBudget::unlimited())
@@ -296,7 +457,8 @@ impl PreparedRasterJoin {
     }
 }
 
-/// Prepare one tile over an explicit viewport and replay `query` on it —
+/// Prepare one tile over an explicit viewport, draw and resolve `query` on
+/// it —
 /// the per-mode unit tests' kernel.
 #[cfg(test)]
 pub(crate) fn replay_viewport(
@@ -309,12 +471,19 @@ pub(crate) fn replay_viewport(
     let budget = QueryBudget::unlimited();
     let tile = PreparedTile::build(viewport, regions, mode, &budget)?;
     let cq = CompiledQuery::new(points, query)?;
-    tile.replay(&PointStore::plain(points), &cq, regions, &budget)
+    let (bufs, rows, stats) = tile.draw(
+        &PointStore::plain(points),
+        &cq,
+        &budget,
+        tile.boundary_bits(),
+    )?;
+    Ok((tile.resolve(&bufs, &rows, &cq, regions, &budget)?, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::ZoneStats;
     use crate::executor::RasterJoinConfig;
     use spatial_index::naive_join;
     use urban_data::filter::Filter;
@@ -526,11 +695,15 @@ mod tests {
                         for tile in &prepared.tiles {
                             let clip = tile.clip(Some(&bbox));
                             let (w, h) = (tile.viewport.width, tile.viewport.height);
-                            clipped += usize::from(clip.cols.len() * clip.rows.len() < (w * h) as usize);
-                            cq.bbox = Some(bbox);
-                            let (a, _) = tile.replay(&store, &cq, &regions, &budget).unwrap();
+                            clipped +=
+                                usize::from(clip.cols.len() * clip.rows.len() < (w * h) as usize);
+                            let (bufs, rows, _) = tile
+                                .draw(&store, &cq, &budget, tile.boundary_bits())
+                                .unwrap();
+                            let a = tile.resolve(&bufs, &rows, &cq, &regions, &budget).unwrap();
                             cq.bbox = None;
-                            let (b, _) = tile.replay(&store, &cq, &regions, &budget).unwrap();
+                            let b = tile.resolve(&bufs, &rows, &cq, &regions, &budget).unwrap();
+                            cq.bbox = Some(bbox);
                             assert_eq!(state_bits(&a), state_bits(&b), "{mode:?} {filters:?} {q:?}");
                         }
                     }
@@ -538,6 +711,82 @@ mod tests {
             }
         }
         assert!(clipped > 0);
+    }
+
+    /// One kept pass, drawn at the first of three region sets on one
+    /// canvas, answers all three bit-identically to drawing their own in
+    /// every mode; an accurate raster whose boundary rows it did not record,
+    /// or another canvas, is not covered and is refused.
+    #[test]
+    fn kept_pass_answers_every_covered_raster() {
+        use urban_data::gen::regions::grid_regions;
+        let extent = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
+        let levels = [
+            voronoi_neighborhoods(&extent, 5, 1, 1),
+            voronoi_neighborhoods(&extent, 12, 2, 1),
+            grid_regions(&extent, 4, 4),
+        ];
+        let points = random_points(3_000, 6, &extent);
+        let join = RasterJoin::with_defaults();
+        let budget = QueryBudget::unlimited();
+        let store = PointStore::plain(&points);
+        let bits = |t: &AggTable| {
+            t.states
+                .iter()
+                .map(|s| (s.count, [s.weight, s.sum, s.min, s.max].map(f64::to_bits)))
+                .collect::<Vec<_>>()
+        };
+        for mode in [
+            ExecutionMode::Bounded,
+            ExecutionMode::Accurate,
+            ExecutionMode::Weighted,
+        ] {
+            for max_tile in [2048, 40] {
+                let prepare = |r: &RegionSet, side| {
+                    PreparedRasterJoin::prepare(r, CanvasSpec::Resolution(side), max_tile, mode)
+                        .unwrap()
+                };
+                let rasters: Vec<PreparedRasterJoin> =
+                    levels.iter().map(|r| prepare(r, 96)).collect();
+                let all: Vec<&PreparedRasterJoin> = rasters.iter().collect();
+                for agg in [
+                    AggKind::Count,
+                    AggKind::Sum("v".into()),
+                    AggKind::Max("v".into()),
+                ] {
+                    let q =
+                        SpatialAggQuery::new(agg).filter(Filter::Time(TimeRange::new(100, 700)));
+                    let run =
+                        |raster, source| join.execute_pass(raster, store, &q, &budget, source);
+                    let (first, pass) = run(&rasters[0], PassSource::Keep(&all)).unwrap();
+                    let pass = pass.expect("a kept pass");
+                    let want = rasters[0].execute(&points, &q).unwrap();
+                    assert_eq!(bits(&first.table), bits(&want.table));
+                    for raster in &rasters {
+                        assert!(pass.covers(raster), "{mode:?}");
+                        let (got, none) = run(raster, PassSource::Reuse(&pass)).unwrap();
+                        assert!(none.is_none());
+                        assert_eq!((got.stats.points_in, got.zones), (0, ZoneStats::default()));
+                        let want = raster.execute(&points, &q).unwrap();
+                        assert_eq!(bits(&got.table), bits(&want.table), "{mode:?} {q:?}");
+                    }
+                    // Recorded for the first level only.
+                    let own = run(&rasters[0], PassSource::Keep(&[]))
+                        .unwrap()
+                        .1
+                        .expect("a kept pass");
+                    let accurate = mode == ExecutionMode::Accurate;
+                    assert_eq!(own.covers(&rasters[1]), !accurate, "{mode:?}");
+                    assert_eq!(
+                        run(&rasters[1], PassSource::Reuse(&own)).is_err(),
+                        accurate,
+                        "{mode:?}"
+                    );
+                    // Another canvas plans other viewports.
+                    assert!(!pass.covers(&prepare(&levels[0], 64)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub fn generate_complaints(city: &CityModel, cfg: &EventConfig) -> PointTable {
     let mut table = PointTable::with_capacity(complaints_schema(), cfg.rows);
     let type_w = zipf_weights(cfg.n_types);
 
-    // lint: allow(cancel-poll-reachability) synthetic corpus generation at dataset (re)load, bounded by the configured row count — not on any query path
     for _ in 0..cfg.rows {
         let loc = city.sample_location(&mut rng);
         // Complaints arrive through the day with a mild daytime bias.
@@ -95,7 +94,6 @@ pub fn generate_crime(city: &CityModel, cfg: &EventConfig) -> PointTable {
     let mut table = PointTable::with_capacity(crime_schema(), cfg.rows);
     let type_w = zipf_weights(cfg.n_types);
 
-    // lint: allow(cancel-poll-reachability) synthetic corpus generation at dataset (re)load, bounded by the configured row count — not on any query path
     for _ in 0..cfg.rows {
         let loc = city.sample_location(&mut rng);
         let day = rng.gen_range(0..cfg.days as i64);

@@ -67,7 +67,6 @@ pub fn generate_taxi(city: &CityModel, cfg: &TaxiConfig) -> PointTable {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut table = PointTable::with_capacity(taxi_schema(), cfg.rows);
 
-    // lint: allow(cancel-poll-reachability) synthetic corpus generation at dataset (re)load, bounded by the configured row count — not on any query path
     for _ in 0..cfg.rows {
         let loc = city.sample_location(&mut rng);
 

@@ -80,7 +80,6 @@ pub fn stratified_spatial_sample(
 /// Materialize sampled rows as a new table (same schema).
 pub fn take_rows(table: &PointTable, rows: &[usize]) -> PointTable {
     let mut keep = vec![false; table.len()];
-    // lint: allow(cancel-poll-reachability) flips one bit per sampled row, bounded by the preview sample size
     for &r in rows {
         keep[r] = true;
     }

@@ -345,7 +345,6 @@ impl PointTable {
             }
             order.clear();
             order.resize(hi - lo, 0);
-            // lint: allow(cancel-poll-reachability) runs once when a table becomes resident, before any query can see it; no budget exists yet
             for (row, &c) in cells.iter().enumerate() {
                 let slot = &mut next[c as usize];
                 order[*slot as usize] = row as u32;

@@ -329,7 +329,6 @@ impl RegionIndex for GridIndex {
         // point of its box (they hold over the reach slack around it), so a
         // row inside the box skips `cell_of`'s two divisions.
         let mut last: Option<(BoundingBox, &[u32])> = None;
-        // lint: allow(cancel-poll-reachability) the served joins hand over one zone's rows at a time and poll the budget between zones
         for (p, t) in rows {
             let entries = match last {
                 Some((cell, entries)) if cell.contains(p) => entries,

@@ -1,5 +1,5 @@
-//! Fixture: cancel-poll reachability. Loops over points reached from an
-//! annotated entry point must transitively hit a budget/cancel poll.
+//! Fixture: cancel-poll reachability. Work loops (loops that touch rows)
+//! reached from an annotated entry point must transitively hit a poll.
 
 pub struct CpBudget {
     cancelled: bool,
@@ -12,48 +12,48 @@ impl CpBudget {
 }
 
 // lint: entrypoint fixture request dispatch
-pub fn cp_handle(points: &[u64], budget: &CpBudget) -> u64 {
-    cp_route(points, budget)
+pub fn cp_handle(xs: &[f64], budget: &CpBudget) -> f64 {
+    cp_route(xs, budget)
 }
 
-fn cp_route(points: &[u64], budget: &CpBudget) -> u64 {
-    cp_scan_unpolled(points) + cp_scan_polled(points, budget) + cp_scan_waived(points)
+fn cp_route(xs: &[f64], budget: &CpBudget) -> f64 {
+    cp_scan_unpolled(xs) + cp_scan_polled(xs, budget) + cp_scan_waived(xs)
 }
 
-fn cp_scan_unpolled(points: &[u64]) -> u64 {
-    let mut acc = 0;
-    for p in points {
+fn cp_scan_unpolled(xs: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..xs.len() {
         //~^ cancel-poll-reachability
-        acc += *p;
+        acc += xs[i];
     }
     acc
 }
 
-fn cp_scan_polled(points: &[u64], budget: &CpBudget) -> u64 {
-    let mut acc = 0;
-    for p in points {
+fn cp_scan_polled(xs: &[f64], budget: &CpBudget) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..xs.len() {
         if budget.is_cancelled() {
             return acc;
         }
-        acc += *p;
+        acc += xs[i];
     }
     acc
 }
 
-fn cp_scan_waived(points: &[u64]) -> u64 {
-    let mut acc = 0;
+fn cp_scan_waived(xs: &[f64]) -> f64 {
+    let mut acc = 0.0;
     // lint: allow(cancel-poll-reachability) fixture: bounded preview slice
-    for p in points {
-        acc += *p;
+    for i in 0..xs.len() {
+        acc += xs[i];
     }
     acc
 }
 
 /// Not reachable from any entry point: silent even without a poll.
-pub fn cp_offline_rebuild(points: &[u64]) -> u64 {
-    let mut acc = 0;
-    for p in points {
-        acc ^= *p;
+pub fn cp_offline_rebuild(xs: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..xs.len() {
+        acc += xs[i];
     }
     acc
 }

@@ -130,6 +130,9 @@ pub struct FnNode {
     pub body: Span,
     /// Parameter names in declaration order (`self` excluded).
     pub params: Vec<String>,
+    /// The parameters typed as a column slice: `&[f64]`, `&[f32]` or
+    /// `&[i64]`, the element types of a point table's columns.
+    pub columns: Vec<String>,
     pub calls: Vec<CallEdge>,
 }
 
@@ -232,6 +235,7 @@ impl CallGraph {
                     line: sf.tokens[f.fn_idx].line,
                     body,
                     params: paren.map(|p| param_names(sf, p)).unwrap_or_default(),
+                    columns: paren.map(|p| column_params(sf, p)).unwrap_or_default(),
                     calls: Vec::new(),
                 });
             }
@@ -377,6 +381,36 @@ fn impl_spans(sf: &SourceFile) -> Vec<(Span, String)> {
         let Some(close) = match_delim(sf, open, '{', '}') else { continue };
         let (Some(&s), Some(&e)) = (sf.sig.get(open), sf.sig.get(close)) else { continue };
         out.push((Span { start: s, end: e + 1 }, ty));
+    }
+    out
+}
+
+/// The parameters, from the `(` at sig-position `open`, whose type is a
+/// slice of a column element type (`[f64]`, `[f32]`, `[i64]`).
+fn column_params(sf: &SourceFile, open: usize) -> Vec<String> {
+    let Some(close) = match_delim(sf, open, '(', ')') else {
+        return Vec::new();
+    };
+    let names = param_names(sf, open);
+    let mut out = Vec::new();
+    for pos in open..close {
+        let is_column = sf.tok(pos).is_some_and(|t| t.is_punct('['))
+            && sf
+                .tok(pos + 1)
+                .is_some_and(|t| matches!(t.text.as_str(), "f64" | "f32" | "i64"))
+            && sf.tok(pos + 2).is_some_and(|t| t.is_punct(']'));
+        if !is_column {
+            continue;
+        }
+        // The parameter this type belongs to: the last `name :` before it.
+        let owner = (open..pos).rev().find_map(|p| {
+            let t = sf.tok(p)?;
+            (t.kind == TokenKind::Ident
+                && names.contains(&t.text)
+                && sf.tok(p + 1).is_some_and(|n| n.is_punct(':')))
+            .then(|| t.text.clone())
+        });
+        out.extend(owner.filter(|o| !out.contains(o)));
     }
     out
 }

@@ -4,13 +4,17 @@
 //! call chain, lock chain, or taint path that proves the finding:
 //!
 //! 1. **`cancel-poll-reachability`** — starting from functions marked
-//!    `// lint: entrypoint <why>`, walk the call graph; any reachable loop
-//!    over points/chunks/tiles/batches (named by its loop variable or
-//!    iterated expression) must poll the query budget inside the loop —
-//!    directly (`is_cancelled`, `is_exhausted`, `cancel_flag`,
-//!    `budget.check()`) or through a callee that transitively polls. A loop
-//!    that cannot reach a poll escapes the §8 degradation ladder: a slow
-//!    query keeps burning CPU after its deadline.
+//!    `// lint: entrypoint <why>`, walk the call graph; any reachable *work
+//!    loop* must poll the query budget inside the loop — directly
+//!    (`is_cancelled`, `is_exhausted`, `cancel_flag`, `budget.check()`) or
+//!    through a callee that transitively polls. A loop is a work loop by
+//!    what it does, never by what its variables are called: it reads rows
+//!    from a store (`read_zone`, `read_chunk`), reads column slices
+//!    (`.locs()`, `.attr(`, `.column(`), walks a slice in batches
+//!    (`.chunks(`), or indexes a column slice by its own loop variable (a
+//!    `&[f64]`/`&[f32]`/`&[i64]` parameter, or a `let` bound from a column
+//!    read). A loop that cannot reach a poll escapes the §8 degradation
+//!    ladder: a slow query keeps burning CPU after its deadline.
 //! 2. **`lock-order`** — every empty-argument `.lock()`/`.read()`/`.write()`
 //!    (and `.get_or_init(`) is an acquisition of the lock named by its
 //!    receiver. While a guard is live (let-bound: until `drop(guard)` or the
@@ -34,7 +38,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::callgraph::{match_delim, receiver_name, CallGraph, SourceFile};
+use crate::callgraph::{match_delim, receiver_name, CallGraph, FnNode, SourceFile};
 use crate::lexer::TokenKind;
 use crate::rules::{
     annotations_of, rule_in_scope, suppressed, Annotation, Directive, RuleId, ScanMode, TraceStep,
@@ -96,12 +100,107 @@ fn step(file: &str, line: u32, note: String) -> TraceStep {
 // cancel-poll-reachability
 // ---------------------------------------------------------------------------
 
-/// Loop-variable / iterated-expression name segments that mark a loop as
-/// iterating request work items.
-const LOOP_SUBJECTS: [&str; 12] = [
-    "point", "points", "chunk", "chunks", "tile", "tiles", "batch", "batches", "row", "rows",
-    "bin", "bins",
-];
+/// Calls that read rows of a point store.
+const ROW_READS: [&str; 3] = ["read_zone", "read_chunk", "read_chunk_into"];
+
+/// Methods that hand out a table's or zone's column slices.
+const COLUMN_READS: [&str; 3] = ["locs", "attr", "column"];
+
+/// Slice methods that walk a slice in fixed-size batches.
+const BATCHES: [&str; 2] = ["chunks", "chunks_exact"];
+
+/// The column slices a function body can index: its column-typed
+/// parameters, and the names a `let` binds from a column read
+/// (`let (xs, ys) = zone.locs();`).
+fn column_names(sf: &SourceFile, f: &FnNode) -> Vec<String> {
+    let mut names = f.columns.clone();
+    for pos in f.body.start..f.body.end {
+        if !sf.tok(pos).is_some_and(|t| t.is_ident("let")) {
+            continue;
+        }
+        let Some(eq) = (pos + 1..f.body.end).find(|&p| sf.tok(p).is_some_and(|t| t.is_punct('=')))
+        else {
+            continue;
+        };
+        let end = (eq..f.body.end)
+            .find(|&p| sf.tok(p).is_some_and(|t| t.is_punct(';')))
+            .unwrap_or(f.body.end);
+        let reads_columns = (eq..end).any(|p| {
+            sf.tok(p)
+                .is_some_and(|t| COLUMN_READS.contains(&t.text.as_str()))
+                && sf.tok(p - 1).is_some_and(|t| t.is_punct('.'))
+        });
+        if reads_columns {
+            names.extend(
+                (pos + 1..eq)
+                    .filter_map(|p| sf.tok(p))
+                    .filter(|t| t.kind == TokenKind::Ident && t.text != "mut")
+                    .map(|t| t.text.clone()),
+            );
+        }
+    }
+    names
+}
+
+/// What makes the loop `for <pat> in <header> { <body> }` a work loop —
+/// the header spans sig-positions `pos..open` (from the `for` keyword to the
+/// body's `{`), the body `open..close` — or `None` if it does no per-row
+/// work: it reads rows from a store, reads column slices, walks a slice in
+/// batches, or indexes one of `columns` by one of its own loop variables. A
+/// loop over metadata (a header's chunk list, a canvas's tiles, a ring's
+/// vertices) does none of these, whatever its variables are called.
+fn work_evidence(
+    sf: &SourceFile,
+    columns: &[String],
+    pos: usize,
+    open: usize,
+    close: usize,
+) -> Option<String> {
+    let text = |p: usize| sf.tok(p).map_or("", |t| t.text.as_str());
+    let is_call = |p: usize| sf.tok(p + 1).is_some_and(|t| t.is_punct('('));
+    let is_method = |p: usize| p > 0 && sf.tok(p - 1).is_some_and(|t| t.is_punct('.'));
+    let in_kw = ((pos + 1)..open).find(|&p| sf.tok(p).is_some_and(|t| t.is_ident("in")))?;
+    // The pattern's bindings: lowercase identifiers before `in`.
+    let vars: Vec<&str> = ((pos + 1)..in_kw)
+        .filter(|&p| sf.tok(p).is_some_and(|t| t.kind == TokenKind::Ident))
+        .map(text)
+        .filter(|v| v.starts_with(|c: char| c.is_ascii_lowercase()) && !matches!(*v, "mut" | "ref"))
+        .collect();
+    for p in (pos + 1)..close {
+        let Some(t) = sf.tok(p) else { break };
+        if t.kind == TokenKind::Ident && is_call(p) {
+            if ROW_READS.contains(&t.text.as_str()) {
+                return Some(format!("reads rows (`{}`)", t.text));
+            }
+            if is_method(p) && COLUMN_READS.contains(&t.text.as_str()) {
+                return Some(format!("reads column slices (`.{}(`)", t.text));
+            }
+            if p < open && is_method(p) && BATCHES.contains(&t.text.as_str()) {
+                return Some(format!("walks a slice in batches (`.{}(`)", t.text));
+            }
+        }
+        // `col[v …]` / `col[*v …]`: per-row indexing of a column slice by a
+        // loop variable.
+        if p > open && t.is_punct('[') && columns.iter().any(|c| c == text(p - 1)) {
+            let first = if sf.tok(p + 1).is_some_and(|n| n.is_punct('*')) {
+                p + 2
+            } else {
+                p + 1
+            };
+            if sf
+                .tok(first)
+                .is_some_and(|n| n.kind == TokenKind::Ident && vars.contains(&n.text.as_str()))
+            {
+                return Some(format!(
+                    "indexes column `{}[{}]` per row",
+                    text(p - 1),
+                    text(first)
+                ));
+            }
+        }
+    }
+    None
+}
 
 /// Identifiers whose presence is a budget/cancel poll.
 const POLL_IDENTS: [&str; 3] = ["is_cancelled", "is_exhausted", "cancel_flag"];
@@ -199,29 +298,23 @@ fn cancel_poll(cx: &Cx<'_>, out: &mut Vec<Violation>) {
         }
         let f = &g.fns[fid];
         let sf = cx.sf(fid);
+        let columns = column_names(sf, f);
         for pos in f.body.start..f.body.end {
             if !sf.tok(pos).is_some_and(|t| t.is_ident("for")) {
                 continue;
             }
-            // Header: `for <pat> in <expr> {` — subject idents live between
-            // the keyword and the body `{`.
+            // Header: `for <pat> in <expr> {`, then the body up to its `}`.
             let Some(open) = ((pos + 1)..f.body.end)
                 .find(|&p| sf.tok(p).is_some_and(|t| t.is_punct('{')))
             else {
                 continue;
             };
-            let subject = ((pos + 1)..open).find_map(|p| {
-                sf.tok(p).and_then(|t| {
-                    (t.kind == TokenKind::Ident
-                        && t.text
-                            .to_ascii_lowercase()
-                            .split('_')
-                            .any(|seg| LOOP_SUBJECTS.contains(&seg)))
-                    .then(|| t.text.clone())
-                })
-            });
-            let Some(subject) = subject else { continue };
-            let Some(close) = match_delim(sf, open, '{', '}') else { continue };
+            let Some(close) = match_delim(sf, open, '{', '}') else {
+                continue;
+            };
+            let Some(work) = work_evidence(sf, &columns, pos, open, close) else {
+                continue;
+            };
             let loop_line = sf.tok(pos).map(|t| t.line).unwrap_or(f.line);
 
             let polled = (pos..close).any(|p| polls_at(sf, p))
@@ -253,7 +346,7 @@ fn cancel_poll(cx: &Cx<'_>, out: &mut Vec<Violation>) {
             chain.push(step(
                 &sf.rel,
                 loop_line,
-                format!("loop over `{subject}` never reaches a budget/cancel poll"),
+                format!("loop {work} and never reaches a budget/cancel poll"),
             ));
 
             out.push(Violation {
@@ -261,7 +354,7 @@ fn cancel_poll(cx: &Cx<'_>, out: &mut Vec<Violation>) {
                 line: loop_line,
                 rule: RuleId::CancelPollReachability,
                 message: format!(
-                    "loop over `{subject}` in `{}` is reachable from entry point `{}` but \
+                    "loop in `{}` {work}, is reachable from entry point `{}`, but \
                      never reaches a budget/cancel poll — poll QueryBudget in the loop or \
                      annotate `// lint: polls-budget <why>`",
                     f.qual(),
@@ -889,15 +982,15 @@ mod tests {
 // lint: entrypoint fixture
 pub fn handle() { middle(); }
 fn middle() { hot(); }
-fn hot(points: &[u32]) {
-    for p in points {
-        let _ = p;
+fn hot(xs: &[f64]) {
+    for i in 0..xs.len() {
+        let _ = xs[i];
     }
 }
-fn fine(points: &[u32], budget: &B) {
-    for p in points {
+fn fine(xs: &[f64], budget: &B) {
+    for i in 0..xs.len() {
         budget.check(1);
-        let _ = p;
+        let _ = xs[i];
     }
 }
 ";
@@ -908,6 +1001,50 @@ fn fine(points: &[u32], budget: &B) {
         assert_eq!(cp[0].line, 5);
         assert!(cp[0].trace.len() >= 3, "{:?}", cp[0].trace);
         assert!(cp[0].trace[0].note.contains("entry point"));
+    }
+
+    /// A work loop is what its body does: the same body gets one verdict
+    /// under any spelling of its row set, a zone's column slices make a
+    /// work loop of a loop over anything, and metadata loops are silent.
+    #[test]
+    fn work_loops_are_decided_by_their_bodies() {
+        let verdicts = |body: &str| {
+            let src = format!(
+                "// lint: entrypoint fixture\npub fn handle(xs: &[f64], zone: &Z, h: &H) {{\n{body}\n}}\n"
+            );
+            run_on(&[("crates/core/src/x.rs", &src)])
+                .iter()
+                .filter(|v| v.rule == RuleId::CancelPollReachability)
+                .count()
+        };
+        for rows in ["rows", "bits", "idx", "set"] {
+            let body = format!("for i in {rows} {{ let _ = xs[i]; }}");
+            assert_eq!(verdicts(&body), 1, "{body}");
+            let polled = format!("for i in {rows} {{ budget.check(1); let _ = xs[i]; }}");
+            assert_eq!(verdicts(&polled), 0, "{polled}");
+        }
+        // Slices a `let` takes from a zone are columns too.
+        assert_eq!(
+            verdicts("let (ys, _) = zone.locs(); for k in 0..9 { let _ = ys[k]; }"),
+            1
+        );
+        assert_eq!(verdicts("for z in 0..9 { let _ = zone.attr(z); }"), 1);
+        assert_eq!(verdicts("for z in 0..9 { let _ = h.read_zone(z); }"), 1);
+        assert_eq!(
+            verdicts("for batch in recorded.chunks(64) { let _ = batch; }"),
+            1
+        );
+        // Metadata: a header's chunk list, a tile grid, an index by another
+        // variable, a non-column slice.
+        assert_eq!(
+            verdicts("for chunk in &h.chunks { let _ = chunk.rows; }"),
+            0
+        );
+        assert_eq!(verdicts("for tile in tiles { let _ = xs[0]; }"), 0);
+        assert_eq!(
+            verdicts("for points in 0..9 { let _ = offsets[points]; }"),
+            0
+        );
     }
 
     #[test]

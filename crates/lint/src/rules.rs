@@ -20,7 +20,7 @@
 //!
 //! | rule                       | invariant                                                   |
 //! |----------------------------|-------------------------------------------------------------|
-//! | `cancel-poll-reachability` | loops over points/chunks/tiles/batches reachable from a request entry point must reach a budget/cancel poll |
+//! | `cancel-poll-reachability` | work loops (reading rows or column slices, batching a slice, indexing a column per row) reachable from a request entry point must reach a budget/cancel poll |
 //! | `lock-order`               | the interprocedural lock acquisition graph is acyclic       |
 //! | `wire-taint`               | request-derived sizes are capped before sizing allocations  |
 //!

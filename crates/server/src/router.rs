@@ -205,13 +205,16 @@ impl Router {
         );
 
         // Row order is the query plan (DESIGN.md): how the executors'
-        // zone classifier fared, summed over every raster pass since boot.
+        // zone classifier fared, summed over every pass that walked zones
+        // since boot; then the raster queries that walked none because they
+        // resolved the kept point pass.
         let zones = self.service.zone_stats();
         let series = [
             ("urbane_zones_skipped_total", zones.skipped),
             ("urbane_zones_whole_total", zones.whole),
             ("urbane_zones_scanned_total", zones.scanned),
             ("urbane_rows_tested_total", zones.rows_tested),
+            ("urbane_pass_reuse_total", self.service.pass_reuses()),
         ];
         for (name, n) in series {
             let _ = writeln!(out, "# TYPE {name} counter");
@@ -329,11 +332,20 @@ mod tests {
     fn metrics_page_includes_service_gauges() {
         let r = router();
         r.handle(&request("POST", "/query", r#"{"dataset":"taxi","level":0}"#), 0);
+        // The next level of the same query resolves the kept point pass.
+        r.handle(
+            &request("POST", "/query", r#"{"dataset":"taxi","level":1}"#),
+            0,
+        );
         let page = r.handle(&request("GET", "/metrics", ""), 3);
         let text = String::from_utf8(page.body).unwrap();
         assert!(text.contains("urbane_queue_depth 3"), "{text}");
-        assert!(text.contains("urbane_cache_misses_total 1"), "{text}");
-        assert!(text.contains("urbane_guard_path_total{path=\"full\"} 1"), "{text}");
+        assert!(text.contains("urbane_cache_misses_total 2"), "{text}");
+        assert!(
+            text.contains("urbane_guard_path_total{path=\"full\"} 2"),
+            "{text}"
+        );
+        assert!(text.contains("urbane_pass_reuse_total 1\n"), "{text}");
         assert!(text.contains("urbane_single_flight_followers_total 0"), "{text}");
         // No store-backed datasets: paging counters render as stable zeros.
         assert!(text.contains("urbane_store_page_ins_total 0"), "{text}");

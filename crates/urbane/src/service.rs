@@ -25,6 +25,12 @@
 //!   miss, so its third request is the first that can hit. Only
 //!   full-fidelity answers are cached: a degraded answer served under
 //!   pressure must not mask the real one once pressure subsides.
+//! * **One kept point pass** — the full rung keeps its last drawn
+//!   [`PointPass`] in one slot, keyed on what the pass reads (dataset,
+//!   generation, aggregate, canonical filters; the tile viewports are
+//!   checked by [`PointPass::covers`]). Every pyramid level plans the same
+//!   canvas, so a drill through the levels under one brush draws the points
+//!   once and each later level only resolves them against its own regions.
 //! * **Guarded by construction** — every query runs the degradation ladder
 //!   ([`crate::guard`]; this is its only caller) under the request's
 //!   deadline, so an overloaded server degrades fidelity instead of
@@ -36,8 +42,8 @@ use crate::guard::{run_ladder, GuardPath, GuardReport, DEGRADED_RESOLUTION, PREV
 use crate::resolution::ResolutionPyramid;
 use crate::{Result, UrbaneError};
 use raster_join::{
-    CancelHandle, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, QueryBudget,
-    RasterJoin, RasterJoinConfig, RasterJoinResult, ZoneStats,
+    CancelHandle, CanvasSpec, ExecutionMode, PassSource, PointPass, PointStore, PreparedRasterJoin,
+    QueryBudget, RasterJoin, RasterJoinConfig, RasterJoinResult, ZoneStats,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -293,6 +299,10 @@ pub struct UrbaneService {
     // Prepared region rasters of the service's own canvases (the base spec
     // and the degraded rung's), at most levels × 2 × 3 modes.
     rasters: Mutex<Vec<(RasterKey, Arc<PreparedRasterJoin>)>>,
+    // The full rung's last point pass at a kept canvas, keyed by
+    // `pass_key`; one slot, replaced by every full-rung draw.
+    pass: Mutex<Option<(String, Arc<PointPass>)>>,
+    pass_reuses: AtomicU64,
     outcomes: OutcomeCounters,
     paging: PagingCounters,
     zones: ZoneCounters,
@@ -338,6 +348,8 @@ impl UrbaneService {
             samples: Mutex::new(HashMap::new()),
             region_indexes: Mutex::new(HashMap::new()),
             rasters: Mutex::new(Vec::new()),
+            pass: Mutex::new(None),
+            pass_reuses: AtomicU64::new(0),
             outcomes: Default::default(),
             paging: Default::default(),
             zones: Default::default(),
@@ -388,6 +400,12 @@ impl UrbaneService {
             scanned: tally(&self.zones.scanned),
             rows_tested: tally(&self.zones.rows_tested),
         }
+    }
+
+    /// Full-rung raster queries answered from the kept point pass instead
+    /// of drawing their own (for `/metrics`).
+    pub fn pass_reuses(&self) -> u64 {
+        tally(&self.pass_reuses)
     }
 
     /// Is the dataset's table resident in memory right now? `None` if
@@ -464,6 +482,7 @@ impl UrbaneService {
         // keeps LRU pressure honest.
         self.cache.purge(&format!("{name}|"));
         lock(&self.samples).retain(|(n, _, _), _| n != name);
+        *lock(&self.pass) = None;
         generation
     }
 
@@ -543,7 +562,7 @@ impl UrbaneService {
             mode,
             budget,
         )?);
-        if spec != self.config.join.spec && spec != CanvasSpec::Resolution(DEGRADED_RESOLUTION) {
+        if !self.keeps(spec) {
             return Ok(built);
         }
         let mut rasters = lock(&self.rasters);
@@ -553,6 +572,12 @@ impl UrbaneService {
         }
         rasters.push((key, Arc::clone(&built)));
         Ok(built)
+    }
+
+    /// Does the service keep the prepared rasters of canvas `spec`? Its
+    /// base spec and the degraded rung's.
+    fn keeps(&self, spec: CanvasSpec) -> bool {
+        spec == self.config.join.spec || spec == CanvasSpec::Resolution(DEGRADED_RESOLUTION)
     }
 
     /// Answer `query` over `store` from the prepared raster for `key` — the
@@ -570,12 +595,73 @@ impl UrbaneService {
         Ok(join.execute_prepared(&raster, store, query, budget)?)
     }
 
-    /// Canonical cache key: dataset + generation + every query dimension in
-    /// a stable order. Filters are a conjunction, so they are sorted into a
-    /// canonical order — `[A, B]` and `[B, A]` share an entry.
-    fn cache_key(&self, req: &QueryRequest, generation: u64) -> CacheKey {
+    /// The full rung's [`raster_join`](Self::raster_join): at a kept
+    /// canvas it resolves the kept point pass when that pass is `pass_key`'s
+    /// and covers this level's raster, and otherwise draws and keeps the
+    /// pass — recording, in accurate mode, the boundary rows of every
+    /// accurate raster prepared at this canvas. The preview and degraded
+    /// rungs never touch the slot: a sample's pass must not answer for the
+    /// table.
+    fn full_raster_join(
+        &self,
+        key: RasterKey,
+        pass_key: String,
+        regions: &RegionSet,
+        store: PointStore<'_>,
+        query: &SpatialAggQuery,
+        budget: &QueryBudget,
+    ) -> Result<RasterJoinResult> {
+        let (_, spec, _) = key;
+        if !self.keeps(spec) {
+            return self.raster_join(key, regions, store, query, budget);
+        }
+        let raster = self.raster(key, regions, budget)?;
+        let join = RasterJoin::new(self.config.join.clone());
+        // A miss empties the slot before drawing, so the old pass's buffers
+        // are freed for the new one rather than held beside it.
+        let kept = {
+            let mut slot = lock(&self.pass);
+            let hit = slot
+                .as_ref()
+                .filter(|(k, pass)| *k == pass_key && pass.covers(&raster))
+                .map(|(_, pass)| Arc::clone(pass));
+            if hit.is_none() {
+                *slot = None;
+            }
+            hit
+        };
+        if let Some(pass) = kept {
+            let source = PassSource::Reuse(&pass);
+            let (res, _) = join.execute_pass(&raster, store, query, budget, source)?;
+            bump(&self.pass_reuses, 1);
+            return Ok(res);
+        }
+        let accurate: Vec<Arc<PreparedRasterJoin>> = lock(&self.rasters)
+            .iter()
+            .filter(|((_, s, mode), _)| *s == spec && *mode == ExecutionMode::Accurate)
+            .map(|(_, r)| Arc::clone(r))
+            .collect();
+        let others: Vec<&PreparedRasterJoin> = accurate.iter().map(|r| r.as_ref()).collect();
+        let source = PassSource::Keep(&others);
+        let (res, pass) = join.execute_pass(&raster, store, query, budget, source)?;
+        if let Some(pass) = pass {
+            *lock(&self.pass) = Some((pass_key, Arc::new(pass)));
+        }
+        Ok(res)
+    }
+
+    /// A request's filters in a canonical order: they are a conjunction, so
+    /// `[A, B]` and `[B, A]` are one query.
+    fn canonical_filters(req: &QueryRequest) -> String {
         let mut filters: Vec<String> = req.filters.iter().map(|f| format!("{f:?}")).collect();
         filters.sort();
+        filters.join("&")
+    }
+
+    /// Canonical cache key: dataset + generation + every query dimension in
+    /// a stable order, the filters canonical — `[A, B]` and `[B, A]` share
+    /// an entry.
+    fn cache_key(&self, req: &QueryRequest, generation: u64) -> CacheKey {
         CacheKey::new(format!(
             "{}|{}|{}|{:?}|{:?}|{:?}|{}",
             req.dataset,
@@ -584,8 +670,22 @@ impl UrbaneService {
             req.mode,
             self.canvas(req),
             req.agg,
-            filters.join("&"),
+            Self::canonical_filters(req),
         ))
+    }
+
+    /// What a point pass reads besides the tile viewports: dataset,
+    /// generation, aggregate and canonical filters. Not the level, the mode
+    /// or the canvas — [`PointPass::covers`] decides whether a kept pass
+    /// fits a raster.
+    fn pass_key(req: &QueryRequest, generation: u64) -> String {
+        format!(
+            "{}|{}|{:?}|{}",
+            req.dataset,
+            generation,
+            req.agg,
+            Self::canonical_filters(req)
+        )
     }
 
     /// The canvas a request resolves to: its own resolution (clamped to the
@@ -775,7 +875,9 @@ impl UrbaneService {
             }
             let pts = points()?;
             let key = (req.level, self.canvas(req), req.mode);
-            let res = self.raster_join(key, &regions, PointStore::plain(&pts), &query, budget)?;
+            let pass_key = Self::pass_key(req, generation);
+            let store = PointStore::plain(&pts);
+            let res = self.full_raster_join(key, pass_key, &regions, store, &query, budget)?;
             self.zones.record(&res.zones);
             Ok((Arc::new(res.table), Some(res.epsilon)))
         };
@@ -1073,6 +1175,210 @@ mod tests {
         assert!(one_pass > 1);
         assert_eq!(plan.tiles_started(), one_pass, "exactly one raster pass ran");
         assert_eq!(s.guard_outcomes().full, 4);
+    }
+
+    /// Every region state's bits: what "bit-identical" means for an answer.
+    fn state_bits(t: &AggTable) -> Vec<(u64, [u64; 4])> {
+        t.states
+            .iter()
+            .map(|s| (s.count, [s.weight, s.sum, s.min, s.max].map(f64::to_bits)))
+            .collect()
+    }
+
+    /// The table `service` registers, or another draw of it.
+    fn taxi(rows: usize, seed: u64) -> PointTable {
+        generate_taxi(
+            &CityModel::nyc_like(),
+            &TaxiConfig {
+                rows,
+                seed,
+                start: 0,
+                days: 10,
+            },
+        )
+    }
+
+    /// `req`'s answer from a service with no point pass to reuse: the
+    /// reload installs `table` and empties the slot.
+    fn fresh(reference: &UrbaneService, table: &PointTable, req: &QueryRequest) -> AggTable {
+        reference.reload_dataset("taxi", table.clone());
+        (*reference.query(req).unwrap().table).clone()
+    }
+
+    /// S2, which makes the reuse pay: the served pyramid's three levels
+    /// plan identical tile viewports at the served 512 canvas and at the
+    /// default 1024 one. A generator change that breaks it does not make
+    /// answers wrong (every level would draw its own pass), only slower.
+    #[test]
+    fn served_pyramid_levels_plan_one_canvas() {
+        let city = CityModel::nyc_like();
+        let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
+        let max_tile = RasterJoinConfig::default().max_tile;
+        for resolution in [512, 1024] {
+            let plans: Vec<_> = (0..pyramid.len())
+                .map(|l| {
+                    let bbox = pyramid.level(l).unwrap().bbox();
+                    let spec = CanvasSpec::Resolution(resolution);
+                    raster_join::CanvasPlan::plan(&bbox, spec, max_tile)
+                        .unwrap()
+                        .tiles
+                })
+                .collect();
+            assert_eq!(plans.len(), 3);
+            assert!(
+                plans.iter().all(|p| *p == plans[0]),
+                "{resolution}: {plans:?}"
+            );
+        }
+    }
+
+    /// A drill resolves the kept point pass at its later levels, and every
+    /// answer is bit-identical to a service with nothing to reuse: in every
+    /// raster mode, for every aggregate, drilling down and up, with a reload
+    /// between two levels.
+    #[test]
+    fn reused_passes_answer_like_fresh_ones() {
+        let s = service(0); // no answer cache: every query computes
+        let reference = service(0);
+        let (first, second) = (taxi(5_000, 3), taxi(6_000, 4));
+        let col = || "fare".to_string();
+        let aggs = [
+            AggKind::Count,
+            AggKind::Sum(col()),
+            AggKind::Avg(col()),
+            AggKind::Min(col()),
+            AggKind::Max(col()),
+        ];
+        let mut table = &first;
+        for mode in [
+            ExecutionMode::Bounded,
+            ExecutionMode::Accurate,
+            ExecutionMode::Weighted,
+        ] {
+            let reused = s.pass_reuses();
+            for (a, agg) in aggs.iter().enumerate() {
+                for (o, levels) in [[0, 1, 2], [2, 1, 0]].iter().enumerate() {
+                    // Two drills: the second starts with every level's
+                    // raster prepared, so its first level records for all.
+                    for drill in 0..2 {
+                        let start = (a * 4 + o * 2 + drill) as i64 * DAY / 3;
+                        let window = Filter::Time(TimeRange::new(start, start + 5 * DAY));
+                        for (k, &level) in levels.iter().enumerate() {
+                            if (a, o, drill, k) == (2, 1, 1, 1) {
+                                // A reload between two levels of one drill.
+                                table = if std::ptr::eq(table, &first) {
+                                    &second
+                                } else {
+                                    &first
+                                };
+                                s.reload_dataset("taxi", table.clone());
+                            }
+                            let req = QueryRequest::count("taxi", level)
+                                .agg(agg.clone())
+                                .mode(mode)
+                                .filter(window.clone());
+                            let got = s.query(&req).unwrap();
+                            assert_eq!(got.report.path, GuardPath::Full);
+                            assert_eq!(
+                                state_bits(&got.table),
+                                state_bits(&fresh(&reference, table, &req)),
+                                "{mode:?} {agg:?} levels {levels:?} drill {drill} level {level}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Bounded and weighted reuse at the second level of every drill;
+            // accurate once each level's boundary rows are recorded.
+            assert!(
+                s.pass_reuses() - reused >= 2 * aggs.len() as u64 * 2,
+                "{mode:?}"
+            );
+        }
+        assert_eq!(reference.pass_reuses(), 0);
+    }
+
+    /// The preview rung runs the same raster join over a sample, under the
+    /// same dataset, generation and query: it must neither answer from the
+    /// table's kept pass nor replace it with the sample's.
+    #[test]
+    fn preview_never_touches_the_kept_pass() {
+        let s = service(0);
+        let reference = service(0);
+        let table = taxi(5_000, 3);
+        let window = Filter::Time(TimeRange::new(DAY, 6 * DAY));
+        for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate] {
+            let req = |level| {
+                QueryRequest::count("taxi", level)
+                    .mode(mode)
+                    .filter(window.clone())
+            };
+            // Prepare every level's raster, then draw at level 0.
+            for level in [1, 2, 0] {
+                s.query(&req(level)).unwrap();
+            }
+            let reused = s.pass_reuses();
+            reference.reload_dataset("taxi", table.clone());
+            let want = reference.preview(&req(1), PREVIEW_ROWS).unwrap();
+            assert_eq!(
+                state_bits(&s.preview(&req(1), PREVIEW_ROWS).unwrap()),
+                state_bits(&want)
+            );
+            assert_eq!(
+                s.pass_reuses(),
+                reused,
+                "{mode:?}: the preview reused the pass"
+            );
+            let got = s.query(&req(1)).unwrap();
+            assert_eq!(
+                s.pass_reuses(),
+                reused + 1,
+                "{mode:?}: the preview replaced the pass"
+            );
+            assert_eq!(
+                state_bits(&got.table),
+                state_bits(&fresh(&reference, &table, &req(1)))
+            );
+        }
+    }
+
+    /// The degraded rung draws at its own canvas and keeps nothing; the
+    /// next full queries keep and reuse a pass as if it had not run.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn degraded_rung_never_touches_the_kept_pass() {
+        let table = taxi(5_000, 3);
+        let window = Filter::Time(TimeRange::new(DAY, 6 * DAY));
+        let req = |level| QueryRequest::count("taxi", level).filter(window.clone());
+        // The plan fires once, on the first tile: that query's full rung
+        // runs out of its deadline and its degraded rung runs unhindered.
+        let stalled = || {
+            let plan = raster_join::FaultPlan::new().delay_on_tile(0, Duration::from_secs(5));
+            let join = RasterJoinConfig::with_resolution(256);
+            service_with(
+                RasterJoinConfig {
+                    faults: Some(plan),
+                    ..join
+                },
+                0,
+            )
+        };
+        let (s, reference) = (stalled(), stalled());
+        let degraded = req(1).deadline(Duration::from_millis(300));
+        let got = s.query(&degraded).unwrap();
+        let want = reference.query(&degraded).unwrap();
+        assert_eq!(got.report.path, GuardPath::DegradedBounded);
+        assert_eq!(want.report.path, GuardPath::DegradedBounded);
+        assert_eq!(state_bits(&got.table), state_bits(&want.table));
+        assert!(lock(&s.pass).is_none(), "the degraded rung kept its pass");
+        for (level, reuses) in [(0, 0), (1, 1), (2, 2)] {
+            let got = s.query(&req(level)).unwrap();
+            assert_eq!(s.pass_reuses(), reuses);
+            assert_eq!(
+                state_bits(&got.table),
+                state_bits(&fresh(&reference, &table, &req(level)))
+            );
+        }
     }
 
     fn store_file(rows: usize, seed: u64) -> (CityModel, std::path::PathBuf) {

@@ -23,6 +23,8 @@ cargo test -q --release -p urbane-bench \
   --test clustered_equivalence --test store_subsystem --test cross_method_equivalence \
   --test serve_golden --test binned_equivalence
 cargo test -q --release -p raster-join
+# Levels resolved from the kept point pass must equal fresh draws bit for bit in release too.
+cargo test -q --release -p urbane
 cargo test -q --release -p spatial-index
 # The answer writer's byte identity with the `Json` tree it replaced, and the
 # one-write response framing, under the shipped profile too.

@@ -157,9 +157,9 @@ fn malformed_entrypoint_fails_closed() {
     // violation — fail closed, never silently weaker.
     let src = "\
 // lint: entrypoint
-pub fn mh_entry(points: &[u32]) {
-    for p in points {
-        let _ = p;
+pub fn mh_entry(xs: &[f64]) {
+    for i in 0..xs.len() {
+        let _ = xs[i];
     }
 }
 ";
