@@ -62,7 +62,6 @@ fn bit(bits: &[u64], pix: u32) -> bool {
 
 /// A drawn row on a recorded boundary pixel, as the accurate resolve reads
 /// it: its pixel, location and aggregated value (0 for COUNT).
-#[derive(Clone, Copy)]
 struct BoundaryRow {
     pix: u32,
     p: Point,
