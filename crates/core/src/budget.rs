@@ -35,10 +35,9 @@ impl CancelHandle {
     /// [`RasterJoinError::Cancelled`].
     ///
     /// Release/Acquire pairing: this is a cross-thread control flag, so the
-    /// store synchronizes-with the Acquire loads in [`Self::is_cancelled`],
-    /// [`QueryBudget::check`], and `gpu_raster::tile::try_render_tiled` —
-    /// whatever the cancelling thread wrote before raising the flag is
-    /// visible to workers that observe it.
+    /// store synchronizes-with the Acquire loads in [`Self::is_cancelled`]
+    /// and [`QueryBudget::check`] — whatever the cancelling thread wrote
+    /// before raising the flag is visible to workers that observe it.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
@@ -73,22 +72,6 @@ impl QueryBudget {
         QueryBudget { deadline: Some(deadline), cancel: None }
     }
 
-    /// A budget expiring `ms` milliseconds from now — the natural
-    /// constructor for wire-level deadlines (`deadline_ms` request fields).
-    pub fn with_deadline_ms(ms: u64) -> Self {
-        Self::with_deadline(Duration::from_millis(ms))
-    }
-
-    /// A budget from an optional wall-clock allowance: `None` means
-    /// unlimited. Serving layers resolve "client asked for a deadline,
-    /// maybe" through this without branching at every call site.
-    pub fn from_optional_deadline(timeout: Option<Duration>) -> Self {
-        match timeout {
-            Some(t) => Self::with_deadline(t),
-            None => Self::unlimited(),
-        }
-    }
-
     /// Attach a cancel handle (builder-style).
     pub fn cancellable(mut self, handle: &CancelHandle) -> Self {
         self.cancel = Some(Arc::clone(&handle.flag));
@@ -104,12 +87,6 @@ impl QueryBudget {
     /// already past).
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// The shared cancel flag, for handing to layers that cannot depend on
-    /// this crate (e.g. `gpu_raster::tile::try_render_tiled`).
-    pub fn cancel_flag(&self) -> Option<&AtomicBool> {
-        self.cancel.as_deref()
     }
 
     /// Poll the budget. Cancellation wins over the deadline, so an explicit
@@ -160,20 +137,6 @@ mod tests {
         let b = QueryBudget::with_deadline(Duration::from_secs(3600));
         assert!(b.check().is_ok());
         assert!(b.remaining().unwrap() > Duration::from_secs(3000));
-    }
-
-    #[test]
-    fn millisecond_and_optional_constructors() {
-        let b = QueryBudget::with_deadline_ms(3_600_000);
-        assert!(b.check().is_ok());
-        assert!(b.deadline().is_some());
-        let none = QueryBudget::from_optional_deadline(None);
-        assert_eq!(none.deadline(), None);
-        let some = QueryBudget::from_optional_deadline(Some(Duration::from_secs(3600)));
-        assert!(some.check().is_ok());
-        assert!(some.deadline().is_some());
-        let expired = QueryBudget::with_deadline_ms(0);
-        assert_eq!(expired.check(), Err(RasterJoinError::DeadlineExceeded));
     }
 
     #[test]

@@ -120,16 +120,6 @@ impl CanvasPlan {
 
         Ok(CanvasPlan { world, width, height, tiles, epsilon })
     }
-
-    /// Total pixels across all tiles.
-    pub fn total_pixels(&self) -> u64 {
-        self.tiles.iter().map(|t| t.width as u64 * t.height as u64).sum()
-    }
-
-    /// Number of tiles.
-    pub fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +136,7 @@ mod tests {
         let p = CanvasPlan::plan(&extent(), CanvasSpec::Resolution(200), 4096).unwrap();
         assert_eq!(p.width, 200);
         assert!((99..=101).contains(&p.height), "height {}", p.height);
-        assert_eq!(p.tile_count(), 1);
+        assert_eq!(p.tiles.len(), 1);
         // Pixels are square.
         let t = &p.tiles[0];
         assert!((t.units_per_pixel_x() - t.units_per_pixel_y()).abs() < 1e-9);
@@ -169,9 +159,10 @@ mod tests {
     fn tiling_kicks_in_at_texture_limit() {
         let p = CanvasPlan::plan(&extent(), CanvasSpec::Resolution(1000), 256).unwrap();
         assert_eq!(p.width, 1000);
-        assert_eq!(p.tile_count(), 4 * 2); // ceil(1000/256)=4, ceil(500/256)=2
+        assert_eq!(p.tiles.len(), 4 * 2); // ceil(1000/256)=4, ceil(500/256)=2
         // Tiles partition the world: total pixels match and world boxes abut.
-        assert_eq!(p.total_pixels(), p.width as u64 * p.height as u64);
+        let pixels: u64 = p.tiles.iter().map(|t| t.width as u64 * t.height as u64).sum();
+        assert_eq!(pixels, p.width as u64 * p.height as u64);
         let union = p
             .tiles
             .iter()
@@ -183,7 +174,7 @@ mod tests {
     #[test]
     fn tiles_assign_every_point_once() {
         let p = CanvasPlan::plan(&extent(), CanvasSpec::Resolution(512), 100).unwrap();
-        assert!(p.tile_count() > 1);
+        assert!(p.tiles.len() > 1);
         // Deterministic scatter, including extent-boundary points.
         for i in 0..2_000u64 {
             let x = (i.wrapping_mul(104_729) % 1_000_000) as f64 / 1_000.0;

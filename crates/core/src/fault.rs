@@ -69,16 +69,6 @@ impl FaultPlan {
         self
     }
 
-    /// Derive a deterministic target tile from a seed (splitmix64 mix), so
-    /// randomized-but-reproducible suites can vary the victim tile.
-    pub fn tile_from_seed(seed: u64, n_tiles: usize) -> usize {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % n_tiles.max(1) as u64) as usize
-    }
-
     /// How many tile starts this plan has observed (across all clones).
     /// Tests use this to wait for a query to reach an injected delay
     /// without sleeping on wall-clock guesses.
@@ -167,16 +157,6 @@ mod tests {
         let start = Instant::now();
         assert_eq!(plan.on_tile_start(0, &b), Err(RasterJoinError::Cancelled));
         assert!(start.elapsed() < Duration::from_secs(10));
-    }
-
-    #[test]
-    fn seeded_tile_is_deterministic_and_in_range() {
-        for seed in 0..64u64 {
-            let t = FaultPlan::tile_from_seed(seed, 7);
-            assert!(t < 7);
-            assert_eq!(t, FaultPlan::tile_from_seed(seed, 7));
-        }
-        assert_eq!(FaultPlan::tile_from_seed(1, 0), 0);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use prepared::{PassSource, PointPass, PreparedRasterJoin};
 pub enum RasterJoinError {
     /// Data-layer failure (unknown column, schema mismatch…).
     Data(String),
-    /// Geometry failure (triangulation of a degenerate polygon…).
+    /// Geometry failure (an invalid or unparseable polygon…).
     Geometry(String),
     /// Invalid configuration (zero resolution, empty extent…).
     Config(String),

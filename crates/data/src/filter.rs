@@ -128,11 +128,6 @@ impl CompiledFilter<'_, '_> {
             .zip(&self.cols)
             .all(|(f, &col)| f.matches(self.table, col, i))
     }
-
-    /// Iterate the indices of matching rows.
-    pub fn matching_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.table.len()).filter(move |&i| self.matches(i))
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +196,7 @@ mod tests {
             .and(Filter::Time(TimeRange::new(0, 250)));
         assert_eq!(f.mask(&t).unwrap(), vec![true, false, false, false]);
         let c = f.compile(&t).unwrap();
-        assert_eq!(c.matching_indices().collect::<Vec<_>>(), vec![0]);
+        assert_eq!((0..t.len()).filter(|&i| c.matches(i)).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

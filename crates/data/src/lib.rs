@@ -7,7 +7,9 @@
 //! * ad-hoc filter conditions over attributes and time — the query feature
 //!   that defeats pre-aggregation and motivates Raster Join ([`filter`]),
 //! * timestamps, ranges, and calendar bucketing ([`time`]),
-//! * named region sets (neighborhoods, zips, boroughs…) ([`region`]),
+//! * named region sets (neighborhoods, zips, boroughs…) ([`region`]); each
+//!   set is flat — drilling between resolutions is `urbane`'s
+//!   `ResolutionPyramid`, one region set per level, not a roll-up,
 //! * synthetic generators that stand in for the NYC open data sets the demo
 //!   uses — taxi trips, 311 complaints, crime events — plus region-polygon
 //!   generators (Voronoi neighborhoods, grids, borough outlines) ([`gen`]),
@@ -30,7 +32,6 @@ pub mod binned;
 pub mod csv;
 pub mod filter;
 pub mod gen;
-pub mod hierarchy;
 pub mod hilbert;
 pub mod query;
 pub mod region;

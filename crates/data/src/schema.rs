@@ -39,6 +39,7 @@ impl Schema {
         S: Into<String>,
     {
         let mut columns: Vec<(String, AttrType)> = Vec::new();
+        // lint: allow(cancel-poll-reachability) walks a schema's column definitions, a handful per dataset, not its rows
         for (name, ty) in cols {
             let name = name.into();
             if columns.iter().any(|(n, _)| *n == name) {

@@ -87,6 +87,7 @@ impl ZoneFooter {
         self.bbox = BoundingBox { min: Point::new(x0, y0), max: Point::new(x1, y1) };
         (self.t_min, self.t_max, _) = fold_range(ts, self.t_min, self.t_max);
         self.has_nan |= x_nan || y_nan;
+        // lint: allow(cancel-poll-reachability) one iteration per attribute column of one zone; `cluster` folds footers once per registration, off the query path
         for (c, col) in attrs.into_iter().enumerate() {
             let nan;
             (self.attr_min[c], self.attr_max[c], nan) =

@@ -37,6 +37,7 @@ impl BoundingBox {
     /// Tight box around a point set; empty box for an empty iterator.
     pub fn of_points<I: IntoIterator<Item = Point>>(pts: I) -> Self {
         let mut b = Self::empty();
+        // lint: allow(cancel-poll-reachability) a query reaches it only through `Ring::bbox`, one ring's vertices; a table's rows are bounded when it is built, outside any query
         for p in pts {
             b.expand(p);
         }

@@ -2,8 +2,8 @@
 //!
 //! Computational-geometry primitives backing the Urbane / Raster Join
 //! reproduction: points, bounding boxes, segments, polygons with holes,
-//! multipolygons, point-in-polygon predicates, triangulation, box clipping,
-//! Web-Mercator projection, and WKT / GeoJSON I/O.
+//! multipolygons, point-in-polygon predicates, box clipping, Web-Mercator
+//! projection, and WKT / GeoJSON I/O.
 //!
 //! Everything here is exact-ish `f64` geometry; the rasterization pipeline in
 //! `gpu-raster` quantizes to pixels on top of these primitives, mirroring how
@@ -29,7 +29,6 @@ pub mod polygon;
 pub mod predicates;
 pub mod projection;
 pub mod segment;
-pub mod triangulate;
 pub mod wkt;
 
 pub use bbox::BoundingBox;
@@ -38,7 +37,6 @@ pub use point::Point;
 pub use polygon::{Polygon, Ring};
 pub use predicates::Orientation;
 pub use segment::Segment;
-pub use triangulate::Triangle;
 
 /// Geometric tolerance used by approximate comparisons across the crate.
 ///
@@ -56,8 +54,6 @@ pub enum GeomError {
     InvalidPolygon(String),
     /// WKT / GeoJSON parse failure with a human-readable reason.
     Parse(String),
-    /// Triangulation could not make progress (self-intersecting input).
-    Triangulation(String),
 }
 
 impl std::fmt::Display for GeomError {
@@ -68,7 +64,6 @@ impl std::fmt::Display for GeomError {
             }
             GeomError::InvalidPolygon(msg) => write!(f, "invalid polygon: {msg}"),
             GeomError::Parse(msg) => write!(f, "parse error: {msg}"),
-            GeomError::Triangulation(msg) => write!(f, "triangulation error: {msg}"),
         }
     }
 }

@@ -54,12 +54,6 @@ impl Point {
         (self - other).norm()
     }
 
-    /// Squared distance to `other`.
-    #[inline]
-    pub fn distance_sq(self, other: Point) -> f64 {
-        (self - other).norm_sq()
-    }
-
     /// Unit vector in the direction of `self`; `None` for the zero vector.
     pub fn normalized(self) -> Option<Point> {
         let n = self.norm();
@@ -205,7 +199,6 @@ mod tests {
         assert_eq!(p.norm(), 5.0);
         assert_eq!(p.norm_sq(), 25.0);
         assert_eq!(Point::ORIGIN.distance(p), 5.0);
-        assert_eq!(Point::ORIGIN.distance_sq(p), 25.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Web-Mercator projection and viewport transforms.
 //!
 //! Urbane's map view — like every slippy-map client — works in Web-Mercator
-//! space. Raster Join's error bound ε is expressed in *ground meters*, so the
-//! resolution chooser needs the meters-per-pixel math implemented here.
+//! space; a [`Viewport`] maps that world onto a pixel canvas, and its pixel
+//! size is Raster Join's error bound ε.
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;
@@ -19,24 +19,6 @@ pub fn lonlat_to_mercator(lon: f64, lat: f64) -> Point {
     let x = EARTH_RADIUS_M * lon.to_radians();
     let y = EARTH_RADIUS_M * ((std::f64::consts::FRAC_PI_4 + lat.to_radians() / 2.0).tan()).ln();
     Point::new(x, y)
-}
-
-/// Inverse of [`lonlat_to_mercator`].
-pub fn mercator_to_lonlat(p: Point) -> (f64, f64) {
-    let lon = (p.x / EARTH_RADIUS_M).to_degrees();
-    let lat = (2.0 * (p.y / EARTH_RADIUS_M).exp().atan() - std::f64::consts::FRAC_PI_2).to_degrees();
-    (lon, lat)
-}
-
-/// Ground meters per Mercator meter at the given latitude (Mercator inflates
-/// distances away from the equator by `1 / cos(lat)`).
-pub fn mercator_scale_factor(lat_deg: f64) -> f64 {
-    lat_deg.to_radians().cos().recip()
-}
-
-/// Meters-per-pixel of a standard 256-px-tile slippy map at `zoom`, equator.
-pub fn meters_per_pixel(zoom: f64) -> f64 {
-    2.0 * std::f64::consts::PI * EARTH_RADIUS_M / (256.0 * 2f64.powf(zoom))
 }
 
 /// An affine world→screen transform for a rectangular viewport.
@@ -115,14 +97,6 @@ impl Viewport {
         Point::new(sx, sy)
     }
 
-    /// Continuous pixel → world coordinates.
-    #[inline]
-    pub fn screen_to_world(&self, s: Point) -> Point {
-        let x = self.world.min.x + s.x / self.width as f64 * self.world.width();
-        let y = self.world.max.y - s.y / self.height as f64 * self.world.height();
-        Point::new(x, y)
-    }
-
     /// Discrete pixel cell containing the world point, or `None` if outside
     /// the viewport.
     ///
@@ -164,43 +138,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mercator_roundtrip() {
-        for &(lon, lat) in &[(0.0, 0.0), (-74.0060, 40.7128), (151.2, -33.87), (179.9, 84.0)] {
-            let m = lonlat_to_mercator(lon, lat);
-            let (lon2, lat2) = mercator_to_lonlat(m);
-            assert!((lon - lon2).abs() < 1e-9, "lon {lon} vs {lon2}");
-            assert!((lat - lat2).abs() < 1e-9, "lat {lat} vs {lat2}");
-        }
-    }
-
-    #[test]
-    fn equator_scale_is_one() {
-        assert!((mercator_scale_factor(0.0) - 1.0).abs() < 1e-12);
-        assert!(mercator_scale_factor(60.0) > 1.9); // 1/cos(60°) = 2
-    }
-
-    #[test]
-    fn zoom_zero_shows_whole_world() {
-        let mpp = meters_per_pixel(0.0);
-        assert!((mpp * 256.0 - 2.0 * std::f64::consts::PI * EARTH_RADIUS_M).abs() < 1.0);
-        // Each zoom level halves the meters-per-pixel.
-        assert!((meters_per_pixel(1.0) * 2.0 - mpp).abs() < 1e-6);
-    }
-
-    #[test]
     fn viewport_corner_mapping() {
         let v = Viewport::new(BoundingBox::from_coords(0.0, 0.0, 10.0, 5.0), 100, 50);
         // World min maps to bottom-left of the screen.
         assert!(v.world_to_screen(Point::new(0.0, 0.0)).approx_eq(Point::new(0.0, 50.0), 1e-12));
         assert!(v.world_to_screen(Point::new(10.0, 5.0)).approx_eq(Point::new(100.0, 0.0), 1e-12));
         assert!(v.world_to_screen(Point::new(5.0, 2.5)).approx_eq(Point::new(50.0, 25.0), 1e-12));
-    }
-
-    #[test]
-    fn screen_world_roundtrip() {
-        let v = Viewport::new(BoundingBox::from_coords(-3.0, 2.0, 7.0, 12.0), 640, 480);
-        let p = Point::new(1.234, 5.678);
-        assert!(v.screen_to_world(v.world_to_screen(p)).approx_eq(p, 1e-9));
     }
 
     #[test]

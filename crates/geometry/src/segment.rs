@@ -1,6 +1,6 @@
 //! Line segments: intersection tests/points, distance, clipping against
-//! boxes. Used by polygon validity checks, triangulation diagonal tests, and
-//! the scanline rasterizer's exact boundary classification.
+//! boxes. Used by polygon validity checks and the scanline rasterizer's
+//! exact boundary classification.
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;

@@ -1,6 +1,7 @@
-//! Minimal Well-Known Text (WKT) reader/writer for the geometry types this
-//! repo uses: `POINT`, `POLYGON`, and `MULTIPOLYGON`. Hand-rolled so the
-//! reproduction carries no external geo dependencies.
+//! Minimal Well-Known Text (WKT) reader for the geometry types this repo
+//! uses — `POINT`, `POLYGON`, and `MULTIPOLYGON` — and writer for the two
+//! polygon types. Hand-rolled so the reproduction carries no external geo
+//! dependencies.
 
 use crate::multipolygon::MultiPolygon;
 use crate::point::Point;
@@ -13,11 +14,6 @@ pub enum WktGeometry {
     Point(Point),
     Polygon(Polygon),
     MultiPolygon(MultiPolygon),
-}
-
-/// Serialize a point: `POINT (x y)`.
-pub fn point_to_wkt(p: Point) -> String {
-    format!("POINT ({} {})", p.x, p.y)
 }
 
 /// Serialize a polygon: `POLYGON ((...), (hole...))`. The closing vertex is
@@ -93,19 +89,6 @@ pub fn parse_wkt(input: &str) -> Result<WktGeometry> {
             Ok(WktGeometry::MultiPolygon(MultiPolygon::new(polys)))
         }
         other => Err(GeomError::Parse(format!("unsupported WKT type: {other}"))),
-    }
-}
-
-/// Parse WKT expecting a polygon (accepts single-part multipolygons too).
-pub fn parse_wkt_polygon(input: &str) -> Result<Polygon> {
-    match parse_wkt(input)? {
-        WktGeometry::Polygon(p) => Ok(p),
-        WktGeometry::MultiPolygon(mp) if mp.len() == 1 => mp
-            .polygons()
-            .first()
-            .cloned()
-            .ok_or_else(|| GeomError::Parse("expected POLYGON".into())),
-        _ => Err(GeomError::Parse("expected POLYGON".into())),
     }
 }
 
@@ -230,11 +213,9 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn point_roundtrip() {
-        let wkt = point_to_wkt(Point::new(-74.0060, 40.7128));
-        match parse_wkt(&wkt).unwrap() {
-            WktGeometry::Point(p) => assert!(p.approx_eq(Point::new(-74.0060, 40.7128), 1e-12)),
+    fn parse_polygon(wkt: &str) -> Polygon {
+        match parse_wkt(wkt).unwrap() {
+            WktGeometry::Polygon(p) => p,
             g => panic!("wrong geometry: {g:?}"),
         }
     }
@@ -245,7 +226,7 @@ mod tests {
             Polygon::from_coords(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]).unwrap();
         let wkt = polygon_to_wkt(&poly);
         assert!(wkt.starts_with("POLYGON (("));
-        let back = parse_wkt_polygon(&wkt).unwrap();
+        let back = parse_polygon(&wkt);
         assert_eq!(back.exterior().len(), 4);
         assert_eq!(back.area(), 16.0);
     }
@@ -253,10 +234,10 @@ mod tests {
     #[test]
     fn polygon_with_hole_roundtrip() {
         let wkt = "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))";
-        let poly = parse_wkt_polygon(wkt).unwrap();
+        let poly = parse_polygon(wkt);
         assert_eq!(poly.holes().len(), 1);
         assert_eq!(poly.area(), 100.0 - 4.0);
-        let back = parse_wkt_polygon(&polygon_to_wkt(&poly)).unwrap();
+        let back = parse_polygon(&polygon_to_wkt(&poly));
         assert_eq!(back.area(), poly.area());
     }
 

@@ -329,6 +329,7 @@ impl RegionIndex for GridIndex {
         // point of its box (they hold over the reach slack around it), so a
         // row inside the box skips `cell_of`'s two divisions.
         let mut last: Option<(BoundingBox, &[u32])> = None;
+        // lint: allow(cancel-poll-reachability) one zone's rows; its callers poll once per zone in `ZoneWalk::run`
         for (p, t) in rows {
             let entries = match last {
                 Some((cell, entries)) if cell.contains(p) => entries,

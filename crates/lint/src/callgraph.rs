@@ -133,6 +133,9 @@ pub struct FnNode {
     /// The parameters typed as a column slice: `&[f64]`, `&[f32]` or
     /// `&[i64]`, the element types of a point table's columns.
     pub columns: Vec<String>,
+    /// The parameters that hand in rows as an iterator: typed
+    /// `impl Iterator`/`impl IntoIterator`, or a generic bounded by one.
+    pub iterators: Vec<String>,
     pub calls: Vec<CallEdge>,
 }
 
@@ -236,6 +239,9 @@ impl CallGraph {
                     body,
                     params: paren.map(|p| param_names(sf, p)).unwrap_or_default(),
                     columns: paren.map(|p| column_params(sf, p)).unwrap_or_default(),
+                    iterators: paren
+                        .map(|p| iterator_params(sf, fn_pos + 2, p, body.start))
+                        .unwrap_or_default(),
                     calls: Vec::new(),
                 });
             }
@@ -413,6 +419,70 @@ fn column_params(sf: &SourceFile, open: usize) -> Vec<String> {
         out.extend(owner.filter(|o| !out.contains(o)));
     }
     out
+}
+
+/// Does the type or bound at sig-positions `from..` (up to the first `,` or
+/// `{` outside brackets, a `where`, an unmatched closer, or `end`) name
+/// `Iterator` or `IntoIterator`?
+fn names_iterator(sf: &SourceFile, from: usize, end: usize) -> bool {
+    let mut depth = 0isize;
+    for p in from..end {
+        let Some(t) = sf.tok(p) else { break };
+        if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+            if depth < 0 {
+                break;
+            }
+        } else if depth == 0 && (t.is_punct(',') || t.is_punct('{') || t.is_ident("where")) {
+            break;
+        } else if t.is_ident("Iterator") || t.is_ident("IntoIterator") {
+            return true;
+        }
+    }
+    false
+}
+
+/// The parameters, from the `(` at sig-position `open`, whose type names
+/// `Iterator`/`IntoIterator` (`impl Iterator<Item = usize>`) or is a
+/// generic bounded by one, inline (`<I: IntoIterator<…>>`, sig-positions
+/// `generics..open`) or in a `where` clause (before `body_start`).
+fn iterator_params(
+    sf: &SourceFile,
+    generics: usize,
+    open: usize,
+    body_start: usize,
+) -> Vec<String> {
+    let Some(close) = match_delim(sf, open, '(', ')') else {
+        return Vec::new();
+    };
+    // `Name :` outside the parameter list, not a `::` path.
+    let bound_at = |p: usize| {
+        sf.tok(p).is_some_and(|t| t.kind == TokenKind::Ident)
+            && sf.tok(p + 1).is_some_and(|t| t.is_punct(':'))
+            && !sf.tok(p + 2).is_some_and(|t| t.is_punct(':'))
+            && !sf.tok(p.wrapping_sub(1)).is_some_and(|t| t.is_punct(':'))
+    };
+    let bounded: Vec<&str> = (generics..open)
+        .chain(close..body_start)
+        .filter(|&p| bound_at(p) && names_iterator(sf, p + 2, body_start))
+        .filter_map(|p| sf.tok(p).map(|t| t.text.as_str()))
+        .collect();
+    param_names(sf, open)
+        .into_iter()
+        .filter(|name| {
+            let Some(colon) = (open..close).find(|&p| {
+                sf.tok(p).is_some_and(|t| t.text == *name)
+                    && sf.tok(p + 1).is_some_and(|t| t.is_punct(':'))
+            }) else {
+                return false;
+            };
+            let ty = colon + 2;
+            names_iterator(sf, ty, close)
+                || sf.tok(ty).is_some_and(|t| bounded.contains(&t.text.as_str()))
+        })
+        .collect()
 }
 
 /// Parameter names from the `(` at sig-position `open` (skipping `self`):

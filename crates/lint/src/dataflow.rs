@@ -6,14 +6,16 @@
 //! 1. **`cancel-poll-reachability`** — starting from functions marked
 //!    `// lint: entrypoint <why>`, walk the call graph; any reachable *work
 //!    loop* must poll the query budget inside the loop — directly
-//!    (`is_cancelled`, `is_exhausted`, `cancel_flag`, `budget.check()`) or
+//!    (`is_cancelled`, `is_exhausted`, `budget.check()`) or
 //!    through a callee that transitively polls. A loop is a work loop by
 //!    what it does, never by what its variables are called: it reads rows
 //!    from a store (`read_zone`, `read_chunk`), reads column slices
 //!    (`.locs()`, `.attr(`, `.column(`), walks a slice in batches
 //!    (`.chunks(`), or indexes a column slice by its own loop variable (a
 //!    `&[f64]`/`&[f32]`/`&[i64]` parameter, or a `let` bound from a column
-//!    read). A loop that cannot reach a poll escapes the §8 degradation
+//!    read), or walks rows handed in as an iterator (a parameter typed
+//!    `impl Iterator`/`impl IntoIterator`, or a generic bounded by one). A
+//!    loop that cannot reach a poll escapes the §8 degradation
 //!    ladder: a slow query keeps burning CPU after its deadline.
 //! 2. **`lock-order`** — every empty-argument `.lock()`/`.read()`/`.write()`
 //!    (and `.get_or_init(`) is an acquisition of the lock named by its
@@ -146,12 +148,14 @@ fn column_names(sf: &SourceFile, f: &FnNode) -> Vec<String> {
 /// the header spans sig-positions `pos..open` (from the `for` keyword to the
 /// body's `{`), the body `open..close` — or `None` if it does no per-row
 /// work: it reads rows from a store, reads column slices, walks a slice in
-/// batches, or indexes one of `columns` by one of its own loop variables. A
-/// loop over metadata (a header's chunk list, a canvas's tiles, a ring's
-/// vertices) does none of these, whatever its variables are called.
+/// batches, indexes one of `columns` by one of its own loop variables, or
+/// walks one of `iterators`, the rows a caller handed in. A loop over
+/// metadata (a header's chunk list, a canvas's tiles, a ring's vertices)
+/// does none of these, whatever its variables are called.
 fn work_evidence(
     sf: &SourceFile,
     columns: &[String],
+    iterators: &[String],
     pos: usize,
     open: usize,
     close: usize,
@@ -199,11 +203,19 @@ fn work_evidence(
             }
         }
     }
-    None
+    // `for r in rows` / `for (k, r) in rows.into_iter().enumerate()`: the
+    // header walks an iterator parameter (not a field of that name).
+    ((in_kw + 1)..open)
+        .find(|&p| {
+            sf.tok(p).is_some_and(|t| t.kind == TokenKind::Ident)
+                && !is_method(p)
+                && iterators.iter().any(|i| i == text(p))
+        })
+        .map(|p| format!("walks the rows handed in as `{}`", text(p)))
 }
 
 /// Identifiers whose presence is a budget/cancel poll.
-const POLL_IDENTS: [&str; 3] = ["is_cancelled", "is_exhausted", "cancel_flag"];
+const POLL_IDENTS: [&str; 2] = ["is_cancelled", "is_exhausted"];
 
 /// Is the token at sig-position `pos` a budget/cancel poll?
 fn polls_at(sf: &SourceFile, pos: usize) -> bool {
@@ -312,7 +324,7 @@ fn cancel_poll(cx: &Cx<'_>, out: &mut Vec<Violation>) {
             let Some(close) = match_delim(sf, open, '{', '}') else {
                 continue;
             };
-            let Some(work) = work_evidence(sf, &columns, pos, open, close) else {
+            let Some(work) = work_evidence(sf, &columns, &f.iterators, pos, open, close) else {
                 continue;
             };
             let loop_line = sf.tok(pos).map(|t| t.line).unwrap_or(f.line);

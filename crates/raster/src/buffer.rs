@@ -75,16 +75,6 @@ impl<T: Copy> Buffer2D<T> {
         &mut self.data[i]
     }
 
-    /// Bounds-checked read; `None` outside the buffer.
-    #[inline]
-    pub fn try_get(&self, x: i64, y: i64) -> Option<T> {
-        if x < 0 || y < 0 || x >= self.width as i64 || y >= self.height as i64 {
-            None
-        } else {
-            Some(self.get(x as u32, y as u32))
-        }
-    }
-
     /// Reset every texel (the GL `glClear`).
     pub fn clear(&mut self, v: T) {
         self.data.fill(v);
@@ -126,21 +116,6 @@ impl<T: Copy> Buffer2D<T> {
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
     }
-
-    /// Combine with another same-sized buffer texel-by-texel, in place.
-    ///
-    /// # Panics
-    /// Panics when dimensions differ.
-    pub fn zip_apply<U: Copy, F: FnMut(&mut T, U)>(&mut self, other: &Buffer2D<U>, mut f: F) {
-        assert_eq!(
-            (self.width, self.height),
-            (other.width, other.height),
-            "buffer dimensions must match"
-        );
-        for (d, &s) in self.data.iter_mut().zip(&other.data) {
-            f(d, s);
-        }
-    }
 }
 
 impl Buffer2D<f32> {
@@ -155,13 +130,6 @@ impl Buffer2D<f32> {
     }
 }
 
-impl Buffer2D<u32> {
-    /// Count texels equal to `v`.
-    pub fn count_eq(&self, v: u32) -> usize {
-        self.data.iter().filter(|&&x| x == v).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +141,6 @@ mod tests {
         assert_eq!(b.get(2, 1), 42);
         assert_eq!(b.get(0, 0), 0);
         assert_eq!(b.len(), 12);
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let b = Buffer2D::new(2, 2, 7i32);
-        assert_eq!(b.try_get(1, 1), Some(7));
-        assert_eq!(b.try_get(-1, 0), None);
-        assert_eq!(b.try_get(0, 2), None);
-        assert_eq!(b.try_get(2, 0), None);
     }
 
     #[test]
@@ -211,13 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip() {
-        let a = Buffer2D::new(2, 2, 2.0f32);
-        let mut b = a.map(|v| (v * 2.0) as u32);
-        assert_eq!(b.get(0, 0), 4);
-        let c = Buffer2D::new(2, 2, 3u32);
-        b.zip_apply(&c, |d, s| *d += s);
-        assert_eq!(b.get(1, 1), 7);
+    fn map_converts_each_texel() {
+        let mut a = Buffer2D::new(2, 2, 2.0f32);
+        a.set(1, 1, 3.5);
+        let b = a.map(|v| (v * 2.0) as u32);
+        assert_eq!(b.as_slice(), &[4, 4, 4, 7]);
     }
 
     #[test]
@@ -226,22 +183,11 @@ mod tests {
         b.set(0, 0, 5.0);
         assert_eq!(b.sum(), 8.0);
         assert_eq!(b.max_value(), 5.0);
-        let u = Buffer2D::new(4, 1, 9u32);
-        assert_eq!(u.count_eq(9), 4);
-        assert_eq!(u.count_eq(0), 0);
     }
 
     #[test]
     #[should_panic(expected = "texels")]
     fn zero_size_panics() {
         Buffer2D::new(0, 5, 0u8);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimensions")]
-    fn zip_dim_mismatch_panics() {
-        let mut a = Buffer2D::new(2, 2, 0u32);
-        let b = Buffer2D::new(3, 2, 0u32);
-        a.zip_apply(&b, |d, s| *d += s);
     }
 }

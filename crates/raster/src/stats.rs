@@ -14,9 +14,7 @@ pub struct RenderStats {
     pub points_in: u64,
     /// Points culled by the viewport test.
     pub points_culled: u64,
-    /// Triangles submitted to the triangle stage.
-    pub triangles_in: u64,
-    /// Fragments emitted by all rasterizers (points, triangles, scanline).
+    /// Fragments emitted by all rasterizers (points, scanline).
     pub fragments: u64,
     /// Pixels touched by conservative boundary traversal.
     pub boundary_cells: u64,
@@ -33,7 +31,6 @@ impl RenderStats {
         self.draw_calls += other.draw_calls;
         self.points_in += other.points_in;
         self.points_culled += other.points_culled;
-        self.triangles_in += other.triangles_in;
         self.fragments += other.fragments;
         self.boundary_cells += other.boundary_cells;
     }
@@ -43,11 +40,10 @@ impl std::fmt::Display for RenderStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "draws={} points={} (culled {}) tris={} frags={} boundary={}",
+            "draws={} points={} (culled {}) frags={} boundary={}",
             self.draw_calls,
             self.points_in,
             self.points_culled,
-            self.triangles_in,
             self.fragments,
             self.boundary_cells
         )

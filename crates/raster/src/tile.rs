@@ -1,37 +1,8 @@
-//! Tiled parallel rendering.
+//! Panic payloads of tile workers.
 //!
-//! A GPU rasterizes thousands of fragments in parallel; the software
-//! substrate gets its parallelism by splitting the canvas into horizontal
-//! strips and rendering them on worker threads. Strips are independent
-//! render targets, so no synchronization is needed until the final stitch —
-//! the same "embarrassingly parallel over pixels" structure the GPU
-//! exploits, which is why the performance *shape* carries over.
-
-use crate::buffer::Buffer2D;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use urbane_geom::projection::Viewport;
-use urbane_geom::BoundingBox;
-
-/// Why a tiled render did not produce a buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TileError {
-    /// The cancel flag was raised before all strips finished.
-    Cancelled,
-    /// A strip worker panicked; the payload message is preserved.
-    Panicked(String),
-}
-
-impl std::fmt::Display for TileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TileError::Cancelled => write!(f, "tiled render cancelled"),
-            TileError::Panicked(msg) => write!(f, "strip worker panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TileError {}
+//! The raster join's executor (`raster_join::executor`) renders tiles on
+//! worker threads and converts a panicking tile into a typed error; this is
+//! the message it carries.
 
 /// Extract a human-readable message from a panic payload.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -41,221 +12,5 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// One horizontal strip of a larger canvas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Strip {
-    /// First pixel row (in full-canvas coordinates).
-    pub y_start: u32,
-    /// Number of rows in this strip.
-    pub rows: u32,
-    /// Viewport covering exactly this strip's world region.
-    pub viewport: Viewport,
-}
-
-/// Split `viewport` into at most `n` horizontal strips of near-equal height.
-/// Returns fewer strips when the canvas has fewer rows than `n`.
-pub fn split_rows(viewport: &Viewport, n: u32) -> Vec<Strip> {
-    let n = n.clamp(1, viewport.height);
-    let base = viewport.height / n;
-    let extra = viewport.height % n;
-    let mut strips = Vec::with_capacity(n as usize);
-    let mut y = 0u32;
-    let upp_y = viewport.units_per_pixel_y();
-    for i in 0..n {
-        let rows = base + u32::from(i < extra);
-        // World box for rows [y, y+rows): screen row 0 is the world's top.
-        let world_max_y = viewport.world.max.y - y as f64 * upp_y;
-        let world_min_y = world_max_y - rows as f64 * upp_y;
-        let world = BoundingBox::from_coords(
-            viewport.world.min.x,
-            world_min_y,
-            viewport.world.max.x,
-            world_max_y,
-        );
-        strips.push(Strip { y_start: y, rows, viewport: Viewport::new(world, viewport.width, rows) });
-        y += rows;
-    }
-    strips
-}
-
-/// Render strips in parallel and stitch them into one buffer.
-///
-/// `render` receives each strip and a zeroed strip-sized buffer; it must
-/// draw through `strip.viewport` (which already offsets world coordinates).
-/// Strips run on scoped worker threads, one per strip. A worker panic
-/// propagates as a panic here (see [`try_render_tiled`] for the isolating
-/// variant).
-pub fn render_tiled<T, F>(viewport: &Viewport, n_tiles: u32, fill: T, render: F) -> Buffer2D<T>
-where
-    T: Copy + Send,
-    F: Fn(&Strip, &mut Buffer2D<T>) + Sync,
-{
-    match try_render_tiled(viewport, n_tiles, fill, None, render) {
-        Ok(buf) => buf,
-        // lint: allow(panic-freedom) documented contract: render_tiled re-raises worker panics; try_render_tiled is the non-panicking variant
-        Err(TileError::Panicked(msg)) => panic!("tile worker panicked: {msg}"),
-        // lint: allow(panic-freedom) no cancel flag is supplied on this path, so Cancelled cannot occur
-        Err(TileError::Cancelled) => unreachable!("no cancel flag was supplied"),
-    }
-}
-
-/// Cancellable, panic-isolating variant of [`render_tiled`].
-///
-/// Before rendering each strip, the worker checks `cancel`; once the flag is
-/// raised remaining strips are skipped and the call returns
-/// [`TileError::Cancelled`]. A panicking strip is caught (`catch_unwind`) and
-/// surfaces as [`TileError::Panicked`] after every other worker has been
-/// joined, so the caller's process and the thread pool stay intact.
-pub fn try_render_tiled<T, F>(
-    viewport: &Viewport,
-    n_tiles: u32,
-    fill: T,
-    cancel: Option<&AtomicBool>,
-    render: F,
-) -> Result<Buffer2D<T>, TileError>
-where
-    T: Copy + Send,
-    F: Fn(&Strip, &mut Buffer2D<T>) + Sync,
-{
-    let strips = split_rows(viewport, n_tiles);
-    let mut parts: Vec<Result<Option<Buffer2D<T>>, TileError>> =
-        (0..strips.len()).map(|_| Ok(None)).collect();
-
-    std::thread::scope(|scope| {
-        for (slot, strip) in parts.iter_mut().zip(&strips) {
-            let render = &render;
-            scope.spawn(move || {
-                // Acquire side of the canceller's Release store (see
-                // raster_join::budget::CancelHandle::cancel).
-                if cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-                    *slot = Err(TileError::Cancelled);
-                    return;
-                }
-                *slot = match catch_unwind(AssertUnwindSafe(|| {
-                    let mut buf = Buffer2D::new(strip.viewport.width, strip.rows, fill);
-                    render(strip, &mut buf);
-                    buf
-                })) {
-                    Ok(buf) => Ok(Some(buf)),
-                    Err(payload) => Err(TileError::Panicked(panic_message(payload.as_ref()))),
-                };
-            });
-        }
-    });
-
-    // Surface panics ahead of cancellation: a cancelled strip is expected
-    // when another one failed, and the panic is the interesting diagnosis.
-    if let Some(msg) = parts.iter().find_map(|p| match p {
-        Err(TileError::Panicked(m)) => Some(m.clone()),
-        _ => None,
-    }) {
-        return Err(TileError::Panicked(msg));
-    }
-    if parts.iter().any(|p| matches!(p, Err(TileError::Cancelled))) {
-        return Err(TileError::Cancelled);
-    }
-
-    // Stitch row-major strips top to bottom.
-    let mut out = Buffer2D::new(viewport.width, viewport.height, fill);
-    let width = viewport.width as usize;
-    for (part, strip) in parts.into_iter().zip(&strips) {
-        let part = match part {
-            Ok(Some(buf)) => buf,
-            // lint: allow(panic-freedom) Err and cancelled (Ok(None)) strips were turned into early returns above
-            _ => unreachable!("failures were filtered above"),
-        };
-        let dst_start = strip.y_start as usize * width;
-        let len = strip.rows as usize * width;
-        out.as_mut_slice()[dst_start..dst_start + len].copy_from_slice(part.as_slice());
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::blend::BlendOp;
-    use crate::pipeline::Pipeline;
-    use urbane_geom::Point;
-
-    fn vp(w: u32, h: u32) -> Viewport {
-        Viewport::new(BoundingBox::from_coords(0.0, 0.0, w as f64, h as f64), w, h)
-    }
-
-    #[test]
-    fn strips_tile_exactly() {
-        let v = vp(16, 10);
-        let strips = split_rows(&v, 3);
-        assert_eq!(strips.len(), 3);
-        assert_eq!(strips.iter().map(|s| s.rows).sum::<u32>(), 10);
-        assert_eq!(strips[0].y_start, 0);
-        assert_eq!(strips[1].y_start, strips[0].rows);
-        // World boxes partition the viewport's world box vertically.
-        assert_eq!(strips[0].viewport.world.max.y, v.world.max.y);
-        assert_eq!(strips.last().unwrap().viewport.world.min.y, v.world.min.y);
-        for w in strips.windows(2) {
-            assert!((w[0].viewport.world.min.y - w[1].viewport.world.max.y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn more_tiles_than_rows_is_clamped() {
-        let v = vp(4, 3);
-        assert_eq!(split_rows(&v, 100).len(), 3);
-        assert_eq!(split_rows(&v, 0).len(), 1);
-    }
-
-    #[test]
-    fn tiled_point_render_matches_serial() {
-        let v = vp(32, 32);
-        // Deterministic scatter of 1000 points.
-        let pts: Vec<Point> = (0..1000u64)
-            .map(|i| {
-                let x = (i.wrapping_mul(2654435761) % 3199 + 1) as f64 / 100.0;
-                let y = (i.wrapping_mul(40503) % 3199 + 1) as f64 / 100.0;
-                Point::new(x, y)
-            })
-            .collect();
-
-        let mut serial = Buffer2D::new(32, 32, 0.0f32);
-        let mut pipe = Pipeline::new(v);
-        pipe.draw_points(&mut serial, pts.iter().copied(), |_| 1.0, BlendOp::Add);
-
-        let tiled = render_tiled(&v, 4, 0.0f32, |strip, buf| {
-            let mut p = Pipeline::new(strip.viewport);
-            p.draw_points(buf, pts.iter().copied(), |_| 1.0, BlendOp::Add);
-        });
-
-        assert_eq!(serial, tiled);
-        assert_eq!(tiled.sum() as u64, 1000);
-    }
-
-    #[test]
-    fn single_tile_is_identity() {
-        let v = vp(8, 8);
-        let tiled = render_tiled(&v, 1, 7u32, |_, _| {});
-        assert_eq!(tiled.count_eq(7), 64);
-    }
-
-    #[test]
-    fn panicking_strip_surfaces_as_error() {
-        let v = vp(8, 8);
-        let r = try_render_tiled(&v, 4, 0u32, None, |strip, _| {
-            if strip.y_start == 2 {
-                panic!("boom on strip");
-            }
-        });
-        assert_eq!(r, Err(TileError::Panicked("boom on strip".into())));
-    }
-
-    #[test]
-    fn raised_cancel_flag_aborts_render() {
-        let v = vp(8, 8);
-        let cancel = AtomicBool::new(true);
-        let r = try_render_tiled(&v, 4, 0u32, Some(&cancel), |_, _| {});
-        assert_eq!(r, Err(TileError::Cancelled));
     }
 }

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use urbane_geom::triangulate::triangulate;
 use urbane_geom::{Point, Polygon, Ring};
 
 const SIZE: u32 = 48;
@@ -49,27 +48,6 @@ fn simple_polygon() -> impl Strategy<Value = Polygon> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Triangulated rasterization partitions the polygon's pixels: no pixel
-    /// covered twice, and the union equals the scanline fill.
-    #[test]
-    fn triangles_partition_scanline_coverage(poly in simple_polygon()) {
-        let mut scan = HashSet::new();
-        gpu_raster::polygon_scan::rasterize_polygon(&poly, SIZE, SIZE, |x, y| {
-            scan.insert((x, y));
-        });
-        let mut tri = HashSet::new();
-        let mut double_covered = Vec::new();
-        for t in triangulate(&poly).expect("simple polygons triangulate") {
-            gpu_raster::triangle::rasterize_triangle(t.a, t.b, t.c, SIZE, SIZE, |x, y| {
-                if !tri.insert((x, y)) {
-                    double_covered.push((x, y));
-                }
-            });
-        }
-        prop_assert!(double_covered.is_empty(), "pixels covered twice: {double_covered:?}");
-        prop_assert_eq!(&scan, &tri, "scanline vs triangulated coverage differs");
-    }
 
     /// Every covered pixel's center is inside the polygon, and every pixel
     /// whose center is strictly inside is covered.

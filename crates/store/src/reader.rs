@@ -19,7 +19,7 @@
 //! immutable once written; replace a store by writing a new file and
 //! registering it, never in place.
 
-use crate::format::{self, ChunkMeta, Column, Columns, StoreHeader, PRELUDE_LEN};
+use crate::format::{self, Column, Columns, StoreHeader, PRELUDE_LEN};
 use crate::{Result, StoreError};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -183,12 +183,6 @@ impl<R: Read + Seek> ChunkedPointSource<R> {
     #[inline]
     pub fn bbox(&self) -> BoundingBox {
         self.header.bbox
-    }
-
-    /// Directory entry of chunk `i`.
-    #[inline]
-    pub fn chunk_meta(&self, i: usize) -> Option<&ChunkMeta> {
-        self.header.chunks.get(i)
     }
 
     /// Accounting so far.
@@ -392,7 +386,7 @@ mod tests {
         let t = table(20_000);
         let mut src = ChunkedPointSource::from_bytes(store_bytes(&t, 9_000)).unwrap();
         for i in 0..src.n_chunks() {
-            let meta = src.chunk_meta(i).unwrap().clone();
+            let meta = src.header().chunks[i].clone();
             let chunk = src.read_chunk(i).unwrap();
             assert_eq!(chunk.len(), meta.rows as usize);
             assert_eq!(meta.zones.len(), chunk.len().div_ceil(ZONE_ROWS));
@@ -457,7 +451,7 @@ mod tests {
         let mut matched_in_picked = 0usize;
         let mut cols = Columns::default();
         for i in 0..src.n_chunks() {
-            let meta = src.chunk_meta(i).unwrap().clone();
+            let meta = src.header().chunks[i].clone();
             for (z, f) in meta.zones.iter().enumerate() {
                 zones += 1;
                 if f.decide_box(&window) == Some(false) {
@@ -517,7 +511,7 @@ mod tests {
         let bytes = store_bytes(&t, 9_000);
         let header_len = {
             let src = ChunkedPointSource::from_bytes(bytes.clone()).unwrap();
-            assert!(src.chunk_meta(0).unwrap().zones.len() > 1, "the cuts must cross zone footers");
+            assert!(src.header().chunks[0].zones.len() > 1, "the cuts must cross zone footers");
             src.header().payload_off as usize
         };
         for cut in 0..header_len {

@@ -90,13 +90,6 @@ pub struct ErrorBudget {
     pub expected_band_points: f64,
 }
 
-impl ErrorBudget {
-    /// Largest certified COUNT budget across regions (diagnostic).
-    pub fn max_count_budget(&self) -> f64 {
-        self.regions.iter().map(RegionBudget::count_budget).fold(0.0, f64::max)
-    }
-}
-
 /// Compute the budget for one workload at band half-width
 /// `band_mult × epsilon`. Only points passing the query's filters count —
 /// filtered-out points cannot be misassigned because they are never drawn.

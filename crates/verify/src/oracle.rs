@@ -3,8 +3,8 @@
 //! the evaluation stack.
 //!
 //! Every production executor in this repo answers the paper's query through
-//! a raster: canvas planning, tiling, scanline or triangulated fill,
-//! pixel-center snapping. The oracle shares none of that. Containment is
+//! a raster: canvas planning, tiling, scanline fill, pixel-center
+//! snapping. The oracle shares none of that. Containment is
 //! decided per point with an orientation-predicate crossing test (no
 //! computed intersection coordinates, no canvas, no tiles), so a bug in the
 //! raster stack cannot hide by also biasing the reference. The only shared

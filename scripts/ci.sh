@@ -26,6 +26,10 @@ cargo test -q --release -p raster-join
 # Levels resolved from the kept point pass must equal fresh draws bit for bit in release too.
 cargo test -q --release -p urbane
 cargo test -q --release -p spatial-index
+# The scanline fill's reference checks (point-in-polygon sampling at pixel
+# centres, the shared-edge tie rule, the traversal and projection proptests)
+# under the shipped profile too: the fill is the one polygon pass.
+cargo test -q --release -p gpu-raster -p urbane-geom
 # The answer writer's byte identity with the `Json` tree it replaced, and the
 # one-write response framing, under the shipped profile too.
 cargo test -q --release -p urbane-serve
