@@ -11,7 +11,8 @@
 //!    with no boundary inside lies entirely within the region;
 //! 4. resolves the points falling into boundary pixels with exact
 //!    point-in-polygon tests against just the regions whose boundary crosses
-//!    that pixel (a sorted pixel→regions table built in step 2).
+//!    that pixel (a pixel→regions table built in step 2, indexed by the
+//!    pixel's rank among the boundary bits).
 //!
 //! Steps 2–3 depend only on the canvas and are prepared once
 //! ([`crate::prepared`]), with a one-bit-per-pixel bitmap of the boundary

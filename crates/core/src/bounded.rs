@@ -25,6 +25,10 @@ pub(crate) struct PointBuffers {
     pub min: Option<Buffer2D<f32>>,
     /// Per-pixel max of the aggregated value (only for MAX aggregates).
     pub max: Option<Buffer2D<f32>>,
+    /// One bit per pixel (`y · width + x`), set exactly for the pixels a row
+    /// was drawn on — those whose count is > 0 — so a gather can skip the
+    /// empty ones without reading `count_sum`.
+    pub occupied: Vec<u64>,
 }
 
 /// Render the point pass for one tile: select, project, blend. The rows
@@ -62,6 +66,7 @@ pub(crate) fn point_pass(
     let needs_max = matches!(cq.agg, AggKind::Max(_));
     let mut min_buf = needs_min.then(|| Buffer2D::new(w, h, f32::INFINITY));
     let mut max_buf = needs_max.then(|| Buffer2D::new(w, h, f32::NEG_INFINITY));
+    let mut occupied = vec![0u64; (w as usize * h as usize).div_ceil(64)];
 
     // The filtered fragment stream — this is the per-frame hot loop the
     // paper's performance argument rests on: one pass, one fragment each.
@@ -70,29 +75,30 @@ pub(crate) fn point_pass(
         let (xs, ys) = zone.locs();
         let cs = count_sum.as_mut_slice();
         let hook = &mut |i, x, y| on_fragment(zone, i, x, y);
+        let occ = occupied.as_mut_slice();
         let column = cq.walk.agg_col().map(|c| zone.attr(c));
         let (handed, drawn) = match (column, min_buf.as_mut(), max_buf.as_mut()) {
             // COUNT leaves the sum channel at +0.0, as adding `0.0` would.
-            (None, ..) => draw_rows(&vp, xs, ys, bits, hook, |_, pix| {
+            (None, ..) => draw_rows(&vp, xs, ys, bits, occ, hook, |_, pix| {
                 let [count, _] = &mut cs[pix];
                 *count += 1.0;
             }),
             (Some(vals), Some(min), _) => {
                 let min = min.as_mut_slice();
-                draw_rows(&vp, xs, ys, bits, hook, |i, pix| {
+                draw_rows(&vp, xs, ys, bits, occ, hook, |i, pix| {
                     add(&mut cs[pix], vals[i]);
                     min[pix] = min[pix].min(vals[i]);
                 })
             }
             (Some(vals), None, Some(max)) => {
                 let max = max.as_mut_slice();
-                draw_rows(&vp, xs, ys, bits, hook, |i, pix| {
+                draw_rows(&vp, xs, ys, bits, occ, hook, |i, pix| {
                     add(&mut cs[pix], vals[i]);
                     max[pix] = max[pix].max(vals[i]);
                 })
             }
             (Some(vals), None, None) => {
-                draw_rows(&vp, xs, ys, bits, hook, |i, pix| add(&mut cs[pix], vals[i]))
+                draw_rows(&vp, xs, ys, bits, occ, hook, |i, pix| add(&mut cs[pix], vals[i]))
             }
         };
         stats.draw_calls += 1;
@@ -101,7 +107,7 @@ pub(crate) fn point_pass(
         stats.points_culled += handed - drawn;
     })?;
 
-    Ok((PointBuffers { count_sum, min: min_buf, max: max_buf }, stats))
+    Ok((PointBuffers { count_sum, min: min_buf, max: max_buf, occupied }, stats))
 }
 
 /// `BlendOp::Add` of `[1, v]` into a `(count, Σvalue)` texel.
@@ -112,16 +118,17 @@ fn add([count, sum]: &mut [f32; 2], v: f32) {
 }
 
 /// Project the zone rows whose bits are set in `bits` through `vp` and hand
-/// each one that lands on the canvas to `blend(i, pixel index)`, then to
-/// `on_fragment(i, x, y)` (`i` indexes the zone). Returns how many rows were handed over and how
-/// many were drawn. One zone's rows: the walk polls the budget between
-/// zones.
+/// each one that lands on the canvas to `blend(i, pixel index)`, setting
+/// the pixel's bit in `occupied`, then to `on_fragment(i, x, y)` (`i`
+/// indexes the zone). Returns how many rows were handed over and how many
+/// were drawn. One zone's rows: the walk polls the budget between zones.
 #[inline(always)]
 fn draw_rows(
     vp: &Viewport,
     xs: &[f64],
     ys: &[f64],
     bits: SetBits<'_>,
+    occupied: &mut [u64],
     on_fragment: &mut impl FnMut(usize, u32, u32),
     mut blend: impl FnMut(usize, usize),
 ) -> (u64, u64) {
@@ -132,7 +139,9 @@ fn draw_rows(
         let Some((x, y)) = vp.world_to_pixel(Point::new(xs[i], ys[i])) else {
             continue;
         };
-        blend(i, y as usize * vp.width as usize + x as usize);
+        let pix = y as usize * vp.width as usize + x as usize;
+        blend(i, pix);
+        occupied[pix >> 6] |= 1 << (pix & 63);
         on_fragment(i, x, y);
         drawn += 1;
     }
@@ -344,6 +353,10 @@ mod tests {
 
             let flat = |b: &Buffer2D<[f32; 2]>| bits(&b.as_slice().concat());
             assert_eq!(flat(&got.count_sum), flat(&count_sum), "{agg:?}");
+            for (pix, &[count, _]) in count_sum.as_slice().iter().enumerate() {
+                let set = got.occupied[pix >> 6] & (1 << (pix & 63)) != 0;
+                assert_eq!(set, count > 0.0, "{agg:?} pixel {pix}");
+            }
             let extreme_got = got.min.as_ref().or(got.max.as_ref());
             let want_extreme = op.map(|_| bits(extreme.as_slice()));
             assert_eq!(extreme_got.map(|b| bits(b.as_slice())), want_extreme, "{agg:?}");

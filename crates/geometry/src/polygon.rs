@@ -120,12 +120,11 @@ impl Ring {
     }
 
     /// Even–odd (ray-casting) point-in-ring test. Points exactly on the
-    /// boundary are reported as inside.
+    /// boundary are reported as inside. Both tests are pure, so the cheap
+    /// ray cast goes first and only a point it leaves outside pays the
+    /// boundary test.
     pub fn contains(&self, p: Point) -> bool {
-        if self.on_boundary(p) {
-            return true;
-        }
-        self.contains_interior_even_odd(p)
+        self.contains_interior_even_odd(p) || self.on_boundary(p)
     }
 
     /// Even–odd test ignoring the boundary special case (used by
@@ -435,6 +434,51 @@ mod tests {
         assert!(d.contains(Point::new(1.0, 2.0))); // on the hole's boundary
         assert!(d.contains(Point::new(0.0, 0.0))); // on the exterior boundary
         assert!(!d.contains(Point::new(5.0, 5.0)));
+    }
+
+    /// `contains` runs the ray cast before the boundary test; it must answer
+    /// as the boundary-first order did on random points, vertices, edge
+    /// midpoints, a hole's edges and NaN coordinates.
+    #[test]
+    fn contains_order_does_not_change_the_answer() {
+        let l = Ring::new(
+            [(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (1.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
+                .map(|(x, y)| Point::new(x, y))
+                .to_vec(),
+        )
+        .unwrap();
+        let skew = Ring::new(
+            [(0.1, 0.3), (7.7, 1.9), (2.3, 6.1)].map(|(x, y)| Point::new(x, y)).to_vec(),
+        )
+        .unwrap();
+        let d = donut();
+        let rings = [d.exterior().clone(), d.holes()[0].clone(), l, skew];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let nan = f64::NAN;
+        let mut points: Vec<Point> = (0..2_000)
+            .map(|_| Point::new(unit() * 10.0 - 1.0, unit() * 10.0 - 1.0))
+            .collect();
+        for r in &rings {
+            for e in r.edges() {
+                points.extend([e.a, (e.a + e.b) / 2.0, Point::new(e.a.x, nan), Point::new(nan, e.a.y)]);
+            }
+        }
+        points.push(Point::new(nan, nan));
+        let mut inside = [0, 0];
+        for r in &rings {
+            for &p in &points {
+                let boundary_first = r.on_boundary(p) || r.contains_interior_even_odd(p);
+                assert_eq!(r.contains(p), boundary_first, "{p:?}");
+                inside[usize::from(r.on_boundary(p))] += usize::from(boundary_first);
+            }
+        }
+        assert!(inside[0] > 0 && inside[1] > 0, "{inside:?}");
     }
 
     #[test]

@@ -75,6 +75,7 @@ pub trait RegionIndex: Sync {
         mut credit: impl FnMut(RegionId, T),
     ) {
         let mut candidates = Vec::with_capacity(8);
+        // lint: allow(cancel-poll-reachability) one zone's rows; its callers poll once per zone in `ZoneWalk::run`
         for (p, t) in rows {
             match self.probe_into(p, &mut candidates) {
                 Probe::Empty => {}

@@ -122,7 +122,8 @@ pub struct FnNode {
     /// Index into the file set the graph was built from.
     pub file: usize,
     pub name: String,
-    /// The `impl` type owning this method, when inside an `impl` block.
+    /// The `impl` type owning this method, when inside an `impl` block, or
+    /// the trait providing it, when inside a `trait` block.
     pub owner: Option<String>,
     /// Line of the `fn` keyword.
     pub line: u32,
@@ -342,11 +343,25 @@ fn token_span_to_sig(sf: &SourceFile, span: Span) -> Span {
     Span { start, end }
 }
 
-/// `(body token-span, type name)` for every `impl` block in the file.
-/// Handles `impl Foo`, `impl Trait for Foo`, `impl<T> Foo<T> where …`.
+/// `(body token-span, type name)` for every `impl` block in the file, and
+/// `(body token-span, trait name)` for every `trait` block, whose provided
+/// method bodies are methods of the trait.
+/// Handles `impl Foo`, `impl Trait for Foo`, `impl<T> Foo<T> where …`,
+/// `trait Name<T>: Bound where … {`.
 fn impl_spans(sf: &SourceFile) -> Vec<(Span, String)> {
     let mut out = Vec::new();
     for pos in 0..sf.sig.len() {
+        if sf.tok(pos).is_some_and(|t| t.is_ident("trait")) {
+            let name = sf.tok(pos + 1).filter(|t| t.kind == TokenKind::Ident);
+            // The body opens at the first `{`; a `;` first is no trait block.
+            let open = ((pos + 1)..sf.sig.len())
+                .find(|&q| sf.tok(q).is_some_and(|t| t.is_punct('{') || t.is_punct(';')))
+                .filter(|&q| sf.tok(q).is_some_and(|t| t.is_punct('{')));
+            if let (Some(open), Some(name)) = (open, name) {
+                out.extend(block_span(sf, open).map(|span| (span, name.text.clone())));
+            }
+            continue;
+        }
         if !sf.tok(pos).is_some_and(|t| t.is_ident("impl")) {
             continue;
         }
@@ -384,11 +399,16 @@ fn impl_spans(sf: &SourceFile) -> Vec<(Span, String)> {
                 .find(|&q| sf.tok(q).is_some_and(|t| t.is_punct('{'))),
         };
         let (Some(open), Some(ty)) = (open, idents.last().cloned()) else { continue };
-        let Some(close) = match_delim(sf, open, '{', '}') else { continue };
-        let (Some(&s), Some(&e)) = (sf.sig.get(open), sf.sig.get(close)) else { continue };
-        out.push((Span { start: s, end: e + 1 }, ty));
+        out.extend(block_span(sf, open).map(|span| (span, ty)));
     }
     out
+}
+
+/// The token span of the `{ … }` block opening at sig-position `open`.
+fn block_span(sf: &SourceFile, open: usize) -> Option<Span> {
+    let close = match_delim(sf, open, '{', '}')?;
+    let (&s, &e) = (sf.sig.get(open)?, sf.sig.get(close)?);
+    Some(Span { start: s, end: e + 1 })
 }
 
 /// The parameters, from the `(` at sig-position `open`, whose type is a
@@ -544,6 +564,21 @@ mod tests {
         assert_eq!(find(&g, "A::go").owner.as_deref(), Some("A"));
         assert_eq!(find(&g, "A::clone").owner.as_deref(), Some("A"));
         assert!(find(&g, "free").owner.is_none());
+    }
+
+    /// A trait's provided method body is a method of the trait: a `.name(`
+    /// call reaches it, and `Self::` inside it resolves against the trait.
+    #[test]
+    fn provided_trait_methods_are_methods() {
+        let src = "pub trait Index<T>: Sized where T: Copy {\n    fn probe(&self) -> u32;\n    fn join_rows(&self) { Self::helper(); }\n    fn helper() {}\n}\npub fn caller(i: &I) { i.join_rows(); }\ntrait Alias = Sized;\nfn after() {}\n";
+        let (_, g) = graph_of(&[("crates/core/src/t.rs", src)]);
+        let provided = find(&g, "Index::join_rows");
+        assert_eq!(g.fns[provided.calls[0].callee].qual(), "Index::helper");
+        let caller = find(&g, "caller");
+        let quals: Vec<String> = caller.calls.iter().map(|c| g.fns[c.callee].qual()).collect();
+        assert_eq!(quals, ["Index::join_rows"]);
+        assert!(find(&g, "after").owner.is_none());
+        assert!(!g.fns.iter().any(|f| f.name == "probe"), "a required method has no body");
     }
 
     #[test]

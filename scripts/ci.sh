@@ -34,6 +34,9 @@ cargo test -q --release -p gpu-raster -p urbane-geom
 # one-write response framing, under the shipped profile too.
 cargo test -q --release -p urbane-serve
 cargo clippy --workspace --all-targets -- -D warnings
+# Fault injection sits behind the default-on `fault-injection` feature: the
+# executor must build without it too.
+cargo build -q -p raster-join --no-default-features
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,
 # catch_unwind pairing, bounded growth, determinism) plus the call-graph
@@ -142,6 +145,23 @@ curl -fsS -X POST -d '{"dataset":"taxi","level":1,"mode":"index"}' \
   "http://$addr/query" | grep '"error_bound":0' > /dev/null
 curl -fsS "http://$addr/metrics" | grep '^urbane_store_streamed_queries_total 1' > /dev/null
 curl -fsS "http://$addr/metrics" | grep '^urbane_store_page_ins_total 0' > /dev/null
+
+# Pass reuse in the served binary: a drill's later level resolves the kept
+# point pass instead of drawing. The first level-0 pass records only level
+# 0's boundary rows (level 1's raster is not prepared yet), so level 1
+# draws, and its pass records both levels' rows: the second level-0 query
+# reuses it. Resident `crime`, so the store's page-in count is untouched.
+drill() {
+  curl -fsS -X POST -d "{\"dataset\":\"crime\",\"level\":$1,\"mode\":\"accurate\"}" \
+    "http://$addr/query" | grep '"cached":false' > /dev/null
+}
+drill 0
+drill 1
+curl -fsS "http://$addr/metrics" | grep '^urbane_pass_reuse_total 0' > /dev/null \
+  || { echo "a pass was reused before it covered the level"; exit 1; }
+drill 0
+curl -fsS "http://$addr/metrics" | grep '^urbane_pass_reuse_total 1' > /dev/null \
+  || { echo "the second level-0 query did not reuse the kept pass"; exit 1; }
 
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
