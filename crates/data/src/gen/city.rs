@@ -20,17 +20,13 @@ pub struct Hotspot {
     pub weight: f64,
 }
 
-/// A city: an extent plus a Gaussian-mixture activity model, optionally
-/// restricted to a land mask (real cities are full of water — samples must
-/// not land in it).
+/// A city: an extent plus a Gaussian-mixture activity model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CityModel {
     bbox: BoundingBox,
     hotspots: Vec<Hotspot>,
     /// Share of activity drawn uniformly over the extent (background noise).
     background: f64,
-    /// Optional land mask: samples are rejection-filtered to lie inside.
-    mask: Option<urbane_geom::MultiPolygon>,
 }
 
 impl CityModel {
@@ -56,7 +52,6 @@ impl CityModel {
                 spot(-73.786, 40.645, 1_000.0, 0.06), // JFK
             ],
             background: 0.15,
-            mask: None,
         }
     }
 
@@ -74,29 +69,7 @@ impl CityModel {
                 weight: 0.5 + rng.gen::<f64>(),
             })
             .collect();
-        CityModel { bbox, hotspots, background: 0.15, mask: None }
-    }
-
-    /// Restrict sampling to a land mask (e.g. borough polygons). Hotspots
-    /// outside the mask keep attracting activity but their samples are
-    /// re-drawn until they land inside — so the mask should cover a
-    /// non-trivial share of each hotspot's neighborhood or generation slows.
-    ///
-    /// # Panics
-    /// Panics when the mask does not intersect the city extent at all (no
-    /// sample could ever be produced).
-    pub fn with_mask(mut self, mask: urbane_geom::MultiPolygon) -> Self {
-        assert!(
-            mask.bbox().intersects(&self.bbox),
-            "land mask must overlap the city extent"
-        );
-        self.mask = Some(mask);
-        self
-    }
-
-    /// The land mask, if any.
-    pub fn mask(&self) -> Option<&urbane_geom::MultiPolygon> {
-        self.mask.as_ref()
+        CityModel { bbox, hotspots, background: 0.15 }
     }
 
     /// The city extent (Mercator meters).
@@ -135,10 +108,9 @@ impl CityModel {
                 spot.center + Point::new(normal(rng) * spot.sigma, normal(rng) * spot.sigma)
             };
             // Strictly inside (shrunken box) so half-open pixel edges and
-            // region-set boundaries never clip legitimate data; inside the
-            // land mask when one is set.
+            // region-set boundaries never clip legitimate data.
             let inner = self.bbox.inflate(-1e-6 * self.bbox.width().max(1.0));
-            if inner.contains(p) && self.mask.as_ref().is_none_or(|m| m.contains(p)) {
+            if inner.contains(p) {
                 return p;
             }
         }
@@ -197,44 +169,6 @@ mod tests {
             near_mid > 10 * near_remote.max(1),
             "midtown {near_mid} vs remote {near_remote}"
         );
-    }
-
-    #[test]
-    fn land_mask_confines_samples() {
-        use urbane_geom::{MultiPolygon, Polygon};
-        let b = BoundingBox::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let mut rng = StdRng::seed_from_u64(13);
-        // "Land": two islands covering ~1/4 of the extent.
-        let land = MultiPolygon::new(vec![
-            Polygon::from_coords(&[(50.0, 50.0), (450.0, 50.0), (450.0, 450.0), (50.0, 450.0)])
-                .unwrap(),
-            Polygon::from_coords(&[(600.0, 600.0), (950.0, 600.0), (950.0, 950.0), (600.0, 950.0)])
-                .unwrap(),
-        ]);
-        let city = CityModel::synthetic(b, 3, &mut rng).with_mask(land.clone());
-        assert!(city.mask().is_some());
-        let mut on_island_1 = 0;
-        for _ in 0..2_000 {
-            let p = city.sample_location(&mut rng);
-            assert!(land.contains(p), "sample {p} landed in the water");
-            if p.x < 500.0 {
-                on_island_1 += 1;
-            }
-        }
-        // Both islands receive activity.
-        assert!(on_island_1 > 100 && on_island_1 < 1_900, "island split {on_island_1}");
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn disjoint_mask_rejected() {
-        use urbane_geom::{MultiPolygon, Polygon};
-        let b = BoundingBox::from_coords(0.0, 0.0, 10.0, 10.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let far = MultiPolygon::from_polygon(
-            Polygon::from_coords(&[(100.0, 100.0), (110.0, 100.0), (110.0, 110.0)]).unwrap(),
-        );
-        let _ = CityModel::synthetic(b, 2, &mut rng).with_mask(far);
     }
 
     #[test]

@@ -1,17 +1,10 @@
 //! Sampling for progressive/approximate previews.
 //!
 //! While a slider is being dragged, Urbane-style systems answer from a
-//! sample and refine when the interaction pauses. Two samplers are
-//! provided:
-//!
-//! * [`reservoir_sample`] — uniform k-of-n without knowing n in advance
-//!   (Vitter's Algorithm R), the right default for temporal streams;
-//! * [`stratified_spatial_sample`] — at most `per_cell` points from each
-//!   cell of a coarse grid, preserving spatial *coverage* under heavy
-//!   hotspot skew (a uniform sample of taxi data is almost all Midtown).
-//!
-//! Both return row-index vectors plus a [`PointTable`] materializer, and
-//! both are deterministic in their seed.
+//! sample and refine when the interaction pauses. [`reservoir_sample`] draws
+//! a uniform k-of-n without knowing n in advance (Vitter's Algorithm R),
+//! deterministic in its seed; [`take_rows`] materializes the sampled rows as
+//! a [`PointTable`].
 
 use crate::table::PointTable;
 use rand::rngs::StdRng;
@@ -34,47 +27,6 @@ pub fn reservoir_sample(table: &PointTable, k: usize, seed: u64) -> Vec<usize> {
     }
     reservoir.sort_unstable();
     reservoir
-}
-
-/// Spatially stratified sample: the extent is cut into `grid × grid` cells
-/// and at most `per_cell` rows are reservoir-kept per cell. Returns
-/// ascending row indices.
-pub fn stratified_spatial_sample(
-    table: &PointTable,
-    grid: u32,
-    per_cell: usize,
-    seed: u64,
-) -> Vec<usize> {
-    assert!(grid > 0, "grid must have cells");
-    let bbox = table.bbox();
-    if table.is_empty() || bbox.is_empty() || per_cell == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cells = (grid * grid) as usize;
-    let mut kept: Vec<Vec<usize>> = vec![Vec::new(); cells];
-    let mut seen: Vec<usize> = vec![0; cells];
-
-    let w = bbox.width().max(f64::MIN_POSITIVE);
-    let h = bbox.height().max(f64::MIN_POSITIVE);
-    for i in 0..table.len() {
-        let p = table.loc(i);
-        let gx = (((p.x - bbox.min.x) / w * grid as f64) as u32).min(grid - 1);
-        let gy = (((p.y - bbox.min.y) / h * grid as f64) as u32).min(grid - 1);
-        let c = (gy * grid + gx) as usize;
-        seen[c] += 1;
-        if kept[c].len() < per_cell {
-            kept[c].push(i);
-        } else {
-            let j = rng.gen_range(0..seen[c]);
-            if j < per_cell {
-                kept[c][j] = i;
-            }
-        }
-    }
-    let mut out: Vec<usize> = kept.into_iter().flatten().collect();
-    out.sort_unstable();
-    out
 }
 
 /// Materialize sampled rows as a new table (same schema).
@@ -147,34 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn stratified_preserves_coverage() {
-        let t = skewed_table(10_000);
-        let strat = stratified_spatial_sample(&t, 10, 5, 3);
-        let unif = reservoir_sample(&t, strat.len(), 3);
-        // Count distinct occupied cells for both samples.
-        let cells = |rows: &[usize]| {
-            let bbox = t.bbox();
-            rows.iter()
-                .map(|&i| {
-                    let p = t.loc(i);
-                    let gx = (((p.x - bbox.min.x) / bbox.width() * 10.0) as u32).min(9);
-                    let gy = (((p.y - bbox.min.y) / bbox.height() * 10.0) as u32).min(9);
-                    gy * 10 + gx
-                })
-                .collect::<std::collections::HashSet<u32>>()
-                .len()
-        };
-        assert!(
-            cells(&strat) > cells(&unif),
-            "stratified {} cells vs uniform {}",
-            cells(&strat),
-            cells(&unif)
-        );
-        // Per-cell cap respected.
-        assert!(strat.len() <= 100 * 5);
-    }
-
-    #[test]
     fn take_rows_materializes() {
         let t = skewed_table(100);
         let rows = reservoir_sample(&t, 10, 5);
@@ -193,6 +117,5 @@ mod tests {
     fn empty_inputs() {
         let t = PointTable::new(Schema::empty());
         assert!(reservoir_sample(&t, 10, 1).is_empty());
-        assert!(stratified_spatial_sample(&t, 8, 4, 1).is_empty());
     }
 }

@@ -31,3 +31,7 @@ pub fn entrypoint_missing_reason() {}
 // lint: polls-budget
 //~^ directive-syntax
 pub fn polls_budget_missing_reason() {}
+
+// lint: allow(bounded-retry) a suppression of a rule the catalog no longer has
+//~^ directive-syntax
+pub fn stale_rule() {}

@@ -3,53 +3,44 @@
 //! `urbane-lint` CLI.
 //!
 //! ```text
-//! urbane-lint check    [--root DIR] [--baseline FILE] [--json] [--trace FILE:LINE]
-//! urbane-lint baseline [--root DIR] [--baseline FILE]
+//! urbane-lint check [--root DIR] [--json] [--trace FILE:LINE]
 //! ```
 //!
 //! `--trace crates/x/src/y.rs:42` prints the full witness path of the
 //! violation at that location (call chain / lock chain / taint path) and
 //! nothing else.
 //!
-//! Exit codes: 0 clean (or within baseline), 1 ratchet regression,
-//! 2 usage or I/O error.
+//! Exit codes: 0 no unsuppressed finding, 1 any finding, 2 usage or I/O
+//! error.
 
 use std::env;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use urbane_lint::baseline::{check, Baseline};
 use urbane_lint::engine::{find_workspace_root, scan_workspace};
-use urbane_lint::{json, RuleId};
+use urbane_lint::RuleId;
 
-const USAGE: &str =
-    "usage: urbane-lint <check|baseline> [--root DIR] [--baseline FILE] [--json] [--trace FILE:LINE]";
+const USAGE: &str = "usage: urbane-lint check [--root DIR] [--json] [--trace FILE:LINE]";
 
 struct Opts {
-    command: String,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
     trace: Option<(String, u32)>,
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut it = args.iter();
-    let command = it.next().cloned().ok_or_else(|| USAGE.to_string())?;
-    if command != "check" && command != "baseline" {
+    let command = it.next().ok_or_else(|| USAGE.to_string())?;
+    if command != "check" {
         return Err(format!("unknown command `{command}`\n{USAGE}"));
     }
-    let mut opts = Opts { command, root: None, baseline: None, json: false, trace: None };
+    let mut opts = Opts { root: None, json: false, trace: None };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => {
                 opts.root =
                     Some(PathBuf::from(it.next().ok_or("--root needs a directory")?));
-            }
-            "--baseline" => {
-                opts.baseline =
-                    Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
             }
             "--json" => opts.json = true,
             "--trace" => {
@@ -78,21 +69,8 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or("no workspace root (Cargo.toml + crates/) above cwd; pass --root")?
         }
     };
-    let baseline_path = opts.baseline.unwrap_or_else(|| root.join("lint-baseline.json"));
 
     let violations = scan_workspace(&root)?;
-
-    if opts.command == "baseline" {
-        let b = Baseline::from_violations(&violations);
-        b.save(&baseline_path)?;
-        println!(
-            "urbane-lint: wrote {} entr{} to {}",
-            b.entries.len(),
-            if b.entries.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
 
     if let Some((file, line)) = opts.trace {
         let matches: Vec<_> =
@@ -112,21 +90,19 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let base = Baseline::load(&baseline_path)?;
-    let report = check(&violations, &base);
+    let ok = violations.is_empty();
 
     if opts.json {
         let mut out = String::from("{");
         let _ = write!(
             out,
-            "\"ok\": {}, \"current_total\": {}, \"baseline_total\": {}, \"rules\": [",
-            report.ok(),
-            report.current_total,
-            report.baseline_total
+            "\"ok\": {}, \"current_total\": {}, \"rules\": [",
+            ok,
+            violations.len()
         );
         for (i, r) in RuleId::ALL.iter().enumerate() {
             let comma = if i + 1 == RuleId::ALL.len() { "" } else { ", " };
-            let _ = write!(out, "{}{}", json::escape(r.as_str()), comma);
+            let _ = write!(out, "{}{}", escape(r.as_str()), comma);
         }
         out.push_str("], \"violations\": [");
         for (i, v) in violations.iter().enumerate() {
@@ -137,9 +113,9 @@ fn run() -> Result<ExitCode, String> {
                 let _ = write!(
                     trace,
                     "{{\"file\": {}, \"line\": {}, \"note\": {}}}{}",
-                    json::escape(&s.file),
+                    escape(&s.file),
                     s.line,
-                    json::escape(&s.note),
+                    escape(&s.note),
                     tc
                 );
             }
@@ -147,64 +123,54 @@ fn run() -> Result<ExitCode, String> {
             let _ = write!(
                 out,
                 "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"trace\": {}}}{}",
-                json::escape(&v.file),
+                escape(&v.file),
                 v.line,
-                json::escape(v.rule.as_str()),
-                json::escape(&v.message),
+                escape(v.rule.as_str()),
+                escape(&v.message),
                 trace,
-                comma
-            );
-        }
-        out.push_str("], \"regressions\": [");
-        for (i, r) in report.regressions.iter().enumerate() {
-            let comma = if i + 1 == report.regressions.len() { "" } else { ", " };
-            let _ = write!(
-                out,
-                "{{\"file\": {}, \"rule\": {}, \"baselined\": {}, \"found\": {}}}{}",
-                json::escape(&r.file),
-                json::escape(&r.rule),
-                r.baselined,
-                r.found,
                 comma
             );
         }
         out.push_str("]}");
         println!("{out}");
-    } else if report.ok() {
-        println!(
-            "urbane-lint: OK — {} violation(s), all within the {}-entry baseline",
-            report.current_total, report.baseline_total
-        );
-        if !report.improved.is_empty() {
-            println!(
-                "urbane-lint: {} bucket(s) improved — run `urbane-lint baseline` to ratchet down:",
-                report.improved.len()
-            );
-            for (file, rule, was, now) in &report.improved {
-                println!("  {file} [{rule}]: {was} -> {now}");
-            }
-        }
+    } else if ok {
+        println!("urbane-lint: OK — no findings");
     } else {
-        println!("urbane-lint: FAILED — new debt beyond the ratchet baseline:");
-        for r in &report.regressions {
-            println!(
-                "  {} [{}]: baseline allows {}, found {}:",
-                r.file, r.rule, r.baselined, r.found
-            );
-            for v in &r.violations {
-                println!("    {}", v.render());
-                if !v.trace.is_empty() {
-                    println!("{}", v.render_trace());
-                }
+        println!("urbane-lint: FAILED — {} finding(s):", violations.len());
+        for v in &violations {
+            println!("  {}", v.render());
+            if !v.trace.is_empty() {
+                println!("{}", v.render_trace());
             }
         }
         println!(
-            "fix the new violation(s), add an inline `// lint: allow(<rule>) <why>`, or — for \
-             deliberate new debt — regenerate with `cargo run -p urbane-lint -- baseline`"
+            "fix each finding, or add an inline `// lint: allow(<rule>) <why>` where it is \
+             deliberate"
         );
     }
 
-    Ok(if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+}
+
+/// Escape `s` as a JSON string literal, quotes included.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn main() -> ExitCode {
@@ -214,5 +180,16 @@ fn main() -> ExitCode {
             eprintln!("urbane-lint: error: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::escape;
+
+    #[test]
+    fn escape_quotes_backslashes_and_control_characters() {
+        assert_eq!(escape("a\"b\\c\nd\te\r"), r#""a\"b\\c\nd\te\r""#);
+        assert_eq!(escape("\u{1}ü"), "\"\\u0001ü\"");
     }
 }

@@ -11,7 +11,6 @@
 //! | `catch-unwind-pairing`| every `catch_unwind` is followed, in the same function, by poison recovery or abort-flag propagation |
 //! | `bounded-growth`      | `push`/`insert` into `self.*` state on request paths carries `// lint: bounded-by <cap>` |
 //! | `determinism`         | no `Instant::now`/`SystemTime` in merge/answer paths             |
-//! | `bounded-retry`       | every retry loop visibly references an attempt cap or budget     |
 //! | `directive-syntax`    | every `// lint:` comment parses                                  |
 //!
 //! Three further rules are *cross-procedural* — they run over the workspace
@@ -50,7 +49,7 @@ use crate::lexer::{Token, TokenKind};
 use crate::scope::Scopes;
 
 /// Identity of a lint rule; `as_str` gives the kebab-case name used in
-/// suppressions, baselines, and output.
+/// suppressions and output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     PanicFreedom,
@@ -59,7 +58,6 @@ pub enum RuleId {
     CatchUnwindPairing,
     BoundedGrowth,
     Determinism,
-    BoundedRetry,
     DirectiveSyntax,
     CancelPollReachability,
     LockOrder,
@@ -67,14 +65,13 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::PanicFreedom,
         RuleId::RelaxedOrdering,
         RuleId::ReleaseAcquire,
         RuleId::CatchUnwindPairing,
         RuleId::BoundedGrowth,
         RuleId::Determinism,
-        RuleId::BoundedRetry,
         RuleId::DirectiveSyntax,
         RuleId::CancelPollReachability,
         RuleId::LockOrder,
@@ -89,7 +86,6 @@ impl RuleId {
             RuleId::CatchUnwindPairing => "catch-unwind-pairing",
             RuleId::BoundedGrowth => "bounded-growth",
             RuleId::Determinism => "determinism",
-            RuleId::BoundedRetry => "bounded-retry",
             RuleId::DirectiveSyntax => "directive-syntax",
             RuleId::CancelPollReachability => "cancel-poll-reachability",
             RuleId::LockOrder => "lock-order",
@@ -214,16 +210,6 @@ pub fn rule_in_scope(rule: RuleId, rel: &str) -> bool {
                 .iter()
                 .any(|c| rel.starts_with(&format!("crates/{c}/src")));
             crate_in_scope && !rel.contains("/src/bin/") && !ALLOWLISTED.contains(&rel)
-        }
-        // Retry loops belong on the request path: the serving layer (which
-        // makes no outbound calls, so has none today) and the guard ladder,
-        // which retries a panicked full rung once.
-        RuleId::BoundedRetry => {
-            rel.starts_with("crates/server/src")
-                || matches!(
-                    rel,
-                    "crates/urbane/src/service.rs" | "crates/urbane/src/guard.rs"
-                )
         }
         // Loops on the request path live in the engine crates. The bench
         // harness, the linter itself, and the offline verifier never serve a
@@ -441,23 +427,6 @@ impl FileCtx<'_> {
         if !suppressed(&self.anns, rule, line) {
             out.push(Violation::new(self.rel, line, rule, message));
         }
-    }
-
-    /// Sig-position of the `}` matching the `{` at sig-position `open`.
-    fn match_brace(&self, open: usize) -> Option<usize> {
-        let mut depth = 0usize;
-        for pos in open..self.sig.len() {
-            let t = self.tok(pos)?;
-            if t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct('}') {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return Some(pos);
-                }
-            }
-        }
-        None
     }
 
     /// Sig-position of the `)` matching the `(` at sig-position `open`.
@@ -721,11 +690,6 @@ fn scan_ident(
         );
     }
 
-    // bounded-retry: a `loop`/`while` whose body retries must show a cap.
-    if ctx.active(RuleId::BoundedRetry) && matches!(t.text.as_str(), "loop" | "while") {
-        scan_retry_loop(ctx, pos, t, violations);
-    }
-
     // determinism: wall-clock reads in merge/answer paths.
     if ctx.active(RuleId::Determinism) {
         let instant_now = t.text == "Instant"
@@ -744,50 +708,6 @@ fn scan_ident(
                 ),
             );
         }
-    }
-}
-
-/// Identifiers that mark a loop as a retry loop.
-const RETRY_MARKERS: [&str; 2] = ["retry", "backoff"];
-/// Identifiers that count as visible evidence the loop is bounded.
-const CAP_EVIDENCE: [&str; 6] = ["max", "budget", "deadline", "cap", "attempt", "remaining"];
-
-/// bounded-retry: a `loop`/`while` at sig-position `pos` whose body mentions
-/// retry/backoff identifiers must also mention a cap (attempt limit, budget,
-/// deadline) in its condition or body — an unbounded retry loop turns a dead
-/// dependency into a livelock.
-fn scan_retry_loop(ctx: &FileCtx<'_>, pos: usize, t: &Token, violations: &mut Vec<Violation>) {
-    // The body is the first `{` after the keyword up to its matching `}`.
-    // A `while` condition cannot contain a bare struct literal, so the
-    // first brace opens the body.
-    let Some(open) =
-        ((pos + 1)..ctx.sig.len()).find(|&p| ctx.tok(p).is_some_and(|u| u.is_punct('{')))
-    else {
-        return;
-    };
-    let Some(close) = ctx.match_brace(open) else { return };
-    let mentions = |p: usize, needles: &[&str]| {
-        ctx.tok(p).is_some_and(|u| {
-            u.kind == TokenKind::Ident && {
-                let low = u.text.to_ascii_lowercase();
-                needles.iter().any(|n| low.contains(n))
-            }
-        })
-    };
-    if !(open..close).any(|p| mentions(p, &RETRY_MARKERS)) {
-        return;
-    }
-    // Cap evidence may live in the loop condition (`while attempt < max`)
-    // or in the body (`if attempt >= max_attempts { break }`).
-    if !(pos..close).any(|p| mentions(p, &CAP_EVIDENCE)) {
-        ctx.violation(
-            violations,
-            RuleId::BoundedRetry,
-            t.line,
-            "retry loop without a visible attempt cap or budget — bound it (max attempts, \
-             remaining deadline) or add `// lint: allow(bounded-retry) <why>`"
-                .to_string(),
-        );
     }
 }
 

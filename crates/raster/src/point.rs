@@ -10,25 +10,6 @@ use crate::buffer::Buffer2D;
 use urbane_geom::projection::Viewport;
 use urbane_geom::Point;
 
-/// Render one world-space point into `target` through `viewport`, blending
-/// `value`. Returns the number of fragments written (0 when culled).
-#[inline]
-pub fn draw_point<T: Blendable>(
-    target: &mut Buffer2D<T>,
-    viewport: &Viewport,
-    p: Point,
-    value: T,
-    op: BlendOp,
-) -> u64 {
-    match viewport.world_to_pixel(p) {
-        Some((x, y)) => {
-            T::blend(target.get_mut(x, y), value, op);
-            1
-        }
-        None => 0,
-    }
-}
-
 /// Render a point as a `size × size` pixel splat centered on its pixel
 /// (odd sizes center exactly; even sizes bias toward the top-left, matching
 /// GL's point sprite convention). Fragments outside the buffer are clipped.
@@ -79,7 +60,7 @@ mod tests {
         let mut buf = Buffer2D::new(8, 8, 0.0f32);
         let v = vp();
         for _ in 0..5 {
-            draw_point(&mut buf, &v, Point::new(3.5, 4.5), 1.0, BlendOp::Add);
+            draw_point_splat(&mut buf, &v, Point::new(3.5, 4.5), 1.0, 1, BlendOp::Add);
         }
         // World (3.5, 4.5) → pixel (3, 3) with y flipped (8 - 4.5 = 3.5).
         assert_eq!(buf.get(3, 3), 5.0);
@@ -89,7 +70,8 @@ mod tests {
     #[test]
     fn out_of_view_point_culled() {
         let mut buf = Buffer2D::new(8, 8, 0.0f32);
-        assert_eq!(draw_point(&mut buf, &vp(), Point::new(100.0, 0.0), 1.0, BlendOp::Add), 0);
+        let n = draw_point_splat(&mut buf, &vp(), Point::new(100.0, 0.0), 1.0, 1, BlendOp::Add);
+        assert_eq!(n, 0);
         assert_eq!(buf.sum(), 0.0);
     }
 
@@ -98,9 +80,9 @@ mod tests {
         let mut buf = Buffer2D::new(8, 8, f32::INFINITY);
         let v = vp();
         let p = Point::new(1.0, 1.0);
-        draw_point(&mut buf, &v, p, 7.0, BlendOp::Min);
-        draw_point(&mut buf, &v, p, 3.0, BlendOp::Min);
-        draw_point(&mut buf, &v, p, 5.0, BlendOp::Min);
+        draw_point_splat(&mut buf, &v, p, 7.0, 1, BlendOp::Min);
+        draw_point_splat(&mut buf, &v, p, 3.0, 1, BlendOp::Min);
+        draw_point_splat(&mut buf, &v, p, 5.0, 1, BlendOp::Min);
         assert_eq!(buf.get(1, 7), 3.0);
     }
 
@@ -130,7 +112,7 @@ mod tests {
         let v = vp();
         let p = Point::new(2.0, 2.0);
         for fare in [10.0f32, 20.0, 30.0] {
-            draw_point(&mut buf, &v, p, [fare, 1.0], BlendOp::Add);
+            draw_point_splat(&mut buf, &v, p, [fare, 1.0], 1, BlendOp::Add);
         }
         let [sum, count] = buf.get(2, 6);
         assert_eq!(sum, 60.0);

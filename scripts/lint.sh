@@ -1,22 +1,16 @@
 #!/usr/bin/env bash
 # Run the workspace invariant linter (see DESIGN.md §11 and §16).
 #
-#   scripts/lint.sh                                    # check against the committed baseline
+#   scripts/lint.sh                                    # exit 0 clean, 1 on any finding, 2 on an error
 #   scripts/lint.sh --json                             # same, machine-readable
 #   scripts/lint.sh --trace FILE:LINE
 #                                 # print the witness path (entry point ->
 #                                 # call chain -> offending line) behind the
 #                                 # finding at FILE:LINE; fails if nothing
 #                                 # fires there
-#   scripts/lint.sh baseline                           # regenerate lint-baseline.json (ratchet down)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-mode="check"
-if [ "${1:-}" = "baseline" ]; then
-  mode="baseline"
-  shift
-fi
-exec cargo run --release -p urbane-lint -- "$mode" "$@"
+exec cargo run --release -p urbane-lint -- check "$@"
