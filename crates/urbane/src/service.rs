@@ -879,7 +879,9 @@ impl UrbaneService {
             let store = PointStore::plain(&pts);
             let res = self.full_raster_join(key, pass_key, &regions, store, &query, budget)?;
             self.zones.record(&res.zones);
-            Ok((Arc::new(res.table), Some(res.epsilon)))
+            // An accurate answer is exact: its bound is 0, not the canvas ε.
+            let bound = if req.mode == ExecutionMode::Accurate { 0.0 } else { res.epsilon };
+            Ok((Arc::new(res.table), Some(bound)))
         };
         let degraded = |budget: &QueryBudget| -> Result<(AggTable, f64)> {
             let pts = points()?;
@@ -1401,16 +1403,21 @@ mod tests {
         let indexed = s
             .query(&QueryRequest::count("taxi", 1).mode(ExecutionMode::IndexJoin))
             .unwrap();
+        assert_eq!(exact.report.path, GuardPath::Full);
+        assert_eq!(exact.report.error_bound, Some(0.0));
         assert_eq!(indexed.report.path, GuardPath::Full);
         assert_eq!(indexed.report.error_bound, Some(0.0));
         assert_eq!(exact.table.values(), indexed.table.values());
         // Distinct cache entries per mode; the third ask hits the cache.
-        s.query(&QueryRequest::count("taxi", 1).mode(ExecutionMode::IndexJoin)).unwrap();
-        let again = s
-            .query(&QueryRequest::count("taxi", 1).mode(ExecutionMode::IndexJoin))
-            .unwrap();
-        assert!(again.cached);
-        assert_eq!(again.report.error_bound, Some(0.0));
+        for mode in [ExecutionMode::Accurate, ExecutionMode::IndexJoin] {
+            s.query(&QueryRequest::count("taxi", 1).mode(mode)).unwrap();
+            let again = s.query(&QueryRequest::count("taxi", 1).mode(mode)).unwrap();
+            assert!(again.cached, "{mode:?}");
+            assert_eq!(again.report.error_bound, Some(0.0), "{mode:?}");
+        }
+        // A bounded answer keeps its canvas ε.
+        let bounded = s.query(&QueryRequest::count("taxi", 1)).unwrap();
+        assert!(bounded.report.error_bound.is_some_and(|e| e > 0.0));
     }
 
     #[test]
