@@ -4,7 +4,8 @@
 //!
 //! The experiment is a thin front-end over [`urbane_verify`]: the same
 //! seeded corpus, the same execution matrix (bounded / weighted / accurate
-//! × threads {1,4} × binning {Off, Grid}, plus each mode prepared), the
+//! × threads {1,4} × row order {generator, clustered}, plus each mode
+//! prepared), the
 //! same analytic ε budget. `scale` maps to the number of differential workloads
 //! (the repro convention of "bigger scale, bigger run"): the fast corpus is
 //! 15 workloads, and `--scale` above the default requests proportionally

@@ -34,8 +34,8 @@ pub(crate) struct PointBuffers {
 /// Render the point pass for one tile: select, project, blend. The rows
 /// arrive from the query's zone walk ([`PointStore::walk_tile`]), one zone
 /// at a time with a budget check between zones, so cancellation interrupts
-/// the pass mid-stream; which zones and rows there are (zones that can reach
-/// the tile, or a binned store's candidate rows) is the walk's business.
+/// the pass mid-stream; which zones there are (those that can reach the
+/// tile) is the walk's business.
 /// Rows arrive ascending, so the per-pixel blend order — and therefore every
 /// f32 accumulation — is the same on every path. Each row is projected once:
 /// the MIN/MAX channels blend in the same per-fragment step, which then

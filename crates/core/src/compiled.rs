@@ -26,10 +26,10 @@
 //! rows into at most `ZONE_ROWS / 64` reused words and hands the consumer
 //! the zone's columns and the set bits ([`SetBits`]), ascending. A
 //! [`Reach`] narrows the walk to what a consumer can use: a raster tile
-//! steps over zones whose footer box misses it, and a binned store's
-//! candidate rows are ANDed into the words — f32 blending is not
-//! associative, so feeding each pixel its points in the same relative order
-//! as the full scan is what keeps every path bit-identical.
+//! steps over zones whose footer box misses it. Every consumer sees its rows
+//! in table order — f32 blending is not associative, so feeding each pixel
+//! its points in the same relative order as the full scan is what keeps
+//! every path bit-identical.
 
 use crate::budget::QueryBudget;
 use crate::Result;
@@ -358,8 +358,6 @@ pub enum Reach<'a> {
     /// row. (A zone holding a NaN coordinate is not: its box does not cover
     /// that row.)
     Tile(&'a BoundingBox),
-    /// Only these rows, ascending: a binned store's candidates for a tile.
-    Rows(&'a [u32]),
 }
 
 /// One query's walk over a source's zones: the plan, and every zone's class
@@ -412,20 +410,16 @@ impl ZoneWalk {
     ) -> Result<()> {
         let mut words = [0u64; ZONE_ROWS / 64];
         let mut attrs = Vec::new();
-        let mut candidates = if let Reach::Rows(rows) = reach { rows } else { &[] };
         let mut end = 0;
         for (z, class) in self.classes.iter().enumerate() {
             budget.check()?;
             let first = end;
             end += source.rows(z);
-            let (mine, rest) = candidates.split_at(candidates.partition_point(|&r| (r as usize) < end));
-            candidates = rest;
             let reached = match reach {
                 Reach::All => true,
                 Reach::Tile(world) => {
                     source.footer(z).is_none_or(|f| f.has_nan || world.intersects(&f.bbox))
                 }
-                Reach::Rows(_) => !mine.is_empty(),
             };
             if matches!(class, ZoneClass::Skip) || !reached {
                 continue;
@@ -434,14 +428,6 @@ impl ZoneWalk {
             let zone = source.read(z, ts, &attrs)?;
             let words = &mut words[..zone.xs.len().div_ceil(64)];
             class.mask(&zone, words);
-            if let Reach::Rows(_) = reach {
-                let mut picked = [0u64; ZONE_ROWS / 64];
-                for &r in mine {
-                    let i = r as usize - first;
-                    picked[i >> 6] |= 1 << (i & 63);
-                }
-                words.iter_mut().zip(picked).for_each(|(w, p)| *w &= p);
-            }
             if words.iter().any(|&w| w != 0) {
                 visit(first, &zone, SetBits::new(words));
             }
@@ -510,37 +496,26 @@ impl CompiledQuery {
     }
 }
 
-/// A point table plus its (optional) spatial bins — what tile kernels scan.
-///
-/// Construct with [`PointStore::plain`] for the classic full-scan path or
-/// [`PointStore::with_bins`] to enable per-tile candidate pruning. The store
-/// is `Copy`-cheap (two references) and shared across tile workers.
+/// The point table a raster query draws, shared by every tile worker.
+/// Which of its rows reach a tile is decided by its zone footers
+/// ([`PointTable::cluster`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PointStore<'a> {
     table: &'a PointTable,
-    bins: Option<&'a BinnedPointTable>,
 }
 
 impl<'a> PointStore<'a> {
-    /// A store that always scans the full table.
+    /// The store over `table`.
     pub fn plain(table: &'a PointTable) -> Self {
-        PointStore { table, bins: None }
+        PointStore { table }
     }
 
-    /// A store with spatial bins for per-tile pruning.
-    ///
-    /// # Panics
-    /// Panics when `bins` was built over a different number of rows than
-    /// `table` holds — a stale index would silently produce wrong answers.
-    pub fn with_bins(table: &'a PointTable, bins: &'a BinnedPointTable) -> Self {
-        assert_eq!(
-            bins.len(),
-            table.len(),
-            "binned index covers {} rows but the table has {}",
-            bins.len(),
-            table.len()
-        );
-        PointStore { table, bins: Some(bins) }
+    /// Stand-in for `benchmark/probe`, which calls this name: nothing
+    /// prunes by bins any more, so this is [`plain`](Self::plain). It goes
+    /// in the next `benchmark` change.
+    #[doc(hidden)]
+    pub fn with_bins(table: &'a PointTable, _bins: &'a BinnedPointTable) -> Self {
+        Self::plain(table)
     }
 
     /// The underlying table.
@@ -550,8 +525,8 @@ impl<'a> PointStore<'a> {
     }
 
     /// Take `walk` (classified over this store's table) for a tile covering
-    /// `world`: the zones that can reach the tile or, with bins, the tile's
-    /// candidate rows — what the point pass is handed.
+    /// `world`: the zones that can reach the tile — what the point pass is
+    /// handed.
     pub fn walk_tile(
         &self,
         walk: &ZoneWalk,
@@ -559,31 +534,8 @@ impl<'a> PointStore<'a> {
         budget: &QueryBudget,
         visit: impl FnMut(usize, &ZoneColumns<'_>, SetBits<'_>),
     ) -> Result<()> {
-        let candidates = self.candidates(world);
-        let reach = candidates.as_deref().map_or(Reach::Tile(world), Reach::Rows);
         let mut table = self.table;
-        walk.run(&mut table, reach, budget, visit)
-    }
-
-    /// The candidate rows for a tile covering `world`, sorted ascending, or
-    /// `None` when the kernel should scan all rows (no bins, the tile covers
-    /// the whole grid, or pruning found nothing to drop). Candidates are a
-    /// conservative superset — out-of-tile rows are still culled by the
-    /// half-open viewport projection, exactly as in the full scan.
-    pub(crate) fn candidates(&self, world: &BoundingBox) -> Option<Vec<u32>> {
-        let bins = self.bins?;
-        if bins.is_empty() || bins.covered_by(world) {
-            return None;
-        }
-        let mut out = Vec::new();
-        bins.candidates_into(world, &mut out);
-        if out.len() == self.table.len() {
-            return None;
-        }
-        // Cell-major → global index order: the blend order per pixel must
-        // match the unbinned scan bit-for-bit.
-        out.sort_unstable();
-        Some(out)
+        walk.run(&mut table, Reach::Tile(world), budget, visit)
     }
 }
 
@@ -717,33 +669,5 @@ mod tests {
         let cq = CompiledQuery::new(&t, &SpatialAggQuery::count()).unwrap();
         assert_eq!(cq.zones, ZoneStats::default());
         assert_eq!(walked(&t, &cq, Reach::All), (0..100).collect::<Vec<_>>());
-        let range: Vec<u32> = (10..20).collect();
-        assert_eq!(walked(&t, &cq, Reach::Rows(&range)), (10..20).collect::<Vec<_>>());
-        assert_eq!(walked(&t, &cq, Reach::Rows(&[3, 5, 8])), vec![3, 5, 8]);
-    }
-
-    #[test]
-    fn candidates_sorted_and_pruning() {
-        let t = table(5_000);
-        let bins = BinnedPointTable::build(&t);
-        let store = PointStore::with_bins(&t, &bins);
-        // Whole-table window → full-scan signal.
-        assert!(store.candidates(&t.bbox()).is_none());
-        // Quarter window → sorted strict subset.
-        let q = BoundingBox::from_coords(0.0, 0.0, 40.0, 40.0);
-        let cand = store.candidates(&q).expect("should prune");
-        assert!(cand.len() < t.len());
-        assert!(cand.windows(2).all(|w| w[0] < w[1]), "candidates must be ascending");
-        // Plain store never yields candidates.
-        assert!(PointStore::plain(&t).candidates(&q).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "binned index covers")]
-    fn stale_bins_rejected() {
-        let a = table(100);
-        let b = table(200);
-        let bins = BinnedPointTable::build(&a);
-        let _ = PointStore::with_bins(&b, &bins);
     }
 }

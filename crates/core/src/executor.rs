@@ -2,35 +2,20 @@
 //! multithreaded) replay of a prepared region raster, and result merging.
 
 use crate::budget::QueryBudget;
-use crate::canvas::{CanvasPlan, CanvasSpec};
+use crate::canvas::CanvasSpec;
 use crate::compiled::{CompiledQuery, PointStore, ZoneStats};
 use crate::prepared::{PassSource, PointPass, PreparedRasterJoin, TilePass};
 use crate::{RasterJoinError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use gpu_raster::RenderStats;
-use urban_data::binned::BinnedPointTable;
 use urban_data::query::{AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionSet};
 
-/// Tables below this size are never auto-binned: a full scan of a few
-/// thousand rows is cheaper than building and probing the grid.
+/// Stand-in for `benchmark/probe`, which reads this name; nothing in the
+/// workspace bins a table. It goes in the next `benchmark` change.
+#[doc(hidden)]
 pub const MIN_AUTO_BIN_POINTS: usize = 4096;
-
-/// Whether (and how) the executor builds a [`BinnedPointTable`] before
-/// running the tile passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinningMode {
-    /// Bin automatically when it can pay off: multi-tile plan and at least
-    /// [`MIN_AUTO_BIN_POINTS`] rows. The default.
-    Auto,
-    /// Never bin — every tile scans the full table (the pre-binning
-    /// behavior; also the right choice when the caller already holds a
-    /// [`BinnedPointTable`] and uses [`RasterJoin::execute_store`]).
-    Off,
-    /// Always bin on an explicit `side × side` grid.
-    Grid(u32),
-}
 
 /// Bounded (ε-approximate), weighted (coverage-corrected), or accurate
 /// (exact) execution.
@@ -62,8 +47,6 @@ pub struct RasterJoinConfig {
     pub mode: ExecutionMode,
     /// Worker threads for multi-tile plans (1 = serial).
     pub threads: usize,
-    /// Spatial binning of the point table (per-tile candidate pruning).
-    pub binning: BinningMode,
     /// Injected faults for guardrail testing (feature-gated; `None` in
     /// normal operation).
     #[cfg(feature = "fault-injection")]
@@ -77,7 +60,6 @@ impl Default for RasterJoinConfig {
             max_tile: 2048,
             mode: ExecutionMode::Bounded,
             threads: 1,
-            binning: BinningMode::Auto,
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -186,48 +168,7 @@ impl RasterJoin {
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
-        if regions.is_empty() {
-            return Err(RasterJoinError::Config("empty region set".into()));
-        }
-        budget.check()?;
-        let bins = self.auto_bins(points, regions)?;
-        let store = match &bins {
-            Some(b) => PointStore::with_bins(points, b),
-            None => PointStore::plain(points),
-        };
-        self.execute_store(store, regions, query, budget)
-    }
-
-    /// Build bins for a one-shot execution per [`BinningMode`]. Long-lived
-    /// callers (sessions) should build a [`BinnedPointTable`] once and use
-    /// [`execute_store`](Self::execute_store) instead.
-    fn auto_bins(
-        &self,
-        points: &PointTable,
-        regions: &RegionSet,
-    ) -> Result<Option<BinnedPointTable>> {
-        match self.config.binning {
-            BinningMode::Off => Ok(None),
-            BinningMode::Grid(side) => {
-                if side == 0 {
-                    return Err(RasterJoinError::Config(
-                        "binning grid side must be positive".into(),
-                    ));
-                }
-                Ok(Some(BinnedPointTable::with_grid(points, side, side)))
-            }
-            BinningMode::Auto => {
-                if points.len() < MIN_AUTO_BIN_POINTS {
-                    return Ok(None);
-                }
-                let plan =
-                    CanvasPlan::plan(&regions.bbox(), self.config.spec, self.config.max_tile)?;
-                if plan.tiles.len() <= 1 {
-                    return Ok(None);
-                }
-                Ok(Some(BinnedPointTable::build(points)))
-            }
-        }
+        self.execute_store(PointStore::plain(points), regions, query, budget)
     }
 
     /// Stand-in for `benchmark/probe`, which calls this name: the batched
@@ -246,13 +187,12 @@ impl RasterJoin {
         queries.iter().map(|q| self.execute_store(store, regions, q, budget)).collect()
     }
 
-    /// Evaluate `query` against a caller-provided [`PointStore`] — the entry
-    /// point for sessions that bin a dataset once and reuse the bins across
-    /// frames. Semantics are identical to
-    /// [`execute_with_budget`](Self::execute_with_budget) (budget polling,
-    /// panic isolation, deterministic results), except that no bins are
-    /// built here: the store is used as given. Prepares the region raster
-    /// for this one query, then replays it.
+    /// Evaluate `query` against a caller-provided [`PointStore`]: prepares
+    /// the region raster for this one query, then replays it. Which rows
+    /// reach a tile is decided by the table's zone footers, so a table laid
+    /// out by [`PointTable::cluster`] lets each tile step over the zones
+    /// that miss it, and a table in any other order is scanned whole by
+    /// every tile.
     pub fn execute_store(
         &self,
         store: PointStore<'_>,

@@ -58,10 +58,9 @@ pub use canvas::{CanvasPlan, CanvasSpec};
 pub use compiled::{
     PointStore, Reach, SetBits, ZoneColumns, ZonePlan, ZoneSource, ZoneStats, ZoneWalk,
 };
-pub use executor::{
-    BinningMode, ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult,
-    MIN_AUTO_BIN_POINTS,
-};
+#[doc(hidden)]
+pub use executor::MIN_AUTO_BIN_POINTS;
+pub use executor::{ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
 pub use prepared::{PassSource, PointPass, PreparedRasterJoin};

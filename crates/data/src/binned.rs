@@ -1,93 +1,65 @@
-//! Spatially binned point store — the data layout behind fast multi-tile
-//! point passes.
+//! Stand-in for `benchmark/probe`, which still builds a uniform-grid bin
+//! index and times it (`data.bin_*`). Nothing in the workspace prunes by
+//! bins any more: a clustered table's zone footers decide which rows reach
+//! a tile (DESIGN.md "Row order is the query plan"). The module goes in the
+//! next `benchmark` change.
 //!
-//! A [`BinnedPointTable`] reorders a [`PointTable`]'s row indices by a
-//! uniform grid cell key (row-major linearized), stored CSR-style: a
-//! `offsets` array of `cells + 1` entries and a `permutation` array holding
-//! the point indices of cell `c` at `permutation[offsets[c]..offsets[c+1]]`.
-//! Each cell also carries the tight bounding box of its points, so a query
-//! window prunes at cell granularity without touching the rows.
-//!
-//! This is the software analogue of keeping tile-resident geometry on the
-//! GPU (raster-join style) and of Hashedcubes' linearized spatial ordering:
-//! a canvas tile's point pass walks only the cells intersecting its
-//! viewport instead of re-scanning the whole table, turning a multi-tile
-//! frame from O(tiles × N) into O(N + matched).
-//!
-//! The structure never copies the columns — it is an index permutation over
-//! the existing SoA storage, cheap to build (two counting-sort passes) and
-//! cheap to keep per data set across frames.
+//! A [`BinnedPointTable`] groups a [`PointTable`]'s row indices by a uniform
+//! grid cell, CSR-style: cell `c`'s rows are
+//! `permutation[offsets[c]..offsets[c+1]]`, ascending, and each cell keeps
+//! the tight bounding box of its points.
 
 use crate::table::PointTable;
 use urbane_geom::{BoundingBox, Point};
 
-/// Rough number of points a cell of the auto-sized grid should hold. Small
-/// enough that a quarter-extent tile prunes most of the table, large enough
-/// that the per-cell bookkeeping stays negligible next to the columns.
+/// Rough number of points a cell of the grid should hold.
 const TARGET_POINTS_PER_CELL: usize = 1024;
 
-/// Largest auto-chosen grid side. 256×256 cells bound the offsets/bbox
-/// arrays to a few MB no matter how large the table grows.
-const MAX_AUTO_GRID_SIDE: u32 = 256;
+/// Largest grid side: 256×256 cells bound the offsets/bbox arrays to a few
+/// MB no matter how large the table grows.
+const MAX_GRID_SIDE: u32 = 256;
 
 /// A uniform-grid CSR index over a point table's rows.
-#[derive(Debug, Clone, PartialEq)]
+#[doc(hidden)]
+#[derive(Debug)]
 pub struct BinnedPointTable {
     /// The world box the grid covers (the table's bbox at build time).
     bbox: BoundingBox,
-    /// Grid columns.
-    gx: u32,
-    /// Grid rows.
-    gy: u32,
+    /// Grid side, in cells, along both axes.
+    side: u32,
     /// Cell width in world units (positive even for degenerate extents).
     cell_w: f64,
     /// Cell height in world units.
     cell_h: f64,
-    /// CSR offsets, `gx * gy + 1` entries.
+    /// CSR offsets, `side² + 1` entries.
     offsets: Vec<u32>,
     /// Point indices grouped by cell, ascending within each cell.
     permutation: Vec<u32>,
     /// Tight bbox of each cell's points (empty for empty cells).
     cell_bounds: Vec<BoundingBox>,
-    /// Rows indexed (the table's length at build time).
-    n_points: usize,
 }
 
 impl BinnedPointTable {
-    /// Bin `table` on an automatically sized square grid
-    /// (≈[`TARGET_POINTS_PER_CELL`] points per cell).
+    /// Bin `table` on a square grid of ≈[`TARGET_POINTS_PER_CELL`] points
+    /// per cell. Stand-in for `benchmark/probe`; goes in the next
+    /// `benchmark` change.
     pub fn build(table: &PointTable) -> Self {
         let n = table.len();
         let side = ((n as f64 / TARGET_POINTS_PER_CELL as f64).sqrt().ceil() as u32)
-            .clamp(1, MAX_AUTO_GRID_SIDE);
-        Self::with_grid(table, side, side)
-    }
-
-    /// Bin `table` on an explicit `gx × gy` grid.
-    ///
-    /// # Panics
-    /// Panics when either dimension is zero — a caller bug, not a data
-    /// condition.
-    pub fn with_grid(table: &PointTable, gx: u32, gy: u32) -> Self {
-        assert!(gx > 0 && gy > 0, "grid dimensions must be positive");
+            .clamp(1, MAX_GRID_SIDE);
         let bbox = table.bbox();
-        let n = table.len();
-        let cells = (gx as usize) * (gy as usize);
+        let cells = (side as usize) * (side as usize);
         // Degenerate widths (empty table, or all points collinear) still get
         // a positive cell size so the coordinate→cell math stays finite.
-        let cell_w = if bbox.is_empty() || bbox.width() <= 0.0 { 1.0 } else { bbox.width() / gx as f64 };
-        let cell_h = if bbox.is_empty() || bbox.height() <= 0.0 { 1.0 } else { bbox.height() / gy as f64 };
-
+        let cell = |extent: f64| if bbox.is_empty() || extent <= 0.0 { 1.0 } else { extent / side as f64 };
         let mut this = BinnedPointTable {
             bbox,
-            gx,
-            gy,
-            cell_w,
-            cell_h,
+            side,
+            cell_w: cell(bbox.width()),
+            cell_h: cell(bbox.height()),
             offsets: vec![0u32; cells + 1],
             permutation: vec![0u32; n],
             cell_bounds: vec![BoundingBox::empty(); cells],
-            n_points: n,
         };
 
         // Counting sort, two passes. Pass 1: histogram into offsets[c + 1].
@@ -98,10 +70,8 @@ impl BinnedPointTable {
         for c in 0..cells {
             this.offsets[c + 1] += this.offsets[c];
         }
-        // Pass 2: place indices. Scanning i ascending keeps each cell's
-        // slice ascending, which is what lets consumers rebuild a globally
-        // index-ordered candidate list (bit-identical float accumulation
-        // against the unbinned scan) with a plain sort.
+        // Pass 2: place indices, scanning i ascending so each cell's slice
+        // stays ascending.
         let mut cursor: Vec<u32> = this.offsets[..cells].to_vec();
         for i in 0..n {
             let p = table.loc(i);
@@ -113,137 +83,54 @@ impl BinnedPointTable {
         this
     }
 
-    /// Bin a spatially pre-sorted `table` (rows in Hilbert/file order, as
-    /// materialized from a `urbane-store` chunk stream) on an explicit
-    /// `gx × gy` grid. Produces exactly the structure [`Self::with_grid`]
-    /// builds — same offsets, permutation, and cell bounds — but computes
-    /// each row's cell key once instead of twice: keys are staged into a
-    /// scratch array during the histogram pass and replayed during
-    /// placement. Sorted input additionally arrives in long same-cell runs,
-    /// so the histogram increments and cursor writes stay cache-resident
-    /// instead of striding the whole grid.
-    ///
-    /// # Panics
-    /// Panics when either dimension is zero — a caller bug, not a data
-    /// condition.
-    pub fn with_grid_from_sorted(table: &PointTable, gx: u32, gy: u32) -> Self {
-        assert!(gx > 0 && gy > 0, "grid dimensions must be positive");
-        let bbox = table.bbox();
-        let n = table.len();
-        let cells = (gx as usize) * (gy as usize);
-        let cell_w = if bbox.is_empty() || bbox.width() <= 0.0 { 1.0 } else { bbox.width() / gx as f64 };
-        let cell_h = if bbox.is_empty() || bbox.height() <= 0.0 { 1.0 } else { bbox.height() / gy as f64 };
-
-        let mut this = BinnedPointTable {
-            bbox,
-            gx,
-            gy,
-            cell_w,
-            cell_h,
-            offsets: vec![0u32; cells + 1],
-            permutation: vec![0u32; n],
-            cell_bounds: vec![BoundingBox::empty(); cells],
-            n_points: n,
-        };
-
-        let mut keys: Vec<usize> = Vec::with_capacity(n);
-        for i in 0..n {
-            let c = this.cell_of(table.loc(i));
-            keys.push(c);
-            this.offsets[c + 1] += 1;
-        }
-        for c in 0..cells {
-            this.offsets[c + 1] += this.offsets[c];
-        }
-        let mut cursor: Vec<u32> = this.offsets[..cells].to_vec();
-        for (i, &c) in keys.iter().enumerate() {
-            this.permutation[cursor[c] as usize] = i as u32;
-            cursor[c] += 1;
-            this.cell_bounds[c].expand(table.loc(i));
-        }
-        this
+    /// The grid column or row holding world offset `d` from the grid's
+    /// corner; out-of-box offsets clamp into the edge cells.
+    #[inline]
+    fn axis_cell(&self, d: f64, cell: f64) -> usize {
+        ((d / cell).floor() as i64).clamp(0, self.side as i64 - 1) as usize
     }
 
-    /// The linearized (row-major) cell holding `p`. Out-of-box points clamp
-    /// into the edge cells, so every row lands somewhere.
+    /// The linearized (row-major) cell holding `p`.
     #[inline]
     fn cell_of(&self, p: Point) -> usize {
-        let cx = (((p.x - self.bbox.min.x) / self.cell_w).floor() as i64)
-            .clamp(0, self.gx as i64 - 1) as usize;
-        let cy = (((p.y - self.bbox.min.y) / self.cell_h).floor() as i64)
-            .clamp(0, self.gy as i64 - 1) as usize;
-        cy * self.gx as usize + cx
+        let cx = self.axis_cell(p.x - self.bbox.min.x, self.cell_w);
+        let cy = self.axis_cell(p.y - self.bbox.min.y, self.cell_h);
+        cy * self.side as usize + cx
     }
 
-    /// Rows indexed.
+    /// Rows indexed. Stand-in for `benchmark/probe`; goes in the next
+    /// `benchmark` change.
     #[inline]
     pub fn len(&self) -> usize {
-        self.n_points
+        self.permutation.len()
     }
 
-    /// True when the underlying table had no rows.
+    /// True when the underlying table had no rows. Stand-in for
+    /// `benchmark/probe`; goes in the next `benchmark` change.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.n_points == 0
-    }
-
-    /// The world box the grid covers.
-    #[inline]
-    pub fn bbox(&self) -> BoundingBox {
-        self.bbox
-    }
-
-    /// Grid dimensions `(gx, gy)`.
-    #[inline]
-    pub fn grid_dims(&self) -> (u32, u32) {
-        (self.gx, self.gy)
-    }
-
-    /// Number of grid cells.
-    #[inline]
-    pub fn cell_count(&self) -> usize {
-        (self.gx as usize) * (self.gy as usize)
-    }
-
-    /// Point indices of cell `(cx, cy)`, ascending.
-    pub fn cell_indices(&self, cx: u32, cy: u32) -> &[u32] {
-        let c = cy as usize * self.gx as usize + cx as usize;
-        &self.permutation[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+        self.permutation.is_empty()
     }
 
     /// Append the indices of every point that might fall inside `query`
-    /// (conservative: cell-bbox granularity, so a superset of the true
-    /// matches). Appended order is cell-major, *not* globally ascending —
-    /// callers needing index order sort afterwards.
+    /// (cell-bbox granularity, so a superset of the true matches), cell by
+    /// cell. Stand-in for `benchmark/probe`; goes in the next `benchmark`
+    /// change.
     pub fn candidates_into(&self, query: &BoundingBox, out: &mut Vec<u32>) {
         if query.is_empty() || !query.intersects(&self.bbox) {
             return;
         }
-        let cx0 = (((query.min.x - self.bbox.min.x) / self.cell_w).floor() as i64)
-            .clamp(0, self.gx as i64 - 1) as u32;
-        let cx1 = (((query.max.x - self.bbox.min.x) / self.cell_w).floor() as i64)
-            .clamp(0, self.gx as i64 - 1) as u32;
-        let cy0 = (((query.min.y - self.bbox.min.y) / self.cell_h).floor() as i64)
-            .clamp(0, self.gy as i64 - 1) as u32;
-        let cy1 = (((query.max.y - self.bbox.min.y) / self.cell_h).floor() as i64)
-            .clamp(0, self.gy as i64 - 1) as u32;
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = cy as usize * self.gx as usize + cx as usize;
-                let lo = self.offsets[c] as usize;
-                let hi = self.offsets[c + 1] as usize;
-                if lo == hi || !self.cell_bounds[c].intersects(query) {
-                    continue;
+        let (x0, y0) = (query.min.x - self.bbox.min.x, query.min.y - self.bbox.min.y);
+        let (x1, y1) = (query.max.x - self.bbox.min.x, query.max.y - self.bbox.min.y);
+        for cy in self.axis_cell(y0, self.cell_h)..=self.axis_cell(y1, self.cell_h) {
+            for cx in self.axis_cell(x0, self.cell_w)..=self.axis_cell(x1, self.cell_w) {
+                let c = cy * self.side as usize + cx;
+                let (lo, hi) = (self.offsets[c] as usize, self.offsets[c + 1] as usize);
+                if lo < hi && self.cell_bounds[c].intersects(query) {
+                    out.extend_from_slice(&self.permutation[lo..hi]);
                 }
-                out.extend_from_slice(&self.permutation[lo..hi]);
             }
         }
-    }
-
-    /// True when `query` covers the whole grid — a consumer gains nothing
-    /// from candidate pruning and should scan the table directly.
-    pub fn covered_by(&self, query: &BoundingBox) -> bool {
-        self.bbox.is_empty() || query.contains_box(&self.bbox)
     }
 }
 
@@ -267,36 +154,12 @@ mod tests {
     #[test]
     fn permutation_is_a_bijection() {
         let t = table(2_000);
-        let b = BinnedPointTable::with_grid(&t, 8, 8);
+        let b = BinnedPointTable::build(&t);
         assert_eq!(b.len(), 2_000);
-        let mut seen = vec![false; t.len()];
-        for (gx, gy) in [(8u32, 8u32)] {
-            for cy in 0..gy {
-                for cx in 0..gx {
-                    for &i in b.cell_indices(cx, cy) {
-                        assert!(!seen[i as usize], "index {i} appears twice");
-                        seen[i as usize] = true;
-                    }
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every row must be binned");
-    }
-
-    #[test]
-    fn cell_slices_are_ascending_and_spatially_tight() {
-        let t = table(3_000);
-        let b = BinnedPointTable::with_grid(&t, 10, 10);
-        for cy in 0..10 {
-            for cx in 0..10 {
-                let idxs = b.cell_indices(cx, cy);
-                assert!(idxs.windows(2).all(|w| w[0] < w[1]), "cell slice not ascending");
-            }
-        }
-        // Every point lies inside its cell's recorded bounds.
-        let mut out = Vec::new();
-        b.candidates_into(&t.bbox(), &mut out);
-        assert_eq!(out.len(), t.len());
+        let mut all = Vec::new();
+        b.candidates_into(&t.bbox(), &mut all);
+        all.sort_unstable();
+        assert_eq!(all, (0..2_000).collect::<Vec<u32>>(), "every row binned exactly once");
     }
 
     #[test]
@@ -324,8 +187,6 @@ mod tests {
         let mut cand = Vec::new();
         b.candidates_into(&BoundingBox::from_coords(500.0, 500.0, 600.0, 600.0), &mut cand);
         assert!(cand.is_empty());
-        assert!(!b.covered_by(&BoundingBox::from_coords(0.0, 0.0, 1.0, 1.0)));
-        assert!(b.covered_by(&t.bbox()));
     }
 
     #[test]
@@ -334,50 +195,17 @@ mod tests {
         let empty = PointTable::new(schema.clone());
         let b = BinnedPointTable::build(&empty);
         assert!(b.is_empty());
-        assert_eq!(b.cell_count(), 1);
+        let mut cand = Vec::new();
+        b.candidates_into(&BoundingBox::from_coords(0.0, 0.0, 10.0, 10.0), &mut cand);
+        assert!(cand.is_empty());
 
         // All rows on one spot: zero-width bbox.
         let mut t = PointTable::new(schema);
         for i in 0..10 {
             t.push(Point::new(5.0, 5.0), i, &[0.0]).unwrap();
         }
-        let b = BinnedPointTable::with_grid(&t, 4, 4);
-        let mut cand = Vec::new();
+        let b = BinnedPointTable::build(&t);
         b.candidates_into(&BoundingBox::from_coords(0.0, 0.0, 10.0, 10.0), &mut cand);
         assert_eq!(cand.len(), 10);
-    }
-
-    #[test]
-    fn from_sorted_fast_path_is_bit_identical() {
-        // Identical on any input order (the fast path changes the key
-        // staging, not the result)…
-        let t = table(3_000);
-        assert_eq!(
-            BinnedPointTable::with_grid_from_sorted(&t, 12, 9),
-            BinnedPointTable::with_grid(&t, 12, 9)
-        );
-        // …including degenerate shapes.
-        let schema = Schema::new([("v", AttrType::Numeric)]).unwrap();
-        let empty = PointTable::new(schema.clone());
-        assert_eq!(
-            BinnedPointTable::with_grid_from_sorted(&empty, 4, 4),
-            BinnedPointTable::with_grid(&empty, 4, 4)
-        );
-        let mut flat = PointTable::new(schema);
-        for i in 0..20 {
-            flat.push(Point::new(i as f64, 5.0), i, &[0.0]).unwrap();
-        }
-        assert_eq!(
-            BinnedPointTable::with_grid_from_sorted(&flat, 8, 8),
-            BinnedPointTable::with_grid(&flat, 8, 8)
-        );
-    }
-
-    #[test]
-    fn auto_grid_scales_with_cardinality() {
-        let small = BinnedPointTable::build(&table(100));
-        let large = BinnedPointTable::build(&table(50_000));
-        assert!(large.cell_count() > small.cell_count());
-        assert_eq!(small.grid_dims().0, small.grid_dims().1);
     }
 }

@@ -28,6 +28,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod binfmt;
+#[doc(hidden)]
 pub mod binned;
 pub mod csv;
 pub mod filter;
@@ -41,6 +42,7 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
+#[doc(hidden)]
 pub use binned::BinnedPointTable;
 pub use filter::{Filter, FilterSet};
 pub use query::{AggKind, AggState, AggTable, SpatialAggQuery};

@@ -133,16 +133,17 @@ pub fn index_join_stored<R: Read + Seek, I: RegionIndex>(
 /// layer's entry point when the table is already materialized. Identical
 /// results to [`crate::executor::index_join`]; it takes the stored join's
 /// walk over the table's zones, skipping the ones its footers rule out, and
-/// polls the budget once per zone.
+/// polls the budget once per zone. Returns the answer and how the table's
+/// zones were classified.
 pub fn index_join_budgeted<I: RegionIndex>(
     points: &PointTable,
     regions: &RegionSet,
     index: &I,
     query: &SpatialAggQuery,
     budget: &QueryBudget,
-) -> Result<AggTable, RasterJoinError> {
+) -> Result<(AggTable, ZoneStats), RasterJoinError> {
     let (plan, mut table) = (ZonePlan::new(points.schema(), query)?, points);
-    Ok(join_zones(plan, &mut table, regions, index, query, budget)?.0)
+    join_zones(plan, &mut table, regions, index, query, budget)
 }
 
 #[cfg(test)]
@@ -284,7 +285,7 @@ mod tests {
         let idx = PackedRegionIndex::build(&rs);
         let q = SpatialAggQuery::new(AggKind::Sum("v".into()));
         let plain = index_join(&pts, &rs, &idx, &q).unwrap();
-        let got =
+        let (got, _) =
             index_join_budgeted(&pts, &rs, &idx, &q, &QueryBudget::unlimited()).unwrap();
         assert_eq!(got, plain);
     }

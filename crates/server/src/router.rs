@@ -365,6 +365,7 @@ mod tests {
         let city = CityModel::nyc_like();
         let mut catalog = DataCatalog::new();
         catalog.register_store("taxi", &path).unwrap();
+        catalog.register("resident", synthetic_table("taxi", 4_000, 1).unwrap());
         let pyramid = ResolutionPyramid::standard(&city.bbox(), 12, 6, 4);
         let service = UrbaneService::new(
             ServiceConfig {
@@ -393,6 +394,20 @@ mod tests {
         // unfiltered count takes every one of them whole.
         assert!(text.contains("urbane_zones_whole_total 8\n"), "{text}");
         assert!(text.contains("urbane_zones_scanned_total 0\n"), "{text}");
+
+        // The same query on a resident copy (clustered at registration)
+        // counts its zones too: every one of them whole.
+        let ok = r.handle(
+            &request("POST", "/query", r#"{"dataset":"resident","level":0,"mode":"index"}"#),
+            0,
+        );
+        assert_eq!(ok.status, 200, "{:?}", String::from_utf8(ok.body));
+        let page = r.handle(&request("GET", "/metrics", ""), 0);
+        let text = String::from_utf8(page.body).unwrap();
+        let whole = 8 + 4_000usize.div_ceil(urban_data::ZONE_ROWS);
+        assert!(text.contains(&format!("urbane_zones_whole_total {whole}\n")), "{text}");
+        assert!(text.contains("urbane_zones_scanned_total 0\n"), "{text}");
+        assert!(text.contains("urbane_store_streamed_queries_total 1\n"), "{text}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -59,9 +59,9 @@ pub struct ServiceConfig {
     /// Base raster-join configuration. The service reads four fields: `spec`,
     /// the canvas (a resolution or an ε) a request without `resolution` runs
     /// at; `max_tile`, the tiling; `threads`, the tile workers; and `faults`,
-    /// the injected fault plan. It does not consult `mode` (each request
-    /// names its own) or `binning` (resident tables are clustered, which
-    /// prunes per tile as the bins did).
+    /// the injected fault plan. It does not consult `mode`: each request
+    /// names its own. Resident tables are clustered at registration, so on a
+    /// multi-tile plan each tile steps over the zones that miss it.
     pub join: RasterJoinConfig,
     /// Total query-result cache entries across shards (0 disables caching).
     pub cache_capacity: usize,
@@ -862,13 +862,15 @@ impl UrbaneService {
                     }
                     TableState::Resident(_) => {
                         let pts = points()?;
-                        spatial_index::index_join_budgeted(
+                        let (table, zones) = spatial_index::index_join_budgeted(
                             &pts,
                             &regions,
                             index.as_ref(),
                             &query,
                             budget,
-                        )?
+                        )?;
+                        self.zones.record(&zones);
+                        table
                     }
                 };
                 return Ok((Arc::new(table), Some(0.0)));

@@ -5,7 +5,7 @@
 //! is at most ε (half a pixel diagonal), and the *accurate* hybrid variant
 //! removes even that by resolving boundary pixels exactly. The rest of the
 //! workspace only ever checked raster-vs-raster bit-identity (threads,
-//! binning, prepared plans); nothing measured the bound itself. This crate
+//! row orders, prepared plans); nothing measured the bound itself. This crate
 //! is that missing ground-truth layer:
 //!
 //! * [`oracle`] — an exact point-in-polygon aggregation built directly on
@@ -18,8 +18,8 @@
 //! * [`corpus`] — seeded randomized workloads (points × regions × query)
 //!   drawn from the shared generators in `urban_data::gen`.
 //! * [`runner`] — executes every workload through bounded / weighted /
-//!   accurate × threads {1,4} × binning {Off, Grid}, the prepared raster
-//!   of each mode, and the index join, and diffs each result against the
+//!   accurate × threads {1,4} × row order {generator, clustered}, the
+//!   prepared raster of each mode, and the index join, and diffs each result against the
 //!   oracle and its budget.
 //! * [`metamorphic`] — oracle-free laws (translation/scale invariance,
 //!   point-permutation invariance, region-split and filter-partition

@@ -19,7 +19,7 @@ use crate::runner::RunRecord;
 /// Per-execution-mode rollup across every scenario in the corpus.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModeSummary {
-    /// Total runs of this mode (across scenarios × threads × binning).
+    /// Total runs of this mode (across scenarios × threads × row orders).
     pub runs: usize,
     /// Runs that asserted a bound (budget or exactness) rather than only
     /// observing the error (MIN/MAX under approximate modes observe only).
@@ -74,7 +74,7 @@ impl VerifyReport {
                 for f in &r.failures {
                     self.failures.push(format!(
                         "{} [{} t{} {}]: {}",
-                        r.scenario, r.mode, r.threads, r.binning, f
+                        r.scenario, r.mode, r.threads, r.order, f
                     ));
                 }
             }
@@ -180,7 +180,7 @@ mod tests {
             scenario: "s".to_string(),
             mode,
             threads: 1,
-            binning: "off",
+            order: "generator",
             epsilon: 0.5,
             max_abs_err: err,
             max_budget_util: err / 10.0,

@@ -1,25 +1,28 @@
 //! The differential runner: every workload through every execution path,
-//! every thread count, every binning mode — each result diffed against the
+//! every thread count, both row orders — each result diffed against the
 //! exact oracle and (for the approximate paths) asserted under the analytic
 //! ε budget.
 //!
 //! Per scenario the matrix is
 //!
-//! | path       | threads | binning     | expectation vs. oracle            |
-//! |------------|---------|-------------|-----------------------------------|
-//! | bounded    | 1, 4    | Off, Grid   | within [`BOUNDED_BAND`]·ε budget  |
-//! | weighted   | 1, 4    | Off, Grid   | within [`WEIGHTED_BAND`]·ε budget |
-//! | accurate   | 1, 4    | Off, Grid   | exact (counts bit-equal; value    |
-//! |            |         |             | channels to f32-accumulator tol)  |
-//! | prepared   | —       | Off, Grid   | as its mode (bounded, weighted,   |
-//! |            |         |             | accurate)                         |
-//! | index_join | 1       | —           | bit-for-bit equal to the oracle   |
-//! |            |         |             | through a `.ubs` store round-trip |
-//! |            |         |             | (ε = 0 by construction)           |
+//! | path       | threads | row order            | expectation vs. oracle            |
+//! |------------|---------|----------------------|-----------------------------------|
+//! | bounded    | 1, 4    | generator, clustered | within [`BOUNDED_BAND`]·ε budget  |
+//! | weighted   | 1, 4    | generator, clustered | within [`WEIGHTED_BAND`]·ε budget |
+//! | accurate   | 1, 4    | generator, clustered | exact (counts bit-equal; value    |
+//! |            |         |                      | channels to f32-accumulator tol)  |
+//! | prepared   | —       | generator, clustered | as its mode (bounded, weighted,   |
+//! |            |         |                      | accurate)                         |
+//! | index_join | 1       | —                    | bit-for-bit equal to the oracle   |
+//! |            |         |                      | through a `.ubs` store round-trip |
+//! |            |         |                      | (ε = 0 by construction)           |
 //!
-//! On top of the oracle diff, all (threads × binning) combinations of one
-//! path must agree *bit-for-bit* — the work-stealing merge replays tiles in
-//! order, so any drift is a determinism bug, not roundoff.
+//! The clustered order is [`PointTable::cluster`]'s, so its runs also go
+//! through the zone footers. On top of the oracle diff, within one row
+//! order every thread count of a path, and the path's prepared replay, must
+//! agree *bit-for-bit* — the work-stealing merge replays tiles in order, so
+//! any drift is a determinism bug, not roundoff. Across orders only f32
+//! blend order moves, so there each run is held to its oracle bound alone.
 //!
 //! MIN/MAX under the approximate paths are *not* certifiable (dropping a
 //! single boundary point can move an extremum arbitrarily far), so those
@@ -27,12 +30,11 @@
 //! path still certifies them exactly.
 
 use raster_join::{
-    BinningMode, CanvasPlan, CanvasSpec, ExecutionMode, PreparedRasterJoin, RasterJoin,
+    CanvasPlan, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, RasterJoin,
     RasterJoinConfig,
 };
-use urban_data::binned::BinnedPointTable;
 use urban_data::query::{AggKind, AggTable};
-use raster_join::PointStore;
+use urban_data::PointTable;
 
 use crate::budget::{error_budget, ErrorBudget, BOUNDED_BAND, WEIGHTED_BAND};
 use crate::corpus::Scenario;
@@ -44,10 +46,7 @@ use crate::Result;
 /// work-stealing scheduler) on every corpus.
 pub const MAX_TILE: u32 = 64;
 
-/// Binning grid side for the `Grid` axis.
-pub const GRID_SIDE: u32 = 16;
-
-/// Outcome of one (scenario, path, threads, binning) execution.
+/// Outcome of one (scenario, path, threads, row order) execution.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// Scenario label (from [`Scenario::name`]).
@@ -57,8 +56,9 @@ pub struct RunRecord {
     pub mode: &'static str,
     /// Worker threads (1 for prepared, which is serial by design).
     pub threads: usize,
-    /// Binning axis: `off` or `grid`.
-    pub binning: &'static str,
+    /// Row-order axis: `generator` (the corpus's own order) or `clustered`
+    /// ([`PointTable::cluster`]).
+    pub order: &'static str,
     /// The run's ε (world units).
     pub epsilon: f64,
     /// Max over regions of `|approx − exact|` (empty groups read as 0).
@@ -91,14 +91,14 @@ fn rec(
     s: &Scenario,
     mode: &'static str,
     threads: usize,
-    binning: &'static str,
+    order: &'static str,
     epsilon: f64,
 ) -> RunRecord {
     RunRecord {
         scenario: s.name.clone(),
         mode,
         threads,
-        binning,
+        order,
         epsilon,
         max_abs_err: 0.0,
         max_budget_util: 0.0,
@@ -193,6 +193,23 @@ fn check_accurate(rec: &mut RunRecord, approx: &AggTable, exact: &AggTable) {
     }
 }
 
+/// Diff a raster path's table against the oracle by `mode`: accurate
+/// exactly, the others under their band's budget.
+fn check(
+    rec: &mut RunRecord,
+    mode: ExecutionMode,
+    table: &AggTable,
+    exact: &AggTable,
+    bounded: &ErrorBudget,
+    weighted: &ErrorBudget,
+) {
+    match mode {
+        ExecutionMode::Accurate => check_accurate(rec, table, exact),
+        ExecutionMode::Weighted => check_budgeted(rec, table, exact, weighted),
+        _ => check_budgeted(rec, table, exact, bounded),
+    }
+}
+
 /// Run the full matrix for one scenario. Returns one [`RunRecord`] per
 /// execution; a record with non-empty `failures` marks a violation (the
 /// function itself only errs when an executor fails outright).
@@ -203,61 +220,72 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
     let bounded_budget = error_budget(&s.points, &s.regions, &s.query, epsilon, BOUNDED_BAND)?;
     let weighted_budget = error_budget(&s.points, &s.regions, &s.query, epsilon, WEIGHTED_BAND)?;
 
-    let threads_axis = [1usize, 4];
-    let binning_axis = [(BinningMode::Off, "off"), (BinningMode::Grid(GRID_SIDE), "grid")];
+    let mut clustered = s.points.clone();
+    clustered.cluster();
+    let orders: [(&'static str, &PointTable); 2] = [("generator", &s.points), ("clustered", &clustered)];
     let mut records = Vec::new();
 
     let paths = [
-        ("bounded", ExecutionMode::Bounded),
-        ("weighted", ExecutionMode::Weighted),
-        ("accurate", ExecutionMode::Accurate),
+        ("bounded", "prepared", ExecutionMode::Bounded),
+        ("weighted", "prepared_weighted", ExecutionMode::Weighted),
+        ("accurate", "prepared_accurate", ExecutionMode::Accurate),
     ];
 
-    for (mode_name, mode) in paths {
-        // All (threads × binning) answers of one path must be bit-identical.
-        let mut reference: Option<AggTable> = None;
-        for threads in threads_axis {
-            for (binning, bin_name) in binning_axis {
+    for (mode_name, prepared_name, mode) in paths {
+        // The polygon side rasterized once, replayed per row order.
+        let prepared = PreparedRasterJoin::prepare(&s.regions, spec, MAX_TILE, mode)?;
+        for (order, points) in orders {
+            // The threads=1 answer: every other run of the path over this
+            // order must reproduce it bit-for-bit.
+            let mut reference: Option<AggTable> = None;
+            for threads in [1usize, 4] {
                 let config = RasterJoinConfig {
                     spec,
                     max_tile: MAX_TILE,
                     mode,
                     threads,
-                    binning,
                     ..RasterJoinConfig::default()
                 };
-                let result = RasterJoin::new(config).execute(&s.points, &s.regions, &s.query)?;
-                let mut r = rec(s, mode_name, threads, bin_name, result.epsilon);
+                let result = RasterJoin::new(config).execute(points, &s.regions, &s.query)?;
+                let mut r = rec(s, mode_name, threads, order, result.epsilon);
                 if (result.epsilon - epsilon).abs() > 1e-12 {
                     r.failures.push(format!(
                         "{mode_name}/{}: plan ε {} != expected {epsilon}",
                         s.name, result.epsilon
                     ));
                 }
-                match mode_name {
-                    "accurate" => check_accurate(&mut r, &result.table, &exact),
-                    "weighted" => check_budgeted(&mut r, &result.table, &exact, &weighted_budget),
-                    _ => check_budgeted(&mut r, &result.table, &exact, &bounded_budget),
-                }
+                check(&mut r, mode, &result.table, &exact, &bounded_budget, &weighted_budget);
                 match &reference {
-                    None => reference = Some(result.table.clone()),
-                    Some(first) => {
-                        if *first != result.table {
-                            r.failures.push(format!(
-                                "{mode_name}/{}: threads={threads} binning={bin_name} answer \
-                                 differs bit-wise from the threads=1/off answer",
-                                s.name
-                            ));
-                        }
-                    }
+                    None => reference = Some(result.table),
+                    Some(first) if *first != result.table => r.failures.push(format!(
+                        "{mode_name}/{}: threads={threads} answer differs bit-wise from the \
+                         threads=1 answer over the {order} order",
+                        s.name
+                    )),
+                    Some(_) => {}
                 }
                 records.push(r);
             }
+            let result = prepared.execute_store(
+                PointStore::plain(points),
+                &s.query,
+                &raster_join::QueryBudget::unlimited(),
+            )?;
+            let mut r = rec(s, prepared_name, 1, order, result.epsilon);
+            check(&mut r, mode, &result.table, &exact, &bounded_budget, &weighted_budget);
+            if reference.as_ref() != Some(&result.table) {
+                r.failures.push(format!(
+                    "{prepared_name}/{}: prepared replay differs bit-wise from the one-shot \
+                     answer over the {order} order",
+                    s.name
+                ));
+            }
+            records.push(r);
         }
     }
 
-    // Index join over a `.ubs` serialization of the scenario: Hilbert
-    // reordering, zone-streamed reads and footer pruning must all be
+    // Index join over a `.ubs` serialization of the scenario (written in
+    // clustered order): the reordering, zone-streamed reads and footer pruning must all be
     // answer-invisible, so the result is held to the strictest bar in the
     // matrix — *bit-for-bit* equality with the exact oracle (ε = 0).
     let store_bytes = urbane_store::StoreBuilder::new()
@@ -274,7 +302,7 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
         &s.query,
         &raster_join::QueryBudget::unlimited(),
     )?;
-    let mut r = rec(s, "index_join", 1, "off", 0.0);
+    let mut r = rec(s, "index_join", 1, "clustered", 0.0);
     if table != exact {
         // Pin down the first divergent region for the report.
         let why = table
@@ -289,44 +317,6 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
             .push(format!("index_join/{}: not bit-identical to the exact oracle: {why}", s.name));
     }
     records.push(r);
-
-    // Prepared plans: polygon side rasterized once, replayed per store.
-    let bins = BinnedPointTable::with_grid(&s.points, GRID_SIDE, GRID_SIDE);
-    for (mode_name, mode) in [
-        ("prepared", ExecutionMode::Bounded),
-        ("prepared_weighted", ExecutionMode::Weighted),
-        ("prepared_accurate", ExecutionMode::Accurate),
-    ] {
-        let prepared = PreparedRasterJoin::prepare(&s.regions, spec, MAX_TILE, mode)?;
-        let mut reference: Option<AggTable> = None;
-        for (store, bin_name) in [
-            (PointStore::plain(&s.points), "off"),
-            (PointStore::with_bins(&s.points, &bins), "grid"),
-        ] {
-            let result =
-                prepared.execute_store(store, &s.query, &raster_join::QueryBudget::unlimited())?;
-            let mut r = rec(s, mode_name, 1, bin_name, result.epsilon);
-            match mode {
-                ExecutionMode::Accurate => check_accurate(&mut r, &result.table, &exact),
-                ExecutionMode::Weighted => {
-                    check_budgeted(&mut r, &result.table, &exact, &weighted_budget)
-                }
-                _ => check_budgeted(&mut r, &result.table, &exact, &bounded_budget),
-            }
-            match &reference {
-                None => reference = Some(result.table.clone()),
-                Some(first) => {
-                    if *first != result.table {
-                        r.failures.push(format!(
-                            "{mode_name}/{}: binned prepared answer differs bit-wise from unbinned",
-                            s.name
-                        ));
-                    }
-                }
-            }
-            records.push(r);
-        }
-    }
 
     Ok(records)
 }
@@ -344,9 +334,9 @@ mod tests {
             let records = verify_scenario(&s).expect("executors must not fail");
             assert!(records.len() >= 14, "{}: matrix too small ({})", s.name, records.len());
             for r in &records {
-                assert!(r.passed(), "{} {}/{}/{}: {:?}", r.scenario, r.mode, r.threads, r.binning, r.failures);
+                assert!(r.passed(), "{} {}/{}/{}: {:?}", r.scenario, r.mode, r.threads, r.order, r.failures);
             }
-            assert!(records.iter().any(|r| r.mode == "accurate" && r.binning == "grid"));
+            assert!(records.iter().any(|r| r.mode == "accurate" && r.order == "clustered"));
             assert!(records.iter().any(|r| r.mode == "prepared"));
             assert!(records.iter().any(|r| r.mode == "index_join"));
         }

@@ -17,7 +17,7 @@
 //!
 //! Truth is the independent exact oracle from `urbane-verify`.
 
-use raster_join::{BinningMode, CanvasSpec, ExecutionMode, RasterJoin, RasterJoinConfig};
+use raster_join::{CanvasSpec, ExecutionMode, RasterJoin, RasterJoinConfig};
 use urban_data::gen::corpus::uniform_points;
 use urban_data::query::{AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionSet};
@@ -40,7 +40,6 @@ fn accurate(points: &PointTable, regions: &RegionSet, q: &SpatialAggQuery, res: 
         max_tile: 64,
         mode: ExecutionMode::Accurate,
         threads: 1,
-        binning: BinningMode::Off,
         ..RasterJoinConfig::default()
     };
     RasterJoin::new(config).execute(points, regions, q).expect("accurate run").table

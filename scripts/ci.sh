@@ -10,18 +10,18 @@ export CARGO_NET_OFFLINE=true
 cargo build --release
 cargo test -q
 # The bit-identity claims (DESIGN.md §7, §9, §15, §18) again under the
-# optimizer the server ships with: footers on == footers stripped, binned ==
-# unbinned, stored join == in-memory join, the accurate pass's boundary rows
-# == the exact join, the zone walk == the filter oracle on every tile, and
-# the served answers == the committed goldens byte for byte, must not depend
-# on the build profile. Nor must the fused point pass agreeing with the
+# optimizer the server ships with: footers on == footers stripped, one
+# worker == several in either row order, stored join == in-memory join, the
+# accurate pass's boundary rows == the exact join, the zone walk == the
+# filter oracle on every tile, and the served answers == the committed
+# goldens byte for byte, must not depend on the build profile. Nor must the fused point pass agreeing with the
 # reference draw, or the walk's set bits (raster-join's unit tests), or the
 # grid's cell-local point-in-polygon agreeing with `contains`
 # (spatial-index's unit tests: every cell corner, cell edge, polygon vertex
 # and edge piece, the reach slack, and seeded points).
 cargo test -q --release -p urbane-bench \
   --test clustered_equivalence --test store_subsystem --test cross_method_equivalence \
-  --test serve_golden --test binned_equivalence
+  --test serve_golden
 cargo test -q --release -p raster-join
 # Levels resolved from the kept point pass must equal fresh draws bit for bit in release too.
 cargo test -q --release -p urbane

@@ -3,8 +3,9 @@
 #
 # The fast corpus (default) finishes in well under a second after the build:
 # 15 differential workloads ≈ 285 runs across bounded / weighted / accurate
-# × threads {1,4} × binning {Off, Grid}, each mode prepared, and the index
-# join, plus the metamorphic laws. The full sweep quadruples the corpus.
+# × threads {1,4} × row order {generator, clustered}, each mode prepared,
+# and the index join, plus the metamorphic laws. The full sweep quadruples
+# the corpus.
 #
 #   scripts/verify.sh                 # fast corpus → VERIFY_report.json
 #   VERIFY_FULL=1 scripts/verify.sh   # full sweep (~60 workloads, ~1100 runs)

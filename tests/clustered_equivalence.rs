@@ -11,17 +11,19 @@
 //!    filters that sit exactly on footer edges.
 //! 3. Against the generator's row order only f32 blend order moves: exact
 //!    modes and counts agree exactly, bounded sums to rounding.
+//!
+//! Within one row order the thread count changes no bit either: the tiles
+//! of a multi-tile plan merge in tile order whichever worker drew them.
 
 use raster_join::{
-    BinningMode, CanvasPlan, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin,
-    QueryBudget, RasterJoin, RasterJoinConfig, ZonePlan, ZoneWalk,
+    CanvasPlan, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, QueryBudget, RasterJoin,
+    RasterJoinConfig, ZonePlan, ZoneWalk,
 };
 use spatial_index::naive_join;
-use urban_data::binned::BinnedPointTable;
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::schema::{AttrType, Schema};
-use urban_data::time::DAY;
+use urban_data::time::{TimeRange, DAY};
 use urban_data::{PointTable, ZONE_ROWS};
 use urbane_bench::workload::{footer_demo_data as demo_data, footer_edge_filters, row_bits as rows};
 use urbane_geom::{BoundingBox, Point};
@@ -163,7 +165,6 @@ fn config(mode: ExecutionMode, threads: usize, max_tile: u32) -> RasterJoinConfi
         max_tile,
         mode,
         threads,
-        binning: BinningMode::Off,
         ..Default::default()
     }
 }
@@ -209,6 +210,44 @@ fn footers_change_no_bit_of_any_executor() {
         }
     }
     assert!(skipped > 0 && whole > 0 && scanned > 0, "{skipped} / {whole} / {scanned}");
+}
+
+/// Every mode × thread count × query on a multi-tile plan, over the
+/// generator's order and the clustered one: each answer is bit-identical to
+/// the serial answer over the same order, and the clustered table's tiles
+/// really step over zones (so its walk is not the full scan).
+#[test]
+fn thread_count_changes_no_bit_in_either_row_order() {
+    let (generated, regions) = demo_data(false);
+    let mut clustered = generated.clone();
+    clustered.cluster();
+    let budget = QueryBudget::unlimited();
+    let queries = [
+        SpatialAggQuery::count(),
+        SpatialAggQuery::new(AggKind::Sum("tip".into())).filter(Filter::Time(TimeRange::new(0, i64::MAX / 2))),
+        SpatialAggQuery::new(AggKind::Min("tip".into()))
+            .filter(Filter::AttrRange { column: "fare".into(), min: 2.0, max: 60.0 }),
+    ];
+    let mut draws = [0; 2];
+    for (k, (order, t)) in [("generator", &generated), ("clustered", &clustered)].into_iter().enumerate() {
+        for q in &queries {
+            for mode in [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate] {
+                let store = PointStore::plain(t);
+                let serial = RasterJoin::new(config(mode, 1, 128))
+                    .execute_store(store, &regions, q, &budget)
+                    .expect("serial");
+                assert!(serial.tiles >= 4, "plan must be multi-tile, got {}", serial.tiles);
+                draws[k] += serial.stats.draw_calls;
+                for threads in [2, 4, 7] {
+                    let got = RasterJoin::new(config(mode, threads, 128))
+                        .execute_store(store, &regions, q, &budget)
+                        .expect("threaded");
+                    assert_eq!(serial.table, got.table, "{order} / {q:?} / {mode:?} / threads {threads}");
+                }
+            }
+        }
+    }
+    assert!(draws[1] < draws[0], "clustered tiles must step over zones: {draws:?}");
 }
 
 /// Claim 2 over a prepared raster kept across queries, in every mode.
@@ -278,10 +317,9 @@ fn clustered_order_agrees_with_generator_order() {
 /// 3×3 tiling, the rows the point pass is handed ([`PointStore::walk_tile`])
 /// are exactly the rows `FilterSet::compile(t).matches(i)` accepts among the
 /// rows the tile can draw — plus, at most, accepted rows the tile culls —
-/// each once, ascending, and with bins only the tile's candidate rows. Over
-/// clustered, unclustered and binned tables whose length is a multiple of
-/// neither 64 nor `ZONE_ROWS`, so the last zone ends inside a mask word, for
-/// filters on the footers' edges and none.
+/// each once, ascending. Over clustered and unclustered tables whose length
+/// is a multiple of neither 64 nor `ZONE_ROWS`, so the last zone ends inside
+/// a mask word, for filters on the footers' edges and none.
 #[test]
 fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
     let full = demo_data(true).0;
@@ -290,13 +328,7 @@ fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
     assert!(!n.is_multiple_of(64) && !n.is_multiple_of(ZONE_ROWS), "{n} rows");
     let mut clustered = plain.clone();
     clustered.cluster();
-    let (plain_bins, clustered_bins) = (BinnedPointTable::build(&plain), BinnedPointTable::build(&clustered));
-    let stores = [
-        ("unclustered", PointStore::plain(&plain), None),
-        ("clustered", PointStore::plain(&clustered), None),
-        ("binned", PointStore::with_bins(&plain, &plain_bins), Some(&plain_bins)),
-        ("binned clustered", PointStore::with_bins(&clustered, &clustered_bins), Some(&clustered_bins)),
-    ];
+    let stores = [("unclustered", PointStore::plain(&plain)), ("clustered", PointStore::plain(&clustered))];
     // A square canvas over the rows, so both tilings are square too.
     let b = plain.bbox();
     let side = b.width().max(b.height());
@@ -310,7 +342,7 @@ fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
         assert_eq!(plan.tiles.len(), tiles);
         for (name, filters) in &filters {
             let q = filters.iter().fold(SpatialAggQuery::count(), |q, f| q.filter(f.clone()));
-            for (what, store, bins) in &stores {
+            for (what, store) in &stores {
                 let t = store.table();
                 let compiled = q.filters.compile(t).expect("compile");
                 let accepted: Vec<bool> = (0..t.len()).map(|i| compiled.matches(i)).collect();
@@ -326,13 +358,6 @@ fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
                     let at = format!("{name} / {what} / {tiles} tiles / {:?}", vp.world);
                     assert!(handed.windows(2).all(|w| w[0] < w[1]), "{at}: once each, ascending");
                     assert!(handed.iter().all(|&i| i < t.len() && accepted[i]), "{at}: a rejected row");
-                    if let Some(bins) = bins {
-                        let mut candidates = Vec::new();
-                        bins.candidates_into(&vp.world, &mut candidates);
-                        candidates.sort_unstable();
-                        let binned = |&i: &usize| candidates.binary_search(&(i as u32)).is_ok();
-                        assert!(handed.iter().all(binned), "{at}: a row outside the tile's bins");
-                    }
                     for i in (0..t.len()).filter(|&i| accepted[i]) {
                         if vp.world_to_pixel(t.loc(i)).is_some() {
                             assert!(handed.binary_search(&i).is_ok(), "{at}: drawable row {i}");

@@ -210,37 +210,28 @@ proptest! {
         }
     }
 
-    /// Spatial binning is invisible on arbitrary scenarios: a binned store
-    /// replays the unbinned table *bit-for-bit* (not approximately) in every
-    /// execution mode, serial and work-stealing.
+    /// Work stealing is invisible on arbitrary scenarios: a multi-tile
+    /// plan answers *bit-for-bit* (not approximately) the same with one
+    /// worker and with several, in every execution mode — the tiles merge
+    /// in tile order whatever order the workers finish them in.
     #[test]
-    fn binned_store_matches_unbinned(s in scenario_strategy()) {
-        use raster_join::{BinningMode, CanvasSpec, ExecutionMode, PointStore, QueryBudget};
-        use urban_data::binned::BinnedPointTable;
+    fn work_stealing_matches_serial(s in scenario_strategy()) {
+        use raster_join::{CanvasSpec, ExecutionMode, PointStore, QueryBudget};
         let (pts, regions, q) = build(&s);
         prop_assume!(!regions.is_empty());
-        let bins = BinnedPointTable::build(&pts);
         let budget = QueryBudget::unlimited();
-        for (mode, threads) in [
-            (ExecutionMode::Bounded, 1usize),
-            (ExecutionMode::Bounded, 3),
-            (ExecutionMode::Accurate, 2),
-        ] {
-            // 96-px canvas tiled at 32 px → multi-tile, so pruning engages.
-            let join = RasterJoin::new(RasterJoinConfig {
-                spec: CanvasSpec::Resolution(96),
-                max_tile: 32,
-                mode,
-                threads,
-                binning: BinningMode::Off,
-                ..Default::default()
-            });
-            let base = join
-                .execute_store(PointStore::plain(&pts), &regions, &q, &budget)
-                .unwrap();
-            let got = join
-                .execute_store(PointStore::with_bins(&pts, &bins), &regions, &q, &budget)
-                .unwrap();
+        // 96-px canvas tiled at 32 px → multi-tile, so the workers share it.
+        let join = |mode, threads| RasterJoin::new(RasterJoinConfig {
+            spec: CanvasSpec::Resolution(96),
+            max_tile: 32,
+            mode,
+            threads,
+            ..Default::default()
+        });
+        for (mode, threads) in [(ExecutionMode::Bounded, 3usize), (ExecutionMode::Accurate, 2)] {
+            let store = PointStore::plain(&pts);
+            let base = join(mode, 1).execute_store(store, &regions, &q, &budget).unwrap();
+            let got = join(mode, threads).execute_store(store, &regions, &q, &budget).unwrap();
             prop_assert_eq!(&base.table, &got.table, "{:?} threads={} diverged", mode, threads);
         }
     }

@@ -6,8 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use raster_join::{
-    BinningMode, CancelHandle, FaultPlan, QueryBudget, RasterJoin, RasterJoinConfig,
-    RasterJoinError,
+    CancelHandle, FaultPlan, QueryBudget, RasterJoin, RasterJoinConfig, RasterJoinError,
 };
 use urban_data::query::SpatialAggQuery;
 use urban_data::{PointTable, RegionSet};
@@ -123,17 +122,16 @@ fn elapsed_deadline_aborts_a_stalled_query() {
     assert!(started.elapsed() < Duration::from_secs(60));
 }
 
-/// The guardrails survive the binned store + work-stealing fast path: an
-/// injected panic on a stolen tile is still a typed `Internal`, the plan
-/// disarms, and the retry reproduces the unbinned answer bit-for-bit.
+/// The guardrails survive the work-stealing pool: an injected panic on a
+/// stolen tile is still a typed `Internal`, the plan disarms, and the retry
+/// reproduces the serial answer bit-for-bit.
 #[test]
-fn binned_work_stealing_preserves_panic_isolation() {
+fn work_stealing_preserves_panic_isolation() {
     let (points, regions) = demo_data();
     let q = SpatialAggQuery::count();
     let plan = FaultPlan::new().panic_on_tile(2);
     let join = RasterJoin::new(RasterJoinConfig {
         threads: 4,
-        binning: BinningMode::Grid(16),
         faults: Some(plan.clone()),
         ..tiled_config()
     });
@@ -142,22 +140,21 @@ fn binned_work_stealing_preserves_panic_isolation() {
         other => panic!("expected Err(Internal), got {other:?}"),
     }
     let retried = join.execute(&points, &regions, &q).unwrap();
-    let unbinned = RasterJoin::new(RasterJoinConfig { threads: 1, ..tiled_config() })
+    let serial = RasterJoin::new(RasterJoinConfig { threads: 1, ..tiled_config() })
         .execute(&points, &regions, &q)
         .unwrap();
-    assert_eq!(retried.table, unbinned.table);
+    assert_eq!(retried.table, serial.table);
 }
 
-/// A deadline elapses while one stolen tile of a binned multi-threaded
-/// query is stalled mid-pass: the cooperative polls must notice and abort
-/// with `DeadlineExceeded`, not run the stall out.
+/// A deadline elapses while one stolen tile of a multi-threaded query is
+/// stalled mid-pass: the cooperative polls must notice and abort with
+/// `DeadlineExceeded`, not run the stall out.
 #[test]
-fn deadline_fires_mid_pass_under_binned_work_stealing() {
+fn deadline_fires_mid_pass_under_work_stealing() {
     let (points, regions) = demo_data();
     let q = SpatialAggQuery::count();
     let join = RasterJoin::new(RasterJoinConfig {
         threads: 4,
-        binning: BinningMode::Grid(16),
         faults: Some(FaultPlan::new().delay_on_tile(0, Duration::from_secs(3600))),
         ..tiled_config()
     });
@@ -169,15 +166,14 @@ fn deadline_fires_mid_pass_under_binned_work_stealing() {
 }
 
 /// Cancellation lands promptly when the stalled tile sits on one worker of
-/// a binned work-stealing pool (the other workers drain and stop pulling).
+/// a work-stealing pool (the other workers drain and stop pulling).
 #[test]
-fn cancellation_prompt_under_binned_work_stealing() {
+fn cancellation_prompt_under_work_stealing() {
     let (points, regions) = demo_data();
     let q = SpatialAggQuery::count();
     let plan = FaultPlan::new().delay_on_tile(0, Duration::from_secs(3600));
     let join = RasterJoin::new(RasterJoinConfig {
         threads: 4,
-        binning: BinningMode::Grid(16),
         faults: Some(plan.clone()),
         ..tiled_config()
     });

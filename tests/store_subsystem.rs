@@ -129,7 +129,7 @@ fn stored_join_is_bit_identical_to_memory() {
         .filter(Filter::Time(TimeRange::new(0, 5 * 86_400)));
     let budget = QueryBudget::unlimited();
 
-    let in_memory = index_join_budgeted(&taxi, &regions, &index, &q, &budget).unwrap();
+    let (in_memory, _) = index_join_budgeted(&taxi, &regions, &index, &q, &budget).unwrap();
     let mut source = ChunkedPointSource::from_bytes(bytes).unwrap();
     let (streamed, _) = index_join_stored(&mut source, &regions, &index, &q, &budget).unwrap();
     assert_eq!(streamed.values(), in_memory.values(), "stored join diverged from the in-memory join");
@@ -382,7 +382,7 @@ fn stored_join_is_bit_identical_for_every_chunk_size_and_conjunction() {
                 assert_eq!(got, truth, "{what}");
                 if resident_seen.insert(format!("{q:?}")) {
                     for (table, footers) in [(&clustered, "footers"), (&plain, "no footers")] {
-                        let resident =
+                        let (resident, _) =
                             index_join_budgeted(table, &regions, &index, &q, &budget).unwrap();
                         assert_eq!(resident, truth, "{what} / resident, {footers}");
                     }

@@ -3,8 +3,8 @@
 //! corpus the `verify` binary and the ci.sh `verify` stage run.
 //!
 //! * ≥200 budget-certified runs across the execution paths (bounded /
-//!   weighted / accurate × threads {1, 4} × binning {Off, Grid}, each mode
-//!   prepared, and the index join);
+//!   weighted / accurate × threads {1, 4} × row order {generator,
+//!   clustered}, each mode prepared over both orders, and the index join);
 //! * the accurate paths are exact (counts bit-equal to the oracle, value
 //!   channels within f32-accumulator tolerance);
 //! * the approximate paths stay within their analytic per-region budget;
@@ -33,24 +33,33 @@ fn epsilon_bound_certified_across_the_execution_matrix() {
                 r.scenario,
                 r.mode,
                 r.threads,
-                r.binning,
+                r.order,
                 r.failures
             );
         }
-        // Matrix shape: both thread counts and both binning modes ran.
-        for mode in ["bounded", "weighted", "accurate"] {
-            for threads in [1usize, 4] {
-                for binning in ["off", "grid"] {
+        // Matrix shape: both thread counts over both row orders ran, and
+        // each mode's prepared replay over both orders.
+        for order in ["generator", "clustered"] {
+            for mode in ["bounded", "weighted", "accurate"] {
+                for threads in [1usize, 4] {
                     assert!(
                         records.iter().any(|r| r.mode == mode
                             && r.threads == threads
-                            && r.binning == binning),
-                        "{}: missing {mode} × t{threads} × {binning}",
+                            && r.order == order),
+                        "{}: missing {mode} × t{threads} × {order}",
                         s.name
                     );
                 }
             }
+            for mode in ["prepared", "prepared_weighted", "prepared_accurate"] {
+                assert!(
+                    records.iter().any(|r| r.mode == mode && r.order == order),
+                    "{}: missing {mode} × {order}",
+                    s.name
+                );
+            }
         }
+        assert_eq!(records.len(), 19, "{}: 3 paths × 2 threads × 2 orders + 3 × 2 prepared + 1", s.name);
         report.add_runs(&records);
     }
 
