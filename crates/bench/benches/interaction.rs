@@ -6,13 +6,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use raster_join::RasterJoinConfig;
 use urban_data::filter::Filter;
 use urban_data::time::{TimeRange, DAY};
-use urbane::{DataCatalog, ResolutionPyramid, SessionConfig, UrbaneSession};
+use urbane::{ResolutionPyramid, SessionConfig, UrbaneSession};
 use urbane_bench::workload::{demo_start, Workload};
 
 fn fresh_session(w: &Workload) -> UrbaneSession {
-    let mut catalog = DataCatalog::new();
-    catalog.register("taxi", w.taxi.clone());
-    catalog.register("311", w.complaints.clone());
     let pyramid = ResolutionPyramid::standard(&w.city.bbox(), 260, 46, 42);
     let mut s = UrbaneSession::new(
         SessionConfig {
@@ -20,7 +17,7 @@ fn fresh_session(w: &Workload) -> UrbaneSession {
             cache_capacity: 0, // disable caching: measure the query path
             ..Default::default()
         },
-        catalog,
+        w.catalog(),
         pyramid,
     )
     .expect("bench catalog is non-empty");

@@ -13,8 +13,11 @@ use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::time::{TimeBucket, TimeRange, DAY};
 use urban_data::RegionSet;
-use urbane::view::{ExplorationView, MapView};
-use urbane::{DataCatalog, ResolutionPyramid, SessionConfig, UrbaneSession};
+use urbane::view::explore::{most_similar, profiles, rank_regions, time_series};
+use urbane::view::MapView;
+use urbane::{
+    QueryRequest, ResolutionPyramid, ServiceConfig, SessionConfig, UrbaneService, UrbaneSession,
+};
 
 /// Repetitions for timed measurements (median reported).
 const REPS: usize = 3;
@@ -23,39 +26,46 @@ fn rj(config: RasterJoinConfig) -> RasterJoin {
     RasterJoin::new(config)
 }
 
+/// The views' service: the workload over one pyramid level, `regions`, at
+/// the default 1024² canvas, with no cache and no deadline it reaches.
+fn view_service(w: &Workload, regions: RegionSet) -> UrbaneService {
+    let config = ServiceConfig {
+        cache_capacity: 0,
+        default_deadline: std::time::Duration::from_secs(24 * 60 * 60),
+        ..ServiceConfig::default()
+    };
+    let pyramid = ResolutionPyramid::new(vec![regions]);
+    UrbaneService::new(config, w.catalog(), pyramid).expect("catalog is non-empty")
+}
+
 /// E1 — the paper's Figure 1: taxi pickups for January 2009 aggregated over
 /// neighborhoods, rendered as a choropleth. Writes `out/map_view.ppm`.
 pub fn e1_map_view(scale: usize, out_dir: &str) -> String {
     let w = Workload::standard(scale, 42);
     let regions = w.neighborhoods();
-    let query = SpatialAggQuery::count()
+    let service = view_service(&w, regions.clone());
+    let req = QueryRequest::count("taxi", 0)
         .filter(Filter::Time(TimeRange::new(demo_start(), demo_start() + 30 * DAY)));
 
     let view = MapView::with_defaults();
-    let (img, ms) = time_ms(|| view.render(&w.taxi, &regions, &query, 800, 800).unwrap());
+    let (img, ms) = time_ms(|| view.render(&service.query(&req).unwrap(), 800, 800));
 
     std::fs::create_dir_all(out_dir).ok();
     let path = format!("{out_dir}/map_view.ppm");
     gpu_raster::ppm::write_ppm(&path, &img.image).expect("write choropleth");
 
-    let mut ranked: Vec<(usize, f64)> = img
-        .values
-        .iter()
-        .enumerate()
-        .filter_map(|(r, v)| v.map(|v| (r, v)))
-        .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-
+    let ranked = rank_regions(&service, &req).unwrap();
     let mut t = Table::new(["rank", "neighborhood", "pickups"]);
     for (i, (r, v)) in ranked.iter().take(10).enumerate() {
-        t.row([format!("{}", i + 1), regions.region_name(*r as u32).to_string(), format!("{v:.0}")]);
+        let v = v.unwrap_or(0.0);
+        t.row([format!("{}", i + 1), regions.region_name(*r).to_string(), format!("{v:.0}")]);
     }
     format!(
         "E1  Map view (taxi pickups, Jan 2009, {} neighborhoods, |P|={})\n\
          choropleth written to {path}; render latency {ms:.1} ms; ε = {eps:.1} m\n\n{table}",
         regions.len(),
         w.taxi.len(),
-        eps = img.epsilon,
+        eps = img.error_bound.unwrap_or(f64::NAN),
         table = t.render()
     )
 }
@@ -320,14 +330,10 @@ pub fn e5_filters(points: usize) -> String {
 /// E6 — interactive-session latency per interaction kind.
 pub fn e6_interaction(points: usize) -> String {
     let w = Workload::standard(points, 42);
-    let mut catalog = DataCatalog::new();
-    catalog.register("taxi", w.taxi.clone());
-    catalog.register("311", w.complaints.clone());
-    catalog.register("crime", w.crime.clone());
     let pyramid = ResolutionPyramid::standard(&w.city.bbox(), 260, 46, 42);
     let mut session = UrbaneSession::new(
         SessionConfig { join: RasterJoinConfig::with_resolution(1024), ..Default::default() },
-        catalog,
+        w.catalog(),
         pyramid,
     )
     .expect("experiment catalog is non-empty");
@@ -391,27 +397,25 @@ pub fn e6_interaction(points: usize) -> String {
 pub fn e7_exploration(points: usize) -> String {
     let w = Workload::standard(points, 42);
     let regions = w.neighborhoods();
-    let view = ExplorationView::new(RasterJoinConfig::with_resolution(1024));
+    let service = view_service(&w, regions.clone());
     let start = demo_start();
     let range = TimeRange::new(start, start + 28 * DAY);
+    let taxi = QueryRequest::count("taxi", 0);
 
-    let (series, series_ms) = time_ms(|| {
-        view.time_series("taxi", &w.taxi, &regions, &SpatialAggQuery::count(), range, TimeBucket::Week)
-            .unwrap()
-    });
+    let (series, series_ms) =
+        time_ms(|| time_series(&service, &taxi, range, TimeBucket::Week).unwrap());
 
-    let (ranked, rank_ms) =
-        time_ms(|| view.rank_regions(&w.taxi, &regions, &SpatialAggQuery::count()).unwrap());
+    let (ranked, rank_ms) = time_ms(|| rank_regions(&service, &taxi).unwrap());
 
-    let metrics = vec![
-        ("taxi", &w.taxi, SpatialAggQuery::count()),
-        ("311", &w.complaints, SpatialAggQuery::count()),
-        ("crime", &w.crime, SpatialAggQuery::count()),
-        ("avg fare", &w.taxi, SpatialAggQuery::new(AggKind::Avg("fare".into()))),
+    let metrics = [
+        taxi.clone(),
+        QueryRequest::count("311", 0),
+        QueryRequest::count("crime", 0),
+        taxi.clone().agg(AggKind::Avg("fare".into())),
     ];
-    let (profiles, prof_ms) = time_ms(|| view.profiles(&metrics, &regions).unwrap());
+    let (profiles, prof_ms) = time_ms(|| profiles(&service, &metrics).unwrap());
     let reference = ranked[0].0;
-    let similar = ExplorationView::most_similar(&profiles, reference, 3);
+    let similar = most_similar(&profiles, reference, 3);
 
     let mut t1 = Table::new(["week", "top region series (pickups)"]);
     for (i, b) in series.buckets.iter().enumerate() {

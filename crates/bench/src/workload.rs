@@ -9,6 +9,7 @@ use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
 use urban_data::schema::{AttrType, Schema};
 use urban_data::time::{timestamp, TimeRange, DAY};
 use urban_data::{Filter, PointTable, RegionSet, ZoneFooter};
+use urbane::DataCatalog;
 use urbane_geom::{BoundingBox, Point};
 
 /// The demo's reference timestamp: 2009-01-01 (the paper's Figure 1 month).
@@ -46,6 +47,16 @@ impl Workload {
             &EventConfig { rows: taxi_rows / 10, seed: seed + 2, start, days: 30, n_types: 10 },
         );
         Workload { city, taxi, complaints, crime }
+    }
+
+    /// The three data sets, registered (so clustered) as `taxi`, `311` and
+    /// `crime`.
+    pub fn catalog(&self) -> DataCatalog {
+        let mut catalog = DataCatalog::new();
+        catalog.register("taxi", self.taxi.clone());
+        catalog.register("311", self.complaints.clone());
+        catalog.register("crime", self.crime.clone());
+        catalog
     }
 
     /// The demo's neighborhood region set (260 regions, like NYC's NTAs).

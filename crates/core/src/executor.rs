@@ -139,11 +139,6 @@ impl RasterJoin {
         Self::new(RasterJoinConfig::default())
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RasterJoinConfig {
-        &self.config
-    }
-
     /// Evaluate `query` joining `points` with `regions`, without deadline or
     /// cancellation (an unlimited budget).
     pub fn execute(
@@ -152,23 +147,7 @@ impl RasterJoin {
         regions: &RegionSet,
         query: &SpatialAggQuery,
     ) -> Result<RasterJoinResult> {
-        self.execute_with_budget(points, regions, query, &QueryBudget::unlimited())
-    }
-
-    /// Evaluate `query` under `budget`: the point/polygon/tile loops poll the
-    /// budget cooperatively, so a raised cancel flag or an elapsed deadline
-    /// aborts within milliseconds with [`RasterJoinError::Cancelled`] /
-    /// [`RasterJoinError::DeadlineExceeded`]. A panicking tile worker is
-    /// caught and surfaced as [`RasterJoinError::Internal`]; remaining tiles
-    /// are drained cleanly and the process survives.
-    pub fn execute_with_budget(
-        &self,
-        points: &PointTable,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-        budget: &QueryBudget,
-    ) -> Result<RasterJoinResult> {
-        self.execute_store(PointStore::plain(points), regions, query, budget)
+        self.execute_store(PointStore::plain(points), regions, query, &QueryBudget::unlimited())
     }
 
     /// Stand-in for `benchmark/probe`, which calls this name: the batched
@@ -187,12 +166,14 @@ impl RasterJoin {
         queries.iter().map(|q| self.execute_store(store, regions, q, budget)).collect()
     }
 
-    /// Evaluate `query` against a caller-provided [`PointStore`]: prepares
-    /// the region raster for this one query, then replays it. Which rows
-    /// reach a tile is decided by the table's zone footers, so a table laid
-    /// out by [`PointTable::cluster`] lets each tile step over the zones
-    /// that miss it, and a table in any other order is scanned whole by
-    /// every tile.
+    /// Evaluate `query` against a caller-provided [`PointStore`] under
+    /// `budget`: prepare the region raster for this one query, then replay
+    /// it. A table laid out by [`PointTable::cluster`] lets each tile step
+    /// over the zones that miss it; one in any other order is scanned whole
+    /// by every tile. A raised cancel flag or an elapsed deadline aborts
+    /// within milliseconds ([`RasterJoinError::Cancelled`] /
+    /// [`RasterJoinError::DeadlineExceeded`]); a panicking tile worker is
+    /// caught as [`RasterJoinError::Internal`] and the process survives.
     pub fn execute_store(
         &self,
         store: PointStore<'_>,
@@ -203,20 +184,7 @@ impl RasterJoin {
         let c = &self.config;
         let prepared =
             PreparedRasterJoin::prepare_with_budget(regions, c.spec, c.max_tile, c.mode, budget)?;
-        self.execute_prepared(&prepared, store, query, budget)
-    }
-
-    /// Replay `prepared` for `query`, drawing the points.
-    pub fn execute_prepared(
-        &self,
-        prepared: &PreparedRasterJoin,
-        store: PointStore<'_>,
-        query: &SpatialAggQuery,
-        budget: &QueryBudget,
-    ) -> Result<RasterJoinResult> {
-        Ok(self
-            .execute_pass(prepared, store, query, budget, PassSource::Draw)?
-            .0)
+        Ok(self.execute_pass(&prepared, store, query, budget, PassSource::Draw)?.0)
     }
 
     /// Replay `prepared` for `query` with its point pass from `source` — the

@@ -35,9 +35,9 @@
 //! [`RasterJoinConfig`]: error bound or explicit resolution, canvas tiling
 //! (GPU texture-size limits), mode and worker threads.
 //! [`RasterJoin::execute_store`] prepares the region raster and replays it;
-//! [`RasterJoin::execute_prepared`] replays one a caller keeps, and
-//! [`RasterJoin::execute_pass`] can keep the drawn [`PointPass`] or resolve
-//! a kept one instead of drawing.
+//! [`RasterJoin::execute_pass`] replays one a caller keeps, drawing the
+//! points ([`PassSource::Draw`]), keeping the drawn [`PointPass`] or
+//! resolving a kept one instead of drawing.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

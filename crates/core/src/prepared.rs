@@ -21,8 +21,10 @@
 //! viewports — the pyramid levels of one canvas — as long as its records
 //! cover that raster's boundary pixels ([`PointPass::covers`]): the same
 //! rows tested in the same order give the same answer, bit for bit.
-//! [`RasterJoin::execute_store`] prepares and replays; the tile loop is
-//! [`RasterJoin::execute_pass`]'s.
+//! [`RasterJoin::execute_store`] prepares and replays one query; a caller
+//! that keeps a raster across queries (`urbane`'s service, which keeps one
+//! per pyramid level, canvas and mode) replays it through
+//! [`RasterJoin::execute_pass`], the one tile loop.
 
 use crate::bounded::{fold_pixel, point_pass, PointBuffers};
 use crate::budget::QueryBudget;
@@ -515,15 +517,16 @@ impl PreparedRasterJoin {
     }
 
     /// Replay a query against a caller-provided [`PointStore`], serially and
-    /// without injected faults (see [`RasterJoin::execute_prepared`] for
-    /// the configured tile loop).
+    /// without injected faults (see [`RasterJoin::execute_pass`] for the
+    /// configured tile loop).
     pub fn execute_store(
         &self,
         store: PointStore<'_>,
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
-        RasterJoin::with_defaults().execute_prepared(self, store, query, budget)
+        let join = RasterJoin::with_defaults();
+        Ok(join.execute_pass(self, store, query, budget, PassSource::Draw)?.0)
     }
 }
 

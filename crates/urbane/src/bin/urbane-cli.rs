@@ -7,6 +7,8 @@
 //!                     [--mode bounded|weighted|accurate|index] [--resolution 1024]
 //!                     [--time-start S --time-end S] [--range col:lo:hi] [--top 10]
 //! urbane-cli map      --data taxi.upt --regions nbhd:260 --out map.ppm [--size 800]
+//! urbane-cli explore  --data taxi.upt --regions nbhd:260 --agg count
+//!                     [--bucket hour|day|week|month] [--top 5] [--csv series.csv]
 //! urbane-cli heatmap  --data taxi.upt --out heat.ppm [--size 800] [--blur 2]
 //! urbane-cli build-store --data taxi.upt --out taxi.ubs [--chunk-rows 65536]
 //!                        (or --csv taxi.csv as the input)
@@ -16,9 +18,9 @@
 //! Data files use the `urban-data` binary format (`.upt`); `generate` also
 //! understands `--kind taxi|311|crime`. A `.ubs` path works anywhere
 //! `--data` does (the out-of-core columnar store; `build-store` writes it).
-//! `query` is one request to an `UrbaneService` — the server's and the
-//! session's query path — so `--mode index` runs the exact index join,
-//! streamed straight off the chunk directory when the data is a `.ubs` file.
+//! `query`, `map` and `explore` ask an `UrbaneService` — the server's and
+//! the session's query path — so a `.upt` file and the `.ubs` built from it
+//! answer alike, and `--mode index` streams a `.ubs` file's chunk directory.
 
 use raster_join::{ExecutionMode, RasterJoinConfig};
 use std::process::exit;
@@ -107,12 +109,6 @@ impl From<UrbaneError> for CliError {
     }
 }
 
-impl From<raster_join::RasterJoinError> for CliError {
-    fn from(e: raster_join::RasterJoinError) -> Self {
-        CliError::Runtime(e.into())
-    }
-}
-
 impl From<urban_data::DataError> for CliError {
     fn from(e: urban_data::DataError) -> Self {
         CliError::Runtime(e.into())
@@ -157,8 +153,9 @@ fn parse_regions(spec: &str, data_bbox: urbane_geom::BoundingBox) -> Result<Regi
     Err(format!("unknown region spec {spec:?} (use boroughs | nbhd:<n> | grid:<n>)"))
 }
 
-/// The aggregate and filters of `--agg`, `--time-start`/`--time-end` and
-/// `--range`, as a request against dataset `data` at level 0.
+/// The aggregate, filters and mode of `--agg`, `--time-start`/`--time-end`,
+/// `--range` and `--mode`, as a request against dataset `data` at level 0
+/// with a deadline no CLI query reaches.
 fn build_request(args: &Args) -> Result<QueryRequest, String> {
     let agg = match args.get_or("agg", "count") {
         "count" => AggKind::Count,
@@ -175,7 +172,10 @@ fn build_request(args: &Args) -> Result<QueryRequest, String> {
             }
         }
     };
-    let mut req = QueryRequest::count("data", 0).agg(agg);
+    let mut req = QueryRequest::count("data", 0)
+        .agg(agg)
+        .mode(join_config(args)?.mode)
+        .deadline(Duration::from_secs(24 * 60 * 60));
     if let (Some(s), Some(e)) = (args.get("time-start"), args.get("time-end")) {
         let s: i64 = s.parse().map_err(|_| "--time-start: bad integer".to_string())?;
         let e: i64 = e.parse().map_err(|_| "--time-end: bad integer".to_string())?;
@@ -205,6 +205,33 @@ fn join_config(args: &Args) -> Result<RasterJoinConfig, String> {
         }
     };
     Ok(RasterJoinConfig { mode, ..RasterJoinConfig::with_resolution(resolution) })
+}
+
+/// `--data` registered as dataset `data`: a `.ubs` file cold (its header
+/// only), anything else resident and therefore clustered.
+fn open_catalog(args: &Args) -> CliResult<DataCatalog> {
+    let path = args.require("data")?;
+    let mut catalog = DataCatalog::new();
+    if is_store(path) {
+        catalog.register_store("data", std::path::Path::new(path))?;
+    } else {
+        catalog.register("data", load_data(args)?);
+    }
+    Ok(catalog)
+}
+
+/// The service `query`, `map` and `explore` ask: `catalog` over one
+/// pyramid level, the `--regions` set. One query at a time, nothing to
+/// cache; the canvas is exactly what `--resolution` asks.
+fn open_service(args: &Args, catalog: DataCatalog) -> CliResult<UrbaneService> {
+    let regions = parse_regions(args.get_or("regions", "nbhd:260"), catalog.combined_bbox())?;
+    let config = ServiceConfig {
+        join: join_config(args)?,
+        cache_capacity: 0,
+        max_resolution: u32::MAX,
+        ..ServiceConfig::default()
+    };
+    Ok(UrbaneService::new(config, catalog, ResolutionPyramid::new(vec![regions]))?)
 }
 
 fn cmd_generate(args: &Args) -> CliResult {
@@ -265,39 +292,22 @@ fn cmd_info(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `query`: register the data (a `.ubs` file cold, anything else resident
-/// and clustered) and the one region set in a service, send one request,
-/// print the ranked top-N (and optionally write GeoJSON).
+/// `query`: one request to the `--data` service; print the ranked top-N
+/// (and optionally write GeoJSON).
 fn cmd_query(args: &Args) -> CliResult {
-    let path = args.require("data")?;
-    let mut catalog = DataCatalog::new();
-    if is_store(path) {
-        catalog.register_store("data", std::path::Path::new(path))?;
-    } else {
-        catalog.register("data", load_data(args)?);
-    }
-    let regions = parse_regions(args.get_or("regions", "nbhd:260"), catalog.combined_bbox())?;
+    let catalog = open_catalog(args)?;
     let rows = catalog.total_rows();
-    let join = join_config(args)?;
-    let mode = join.mode;
-    let req = build_request(args)?.mode(mode).deadline(Duration::from_secs(24 * 60 * 60));
-    // One query, nothing to cache; the canvas is exactly what was asked.
-    let config = ServiceConfig {
-        join,
-        cache_capacity: 0,
-        max_resolution: u32::MAX,
-        ..ServiceConfig::default()
-    };
-    let service = UrbaneService::new(config, catalog, ResolutionPyramid::new(vec![regions]))?;
-
+    let service = open_service(args, catalog)?;
+    let req = build_request(args)?;
     let answer = service.query(&req)?;
     let paging = service.store_paging();
     let zones = service.zone_stats();
     eprintln!(
-        "{rows} rows x {} regions in {:.1} ms ({mode:?}, {} answer, ε = {}; \
+        "{rows} rows x {} regions in {:.1} ms ({:?}, {} answer, ε = {}; \
          zones {} skipped, {} whole, {} scanned; {} store bytes read, {} page-ins)",
         answer.regions.len(),
         answer.report.elapsed.as_secs_f64() * 1e3,
+        req.mode,
         answer.report.path.as_str(),
         answer.report.error_bound.map_or("unknown".to_string(), |e| format!("{e:.1}")),
         zones.skipped,
@@ -350,19 +360,19 @@ fn cmd_build_store(args: &Args) -> CliResult {
 }
 
 fn cmd_map(args: &Args) -> CliResult {
-    let t = load_data(args)?;
-    let regions = parse_regions(args.get_or("regions", "nbhd:260"), t.bbox())?;
-    let q = build_request(args)?.to_query();
     let size: u32 = args.parse_num("size", 800)?;
     let out = args.require("out")?;
+    let service = open_service(args, open_catalog(args)?)?;
+    let answer = service.query(&build_request(args)?)?;
 
-    let view = MapView::new(join_config(args)?, urbane::colormap::ColorMap::viridis());
-    let img = view.render(&t, &regions, &q, size, size)?;
+    let img = MapView::with_defaults().render(&answer, size, size);
     gpu_raster::ppm::write_ppm(out, &img.image)
         .map_err(|e| io_err(&format!("writing {out}"), e))?;
     eprintln!(
-        "choropleth written to {out} (legend {:.1} .. {:.1}, ε = {:.1})",
-        img.legend.lo, img.legend.hi, img.epsilon
+        "choropleth written to {out} (legend {:.1} .. {:.1}, ε = {})",
+        img.legend.lo,
+        img.legend.hi,
+        img.error_bound.map_or("unknown".to_string(), |e| format!("{e:.1}"))
     );
     Ok(())
 }
@@ -387,23 +397,35 @@ fn cmd_heatmap(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_explore(args: &Args) -> CliResult {
-    use urban_data::time::{TimeBucket, TimeRange};
-    use urbane::view::ExplorationView;
+/// `data`'s time range: a resident table's own; a `.ubs` file's from the
+/// zone footers of its header, so the payload stays on disk.
+fn time_extent(catalog: &DataCatalog) -> CliResult<Option<TimeRange>> {
+    let Some(store) = catalog.store("data") else {
+        return Ok(catalog.get("data")?.time_extent());
+    };
+    let zones = || store.header().chunks.iter().flat_map(|c| &c.zones);
+    let (lo, hi) = (zones().map(|z| z.t_min).min(), zones().map(|z| z.t_max).max());
+    Ok(lo.zip(hi).map(|(lo, hi)| TimeRange::new(lo, hi + 1)))
+}
 
-    let t = load_data(args)?;
-    let regions = parse_regions(args.get_or("regions", "nbhd:260"), t.bbox())?;
-    let q = build_request(args)?.to_query();
-    let view = ExplorationView::new(join_config(args)?);
+fn cmd_explore(args: &Args) -> CliResult {
+    use urban_data::time::TimeBucket;
+    use urbane::view::explore::{rank_regions, time_series};
+
+    let catalog = open_catalog(args)?;
+    let extent = time_extent(&catalog)?;
+    let service = open_service(args, catalog)?;
+    let regions = service.pyramid().level(0)?;
+    let req = build_request(args)?;
 
     let top: usize = args.parse_num("top", 5)?;
-    let ranked = view.rank_regions(&t, &regions, &q)?;
+    let ranked = rank_regions(&service, &req)?;
     println!("top {top} regions:");
     for (i, (r, v)) in ranked.iter().take(top).enumerate() {
         println!("  {}. {}\t{:.2}", i + 1, regions.region_name(*r), v.unwrap_or(0.0));
     }
 
-    let Some(extent) = t.time_extent() else {
+    let Some(extent) = extent else {
         return Ok(());
     };
     let bucket = match args.get_or("bucket", "week") {
@@ -419,8 +441,7 @@ fn cmd_explore(args: &Args) -> CliResult {
         println!("no regions ranked (empty region set or no matching rows)");
         return Ok(());
     };
-    let series = view
-        .time_series("data", &t, &regions, &q, TimeRange::new(extent.start, extent.end), bucket)?;
+    let series = time_series(&service, &req, extent, bucket)?;
     println!("\n{} series for the top region:", args.get_or("bucket", "week"));
     let max = series
         .region(reference)

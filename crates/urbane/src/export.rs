@@ -146,7 +146,6 @@ mod tests {
             vec![("Name, with \"comma\"".to_string(), square.geometry(0).clone())],
         );
         let series = DatasetSeries {
-            dataset: "taxi".into(),
             buckets: vec![TimeRange::new(0, 100)],
             series: vec![vec![Some(5.0)]],
         };
@@ -161,7 +160,6 @@ mod tests {
         use urban_data::time::TimeRange;
         let (rs, _) = setup();
         let series = DatasetSeries {
-            dataset: "taxi".into(),
             buckets: vec![TimeRange::new(0, 100), TimeRange::new(100, 200)],
             series: vec![vec![Some(5.0), None], vec![Some(1.0), Some(2.0)]],
         };

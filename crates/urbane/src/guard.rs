@@ -75,9 +75,9 @@ pub struct GuardReport {
     pub elapsed: Duration,
     /// The deadline the caller asked for.
     pub deadline: Duration,
-    /// ε positional error bound of the delivered answer, in world units.
-    /// `None` when the bound is unknown (cache hit, or the preview rung,
-    /// whose error is statistical rather than positional).
+    /// ε positional error bound of the delivered answer, in world units (0
+    /// when exact; a cache hit repeats its answer's). `None` for the preview
+    /// rung, whose error is statistical rather than positional.
     pub error_bound: Option<f64>,
 }
 

@@ -39,6 +39,8 @@ pub use brush::Brush;
 pub use cache::{CacheKey, CacheStats, Flight, QueryCache, SingleFlight};
 pub use catalog::{ColdStore, DataCatalog};
 pub use guard::{GuardPath, GuardReport, GuardedResult};
+/// The executor configuration and modes the service and session types carry.
+pub use raster_join::{ExecutionMode, RasterJoinConfig};
 pub use resolution::ResolutionPyramid;
 pub use service::{
     DatasetInfo, GuardOutcomes, QueryAnswer, QueryRequest, ServiceConfig, UrbaneService,

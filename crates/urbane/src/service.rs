@@ -592,7 +592,7 @@ impl UrbaneService {
     ) -> Result<RasterJoinResult> {
         let raster = self.raster(key, regions, budget)?;
         let join = RasterJoin::new(self.config.join.clone());
-        Ok(join.execute_prepared(&raster, store, query, budget)?)
+        Ok(join.execute_pass(&raster, store, query, budget, PassSource::Draw)?.0)
     }
 
     /// The full rung's [`raster_join`](Self::raster_join): at a kept
@@ -927,6 +927,30 @@ impl UrbaneService {
             cached: false,
             generation,
         })
+    }
+}
+
+/// The views' unit-test fixtures (a view runs no join of its own).
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+
+    /// A one-level service over `table` (dataset `test`) and `regions` at
+    /// `join`'s canvas, and `join`'s one-shot answer to a query over the
+    /// catalog's clustered copy of the table.
+    pub(crate) fn service(
+        table: PointTable,
+        regions: RegionSet,
+        join: RasterJoinConfig,
+    ) -> (UrbaneService, impl Fn(&SpatialAggQuery) -> AggTable) {
+        let mut catalog = DataCatalog::new();
+        catalog.register("test", table);
+        let clustered = catalog.get("test").unwrap();
+        let (one_shot, rs) = (RasterJoin::new(join.clone()), regions.clone());
+        let config = ServiceConfig { join, ..Default::default() };
+        let pyramid = ResolutionPyramid::new(vec![regions]);
+        let service = UrbaneService::new(config, catalog, pyramid).unwrap();
+        (service, move |q: &SpatialAggQuery| one_shot.execute(&clustered, &rs, q).unwrap().table)
     }
 }
 

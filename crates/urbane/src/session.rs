@@ -10,10 +10,9 @@
 //! session keeps no cache, sample or index of its own.
 
 use crate::catalog::DataCatalog;
-use crate::colormap::ColorMap;
 use crate::guard::GuardedResult;
 use crate::resolution::ResolutionPyramid;
-use crate::service::{QueryRequest, ServiceConfig, UrbaneService};
+use crate::service::{QueryAnswer, QueryRequest, ServiceConfig, UrbaneService};
 use crate::view::map::{ChoroplethImage, MapView};
 use crate::{CacheStats, Result, UrbaneError};
 use raster_join::{CancelHandle, RasterJoinConfig};
@@ -229,11 +228,16 @@ impl UrbaneSession {
     /// Never degrades: an answer from any other rung of the ladder is
     /// reported as [`UrbaneError::DeadlineExceeded`].
     pub fn evaluate(&self) -> Result<Arc<AggTable>> {
-        let got = self.evaluate_guarded(UNGUARDED_DEADLINE, None)?;
-        if got.report.degraded() {
+        Ok(self.full_answer()?.table)
+    }
+
+    /// [`evaluate`](Self::evaluate)'s answer, with its regions and report.
+    fn full_answer(&self) -> Result<QueryAnswer> {
+        let answer = self.service.query(&self.request().deadline(UNGUARDED_DEADLINE))?;
+        if answer.report.degraded() {
             return Err(UrbaneError::DeadlineExceeded);
         }
-        Ok(got.table)
+        Ok(answer)
     }
 
     /// Evaluate the current view under a deadline, degrading rather than
@@ -262,30 +266,16 @@ impl UrbaneSession {
         self.service.preview(&self.request(), sample_rows)
     }
 
-    /// Render the current map view through the session's pan/zoom window.
-    ///
-    /// Aggregates come from the (cached) [`Self::evaluate`] result, so the
-    /// returned image's `join_stats`/`epsilon` metadata are zeroed — use
-    /// [`MapView::render`] directly when per-query stats matter.
+    /// Render the current map view through the session's pan/zoom window:
+    /// [`evaluate`](Self::evaluate)'s answer, painted. The image carries the
+    /// answer's error bound.
     pub fn render_map(&self) -> Result<ChoroplethImage> {
-        let regions = self.pyramid().level(self.active_level)?;
-        let view = MapView::new(self.config.join.clone(), ColorMap::viridis());
-        let table = self.evaluate()?;
-        let values = table.values();
-        let legend = crate::colormap::Legend::from_values(&values);
         let vp = urbane_geom::projection::Viewport::fitted(
             self.view_window(),
             self.config.map_width,
             self.config.map_height,
         );
-        let image = view.render_values_viewport(&regions, &values, &legend, &vp);
-        Ok(ChoroplethImage {
-            image,
-            values,
-            legend,
-            join_stats: gpu_raster::RenderStats::new(),
-            epsilon: 0.0,
-        })
+        Ok(MapView::with_defaults().render_viewport(&self.full_answer()?, &vp))
     }
 }
 
@@ -315,6 +305,10 @@ mod tests {
     }
 
     fn session() -> UrbaneSession {
+        session_in(ExecutionMode::Bounded)
+    }
+
+    fn session_in(mode: ExecutionMode) -> UrbaneSession {
         let city = CityModel::nyc_like();
         let taxi = generate_taxi(&city, &TaxiConfig { rows: 5_000, seed: 1, start: 0, days: 10 });
         let crime = urban_data::gen::events::generate_crime(
@@ -325,7 +319,7 @@ mod tests {
         catalog.register("taxi", taxi);
         catalog.register("crime", crime);
         let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
-        UrbaneSession::new(in_mode(ExecutionMode::Bounded), catalog, pyramid).unwrap()
+        UrbaneSession::new(in_mode(mode), catalog, pyramid).unwrap()
     }
 
     #[test]
@@ -399,6 +393,20 @@ mod tests {
         assert_eq!(img.image.width(), 512);
         assert_eq!(img.values.len(), 16);
         assert!(img.values.iter().any(Option::is_some));
+    }
+
+    /// The map carries the painted answer's bound: the canvas ε in a
+    /// bounded session, 0 in an accurate one.
+    #[test]
+    fn render_map_reports_the_answers_error_bound() {
+        for (mode, exact) in [(ExecutionMode::Bounded, false), (ExecutionMode::Accurate, true)] {
+            let s = session_in(mode);
+            let guarded = s.evaluate_guarded(UNGUARDED_DEADLINE, None).unwrap();
+            let bound = guarded.report.error_bound;
+            assert_eq!(bound == Some(0.0), exact, "{mode:?}: {bound:?}");
+            assert!(bound.unwrap() >= 0.0);
+            assert_eq!(s.render_map().unwrap().error_bound, bound, "{mode:?}");
+        }
     }
 
     #[test]

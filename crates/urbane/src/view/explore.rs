@@ -5,7 +5,7 @@
 //! that is:
 //!
 //! * per-region **time series** of an aggregate, bucketed by calendar unit
-//!   (each bucket is one spatial-aggregation query with a time filter);
+//!   (each bucket is one request with a time filter);
 //! * side-by-side **data-set comparison** over the same regions;
 //! * **ranking** of regions by a metric, and
 //! * **similarity profiles** — the architect workflow from the paper's
@@ -13,19 +13,20 @@
 //!   normalized metrics across data sets and find the most similar
 //!   neighborhoods to a reference (to "establish performance thresholds
 //!   from other well-known and well performing neighborhoods").
+//!
+//! Each is a function over an [`UrbaneService`] and the [`QueryRequest`]s
+//! it answers, so the view shares the service's clustering, prepared
+//! rasters, ladder, cache and metrics with every other client.
 
-use crate::Result;
-use raster_join::{PointStore, PreparedRasterJoin, QueryBudget, RasterJoin, RasterJoinConfig};
+use crate::service::{QueryRequest, UrbaneService};
+use crate::{Result, UrbaneError};
 use urban_data::filter::Filter;
-use urban_data::query::SpatialAggQuery;
 use urban_data::time::{TimeBucket, TimeRange};
-use urban_data::{PointTable, RegionId, RegionSet};
+use urban_data::RegionId;
 
-/// A per-region time series for one data set.
+/// A per-region time series of one request.
 #[derive(Debug, Clone)]
 pub struct DatasetSeries {
-    /// Data-set label.
-    pub dataset: String,
     /// Bucket boundaries (one per series sample).
     pub buckets: Vec<TimeRange>,
     /// `series[region][bucket]` — aggregate value, `None` = no data.
@@ -65,144 +66,123 @@ impl RegionProfile {
     }
 }
 
-/// The exploration-view engine.
-#[derive(Debug, Clone)]
-pub struct ExplorationView {
-    join: RasterJoin,
+/// `req`'s per-region values at full fidelity: a fallback rung's answer is
+/// [`UrbaneError::DeadlineExceeded`], so no series or ranking mixes them.
+fn full_values(service: &UrbaneService, req: &QueryRequest) -> Result<Vec<Option<f64>>> {
+    let answer = service.query(req)?;
+    if answer.report.degraded() {
+        return Err(UrbaneError::DeadlineExceeded);
+    }
+    Ok(answer.table.values())
 }
 
-impl ExplorationView {
-    /// Engine with the given join configuration.
-    pub fn new(config: RasterJoinConfig) -> Self {
-        ExplorationView { join: RasterJoin::new(config) }
+/// A bucketed time series of `req`: one request per bucket of `range`, each
+/// with the bucket's [`Filter::Time`] appended. The request's dataset and
+/// pyramid level name the rows and the regions; at the service's base
+/// canvas every bucket replays the level's one kept region raster.
+pub fn time_series(
+    service: &UrbaneService,
+    req: &QueryRequest,
+    range: TimeRange,
+    bucket: TimeBucket,
+) -> Result<DatasetSeries> {
+    let mut buckets = Vec::new();
+    let mut t = bucket.truncate(range.start);
+    while t < range.end {
+        let b = bucket.range_of(t);
+        buckets.push(b.intersection(&range).unwrap_or(b));
+        t = b.end;
     }
 
-    /// Defaults (bounded 1024-px joins).
-    pub fn with_defaults() -> Self {
-        Self::new(RasterJoinConfig::default())
-    }
-
-    /// Compute a bucketed time series: one spatial aggregation per bucket of
-    /// `range`, each with the bucket's time filter appended to `query`.
-    ///
-    /// The polygon side is rasterized **once** (a [`PreparedRasterJoin`],
-    /// in any raster mode) and replayed for every bucket — the regions and
-    /// canvas do not change between buckets, only the time filter does.
-    pub fn time_series(
-        &self,
-        dataset_name: &str,
-        points: &PointTable,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-        range: TimeRange,
-        bucket: TimeBucket,
-    ) -> Result<DatasetSeries> {
-        let mut buckets = Vec::new();
-        let mut t = bucket.truncate(range.start);
-        while t < range.end {
-            let b = bucket.range_of(t);
-            buckets.push(b.intersection(&range).unwrap_or(b));
-            t = b.end;
+    let regions = service.pyramid().level(req.level)?.len();
+    let mut series = vec![Vec::with_capacity(buckets.len()); regions];
+    for b in &buckets {
+        let values = full_values(service, &req.clone().filter(Filter::Time(*b)))?;
+        for (r, v) in values.into_iter().enumerate() {
+            series[r].push(v);
         }
+    }
+    Ok(DatasetSeries { buckets, series })
+}
 
-        let cfg = self.join.config();
-        let prepared =
-            PreparedRasterJoin::prepare(regions, cfg.spec, cfg.max_tile, cfg.mode)?;
-        let mut series = vec![Vec::with_capacity(buckets.len()); regions.len()];
-        for b in &buckets {
-            let q = query.clone().filter(Filter::Time(*b));
-            let res = self.join.execute_prepared(
-                &prepared,
-                PointStore::plain(points),
-                &q,
-                &QueryBudget::unlimited(),
-            )?;
-            for (r, v) in res.table.values().into_iter().enumerate() {
-                series[r].push(v);
-            }
+/// Rank the regions of `req`'s level by its value, descending; `None`
+/// values sort last. Returns `(region, value)` pairs.
+pub fn rank_regions(
+    service: &UrbaneService,
+    req: &QueryRequest,
+) -> Result<Vec<(RegionId, Option<f64>)>> {
+    let mut ranked: Vec<(RegionId, Option<f64>)> = full_values(service, req)?
+        .into_iter()
+        .enumerate()
+        .map(|(r, v)| (r as RegionId, v))
+        .collect();
+    ranked.sort_by(|a, b| match (a.1, b.1) {
+        (Some(x), Some(y)) => y.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal),
+        (Some(_), None) => std::cmp::Ordering::Less,
+        (None, Some(_)) => std::cmp::Ordering::Greater,
+        (None, None) => std::cmp::Ordering::Equal,
+    });
+    Ok(ranked)
+}
+
+/// Normalized feature profiles from several metrics, one request each (any
+/// dataset, any aggregate), all at one pyramid level ([`UrbaneError::Config`]
+/// otherwise). Each metric is min-max normalized across regions; missing
+/// values become 0.
+pub fn profiles(service: &UrbaneService, metrics: &[QueryRequest]) -> Result<Vec<RegionProfile>> {
+    let level = metrics.first().map_or(0, |m| m.level);
+    if metrics.iter().any(|m| m.level != level) {
+        return Err(UrbaneError::Config("profile metrics must share one pyramid level".into()));
+    }
+    let regions = service.pyramid().level(level)?.len();
+    let mut features: Vec<Vec<f64>> = vec![Vec::with_capacity(metrics.len()); regions];
+    for req in metrics {
+        let values = full_values(service, req)?;
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for v in values.iter().flatten() {
+            lo = lo.min(*v);
+            hi = hi.max(*v);
         }
-        Ok(DatasetSeries { dataset: dataset_name.to_string(), buckets, series })
-    }
-
-    /// Rank regions by one query's value, descending; `None` values sort
-    /// last. Returns `(region, value)` pairs.
-    pub fn rank_regions(
-        &self,
-        points: &PointTable,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-    ) -> Result<Vec<(RegionId, Option<f64>)>> {
-        let res = self.join.execute(points, regions, query)?;
-        let mut ranked: Vec<(RegionId, Option<f64>)> = res
-            .table
-            .values()
-            .into_iter()
-            .enumerate()
-            .map(|(r, v)| (r as RegionId, v))
-            .collect();
-        ranked.sort_by(|a, b| match (a.1, b.1) {
-            (Some(x), Some(y)) => y.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        });
-        Ok(ranked)
-    }
-
-    /// Build normalized feature profiles from several `(dataset, points,
-    /// query)` metrics over the same regions. Each metric is min-max
-    /// normalized across regions; missing values become 0.
-    pub fn profiles(
-        &self,
-        metrics: &[(&str, &PointTable, SpatialAggQuery)],
-        regions: &RegionSet,
-    ) -> Result<Vec<RegionProfile>> {
-        let mut features: Vec<Vec<f64>> = vec![Vec::with_capacity(metrics.len()); regions.len()];
-        for (_, points, query) in metrics {
-            let res = self.join.execute(points, regions, query)?;
-            let values = res.table.values();
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for v in values.iter().flatten() {
-                lo = lo.min(*v);
-                hi = hi.max(*v);
-            }
-            let span = (hi - lo).max(f64::MIN_POSITIVE);
-            for (r, v) in values.into_iter().enumerate() {
-                features[r].push(v.map_or(0.0, |v| if hi > lo { (v - lo) / span } else { 0.5 }));
-            }
+        let span = (hi - lo).max(f64::MIN_POSITIVE);
+        for (r, v) in values.into_iter().enumerate() {
+            features[r].push(v.map_or(0.0, |v| if hi > lo { (v - lo) / span } else { 0.5 }));
         }
-        Ok(features
-            .into_iter()
-            .enumerate()
-            .map(|(r, f)| RegionProfile { region: r as RegionId, features: f })
-            .collect())
     }
+    Ok(features
+        .into_iter()
+        .enumerate()
+        .map(|(r, f)| RegionProfile { region: r as RegionId, features: f })
+        .collect())
+}
 
-    /// The `k` regions most similar to `reference` (excluding itself),
-    /// closest first.
-    pub fn most_similar(
-        profiles: &[RegionProfile],
-        reference: RegionId,
-        k: usize,
-    ) -> Vec<(RegionId, f64)> {
-        let re = &profiles[reference as usize];
-        let mut dists: Vec<(RegionId, f64)> = profiles
-            .iter()
-            .filter(|p| p.region != reference)
-            .map(|p| (p.region, re.distance(p)))
-            .collect();
-        dists.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        dists.truncate(k);
-        dists
-    }
+/// The `k` regions most similar to `reference` (excluding itself), closest
+/// first.
+pub fn most_similar(
+    profiles: &[RegionProfile],
+    reference: RegionId,
+    k: usize,
+) -> Vec<(RegionId, f64)> {
+    let re = &profiles[reference as usize];
+    let mut dists: Vec<(RegionId, f64)> = profiles
+        .iter()
+        .filter(|p| p.region != reference)
+        .map(|p| (p.region, re.distance(p)))
+        .collect();
+    dists.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    dists.truncate(k);
+    dists
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::fixture;
+    use crate::{ExecutionMode, RasterJoinConfig};
     use urban_data::gen::regions::grid_regions;
+    use urban_data::query::SpatialAggQuery;
     use urban_data::schema::Schema;
     use urban_data::time::DAY;
+    use urban_data::{PointTable, RegionSet};
     use urbane_geom::{BoundingBox, Point};
 
     /// Two cells; region 0 gets points on days 0 and 1, region 1 only day 0.
@@ -221,13 +201,17 @@ mod tests {
         (t, rs)
     }
 
+    /// A one-level service over the 20-row table (dataset `test`).
+    fn service(join: RasterJoinConfig) -> UrbaneService {
+        let (t, rs) = setup();
+        fixture::service(t, rs, join).0
+    }
+
     #[test]
     fn time_series_buckets_correctly() {
-        let (t, rs) = setup();
-        let view = ExplorationView::with_defaults();
-        let s = view
-            .time_series("test", &t, &rs, &SpatialAggQuery::count(), TimeRange::new(0, 2 * DAY), TimeBucket::Day)
-            .unwrap();
+        let s = service(RasterJoinConfig::default());
+        let range = TimeRange::new(0, 2 * DAY);
+        let s = time_series(&s, &QueryRequest::count("test", 0), range, TimeBucket::Day).unwrap();
         assert_eq!(s.buckets.len(), 2);
         assert_eq!(s.region(0), &[Some(10.0), Some(4.0)]);
         assert_eq!(s.region(1), &[Some(6.0), None]);
@@ -235,20 +219,20 @@ mod tests {
         assert_eq!(s.region_total(1), 6.0);
     }
 
-    /// Every raster mode prepares: a weighted view's series is the weighted
-    /// one-shot answer per bucket, bit for bit.
+    /// Every raster mode goes through the service: a weighted series is the
+    /// weighted one-shot answer over the catalog's clustered table per
+    /// bucket, bit for bit.
     #[test]
     fn time_series_runs_in_weighted_mode() {
         let (t, rs) = setup();
-        let config = RasterJoinConfig::weighted(64);
-        let view = ExplorationView::new(config.clone());
-        let (q, range) = (SpatialAggQuery::count(), TimeRange::new(0, 2 * DAY));
-        let s = view.time_series("test", &t, &rs, &q, range, TimeBucket::Day).unwrap();
+        let (service, one_shot) = fixture::service(t, rs, RasterJoinConfig::weighted(64));
+        let req = QueryRequest::count("test", 0).mode(ExecutionMode::Weighted);
+        let s = time_series(&service, &req, TimeRange::new(0, 2 * DAY), TimeBucket::Day).unwrap();
         for (k, b) in s.buckets.iter().enumerate() {
             let q = SpatialAggQuery::count().filter(Filter::Time(*b));
-            let one_shot = RasterJoin::new(config.clone()).execute(&t, &rs, &q).unwrap();
-            for (r, v) in one_shot.table.values().into_iter().enumerate() {
-                assert_eq!(s.series[r][k], v, "region {r} bucket {k}");
+            for (r, v) in one_shot(&q).values().into_iter().enumerate() {
+                let bits = |v: Option<f64>| v.map(f64::to_bits);
+                assert_eq!(bits(s.series[r][k]), bits(v), "region {r} bucket {k}");
             }
         }
         assert_eq!(s.region_total(0), 14.0);
@@ -256,24 +240,26 @@ mod tests {
 
     #[test]
     fn ranking_descends_with_nulls_last() {
-        let (t, rs) = setup();
-        let view = ExplorationView::with_defaults();
-        let ranked = view.rank_regions(&t, &rs, &SpatialAggQuery::count()).unwrap();
+        let s = service(RasterJoinConfig::default());
+        let ranked = rank_regions(&s, &QueryRequest::count("test", 0)).unwrap();
         assert_eq!(ranked[0].0, 0);
         assert_eq!(ranked[0].1, Some(14.0));
         assert_eq!(ranked[1].1, Some(6.0));
+        // A deadline that only a fallback rung can meet is refused.
+        let hurried = QueryRequest::count("test", 0).deadline(std::time::Duration::ZERO);
+        assert_eq!(rank_regions(&s, &hurried).unwrap_err(), UrbaneError::DeadlineExceeded);
     }
 
     #[test]
     fn profiles_normalized_and_similarity() {
-        let (t, rs) = setup();
-        let view = ExplorationView::with_defaults();
-        let metrics = [("taxi", &t, SpatialAggQuery::count())];
-        let profiles = view.profiles(&metrics.iter().map(|(n, p, q)| (*n, *p, q.clone())).collect::<Vec<_>>(), &rs).unwrap();
+        let s = service(RasterJoinConfig::default());
+        let mixed = [QueryRequest::count("test", 0), QueryRequest::count("test", 1)];
+        assert!(matches!(profiles(&s, &mixed), Err(UrbaneError::Config(_))));
+        let profiles = profiles(&s, &[QueryRequest::count("test", 0)]).unwrap();
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].features, vec![1.0]); // max count
         assert_eq!(profiles[1].features, vec![0.0]); // min count
-        let sim = ExplorationView::most_similar(&profiles, 0, 5);
+        let sim = most_similar(&profiles, 0, 5);
         assert_eq!(sim.len(), 1);
         assert_eq!(sim[0].0, 1);
         assert!((sim[0].1 - 1.0).abs() < 1e-12);

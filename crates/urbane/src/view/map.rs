@@ -1,19 +1,17 @@
 //! The map view — the paper's Figure 1.
 //!
-//! A spatial-aggregation query is evaluated over the active resolution's
-//! regions (through Raster Join), the per-region values are normalized
-//! through a colormap, and the regions are rasterized into an RGB
-//! choropleth with darkened boundaries. The whole path — query to pixels —
-//! is what one pan/zoom/slider interaction triggers.
+//! A [`QueryAnswer`] — one spatial-aggregation query over the active
+//! resolution's regions, answered by the service — is normalized through a
+//! colormap, and the regions are rasterized into an RGB choropleth with
+//! darkened boundaries. One pan/zoom/slider interaction is one request plus
+//! one paint.
 
 use crate::colormap::{ColorMap, Legend};
-use crate::Result;
+use crate::service::QueryAnswer;
 use gpu_raster::line::traverse_segment;
 use gpu_raster::polygon_scan::rasterize_rings;
-use gpu_raster::{Buffer2D, RenderStats};
-use raster_join::{RasterJoin, RasterJoinConfig};
-use urban_data::query::SpatialAggQuery;
-use urban_data::{PointTable, RegionSet};
+use gpu_raster::Buffer2D;
+use urban_data::RegionSet;
 use urbane_geom::clip::clip_polygon_to_box;
 use urbane_geom::projection::Viewport;
 use urbane_geom::Point;
@@ -27,16 +25,14 @@ pub struct ChoroplethImage {
     pub values: Vec<Option<f64>>,
     /// Legend domain.
     pub legend: Legend,
-    /// Join execution stats (for the interaction-latency experiment).
-    pub join_stats: RenderStats,
-    /// The ε bound the join ran at.
-    pub epsilon: f64,
+    /// The painted answer's error bound (`report.error_bound`): ε in world
+    /// units, 0 for an exact answer, `None` when unknown.
+    pub error_bound: Option<f64>,
 }
 
-/// Map-view renderer: query config + colors.
+/// Map-view renderer: the colors a choropleth is painted in.
 #[derive(Debug, Clone)]
 pub struct MapView {
-    join: RasterJoin,
     colormap: ColorMap,
     /// Background color for pixels outside every region.
     pub background: [u8; 3],
@@ -47,10 +43,9 @@ pub struct MapView {
 }
 
 impl MapView {
-    /// Map view with the given join configuration and colormap.
-    pub fn new(config: RasterJoinConfig, colormap: ColorMap) -> Self {
+    /// Map view painting in `colormap`.
+    pub fn new(colormap: ColorMap) -> Self {
         MapView {
-            join: RasterJoin::new(config),
             colormap,
             background: [24, 24, 32],
             boundary: [10, 10, 10],
@@ -58,50 +53,32 @@ impl MapView {
         }
     }
 
-    /// Defaults: bounded join at 1024 px, viridis.
+    /// Defaults: viridis.
     pub fn with_defaults() -> Self {
-        Self::new(RasterJoinConfig::default(), ColorMap::viridis())
+        Self::new(ColorMap::viridis())
     }
 
-    /// Run the query and render the choropleth at `width × height`.
-    pub fn render(
-        &self,
-        points: &PointTable,
-        regions: &RegionSet,
-        query: &SpatialAggQuery,
-        width: u32,
-        height: u32,
-    ) -> Result<ChoroplethImage> {
-        let res = self.join.execute(points, regions, query)?;
-        let values = res.table.values();
+    /// Paint `answer` at `width × height`, fitted to its regions.
+    pub fn render(&self, answer: &QueryAnswer, width: u32, height: u32) -> ChoroplethImage {
+        self.render_viewport(answer, &Self::fitted(&answer.regions, width, height))
+    }
+
+    /// Paint `answer` through an explicit viewport — the pan/zoom path.
+    pub fn render_viewport(&self, answer: &QueryAnswer, vp: &Viewport) -> ChoroplethImage {
+        let values = answer.table.values();
         let legend = Legend::from_values(&values);
-        let image = self.render_values(regions, &values, &legend, width, height);
-        Ok(ChoroplethImage {
-            image,
-            values,
-            legend,
-            join_stats: res.stats,
-            epsilon: res.epsilon,
-        })
+        let image = self.render_values_viewport(&answer.regions, &values, &legend, vp);
+        ChoroplethImage { image, values, legend, error_bound: answer.report.error_bound }
     }
 
-    /// Rasterize pre-computed region values (no query) — used when only the
-    /// colors change (e.g. switching colormap) and by tests.
-    pub fn render_values(
-        &self,
-        regions: &RegionSet,
-        values: &[Option<f64>],
-        legend: &Legend,
-        width: u32,
-        height: u32,
-    ) -> Buffer2D<[u8; 3]> {
-        let vp = Viewport::fitted(regions.bbox().inflate(regions.bbox().width() * 0.05), width, height);
-        self.render_values_viewport(regions, values, legend, &vp)
+    /// The whole region set, 5% margin, at `width × height`.
+    fn fitted(regions: &RegionSet, width: u32, height: u32) -> Viewport {
+        Viewport::fitted(regions.bbox().inflate(regions.bbox().width() * 0.05), width, height)
     }
 
-    /// Rasterize pre-computed region values through an explicit viewport —
-    /// the pan/zoom path. Region geometry is clipped to the visible window
-    /// first, so a zoomed-in frame costs only the visible fragments.
+    /// Rasterize region values through an explicit viewport. Region geometry
+    /// is clipped to the visible window first, so a zoomed-in frame costs
+    /// only the visible fragments.
     pub fn render_values_viewport(
         &self,
         regions: &RegionSet,
@@ -162,8 +139,11 @@ impl MapView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{fixture, QueryRequest};
+    use crate::RasterJoinConfig;
     use urban_data::gen::regions::grid_regions;
     use urban_data::schema::Schema;
+    use urban_data::PointTable;
     use urbane_geom::BoundingBox;
 
     fn setup() -> (PointTable, RegionSet) {
@@ -178,20 +158,24 @@ mod tests {
         (t, rs)
     }
 
+    /// The bounded COUNT over the fixture, answered by a one-level service.
+    fn count_answer() -> QueryAnswer {
+        let (t, rs) = setup();
+        let (service, _) = fixture::service(t, rs, RasterJoinConfig::default());
+        service.query(&QueryRequest::count("test", 0)).unwrap()
+    }
+
     #[test]
     fn render_produces_legend_and_values() {
-        let (t, rs) = setup();
         let view = MapView::with_defaults();
-        let img = view
-            .render(&t, &rs, &SpatialAggQuery::count(), 64, 64)
-            .unwrap();
+        let img = view.render(&count_answer(), 64, 64);
         assert_eq!(img.values.len(), 4);
         assert_eq!(img.values[0], Some(50.0)); // lower-left cell
         assert_eq!(img.values[3], Some(1.0)); // upper-right cell
         assert_eq!(img.legend.lo, 1.0);
         assert_eq!(img.legend.hi, 50.0);
         assert_eq!(img.image.width(), 64);
-        assert!(img.epsilon > 0.0);
+        assert!(img.error_bound.unwrap() > 0.0);
     }
 
     #[test]
@@ -229,9 +213,9 @@ mod tests {
 
     #[test]
     fn hot_region_gets_hot_color() {
-        let (t, rs) = setup();
+        let (_, rs) = setup();
         let view = MapView::with_defaults();
-        let out = view.render(&t, &rs, &SpatialAggQuery::count(), 64, 64).unwrap();
+        let out = view.render(&count_answer(), 64, 64);
         // Sample a pixel inside the hot lower-left cell and the cool
         // upper-right cell: their colors must equal the legend extremes.
         let hot_expected = view.colormap.map_value(50.0, 1.0, 50.0);
@@ -247,9 +231,8 @@ mod tests {
 
     #[test]
     fn boundaries_are_drawn() {
-        let (t, rs) = setup();
         let view = MapView::with_defaults();
-        let out = view.render(&t, &rs, &SpatialAggQuery::count(), 64, 64).unwrap();
+        let out = view.render(&count_answer(), 64, 64);
         let boundary_pixels = out
             .image
             .iter_texels()
@@ -264,16 +247,16 @@ mod tests {
         let view = MapView::with_defaults();
         let values = vec![Some(1.0), None, None, Some(2.0)];
         let legend = Legend::from_values(&values);
-        let img = view.render_values(&rs, &values, &legend, 64, 64);
+        let vp = MapView::fitted(&rs, 64, 64);
+        let img = view.render_values_viewport(&rs, &values, &legend, &vp);
         let grays = img.iter_texels().filter(|&(_, _, c)| c == view.no_data).count();
         assert!(grays > 100, "no-data pixels {grays}");
     }
 
     #[test]
     fn background_outside_regions() {
-        let (t, rs) = setup();
         let view = MapView::with_defaults();
-        let out = view.render(&t, &rs, &SpatialAggQuery::count(), 64, 64).unwrap();
+        let out = view.render(&count_answer(), 64, 64);
         // The fitted viewport letterboxes: corners lie outside the regions.
         assert_eq!(out.image.get(0, 0), view.background);
     }

@@ -8,17 +8,17 @@
 //! cargo run --release --example dashboard
 //! ```
 
-use raster_join::RasterJoinConfig;
 use urban_data::filter::FilterSet;
 use urban_data::gen::city::CityModel;
 use urban_data::gen::regions::voronoi_neighborhoods;
 use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
-use urban_data::query::SpatialAggQuery;
 use urban_data::time::{timestamp, TimeBucket, TimeRange, DAY};
 use urbane::colormap::ColorMap;
 use urbane::view::dashboard::{compose, DashboardSpec};
+use urbane::view::explore::{rank_regions, time_series};
 use urbane::view::heatmap::{render_heatmap, HeatmapConfig};
-use urbane::view::{ExplorationView, MapView};
+use urbane::view::MapView;
+use urbane::{DataCatalog, QueryRequest, ResolutionPyramid, ServiceConfig, UrbaneService};
 use urbane_geom::projection::Viewport;
 
 fn main() {
@@ -30,33 +30,25 @@ fn main() {
 
     let t0 = std::time::Instant::now();
 
-    // Panel 1: the choropleth map.
-    let map_view = MapView::with_defaults();
-    let map = map_view
-        .render(&taxi, &regions, &SpatialAggQuery::count(), 560, 560)
-        .expect("map view");
-
-    // Panel 2: the density heatmap.
+    // Panel 2's heatmap draws the raw rows; the map and the series ask a
+    // one-level service over the neighborhoods.
     let vp = Viewport::fitted(city.bbox().inflate(city.bbox().width() * 0.02), 280, 280);
     let heat = render_heatmap(&taxi, &FilterSet::none(), &vp, &HeatmapConfig::default())
         .expect("heatmap");
+    let mut catalog = DataCatalog::new();
+    catalog.register("taxi", taxi);
+    let pyramid = ResolutionPyramid::new(vec![regions.clone()]);
+    let service = UrbaneService::new(ServiceConfig::default(), catalog, pyramid).expect("service");
+    let count = QueryRequest::count("taxi", 0);
+
+    // Panel 1: the choropleth map.
+    let map = MapView::with_defaults().render(&service.query(&count).expect("map query"), 560, 560);
 
     // Panel 3: the busiest neighborhood's weekly series.
-    let explore = ExplorationView::new(RasterJoinConfig::with_resolution(1024));
-    let ranked = explore
-        .rank_regions(&taxi, &regions, &SpatialAggQuery::count())
-        .expect("ranking");
+    let ranked = rank_regions(&service, &count).expect("ranking");
     let top = ranked[0].0;
-    let series = explore
-        .time_series(
-            "taxi",
-            &taxi,
-            &regions,
-            &SpatialAggQuery::count(),
-            TimeRange::new(start, start + 28 * DAY),
-            TimeBucket::Week,
-        )
-        .expect("series");
+    let range = TimeRange::new(start, start + 28 * DAY);
+    let series = time_series(&service, &count, range, TimeBucket::Week).expect("series");
 
     // Compose.
     let colormap = ColorMap::viridis();

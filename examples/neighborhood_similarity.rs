@@ -14,14 +14,14 @@
 //! cargo run --release --example neighborhood_similarity
 //! ```
 
-use raster_join::RasterJoinConfig;
 use urban_data::gen::city::CityModel;
 use urban_data::gen::events::{generate_complaints, generate_crime, EventConfig};
 use urban_data::gen::regions::voronoi_neighborhoods;
 use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
-use urban_data::query::{AggKind, SpatialAggQuery};
+use urban_data::query::AggKind;
 use urban_data::time::{timestamp, TimeBucket, TimeRange, DAY};
-use urbane::view::ExplorationView;
+use urbane::view::explore::{most_similar, profiles, rank_regions, time_series};
+use urbane::{DataCatalog, QueryRequest, ResolutionPyramid, ServiceConfig, UrbaneService};
 
 fn main() {
     let city = CityModel::nyc_like();
@@ -35,28 +35,32 @@ fn main() {
         &city,
         &EventConfig { rows: 50_000, seed: 44, start, days: 28, n_types: 10 },
     );
+    let mut catalog = DataCatalog::new();
+    for (name, table) in [("taxi", taxi), ("311", complaints), ("crime", crime)] {
+        catalog.register(name, table);
+    }
     let neighborhoods = voronoi_neighborhoods(&city.bbox(), 260, 42, 2);
-
-    let view = ExplorationView::new(RasterJoinConfig::with_resolution(1024));
+    let pyramid = ResolutionPyramid::new(vec![neighborhoods.clone()]);
+    let service = UrbaneService::new(ServiceConfig::default(), catalog, pyramid).expect("service");
+    let taxi = QueryRequest::count("taxi", 0);
 
     // Rank neighborhoods by taxi activity.
-    let ranked = view
-        .rank_regions(&taxi, &neighborhoods, &SpatialAggQuery::count())
-        .expect("ranking");
+    let ranked = rank_regions(&service, &taxi).expect("ranking");
     println!("busiest neighborhoods (taxi pickups):");
     for (i, (r, v)) in ranked.iter().take(5).enumerate() {
         println!("  {}. {} — {:.0}", i + 1, neighborhoods.region_name(*r), v.unwrap_or(0.0));
     }
 
-    // Profile every neighborhood across 4 metrics.
-    let metrics = vec![
-        ("taxi activity", &taxi, SpatialAggQuery::count()),
-        ("311 complaints", &complaints, SpatialAggQuery::count()),
-        ("crime", &crime, SpatialAggQuery::count()),
-        ("avg fare", &taxi, SpatialAggQuery::new(AggKind::Avg("fare".into()))),
+    // Profile every neighborhood across 4 metrics: taxi activity, 311
+    // complaints, crime and average fare.
+    let metrics = [
+        taxi.clone(),
+        QueryRequest::count("311", 0),
+        QueryRequest::count("crime", 0),
+        taxi.clone().agg(AggKind::Avg("fare".into())),
     ];
     let t0 = std::time::Instant::now();
-    let profiles = view.profiles(&metrics, &neighborhoods).expect("profiles");
+    let profiles = profiles(&service, &metrics).expect("profiles");
     println!(
         "\nbuilt {}x{} neighborhood profiles in {:.0} ms",
         profiles.len(),
@@ -70,7 +74,7 @@ fn main() {
         "\nneighborhoods most similar to {} (feature distance):",
         neighborhoods.region_name(reference)
     );
-    for (r, d) in ExplorationView::most_similar(&profiles, reference, 5) {
+    for (r, d) in most_similar(&profiles, reference, 5) {
         let p = &profiles[r as usize];
         println!(
             "  {:<10} d={:.3}  [taxi {:.2}, 311 {:.2}, crime {:.2}, fare {:.2}]",
@@ -84,16 +88,8 @@ fn main() {
     }
 
     // Weekly rhythm of the reference neighborhood.
-    let series = view
-        .time_series(
-            "taxi",
-            &taxi,
-            &neighborhoods,
-            &SpatialAggQuery::count(),
-            TimeRange::new(start, start + 28 * DAY),
-            TimeBucket::Week,
-        )
-        .expect("series");
+    let range = TimeRange::new(start, start + 28 * DAY);
+    let series = time_series(&service, &taxi, range, TimeBucket::Week).expect("series");
     println!("\nweekly pickups in {}:", neighborhoods.region_name(reference));
     for (i, v) in series.region(reference).iter().enumerate() {
         let v = v.unwrap_or(0.0);

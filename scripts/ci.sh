@@ -123,6 +123,25 @@ streamed="$(exact_join "$store_dir/taxi.ubs")"
   exit 1
 }
 
+# Explore on the file format: `explore` asks the same service as `query`,
+# which clusters a `.upt` file as `build-store` lays out a `.ubs` one, so the
+# f32 pixel blend sees one row order and the two files print the same bytes.
+target/release/urbane-cli generate --rows 500000 --seed 2 \
+  --out "$store_dir/explore.upt" 2> /dev/null
+target/release/urbane-cli build-store --data "$store_dir/explore.upt" \
+  --out "$store_dir/explore.ubs" 2> /dev/null
+explore() {
+  target/release/urbane-cli explore --data "$1" --agg sum:fare --bucket day 2> /dev/null
+}
+from_upt="$(explore "$store_dir/explore.upt")"
+from_ubs="$(explore "$store_dir/explore.ubs")"
+[ "$from_upt" = "$from_ubs" ] || {
+  echo "explore depends on the file format:"
+  diff <(printf '%s\n' "$from_upt") <(printf '%s\n' "$from_ubs") || true
+  exit 1
+}
+rm -f "$store_dir/explore.upt" "$store_dir/explore.ubs"
+
 serve_log="$(mktemp)"
 target/release/urbane-serve --port 0 --rows 2000 --workers 2 \
   --store-dir "$store_dir" > "$serve_log" 2>&1 &

@@ -1,17 +1,30 @@
 //! End-to-end integration: synthetic city → data sets → region pyramid →
 //! every executor → Urbane session and views, all agreeing with each other.
 
-use raster_join::{RasterJoin, RasterJoinConfig};
+use raster_join::{ExecutionMode, RasterJoin, RasterJoinConfig};
 use spatial_index::{index_join, index_join_parallel, naive_join, GridIndex, PackedRegionIndex};
+use std::time::Duration;
 use urban_data::filter::Filter;
 use urban_data::query::{AggKind, SpatialAggQuery};
 use urban_data::time::{timestamp, TimeBucket, TimeRange, DAY};
-use urbane::view::{ExplorationView, MapView};
-use urbane::{DataCatalog, ResolutionPyramid, SessionConfig, UrbaneSession};
+use urban_data::RegionSet;
+use urbane::view::explore::{rank_regions, time_series};
+use urbane::view::MapView;
+use urbane::{
+    QueryRequest, ResolutionPyramid, ServiceConfig, SessionConfig, UrbaneService, UrbaneSession,
+};
 use urbane_bench::workload::Workload;
 
 fn workload() -> Workload {
     Workload::standard(30_000, 7)
+}
+
+/// The workload over one pyramid level, `regions`, answered at `join`'s
+/// canvas with no deadline a test reaches.
+fn service(w: &Workload, regions: RegionSet, join: RasterJoinConfig) -> UrbaneService {
+    let deadline = Duration::from_secs(3600);
+    let config = ServiceConfig { join, default_deadline: deadline, ..Default::default() };
+    UrbaneService::new(config, w.catalog(), ResolutionPyramid::new(vec![regions])).unwrap()
 }
 
 #[test]
@@ -77,15 +90,11 @@ fn all_aggregates_flow_through_the_whole_stack() {
 #[test]
 fn urbane_session_drives_the_full_demo_path() {
     let w = workload();
-    let mut catalog = DataCatalog::new();
-    catalog.register("taxi", w.taxi.clone());
-    catalog.register("311", w.complaints.clone());
-    catalog.register("crime", w.crime.clone());
     let pyramid = ResolutionPyramid::standard(&w.city.bbox(), 32, 12, 42);
 
     let mut session = UrbaneSession::new(
         SessionConfig { join: RasterJoinConfig::with_resolution(512), ..Default::default() },
-        catalog,
+        w.catalog(),
         pyramid,
     )
     .expect("catalog is non-empty");
@@ -113,17 +122,13 @@ fn urbane_session_drives_the_full_demo_path() {
 #[test]
 fn exploration_series_sums_to_unfiltered_total() {
     let w = workload();
-    let regions = w.boroughs();
-    let view = ExplorationView::new(RasterJoinConfig::accurate(512));
+    let service = service(&w, w.boroughs(), RasterJoinConfig::accurate(512));
+    let req = QueryRequest::count("taxi", 0).mode(ExecutionMode::Accurate);
     let start = timestamp(2009, 1, 1, 0, 0, 0);
     let range = TimeRange::new(start, start + 30 * DAY);
 
-    let series = view
-        .time_series("taxi", &w.taxi, &regions, &SpatialAggQuery::count(), range, TimeBucket::Week)
-        .unwrap();
-    let unfiltered = view
-        .rank_regions(&w.taxi, &regions, &SpatialAggQuery::count())
-        .unwrap();
+    let series = time_series(&service, &req, range, TimeBucket::Week).unwrap();
+    let unfiltered = rank_regions(&service, &req).unwrap();
 
     // Weekly buckets partition the month: per-region sums must match the
     // unfiltered per-region counts (accurate mode → exact).
@@ -137,11 +142,9 @@ fn exploration_series_sums_to_unfiltered_total() {
 #[test]
 fn map_view_image_reflects_data_skew() {
     let w = workload();
-    let regions = w.neighborhoods();
-    let view = MapView::with_defaults();
-    let img = view
-        .render(&w.taxi, &regions, &SpatialAggQuery::count(), 256, 256)
-        .unwrap();
+    let service = service(&w, w.neighborhoods(), RasterJoinConfig::default());
+    let answer = service.query(&QueryRequest::count("taxi", 0)).unwrap();
+    let img = MapView::with_defaults().render(&answer, 256, 256);
     // The legend must span a real range (hotspots create skew).
     assert!(img.legend.hi > 10.0 * img.legend.lo.max(1.0), "legend {:?}", img.legend);
     // And the image must contain more than background + boundaries.

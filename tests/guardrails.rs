@@ -6,7 +6,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use raster_join::{
-    CancelHandle, FaultPlan, QueryBudget, RasterJoin, RasterJoinConfig, RasterJoinError,
+    CancelHandle, FaultPlan, PointStore, QueryBudget, RasterJoin, RasterJoinConfig,
+    RasterJoinError,
 };
 use urban_data::query::SpatialAggQuery;
 use urban_data::{PointTable, RegionSet};
@@ -88,10 +89,11 @@ fn cancellation_lands_mid_query_without_wall_clock_sleeps() {
     });
     let handle = CancelHandle::new();
     let budget = QueryBudget::unlimited().cancellable(&handle);
+    let store = PointStore::plain(&points);
 
     let started = Instant::now();
     let result = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| join.execute_with_budget(&points, &regions, &q, &budget));
+        let worker = scope.spawn(|| join.execute_store(store, &regions, &q, &budget));
         while plan.tiles_started() == 0 {
             std::thread::yield_now();
         }
@@ -117,7 +119,7 @@ fn elapsed_deadline_aborts_a_stalled_query() {
     });
     let budget = QueryBudget::with_deadline(Duration::from_millis(50));
     let started = Instant::now();
-    let err = join.execute_with_budget(&points, &regions, &q, &budget).unwrap_err();
+    let err = join.execute_store(PointStore::plain(&points), &regions, &q, &budget).unwrap_err();
     assert_eq!(err, RasterJoinError::DeadlineExceeded);
     assert!(started.elapsed() < Duration::from_secs(60));
 }
@@ -160,7 +162,7 @@ fn deadline_fires_mid_pass_under_work_stealing() {
     });
     let budget = QueryBudget::with_deadline(Duration::from_millis(50));
     let started = Instant::now();
-    let err = join.execute_with_budget(&points, &regions, &q, &budget).unwrap_err();
+    let err = join.execute_store(PointStore::plain(&points), &regions, &q, &budget).unwrap_err();
     assert_eq!(err, RasterJoinError::DeadlineExceeded);
     assert!(started.elapsed() < Duration::from_secs(60));
 }
@@ -179,9 +181,10 @@ fn cancellation_prompt_under_work_stealing() {
     });
     let handle = CancelHandle::new();
     let budget = QueryBudget::unlimited().cancellable(&handle);
+    let store = PointStore::plain(&points);
     let started = Instant::now();
     let result = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| join.execute_with_budget(&points, &regions, &q, &budget));
+        let worker = scope.spawn(|| join.execute_store(store, &regions, &q, &budget));
         while plan.tiles_started() == 0 {
             std::thread::yield_now();
         }

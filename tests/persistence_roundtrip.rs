@@ -118,10 +118,12 @@ fn geojson_roundtrip_preserves_joins() {
 #[test]
 fn ppm_choropleth_roundtrip() {
     let (taxi, regions) = small_workload();
-    let view = urbane::view::MapView::with_defaults();
-    let img = view
-        .render(&taxi, &regions, &SpatialAggQuery::count(), 128, 128)
-        .unwrap();
+    let mut catalog = urbane::DataCatalog::new();
+    catalog.register("taxi", taxi);
+    let pyramid = urbane::ResolutionPyramid::new(vec![regions]);
+    let service = urbane::UrbaneService::new(Default::default(), catalog, pyramid).unwrap();
+    let answer = service.query(&urbane::QueryRequest::count("taxi", 0)).unwrap();
+    let img = urbane::view::MapView::with_defaults().render(&answer, 128, 128);
     let mut bytes = Vec::new();
     gpu_raster::ppm::write_ppm_to(&mut bytes, &img.image).unwrap();
     let back = gpu_raster::ppm::read_ppm(&bytes).unwrap();
