@@ -3,14 +3,14 @@
 //! Computational-geometry primitives backing the Urbane / Raster Join
 //! reproduction: points, bounding boxes, segments, polygons with holes,
 //! multipolygons, point-in-polygon predicates, box clipping, Web-Mercator
-//! projection, and WKT / GeoJSON I/O.
+//! projection, and GeoJSON I/O.
 //!
 //! Everything here is exact-ish `f64` geometry; the rasterization pipeline in
 //! `gpu-raster` quantizes to pixels on top of these primitives, mirroring how
 //! the paper's OpenGL implementation uploads `f32` coordinates to the GPU.
 //!
 //! The crate is dependency-free and
-//! deliberately implements its own WKT and GeoJSON readers so the whole
+//! deliberately implements its own GeoJSON reader and writer so the whole
 //! reproduction stays self-contained.
 
 #![forbid(unsafe_code)]
@@ -29,7 +29,6 @@ pub mod polygon;
 pub mod predicates;
 pub mod projection;
 pub mod segment;
-pub mod wkt;
 
 pub use bbox::BoundingBox;
 pub use multipolygon::MultiPolygon;
@@ -52,7 +51,7 @@ pub enum GeomError {
     DegenerateRing { vertices: usize },
     /// Polygon/multipolygon structural problem (e.g. hole outside shell).
     InvalidPolygon(String),
-    /// WKT / GeoJSON parse failure with a human-readable reason.
+    /// GeoJSON parse failure with a human-readable reason.
     Parse(String),
 }
 

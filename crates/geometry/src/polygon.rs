@@ -22,7 +22,7 @@ pub struct Ring {
 impl Ring {
     /// Build a ring from vertices.
     ///
-    /// A trailing duplicate of the first vertex (common in WKT/GeoJSON) is
+    /// A trailing duplicate of the first vertex (as GeoJSON closes rings) is
     /// dropped. Consecutive duplicate vertices are collapsed. Fails when
     /// fewer than 3 distinct vertices remain.
     pub fn new(mut vertices: Vec<Point>) -> Result<Self> {

@@ -1,5 +1,5 @@
 //! Corrupt-input robustness: every parser in the ingest surface (binary
-//! tables, `.ubs` stores, CSV, GeoJSON, WKT) must return a typed error —
+//! tables, `.ubs` stores, CSV, GeoJSON) must return a typed error —
 //! never panic or slice out of bounds — when fed truncated or bit-flipped
 //! data.
 //!
@@ -16,7 +16,6 @@ use urban_data::gen::corpus::{simple_polygons, uniform_points};
 use urban_data::gen::taxi::{generate_taxi, TaxiConfig};
 use urban_data::PointTable;
 use urbane_geom::geojson::{parse_geojson, to_geojson};
-use urbane_geom::wkt::{multipolygon_to_wkt, parse_wkt, polygon_to_wkt, WktGeometry};
 use urbane_geom::BoundingBox;
 use urbane_store::format::{self, Column};
 use urbane_store::{ChunkedPointSource, StoreBuilder, StoreError, StoreHeader, Columns};
@@ -26,9 +25,9 @@ fn small_table() -> PointTable {
     generate_taxi(&city, &TaxiConfig { rows: 64, seed: 42, start: 0, days: 2 })
 }
 
-/// A GeoJSON FeatureCollection and a WKT multipolygon derived from the
-/// city model's region generator, so the corpus is realistic.
-fn geo_corpus() -> (String, String) {
+/// A GeoJSON FeatureCollection derived from the city model's region
+/// generator, so the corpus is realistic.
+fn geo_corpus() -> String {
     let city = CityModel::nyc_like();
     let regions = urban_data::gen::regions::voronoi_neighborhoods(&city.bbox(), 6, 9, 2);
     let features: Vec<urbane_geom::geojson::Feature> = regions
@@ -41,9 +40,7 @@ fn geo_corpus() -> (String, String) {
             )]),
         })
         .collect();
-    let geojson = to_geojson(&features);
-    let wkt = multipolygon_to_wkt(regions.geometry(0));
-    (geojson, wkt)
+    to_geojson(&features)
 }
 
 #[test]
@@ -243,7 +240,7 @@ fn bitflipped_csv_never_panics() {
 
 #[test]
 fn truncated_geojson_always_errs() {
-    let (geojson, _) = geo_corpus();
+    let geojson = geo_corpus();
     assert!(parse_geojson(&geojson).is_ok(), "sanity: the full document parses");
     // Every strict prefix of a document ending in `]}` is incomplete.
     for cut in 0..geojson.len() {
@@ -255,7 +252,7 @@ fn truncated_geojson_always_errs() {
 
 #[test]
 fn bitflipped_geojson_never_panics() {
-    let (geojson, _) = geo_corpus();
+    let geojson = geo_corpus();
     let bytes = geojson.as_bytes();
     for pos in (0..bytes.len()).step_by(5) {
         for bit in [1, 4, 6] {
@@ -268,57 +265,13 @@ fn bitflipped_geojson_never_panics() {
     }
 }
 
-#[test]
-fn truncated_wkt_always_errs() {
-    let (_, wkt) = geo_corpus();
-    assert!(parse_wkt(&wkt).is_ok(), "sanity: the full geometry parses");
-    for cut in 0..wkt.len() {
-        assert!(parse_wkt(&wkt[..cut]).is_err(), "prefix of len {cut} must err");
-    }
-}
-
-#[test]
-fn bitflipped_wkt_never_panics() {
-    let (_, wkt) = geo_corpus();
-    let bytes = wkt.as_bytes();
-    for pos in 0..bytes.len() {
-        for bit in [0, 2, 5] {
-            let mut corrupt = bytes.to_vec();
-            corrupt[pos] ^= 1 << bit;
-            if let Ok(s) = std::str::from_utf8(&corrupt) {
-                let _ = parse_wkt(s);
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// WKT round-trip on the shared simple-polygon corpus: serialize →
-    /// parse → identical vertices (f64 `Display` is shortest-round-trip,
-    /// so coordinates survive bit-for-bit) and a re-serialization that is
-    /// byte-identical.
-    #[test]
-    fn wkt_roundtrip_is_lossless(seed in 0u64..50_000, count in 1usize..6) {
-        let extent = BoundingBox::from_coords(-75.0, 40.0, -73.0, 41.0);
-        let polys = simple_polygons(&extent, count, seed).expect("corpus polygons are valid");
-        for poly in &polys {
-            let wkt = polygon_to_wkt(poly);
-            let parsed = match parse_wkt(&wkt) {
-                Ok(WktGeometry::Polygon(p)) => p,
-                other => return Err(TestCaseError::fail(format!("{wkt} parsed as {other:?}"))),
-            };
-            prop_assert_eq!(
-                poly.exterior().vertices(), parsed.exterior().vertices(),
-                "vertices drifted through WKT"
-            );
-            prop_assert_eq!(polygon_to_wkt(&parsed), wkt, "re-serialization drifted");
-        }
-    }
-
-    /// GeoJSON round-trip on the same corpus, through the FeatureCollection
-    /// writer and parser.
+    /// GeoJSON round-trip on the shared simple-polygon corpus, through the
+    /// FeatureCollection writer and parser: identical vertices (f64
+    /// `Display` is shortest-round-trip, so coordinates survive
+    /// bit-for-bit) and a byte-identical re-serialization.
     #[test]
     fn geojson_roundtrip_is_lossless(seed in 0u64..50_000, count in 1usize..6) {
         let extent = BoundingBox::from_coords(-75.0, 40.0, -73.0, 41.0);
@@ -376,10 +329,7 @@ fn binfmt_roundtrip_fuzz_1k_seeds() {
 
 #[test]
 fn nesting_bombs_err_quickly() {
-    // Adversarial nesting in either format must exhaust a depth/parse
-    // check, not the stack.
+    // Adversarial nesting must exhaust a depth check, not the stack.
     let json_bomb = format!("{}0{}", "[".repeat(500_000), "]".repeat(500_000));
     assert!(urbane_geom::geojson::parse_json(&json_bomb).is_err());
-    let wkt_bomb = format!("MULTIPOLYGON {}", "(".repeat(500_000));
-    assert!(parse_wkt(&wkt_bomb).is_err());
 }

@@ -1,7 +1,7 @@
 //! Cross-crate persistence: generated urban data must survive CSV and
 //! binary round-trips and still produce identical query answers; region
-//! geometry must survive WKT and GeoJSON round-trips and still produce
-//! identical joins.
+//! geometry must survive a GeoJSON round-trip and still produce identical
+//! joins.
 
 use raster_join::{RasterJoin, RasterJoinConfig};
 use spatial_index::naive_join;
@@ -12,7 +12,6 @@ use urban_data::query::SpatialAggQuery;
 use urban_data::{binfmt, csv, RegionSet};
 use urbane_geom::MultiPolygon;
 use urbane_geom::geojson;
-use urbane_geom::wkt;
 
 fn small_workload() -> (urban_data::PointTable, RegionSet) {
     let city = CityModel::nyc_like();
@@ -55,28 +54,6 @@ fn binary_roundtrip_is_lossless() {
     let a = rj.execute(&taxi, &regions, &q).unwrap();
     let b = rj.execute(&back, &regions, &q).unwrap();
     assert_eq!(a.table.values(), b.table.values());
-}
-
-#[test]
-fn wkt_roundtrip_preserves_joins() {
-    let (taxi, regions) = small_workload();
-    // Serialize every region to WKT and back.
-    let rebuilt: Vec<(String, MultiPolygon)> = regions
-        .iter()
-        .map(|(_, name, geom)| {
-            let text = wkt::multipolygon_to_wkt(geom);
-            match wkt::parse_wkt(&text).unwrap() {
-                wkt::WktGeometry::MultiPolygon(mp) => (name.to_string(), mp),
-                other => panic!("expected multipolygon, got {other:?}"),
-            }
-        })
-        .collect();
-    let regions2 = RegionSet::new(regions.name(), rebuilt);
-
-    let q = SpatialAggQuery::count();
-    let a = naive_join(&taxi, &regions, &q).unwrap();
-    let b = naive_join(&taxi, &regions2, &q).unwrap();
-    assert_eq!(a.values(), b.values());
 }
 
 #[test]
