@@ -294,8 +294,8 @@ impl ZoneClass {
     }
 }
 
-/// How one query's zones were classified (the raster reports all zero for
-/// a query without filters: nothing is decided).
+/// How one query's zones were classified. A query without filters takes
+/// every zone whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZoneStats {
     /// Zones a footer proved empty under the conjunction.
@@ -473,7 +473,7 @@ impl Iterator for SetBits<'_> {
 pub(crate) struct CompiledQuery {
     /// The aggregate being computed.
     pub(crate) agg: AggKind,
-    /// How the zones were classified (all zero without filters).
+    /// How the zones were classified.
     pub(crate) zones: ZoneStats,
     /// The closed box every surviving row lies in: the intersection of the
     /// query's spatial filters (`None` without one). The gather skips the
@@ -487,12 +487,11 @@ impl CompiledQuery {
     /// Compile `query` against `points`, classifying every zone once.
     pub(crate) fn new(points: &PointTable, query: &SpatialAggQuery) -> Result<Self> {
         let walk = ZoneWalk::new(ZonePlan::new(points.schema(), query)?, &points);
-        let zones = if query.filters.is_empty() { ZoneStats::default() } else { walk.stats };
         let bbox = query.filters.filters().iter().fold(None, |acc: Option<BoundingBox>, f| match f {
             Filter::SpatialBox(b) => Some(acc.map_or(*b, |a| a.intersection(b))),
             _ => acc,
         });
-        Ok(CompiledQuery { agg: query.agg_kind(), zones, bbox, walk })
+        Ok(CompiledQuery { agg: query.agg_kind(), zones: walk.stats, bbox, walk })
     }
 }
 
@@ -665,9 +664,10 @@ mod tests {
 
     #[test]
     fn filterless_query_selects_everything() {
-        let t = table(100);
+        let n = 2 * ZONE_ROWS + 100;
+        let t = table(n);
         let cq = CompiledQuery::new(&t, &SpatialAggQuery::count()).unwrap();
-        assert_eq!(cq.zones, ZoneStats::default());
-        assert_eq!(walked(&t, &cq, Reach::All), (0..100).collect::<Vec<_>>());
+        assert_eq!(cq.zones, ZoneStats { skipped: 0, whole: 3, scanned: 0, rows_tested: 0 });
+        assert_eq!(walked(&t, &cq, Reach::All), (0..n).collect::<Vec<_>>());
     }
 }

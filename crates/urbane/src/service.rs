@@ -1487,6 +1487,35 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    /// An unfiltered raster pass takes every zone of the clustered table
+    /// whole, and the zone counters say so.
+    #[test]
+    fn unfiltered_raster_query_counts_every_zone_whole() {
+        let city = CityModel::nyc_like();
+        let taxi =
+            generate_taxi(&city, &TaxiConfig { rows: 20_000, seed: 3, start: 0, days: 10 });
+        let zones = taxi.len().div_ceil(urban_data::ZONE_ROWS) as u64;
+        let mut catalog = DataCatalog::new();
+        catalog.register("taxi", taxi);
+        let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
+        let config = ServiceConfig {
+            join: RasterJoinConfig::with_resolution(256),
+            cache_capacity: 0,
+            ..Default::default()
+        };
+        let s = UrbaneService::new(config, catalog, pyramid).unwrap();
+        let before = s.zone_stats();
+        let a = s.query(&QueryRequest::count("taxi", 0)).unwrap();
+        assert_eq!(a.report.path, GuardPath::Full);
+        let after = s.zone_stats();
+        assert!(zones > 1, "the table spans several zones");
+        assert_eq!(after.whole - before.whole, zones);
+        assert_eq!(
+            (after.skipped, after.scanned, after.rows_tested),
+            (before.skipped, before.scanned, before.rows_tested)
+        );
+    }
+
     #[test]
     fn cold_index_key_is_cached_on_its_third_request_and_stays_cold() {
         let (city, path) = store_file(3_000, 33);
