@@ -1,7 +1,7 @@
 //! Experiment runners E1–E9 (DESIGN.md §4).
 //!
 //! Each function regenerates one experiment's table(s) as a string; the
-//! `repro` binary prints them and EXPERIMENTS.md records a reference run.
+//! `repro` binary prints them and DESIGN.md §4 records a reference run.
 
 use crate::workload::{demo_start, Workload};
 use crate::{median_ms, time_ms, Table};

@@ -1,8 +1,7 @@
 //! # urbane-bench — experiment harness
 //!
-//! Shared workload builders and measurement helpers behind both the
-//! Criterion benches (`cargo bench -p urbane-bench`) and the `repro` binary
-//! that regenerates every experiment table from DESIGN.md §4
+//! Shared workload builders and measurement helpers behind the `repro`
+//! binary, which regenerates every experiment table of DESIGN.md §4
 //! (`cargo run --release -p urbane-bench --bin repro -- --exp all`).
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 //! Standard workloads shared by every experiment: the NYC-like city, its
 //! taxi/311/crime data sets, and the resolution pyramid — all seeded, so
-//! every table in EXPERIMENTS.md is regenerable bit-for-bit.
+//! every table in DESIGN.md §4 is regenerable bit-for-bit.
 
 use urban_data::gen::city::CityModel;
 use urban_data::gen::events::{generate_complaints, generate_crime, EventConfig};

@@ -91,7 +91,7 @@ pub trait RegionIndex: Sync {
         }
     }
 
-    /// Diagnostic: rough memory footprint in bytes (reported by benches).
+    /// Diagnostic: rough memory footprint in bytes.
     fn memory_bytes(&self) -> usize;
 
     /// Diagnostic: index name for bench tables.

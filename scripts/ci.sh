@@ -66,6 +66,20 @@ echo "lint report OK ($rule_count rules) — artifact: LINT_report.json"
 ./scripts/verify.sh --quiet --out VERIFY_report.json
 echo "verify stage OK"
 
+# Experiment smoke: `repro` is the one experiment harness (DESIGN.md §4), so
+# every E1–E9 runner must still run end to end at a small scale, and E4's
+# accurate row must still be exact (no region off the exact join).
+repro_dir="$(mktemp -d)"
+repro_log="$(target/release/repro --exp all --scale 20000 --out "$repro_dir")" \
+  || { echo "repro --exp all failed"; exit 1; }
+printf '%s\n' "$repro_log" | grep -E '^ *1024\+fix +exact +0 ' > /dev/null || {
+  echo "E4's accurate row is not exact:"
+  printf '%s\n' "$repro_log" | sed -n '/^E4/,/^E5/p'
+  exit 1
+}
+rm -rf "$repro_dir"
+echo "experiment smoke OK"
+
 # Store smoke: build a `.ubs` out-of-core store with the CLI, prove the
 # build is byte-deterministic (at a chunk size below a zone and at the
 # default), refuse a version-1 file by name, answer an exact index join
