@@ -1495,6 +1495,7 @@ mod tests {
         let taxi =
             generate_taxi(&city, &TaxiConfig { rows: 20_000, seed: 3, start: 0, days: 10 });
         let zones = taxi.len().div_ceil(urban_data::ZONE_ROWS) as u64;
+        assert!(zones > 1, "the table spans several zones");
         let mut catalog = DataCatalog::new();
         catalog.register("taxi", taxi);
         let pyramid = ResolutionPyramid::standard(&city.bbox(), 16, 8, 5);
@@ -1508,7 +1509,6 @@ mod tests {
         let a = s.query(&QueryRequest::count("taxi", 0)).unwrap();
         assert_eq!(a.report.path, GuardPath::Full);
         let after = s.zone_stats();
-        assert!(zones > 1, "the table spans several zones");
         assert_eq!(after.whole - before.whole, zones);
         assert_eq!(
             (after.skipped, after.scanned, after.rows_tested),
