@@ -533,18 +533,6 @@ pub fn e9_ablation(points: usize) -> String {
             note,
             &mut t,
         );
-        run(
-            &format!("tile<= {max_tile} x4thr"),
-            &nbhd,
-            RasterJoinConfig {
-                spec: CanvasSpec::Resolution(1024),
-                max_tile,
-                threads: 4,
-                ..Default::default()
-            },
-            "threaded tiles",
-            &mut t,
-        );
     }
     // 9.4 bounded vs accurate (cost of the boundary fix-up).
     run("bounded", &nbhd, RasterJoinConfig::with_resolution(1024), "ε-approximate", &mut t);
@@ -619,5 +607,8 @@ mod tests {
         }
         assert!(out.contains("UNSUPPORTED"), "E5 must show the cube's gap");
         assert!(out.contains("yes"), "E8 must confirm accurate exactness");
+        // E4's accurate row reads `exact` and misses the exact join by 0.
+        let exact_row = |l: &str| l.split_whitespace().take(3).eq(["1024+fix", "exact", "0"]);
+        assert!(out.lines().any(exact_row), "E4's accurate row is not exact:\n{out}");
     }
 }

@@ -10,10 +10,11 @@
 //! the plan's ε.
 
 use crate::budget::QueryBudget;
-use crate::compiled::{CompiledQuery, PointStore, SetBits, ZoneColumns};
+use crate::compiled::{CompiledQuery, Reach, SetBits, ZoneColumns};
 use crate::Result;
 use gpu_raster::{Buffer2D, RenderStats};
 use urban_data::query::{AggKind, AggState};
+use urban_data::PointTable;
 use urbane_geom::projection::Viewport;
 use urbane_geom::Point;
 
@@ -32,7 +33,7 @@ pub(crate) struct PointBuffers {
 }
 
 /// Render the point pass for one tile: select, project, blend. The rows
-/// arrive from the query's zone walk ([`PointStore::walk_tile`]), one zone
+/// arrive from the query's zone walk ([`Reach::Tile`]), one zone
 /// at a time with a budget check between zones, so cancellation interrupts
 /// the pass mid-stream; which zones there are (those that can reach the
 /// tile) is the walk's business.
@@ -52,7 +53,7 @@ pub(crate) struct PointBuffers {
 /// would.
 pub(crate) fn point_pass(
     viewport: &Viewport,
-    store: &PointStore<'_>,
+    mut points: &PointTable,
     cq: &CompiledQuery,
     budget: &QueryBudget,
     mut on_fragment: impl FnMut(&ZoneColumns<'_>, usize, u32, u32),
@@ -71,7 +72,7 @@ pub(crate) fn point_pass(
     // The filtered fragment stream — this is the per-frame hot loop the
     // paper's performance argument rests on: one pass, one fragment each.
     let mut stats = RenderStats::new();
-    store.walk_tile(&cq.walk, &vp.world, budget, |_, zone, bits| {
+    cq.walk.run(&mut points, Reach::Tile(&vp.world), budget, |_, zone, bits| {
         let (xs, ys) = zone.locs();
         let cs = count_sum.as_mut_slice();
         let hook = &mut |i, x, y| on_fragment(zone, i, x, y);
@@ -273,7 +274,6 @@ mod tests {
     /// and the row's index in it, at the pixel it was drawn on.
     #[test]
     fn point_pass_matches_draw_points() {
-        use crate::compiled::PointStore;
         use gpu_raster::blend::BlendOp;
         use gpu_raster::Pipeline;
         use urban_data::ZONE_ROWS;
@@ -317,7 +317,7 @@ mod tests {
             let cq = CompiledQuery::new(&t, &SpatialAggQuery::new(agg.clone())).unwrap();
             let mut hooked = Vec::new();
             let has_col = !matches!(agg, AggKind::Count);
-            let (got, stats) = point_pass(&vp, &PointStore::plain(&t), &cq, &budget, |zone, i, x, y| {
+            let (got, stats) = point_pass(&vp, &t, &cq, &budget, |zone, i, x, y| {
                 let (xs, ys) = zone.locs();
                 let v = has_col.then(|| zone.attr(0)[i].to_bits());
                 hooked.push((i, xs[i].to_bits(), ys[i].to_bits(), v, x, y));

@@ -10,7 +10,7 @@
 //!
 //! Budgets are cheap to clone and thread-safe: the cancel flag is an
 //! `Arc<AtomicBool>`, so a [`CancelHandle`] kept by the UI thread cancels
-//! the same query the worker threads are polling.
+//! the same query the thread running it is polling.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

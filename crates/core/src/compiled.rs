@@ -469,7 +469,7 @@ impl Iterator for SetBits<'_> {
 
 /// A query compiled against one table: the aggregate, its resolved value
 /// column and the table's zones classified once. Immutable after
-/// construction — share it freely across tile workers.
+/// construction.
 pub(crate) struct CompiledQuery {
     /// The aggregate being computed.
     pub(crate) agg: AggKind,
@@ -495,8 +495,8 @@ impl CompiledQuery {
     }
 }
 
-/// The point table a raster query draws, shared by every tile worker.
-/// Which of its rows reach a tile is decided by its zone footers
+/// The point table a raster query draws, as the one-shot executors take
+/// it. Which of its rows reach a tile is decided by its zone footers
 /// ([`PointTable::cluster`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PointStore<'a> {
@@ -521,20 +521,6 @@ impl<'a> PointStore<'a> {
     #[inline]
     pub fn table(&self) -> &'a PointTable {
         self.table
-    }
-
-    /// Take `walk` (classified over this store's table) for a tile covering
-    /// `world`: the zones that can reach the tile — what the point pass is
-    /// handed.
-    pub fn walk_tile(
-        &self,
-        walk: &ZoneWalk,
-        world: &BoundingBox,
-        budget: &QueryBudget,
-        visit: impl FnMut(usize, &ZoneColumns<'_>, SetBits<'_>),
-    ) -> Result<()> {
-        let mut table = self.table;
-        walk.run(&mut table, Reach::Tile(world), budget, visit)
     }
 }
 

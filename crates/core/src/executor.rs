@@ -1,13 +1,12 @@
-//! The public Raster Join executor: configuration, the tiled (optionally
-//! multithreaded) replay of a prepared region raster, and result merging.
+//! The public Raster Join executor: configuration, the tiled replay of a
+//! prepared region raster, and result merging.
 
 use crate::budget::QueryBudget;
 use crate::canvas::CanvasSpec;
 use crate::compiled::{CompiledQuery, PointStore, ZoneStats};
-use crate::prepared::{PassSource, PointPass, PreparedRasterJoin, TilePass};
+use crate::prepared::{PassSource, PointPass, PreparedRasterJoin};
 use crate::{RasterJoinError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use gpu_raster::RenderStats;
 use urban_data::query::{AggTable, SpatialAggQuery};
 use urban_data::{PointTable, RegionSet};
@@ -45,11 +44,7 @@ pub struct RasterJoinConfig {
     pub max_tile: u32,
     /// Bounded, weighted or accurate execution.
     pub mode: ExecutionMode,
-    /// Worker threads for multi-tile plans (1 = serial).
-    pub threads: usize,
-    /// Injected faults for guardrail testing (feature-gated; `None` in
-    /// normal operation).
-    #[cfg(feature = "fault-injection")]
+    /// Injected faults for guardrail testing (`None` in normal operation).
     pub faults: Option<crate::fault::FaultPlan>,
 }
 
@@ -59,8 +54,6 @@ impl Default for RasterJoinConfig {
             spec: CanvasSpec::Resolution(1024),
             max_tile: 2048,
             mode: ExecutionMode::Bounded,
-            threads: 1,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
@@ -118,10 +111,6 @@ pub struct RasterJoinResult {
     pub zones: ZoneStats,
 }
 
-/// One tile's answer: its table, what its draw did, and the drawn tile
-/// when the pass is kept.
-type TileAnswer = (AggTable, RenderStats, Option<TilePass>);
-
 /// The Raster Join operator.
 #[derive(Debug, Clone)]
 pub struct RasterJoin {
@@ -172,8 +161,8 @@ impl RasterJoin {
     /// over the zones that miss it; one in any other order is scanned whole
     /// by every tile. A raised cancel flag or an elapsed deadline aborts
     /// within milliseconds ([`RasterJoinError::Cancelled`] /
-    /// [`RasterJoinError::DeadlineExceeded`]); a panicking tile worker is
-    /// caught as [`RasterJoinError::Internal`] and the process survives.
+    /// [`RasterJoinError::DeadlineExceeded`]); a panicking tile is caught as
+    /// [`RasterJoinError::Internal`] and the process survives.
     pub fn execute_store(
         &self,
         store: PointStore<'_>,
@@ -184,21 +173,21 @@ impl RasterJoin {
         let c = &self.config;
         let prepared =
             PreparedRasterJoin::prepare_with_budget(regions, c.spec, c.max_tile, c.mode, budget)?;
-        Ok(self.execute_pass(&prepared, store, query, budget, PassSource::Draw)?.0)
+        Ok(self.execute_pass(&prepared, store.table(), query, budget, PassSource::Draw)?.0)
     }
 
-    /// Replay `prepared` for `query` with its point pass from `source` — the
-    /// one tile loop every raster query runs. The canvas, tiling and mode
-    /// are the prepared raster's; this operator contributes its worker
-    /// threads and fault plan. [`PassSource::Keep`] hands the drawn pass
-    /// back. [`PassSource::Reuse`] draws nothing, so the result's
-    /// [`RenderStats`] and [`ZoneStats`] are zero, and fails with
-    /// [`RasterJoinError::Config`] on a pass that does not
-    /// [cover](PointPass::covers) `prepared`.
+    /// Replay `prepared` for `query` over `points` with its point pass from
+    /// `source` — the one tile loop every raster query runs. The canvas,
+    /// tiling and mode are the prepared raster's; this operator contributes
+    /// its fault plan. Tiles run one after another, in tile order.
+    /// [`PassSource::Keep`] hands the drawn pass back. [`PassSource::Reuse`]
+    /// draws nothing, so the result's [`RenderStats`] and [`ZoneStats`] are
+    /// zero, and fails with [`RasterJoinError::Config`] on a pass that does
+    /// not [cover](PointPass::covers) `prepared`.
     pub fn execute_pass(
         &self,
         prepared: &PreparedRasterJoin,
-        store: PointStore<'_>,
+        points: &PointTable,
         query: &SpatialAggQuery,
         budget: &QueryBudget,
         source: PassSource<'_>,
@@ -214,125 +203,30 @@ impl RasterJoin {
         // Compile once per query: the value column is resolved and every
         // zone classified up front, so each tile's walk masks only the zones
         // that reach it, testing only the conditions their footers left open.
-        let cq = CompiledQuery::new(store.table(), query)?;
-        let store = &store;
-        let cq = &cq;
+        let cq = CompiledQuery::new(points, query)?;
 
-        // Per-tile body: budget poll, fault hook, then the tile's answer in
-        // a panic shield so one bad tile cannot take the process down.
-        let run_tile = |idx: usize| -> Result<TileAnswer> {
-            budget.check()?;
-            // The fault hook runs inside the shield: an injected panic must
-            // travel the same unwind path a real kernel panic would.
-            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<TileAnswer> {
-                #[cfg(feature = "fault-injection")]
-                if let Some(faults) = &self.config.faults {
-                    faults.on_tile_start(idx, budget)?;
-                }
-                prepared.answer_tile(idx, store, cq, budget, source)
-            }));
-            caught.unwrap_or_else(|payload| {
-                Err(RasterJoinError::Internal(format!(
-                    "tile worker panicked: {}",
-                    gpu_raster::tile::panic_message(payload.as_ref())
-                )))
-            })
-        };
-
-        let n_tiles = prepared.tiles.len();
-        let threads = self.config.threads.max(1).min(n_tiles);
-        let answers: Vec<TileAnswer> = if threads == 1 {
-            (0..n_tiles).map(run_tile).collect::<Result<_>>()?
-        } else {
-            // Work-stealing: a shared cursor hands out tiles one at a time,
-            // so a hot tile (hotspot-skewed data) occupies one worker while
-            // the rest drain the remaining tiles — no chunk serializes behind
-            // it. Workers report per-tile results keyed by tile index; the
-            // merge below replays them in tile order, which keeps the f64
-            // merge arithmetic — and therefore the answer — independent of
-            // the thread count and of scheduling races.
-            type TileOut = (usize, TileAnswer);
-            let cursor = AtomicUsize::new(0);
-            let abort = AtomicBool::new(false);
-            let worker_outs: Vec<(Vec<TileOut>, Option<RasterJoinError>)> =
-                std::thread::scope(|scope| {
-                    let (run_tile, cursor, abort) = (&run_tile, &cursor, &abort);
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            scope.spawn(move || {
-                                let mut done: Vec<TileOut> = Vec::new();
-                                loop {
-                                    // First failure raises the abort flag:
-                                    // the other workers stop pulling tiles
-                                    // and drain cleanly.
-                                    // Acquire pairs with the Release store
-                                    // below: an observed abort happens-after
-                                    // everything the failing worker did.
-                                    if abort.load(Ordering::Acquire) {
-                                        return (done, None);
-                                    }
-                                    // lint: relaxed-ok work-dispenser counter; the increment itself is the only coordination, tile results are published via join
-                                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                                    if idx >= n_tiles {
-                                        return (done, None);
-                                    }
-                                    match run_tile(idx) {
-                                        Ok(out) => done.push((idx, out)),
-                                        Err(e) => {
-                                            // Release: cross-thread control
-                                            // flag; pairs with the Acquire
-                                            // load at the top of the loop.
-                                            abort.store(true, Ordering::Release);
-                                            return (done, Some(e));
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|payload| {
-                                // Unreachable in practice (run_tile catches
-                                // kernel panics), but keep the worker fallible
-                                // rather than re-panicking the caller.
-                                (
-                                    Vec::new(),
-                                    Some(RasterJoinError::Internal(format!(
-                                        "tile worker panicked: {}",
-                                        gpu_raster::tile::panic_message(payload.as_ref())
-                                    ))),
-                                )
-                            })
-                        })
-                        .collect()
-                });
-            // Prefer an Internal diagnosis over the cancellations it causes.
-            let mut first_err: Option<RasterJoinError> = None;
-            let mut parts: Vec<TileOut> = Vec::new();
-            for (done, err) in worker_outs {
-                parts.extend(done);
-                if let Some(e) = err {
-                    let internal = matches!(e, RasterJoinError::Internal(_));
-                    if first_err.is_none()
-                        || (internal && !matches!(first_err, Some(RasterJoinError::Internal(_))))
-                    {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            parts.sort_unstable_by_key(|&(idx, _)| idx);
-            parts.into_iter().map(|(_, answer)| answer).collect()
-        };
-
+        // Per tile, in tile order: budget poll, fault hook, then the tile's
+        // answer in a panic shield so one bad tile cannot take the process
+        // down.
         let mut table = AggTable::new(cq.agg.clone(), prepared.regions.len());
         let mut stats = RenderStats::new();
         let mut kept = Vec::new();
-        for (t, s, tile) in answers {
+        for idx in 0..prepared.tiles.len() {
+            budget.check()?;
+            // The fault hook runs inside the shield: an injected panic must
+            // travel the same unwind path a real kernel panic would.
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(faults) = &self.config.faults {
+                    faults.on_tile_start(idx, budget)?;
+                }
+                prepared.answer_tile(idx, points, &cq, budget, source)
+            }));
+            let (t, s, tile) = caught.unwrap_or_else(|payload| {
+                Err(RasterJoinError::Internal(format!(
+                    "tile panicked: {}",
+                    gpu_raster::tile::panic_message(payload.as_ref())
+                )))
+            })?;
             table.merge(&t)?;
             stats.merge(&s);
             kept.extend(tile);
@@ -343,7 +237,7 @@ impl RasterJoin {
             epsilon: prepared.epsilon,
             canvas_width: prepared.canvas.0,
             canvas_height: prepared.canvas.1,
-            tiles: n_tiles,
+            tiles: prepared.tiles.len(),
             stats,
             zones: if reused { ZoneStats::default() } else { cq.zones },
         };
@@ -470,26 +364,6 @@ mod tests {
         let b = tiled.execute(&points, &regions, &q).unwrap();
         assert!(b.tiles > 1);
         assert_eq!(a.table.values(), b.table.values());
-    }
-
-    #[test]
-    fn threaded_tiles_match_serial() {
-        let extent = BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0);
-        let regions = voronoi_neighborhoods(&extent, 8, 10, 2);
-        let points = random_points(2_000, 5, &extent);
-        let q = SpatialAggQuery::count();
-        let mk = |threads| {
-            RasterJoin::new(RasterJoinConfig {
-                spec: CanvasSpec::Resolution(300),
-                max_tile: 128,
-                threads,
-                ..Default::default()
-            })
-        };
-        let serial = mk(1).execute(&points, &regions, &q).unwrap();
-        let par = mk(4).execute(&points, &regions, &q).unwrap();
-        assert_eq!(serial.table.values(), par.table.values());
-        assert_eq!(serial.stats.points_in, par.stats.points_in);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the guardrail test-suite.
 //!
 //! A [`FaultPlan`] attached to [`RasterJoinConfig`](crate::RasterJoinConfig)
-//! makes chosen tile workers misbehave on purpose — panic, stall, or fail —
+//! makes chosen tiles misbehave on purpose — panic, stall, or fail —
 //! so the cancellation, panic-isolation, and degradation paths can be tested
 //! deterministically instead of with wall-clock races. Everything is plain
 //! data plus shared atomic counters: clones of a plan observe and update the
@@ -12,9 +12,8 @@
 //! fallback rung after the injected failure runs clean — exactly the
 //! "transient fault" shape the degradation ladder is designed for.
 //!
-//! Only compiled with the `fault-injection` feature (default-on so the
-//! test-suite exercises it; disable for production builds with
-//! `--no-default-features`).
+//! A config without a plan (`faults: None`, the default) pays one branch per
+//! tile.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

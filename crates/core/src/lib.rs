@@ -33,7 +33,8 @@
 //!
 //! The public entry point is [`RasterJoin`] ([`executor`]), configured by
 //! [`RasterJoinConfig`]: error bound or explicit resolution, canvas tiling
-//! (GPU texture-size limits), mode and worker threads.
+//! (GPU texture-size limits), mode and injected faults. Tiles run one after
+//! another.
 //! [`RasterJoin::execute_store`] prepares the region raster and replays it;
 //! [`RasterJoin::execute_pass`] replays one a caller keeps, drawing the
 //! points ([`PassSource::Draw`]), keeping the drawn [`PointPass`] or
@@ -48,7 +49,6 @@ pub mod budget;
 pub mod canvas;
 pub mod compiled;
 pub mod executor;
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod prepared;
 pub mod weighted;
@@ -61,7 +61,6 @@ pub use compiled::{
 #[doc(hidden)]
 pub use executor::MIN_AUTO_BIN_POINTS;
 pub use executor::{ExecutionMode, RasterJoin, RasterJoinConfig, RasterJoinResult};
-#[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
 pub use prepared::{PassSource, PointPass, PreparedRasterJoin};
 
@@ -78,7 +77,7 @@ pub enum RasterJoinError {
     Cancelled,
     /// The query's deadline passed before execution finished.
     DeadlineExceeded,
-    /// A worker panicked or an internal invariant broke; the query failed
+    /// A tile panicked or an internal invariant broke; the query failed
     /// but the process and session survive.
     Internal(String),
 }

@@ -337,7 +337,7 @@ impl PreparedTile {
     /// polled per zone.
     fn draw(
         &self,
-        store: &PointStore<'_>,
+        points: &PointTable,
         cq: &CompiledQuery,
         budget: &QueryBudget,
         record: Option<&[u64]>,
@@ -347,7 +347,7 @@ impl PreparedTile {
             Some(mask) => {
                 let w = self.viewport.width;
                 let col = cq.walk.agg_col();
-                point_pass(&self.viewport, store, cq, budget, |zone, i, x, y| {
+                point_pass(&self.viewport, points, cq, budget, |zone, i, x, y| {
                     let pix = y * w + x;
                     if bit(mask, pix) {
                         let (xs, ys) = zone.locs();
@@ -360,7 +360,7 @@ impl PreparedTile {
                     }
                 })?
             }
-            None => point_pass(&self.viewport, store, cq, budget, |_, _, _, _| {})?,
+            None => point_pass(&self.viewport, points, cq, budget, |_, _, _, _| {})?,
         };
         Ok((bufs, rows, stats))
     }
@@ -464,7 +464,7 @@ impl PreparedRasterJoin {
     pub(crate) fn answer_tile(
         &self,
         idx: usize,
-        store: &PointStore<'_>,
+        points: &PointTable,
         cq: &CompiledQuery,
         budget: &QueryBudget,
         source: PassSource<'_>,
@@ -479,7 +479,7 @@ impl PreparedRasterJoin {
             PassSource::Keep(others) => self.record_mask(idx, others).map(Cow::Owned),
             PassSource::Draw => tile.boundary_bits().map(Cow::Borrowed),
         };
-        let (bufs, rows, stats) = tile.draw(store, cq, budget, mask.as_deref())?;
+        let (bufs, rows, stats) = tile.draw(points, cq, budget, mask.as_deref())?;
         let table = tile.resolve(&bufs, &rows, cq, &self.regions, budget)?;
         let kept = matches!(source, PassSource::Keep(_)).then(|| TilePass {
             viewport: tile.viewport,
@@ -516,9 +516,9 @@ impl PreparedRasterJoin {
         self.execute_store(PointStore::plain(points), query, &QueryBudget::unlimited())
     }
 
-    /// Replay a query against a caller-provided [`PointStore`], serially and
-    /// without injected faults (see [`RasterJoin::execute_pass`] for the
-    /// configured tile loop).
+    /// Replay a query against a caller-provided [`PointStore`], without
+    /// injected faults (see [`RasterJoin::execute_pass`] for the configured
+    /// tile loop).
     pub fn execute_store(
         &self,
         store: PointStore<'_>,
@@ -526,7 +526,7 @@ impl PreparedRasterJoin {
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
         let join = RasterJoin::with_defaults();
-        Ok(join.execute_pass(self, store, query, budget, PassSource::Draw)?.0)
+        Ok(join.execute_pass(self, store.table(), query, budget, PassSource::Draw)?.0)
     }
 }
 
@@ -544,12 +544,7 @@ pub(crate) fn replay_viewport(
     let budget = QueryBudget::unlimited();
     let tile = PreparedTile::build(viewport, regions, mode, &budget)?;
     let cq = CompiledQuery::new(points, query)?;
-    let (bufs, rows, stats) = tile.draw(
-        &PointStore::plain(points),
-        &cq,
-        &budget,
-        tile.boundary_bits(),
-    )?;
+    let (bufs, rows, stats) = tile.draw(points, &cq, &budget, tile.boundary_bits())?;
     Ok((tile.resolve(&bufs, &rows, &cq, regions, &budget)?, stats))
 }
 
@@ -743,7 +738,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(&points);
         let mut clipped = 0;
         for mode in [ExecutionMode::Bounded, ExecutionMode::Accurate, ExecutionMode::Weighted] {
             for max_tile in [2048, 40] {
@@ -761,9 +755,8 @@ mod tests {
                             let (w, h) = (tile.viewport.width, tile.viewport.height);
                             clipped +=
                                 usize::from(clip.cols.len() * clip.rows.len() < (w * h) as usize);
-                            let (bufs, rows, _) = tile
-                                .draw(&store, &cq, &budget, tile.boundary_bits())
-                                .unwrap();
+                            let (bufs, rows, _) =
+                                tile.draw(&points, &cq, &budget, tile.boundary_bits()).unwrap();
                             let a = tile.resolve(&bufs, &rows, &cq, &regions, &budget).unwrap();
                             cq.bbox = None;
                             let b = tile.resolve(&bufs, &rows, &cq, &regions, &budget).unwrap();
@@ -793,7 +786,6 @@ mod tests {
         let points = random_points(3_000, 6, &extent);
         let join = RasterJoin::with_defaults();
         let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(&points);
         let bits = |t: &AggTable| {
             t.states
                 .iter()
@@ -821,7 +813,7 @@ mod tests {
                     let q =
                         SpatialAggQuery::new(agg).filter(Filter::Time(TimeRange::new(100, 700)));
                     let run =
-                        |raster, source| join.execute_pass(raster, store, &q, &budget, source);
+                        |raster, source| join.execute_pass(raster, &points, &q, &budget, source);
                     let (first, pass) = run(&rasters[0], PassSource::Keep(&all)).unwrap();
                     let pass = pass.expect("a kept pass");
                     let want = rasters[0].execute(&points, &q).unwrap();
@@ -896,7 +888,6 @@ mod tests {
             points.push(Point::new(x, y), k as i64, &[values[k % values.len()]]).unwrap();
         }
         let budget = QueryBudget::unlimited();
-        let store = PointStore::plain(&points);
         let boxed = Filter::SpatialBox(BoundingBox::from_coords(20.0, 15.0, x1, 70.0));
         let col = || "v".to_string();
         let mut zero_only = 0;
@@ -917,7 +908,7 @@ mod tests {
                             .fold(SpatialAggQuery::new(agg.clone()), |q, f| q.filter(f));
                         let cq = CompiledQuery::new(&points, &q).unwrap();
                         for tile in &prepared.tiles {
-                            let (bufs, _, _) = tile.draw(&store, &cq, &budget, None).unwrap();
+                            let (bufs, _, _) = tile.draw(&points, &cq, &budget, None).unwrap();
                             let (mut dense, mut sparse, mut clipped) = (
                                 AggTable::new(q.agg_kind(), regions.len()),
                                 AggTable::new(q.agg_kind(), regions.len()),

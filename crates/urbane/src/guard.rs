@@ -296,7 +296,6 @@ mod tests {
         assert_eq!(err, UrbaneError::Cancelled, "cancel must not degrade into an answer");
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn injected_panic_costs_one_retry_not_the_answer() {
         let mut join = RasterJoinConfig::with_resolution(256);

@@ -42,7 +42,7 @@ use crate::guard::{run_ladder, GuardPath, GuardReport, DEGRADED_RESOLUTION, PREV
 use crate::resolution::ResolutionPyramid;
 use crate::{Result, UrbaneError};
 use raster_join::{
-    CancelHandle, CanvasSpec, ExecutionMode, PassSource, PointPass, PointStore, PreparedRasterJoin,
+    CancelHandle, CanvasSpec, ExecutionMode, PassSource, PointPass, PreparedRasterJoin,
     QueryBudget, RasterJoin, RasterJoinConfig, RasterJoinResult, ZoneStats,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -56,10 +56,10 @@ use urban_data::{PointTable, RegionSet};
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Base raster-join configuration. The service reads four fields: `spec`,
-    /// the canvas (a resolution or an ε) a request without `resolution` runs
-    /// at; `max_tile`, the tiling; `threads`, the tile workers; and `faults`,
-    /// the injected fault plan. It does not consult `mode`: each request
+    /// Base raster-join configuration. The service reads three fields:
+    /// `spec`, the canvas (a resolution or an ε) a request without
+    /// `resolution` runs at; `max_tile`, the tiling; and `faults`, the
+    /// injected fault plan. It does not consult `mode`: each request
     /// names its own. Resident tables are clustered at registration, so on a
     /// multi-tile plan each tile steps over the zones that miss it.
     pub join: RasterJoinConfig,
@@ -580,19 +580,19 @@ impl UrbaneService {
         spec == self.config.join.spec || spec == CanvasSpec::Resolution(DEGRADED_RESOLUTION)
     }
 
-    /// Answer `query` over `store` from the prepared raster for `key` — the
+    /// Answer `query` over `points` from the prepared raster for `key` — the
     /// one raster path of all three ladder rungs.
     fn raster_join(
         &self,
         key: RasterKey,
         regions: &RegionSet,
-        store: PointStore<'_>,
+        points: &PointTable,
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
         let raster = self.raster(key, regions, budget)?;
         let join = RasterJoin::new(self.config.join.clone());
-        Ok(join.execute_pass(&raster, store, query, budget, PassSource::Draw)?.0)
+        Ok(join.execute_pass(&raster, points, query, budget, PassSource::Draw)?.0)
     }
 
     /// The full rung's [`raster_join`](Self::raster_join): at a kept
@@ -607,13 +607,13 @@ impl UrbaneService {
         key: RasterKey,
         pass_key: String,
         regions: &RegionSet,
-        store: PointStore<'_>,
+        points: &PointTable,
         query: &SpatialAggQuery,
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
         let (_, spec, _) = key;
         if !self.keeps(spec) {
-            return self.raster_join(key, regions, store, query, budget);
+            return self.raster_join(key, regions, points, query, budget);
         }
         let raster = self.raster(key, regions, budget)?;
         let join = RasterJoin::new(self.config.join.clone());
@@ -632,7 +632,7 @@ impl UrbaneService {
         };
         if let Some(pass) = kept {
             let source = PassSource::Reuse(&pass);
-            let (res, _) = join.execute_pass(&raster, store, query, budget, source)?;
+            let (res, _) = join.execute_pass(&raster, points, query, budget, source)?;
             bump(&self.pass_reuses, 1);
             return Ok(res);
         }
@@ -643,7 +643,7 @@ impl UrbaneService {
             .collect();
         let others: Vec<&PreparedRasterJoin> = accurate.iter().map(|r| r.as_ref()).collect();
         let source = PassSource::Keep(&others);
-        let (res, pass) = join.execute_pass(&raster, store, query, budget, source)?;
+        let (res, pass) = join.execute_pass(&raster, points, query, budget, source)?;
         if let Some(pass) = pass {
             *lock(&self.pass) = Some((pass_key, Arc::new(pass)));
         }
@@ -744,7 +744,7 @@ impl UrbaneService {
         let mut res = self.raster_join(
             (req.level, self.canvas(req), mode),
             regions,
-            PointStore::plain(sample),
+            sample,
             query,
             &QueryBudget::unlimited(),
         )?;
@@ -878,8 +878,7 @@ impl UrbaneService {
             let pts = points()?;
             let key = (req.level, self.canvas(req), req.mode);
             let pass_key = Self::pass_key(req, generation);
-            let store = PointStore::plain(&pts);
-            let res = self.full_raster_join(key, pass_key, &regions, store, &query, budget)?;
+            let res = self.full_raster_join(key, pass_key, &regions, &pts, &query, budget)?;
             self.zones.record(&res.zones);
             // An accurate answer is exact: its bound is 0, not the canvas ε.
             let bound = if req.mode == ExecutionMode::Accurate { 0.0 } else { res.epsilon };
@@ -889,7 +888,7 @@ impl UrbaneService {
             let pts = points()?;
             let canvas = CanvasSpec::Resolution(DEGRADED_RESOLUTION);
             let key = (req.level, canvas, ExecutionMode::Bounded);
-            let res = self.raster_join(key, &regions, PointStore::plain(&pts), &query, budget)?;
+            let res = self.raster_join(key, &regions, &pts, &query, budget)?;
             self.zones.record(&res.zones);
             Ok((res.table, res.epsilon))
         };
@@ -1164,7 +1163,6 @@ mod tests {
         assert!(held(&s, (0, CanvasSpec::Epsilon(e), ExecutionMode::Bounded)).is_some());
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn identical_concurrent_misses_single_flight() {
         // Cache off, so dedup can only come from single-flight. The leader
@@ -1372,7 +1370,6 @@ mod tests {
 
     /// The degraded rung draws at its own canvas and keeps nothing; the
     /// next full queries keep and reuse a pass as if it had not run.
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn degraded_rung_never_touches_the_kept_pass() {
         let table = taxi(5_000, 3);

@@ -21,9 +21,11 @@ use urban_data::filter::Filter;
 use urban_data::gen::corpus::{clustered_points, uniform_points};
 use urban_data::gen::regions::{grid_regions, star_regions, voronoi_neighborhoods};
 use urban_data::query::{AggKind, SpatialAggQuery};
-use urban_data::time::TimeRange;
-use urban_data::{PointTable, RegionSet};
-use urbane_geom::BoundingBox;
+use urban_data::time::{TimeRange, DAY};
+use urban_data::{PointTable, RegionSet, ZONE_ROWS};
+use urbane_geom::{BoundingBox, Point};
+
+use crate::{Result, VerifyError};
 
 /// One verification workload.
 #[derive(Debug, Clone)]
@@ -125,6 +127,26 @@ pub fn scenario(seed: u64) -> Scenario {
         query,
         resolution,
     }
+}
+
+/// A scenario with zones to decide: [`scenario`]`(seed)`'s regions,
+/// aggregate and canvas over 3–4 × [`ZONE_ROWS`] uniform points whose
+/// timestamps spread over six days, filtered to the first three. Clustered
+/// (day major), the first zone lies inside the window and the last one
+/// outside it, so the footers take one zone whole and skip another.
+pub fn zoned_scenario(seed: u64) -> Result<Scenario> {
+    let base = scenario(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x2045_4E0D);
+    let n_points = rng.gen_range(3 * ZONE_ROWS..4 * ZONE_ROWS);
+    let mut points = PointTable::new(base.points.schema().clone());
+    for _ in 0..n_points {
+        let p = Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
+        points
+            .push(p, rng.gen_range(0..6 * DAY), &[rng.gen::<f32>() * 50.0])
+            .map_err(|e| VerifyError::Data(e.to_string()))?;
+    }
+    let query = SpatialAggQuery::new(base.query.agg_kind()).filter(Filter::Time(TimeRange::new(0, 3 * DAY)));
+    Ok(Scenario { name: format!("zoned/{}", base.name), points, query, ..base })
 }
 
 /// The first `count` scenarios starting at `base_seed` (seeds are

@@ -4,7 +4,7 @@
 //! Raster Join variant returns aggregates whose per-point positional error
 //! is at most ε (half a pixel diagonal), and the *accurate* hybrid variant
 //! removes even that by resolving boundary pixels exactly. The rest of the
-//! workspace only ever checked raster-vs-raster bit-identity (threads,
+//! workspace only ever checked raster-vs-raster bit-identity (tilings,
 //! row orders, prepared plans); nothing measured the bound itself. This crate
 //! is that missing ground-truth layer:
 //!
@@ -18,9 +18,9 @@
 //! * [`corpus`] — seeded randomized workloads (points × regions × query)
 //!   drawn from the shared generators in `urban_data::gen`.
 //! * [`runner`] — executes every workload through bounded / weighted /
-//!   accurate × threads {1,4} × row order {generator, clustered}, the
-//!   prepared raster of each mode, and the index join, and diffs each result against the
-//!   oracle and its budget.
+//!   accurate × tiling {`MAX_TILE`, one tile} × row order {generator,
+//!   clustered}, the prepared raster of each mode, and the index join, and
+//!   diffs each result against the oracle and its budget.
 //! * [`metamorphic`] — oracle-free laws (translation/scale invariance,
 //!   point-permutation invariance, region-split and filter-partition
 //!   additivity) that catch bugs a biased oracle could share.
@@ -42,7 +42,7 @@ pub mod report;
 pub mod runner;
 
 pub use budget::{ErrorBudget, RegionBudget, BOUNDED_BAND, WEIGHTED_BAND};
-pub use corpus::{corpus, scenario, Scenario};
+pub use corpus::{corpus, scenario, zoned_scenario, Scenario};
 pub use oracle::{contains, oracle_join, polygon_side, ring_side, Side};
 pub use report::VerifyReport;
 pub use runner::{verify_scenario, RunRecord};

@@ -52,7 +52,6 @@ fn config(mode: ExecutionMode, resolution: u32) -> RasterJoinConfig {
         spec: CanvasSpec::Resolution(resolution),
         max_tile: crate::runner::MAX_TILE,
         mode,
-        threads: 1,
         ..RasterJoinConfig::default()
     }
 }

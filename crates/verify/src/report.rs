@@ -19,7 +19,7 @@ use crate::runner::RunRecord;
 /// Per-execution-mode rollup across every scenario in the corpus.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModeSummary {
-    /// Total runs of this mode (across scenarios × threads × row orders).
+    /// Total runs of this mode (across scenarios × tilings × row orders).
     pub runs: usize,
     /// Runs that asserted a bound (budget or exactness) rather than only
     /// observing the error (MIN/MAX under approximate modes observe only).
@@ -73,8 +73,8 @@ impl VerifyReport {
                 m.failures += 1;
                 for f in &r.failures {
                     self.failures.push(format!(
-                        "{} [{} t{} {}]: {}",
-                        r.scenario, r.mode, r.threads, r.order, f
+                        "{} [{} {} tiles {}]: {}",
+                        r.scenario, r.mode, r.tiles, r.order, f
                     ));
                 }
             }
@@ -179,9 +179,10 @@ mod tests {
         RunRecord {
             scenario: "s".to_string(),
             mode,
-            threads: 1,
+            tiles: 1,
             order: "generator",
             epsilon: 0.5,
+            zones: Default::default(),
             max_abs_err: err,
             max_budget_util: err / 10.0,
             certified: true,

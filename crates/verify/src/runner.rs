@@ -1,28 +1,31 @@
 //! The differential runner: every workload through every execution path,
-//! every thread count, both row orders — each result diffed against the
-//! exact oracle and (for the approximate paths) asserted under the analytic
-//! ε budget.
+//! two tilings, both row orders — each result diffed against the exact
+//! oracle and (for the approximate paths) asserted under the analytic ε
+//! budget.
 //!
 //! Per scenario the matrix is
 //!
-//! | path       | threads | row order            | expectation vs. oracle            |
-//! |------------|---------|----------------------|-----------------------------------|
-//! | bounded    | 1, 4    | generator, clustered | within [`BOUNDED_BAND`]·ε budget  |
-//! | weighted   | 1, 4    | generator, clustered | within [`WEIGHTED_BAND`]·ε budget |
-//! | accurate   | 1, 4    | generator, clustered | exact (counts bit-equal; value    |
-//! |            |         |                      | channels to f32-accumulator tol)  |
-//! | prepared   | —       | generator, clustered | as its mode (bounded, weighted,   |
-//! |            |         |                      | accurate)                         |
-//! | index_join | 1       | —                    | bit-for-bit equal to the oracle   |
-//! |            |         |                      | through a `.ubs` store round-trip |
-//! |            |         |                      | (ε = 0 by construction)           |
+//! | path       | tiling            | row order            | expectation vs. oracle            |
+//! |------------|-------------------|----------------------|-----------------------------------|
+//! | bounded    | MAX_TILE, 1 tile  | generator, clustered | within [`BOUNDED_BAND`]·ε budget  |
+//! | weighted   | MAX_TILE, 1 tile  | generator, clustered | within [`WEIGHTED_BAND`]·ε budget |
+//! | accurate   | MAX_TILE, 1 tile  | generator, clustered | exact (counts bit-equal; value    |
+//! |            |                   |                      | channels to f32-accumulator tol)  |
+//! | prepared   | MAX_TILE          | generator, clustered | as its mode (bounded, weighted,   |
+//! |            |                   |                      | accurate)                         |
+//! | index_join | —                 | —                    | bit-for-bit equal to the oracle   |
+//! |            |                   |                      | through a `.ubs` store round-trip |
+//! |            |                   |                      | (ε = 0 by construction)           |
 //!
-//! The clustered order is [`PointTable::cluster`]'s, so its runs also go
-//! through the zone footers. On top of the oracle diff, within one row
-//! order every thread count of a path, and the path's prepared replay, must
-//! agree *bit-for-bit* — the work-stealing merge replays tiles in order, so
-//! any drift is a determinism bug, not roundoff. Across orders only f32
-//! blend order moves, so there each run is held to its oracle bound alone.
+//! [`MAX_TILE`] splits the 96- and 128-px canvases into several tiles; the
+//! single-tile run plans the same canvas as one tile, as the server does.
+//! Both share the canvas and so the ε budget. The clustered order is
+//! [`PointTable::cluster`]'s, so its runs also go through the zone footers.
+//! On top of the oracle diff, within one row order a mode's prepared replay
+//! must agree *bit-for-bit* with its one-shot run at [`MAX_TILE`]: both
+//! replay the same tiles in the same order, so any drift is a determinism
+//! bug, not roundoff. Across tilings and orders only f32 blend order moves,
+//! so there each run is held to its oracle bound alone.
 //!
 //! MIN/MAX under the approximate paths are *not* certifiable (dropping a
 //! single boundary point can move an extremum arbitrarily far), so those
@@ -31,7 +34,7 @@
 
 use raster_join::{
     CanvasPlan, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, RasterJoin,
-    RasterJoinConfig,
+    RasterJoinConfig, ZoneStats,
 };
 use urban_data::query::{AggKind, AggTable};
 use urban_data::PointTable;
@@ -41,12 +44,11 @@ use crate::corpus::Scenario;
 use crate::oracle::oracle_join;
 use crate::Result;
 
-/// Tile size limit used by every verification run: small enough that the
-/// 96/128-px scenarios exercise multi-tile plans (and therefore the
-/// work-stealing scheduler) on every corpus.
+/// Tile size limit of the multi-tile runs: small enough that the 96/128-px
+/// scenarios plan several tiles.
 pub const MAX_TILE: u32 = 64;
 
-/// Outcome of one (scenario, path, threads, row order) execution.
+/// Outcome of one (scenario, path, tiling, row order) execution.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// Scenario label (from [`Scenario::name`]).
@@ -54,13 +56,16 @@ pub struct RunRecord {
     /// Execution path: `bounded`, `weighted`, `accurate`, `prepared`,
     /// `prepared_weighted`, `prepared_accurate`, `index_join`.
     pub mode: &'static str,
-    /// Worker threads (1 for prepared, which is serial by design).
-    pub threads: usize,
+    /// Tiles the run's canvas plan split into (1 for the index join).
+    pub tiles: usize,
     /// Row-order axis: `generator` (the corpus's own order) or `clustered`
     /// ([`PointTable::cluster`]).
     pub order: &'static str,
     /// The run's ε (world units).
     pub epsilon: f64,
+    /// How a raster run classified the table's zones (zero for the index
+    /// join).
+    pub zones: ZoneStats,
     /// Max over regions of `|approx − exact|` (empty groups read as 0).
     pub max_abs_err: f64,
     /// Max over regions of error / certified budget (0 when every budget
@@ -90,16 +95,17 @@ fn value_tol(exact: f64) -> f64 {
 fn rec(
     s: &Scenario,
     mode: &'static str,
-    threads: usize,
+    tiles: usize,
     order: &'static str,
     epsilon: f64,
 ) -> RunRecord {
     RunRecord {
         scenario: s.name.clone(),
         mode,
-        threads,
+        tiles,
         order,
         epsilon,
+        zones: ZoneStats::default(),
         max_abs_err: 0.0,
         max_budget_util: 0.0,
         certified: true,
@@ -235,19 +241,14 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
         // The polygon side rasterized once, replayed per row order.
         let prepared = PreparedRasterJoin::prepare(&s.regions, spec, MAX_TILE, mode)?;
         for (order, points) in orders {
-            // The threads=1 answer: every other run of the path over this
-            // order must reproduce it bit-for-bit.
+            // The multi-tile answer, which the prepared replay must
+            // reproduce bit-for-bit; then the same canvas as one tile.
             let mut reference: Option<AggTable> = None;
-            for threads in [1usize, 4] {
-                let config = RasterJoinConfig {
-                    spec,
-                    max_tile: MAX_TILE,
-                    mode,
-                    threads,
-                    ..RasterJoinConfig::default()
-                };
+            for max_tile in [MAX_TILE, RasterJoinConfig::default().max_tile] {
+                let config = RasterJoinConfig { spec, max_tile, mode, ..RasterJoinConfig::default() };
                 let result = RasterJoin::new(config).execute(points, &s.regions, &s.query)?;
-                let mut r = rec(s, mode_name, threads, order, result.epsilon);
+                let mut r = rec(s, mode_name, result.tiles, order, result.epsilon);
+                r.zones = result.zones;
                 if (result.epsilon - epsilon).abs() > 1e-12 {
                     r.failures.push(format!(
                         "{mode_name}/{}: plan ε {} != expected {epsilon}",
@@ -255,28 +256,21 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
                     ));
                 }
                 check(&mut r, mode, &result.table, &exact, &bounded_budget, &weighted_budget);
-                match &reference {
-                    None => reference = Some(result.table),
-                    Some(first) if *first != result.table => r.failures.push(format!(
-                        "{mode_name}/{}: threads={threads} answer differs bit-wise from the \
-                         threads=1 answer over the {order} order",
-                        s.name
-                    )),
-                    Some(_) => {}
-                }
                 records.push(r);
+                reference.get_or_insert(result.table);
             }
             let result = prepared.execute_store(
                 PointStore::plain(points),
                 &s.query,
                 &raster_join::QueryBudget::unlimited(),
             )?;
-            let mut r = rec(s, prepared_name, 1, order, result.epsilon);
+            let mut r = rec(s, prepared_name, result.tiles, order, result.epsilon);
+            r.zones = result.zones;
             check(&mut r, mode, &result.table, &exact, &bounded_budget, &weighted_budget);
             if reference.as_ref() != Some(&result.table) {
                 r.failures.push(format!(
                     "{prepared_name}/{}: prepared replay differs bit-wise from the one-shot \
-                     answer over the {order} order",
+                     answer at MAX_TILE over the {order} order",
                     s.name
                 ));
             }
@@ -324,7 +318,7 @@ pub fn verify_scenario(s: &Scenario) -> Result<Vec<RunRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::corpus;
+    use crate::corpus::{corpus, zoned_scenario};
 
     /// A miniature end-to-end certification: every run of a small corpus
     /// passes, and the matrix axes all appear.
@@ -334,11 +328,31 @@ mod tests {
             let records = verify_scenario(&s).expect("executors must not fail");
             assert!(records.len() >= 14, "{}: matrix too small ({})", s.name, records.len());
             for r in &records {
-                assert!(r.passed(), "{} {}/{}/{}: {:?}", r.scenario, r.mode, r.threads, r.order, r.failures);
+                assert!(r.passed(), "{} {}/{}/{}: {:?}", r.scenario, r.mode, r.tiles, r.order, r.failures);
             }
             assert!(records.iter().any(|r| r.mode == "accurate" && r.order == "clustered"));
             assert!(records.iter().any(|r| r.mode == "prepared"));
             assert!(records.iter().any(|r| r.mode == "index_join"));
+        }
+    }
+
+    /// The oracle sees zones: over two scenarios of several zones each,
+    /// every run passes, and each raster path has a clustered run whose
+    /// footers skipped a zone and one whose footers took a zone whole.
+    #[test]
+    fn zoned_scenarios_certify_skipped_and_whole_zones() {
+        let mut records = Vec::new();
+        for seed in [7_300, 7_301] {
+            let s = zoned_scenario(seed).expect("zoned scenario");
+            records.extend(verify_scenario(&s).expect("executors must not fail"));
+        }
+        for r in &records {
+            assert!(r.passed(), "{} {}/{}/{}: {:?}", r.scenario, r.mode, r.tiles, r.order, r.failures);
+        }
+        for mode in ["bounded", "weighted", "accurate", "prepared", "prepared_weighted", "prepared_accurate"] {
+            let clustered = || records.iter().filter(|r| r.mode == mode && r.order == "clustered");
+            assert!(clustered().any(|r| r.zones.skipped > 0), "{mode}: no clustered run skipped a zone");
+            assert!(clustered().any(|r| r.zones.whole > 0), "{mode}: no clustered run took a zone whole");
         }
     }
 

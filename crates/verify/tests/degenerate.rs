@@ -39,7 +39,6 @@ fn accurate(points: &PointTable, regions: &RegionSet, q: &SpatialAggQuery, res: 
         spec: CanvasSpec::Resolution(res),
         max_tile: 64,
         mode: ExecutionMode::Accurate,
-        threads: 1,
         ..RasterJoinConfig::default()
     };
     RasterJoin::new(config).execute(points, regions, q).expect("accurate run").table

@@ -10,11 +10,11 @@ export CARGO_NET_OFFLINE=true
 cargo build --release
 cargo test -q
 # The bit-identity claims (DESIGN.md §7, §9, §15, §18) again under the
-# optimizer the server ships with: footers on == footers stripped, one
-# worker == several in either row order, stored join == in-memory join, the
-# accurate pass's boundary rows == the exact join, the zone walk == the
-# filter oracle on every tile, and the served answers == the committed
-# goldens byte for byte, must not depend on the build profile. Nor must the fused point pass agreeing with the
+# optimizer the server ships with: footers on == footers stripped, stored
+# join == in-memory join, the accurate pass's boundary rows == the exact
+# join, the zone walk == the filter oracle on every tile, and the served
+# answers == the committed goldens byte for byte, must not depend on the
+# build profile. Nor must the fused point pass agreeing with the
 # reference draw, or the walk's set bits (raster-join's unit tests), or the
 # grid's cell-local point-in-polygon agreeing with `contains`
 # (spatial-index's unit tests: every cell corner, cell edge, polygon vertex
@@ -34,9 +34,6 @@ cargo test -q --release -p gpu-raster -p urbane-geom
 # one-write response framing, under the shipped profile too.
 cargo test -q --release -p urbane-serve
 cargo clippy --workspace --all-targets -- -D warnings
-# Fault injection sits behind the default-on `fault-injection` feature: the
-# executor must build without it too.
-cargo build -q -p raster-join --no-default-features
 
 # Invariant lint: the per-line rules (panic-freedom, atomics orderings,
 # catch_unwind pairing, bounded growth, determinism) plus the call-graph
@@ -66,12 +63,13 @@ echo "lint report OK ($rule_count rules) — artifact: LINT_report.json"
 ./scripts/verify.sh --quiet --out VERIFY_report.json
 echo "verify stage OK"
 
-# Experiment smoke: `repro` is the one experiment harness (DESIGN.md §4), so
-# every E1–E9 runner must still run end to end at a small scale, and E4's
-# accurate row must still be exact (no region off the exact join).
+# Experiment smoke: `repro` is the one experiment harness (DESIGN.md §4).
+# `cargo test` already runs E1–E9 at this scale (`all_experiments_run_at_small_scale`);
+# here the release binary runs E4, whose accurate row must still be exact
+# (no region off the exact join).
 repro_dir="$(mktemp -d)"
-repro_log="$(target/release/repro --exp all --scale 20000 --out "$repro_dir")" \
-  || { echo "repro --exp all failed"; exit 1; }
+repro_log="$(target/release/repro --exp e4 --scale 20000 --out "$repro_dir")" \
+  || { echo "repro --exp e4 failed"; exit 1; }
 printf '%s\n' "$repro_log" | grep -E '^ *1024\+fix +exact +0 ' > /dev/null || {
   echo "E4's accurate row is not exact:"
   printf '%s\n' "$repro_log" | sed -n '/^E4/,/^E5/p'

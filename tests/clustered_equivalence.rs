@@ -7,17 +7,14 @@
 //!    permutation of the rows, and every row lies inside its zone's footer.
 //! 2. The zone classifier is a pure pruning layer: a clustered table answers
 //!    **bit-identically** (`==` on the raw f64 state) with its footers on and
-//!    with them stripped, on every executor, thread count and tiling, for
-//!    filters that sit exactly on footer edges.
+//!    with them stripped, on every executor and tiling, for filters that
+//!    sit exactly on footer edges.
 //! 3. Against the generator's row order only f32 blend order moves: exact
 //!    modes and counts agree exactly, bounded sums to rounding.
-//!
-//! Within one row order the thread count changes no bit either: the tiles
-//! of a multi-tile plan merge in tile order whichever worker drew them.
 
 use raster_join::{
     CanvasPlan, CanvasSpec, ExecutionMode, PointStore, PreparedRasterJoin, QueryBudget, RasterJoin,
-    RasterJoinConfig, ZonePlan, ZoneWalk,
+    RasterJoinConfig, Reach, ZonePlan, ZoneWalk,
 };
 use spatial_index::naive_join;
 use urban_data::filter::Filter;
@@ -159,12 +156,11 @@ fn edge_filters(t: &PointTable) -> Vec<(&'static str, Vec<Filter>)> {
     footer_edge_filters(t, &t.zones().iter().collect::<Vec<_>>())
 }
 
-fn config(mode: ExecutionMode, threads: usize, max_tile: u32) -> RasterJoinConfig {
+fn config(mode: ExecutionMode, max_tile: u32) -> RasterJoinConfig {
     RasterJoinConfig {
         spec: CanvasSpec::Resolution(512),
         max_tile,
         mode,
-        threads,
         ..Default::default()
     }
 }
@@ -190,27 +186,23 @@ fn footers_change_no_bit_of_any_executor() {
         }
         for mode in modes {
             for max_tile in [128, 2048] {
-                let reference = RasterJoin::new(config(mode, 1, max_tile))
+                let join = RasterJoin::new(config(mode, max_tile));
+                let reference = join
                     .execute_store(PointStore::plain(&plain), &regions, &q, &budget)
                     .expect("stripped");
                 // Stripped footers decide nothing, so only a query with no
                 // condition to decide takes its zones whole.
                 let n = if filters.is_empty() { plain.len().div_ceil(ZONE_ROWS) } else { 0 };
                 assert_eq!((reference.zones.skipped, reference.zones.whole), (0, n as u64), "{name}");
-                for threads in [1, 4] {
-                    let got = RasterJoin::new(config(mode, threads, max_tile))
-                        .execute_store(PointStore::plain(&t), &regions, &q, &budget)
-                        .expect("footers on");
-                    assert_eq!(
-                        reference.table, got.table,
-                        "{name} / {agg:?} / {mode:?} / threads {threads} / tile {max_tile}"
-                    );
-                    // Only a condition a footer decided counts as a decision.
-                    if !filters.is_empty() {
-                        skipped += got.zones.skipped;
-                        whole += got.zones.whole;
-                        scanned += got.zones.scanned;
-                    }
+                let got = join
+                    .execute_store(PointStore::plain(&t), &regions, &q, &budget)
+                    .expect("footers on");
+                assert_eq!(reference.table, got.table, "{name} / {agg:?} / {mode:?} / tile {max_tile}");
+                // Only a condition a footer decided counts as a decision.
+                if !filters.is_empty() {
+                    skipped += got.zones.skipped;
+                    whole += got.zones.whole;
+                    scanned += got.zones.scanned;
                 }
             }
         }
@@ -218,12 +210,11 @@ fn footers_change_no_bit_of_any_executor() {
     assert!(skipped > 0 && whole > 0 && scanned > 0, "{skipped} / {whole} / {scanned}");
 }
 
-/// Every mode × thread count × query on a multi-tile plan, over the
-/// generator's order and the clustered one: each answer is bit-identical to
-/// the serial answer over the same order, and the clustered table's tiles
-/// really step over zones (so its walk is not the full scan).
+/// Every mode × query on a multi-tile plan, over the generator's order and
+/// the clustered one: the clustered table's tiles really step over zones
+/// (so its walk is not the full scan).
 #[test]
-fn thread_count_changes_no_bit_in_either_row_order() {
+fn clustered_tiles_step_over_zones() {
     let (generated, regions) = demo_data(false);
     let mut clustered = generated.clone();
     clustered.cluster();
@@ -235,21 +226,14 @@ fn thread_count_changes_no_bit_in_either_row_order() {
             .filter(Filter::AttrRange { column: "fare".into(), min: 2.0, max: 60.0 }),
     ];
     let mut draws = [0; 2];
-    for (k, (order, t)) in [("generator", &generated), ("clustered", &clustered)].into_iter().enumerate() {
+    for (k, t) in [&generated, &clustered].into_iter().enumerate() {
         for q in &queries {
             for mode in [ExecutionMode::Bounded, ExecutionMode::Weighted, ExecutionMode::Accurate] {
-                let store = PointStore::plain(t);
-                let serial = RasterJoin::new(config(mode, 1, 128))
-                    .execute_store(store, &regions, q, &budget)
-                    .expect("serial");
-                assert!(serial.tiles >= 4, "plan must be multi-tile, got {}", serial.tiles);
-                draws[k] += serial.stats.draw_calls;
-                for threads in [2, 4, 7] {
-                    let got = RasterJoin::new(config(mode, threads, 128))
-                        .execute_store(store, &regions, q, &budget)
-                        .expect("threaded");
-                    assert_eq!(serial.table, got.table, "{order} / {q:?} / {mode:?} / threads {threads}");
-                }
+                let res = RasterJoin::new(config(mode, 128))
+                    .execute_store(PointStore::plain(t), &regions, q, &budget)
+                    .expect("multi-tile");
+                assert!(res.tiles >= 4, "plan must be multi-tile, got {}", res.tiles);
+                draws[k] += res.stats.draw_calls;
             }
         }
     }
@@ -320,7 +304,7 @@ fn clustered_order_agrees_with_generator_order() {
 }
 
 /// The zone walk against the filter oracle. On every tile of a 1×1 and a
-/// 3×3 tiling, the rows the point pass is handed ([`PointStore::walk_tile`])
+/// 3×3 tiling, the rows the point pass is handed ([`Reach::Tile`])
 /// are exactly the rows `FilterSet::compile(t).matches(i)` accepts among the
 /// rows the tile can draw — plus, at most, accepted rows the tile culls —
 /// each once, ascending. Over clustered and unclustered tables whose length
@@ -334,7 +318,7 @@ fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
     assert!(!n.is_multiple_of(64) && !n.is_multiple_of(ZONE_ROWS), "{n} rows");
     let mut clustered = plain.clone();
     clustered.cluster();
-    let stores = [("unclustered", PointStore::plain(&plain)), ("clustered", PointStore::plain(&clustered))];
+    let tables = [("unclustered", &plain), ("clustered", &clustered)];
     // A square canvas over the rows, so both tilings are square too.
     let b = plain.bbox();
     let side = b.width().max(b.height());
@@ -348,19 +332,17 @@ fn zone_walk_hands_each_tile_exactly_the_accepted_rows() {
         assert_eq!(plan.tiles.len(), tiles);
         for (name, filters) in &filters {
             let q = filters.iter().fold(SpatialAggQuery::count(), |q, f| q.filter(f.clone()));
-            for (what, store) in &stores {
-                let t = store.table();
+            for &(what, mut t) in &tables {
                 let compiled = q.filters.compile(t).expect("compile");
                 let accepted: Vec<bool> = (0..t.len()).map(|i| compiled.matches(i)).collect();
                 let n_accepted = accepted.iter().filter(|&&a| a).count();
                 let walk = ZoneWalk::new(ZonePlan::new(t.schema(), &q).expect("plan"), &t);
                 for vp in &plan.tiles {
                     let mut handed = Vec::new();
-                    store
-                        .walk_tile(&walk, &vp.world, &budget, |first, _, bits| {
-                            handed.extend(bits.map(|i| first + i))
-                        })
-                        .expect("walk");
+                    walk.run(&mut t, Reach::Tile(&vp.world), &budget, |first, _, bits| {
+                        handed.extend(bits.map(|i| first + i))
+                    })
+                    .expect("walk");
                     let at = format!("{name} / {what} / {tiles} tiles / {:?}", vp.world);
                     assert!(handed.windows(2).all(|w| w[0] < w[1]), "{at}: once each, ascending");
                     assert!(handed.iter().all(|&i| i < t.len() && accepted[i]), "{at}: a rejected row");

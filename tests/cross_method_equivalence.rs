@@ -210,32 +210,6 @@ proptest! {
         }
     }
 
-    /// Work stealing is invisible on arbitrary scenarios: a multi-tile
-    /// plan answers *bit-for-bit* (not approximately) the same with one
-    /// worker and with several, in every execution mode — the tiles merge
-    /// in tile order whatever order the workers finish them in.
-    #[test]
-    fn work_stealing_matches_serial(s in scenario_strategy()) {
-        use raster_join::{CanvasSpec, ExecutionMode, PointStore, QueryBudget};
-        let (pts, regions, q) = build(&s);
-        prop_assume!(!regions.is_empty());
-        let budget = QueryBudget::unlimited();
-        // 96-px canvas tiled at 32 px → multi-tile, so the workers share it.
-        let join = |mode, threads| RasterJoin::new(RasterJoinConfig {
-            spec: CanvasSpec::Resolution(96),
-            max_tile: 32,
-            mode,
-            threads,
-            ..Default::default()
-        });
-        for (mode, threads) in [(ExecutionMode::Bounded, 3usize), (ExecutionMode::Accurate, 2)] {
-            let store = PointStore::plain(&pts);
-            let base = join(mode, 1).execute_store(store, &regions, &q, &budget).unwrap();
-            let got = join(mode, threads).execute_store(store, &regions, &q, &budget).unwrap();
-            prop_assert_eq!(&base.table, &got.table, "{:?} threads={} diverged", mode, threads);
-        }
-    }
-
     /// The canvas plan honors whichever ε is requested.
     #[test]
     fn epsilon_request_honored(eps in 0.1f64..50.0) {

@@ -3,8 +3,9 @@
 //! corpus the `verify` binary and the ci.sh `verify` stage run.
 //!
 //! * ≥200 budget-certified runs across the execution paths (bounded /
-//!   weighted / accurate × threads {1, 4} × row order {generator,
-//!   clustered}, each mode prepared over both orders, and the index join);
+//!   weighted / accurate × tiling {`MAX_TILE`, one tile} × row order
+//!   {generator, clustered}, each mode prepared over both orders, and the
+//!   index join);
 //! * the accurate paths are exact (counts bit-equal to the oracle, value
 //!   channels within f32-accumulator tolerance);
 //! * the approximate paths stay within their analytic per-region budget;
@@ -15,6 +16,7 @@
 use urbane_geom::geojson::{parse_json, Json};
 use urbane_verify::metamorphic::run_laws;
 use urbane_verify::report::VerifyReport;
+use urbane_verify::runner::MAX_TILE;
 use urbane_verify::{corpus, verify_scenario};
 
 /// Same base seed as the `verify` binary, so this test certifies the exact
@@ -29,27 +31,26 @@ fn epsilon_bound_certified_across_the_execution_matrix() {
         for r in &records {
             assert!(
                 r.passed(),
-                "{} [{} t{} {}]: {:?}",
+                "{} [{} {} tiles {}]: {:?}",
                 r.scenario,
                 r.mode,
-                r.threads,
+                r.tiles,
                 r.order,
                 r.failures
             );
         }
-        // Matrix shape: both thread counts over both row orders ran, and
-        // each mode's prepared replay over both orders.
+        // Matrix shape: both tilings over both row orders ran, and each
+        // mode's prepared replay over both orders. A canvas wider than
+        // MAX_TILE splits into several tiles at MAX_TILE; every canvas is
+        // one tile in the other run.
+        let multi = s.resolution > MAX_TILE;
         for order in ["generator", "clustered"] {
             for mode in ["bounded", "weighted", "accurate"] {
-                for threads in [1usize, 4] {
-                    assert!(
-                        records.iter().any(|r| r.mode == mode
-                            && r.threads == threads
-                            && r.order == order),
-                        "{}: missing {mode} × t{threads} × {order}",
-                        s.name
-                    );
-                }
+                let tiles: Vec<usize> =
+                    records.iter().filter(|r| r.mode == mode && r.order == order).map(|r| r.tiles).collect();
+                assert_eq!(tiles.len(), 2, "{}: {mode} × {order} ran {tiles:?}", s.name);
+                assert_eq!(tiles[1], 1, "{}: {mode} × {order} single-tile run", s.name);
+                assert_eq!(tiles[0] > 1, multi, "{}: {mode} × {order} MAX_TILE run", s.name);
             }
             for mode in ["prepared", "prepared_weighted", "prepared_accurate"] {
                 assert!(
@@ -59,7 +60,7 @@ fn epsilon_bound_certified_across_the_execution_matrix() {
                 );
             }
         }
-        assert_eq!(records.len(), 19, "{}: 3 paths × 2 threads × 2 orders + 3 × 2 prepared + 1", s.name);
+        assert_eq!(records.len(), 19, "{}: 3 paths × 2 tilings × 2 orders + 3 × 2 prepared + 1", s.name);
         report.add_runs(&records);
     }
 
